@@ -61,7 +61,7 @@ class Verdict:
         return self.kind is VerdictKind.OBSTRUCTION_FAILS
 
 
-def classify_one(spec: SurgerySpec, budget=DEFAULT_BUDGET, order="weight", path="closed") -> Verdict:
+def classify_one(spec: SurgerySpec, budget=DEFAULT_BUDGET, path="closed") -> Verdict:
     """Obstruction verdict for one surgery spec in the congruence families.
 
     path selects which of the two equivalent graph constructions feeds the
@@ -85,7 +85,7 @@ def classify_one(spec: SurgerySpec, budget=DEFAULT_BUDGET, order="weight", path=
     else:
         raise ValueError(f"unknown construction path {path!r}")
     gram = gram_matrix(tree)
-    result = find_embedding(gram, budget=budget, order=order)
+    result = find_embedding(gram, budget=budget)
     if result.status is SearchStatus.FOUND:
         return Verdict(VerdictKind.OBSTRUCTION_PASSES, result.witness, result.nodes, len(gram))
     if result.status is SearchStatus.NONE:
@@ -177,7 +177,8 @@ def known_witness(spec: SurgerySpec):
     if not is_family_member(p1, a1, p2, a2, n):
         return None
     # both solution families sit at N = p2, n = N + p2*a2
-    assert par["N"] == p2 and n == p2 + p2 * a2
+    if par["N"] != p2 or n != p2 + p2 * a2:
+        raise AssertionError(f"family tuple {spec} is not at N = p2")
     tree, roles = closed_form_two_iter(spec, with_roles=True)
     ids = _ids_by_role(tree, roles)
     rank = len(tree)
@@ -269,10 +270,10 @@ def desk_range_tuples() -> list:
 
 
 def _sweep_worker(args):
-    (p1, a1, p2, a2, n), budget, order = args
+    (p1, a1, p2, a2, n), budget = args
     spec = SurgerySpec(CableTower(((p1, a1), (p2, a2))), n)
     t0 = time.perf_counter()
-    verdict = classify_one(spec, budget=budget, order=order)
+    verdict = classify_one(spec, budget=budget)
     ms = int((time.perf_counter() - t0) * 1000)
     return SweepRow(
         p1,
@@ -289,10 +290,10 @@ def _sweep_worker(args):
     )
 
 
-def sweep(tuples, budget=DEFAULT_BUDGET, order="weight", workers=1) -> list:
+def sweep(tuples, budget=DEFAULT_BUDGET, workers=1) -> list:
     """Classify every tuple; rows come back sorted by tuple, independent of
     worker scheduling."""
-    jobs = [(t, budget, order) for t in sorted(set(tuples))]
+    jobs = [(t, budget) for t in sorted(set(tuples))]
     if workers > 1 and len(jobs) > 1:
         with Pool(workers) as pool:
             rows = pool.map(_sweep_worker, jobs, chunksize=8)

@@ -56,7 +56,7 @@ from .plumbing import (
     is_negative_definite,
 )
 
-CONFIG_KEYS = {"out": str, "workers": int, "budget": int, "order": str, "timing": bool}
+CONFIG_KEYS = {"out": str, "workers": int, "budget": int, "timing": bool}
 
 
 class CliError(Exception):
@@ -68,7 +68,11 @@ class CliError(Exception):
 def load_config(path) -> dict:
     """Flat key=value file; '#' starts a comment; unknown keys are rejected."""
     values = {}
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise CliError(f"cannot read config: {exc}")
+    with fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -85,7 +89,10 @@ def load_config(path) -> dict:
                     raise CliError(f"{path}:{lineno}: boolean expected for {key}")
                 values[key] = val.lower() in ("1", "true")
             else:
-                values[key] = typ(val)
+                try:
+                    values[key] = typ(val)
+                except ValueError:
+                    raise CliError(f"{path}:{lineno}: {typ.__name__} expected for {key}")
     return values
 
 
@@ -209,12 +216,16 @@ def cmd_graph(args, config):
 
 def _embed_input(args):
     if args.graph_file:
-        with open(args.graph_file) as fh:
-            text = fh.read()
-        obj = json.loads(text)
-        if "tree" in obj:
-            obj = obj["tree"]
-        tree = WeightedTree.from_json(json.dumps(obj))
+        try:
+            with open(args.graph_file) as fh:
+                obj = json.load(fh)
+            if "tree" in obj:
+                obj = obj["tree"]
+            tree = WeightedTree.from_json(json.dumps(obj))
+        except OSError as exc:
+            raise CliError(f"cannot read graph: {exc}")
+        except (ValueError, TypeError, KeyError) as exc:
+            raise CliError(f"{args.graph_file}: not a plumbing tree: {exc!r}")
         name = os.path.splitext(os.path.basename(args.graph_file))[0]
         return tree, name
     if args.pairs is None or args.n is None:
@@ -230,23 +241,25 @@ def _embed_input(args):
 def cmd_embed(args, config):
     tree, name = _embed_input(args)
     gram = gram_matrix(tree)
-    if not is_negative_definite(gram):
-        raise CliError("intersection form is not negative definite")
     rank = args.rank if args.rank is not None else len(gram)
     budget = resolve(args, config, "budget", DEFAULT_BUDGET)
-    order = resolve(args, config, "order", "weight")
     out_dir = resolve(args, config, "out", os.environ.get("KNOTPLUMB_OUT", "."))
+    try:
+        if args.enumerate:
+            classes = enumerate_embeddings(
+                gram, rank=rank, locally_minimal_only=args.locally_minimal
+            )
+        else:
+            result = find_embedding(gram, rank=rank, budget=budget)
+    except ValueError as exc:  # not negative definite, or rank < 1
+        raise CliError(str(exc))
     if args.enumerate:
-        classes = enumerate_embeddings(
-            gram, rank=rank, locally_minimal_only=args.locally_minimal, order=order
-        )
         print(f"{len(classes)} embedding class(es) into rank {rank}")
         for i, cls in enumerate(classes, start=1):
             print(f"class {i}:")
             for vec in cls:
                 print(f"  {render_vector(vec)}")
         return 0
-    result = find_embedding(gram, rank=rank, budget=budget, order=order)
     if result.status is SearchStatus.FOUND:
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, f"witness_{name}.json")
@@ -283,8 +296,9 @@ def _run_sweep(args, config):
     tuples = _range_tuples(args)
     budget = resolve(args, config, "budget", DEFAULT_BUDGET)
     workers = resolve(args, config, "workers", 1)
-    order = resolve(args, config, "order", "weight")
-    rows = sweep(tuples, budget=budget, order=order, workers=workers)
+    if workers < 1:
+        raise CliError(f"workers must be at least 1, got {workers}")
+    rows = sweep(tuples, budget=budget, workers=workers)
     out_dir = resolve(args, config, "out", os.environ.get("KNOTPLUMB_OUT", "."))
     witness_files = {}
     for row in rows:
@@ -360,8 +374,6 @@ def build_parser():
     p.add_argument("--n", type=int)
     p.add_argument("--rank", type=int, help="target rank (default: Gram dimension)")
     p.add_argument("--budget", type=int, help="search node budget")
-    p.add_argument("--order", choices=("weight", "greedy", "input"),
-                   help="vertex placement heuristic (default: weight)")
     p.add_argument("--enumerate", action="store_true", help="list all classes")
     p.add_argument(
         "--locally-minimal",
@@ -381,7 +393,6 @@ def build_parser():
         p.add_argument("--csv", help="write rows to this CSV file")
         p.add_argument("--workers", type=int)
         p.add_argument("--budget", type=int)
-        p.add_argument("--order", choices=("weight", "greedy", "input"))
         p.add_argument("--timing", action="store_const", const=True, default=None,
                        help="fill the ms column (breaks byte-determinism)")
         p.add_argument("--out", help="output directory for witness files")

@@ -17,6 +17,10 @@ embedding can be moved into this form step by step by self-isometries of
 "none" answer is exhaustive.  A node budget turns an over-long search into
 an explicit indeterminate outcome, never a wrong answer.
 
+Vertices are placed in one fixed depth-first order (placement_order), so
+each vertex after the first of its component is placed next to one
+already placed.  The order affects speed only, never the verdict.
+
 All arithmetic is on plain integers.
 """
 
@@ -87,57 +91,29 @@ def _adjacency(gram):
     ]
 
 
-def _eccentricities(adj):
-    # BFS per vertex; unreachable vertices (other components) are ignored
-    n = len(adj)
-    ecc = [0] * n
-    for s in range(n):
-        dist = {s: 0}
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
-                        nxt.append(w)
-            frontier = nxt
-        ecc[s] = max(dist.values())
-    return ecc
-
-
-def vertex_order(gram, strategy: str = "weight") -> list:
+def placement_order(gram) -> list:
     """Order in which the search places vertices.
 
-    "weight": highest |diagonal| first, ties broken by centrality (small
-    eccentricity in the adjacency graph) and then index.  Large norms have
-    few square decompositions, so failures surface early.
-    "greedy": same start, but each subsequent vertex maximises the number
-    of already-placed neighbours before applying the weight/centrality key,
-    which keeps chains connected.  Any complete order is correct; this
-    knob only affects speed.
-    "input": the given order.
+    Depth-first preorder from the lowest index, neighbours visited in
+    ascending index, each further component started at its lowest
+    unplaced index.  Every vertex after the first of its component is
+    then placed next to an already-placed one, so its dot-product targets
+    prune candidates from the start.  Any complete order gives the same
+    verdict; the order only affects speed.
     """
-    n = len(gram)
-    if strategy == "input":
-        return list(range(n))
     adj = _adjacency(gram)
-    ecc = _eccentricities(adj)
-    key = lambda i: (-abs(gram[i][i]), ecc[i], i)
-    if strategy == "weight":
-        return sorted(range(n), key=key)
-    if strategy == "greedy":
-        order = [min(range(n), key=key)]
-        placed = set(order)
-        while len(order) < n:
-            best = min(
-                (i for i in range(n) if i not in placed),
-                key=lambda i: (-len(adj[i] & placed),) + key(i),
-            )
-            order.append(best)
-            placed.add(best)
-        return order
-    raise ValueError(f"unknown ordering strategy {strategy!r}")
+    placed = [False] * len(gram)
+    order = []
+    for root in range(len(gram)):
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            if placed[v]:
+                continue
+            placed[v] = True
+            order.append(v)
+            stack.extend(sorted((w for w in adj[v] if not placed[w]), reverse=True))
+    return order
 
 
 def _sorted_tuples(size, budget, lo, hi):
@@ -248,30 +224,31 @@ class _Searcher:
         return out
 
 
-def find_embedding(gram, rank=None, budget=None, order="weight") -> SearchResult:
+def find_embedding(gram, rank=None, budget=None) -> SearchResult:
     """Decide embeddability of a negative-definite Gram matrix into (Z^r, -Id).
 
     Returns FOUND with a verified witness, NONE after exhausting the
     (symmetry-pruned but complete) search space, or INDETERMINATE when the
     node budget runs out.  rank defaults to the dimension of the matrix,
-    the rank relevant to the rational-homology-ball obstruction.
+    the rank relevant to the rational-homology-ball obstruction.  Raises
+    ValueError for a matrix that is not square and negative definite, or a
+    rank below 1.
     """
-    _check_gram(gram)
-    r = len(gram) if rank is None else int(rank)
-    if r < 1:
-        raise ValueError("rank must be positive")
-    searcher = _Searcher(gram, r, vertex_order(gram, order), budget)
+    r = _check_gram(gram, rank)
+    searcher = _Searcher(gram, r, placement_order(gram), budget)
     try:
         witness = searcher.run()
     except BudgetExceeded:
         return SearchResult(SearchStatus.INDETERMINATE, None, searcher.nodes)
     if witness is None:
         return SearchResult(SearchStatus.NONE, None, searcher.nodes)
-    assert verify_embedding(gram, witness)
+    if not verify_embedding(gram, witness):
+        raise AssertionError("search produced a witness that fails verification")
     return SearchResult(SearchStatus.FOUND, witness, searcher.nodes)
 
 
-def _check_gram(gram):
+def _check_gram(gram, rank):
+    """Validate the search input; returns the target rank."""
     from .plumbing import is_negative_definite
 
     n = len(gram)
@@ -279,9 +256,12 @@ def _check_gram(gram):
         if len(gram[i]) != n:
             raise ValueError("Gram matrix is not square")
     if not is_negative_definite(gram):
-        # embeddings into -Id exist only for negative-definite forms, but a
-        # caller handing us anything else has a bug upstream
-        raise ValueError("Gram matrix is not negative definite")
+        # embeddings into -Id exist only for negative-definite forms
+        raise ValueError("intersection form is not negative definite")
+    r = n if rank is None else int(rank)
+    if r < 1:
+        raise ValueError(f"rank must be at least 1, got {r}")
+    return r
 
 
 def matrix_canonical_form(vectors) -> tuple:
@@ -310,7 +290,7 @@ def is_locally_minimal(vectors) -> bool:
     return all(any(v[k] != 0 for v in vectors) for k in range(len(vectors[0])))
 
 
-def enumerate_embeddings(gram, rank=None, locally_minimal_only=False, order="weight") -> list:
+def enumerate_embeddings(gram, rank=None, locally_minimal_only=False) -> list:
     """All embeddings up to self-isometry of the target, canonically presented.
 
     Intended for small instances (the search collects every completion).
@@ -319,9 +299,8 @@ def enumerate_embeddings(gram, rank=None, locally_minimal_only=False, order="wei
     negatives of each other), so the returned list has one entry per
     isometry class.
     """
-    _check_gram(gram)
-    r = len(gram) if rank is None else int(rank)
-    searcher = _Searcher(gram, r, vertex_order(gram, order), None, collect=True)
+    r = _check_gram(gram, rank)
+    searcher = _Searcher(gram, r, placement_order(gram), None, collect=True)
     seen = {}
     for sol in searcher.run():
         if locally_minimal_only and not is_locally_minimal(sol):

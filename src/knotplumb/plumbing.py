@@ -421,7 +421,7 @@ def reduce_tree(tree: WeightedTree) -> WeightedTree:
     loop blow-down removes a vertex without pushing any weight above 0
     (that is what the negative-neighbour condition buys); an absorption
     removes two vertices and positive weight is subadditive under the
-    merge.  The measure is asserted, not just documented.
+    merge.  The measure is checked, not just documented.
 
     Blow-downs at valence 0/1 and at -1's with a non-negative neighbour
     are legal moves (see blow_down) but are left out of the loop: the
@@ -448,7 +448,8 @@ def reduce_tree(tree: WeightedTree) -> WeightedTree:
         else:
             return t
         new_measure = reduction_measure(t)
-        assert new_measure < measure, "reduction measure failed to decrease"
+        if new_measure >= measure:
+            raise AssertionError("reduction measure failed to decrease")
         measure = new_measure
 
 

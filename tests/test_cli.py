@@ -193,3 +193,32 @@ class TestConfig:
         assert res.returncode == 0
         assert (other / "witness_2_3_2_17_36.json").exists()
         assert not (tmp_path / "witness_2_3_2_17_36.json").exists()
+
+
+BAD_INPUTS = {
+    "missing-graph": ["embed", "missing.json"],
+    "graph-not-json": ["embed", "notjson.json"],
+    "graph-not-a-tree": ["embed", "dupedge.json"],
+    "rank-zero": ["embed", "chain3.json", "--rank", "0"],
+    "rank-zero-enumerate": ["embed", "chain3.json", "--rank", "0", "--enumerate"],
+    "config-missing": ["--config", "missing.cfg", "embed", "chain3.json"],
+    "config-workers-not-int": ["--config", "workers.cfg", "embed", "chain3.json"],
+    "config-order-removed": ["--config", "order.cfg", "embed", "chain3.json"],
+    "workers-zero": ["sweep", *SWEEP_ARGS, "--workers", "0"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_is_an_error_not_a_traceback(tmp_path, argv):
+    write_chain(tmp_path / "chain3.json", 3)
+    (tmp_path / "notjson.json").write_text("not json\n")
+    vertices = [{"id": 0, "weight": -2}, {"id": 1, "weight": -2}]
+    (tmp_path / "dupedge.json").write_text(
+        json.dumps({"vertices": vertices, "edges": [[0, 1], [1, 0]]})
+    )
+    (tmp_path / "workers.cfg").write_text("workers=abc\n")
+    (tmp_path / "order.cfg").write_text("order=weight\n")
+    argv = [str(tmp_path / a) if a.endswith((".json", ".cfg")) else a for a in argv]
+    res = run_cli(*argv, "--out", str(tmp_path))
+    assert res.returncode == 1, res.stdout + res.stderr
+    assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr, res.stderr

@@ -1,9 +1,13 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import knotplumb
 from knotplumb.cabling import CableTower, SurgerySpec, closed_form_two_iter
 from knotplumb.lattice import (
     SearchStatus,
@@ -13,10 +17,10 @@ from knotplumb.lattice import (
     find_embedding,
     is_locally_minimal,
     matrix_canonical_form,
+    placement_order,
     render_vector,
     square_decompositions,
     verify_embedding,
-    vertex_order,
 )
 from knotplumb.plumbing import gram_matrix, is_negative_definite
 
@@ -30,6 +34,11 @@ def chain_gram(k, weight=-2):
         if i + 1 < k:
             g[i][i + 1] = g[i + 1][i] = 1
     return g
+
+
+def relabel(gram, perm):
+    """The Gram matrix of the same graph with vertex i renamed perm.index(i)."""
+    return [[gram[a][b] for b in perm] for a in perm]
 
 
 def block_diag(*blocks):
@@ -179,18 +188,58 @@ class TestFindEmbedding:
         with pytest.raises(ValueError):
             find_embedding([[2]])
 
-    def test_orderings_agree(self):
+    def test_verdict_invariant_under_relabelling(self):
+        # a relabelled matrix is placed in a different order, so this also
+        # checks that the verdict does not depend on the placement order
         rng = random.Random(5)
         for _ in range(25):
             t = random_tree(rng, max_vertices=6, weights=(-4, -2))
             g = gram_matrix(t)
             if not is_negative_definite(g):
                 continue
-            results = {
-                order: find_embedding(g, order=order).status
-                for order in ("weight", "greedy", "input")
-            }
-            assert len(set(results.values())) == 1, results
+            status = find_embedding(g).status
+            for _ in range(3):
+                perm = list(range(len(g)))
+                rng.shuffle(perm)
+                assert find_embedding(relabel(g, perm)).status is status, perm
+
+    def test_chain_refute_stays_small_under_relabelling(self):
+        # rank-26 refute of T(2,3;2,53), n = 108; depth-first placement
+        # needs 26-71 nodes under these labellings, input order 114-3865
+        spec = SurgerySpec(CableTower(((2, 3), (2, 53))), 108)
+        g = gram_matrix(closed_form_two_iter(spec))
+        rank = len(g)
+        assert rank == 26
+        for seed in range(20):
+            perm = list(range(rank))
+            random.Random(seed).shuffle(perm)
+            res = find_embedding(relabel(g, perm), budget=4 * rank)
+            assert res.status is SearchStatus.NONE, (seed, res.nodes)
+
+    def test_soundness_check_survives_optimize(self):
+        # the witness re-verification must not be an assert, which -O strips
+        code = (
+            "from knotplumb import lattice\n"
+            "lattice.verify_embedding = lambda gram, vectors: False\n"
+            "try:\n"
+            "    lattice.find_embedding([[-1]])\n"
+            "except AssertionError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit('unverified witness accepted')\n"
+        )
+        src = os.path.dirname(os.path.dirname(knotplumb.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        res = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+        )
+        assert res.returncode == 0, res.stdout + res.stderr
+
+    def test_rejects_rank_below_one(self):
+        with pytest.raises(ValueError):
+            find_embedding(chain_gram(2), rank=0)
+        with pytest.raises(ValueError):
+            enumerate_embeddings(chain_gram(2), rank=0)
 
     def test_monotone_in_rank(self):
         rng = random.Random(9)
@@ -269,16 +318,32 @@ class TestPresentation:
         assert obj["rank"] == 3
         assert embedding_from_json_obj(obj) == vectors
 
-    def test_vertex_order_strategies(self):
-        g = gram_matrix_for_order_test()
-        assert vertex_order(g, "input") == [0, 1, 2]
-        # -4 vertex first under both heuristics
-        assert vertex_order(g, "weight")[0] == 1
-        assert vertex_order(g, "greedy")[0] == 1
 
+class TestPlacementOrder:
+    def test_each_vertex_after_the_first_has_a_placed_neighbour(self):
+        rng = random.Random(11)
+        for _ in range(30):
+            g = gram_matrix(random_tree(rng, max_vertices=9, weights=(-4, -2)))
+            perm = list(range(len(g)))
+            rng.shuffle(perm)
+            g = relabel(g, perm)
+            order = placement_order(g)
+            assert sorted(order) == list(range(len(g)))
+            assert order[0] == 0
+            for k in range(1, len(order)):
+                assert any(g[order[k]][w] != 0 for w in order[:k]), (g, order)
 
-def gram_matrix_for_order_test():
-    return [[-2, 1, 0], [1, -4, 1], [0, 1, -2]]
+    def test_depth_first_ascending(self):
+        # star with centre 2 (leaves 0, 1, 3), then a path 4-6-5
+        g = [[-2 if i == j else 0 for j in range(7)] for i in range(7)]
+        for a, b in ((2, 0), (2, 1), (2, 3), (4, 6), (6, 5)):
+            g[a][b] = g[b][a] = 1
+        assert placement_order(g) == [0, 2, 1, 3, 4, 6, 5]
+
+    def test_identity_on_closed_form(self):
+        spec = SurgerySpec(CableTower(((2, 3), (2, 17))), 36)
+        g = gram_matrix(closed_form_two_iter(spec))
+        assert placement_order(g) == list(range(len(g)))
 
 
 @settings(max_examples=40, deadline=None)
