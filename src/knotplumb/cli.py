@@ -105,6 +105,31 @@ def resolve(args, config, key, default):
     return default
 
 
+def resolve_positive(args, config, key, default):
+    value = resolve(args, config, key, default)
+    if value < 1:
+        raise CliError(f"{key} must be at least 1, got {value}")
+    return value
+
+
+def _write_text(path, text):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}")
+
+
+def _write_witness(out_dir, name, witness) -> str:
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot create output directory: {exc}")
+    path = os.path.join(out_dir, f"witness_{name}.json")
+    _write_text(path, json.dumps(embedding_to_json_obj(witness)))
+    return path
+
+
 def _parse_int_list(text):
     try:
         return [int(x) for x in text.split(",") if x != ""]
@@ -242,7 +267,7 @@ def cmd_embed(args, config):
     tree, name = _embed_input(args)
     gram = gram_matrix(tree)
     rank = args.rank if args.rank is not None else len(gram)
-    budget = resolve(args, config, "budget", DEFAULT_BUDGET)
+    budget = resolve_positive(args, config, "budget", DEFAULT_BUDGET)
     out_dir = resolve(args, config, "out", os.environ.get("KNOTPLUMB_OUT", "."))
     try:
         if args.enumerate:
@@ -261,10 +286,7 @@ def cmd_embed(args, config):
                 print(f"  {render_vector(vec)}")
         return 0
     if result.status is SearchStatus.FOUND:
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, f"witness_{name}.json")
-        with open(path, "w") as fh:
-            json.dump(embedding_to_json_obj(result.witness), fh)
+        path = _write_witness(out_dir, name, result.witness)
         print(f"embedding found into rank {rank} ({result.nodes} nodes)")
         for vec in result.witness:
             print(f"  {render_vector(vec)}")
@@ -294,22 +316,15 @@ def _range_tuples(args):
 
 def _run_sweep(args, config):
     tuples = _range_tuples(args)
-    budget = resolve(args, config, "budget", DEFAULT_BUDGET)
-    workers = resolve(args, config, "workers", 1)
-    if workers < 1:
-        raise CliError(f"workers must be at least 1, got {workers}")
+    budget = resolve_positive(args, config, "budget", DEFAULT_BUDGET)
+    workers = resolve_positive(args, config, "workers", 1)
     rows = sweep(tuples, budget=budget, workers=workers)
     out_dir = resolve(args, config, "out", os.environ.get("KNOTPLUMB_OUT", "."))
     witness_files = {}
     for row in rows:
         if row.witness is not None:
-            os.makedirs(out_dir, exist_ok=True)
-            path = os.path.join(
-                out_dir, f"witness_{row.p1}_{row.a1}_{row.p2}_{row.a2}_{row.n}.json"
-            )
-            with open(path, "w") as fh:
-                json.dump(embedding_to_json_obj(row.witness), fh)
-            witness_files[row.key()] = path
+            name = "_".join(str(x) for x in row.key())
+            witness_files[row.key()] = _write_witness(out_dir, name, row.witness)
     return rows, witness_files
 
 
@@ -318,8 +333,7 @@ def cmd_sweep(args, config):
     timing = resolve(args, config, "timing", False)
     csv_text = rows_to_csv(rows, witness_files, timing=timing)
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(csv_text)
+        _write_text(args.csv, csv_text)
         print(f"{len(rows)} rows written to {args.csv}")
     else:
         sys.stdout.write(csv_text)
@@ -331,8 +345,7 @@ def cmd_audit(args, config):
     report = theorem_audit(rows, family1_form=args.family_form)
     if args.csv:
         timing = resolve(args, config, "timing", False)
-        with open(args.csv, "w") as fh:
-            fh.write(rows_to_csv(rows, witness_files, timing=timing))
+        _write_text(args.csv, rows_to_csv(rows, witness_files, timing=timing))
     print(json.dumps(report.to_json_obj(), indent=2))
     return 0 if report.perfect else 5
 

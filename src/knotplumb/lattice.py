@@ -14,8 +14,19 @@ in canonical form with respect to that stabilizer subgroup -- entries
 sorted within each column class, non-negative on untouched columns.  Any
 embedding can be moved into this form step by step by self-isometries of
 (Z^r, -Id) fixing the earlier vectors, so the pruning loses nothing; a
-"none" answer is exhaustive.  A node budget turns an over-long search into
-an explicit indeterminate outcome, never a wrong answer.
+"none" answer is exhaustive.
+
+A candidate's entries are chosen one column class at a time, and a
+partial choice is dropped once a Cauchy-Schwarz bound over all the
+columns still free shows that it cannot meet a dot-product target: those
+entries have squared norm at most the unspent norm, so the gap to each
+target can close by at most sqrt(unspent norm * sum of the placed
+vector's squared entries in the free columns).  The bound is checked in
+exact integers and drops only choices with no completion, so it changes
+the speed of the search, never its candidates or its node count.
+
+A node budget turns an over-long search into an explicit indeterminate
+outcome, never a wrong answer.
 
 Vertices are placed in one fixed depth-first order (placement_order), so
 each vertex after the first of its component is placed next to one
@@ -172,10 +183,25 @@ class _Searcher:
         return False
 
     def _candidates(self, placed, norm, targets):
+        """All vectors of the given norm whose dot products with the placed
+        vectors are the targets, in canonical form for the placed columns.
+
+        Coordinates are grouped into classes of equal placed column (the
+        class signature sig); the entries are chosen class by class, each
+        class as a nonincreasing tuple, the untouched class last.  A partial
+        choice is kept only if it can still meet every target: the entries
+        not yet chosen have squared norm at most the remaining budget, and
+        they move dot product j by sum_k sig(k)[j] * x_k, so by
+        Cauchy-Schwarz the gap to target j must satisfy
+            gap_j**2 <= remaining budget * sum over later classes u of
+                        size_u * sig_u[j]**2.
+        The right-hand sums are one suffix table per call.  Only partial
+        choices that cannot complete are skipped, so the output is exactly
+        the unpruned enumeration's, in the same order.
+        """
         # group target coordinates by their column of placed entries
         classes = {}
-        for k in range(self.rank):
-            sig = tuple(v[k] for v in placed)
+        for k, sig in enumerate(zip(*placed) if placed else [()] * self.rank):
             classes.setdefault(sig, []).append(k)
         items = sorted(classes.items(), key=lambda kv: kv[0], reverse=True)
         zero_sig = tuple([0] * len(placed))
@@ -185,14 +211,17 @@ class _Searcher:
         coords = [cs for _, cs in items]
         sizes = [len(cs) for cs in coords]
         cap = isqrt(norm)
-        m = len(targets)
-        # suffix bound on how much each remaining class can still move a dot
-        # product: |sum of entries| <= sqrt(size * budget) (Cauchy-Schwarz)
+        # tails[t][j] = sum over classes u >= t of size_u * sig_u[j]**2
+        tails = [[0] * len(targets)]
+        for sig, size in zip(reversed(sigs), reversed(sizes)):
+            tails.append([w + size * x * x for w, x in zip(tails[-1], sig)])
+        tails.reverse()
         out = []
 
-        def rec(idx, budget, dots, chosen):
+        def rec(idx, budget, gaps, chosen):
+            # gaps[j] = targets[j] - (dot product with placed[j] so far)
             if idx == len(sigs):
-                if budget == 0 and all(d == t for d, t in zip(dots, targets)):
+                if budget == 0 and not any(gaps):
                     vec = [0] * self.rank
                     for cs, tup in zip(coords, chosen):
                         for k, x in zip(cs, tup):
@@ -201,26 +230,22 @@ class _Searcher:
                 return
             sig = sigs[idx]
             size = sizes[idx]
+            rest = tails[idx + 1]
             is_zero = sig == zero_sig
             lo = 0 if is_zero else -cap
             for tup, s, q in _sorted_tuples(size, budget, lo, cap):
                 if is_zero and q != budget:
                     continue  # untouched columns must exactly finish the norm
-                new_dots = [d + sig[j] * s for j, d in enumerate(dots)]
-                feasible = True
                 rem_budget = budget - q
-                for j in range(m):
-                    slack = sum(
-                        abs(sigs[t][j]) * isqrt(sizes[t] * rem_budget)
-                        for t in range(idx + 1, len(sigs))
-                    )
-                    if abs(targets[j] - new_dots[j]) > slack:
-                        feasible = False
+                for g, x, w in zip(gaps, sig, rest):
+                    g -= x * s
+                    if g * g > rem_budget * w:
                         break
-                if feasible:
-                    rec(idx + 1, rem_budget, new_dots, chosen + [tup])
+                else:
+                    new_gaps = [g - x * s for g, x in zip(gaps, sig)]
+                    rec(idx + 1, rem_budget, new_gaps, chosen + [tup])
 
-        rec(0, norm, [0] * m, [])
+        rec(0, norm, list(targets), [])
         return out
 
 

@@ -49,6 +49,29 @@ def all_vectors_of_norm(norm, rank):
     return out
 
 
+def canonical_candidates(placed, norm, targets, rank):
+    """The set of vectors the pruned search must propose after `placed`:
+    every v with v.v == norm and v.placed[j] == targets[j], in canonical
+    form for the placed columns -- nonincreasing (in coordinate order)
+    within each class of coordinates whose placed columns agree, and
+    nonnegative on coordinates no placed vector touches."""
+    columns = [tuple(p[k] for p in placed) for k in range(rank)]
+    out = set()
+    for v in all_vectors_of_norm(norm, rank):
+        if any(sum(a * b for a, b in zip(v, p)) != t for p, t in zip(placed, targets)):
+            continue
+        if any(
+            columns[k] == columns[l] and v[k] < v[l]
+            for k in range(rank)
+            for l in range(k + 1, rank)
+        ):
+            continue
+        if any(v[k] < 0 and not any(columns[k]) for k in range(rank)):
+            continue
+        out.add(v)
+    return out
+
+
 def naive_find_embedding(gram, rank):
     """First embedding found by unpruned depth-first search, else None."""
     n = len(gram)

@@ -5,12 +5,16 @@ import sys
 
 import pytest
 
+import knotplumb
 from knotplumb.lattice import verify_embedding
 from knotplumb.plumbing import WeightedTree, gram_matrix
 
 
 def run_cli(*args, env_extra=None, cwd=None):
+    # the child imports the package this process imported, installed or not
+    src = os.path.dirname(os.path.dirname(knotplumb.__file__))
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -205,6 +209,14 @@ BAD_INPUTS = {
     "config-workers-not-int": ["--config", "workers.cfg", "embed", "chain3.json"],
     "config-order-removed": ["--config", "order.cfg", "embed", "chain3.json"],
     "workers-zero": ["sweep", *SWEEP_ARGS, "--workers", "0"],
+    "budget-zero-embed": ["embed", "chain3.json", "--budget", "0"],
+    "budget-negative-embed": ["embed", "chain3.json", "--budget", "-1"],
+    "budget-zero-sweep": ["sweep", *SWEEP_ARGS, "--budget", "0"],
+    "config-budget-zero": ["--config", "budget.cfg", "embed", "chain3.json"],
+    "embed-out-unwritable": ["embed", "--pairs", "2,3,2,17", "--n", "36", "--out", "plain/x"],
+    "sweep-out-unwritable": ["sweep", *SWEEP_ARGS, "--out", "plain/x"],
+    "sweep-csv-unwritable": ["sweep", *SWEEP_ARGS, "--csv", "plain/x.csv"],
+    "audit-csv-unwritable": ["audit", *SWEEP_ARGS, "--csv", "plain/x.csv"],
 }
 
 
@@ -218,7 +230,11 @@ def test_bad_input_is_an_error_not_a_traceback(tmp_path, argv):
     )
     (tmp_path / "workers.cfg").write_text("workers=abc\n")
     (tmp_path / "order.cfg").write_text("order=weight\n")
-    argv = [str(tmp_path / a) if a.endswith((".json", ".cfg")) else a for a in argv]
-    res = run_cli(*argv, "--out", str(tmp_path))
+    (tmp_path / "budget.cfg").write_text("budget=0\n")
+    (tmp_path / "plain").write_text("a regular file, so plain/x cannot be created\n")
+    argv = [str(tmp_path / a) if a.endswith((".json", ".cfg")) or "/" in a else a for a in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path)]
+    res = run_cli(*argv)
     assert res.returncode == 1, res.stdout + res.stderr
     assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr, res.stderr

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import knotplumb
+from knotplumb import lattice
 from knotplumb.cabling import CableTower, SurgerySpec, closed_form_two_iter
 from knotplumb.lattice import (
     SearchStatus,
@@ -24,7 +25,7 @@ from knotplumb.lattice import (
 )
 from knotplumb.plumbing import gram_matrix, is_negative_definite
 
-from oracles import naive_find_embedding, random_tree
+from oracles import canonical_candidates, naive_find_embedding, random_tree
 
 
 def chain_gram(k, weight=-2):
@@ -287,6 +288,50 @@ class TestAgainstNaiveOracle:
         res = find_embedding(chain_gram(4), rank=6)
         assert res.status is SearchStatus.FOUND
         assert len(res.witness[0]) == 6
+
+
+class TestCandidates:
+    def test_pruning_keeps_every_canonical_candidate(self, monkeypatch):
+        # the tail bound may skip only partial choices that cannot complete:
+        # each candidate list must be the unpruned enumeration, filtered to
+        # canonical form, without duplicates
+        real = lattice._Searcher._candidates
+        calls = []
+
+        def checked(self, placed, norm, targets):
+            out = real(self, placed, norm, targets)
+            assert len(set(out)) == len(out), (placed, norm, targets)
+            want = canonical_candidates(placed, norm, targets, self.rank)
+            assert set(out) == want, (placed, norm, targets)
+            calls.append(len(out))
+            return out
+
+        monkeypatch.setattr(lattice._Searcher, "_candidates", checked)
+        rng = random.Random(17)
+        graphs = 0
+        while graphs < 150:
+            t = random_tree(rng, max_vertices=6, weights=(-5, -1))
+            g = gram_matrix(t)
+            if not is_negative_definite(g):
+                continue
+            graphs += 1
+            enumerate_embeddings(g)
+            find_embedding(g, rank=len(g) + 1)
+        assert len(calls) > 1000 and sum(calls) > 1000
+
+    @pytest.mark.parametrize(
+        "k2, n, rank, nodes", [(53, 108, 26, 29), (103, 208, 51, 54), (203, 408, 101, 104)]
+    )
+    def test_chain_refute_node_counts(self, k2, n, rank, nodes):
+        # node counts do not depend on the machine; a change to the
+        # candidate generator or the placement order that moves them is
+        # a change of the search, not of its speed
+        spec = SurgerySpec(CableTower(((2, 3), (2, k2))), n)
+        g = gram_matrix(closed_form_two_iter(spec))
+        assert len(g) == rank
+        res = find_embedding(g)
+        assert res.status is SearchStatus.NONE
+        assert res.nodes == nodes
 
 
 class TestCanonicalForm:
