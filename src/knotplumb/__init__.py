@@ -27,7 +27,6 @@ from .plumbing import (
     gram_matrix,
     is_negative_definite,
     reduce_tree,
-    signature,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

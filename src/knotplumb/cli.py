@@ -120,11 +120,14 @@ def _write_text(path, text):
         raise CliError(f"cannot write {path}: {exc}")
 
 
-def _write_witness(out_dir, name, witness) -> str:
+def _make_out_dir(out_dir):
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise CliError(f"cannot create output directory: {exc}")
+
+
+def _write_witness(out_dir, name, witness) -> str:
     path = os.path.join(out_dir, f"witness_{name}.json")
     _write_text(path, json.dumps(embedding_to_json_obj(witness)))
     return path
@@ -286,6 +289,7 @@ def cmd_embed(args, config):
                 print(f"  {render_vector(vec)}")
         return 0
     if result.status is SearchStatus.FOUND:
+        _make_out_dir(out_dir)
         path = _write_witness(out_dir, name, result.witness)
         print(f"embedding found into rank {rank} ({result.nodes} nodes)")
         for vec in result.witness:
@@ -318,8 +322,10 @@ def _run_sweep(args, config):
     tuples = _range_tuples(args)
     budget = resolve_positive(args, config, "budget", DEFAULT_BUDGET)
     workers = resolve_positive(args, config, "workers", 1)
-    rows = sweep(tuples, budget=budget, workers=workers)
     out_dir = resolve(args, config, "out", os.environ.get("KNOTPLUMB_OUT", "."))
+    # fail before the search, not after it
+    _make_out_dir(out_dir)
+    rows = sweep(tuples, budget=budget, workers=workers)
     witness_files = {}
     for row in rows:
         if row.witness is not None:

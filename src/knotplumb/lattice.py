@@ -37,7 +37,6 @@ All arithmetic is on plain integers.
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from math import isqrt
 
 
@@ -75,23 +74,6 @@ def verify_embedding(gram, vectors) -> bool:
             if -dot != gram[i][j]:
                 return False
     return True
-
-
-@lru_cache(maxsize=None)
-def square_decompositions(m: int) -> tuple:
-    """All multisets of positive integers whose squares sum to m, nonincreasing."""
-    if m < 1:
-        raise ValueError("need a positive integer")
-
-    def rec(remaining, cap):
-        if remaining == 0:
-            yield ()
-            return
-        for k in range(min(cap, isqrt(remaining)), 0, -1):
-            for rest in rec(remaining - k * k, k):
-                yield (k,) + rest
-
-    return tuple(rec(m, isqrt(m)))
 
 
 def _adjacency(gram):

@@ -12,10 +12,22 @@ determinant of the intersection form.
 Trees are immutable values: every move returns a new tree, so instances can
 be shared freely between worker processes.  All linear algebra is exact
 integer/rational arithmetic.
+
+The determinant and the negative-definiteness test take the tree's own
+route: a leaf is eliminated into its neighbour by a Schur complement (the
+neighbour's diagonal drops by a^2/d for a leaf of diagonal d joined by a),
+leaf after leaf toward the rest, O(n) exact steps in all.  This is the
+continued-fraction bookkeeping of Neumann's plumbing calculus.  A leaf
+whose diagonal has become 0 cannot be a pivot; it is expanded away with
+its neighbour instead, det S = -a^2 det(S - {leaf, neighbour}), and the
+form is then indefinite.  Raw plumbings do hit that case.  A matrix whose
+off-diagonal support has a cycle, or that is not symmetric, has no leaf
+order to follow and takes fraction-free (Bareiss) elimination instead.
 """
 
 import json
 from fractions import Fraction
+from itertools import chain
 
 
 class InvalidMoveError(ValueError):
@@ -171,8 +183,83 @@ def gram_matrix(tree: WeightedTree) -> list:
     return m
 
 
+def _forest_elimination(matrix):
+    """(det, negative definite) of a symmetric matrix by leaf elimination.
+
+    The off-diagonal support of the matrix is read as a graph.  A leaf v
+    with diagonal entry d_v and one neighbour p, joined by the entry a, is
+    eliminated toward the rest: if d_v != 0 it contributes the pivot d_v
+    and its Schur complement lowers d_p by a^2 / d_v; if d_v == 0 the
+    expansion det S = -a^2 det(S - {v, p}) removes v and p together.  An
+    isolated vertex contributes its diagonal entry as a pivot.  This is
+    the continued-fraction bookkeeping of the plumbing calculus, O(n)
+    exact Fraction steps after the O(n^2) scan of the entries.  The matrix
+    is negative definite exactly when every pivot is negative and the
+    zero rule never fired.
+
+    Returns None, having decided nothing, for a non-square or asymmetric
+    matrix, and when no vertex of degree <= 1 is left to eliminate, which
+    happens only when the support contains a cycle.
+    """
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        return None
+    diag = []
+    adj = []
+    for i, row in enumerate(matrix):
+        nbrs = {j: a for j, a in enumerate(row) if a and j != i}
+        if any(matrix[j][i] != a for j, a in nbrs.items()):
+            return None
+        diag.append(Fraction(row[i]))
+        adj.append(nbrs)
+    det = Fraction(1)
+    negative = True
+    left = n
+    alive = [True] * n
+    leaves = [v for v in range(n) if len(adj[v]) <= 1]
+    while leaves:
+        v = leaves.pop()
+        if not alive[v]:
+            continue
+        alive[v] = False
+        left -= 1
+        d = diag[v]
+        if adj[v]:
+            ((p, a),) = adj[v].items()
+            del adj[p][v]
+            if d == 0:
+                det *= -a * a
+                negative = False
+                alive[p] = False
+                left -= 1
+                for u in adj[p]:
+                    del adj[u][p]
+                    if len(adj[u]) <= 1:
+                        leaves.append(u)
+                continue
+            diag[p] -= a * a / d
+            if len(adj[p]) <= 1:
+                leaves.append(p)
+        det *= d
+        negative = negative and d < 0
+    if left:
+        return None
+    return int(det), negative
+
+
 def det_exact(matrix) -> int:
-    """Exact determinant of an integer matrix by fraction-free (Bareiss) elimination."""
+    """Exact determinant of a square integer matrix.
+
+    A symmetric matrix whose off-diagonal support is a forest -- the
+    intersection form of any plumbing, or a disjoint union of them -- is
+    done by leaf elimination (_forest_elimination) in O(n) exact steps.
+    A matrix that elimination cannot finish, one with a cycle in its
+    support or an asymmetric one, takes fraction-free (Bareiss)
+    elimination, O(n^3).
+    """
+    forest = _forest_elimination(matrix)
+    if forest is not None:
+        return forest[0]
     n = len(matrix)
     if n == 0:
         return 1
@@ -202,7 +289,19 @@ def leading_principal_minors(matrix) -> list:
 
 
 def is_negative_definite(matrix) -> bool:
-    """Sylvester test: (-1)^k times the k-th leading principal minor > 0 for all k."""
+    """Whether a symmetric integer matrix is negative definite.
+
+    A forest-supported matrix is decided by leaf elimination
+    (_forest_elimination) in O(n) exact steps: definite exactly when every
+    pivot is negative and no zero pivot had to be expanded away.  A
+    symmetric matrix that elimination cannot finish (a cycle in its
+    support) takes the Sylvester test, (-1)^k times the k-th leading
+    principal minor > 0 for all k, one determinant per minor.  Raises
+    ValueError if the matrix is not symmetric.
+    """
+    forest = _forest_elimination(matrix)
+    if forest is not None:
+        return forest[1]
     n = len(matrix)
     for i in range(n):
         for j in range(n):
@@ -212,48 +311,6 @@ def is_negative_definite(matrix) -> bool:
         if (minor if k % 2 == 0 else -minor) <= 0:
             return False
     return True
-
-
-def signature(matrix) -> tuple:
-    """(positive, zero, negative) inertia of a symmetric integer matrix.
-
-    Symmetric congruence diagonalisation over the rationals; exact, so
-    usable as an oracle for the index bookkeeping of the calculus moves.
-    """
-    n = len(matrix)
-    m = [[Fraction(matrix[i][j]) for j in range(n)] for i in range(n)]
-    pos = neg = zero = 0
-    for k in range(n):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot is None:
-                zero += 1
-                continue
-            if m[pivot][pivot] != 0:
-                m[k], m[pivot] = m[pivot], m[k]
-                for row in m:
-                    row[k], row[pivot] = row[pivot], row[k]
-            else:
-                # both diagonals vanish but m[pivot][k] != 0: adding
-                # row+column pivot into k makes m[k][k] = 2*m[pivot][k]
-                for j in range(n):
-                    m[k][j] += m[pivot][j]
-                for i in range(n):
-                    m[i][k] += m[i][pivot]
-        d = m[k][k]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(k + 1, n):
-            f = m[i][k] / d
-            if f == 0:
-                continue
-            for j in range(n):
-                m[i][j] -= f * m[k][j]
-            for j in range(n):
-                m[j][i] -= f * m[j][k]
-    return pos, zero, neg
 
 
 # -- calculus moves ---------------------------------------------------------
@@ -442,7 +499,8 @@ def reduce_tree(tree: WeightedTree) -> WeightedTree:
         ):
             sites = finder(t)
             if sites:
-                site = min(sites, key=lambda v: (_rooted_encoding(t, v, None), v))
+                memo = {}
+                site = min(sites, key=lambda v: (_rooted_encoding(t, v, memo), v))
                 t = move(t, site)
                 break
         else:
@@ -456,43 +514,80 @@ def reduce_tree(tree: WeightedTree) -> WeightedTree:
 # -- canonical forms and isomorphism ----------------------------------------
 
 
-def _rooted_encoding(tree, root, parent):
-    children = sorted(
-        _rooted_encoding(tree, c, root) for c in tree.neighbors(root) if c != parent
-    )
-    return (tree.weight(root), tuple(children))
+def _rooted_encoding(tree, root, memo):
+    """Nested encoding (weight, sorted child encodings) of the tree rooted
+    at root; reduce_tree orders its candidate sites by it.
+
+    memo maps (vertex, parent) to the encoding of the branch at vertex
+    away from parent, the whole tree under (root, None).  Calls on one
+    tree that share a memo build each branch once, so the encodings from
+    several roots share every branch they have in common.
+    """
+    adj, weights = tree._adj, tree._weights
+    todo = [(root, None)]
+    for v, parent in todo:  # breadth first; the list grows as it is read
+        todo.extend((c, v) for c in adj[v] if c != parent and (c, v) not in memo)
+    for v, parent in reversed(todo):
+        memo[v, parent] = (
+            weights[v],
+            tuple(sorted([memo[c, v] for c in adj[v] if c != parent])),
+        )
+    return memo[root, None]
 
 
-def _centroids_bfs(tree):
-    # a tree has one or two centroids; n here is small, so per-vertex BFS is fine
-    best = None
-    cents = []
-    for v in tree.vertices():
-        heaviest = 0
+def _preorder(tree, root):
+    """Vertices in depth-first preorder from root, and each one's parent."""
+    parent = {root: None}
+    order = []
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
         for c in tree.neighbors(v):
-            # size of the component of c in tree - v
-            seen = {v, c}
-            stack = [c]
-            count = 1
-            while stack:
-                u = stack.pop()
-                for w in tree.neighbors(u):
-                    if w not in seen:
-                        seen.add(w)
-                        count += 1
-                        stack.append(w)
-            heaviest = max(heaviest, count)
-        if best is None or heaviest < best:
-            best = heaviest
-            cents = [v]
-        elif heaviest == best:
-            cents.append(v)
-    return cents
+            if c != parent[v]:
+                parent[c] = v
+                stack.append(c)
+    return order, parent
+
+
+def _centroids(tree):
+    """The one or two vertices whose removal leaves the smallest largest
+    component, from subtree sizes in one pass."""
+    order, parent = _preorder(tree, tree.vertices()[0])
+    size = dict.fromkeys(order, 1)
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    heaviest = {
+        v: max([len(order) - size[v]] + [size[c] for c in tree.neighbors(v) if c != parent[v]])
+        for v in order
+    }
+    best = min(heaviest.values())
+    return [v for v in order if heaviest[v] == best]
+
+
+def _flat_encoding(tree, root):
+    """Preorder serialization of the tree rooted at root: a vertex's weight
+    and child count, then its children's serializations in sorted order.
+
+    A flat tuple of integers, so building and comparing it never recurses,
+    however deep the tree.  The child counts make it decode uniquely, so
+    two rooted trees get equal serializations iff they are isomorphic.
+    """
+    order, parent = _preorder(tree, root)
+    enc = {}
+    for v in reversed(order):
+        kids = sorted(enc.pop(c) for c in tree.neighbors(v) if c != parent[v])
+        enc[v] = tuple(chain((tree.weight(v), len(kids)), *kids))
+    return enc[root]
 
 
 def canonical_form(tree: WeightedTree):
-    """Label-independent encoding: equal iff trees are weight-isomorphic."""
-    return min(_rooted_encoding(tree, c, None) for c in _centroids_bfs(tree))
+    """Label-independent encoding: equal iff trees are weight-isomorphic.
+
+    The least flat serialization (_flat_encoding) rooted at a centroid; it
+    is compared only for equality.
+    """
+    return min(_flat_encoding(tree, c) for c in _centroids(tree))
 
 
 def are_isomorphic(t1: WeightedTree, t2: WeightedTree) -> bool:

@@ -1,17 +1,27 @@
 """Independent oracles for the test suite.
 
 Everything here deliberately avoids the implementation's algorithms: the
-determinant is cofactor expansion instead of fraction-free elimination,
-the embedding search is plain depth-first over all candidate vectors with
-no symmetry pruning, and the partial reduction below re-implements the
-move loop without the leaf-flattening step so the intermediate "minimal"
-graph can be inspected.
+determinant is cofactor expansion or fraction-free (Bareiss) elimination
+of the whole matrix instead of leaf elimination along the tree, and
+definiteness is the leading-minor test; the inertia is a congruence
+diagonalisation; the embedding search is plain depth-first over all
+candidate vectors with no symmetry pruning; the partial reduction below
+re-implements the move loop without the leaf-flattening step so the
+intermediate "minimal" graph can be inspected; and reference_reduce_tree
+picks its sites by the recursive, unmemoised rooted encoding.
 """
 
+import itertools
 import math
 import random
+from fractions import Fraction
 
-from knotplumb.plumbing import WeightedTree, absorb_zero, blow_down
+from knotplumb.plumbing import (
+    WeightedTree,
+    absorb_zero,
+    blow_down,
+    flatten_positive_leaf,
+)
 
 
 def cofactor_det(matrix) -> int:
@@ -28,6 +38,97 @@ def cofactor_det(matrix) -> int:
         minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
         total += (-1) ** j * matrix[0][j] * cofactor_det(minor)
     return total
+
+
+def bareiss_det(matrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    n = len(matrix)
+    if n == 0:
+        return 1
+    m = [list(map(int, row)) for row in matrix]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def minors_negative_definite(matrix) -> bool:
+    """Sylvester test: (-1)^k times the k-th leading principal minor > 0."""
+    return all(
+        (-1) ** k * bareiss_det([row[:k] for row in matrix[:k]]) > 0
+        for k in range(1, len(matrix) + 1)
+    )
+
+
+def signature(matrix) -> tuple:
+    """(positive, zero, negative) inertia of a symmetric integer matrix.
+
+    Symmetric congruence diagonalisation over the rationals; exact, so
+    usable as an oracle for the index bookkeeping of the calculus moves.
+    """
+    n = len(matrix)
+    m = [[Fraction(matrix[i][j]) for j in range(n)] for i in range(n)]
+    pos = neg = zero = 0
+    for k in range(n):
+        if m[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if pivot is None:
+                zero += 1
+                continue
+            if m[pivot][pivot] != 0:
+                m[k], m[pivot] = m[pivot], m[k]
+                for row in m:
+                    row[k], row[pivot] = row[pivot], row[k]
+            else:
+                # both diagonals vanish but m[pivot][k] != 0: adding
+                # row+column pivot into k makes m[k][k] = 2*m[pivot][k]
+                for j in range(n):
+                    m[k][j] += m[pivot][j]
+                for i in range(n):
+                    m[i][k] += m[i][pivot]
+        d = m[k][k]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(k + 1, n):
+            f = m[i][k] / d
+            if f == 0:
+                continue
+            for j in range(n):
+                m[i][j] -= f * m[k][j]
+            for j in range(n):
+                m[j][i] -= f * m[j][k]
+    return pos, zero, neg
+
+
+def square_decompositions(m: int) -> tuple:
+    """All multisets of positive integers whose squares sum to m, nonincreasing."""
+    if m < 1:
+        raise ValueError("need a positive integer")
+
+    def rec(remaining, cap):
+        if remaining == 0:
+            yield ()
+            return
+        for k in range(min(cap, math.isqrt(remaining)), 0, -1):
+            for rest in rec(remaining - k * k, k):
+                yield (k,) + rest
+
+    return tuple(rec(m, math.isqrt(m)))
 
 
 def all_vectors_of_norm(norm, rank):
@@ -122,6 +223,66 @@ def contract_junctions(tree: WeightedTree) -> WeightedTree:
             t = absorb_zero(t, v)
             continue
         return t
+
+
+def _recursive_encoding(tree, root, parent):
+    children = sorted(
+        _recursive_encoding(tree, c, root) for c in tree.neighbors(root) if c != parent
+    )
+    return (tree.weight(root), tuple(children))
+
+
+def reference_reduce_tree(tree: WeightedTree) -> WeightedTree:
+    """The reduction loop of plumbing.reduce_tree, each move's site chosen
+    by the recursive rooted encoding, rebuilt from scratch for every
+    candidate site (vertex id as the final tiebreak)."""
+    t = tree
+    while True:
+        vs = t.vertices()
+        classes = (
+            (
+                [
+                    v
+                    for v in vs
+                    if t.valence(v) == 1
+                    and t.weight(v) >= 1
+                    and t.weight(next(iter(t.neighbors(v)))) == -1
+                ],
+                flatten_positive_leaf,
+            ),
+            (
+                [
+                    v
+                    for v in vs
+                    if t.weight(v) == -1
+                    and t.valence(v) == 2
+                    and all(t.weight(u) <= -1 for u in t.neighbors(v))
+                ],
+                blow_down,
+            ),
+            ([v for v in vs if t.weight(v) == 0 and t.valence(v) == 2], absorb_zero),
+        )
+        for sites, move in classes:
+            if sites:
+                t = move(t, min(sites, key=lambda v: (_recursive_encoding(t, v, None), v)))
+                break
+        else:
+            return t
+
+
+def brute_force_isomorphic(t1: WeightedTree, t2: WeightedTree) -> bool:
+    """Weight-preserving tree isomorphism by trying every vertex bijection."""
+    v1, v2 = t1.vertices(), t2.vertices()
+    if len(v1) != len(v2):
+        return False
+    target = {frozenset(e) for e in t2.edges}
+    for image in itertools.permutations(v2):
+        f = dict(zip(v1, image))
+        if all(t1.weight(v) == t2.weight(f[v]) for v in v1) and {
+            frozenset((f[a], f[b])) for a, b in t1.edges
+        } == target:
+            return True
+    return False
 
 
 def catalogue_count(lengths, rank) -> int:

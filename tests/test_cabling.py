@@ -23,10 +23,9 @@ from knotplumb.plumbing import (
     gram_matrix,
     is_negative_definite,
     reduce_tree,
-    signature,
 )
 
-from oracles import contract_junctions
+from oracles import contract_junctions, signature
 
 
 class TestCableTower:

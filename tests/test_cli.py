@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import knotplumb
+from knotplumb import cli
 from knotplumb.lattice import verify_embedding
 from knotplumb.plumbing import WeightedTree, gram_matrix
 
@@ -218,6 +219,18 @@ BAD_INPUTS = {
     "sweep-csv-unwritable": ["sweep", *SWEEP_ARGS, "--csv", "plain/x.csv"],
     "audit-csv-unwritable": ["audit", *SWEEP_ARGS, "--csv", "plain/x.csv"],
 }
+
+
+@pytest.mark.parametrize("command", ["sweep", "audit"])
+def test_unwritable_out_fails_before_searching(tmp_path, monkeypatch, capsys, command):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched before checking --out")
+
+    monkeypatch.setattr(cli, "sweep", no_search)
+    (tmp_path / "plain").write_text("a regular file\n")
+    code = cli.main([command, *SWEEP_ARGS, "--out", str(tmp_path / "plain" / "x")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: cannot create output directory")
 
 
 @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())

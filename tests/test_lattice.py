@@ -20,12 +20,16 @@ from knotplumb.lattice import (
     matrix_canonical_form,
     placement_order,
     render_vector,
-    square_decompositions,
     verify_embedding,
 )
 from knotplumb.plumbing import gram_matrix, is_negative_definite
 
-from oracles import canonical_candidates, naive_find_embedding, random_tree
+from oracles import (
+    canonical_candidates,
+    naive_find_embedding,
+    random_tree,
+    square_decompositions,
+)
 
 
 def chain_gram(k, weight=-2):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from knotplumb.cabling import CableTower, SurgerySpec, raw_plumbing, reduced_plumbing
+from knotplumb.classify import family_tuple
 from knotplumb.plumbing import (
     InvalidMoveError,
     WeightedTree,
@@ -19,10 +20,17 @@ from knotplumb.plumbing import (
     is_negative_definite,
     leading_principal_minors,
     reduce_tree,
-    signature,
 )
 
-from oracles import cofactor_det, random_tree
+from oracles import (
+    bareiss_det,
+    brute_force_isomorphic,
+    cofactor_det,
+    minors_negative_definite,
+    random_tree,
+    reference_reduce_tree,
+    signature,
+)
 
 
 def path_tree(weights):
@@ -94,6 +102,99 @@ class TestDet:
     def test_reduced_graph_det_is_surgery_coefficient(self):
         spec = SurgerySpec(CableTower(((2, 3), (2, 17))), 36)
         assert abs(det_exact(gram_matrix(reduced_plumbing(spec)))) == 36
+
+
+def relabel_matrix(m, perm):
+    return [[m[perm[i]][perm[j]] for j in range(len(m))] for i in range(len(m))]
+
+
+def block_diagonal(*blocks):
+    n = sum(len(b) for b in blocks)
+    m = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            m[at + i][at : at + len(b)] = row
+        at += len(b)
+    return m
+
+
+def assert_matches_oracles(m):
+    assert det_exact(m) == bareiss_det(m)
+    assert is_negative_definite(m) == minors_negative_definite(m)
+    if len(m) <= 8:
+        assert det_exact(m) == cofactor_det(m)
+
+
+class TestForestElimination:
+    """det_exact and is_negative_definite on forest-supported matrices go
+    through leaf elimination; the Bareiss and leading-minor oracles pin
+    their results, including zero pivots and indefinite forms."""
+
+    def test_random_trees(self):
+        rng = random.Random(23)
+        outcomes = set()
+        for _ in range(1500):
+            g = gram_matrix(random_tree(rng, max_vertices=10))
+            assert_matches_oracles(g)
+            outcomes.add((det_exact(g) == 0, is_negative_definite(g)))
+        # singular, indefinite-but-nonsingular and definite forms all occur
+        assert outcomes == {(True, False), (False, False), (False, True)}
+
+    def test_off_diagonal_entries_other_than_one(self):
+        rng = random.Random(29)
+        for _ in range(500):
+            g = gram_matrix(random_tree(rng, max_vertices=9))
+            for i in range(len(g)):
+                for j in range(i + 1, len(g)):
+                    if g[i][j]:
+                        g[i][j] = g[j][i] = rng.choice((-3, -2, -1, 2, 3))
+            assert_matches_oracles(g)
+
+    def test_relabelled_block_diagonal_forests(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            k = rng.randint(2, 3)
+            blocks = [gram_matrix(random_tree(rng, max_vertices=5)) for _ in range(k)]
+            m = block_diagonal(*blocks)
+            perm = list(range(len(m)))
+            rng.shuffle(perm)
+            m = relabel_matrix(m, perm)
+            assert_matches_oracles(m)
+
+    def test_isolated_zero_vertices(self):
+        assert det_exact([[0, 0], [0, -2]]) == 0
+        assert not is_negative_definite([[0, 0], [0, -2]])
+        m = block_diagonal([[0]], gram_matrix(path_tree([-2, -2])), [[-3]])
+        assert det_exact(m) == 0 and not is_negative_definite(m)
+        assert_matches_oracles(m)
+
+    def test_zero_pivot_leaf(self):
+        # a 0-leaf on a -1: det = -a^2 * det(rest), not definite
+        m = gram_matrix(path_tree([0, -1, -2, -2]))
+        assert det_exact(m) == -3 == bareiss_det(m)
+        assert not is_negative_definite(m)
+
+    def test_cycle_supported_matrices(self):
+        triangle = [[-3, 1, 1], [1, -3, 1], [1, 1, -3]]
+        assert det_exact(triangle) == bareiss_det(triangle) == -16
+        assert is_negative_definite(triangle)
+        singular = [[-2, 1, 1], [1, -2, 1], [1, 1, -2]]
+        assert det_exact(singular) == 0 and not is_negative_definite(singular)
+        # a zero leaf hanging off the cycle
+        tailed = [[0, 1, 0, 0], [1, -3, 1, 1], [0, 1, -3, 1], [0, 1, 1, -3]]
+        assert_matches_oracles(tailed)
+
+    def test_asymmetric_input(self):
+        m = [[-2, 1, 0], [0, -2, 1], [0, 1, -2]]
+        assert det_exact(m) == bareiss_det(m) == -6
+        with pytest.raises(ValueError):
+            is_negative_definite(m)
+
+    def test_long_chain_is_linear(self):
+        g = gram_matrix(path_tree([-2] * 1001))
+        assert det_exact(g) == -1002
+        assert is_negative_definite(g)
 
 
 class TestDefiniteness:
@@ -285,6 +386,24 @@ class TestReduce:
             relabeled = t.relabeled(dict(zip(ids, perm)))
             assert are_isomorphic(reduce_tree(t), reduce_tree(relabeled))
 
+    def test_site_choice_matches_reference(self):
+        rng = random.Random(37)
+        trees = [random_tree(rng) for _ in range(200)]
+        # -1's and -2's only: many blow-down sites per step, so the order matters
+        trees += [random_tree(rng, max_vertices=30, weights=(-2, -1)) for _ in range(100)]
+        family = [family_tuple("derived", p1, p2) for p1 in (2, 3) for p2 in (2, 3)]
+        family += [family_tuple("family2", 0, p2) for p2 in (2, 3)]
+        for p1, a1, p2, a2, n in family:
+            trees.append(raw_plumbing(SurgerySpec(CableTower(((p1, a1), (p2, a2))), n)))
+        for pairs, n in (
+            (((2, 3), (2, 17), (2, 69)), 140),
+            (((3, 4), (2, 25), (2, 101)), 205),
+            (((2, 3), (3, 19), (2, 115)), 233),
+        ):
+            trees.append(raw_plumbing(SurgerySpec(CableTower(pairs), n)))
+        for t in trees:
+            assert reduce_tree(t).to_json() == reference_reduce_tree(t).to_json()
+
     def test_preserves_det_through_full_reduction(self):
         spec = SurgerySpec(CableTower(((2, 7), (2, 31))), 64)
         raw = raw_plumbing(spec)
@@ -308,6 +427,29 @@ class TestIsomorphism:
         star = WeightedTree({0: -2, 1: -2, 2: -2, 3: -2}, [(0, 1), (0, 2), (0, 3)])
         path = path_tree([-2, -2, -2, -2])
         assert not are_isomorphic(star, path)
+
+    def test_long_chain_does_not_recurse(self):
+        n = 5000
+        chain = path_tree([-2] * n)
+        rng = random.Random(41)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        assert are_isomorphic(chain, chain.relabeled(dict(zip(range(n), perm))))
+        bent = path_tree([-2] * (n - 1) + [-3])
+        assert not are_isomorphic(chain, bent.relabeled(dict(zip(range(n), perm))))
+        assert not are_isomorphic(bent, path_tree([-3] + [-2] * (n - 2) + [-3]))
+
+    def test_matches_brute_force_on_small_trees(self):
+        rng = random.Random(43)
+        verdicts = []
+        for _ in range(300):
+            t1 = random_tree(rng, max_vertices=6, weights=(-3, -2))
+            t2 = random_tree(rng, max_vertices=6, weights=(-3, -2))
+            while len(t2) != len(t1):
+                t2 = random_tree(rng, max_vertices=6, weights=(-3, -2))
+            verdicts.append(are_isomorphic(t1, t2))
+            assert verdicts[-1] == brute_force_isomorphic(t1, t2)
+        assert 20 < sum(verdicts) < 280
 
 
 @settings(max_examples=60, deadline=None)
