@@ -25,6 +25,21 @@ vector's squared entries in the free columns).  The bound is checked in
 exact integers and drops only choices with no completion, so it changes
 the speed of the search, never its candidates or its node count.
 
+Most vertices of the plumbing trees are -2 vertices, and a norm-2 vector
+is +-1 in two coordinates.  Its candidates skip the class-by-class
+enumeration: a +-1 in class A fixes the signature the class of the other
++-1 must have, so one dict from signature to class finds it, and the
+few two-in-one-class cases are tested directly.  These candidates are
+sorted by a key that reproduces the enumeration's order (descending
+lexicographic in the entries read class by class), so both ways give the
+same list, element for element, and the same nodes and witnesses.
+
+Neither the placement depth, nor the number of classes, nor the width
+of a class costs a Python frame: the search and the class-by-class
+enumeration keep explicit stacks, and a class's tuples recurse only
+once per nonzero entry, so long chains stay clear of the recursion
+limit.
+
 A node budget turns an over-long search into an explicit indeterminate
 outcome, never a wrong answer.
 
@@ -111,11 +126,27 @@ def placement_order(gram) -> list:
 
 def _sorted_tuples(size, budget, lo, hi):
     """Nonincreasing integer tuples of the given size with entries in
-    [lo, hi] and sum of squares <= budget; yields (tuple, sum, sumsq)."""
+    [lo, hi] and sum of squares <= budget, in descending lexicographic
+    order; yields (tuple, sum, sumsq).
+
+    Such a tuple is its positive entries, then a block of zeros, then its
+    negative entries.  Every nonzero entry spends at least 1 of the
+    budget and the zero block is placed in one step, so the recursion is
+    at most budget + 1 deep however long the tuple is.
+    """
     if size == 0:
         yield (), 0, 0
         return
     for x in range(hi, lo - 1, -1):
+        if x == 0:
+            # a leading zero: zeros, then j negative entries; fewer
+            # negatives come first in descending order
+            most = min(size - 1, budget) if lo < 0 else 0
+            for j in range(most + 1):
+                zeros = (0,) * (size - j)
+                for rest, s, q in _sorted_tuples(j, budget, lo, -1):
+                    yield zeros + rest, s, q
+            continue
         sq = x * x
         if sq > budget:
             continue
@@ -136,33 +167,46 @@ class _Searcher:
         self.witness = None
 
     def run(self):
-        self._extend([])
-        return self.solutions if self.collect else self.witness
+        """Depth-first search over the candidates of each depth.
+
+        frames[d] iterates the candidates for the vertex at depth d and
+        placed[d] is the one it proposed last, so the placement depth
+        uses no Python frames.
+        """
+        placed = []
+        frames = []
+        while True:
+            depth = len(placed)
+            if depth == self.n:
+                rows = [None] * self.n
+                for slot, vec in zip(self.order, placed):
+                    rows[slot] = vec
+                if not self.collect:
+                    self.witness = tuple(rows)
+                    return self.witness
+                self.solutions.append(tuple(rows))
+            else:
+                vertex = self.order[depth]
+                norm = -self.gram[vertex][vertex]
+                targets = [-self.gram[vertex][self.order[j]] for j in range(depth)]
+                frames.append(iter(self._candidates(placed, norm, targets)))
+            # backtrack to the deepest depth with a candidate left
+            while frames:
+                if len(placed) == len(frames):
+                    placed.pop()
+                vec = next(frames[-1], None)
+                if vec is not None:
+                    self._tick()
+                    placed.append(vec)
+                    break
+                frames.pop()
+            else:
+                return self.solutions if self.collect else None
 
     def _tick(self):
         self.nodes += 1
         if self.budget is not None and self.nodes > self.budget:
             raise BudgetExceeded
-
-    def _extend(self, placed):
-        depth = len(placed)
-        if depth == self.n:
-            rows = [None] * self.n
-            for slot, vec in zip(self.order, placed):
-                rows[slot] = vec
-            if self.collect:
-                self.solutions.append(tuple(rows))
-                return False
-            self.witness = tuple(rows)
-            return True
-        vertex = self.order[depth]
-        norm = -self.gram[vertex][vertex]
-        targets = [-self.gram[vertex][self.order[j]] for j in range(depth)]
-        for vec in self._candidates(placed, norm, targets):
-            self._tick()
-            if self._extend(placed + [vec]):
-                return True
-        return False
 
     def _candidates(self, placed, norm, targets):
         """All vectors of the given norm whose dot products with the placed
@@ -180,6 +224,12 @@ class _Searcher:
         The right-hand sums are one suffix table per call.  Only partial
         choices that cannot complete are skipped, so the output is exactly
         the unpruned enumeration's, in the same order.
+
+        Class by class, each class's tuples in descending lexicographic
+        order, the enumeration lists its output in descending lexicographic
+        order of the entries read class by class.  Norm 2 is answered by
+        signature lookup instead (_norm_two), which sorts its candidates
+        into that order, so it returns the same list.
         """
         # group target coordinates by their column of placed entries
         classes = {}
@@ -191,6 +241,8 @@ class _Searcher:
         items.sort(key=lambda kv: kv[0] == zero_sig)
         sigs = [sig for sig, _ in items]
         coords = [cs for _, cs in items]
+        if norm == 2:
+            return self._norm_two(sigs, coords, targets)
         sizes = [len(cs) for cs in coords]
         cap = isqrt(norm)
         # tails[t][j] = sum over classes u >= t of size_u * sig_u[j]**2
@@ -198,25 +250,22 @@ class _Searcher:
         for sig, size in zip(reversed(sigs), reversed(sizes)):
             tails.append([w + size * x * x for w, x in zip(tails[-1], sig)])
         tails.reverse()
+        last = len(sigs) - 1
+        # the untouched class takes only nonnegative entries
+        los = [0 if sig == zero_sig else -cap for sig in sigs]
         out = []
-
-        def rec(idx, budget, gaps, chosen):
-            # gaps[j] = targets[j] - (dot product with placed[j] so far)
-            if idx == len(sigs):
-                if budget == 0 and not any(gaps):
-                    vec = [0] * self.rank
-                    for cs, tup in zip(coords, chosen):
-                        for k, x in zip(cs, tup):
-                            vec[k] = x
-                    out.append(tuple(vec))
-                return
+        chosen = [None] * len(sigs)
+        # stack[i]: the tuples for class i, with the unspent norm and
+        # gaps[j] = targets[j] - (dot product with placed[j]) before it
+        stack = [(_sorted_tuples(sizes[0], norm, los[0], cap), norm, list(targets))]
+        while stack:
+            idx = len(stack) - 1
+            tuples, budget, gaps = stack[-1]
             sig = sigs[idx]
-            size = sizes[idx]
             rest = tails[idx + 1]
-            is_zero = sig == zero_sig
-            lo = 0 if is_zero else -cap
-            for tup, s, q in _sorted_tuples(size, budget, lo, cap):
-                if is_zero and q != budget:
+            exact = sig == zero_sig
+            for tup, s, q in tuples:
+                if exact and q != budget:
                     continue  # untouched columns must exactly finish the norm
                 rem_budget = budget - q
                 for g, x, w in zip(gaps, sig, rest):
@@ -224,10 +273,92 @@ class _Searcher:
                     if g * g > rem_budget * w:
                         break
                 else:
-                    new_gaps = [g - x * s for g, x in zip(gaps, sig)]
-                    rec(idx + 1, rem_budget, new_gaps, chosen + [tup])
+                    break
+            else:
+                stack.pop()
+                continue
+            new_gaps = [g - x * s for g, x in zip(gaps, sig)]
+            chosen[idx] = tup
+            if idx < last:
+                stack.append(
+                    (_sorted_tuples(sizes[idx + 1], rem_budget, los[idx + 1], cap),
+                     rem_budget, new_gaps)
+                )
+            elif rem_budget == 0 and not any(new_gaps):
+                vec = [0] * self.rank
+                for cs, tup in zip(coords, chosen):
+                    for k, x in zip(cs, tup):
+                        vec[k] = x
+                out.append(tuple(vec))
+        return out
 
-        rec(0, norm, list(targets), [])
+    def _norm_two(self, sigs, coords, targets):
+        """_candidates for norm 2, by signature lookup.
+
+        A norm-2 vector is +-1 in two coordinates.  In canonical form a
+        single entry of a class is its first coordinate if +1 and its last
+        if -1, and an untouched class takes only +1.  With the entries in
+        different classes A and B (signs a, b), the targets demand
+        a * sig_A + b * sig_B = targets, so A and a fix sig_B and one dict
+        lookup finds B.  Two entries in one class are (1, 1, 0, ...),
+        (1, 0, ..., -1) or (..., -1, -1), meeting targets equal to
+        2 * sig, 0 or -2 * sig; the untouched class takes only (1, 1, 0, ...).
+
+        The general enumeration lists its candidates in descending
+        lexicographic order of the entries read class by class.  With the
+        two nonzero entries of a candidate at positions p1 < p2 of that
+        reading, values v1 and v2, the key (v1, -v1*p1, v2, -v2*p2) sorts
+        in that same order (a +1 earlier, or a -1 later, makes the vector
+        larger), so the two paths return equal lists.
+        """
+        untouched = len(sigs) - 1 if not any(sigs[-1]) else None
+        index = {sig: c for c, sig in enumerate(sigs)}
+        # the class whose negated signature is the key; never the untouched one
+        flipped = {
+            tuple([-x for x in sig]): c for c, sig in enumerate(sigs) if c != untouched
+        }
+        starts = [0]
+        for cs in coords:
+            starts.append(starts[-1] + len(cs))
+        found = []  # (order key, coordinate 1, value 1, coordinate 2, value 2)
+
+        def add(c1, i1, v1, c2, i2, v2):
+            # v1 at index i1 of class c1, v2 at index i2 of class c2 (a
+            # negative index counts from the end), c1 before c2 or i1 < i2
+            p1 = starts[c1] + i1 % len(coords[c1])
+            p2 = starts[c2] + i2 % len(coords[c2])
+            found.append(((v1, -v1 * p1, v2, -v2 * p2), coords[c1][i1], v1, coords[c2][i2], v2))
+
+        for a_idx, sig in enumerate(sigs):
+            if a_idx == untouched:
+                break
+            for a in (1, -1):
+                rest = tuple([t - a * x for t, x in zip(targets, sig)])
+                for b, b_idx in ((1, index.get(rest)), (-1, flipped.get(rest))):
+                    if b_idx is not None and b_idx > a_idx:
+                        add(a_idx, 0 if a > 0 else -1, a, b_idx, 0 if b > 0 else -1, b)
+        if not any(targets):
+            for c, cs in enumerate(coords):
+                if len(cs) >= 2:
+                    if c == untouched:
+                        add(c, 0, 1, c, 1, 1)
+                    else:
+                        add(c, 0, 1, c, -1, -1)
+        elif not any(t % 2 for t in targets):
+            half = tuple([t // 2 for t in targets])
+            c = index.get(half)
+            if c is not None and len(coords[c]) >= 2:
+                add(c, 0, 1, c, 1, 1)
+            c = flipped.get(half)
+            if c is not None and len(coords[c]) >= 2:
+                add(c, -2, -1, c, -1, -1)
+        found.sort(reverse=True)
+        out = []
+        for _, k1, v1, k2, v2 in found:
+            vec = [0] * self.rank
+            vec[k1] = v1
+            vec[k2] = v2
+            out.append(tuple(vec))
         return out
 
 

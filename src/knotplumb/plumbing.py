@@ -48,8 +48,9 @@ class WeightedTree:
         w = dict(weights)
         if not w:
             raise ValueError("the empty tree is not a plumbing")
+        # type(x) is int: a bool (JSON true) must not pass for 1
         for v, wt in w.items():
-            if not isinstance(v, int) or not isinstance(wt, int):
+            if type(v) is not int or type(wt) is not int:
                 raise TypeError("vertex ids and weights must be integers")
         es = set()
         adj = {v: set() for v in w}
@@ -142,10 +143,10 @@ class WeightedTree:
     @classmethod
     def from_json(cls, text: str) -> "WeightedTree":
         obj = json.loads(text)
-        return cls(
-            {item["id"]: item["weight"] for item in obj["vertices"]},
-            [tuple(e) for e in obj["edges"]],
-        )
+        edges = [tuple(e) for e in obj["edges"]]
+        if any(type(v) is not int for e in edges for v in e):
+            raise TypeError("edge ends must be integer vertex ids")
+        return cls({item["id"]: item["weight"] for item in obj["vertices"]}, edges)
 
     def to_dot(self, roles=None) -> str:
         """GraphViz rendering with weights as labels.

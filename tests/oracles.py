@@ -151,13 +151,18 @@ def all_vectors_of_norm(norm, rank):
 
 
 def canonical_candidates(placed, norm, targets, rank):
-    """The set of vectors the pruned search must propose after `placed`:
+    """The list of vectors the pruned search must propose after `placed`:
     every v with v.v == norm and v.placed[j] == targets[j], in canonical
     form for the placed columns -- nonincreasing (in coordinate order)
     within each class of coordinates whose placed columns agree, and
-    nonnegative on coordinates no placed vector touches."""
+    nonnegative on coordinates no placed vector touches.
+
+    The list is in the search's order: descending lexicographic in the
+    entries read class by class, the classes by descending placed column
+    with the untouched class last, each class in ascending coordinate
+    order."""
     columns = [tuple(p[k] for p in placed) for k in range(rank)]
-    out = set()
+    out = []
     for v in all_vectors_of_norm(norm, rank):
         if any(sum(a * b for a, b in zip(v, p)) != t for p, t in zip(placed, targets)):
             continue
@@ -169,8 +174,11 @@ def canonical_candidates(placed, norm, targets, rank):
             continue
         if any(v[k] < 0 and not any(columns[k]) for k in range(rank)):
             continue
-        out.add(v)
-    return out
+        out.append(v)
+    reading = sorted(
+        range(rank), key=lambda k: (not any(columns[k]), [-x for x in columns[k]], k)
+    )
+    return sorted(out, key=lambda v: [v[k] for k in reading], reverse=True)
 
 
 def naive_find_embedding(gram, rank):

@@ -204,6 +204,8 @@ BAD_INPUTS = {
     "missing-graph": ["embed", "missing.json"],
     "graph-not-json": ["embed", "notjson.json"],
     "graph-not-a-tree": ["embed", "dupedge.json"],
+    "graph-bool-weight": ["embed", "weight-bool.json"],
+    "graph-bool-id": ["embed", "id-bool.json"],
     "rank-zero": ["embed", "chain3.json", "--rank", "0"],
     "rank-zero-enumerate": ["embed", "chain3.json", "--rank", "0", "--enumerate"],
     "config-missing": ["--config", "missing.cfg", "embed", "chain3.json"],
@@ -241,6 +243,12 @@ def test_bad_input_is_an_error_not_a_traceback(tmp_path, argv):
     (tmp_path / "dupedge.json").write_text(
         json.dumps({"vertices": vertices, "edges": [[0, 1], [1, 0]]})
     )
+    (tmp_path / "weight-bool.json").write_text(
+        json.dumps({"vertices": [{"id": 0, "weight": True}], "edges": []})
+    )
+    (tmp_path / "id-bool.json").write_text(
+        json.dumps({"vertices": [{"id": True, "weight": -2}], "edges": []})
+    )
     (tmp_path / "workers.cfg").write_text("workers=abc\n")
     (tmp_path / "order.cfg").write_text("order=weight\n")
     (tmp_path / "budget.cfg").write_text("budget=0\n")
@@ -251,3 +259,5 @@ def test_bad_input_is_an_error_not_a_traceback(tmp_path, argv):
     res = run_cli(*argv)
     assert res.returncode == 1, res.stdout + res.stderr
     assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr, res.stderr
+    if argv[1].endswith("bool.json"):
+        assert ": not a plumbing tree: " in res.stderr, res.stderr

@@ -58,6 +58,16 @@ def block_diag(*blocks):
     return out
 
 
+def run_child(code, *flags):
+    """Run code in a fresh interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(knotplumb.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env
+    )
+
+
 class TestVerify:
     def test_single_minus_two(self):
         assert verify_embedding([[-2]], [(1, -1)])
@@ -232,12 +242,7 @@ class TestFindEmbedding:
             "    raise SystemExit(0)\n"
             "raise SystemExit('unverified witness accepted')\n"
         )
-        src = os.path.dirname(os.path.dirname(knotplumb.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        res = subprocess.run(
-            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
-        )
+        res = run_child(code, "-O")
         assert res.returncode == 0, res.stdout + res.stderr
 
     def test_rejects_rank_below_one(self):
@@ -294,23 +299,80 @@ class TestAgainstNaiveOracle:
         assert len(res.witness[0]) == 6
 
 
+def check_candidates_against_oracle(monkeypatch, norm_two_cases):
+    """Make every _candidates call assert that it returns the oracle's list,
+    element for element; returns the list of output lengths.  The kinds of
+    norm-2 calls and candidates seen are added to norm_two_cases."""
+    real = lattice._Searcher._candidates
+    calls = []
+
+    def checked(self, placed, norm, targets):
+        out = real(self, placed, norm, targets)
+        want = canonical_candidates(placed, norm, targets, self.rank)
+        assert out == want, (placed, norm, targets)
+        calls.append(len(out))
+        if norm == 2:
+            if not placed:
+                norm_two_cases.add("depth 0")
+            if self.rank == 1:
+                norm_two_cases.add("rank 1")
+            for vec in out:
+                norm_two_cases.add(norm_two_case(placed, vec))
+        return out
+
+    monkeypatch.setattr(lattice._Searcher, "_candidates", checked)
+    return calls
+
+
+def norm_two_case(placed, vec):
+    """Which of the norm-2 lookup's cases produced this candidate."""
+    k1, k2 = [k for k, x in enumerate(vec) if x]
+    col1 = tuple(p[k1] for p in placed)
+    col2 = tuple(p[k2] for p in placed)
+    if col1 != col2:
+        return "two classes" if any(col1) and any(col2) else "two classes, one untouched"
+    if not any(col1):
+        return "untouched (1, 1)"
+    return f"same class {(vec[k1], vec[k2])}"
+
+
+def mostly_minus_two_gram(rng):
+    """Gram matrix of one or two random trees, at most 8 vertices in all,
+    most weights -2 and the rest -3.  Edges carry +-1 or +-2: a tree with
+    unit edges is placed with targets 0 and -1 only and no vertex of its
+    component unlinked, so it never meets a target of 2 * sig or a second
+    component's all-zero targets."""
+    two = rng.random() < 0.4
+    trees = [random_tree(rng, max_vertices=4 if two else 8, weights=(-2, -2))
+             for _ in range(2 if two else 1)]
+    g = block_diag(*[gram_matrix(t) for t in trees])
+    for i in range(len(g)):
+        if rng.random() < 0.2:
+            g[i][i] = -3
+        for j in range(i):
+            if g[i][j]:
+                g[i][j] = g[j][i] = rng.choice((1, 1, 1, -1, 2, -2))
+    return g
+
+
+NORM_TWO_CASES = {
+    "depth 0",
+    "rank 1",
+    "two classes",
+    "two classes, one untouched",
+    "untouched (1, 1)",
+    "same class (1, 1)",
+    "same class (1, -1)",
+    "same class (-1, -1)",
+}
+
+
 class TestCandidates:
     def test_pruning_keeps_every_canonical_candidate(self, monkeypatch):
         # the tail bound may skip only partial choices that cannot complete:
         # each candidate list must be the unpruned enumeration, filtered to
-        # canonical form, without duplicates
-        real = lattice._Searcher._candidates
-        calls = []
-
-        def checked(self, placed, norm, targets):
-            out = real(self, placed, norm, targets)
-            assert len(set(out)) == len(out), (placed, norm, targets)
-            want = canonical_candidates(placed, norm, targets, self.rank)
-            assert set(out) == want, (placed, norm, targets)
-            calls.append(len(out))
-            return out
-
-        monkeypatch.setattr(lattice._Searcher, "_candidates", checked)
+        # canonical form, in the search's order
+        calls = check_candidates_against_oracle(monkeypatch, set())
         rng = random.Random(17)
         graphs = 0
         while graphs < 150:
@@ -322,6 +384,23 @@ class TestCandidates:
             enumerate_embeddings(g)
             find_embedding(g, rank=len(g) + 1)
         assert len(calls) > 1000 and sum(calls) > 1000
+
+    def test_norm_two_lookup_matches_the_enumeration(self, monkeypatch):
+        # mostly -2 trees, so that most calls take the norm-2 lookup, and
+        # every case of that lookup must give the enumeration's list
+        cases = set()
+        calls = check_candidates_against_oracle(monkeypatch, cases)
+        rng = random.Random(29)
+        graphs = 0
+        while graphs < 60:
+            g = mostly_minus_two_gram(rng)
+            if not is_negative_definite(g):
+                continue
+            graphs += 1
+            for rank in (len(g), len(g) + 1, len(g) + 2):
+                find_embedding(g, rank=rank)
+        assert cases == NORM_TWO_CASES
+        assert len(calls) > 500
 
     @pytest.mark.parametrize(
         "k2, n, rank, nodes", [(53, 108, 26, 29), (103, 208, 51, 54), (203, 408, 101, 104)]
@@ -336,6 +415,69 @@ class TestCandidates:
         res = find_embedding(g)
         assert res.status is SearchStatus.NONE
         assert res.nodes == nodes
+
+
+class TestDeepSearches:
+    """Long chains must not hit Python's recursion limit: neither the
+    placement depth, nor the number of column classes, nor the width of a
+    class may cost a Python frame each."""
+
+    def test_placement_depth_uses_no_python_frames(self):
+        # the rank-101 chain refute, under a recursion limit below its rank
+        code = (
+            "import sys\n"
+            "from knotplumb.cabling import CableTower, SurgerySpec, closed_form_two_iter\n"
+            "from knotplumb.lattice import find_embedding\n"
+            "from knotplumb.plumbing import gram_matrix\n"
+            "spec = SurgerySpec(CableTower(((2, 3), (2, 203))), 408)\n"
+            "g = gram_matrix(closed_form_two_iter(spec))\n"
+            "sys.setrecursionlimit(60)\n"
+            "res = find_embedding(g)\n"
+            "print(len(g), res.status.value, res.nodes)\n"
+        )
+        res = run_child(code)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == ["101", "none", "104"]
+
+    def test_wide_untouched_class(self):
+        res = find_embedding([[-3]], rank=1500)
+        assert res.status is SearchStatus.FOUND
+        assert res.witness == ((1, 1, 1) + (0,) * 1497,)
+
+    def test_rank_1001_chain_starts(self):
+        # T(2,3; 2,2003), n = 4008: its first vertex has norm 3 and meets
+        # one 1001-wide untouched class; the full search is not run here
+        spec = SurgerySpec(CableTower(((2, 3), (2, 2003))), 4008)
+        g = gram_matrix(closed_form_two_iter(spec))
+        assert len(g) == 1001
+        res = find_embedding(g, budget=20)
+        assert res.status is SearchStatus.INDETERMINATE
+        assert res.nodes == 21
+
+    def test_sorted_tuples_order(self):
+        # descending lexicographic, exactly the nonincreasing tuples in range
+        for size, budget, lo, hi in itertools.product(range(5), range(7), (-2, -1, 0), (0, 1, 2)):
+            want = sorted(
+                (t for t in itertools.product(range(lo, hi + 1), repeat=size)
+                 if list(t) == sorted(t, reverse=True) and sum(x * x for x in t) <= budget),
+                reverse=True,
+            )
+            got = list(lattice._sorted_tuples(size, budget, lo, hi))
+            assert [t for t, _, _ in got] == want, (size, budget, lo, hi)
+            assert all(s == sum(t) and q == sum(x * x for x in t) for t, s, q in got)
+
+    def test_sorted_tuples_long_zero_run(self):
+        # a touched class 2000 wide: zeros before the negative entries
+        got = [t for t, _, _ in lattice._sorted_tuples(2000, 2, -1, 1)]
+        zeros = (0,) * 1998
+        assert got == [
+            (1, 1) + zeros,
+            (1, 0) + zeros,
+            (1,) + zeros + (-1,),
+            (0, 0) + zeros,
+            zeros + (0, -1),
+            zeros + (-1, -1),
+        ]
 
 
 class TestCanonicalForm:

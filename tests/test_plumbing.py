@@ -55,6 +55,15 @@ class TestWeightedTree:
         with pytest.raises(ValueError):
             WeightedTree({0: -2}, [(0, 1)])
 
+    def test_rejects_bool(self):
+        # bool is an int subclass: JSON true must not read as 1
+        for weights in ({0: True}, {True: -2}):
+            with pytest.raises(TypeError):
+                WeightedTree(weights, [])
+        text = '{"vertices": [{"id": 0, "weight": -2}, {"id": 1, "weight": -2}], '
+        with pytest.raises(TypeError):
+            WeightedTree.from_json(text + '"edges": [[0, true]]}')
+
     def test_json_round_trip(self):
         t = path_tree([-2, -3, -5])
         assert WeightedTree.from_json(t.to_json()) == t
