@@ -5,11 +5,9 @@ from .cabling import (
     CableTower,
     ReducibleBoundaryError,
     SurgerySpec,
-    TowerClass,
     UnsupportedTowerError,
     closed_form_two_iter,
     corner_weight,
-    from_newton_pairs,
     raw_plumbing,
     reduced_plumbing,
 )

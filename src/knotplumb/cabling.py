@@ -22,7 +22,6 @@ as mutual oracles (|det| = n is checked against both).
 """
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from math import gcd
 
@@ -43,12 +42,6 @@ class UnsupportedTowerError(ValueError):
 class ReducibleBoundaryError(ValueError):
     """N = 0: the surgered manifold may split as a connected sum; no single
     negative-definite plumbing tree is produced for it."""
-
-
-class TowerClass(Enum):
-    NOT_ALGEBRAIC = "not-algebraic"
-    ALGEBRAIC_ONLY = "algebraic-only"
-    SUPER_ALGEBRAIC = "super-algebraic"
 
 
 @dataclass(frozen=True)
@@ -79,43 +72,6 @@ class CableTower:
             a2 > p1 * p2 * a1
             for (p1, a1), (p2, a2) in zip(self.pairs, self.pairs[1:])
         )
-
-    def is_super_algebraic(self) -> bool:
-        # a_{i+1}/p_{i+1} > p_i a_i + 1: strict, so the boundary case
-        # ceil(a_{i+1}/p_{i+1}) = p_i a_i + 1 (where a vertex below -2
-        # ends up adjacent to another one) counts as algebraic-only
-        return all(
-            ceil_div(a2, p2) - 1 >= p1 * a1 + 1
-            for (p1, a1), (p2, a2) in zip(self.pairs, self.pairs[1:])
-        )
-
-    def classify(self) -> TowerClass:
-        if not self.is_algebraic():
-            return TowerClass.NOT_ALGEBRAIC
-        if self.is_super_algebraic():
-            return TowerClass.SUPER_ALGEBRAIC
-        return TowerClass.ALGEBRAIC_ONLY
-
-
-def from_newton_pairs(newton_pairs) -> CableTower:
-    """Cabling parameters of the singularity link with the given Newton pairs.
-
-    a_1 = q_1 and a_{i+1} = q_{i+1} + p_{i+1} p_i a_i; with all q_i > 0 the
-    result is automatically algebraic.
-    """
-    pairs = []
-    prev_p = prev_a = None
-    for p, q in newton_pairs:
-        p, q = int(p), int(q)
-        if p <= 0 or q <= 0:
-            raise ValueError(f"Newton pair ({p},{q}) must be positive")
-        if gcd(p, q) != 1:
-            raise ValueError(f"Newton pair ({p},{q}) is not coprime")
-        a = q if prev_p is None else q + p * prev_p * prev_a
-        pairs.append((p, a))
-        prev_p, prev_a = p, a
-    return CableTower(tuple(pairs))
-
 
 @dataclass(frozen=True)
 class SurgerySpec:
@@ -173,6 +129,30 @@ def _require_buildable(spec: SurgerySpec):
             )
 
 
+class _TreeBuilder:
+    """Vertices numbered in the order they are added, each with a role."""
+
+    def __init__(self):
+        self.weights, self.edges, self.roles = {}, [], {}
+
+    def add(self, weight, role, attach=None):
+        v = len(self.weights)
+        self.weights[v] = weight
+        self.roles[v] = role
+        if attach is not None:
+            self.edges.append((attach, v))
+        return v
+
+    def finish(self, spec, with_roles):
+        """The tree, checked against its oracle |det| = |n|; with its roles if asked."""
+        tree = WeightedTree(self.weights, self.edges)
+        if abs(det_exact(gram_matrix(tree))) != abs(spec.n):
+            raise AssertionError(
+                f"plumbing determinant does not match surgery coefficient {spec.n}"
+            )
+        return (tree, self.roles) if with_roles else tree
+
+
 def raw_plumbing(spec: SurgerySpec, with_roles: bool = False):
     """Plumbing tree bounding the n-surgery on an algebraic tower, unreduced.
 
@@ -191,42 +171,23 @@ def raw_plumbing(spec: SurgerySpec, with_roles: bool = False):
     graph on the two-iteration congruence families.
     """
     _require_buildable(spec)
-    weights = {}
-    edges = []
-    roles = {}
-    next_id = 0
-
-    def add(weight, role, attach=None):
-        nonlocal next_id
-        v = next_id
-        next_id += 1
-        weights[v] = weight
-        roles[v] = role
-        if attach is not None:
-            edges.append((attach, v))
-        return v
-
+    build = _TreeBuilder()
     prev = None  # vertex the next hook's torso attaches to
     for i, (p, a) in enumerate(spec.knot.pairs, start=1):
         torso = expand_neg_cf(Fraction(a, a - p))
         leg = expand_neg_cf(Fraction(a, p))
         for coeff in torso:
-            prev = add(-coeff, f"torso{i}", prev)
-        corner = add(-corner_weight(p, a), f"corner{i}", prev)
+            prev = build.add(-coeff, f"torso{i}", prev)
+        corner = build.add(-corner_weight(p, a), f"corner{i}", prev)
         hang = corner
         for coeff in reversed(leg[1:]):
-            hang = add(-coeff, f"leg{i}", hang)
+            hang = build.add(-coeff, f"leg{i}", hang)
         if i < len(spec.knot.pairs):
-            bridge = add(-p * a, f"junction{i}", corner)
-            prev = add(-1, f"junction{i}", bridge)
+            bridge = build.add(-p * a, f"junction{i}", corner)
+            prev = build.add(-1, f"junction{i}", bridge)
         else:
-            add(spec.reduced_framing, "leaf", corner)
-    tree = WeightedTree(weights, edges)
-    if abs(det_exact(gram_matrix(tree))) != abs(spec.n):
-        raise AssertionError(
-            f"raw plumbing determinant does not match surgery coefficient {spec.n}"
-        )
-    return (tree, roles) if with_roles else tree
+            build.add(spec.reduced_framing, "leaf", corner)
+    return build.finish(spec, with_roles)
 
 
 def reduced_plumbing(spec: SurgerySpec) -> WeightedTree:
@@ -316,40 +277,22 @@ def closed_form_two_iter(spec: SurgerySpec, with_roles: bool = False):
         node1_weight = -2 if l >= 0 else -(p2 + 1)
         leg2_weights = [-2] * (p2 - 1)
 
-    weights = {}
-    edges = []
-    roles = {}
-    next_id = 0
-
-    def add(weight, role, attach=None):
-        nonlocal next_id
-        v = next_id
-        next_id += 1
-        weights[v] = weight
-        roles[v] = role
-        if attach is not None:
-            edges.append((attach, v))
-        return v
-
+    build = _TreeBuilder()
     prev = None
     for w in [-2] * (k1 - 1) + [-(p1 + 1)]:
-        prev = add(w, "torso1", prev)
-    node1 = add(node1_weight, "node1", prev)
+        prev = build.add(w, "torso1", prev)
+    node1 = build.add(node1_weight, "node1", prev)
     hang = node1
     for _ in range(p1 - 1):
-        hang = add(-2, "leg1", hang)
+        hang = build.add(-2, "leg1", hang)
     prev = node1
     for w in torso2_weights:
-        prev = add(w, "torso2", prev)
-    node2 = add(-2, "node2", prev)
+        prev = build.add(w, "torso2", prev)
+    node2 = build.add(-2, "node2", prev)
     hang = node2
     for w in leg2_weights:
-        hang = add(w, "leg2", hang)
+        hang = build.add(w, "leg2", hang)
     prev = node2
     for _ in range(n_red - 1):
-        prev = add(-2, "tail", prev)
-
-    tree = WeightedTree(weights, edges)
-    if abs(det_exact(gram_matrix(tree))) != abs(spec.n):
-        raise AssertionError("closed-form determinant does not match the surgery coefficient")
-    return (tree, roles) if with_roles else tree
+        prev = build.add(-2, "tail", prev)
+    return build.finish(spec, with_roles)

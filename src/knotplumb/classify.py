@@ -22,7 +22,7 @@ how the discrepancy is documented rather than guessed away.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from multiprocessing import Pool
 
@@ -39,7 +39,7 @@ from .plumbing import gram_matrix
 DEFAULT_BUDGET = 10**8
 
 
-class VerdictKind(Enum):
+class VerdictKind(str, Enum):
     NO_NEGATIVE_DEFINITE_FORM = "NoNegativeDefiniteForm"
     REDUCIBLE_BOUNDARY = "ReducibleBoundary"
     OUT_OF_SCOPE = "OutOfScope"
@@ -47,50 +47,68 @@ class VerdictKind(Enum):
     OBSTRUCTION_PASSES = "ObstructionPasses"
     INDETERMINATE = "Indeterminate"
 
+    def __str__(self):  # the value, also in f-strings (3.11 would print VerdictKind.NAME)
+        return self.value
+
+
+_SEARCH_VERDICT = {
+    SearchStatus.FOUND: VerdictKind.OBSTRUCTION_PASSES,
+    SearchStatus.NONE: VerdictKind.OBSTRUCTION_FAILS,
+    SearchStatus.INDETERMINATE: VerdictKind.INDETERMINATE,
+}
+
 
 @dataclass(frozen=True)
-class Verdict:
-    kind: VerdictKind
-    witness: tuple | None = None
-    nodes: int = 0
-    rank: int | None = None
+class SweepRow:
+    p1: int
+    a1: int
+    p2: int
+    a2: int
+    n: int
+    n_reduced: int
+    rank: int | None
+    verdict: VerdictKind
+    witness: tuple | None
+    nodes: int
+    ms: int
 
-    @property
-    def obstructs(self) -> bool:
-        """True when the manifold provably bounds no rational homology ball."""
-        return self.kind is VerdictKind.OBSTRUCTION_FAILS
+    def key(self):
+        return (self.p1, self.a1, self.p2, self.a2, self.n)
 
 
-def classify_one(spec: SurgerySpec, budget=DEFAULT_BUDGET, path="closed") -> Verdict:
+def classify_one(spec: SurgerySpec, budget=DEFAULT_BUDGET, path="closed") -> SweepRow:
     """Obstruction verdict for one surgery spec in the congruence families.
 
     path selects which of the two equivalent graph constructions feeds the
     search ("closed" or "calculus"); verdicts are invariant under the
-    choice, which the test suite checks.
+    choice, which the test suite checks.  ms is the wall time of the call.
     """
+    t0 = time.perf_counter()
     par = two_iter_parameters(spec)  # validates the congruences
     if not spec.knot.is_algebraic():
         raise ValueError(f"tower {spec.knot.pairs} is not algebraic")
     n_red = par["N"]
+    rank, witness, nodes = None, None, 0
     if n_red < 0:
-        return Verdict(VerdictKind.NO_NEGATIVE_DEFINITE_FORM)
-    if n_red == 0:
-        return Verdict(VerdictKind.REDUCIBLE_BOUNDARY)
-    if n_red == 1:
-        return Verdict(VerdictKind.OUT_OF_SCOPE)
-    if path == "closed":
-        tree = closed_form_two_iter(spec)
-    elif path == "calculus":
-        tree = reduced_plumbing(spec)
+        verdict = VerdictKind.NO_NEGATIVE_DEFINITE_FORM
+    elif n_red == 0:
+        verdict = VerdictKind.REDUCIBLE_BOUNDARY
+    elif n_red == 1:
+        verdict = VerdictKind.OUT_OF_SCOPE
     else:
-        raise ValueError(f"unknown construction path {path!r}")
-    gram = gram_matrix(tree)
-    result = find_embedding(gram, budget=budget)
-    if result.status is SearchStatus.FOUND:
-        return Verdict(VerdictKind.OBSTRUCTION_PASSES, result.witness, result.nodes, len(gram))
-    if result.status is SearchStatus.NONE:
-        return Verdict(VerdictKind.OBSTRUCTION_FAILS, None, result.nodes, len(gram))
-    return Verdict(VerdictKind.INDETERMINATE, None, result.nodes, len(gram))
+        if path == "closed":
+            tree = closed_form_two_iter(spec)
+        elif path == "calculus":
+            tree = reduced_plumbing(spec)
+        else:
+            raise ValueError(f"unknown construction path {path!r}")
+        gram = gram_matrix(tree)
+        result = find_embedding(gram, budget=budget)
+        verdict = _SEARCH_VERDICT[result.status]
+        rank, witness, nodes = len(gram), result.witness, result.nodes
+    (p1, a1), (p2, a2) = spec.knot.pairs
+    ms = int((time.perf_counter() - t0) * 1000)
+    return SweepRow(p1, a1, p2, a2, spec.n, n_red, rank, verdict, witness, nodes, ms)
 
 
 # -- explicit witnesses from the two solution families -----------------------
@@ -231,24 +249,6 @@ def known_witness(spec: SurgerySpec):
 # -- sweeps and the audit -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    p1: int
-    a1: int
-    p2: int
-    a2: int
-    n: int
-    n_reduced: int
-    rank: int | None
-    verdict: str
-    witness: tuple | None
-    nodes: int
-    ms: int
-
-    def key(self):
-        return (self.p1, self.a1, self.p2, self.a2, self.n)
-
-
 def admissible_tuples(p1_values, k1_values, p2_values, k2_max, n_values) -> list:
     """All admissible (p1, a1, p2, a2, n): both congruence signs, algebraic
     (ceil(a2/p2) - 1 >= p1*a1), deduplicated, lexicographically sorted."""
@@ -271,23 +271,7 @@ def desk_range_tuples() -> list:
 
 def _sweep_worker(args):
     (p1, a1, p2, a2, n), budget = args
-    spec = SurgerySpec(CableTower(((p1, a1), (p2, a2))), n)
-    t0 = time.perf_counter()
-    verdict = classify_one(spec, budget=budget)
-    ms = int((time.perf_counter() - t0) * 1000)
-    return SweepRow(
-        p1,
-        a1,
-        p2,
-        a2,
-        n,
-        spec.reduced_framing,
-        verdict.rank,
-        verdict.kind.value,
-        verdict.witness,
-        verdict.nodes,
-        ms,
-    )
+    return classify_one(SurgerySpec(CableTower(((p1, a1), (p2, a2))), n), budget=budget)
 
 
 def sweep(tuples, budget=DEFAULT_BUDGET, workers=1) -> list:
@@ -338,14 +322,7 @@ class AuditReport:
         return not self.disagreements and not self.indeterminate
 
     def to_json_obj(self) -> dict:
-        return {
-            "family1_form": self.family1_form,
-            "total": self.total,
-            "agreements": self.agreements,
-            "disagreements": self.disagreements,
-            "indeterminate": self.indeterminate,
-            "perfect": self.perfect,
-        }
+        return {**asdict(self), "perfect": self.perfect}
 
 
 def theorem_audit(rows, family1_form="derived") -> AuditReport:
@@ -358,10 +335,10 @@ def theorem_audit(rows, family1_form="derived") -> AuditReport:
     report = AuditReport(family1_form=family1_form)
     for row in rows:
         report.total += 1
-        if row.verdict == VerdictKind.INDETERMINATE.value:
+        if row.verdict == VerdictKind.INDETERMINATE:
             report.indeterminate.append(list(row.key()))
             continue
-        passes = row.verdict == VerdictKind.OBSTRUCTION_PASSES.value
+        passes = row.verdict == VerdictKind.OBSTRUCTION_PASSES
         member = is_family_member(row.p1, row.a1, row.p2, row.a2, row.n, family1_form)
         if passes == member:
             report.agreements += 1

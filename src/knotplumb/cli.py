@@ -267,6 +267,8 @@ def _embed_input(args):
 
 
 def cmd_embed(args, config):
+    if args.locally_minimal and not args.enumerate:
+        raise CliError("--locally-minimal needs --enumerate")
     tree, name = _embed_input(args)
     gram = gram_matrix(tree)
     rank = args.rank if args.rank is not None else len(gram)
@@ -315,7 +317,11 @@ def _range_tuples(args):
         raise CliError("invalid ranges")
     if any(p < 2 for p in p1s + p2s) or any(k < 1 for k in k1s):
         raise CliError("invalid ranges: p >= 2 and k1 >= 1 required")
-    return admissible_tuples(p1s, k1s, p2s, args.k2_max, ns)
+    tuples = admissible_tuples(p1s, k1s, p2s, args.k2_max, ns)
+    for t in tuples:
+        if t[4] == 0:
+            raise CliError(f"invalid ranges: tuple {t} has surgery coefficient n = 0")
+    return tuples
 
 
 def _run_sweep(args, config):

@@ -67,9 +67,6 @@ class SearchResult:
     witness: tuple | None
     nodes: int
 
-    def __bool__(self):
-        return self.status is SearchStatus.FOUND
-
 
 class BudgetExceeded(Exception):
     pass

@@ -302,7 +302,7 @@ def test_criterion_8_boundary_spot_checks():
         (((3, 4), (2, 25)), 52),
     ]:
         verdict = classify_one(SurgerySpec(CableTower(pairs), n))
-        assert verdict.kind is VerdictKind.OBSTRUCTION_FAILS, (pairs, n, verdict.kind)
+        assert verdict.verdict is VerdictKind.OBSTRUCTION_FAILS, (pairs, n, verdict.verdict)
 
 
 @criterion(9, "N < 0 reports no negative definite form without searching")
@@ -314,5 +314,5 @@ def test_criterion_9_negative_n():
         (((3, 4), (3, 47)), 100),
     ]:
         verdict = classify_one(SurgerySpec(CableTower(pairs), n))
-        assert verdict.kind is VerdictKind.NO_NEGATIVE_DEFINITE_FORM
+        assert verdict.verdict is VerdictKind.NO_NEGATIVE_DEFINITE_FORM
         assert verdict.nodes == 0 and verdict.witness is None

@@ -6,11 +6,9 @@ from knotplumb.cabling import (
     CableTower,
     ReducibleBoundaryError,
     SurgerySpec,
-    TowerClass,
     UnsupportedTowerError,
     closed_form_two_iter,
     corner_weight,
-    from_newton_pairs,
     raw_plumbing,
     reduced_plumbing,
     two_iter_parameters,
@@ -37,26 +35,9 @@ class TestCableTower:
         with pytest.raises(ValueError):
             CableTower(((1, 3),))
 
-    def test_newton_pairs_single(self):
-        assert from_newton_pairs([(2, 3)]).pairs == ((2, 3),)
-
-    def test_newton_pairs_examples(self):
-        assert from_newton_pairs([(2, 3), (2, 3)]).pairs == ((2, 3), (2, 15))
-        assert from_newton_pairs([(2, 3), (2, 5)]).pairs == ((2, 3), (2, 17))
-
-    def test_newton_pairs_always_algebraic(self):
-        for q1 in (1, 3, 5):
-            for q2 in (1, 2, 7):
-                tower = from_newton_pairs([(2, q1), (3, q2)])
-                assert tower.is_algebraic()
-
-    def test_classification(self):
-        assert CableTower(((2, 3), (2, 17))).classify() is TowerClass.SUPER_ALGEBRAIC
-        assert CableTower(((2, 3), (2, 13))).classify() is TowerClass.ALGEBRAIC_ONLY
-        assert CableTower(((2, 3), (2, 11))).classify() is TowerClass.NOT_ALGEBRAIC
-
-    def test_single_pair_is_vacuously_super(self):
-        assert CableTower(((2, 3),)).classify() is TowerClass.SUPER_ALGEBRAIC
+    def test_algebraicity(self):
+        assert CableTower(((2, 3), (2, 13))).is_algebraic()
+        assert not CableTower(((2, 3), (2, 11))).is_algebraic()
 
 
 class TestCornerWeight:

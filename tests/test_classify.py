@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from knotplumb.cabling import CableTower, SurgerySpec, closed_form_two_iter
@@ -33,10 +35,12 @@ class TestClassifyOne:
             ((2, 3, 2, 17, 34), VerdictKind.REDUCIBLE_BOUNDARY),
             ((2, 3, 2, 17, 35), VerdictKind.OUT_OF_SCOPE),
         ],
+        # VerdictKind.NAME, where the default id would be the str value
+        ids=lambda v: f"VerdictKind.{v.name}" if isinstance(v, VerdictKind) else None,
     )
     def test_examples(self, tup, kind):
         verdict = classify_one(spec_for(*tup))
-        assert verdict.kind is kind
+        assert verdict.verdict is kind
 
     def test_low_n_skips_search(self):
         verdict = classify_one(spec_for(2, 3, 2, 17, 33))
@@ -54,7 +58,7 @@ class TestClassifyOne:
         for tup in sample:
             closed = classify_one(spec_for(*tup), path="closed")
             calculus = classify_one(spec_for(*tup), path="calculus")
-            assert closed.kind is calculus.kind, tup
+            assert closed.verdict is calculus.verdict, tup
 
     def test_rejects_out_of_family(self):
         with pytest.raises(Exception):
@@ -102,13 +106,13 @@ class TestKnownWitness:
         for form, p1, p2 in [("derived", 4, 2), ("derived", 2, 5), ("family2", 2, 4)]:
             tup = family_tuple(form, p1, p2)
             spec = spec_for(*tup)
-            assert classify_one(spec).kind is VerdictKind.OBSTRUCTION_PASSES
+            assert classify_one(spec).verdict is VerdictKind.OBSTRUCTION_PASSES
             assert known_witness(spec) is not None
         # perturbing the surgery coefficient off the family must not pass
         base = family_tuple("derived", 2, 5)
         for dn in (1, 5):
             verdict = classify_one(spec_for(*base[:4], base[4] + dn))
-            assert verdict.kind is VerdictKind.OBSTRUCTION_FAILS
+            assert verdict.verdict is VerdictKind.OBSTRUCTION_FAILS
 
 
 class TestSweep:
@@ -205,3 +209,73 @@ class TestFamilyPredicate:
     def test_printed_vs_derived(self):
         assert is_family_member(2, 3, 2, 5, 36, family1_form="printed")
         assert not is_family_member(2, 3, 2, 5, 36, family1_form="derived")
+
+
+# The exact CSV and audit JSON of admissible_tuples((2,), (1,), (2,), 10,
+# range(2, 5)).  A verdict renders as its value (ObstructionFails), never
+# as the enum member (VerdictKind.OBSTRUCTION_FAILS).
+MINI_CSV_LINES = [
+    "p1,a1,p2,a2,n,N,rank,verdict,witness_file,nodes,ms",
+    "2,3,2,13,28,2,6,ObstructionFails,,10,",
+    "2,3,2,13,29,3,7,ObstructionFails,,15,",
+    "2,3,2,13,30,4,8,ObstructionFails,,18,",
+    "2,3,2,15,32,2,7,ObstructionFails,,12,",
+    "2,3,2,15,33,3,8,ObstructionFails,,20,",
+    "2,3,2,15,34,4,9,ObstructionFails,,21,",
+    "2,3,2,17,36,2,8,ObstructionPasses,{},9,",
+    "2,3,2,17,37,3,9,ObstructionFails,,18,",
+    "2,3,2,17,38,4,10,ObstructionFails,,19,",
+    "2,3,2,19,40,2,9,ObstructionFails,,12,",
+    "2,3,2,19,41,3,10,ObstructionFails,,16,",
+    "2,3,2,19,42,4,11,ObstructionFails,,17,",
+    "2,3,2,21,44,2,10,ObstructionFails,,13,",
+    "2,3,2,21,45,3,11,ObstructionFails,,17,",
+    "2,3,2,21,46,4,12,ObstructionFails,,18,",
+]
+
+MINI_AUDIT = {
+    "derived": """{
+  "family1_form": "derived",
+  "total": 15,
+  "agreements": 15,
+  "disagreements": [],
+  "indeterminate": [],
+  "perfect": true
+}""",
+    "printed": """{
+  "family1_form": "printed",
+  "total": 15,
+  "agreements": 14,
+  "disagreements": [
+    {
+      "tuple": [
+        2,
+        3,
+        2,
+        17,
+        36
+      ],
+      "verdict": "ObstructionPasses",
+      "family_member": false
+    }
+  ],
+  "indeterminate": [],
+  "perfect": false
+}""",
+}
+
+
+class TestPinnedOutput:
+    @pytest.fixture(scope="class")
+    def rows(self):
+        return sweep(admissible_tuples((2,), (1,), (2,), 10, range(2, 5)))
+
+    @pytest.mark.parametrize("wfile", ["", "out/witness_2_3_2_17_36.json"], ids=["bare", "witness"])
+    def test_csv_bytes(self, rows, wfile):
+        witness_files = {(2, 3, 2, 17, 36): wfile} if wfile else None
+        expected = "\n".join(MINI_CSV_LINES).format(wfile) + "\n"
+        assert rows_to_csv(rows, witness_files) == expected
+
+    @pytest.mark.parametrize("form", ["derived", "printed"])
+    def test_audit_json_bytes(self, rows, form):
+        assert json.dumps(theorem_audit(rows, form).to_json_obj(), indent=2) == MINI_AUDIT[form]

@@ -127,6 +127,8 @@ class TestEmbed:
 
 
 SWEEP_ARGS = ["--p1", "2", "--k1", "1", "--p2", "2", "--k2-max", "9", "--N", "2,3"]
+# reaches (2, 3, 2, 13, 0): N = -26 = -p2*a2
+ZERO_N_ARGS = ["--p1", "2", "--k1", "1", "--p2", "2", "--k2-max", "6", "--N=-26"]
 
 
 class TestSweepCli:
@@ -220,6 +222,9 @@ BAD_INPUTS = {
     "sweep-out-unwritable": ["sweep", *SWEEP_ARGS, "--out", "plain/x"],
     "sweep-csv-unwritable": ["sweep", *SWEEP_ARGS, "--csv", "plain/x.csv"],
     "audit-csv-unwritable": ["audit", *SWEEP_ARGS, "--csv", "plain/x.csv"],
+    "sweep-n-zero": ["sweep", *ZERO_N_ARGS],
+    "audit-n-zero": ["audit", *ZERO_N_ARGS],
+    "locally-minimal-without-enumerate": ["embed", "chain3.json", "--locally-minimal"],
 }
 
 

@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import knotplumb
 from knotplumb import lattice
@@ -22,7 +22,7 @@ from knotplumb.lattice import (
     render_vector,
     verify_embedding,
 )
-from knotplumb.plumbing import gram_matrix, is_negative_definite
+from knotplumb.plumbing import WeightedTree, gram_matrix, is_negative_definite
 
 from oracles import (
     canonical_candidates,
@@ -548,3 +548,23 @@ def test_found_witnesses_always_verify(seed):
     res = find_embedding(g)
     if res.status is SearchStatus.FOUND:
         assert verify_embedding(g, res.witness)
+
+
+@st.composite
+def negative_definite_grams(draw, max_vertices=6):
+    """Gram matrix of a random negative-definite tree, weights -5..-1."""
+    n = draw(st.integers(1, max_vertices))
+    weights = draw(st.lists(st.integers(-5, -1), min_size=n, max_size=n))
+    edges = [(i, draw(st.integers(0, i - 1))) for i in range(1, n)]
+    g = gram_matrix(WeightedTree(dict(enumerate(weights)), edges))
+    assume(is_negative_definite(g))
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_verdict_and_class_count_invariant_under_relabelling(data):
+    g = data.draw(negative_definite_grams())
+    h = relabel(g, data.draw(st.permutations(range(len(g)))))
+    assert find_embedding(h).status is find_embedding(g).status
+    assert len(enumerate_embeddings(h)) == len(enumerate_embeddings(g))
