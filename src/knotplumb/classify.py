@@ -4,10 +4,15 @@ classify_one decides, for an n-surgery on T(p1, a1; p2, a2) with
 a1 = 1 (mod p1) and a2 = +-1 (mod p2), what the lattice-embedding
 obstruction says: with N = n - p2*a2, negative N admits no negative
 definite plumbing tree at all, N = 0 may split as a connected sum, N = 1
-is excluded from classification, and for N >= 2 the reduced plumbing is
-searched for an embedding at rank equal to its vertex count.  A failed
-(exhaustive) search proves the surgered manifold bounds no rational
-homology 4-ball; a found embedding only says this obstruction vanishes.
+is excluded from classification, and for N >= 2 the reduced plumbing
+(built with |det| = n checked) is tested for an embedding into
+(Z^r, -Id) at r equal to its vertex count.  There an embedding is a
+square integer matrix A with G = -A*A^T, so |det G| = det(A)^2: when n
+is not a perfect square the determinant alone proves that none exists
+(proof "determinant", no search).  Otherwise the graph is searched, and
+an exhaustive NONE (proof "search") proves the surgered manifold bounds
+no rational homology 4-ball; a found embedding (proof "witness") only
+says this obstruction vanishes.
 
 The expected passing tuples form two families, for which explicit
 witnesses are constructed in closed form (known_witness):
@@ -21,11 +26,13 @@ a2/p2 > p1*a1 for every p1 >= 2; comparing sweeps against either form is
 how the discrepancy is documented rather than guessed away.
 """
 
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from multiprocessing import Pool
 
+from . import plumbing
 from .cabling import (
     CableTower,
     SurgerySpec,
@@ -51,10 +58,11 @@ class VerdictKind(str, Enum):
         return self.value
 
 
+# search status -> (verdict, proof)
 _SEARCH_VERDICT = {
-    SearchStatus.FOUND: VerdictKind.OBSTRUCTION_PASSES,
-    SearchStatus.NONE: VerdictKind.OBSTRUCTION_FAILS,
-    SearchStatus.INDETERMINATE: VerdictKind.INDETERMINATE,
+    SearchStatus.FOUND: (VerdictKind.OBSTRUCTION_PASSES, "witness"),
+    SearchStatus.NONE: (VerdictKind.OBSTRUCTION_FAILS, "search"),
+    SearchStatus.INDETERMINATE: (VerdictKind.INDETERMINATE, None),
 }
 
 
@@ -71,6 +79,9 @@ class SweepRow:
     witness: tuple | None
     nodes: int
     ms: int
+    # what decided the verdict: "determinant", "search" or "witness";
+    # None when no graph was tested or the budget ran out (not in the CSV)
+    proof: str | None = None
 
     def key(self):
         return (self.p1, self.a1, self.p2, self.a2, self.n)
@@ -79,16 +90,18 @@ class SweepRow:
 def classify_one(spec: SurgerySpec, budget=DEFAULT_BUDGET, path="closed") -> SweepRow:
     """Obstruction verdict for one surgery spec in the congruence families.
 
-    path selects which of the two equivalent graph constructions feeds the
-    search ("closed" or "calculus"); verdicts are invariant under the
-    choice, which the test suite checks.  ms is the wall time of the call.
+    path selects which of the two equivalent graph constructions is
+    tested ("closed" or "calculus"); verdicts are invariant under the
+    choice, which the test suite checks.  A non-square n is decided by the
+    determinant with 0 nodes, so budget only bounds the search of a
+    square n.  ms is the wall time of the call.
     """
     t0 = time.perf_counter()
     par = two_iter_parameters(spec)  # validates the congruences
     if not spec.knot.is_algebraic():
         raise ValueError(f"tower {spec.knot.pairs} is not algebraic")
     n_red = par["N"]
-    rank, witness, nodes = None, None, 0
+    rank, witness, nodes, proof = None, None, 0, None
     if n_red < 0:
         verdict = VerdictKind.NO_NEGATIVE_DEFINITE_FORM
     elif n_red == 0:
@@ -103,12 +116,20 @@ def classify_one(spec: SurgerySpec, budget=DEFAULT_BUDGET, path="closed") -> Swe
         else:
             raise ValueError(f"unknown construction path {path!r}")
         gram = gram_matrix(tree)
-        result = find_embedding(gram, budget=budget)
-        verdict = _SEARCH_VERDICT[result.status]
-        rank, witness, nodes = len(gram), result.witness, result.nodes
+        rank = len(gram)
+        if math.isqrt(spec.n) ** 2 != spec.n:  # the builder checked |det| = n
+            # find_embedding checks definiteness on the search branch; both
+            # look is_negative_definite up on plumbing at call time
+            if not plumbing.is_negative_definite(gram):
+                raise ValueError("intersection form is not negative definite")
+            verdict, proof = VerdictKind.OBSTRUCTION_FAILS, "determinant"
+        else:
+            result = find_embedding(gram, budget=budget)
+            verdict, proof = _SEARCH_VERDICT[result.status]
+            witness, nodes = result.witness, result.nodes
     (p1, a1), (p2, a2) = spec.knot.pairs
     ms = int((time.perf_counter() - t0) * 1000)
-    return SweepRow(p1, a1, p2, a2, spec.n, n_red, rank, verdict, witness, nodes, ms)
+    return SweepRow(p1, a1, p2, a2, spec.n, n_red, rank, verdict, witness, nodes, ms, proof)
 
 
 # -- explicit witnesses from the two solution families -----------------------

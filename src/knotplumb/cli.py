@@ -269,6 +269,9 @@ def _embed_input(args):
 def cmd_embed(args, config):
     if args.locally_minimal and not args.enumerate:
         raise CliError("--locally-minimal needs --enumerate")
+    if args.enumerate and args.budget is not None:
+        # the class-by-class enumeration has no node budget
+        raise CliError("--budget does not apply to --enumerate")
     tree, name = _embed_input(args)
     gram = gram_matrix(tree)
     rank = args.rank if args.rank is not None else len(gram)
@@ -398,7 +401,7 @@ def build_parser():
     p.add_argument("--pairs", help="p1,a1[,p2,a2...] (build reduced graph)")
     p.add_argument("--n", type=int)
     p.add_argument("--rank", type=int, help="target rank (default: Gram dimension)")
-    p.add_argument("--budget", type=int, help="search node budget")
+    p.add_argument("--budget", type=int, help="search node budget (not with --enumerate)")
     p.add_argument("--enumerate", action="store_true", help="list all classes")
     p.add_argument(
         "--locally-minimal",

@@ -274,9 +274,15 @@ def test_criterion_7_theorem_audit():
     assert report.perfect, report.to_json_obj()
     assert not theorem_audit(rows, "printed").perfect
 
+    # a non-square n is decided by the determinant without a search; the
+    # search on those graphs is pinned by the test below
+    determinant = [r.key() for r in rows if r.proof == "determinant"]
+    assert determinant == [r.key() for r in rows if math.isqrt(r.n) ** 2 != r.n]
+    assert len(determinant) == 947
+    assert all(r.nodes == 0 for r in rows if r.proof == "determinant")
     # node counts do not depend on the machine, so the total and the
     # witnesses pin the search's candidate order at desk scale
-    assert sum(r.nodes for r in rows) == 25018
+    assert sum(r.nodes for r in rows) == 1439
     passing_rows = [r for r in rows if r.verdict == "ObstructionPasses"]
     assert {
         r.key(): [render_vector(v) for v in r.witness] for r in passing_rows
@@ -289,6 +295,20 @@ def test_criterion_7_theorem_audit():
         assert witness is not None  # construction self-verifies
         rediscovered = find_embedding(gram)
         assert rediscovered.status is SearchStatus.FOUND
+
+
+def test_search_refutes_every_non_square_desk_graph():
+    # the sweep decides these 947 tuples by the determinant; the search must
+    # agree on every one, and its node total pins the candidate order there
+    nodes = 0
+    for p1, a1, p2, a2, n in desk_range_tuples():
+        if math.isqrt(n) ** 2 == n:
+            continue
+        spec = SurgerySpec(CableTower(((p1, a1), (p2, a2))), n)
+        result = find_embedding(gram_matrix(closed_form_two_iter(spec)))
+        assert result.status is SearchStatus.NONE, (p1, a1, p2, a2, n)
+        nodes += result.nodes
+    assert nodes == 23579
 
 
 @criterion(8, "algebraic-only boundary tuples are obstructed")

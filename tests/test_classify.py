@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from knotplumb import classify
 from knotplumb.cabling import CableTower, SurgerySpec, closed_form_two_iter
 from knotplumb.classify import (
     SweepRow,
@@ -18,6 +19,8 @@ from knotplumb.classify import (
 )
 from knotplumb.lattice import find_embedding, verify_embedding
 from knotplumb.plumbing import gram_matrix
+
+from test_lattice import run_child
 
 
 def spec_for(p1, a1, p2, a2, n):
@@ -59,10 +62,61 @@ class TestClassifyOne:
             closed = classify_one(spec_for(*tup), path="closed")
             calculus = classify_one(spec_for(*tup), path="calculus")
             assert closed.verdict is calculus.verdict, tup
+            assert (closed.rank, closed.nodes, closed.proof) == (
+                calculus.rank, calculus.nodes, calculus.proof
+            ), tup
 
     def test_rejects_out_of_family(self):
         with pytest.raises(Exception):
             classify_one(SurgerySpec(CableTower(((2, 3), (5, 67))), 340))
+
+    @pytest.mark.parametrize(
+        "tup,kind,proof",
+        [
+            ((2, 3, 2, 17, 36), VerdictKind.OBSTRUCTION_PASSES, "witness"),
+            ((2, 3, 2, 15, 36), VerdictKind.OBSTRUCTION_FAILS, "search"),  # square n, 23 nodes
+            ((2, 3, 2, 17, 38), VerdictKind.OBSTRUCTION_FAILS, "determinant"),
+            ((2, 3, 2, 17, 33), VerdictKind.NO_NEGATIVE_DEFINITE_FORM, None),
+            ((2, 3, 2, 17, 34), VerdictKind.REDUCIBLE_BOUNDARY, None),
+            ((2, 3, 2, 17, 35), VerdictKind.OUT_OF_SCOPE, None),
+        ],
+        ids=lambda v: f"VerdictKind.{v.name}" if isinstance(v, VerdictKind) else None,
+    )
+    def test_proof(self, tup, kind, proof):
+        row = classify_one(spec_for(*tup))
+        assert (row.verdict, row.proof) == (kind, proof)
+        assert (row.nodes > 0) == (proof in ("search", "witness"))
+
+    def test_non_square_n_skips_search(self, monkeypatch):
+        # T(2,3;2,53), n = 108: the rank-26 chain that `embed` refutes in 29 nodes
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched a non-square n")
+
+        monkeypatch.setattr(classify, "find_embedding", no_search)
+        row = classify_one(spec_for(2, 3, 2, 53, 108), budget=1)
+        assert row.verdict is VerdictKind.OBSTRUCTION_FAILS
+        assert (row.rank, row.nodes, row.witness, row.proof) == (26, 0, None, "determinant")
+
+    def test_square_n_budget_still_applies(self):
+        row = classify_one(spec_for(2, 3, 2, 17, 36), budget=2)
+        assert row.verdict is VerdictKind.INDETERMINATE and row.proof is None
+
+    def test_definiteness_check_survives_optimize(self):
+        # the non-square branch checks definiteness with a raise, not an
+        # assert, which -O strips
+        code = (
+            "from knotplumb import classify, plumbing\n"
+            "from knotplumb.cabling import CableTower, SurgerySpec\n"
+            "plumbing.is_negative_definite = lambda gram: False\n"
+            "spec = SurgerySpec(CableTower(((2, 3), (2, 53))), 108)\n"
+            "try:\n"
+            "    classify.classify_one(spec)\n"
+            "except ValueError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit('indefinite form refuted by the determinant')\n"
+        )
+        res = run_child(code, "-O")
+        assert res.returncode == 0, res.stdout + res.stderr
 
 
 class TestKnownWitness:
@@ -213,24 +267,25 @@ class TestFamilyPredicate:
 
 # The exact CSV and audit JSON of admissible_tuples((2,), (1,), (2,), 10,
 # range(2, 5)).  A verdict renders as its value (ObstructionFails), never
-# as the enum member (VerdictKind.OBSTRUCTION_FAILS).
+# as the enum member (VerdictKind.OBSTRUCTION_FAILS).  Only n = 36 is a
+# square, so every other row is decided by the determinant with 0 nodes.
 MINI_CSV_LINES = [
     "p1,a1,p2,a2,n,N,rank,verdict,witness_file,nodes,ms",
-    "2,3,2,13,28,2,6,ObstructionFails,,10,",
-    "2,3,2,13,29,3,7,ObstructionFails,,15,",
-    "2,3,2,13,30,4,8,ObstructionFails,,18,",
-    "2,3,2,15,32,2,7,ObstructionFails,,12,",
-    "2,3,2,15,33,3,8,ObstructionFails,,20,",
-    "2,3,2,15,34,4,9,ObstructionFails,,21,",
+    "2,3,2,13,28,2,6,ObstructionFails,,0,",
+    "2,3,2,13,29,3,7,ObstructionFails,,0,",
+    "2,3,2,13,30,4,8,ObstructionFails,,0,",
+    "2,3,2,15,32,2,7,ObstructionFails,,0,",
+    "2,3,2,15,33,3,8,ObstructionFails,,0,",
+    "2,3,2,15,34,4,9,ObstructionFails,,0,",
     "2,3,2,17,36,2,8,ObstructionPasses,{},9,",
-    "2,3,2,17,37,3,9,ObstructionFails,,18,",
-    "2,3,2,17,38,4,10,ObstructionFails,,19,",
-    "2,3,2,19,40,2,9,ObstructionFails,,12,",
-    "2,3,2,19,41,3,10,ObstructionFails,,16,",
-    "2,3,2,19,42,4,11,ObstructionFails,,17,",
-    "2,3,2,21,44,2,10,ObstructionFails,,13,",
-    "2,3,2,21,45,3,11,ObstructionFails,,17,",
-    "2,3,2,21,46,4,12,ObstructionFails,,18,",
+    "2,3,2,17,37,3,9,ObstructionFails,,0,",
+    "2,3,2,17,38,4,10,ObstructionFails,,0,",
+    "2,3,2,19,40,2,9,ObstructionFails,,0,",
+    "2,3,2,19,41,3,10,ObstructionFails,,0,",
+    "2,3,2,19,42,4,11,ObstructionFails,,0,",
+    "2,3,2,21,44,2,10,ObstructionFails,,0,",
+    "2,3,2,21,45,3,11,ObstructionFails,,0,",
+    "2,3,2,21,46,4,12,ObstructionFails,,0,",
 ]
 
 MINI_AUDIT = {

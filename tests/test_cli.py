@@ -105,6 +105,22 @@ class TestEmbed:
         assert res.returncode == 0
         assert "1 embedding class(es)" in res.stdout
 
+    def test_config_budget_with_enumerate(self, tmp_path):
+        # budget= in a config file is a default for the search, not an error
+        f = tmp_path / "chain3.json"
+        write_chain(f, 3)
+        cfg = tmp_path / "budget.cfg"
+        cfg.write_text("budget=1\n")
+        res = run_cli("--config", str(cfg), "embed", str(f), "--rank", "3", "--enumerate")
+        assert res.returncode == 0, res.stderr
+        assert "1 embedding class(es)" in res.stdout
+
+    def test_non_square_n_is_still_searched(self, tmp_path):
+        # classify_one decides n = 108 by the determinant; embed searches
+        res = run_cli("embed", "--pairs", "2,3,2,53", "--n", "108", "--out", str(tmp_path))
+        assert res.returncode == 3
+        assert res.stdout.strip() == "no embedding into rank 26 (exhausted after 29 nodes)"
+
     def test_not_negative_definite_exit_1(self, tmp_path):
         f = tmp_path / "bad.json"
         f.write_text(WeightedTree({0: 0}, []).to_json())
@@ -225,6 +241,7 @@ BAD_INPUTS = {
     "sweep-n-zero": ["sweep", *ZERO_N_ARGS],
     "audit-n-zero": ["audit", *ZERO_N_ARGS],
     "locally-minimal-without-enumerate": ["embed", "chain3.json", "--locally-minimal"],
+    "budget-with-enumerate": ["embed", "chain3.json", "--enumerate", "--budget", "1"],
 }
 
 

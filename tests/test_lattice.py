@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -22,7 +23,7 @@ from knotplumb.lattice import (
     render_vector,
     verify_embedding,
 )
-from knotplumb.plumbing import WeightedTree, gram_matrix, is_negative_definite
+from knotplumb.plumbing import WeightedTree, det_exact, gram_matrix, is_negative_definite
 
 from oracles import (
     canonical_candidates,
@@ -278,6 +279,21 @@ class TestAgainstNaiveOracle:
             assert (fast.status is SearchStatus.FOUND) == (slow is not None)
             if slow is not None:
                 assert verify_embedding(g, slow)
+
+    def test_non_square_determinant_never_embeds_at_rank(self):
+        # at rank = vertex count an embedding is a square matrix A with
+        # G = -A A^T, so |det G| = det(A)^2 must be a square
+        rng = random.Random(33)
+        checked = 0
+        while checked < 30:
+            t = random_tree(rng, max_vertices=4, weights=(-5, -1))
+            g = gram_matrix(t)
+            det = abs(det_exact(g))
+            if not is_negative_definite(g) or math.isqrt(det) ** 2 == det:
+                continue
+            checked += 1
+            assert naive_find_embedding(g, len(g)) is None, (g, det)
+            assert find_embedding(g).status is SearchStatus.NONE, (g, det)
 
     def test_rank_five_sample(self):
         # a slice above the acceptance battery's rank range
