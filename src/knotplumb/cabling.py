@@ -129,6 +129,17 @@ def _require_buildable(spec: SurgerySpec):
             )
 
 
+def _require_positive_framing(spec: SurgerySpec):
+    """N >= 1, the range in which a reduced negative-definite tree exists."""
+    n_red = spec.reduced_framing
+    if n_red < 0:
+        raise NoNegativeDefiniteFormError(
+            f"N = {n_red} < 0: no negative-definite plumbing tree exists"
+        )
+    if n_red == 0:
+        raise ReducibleBoundaryError("N = 0: boundary may be a nontrivial connected sum")
+
+
 class _TreeBuilder:
     """Vertices numbered in the order they are added, each with a role."""
 
@@ -197,13 +208,7 @@ def reduced_plumbing(spec: SurgerySpec) -> WeightedTree:
     reduces fine).  N < 0 admits no negative-definite plumbing tree at
     all, and N = 0 may be a connected sum; both raise.
     """
-    n_red = spec.reduced_framing
-    if n_red < 0:
-        raise NoNegativeDefiniteFormError(
-            f"N = {n_red} < 0: no negative-definite plumbing tree exists"
-        )
-    if n_red == 0:
-        raise ReducibleBoundaryError("N = 0: boundary may be a nontrivial connected sum")
+    _require_positive_framing(spec)
     reduced = reduce_tree(raw_plumbing(spec))
     if any(w > -2 for w in reduced.weights.values()):
         raise AssertionError("reduction of a raw surgery graph left a weight above -2")
@@ -217,6 +222,7 @@ def two_iter_parameters(spec: SurgerySpec) -> dict:
     of a2 modulo p2 (-1 is preferred when p2 = 2, where both hold), the
     reduced framing N, and l = k2 - 1 - p1*a1 (the number of -2's left at
     the head of Torso 2; l = -1 is the algebraic-only boundary case).
+    Raises UnsupportedTowerError on any other tower, or one not algebraic.
     """
     if spec.knot.iterations != 2:
         raise UnsupportedTowerError("closed form needs exactly two cabling pairs")
@@ -229,6 +235,7 @@ def two_iter_parameters(spec: SurgerySpec) -> dict:
         sign = +1
     else:
         raise UnsupportedTowerError(f"a2 = {a2} must be +-1 mod p2 = {p2}")
+    _require_buildable(spec)
     k2 = ceil_div(a2, p2) - 1
     return {
         "p1": p1,
@@ -253,13 +260,11 @@ def closed_form_two_iter(spec: SurgerySpec, with_roles: bool = False):
     (mod p2), or l twos followed by -(p2+1) when a2 = +1; Leg 2 is the
     single vertex -p2, respectively (p2-1) twos.  In the boundary case
     l = -1 the low vertex of Torso 2 merges into Node 1.  Cross-validated
-    against reduced_plumbing on the whole sweep range.
+    against reduced_plumbing on the whole sweep range.  N <= 0 raises as
+    in reduced_plumbing.
     """
     par = two_iter_parameters(spec)
-    if not spec.knot.is_algebraic():
-        raise UnsupportedTowerError(f"tower {spec.knot.pairs} is not algebraic")
-    if par["N"] < 1:
-        raise NoNegativeDefiniteFormError(f"N = {par['N']} < 1 has no reduced centipede")
+    _require_positive_framing(spec)
     p1, k1, p2, sign, n_red, l = (
         par["p1"],
         par["k1"],

@@ -32,7 +32,6 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 from multiprocessing import Pool
 
-from . import plumbing
 from .cabling import (
     CableTower,
     SurgerySpec,
@@ -40,7 +39,7 @@ from .cabling import (
     reduced_plumbing,
     two_iter_parameters,
 )
-from .lattice import SearchStatus, find_embedding, verify_embedding
+from .lattice import SearchStatus, _check_gram, find_embedding, verify_embedding
 from .plumbing import gram_matrix
 
 DEFAULT_BUDGET = 10**8
@@ -97,10 +96,7 @@ def classify_one(spec: SurgerySpec, budget=DEFAULT_BUDGET, path="closed") -> Swe
     square n.  ms is the wall time of the call.
     """
     t0 = time.perf_counter()
-    par = two_iter_parameters(spec)  # validates the congruences
-    if not spec.knot.is_algebraic():
-        raise ValueError(f"tower {spec.knot.pairs} is not algebraic")
-    n_red = par["N"]
+    n_red = two_iter_parameters(spec)["N"]  # validates the tower
     rank, witness, nodes, proof = None, None, 0, None
     if n_red < 0:
         verdict = VerdictKind.NO_NEGATIVE_DEFINITE_FORM
@@ -118,10 +114,7 @@ def classify_one(spec: SurgerySpec, budget=DEFAULT_BUDGET, path="closed") -> Swe
         gram = gram_matrix(tree)
         rank = len(gram)
         if math.isqrt(spec.n) ** 2 != spec.n:  # the builder checked |det| = n
-            # find_embedding checks definiteness on the search branch; both
-            # look is_negative_definite up on plumbing at call time
-            if not plumbing.is_negative_definite(gram):
-                raise ValueError("intersection form is not negative definite")
+            _check_gram(gram)  # find_embedding's definiteness check
             verdict, proof = VerdictKind.OBSTRUCTION_FAILS, "determinant"
         else:
             result = find_embedding(gram, budget=budget)
@@ -208,7 +201,8 @@ def known_witness(spec: SurgerySpec):
     Instantiates the closed-form solutions (both with all free parameters
     zero: l = p1 - 1 and N = p2 in family 1; k1 = 3, l = 0, N = p2 in
     family 2) against the closed-form graph's vertex order, verifies the
-    result, and returns it; returns None off-family.
+    result, and returns it; returns None off-family.  Raises, as
+    two_iter_parameters does, on a tower outside the families' premises.
     """
     par = two_iter_parameters(spec)
     p1, a1, p2, a2 = par["p1"], par["a1"], par["p2"], par["a2"]
@@ -297,14 +291,12 @@ def _sweep_worker(args):
 
 def sweep(tuples, budget=DEFAULT_BUDGET, workers=1) -> list:
     """Classify every tuple; rows come back sorted by tuple, independent of
-    worker scheduling."""
+    worker scheduling (pool.map keeps the sorted job order)."""
     jobs = [(t, budget) for t in sorted(set(tuples))]
     if workers > 1 and len(jobs) > 1:
         with Pool(workers) as pool:
-            rows = pool.map(_sweep_worker, jobs, chunksize=8)
-    else:
-        rows = [_sweep_worker(j) for j in jobs]
-    return sorted(rows, key=SweepRow.key)
+            return pool.map(_sweep_worker, jobs, chunksize=8)
+    return [_sweep_worker(j) for j in jobs]
 
 
 CSV_HEADER = "p1,a1,p2,a2,n,N,rank,verdict,witness_file,nodes,ms"

@@ -8,7 +8,8 @@ families).  Exit codes partition outcomes so scripts can branch on them:
     0  success (embed: embedding found; audit: perfect agreement)
     1  invalid input (bad fraction/spec/ranges, non-algebraic tower,
        not negative definite, bad config)
-    2  graph --reduced on a spec with N < 0 (no negative definite form)
+    2  graph --reduced/--closed-form or embed --pairs with N < 0 (no
+       negative definite form) or N = 0 (possibly a connected sum)
     3  embed: no embedding exists (exhaustive)
     4  embed: search budget exhausted, indeterminate
     5  audit: disagreements or indeterminate rows
@@ -203,20 +204,12 @@ def _build_tree(spec, kind):
         return tree, None
     except UnsupportedTowerError as exc:
         raise CliError(str(exc))
-    except NoNegativeDefiniteFormError as exc:
-        raise CliError(str(exc), code=2)
-    except ReducibleBoundaryError as exc:
+    except (NoNegativeDefiniteFormError, ReducibleBoundaryError) as exc:
         raise CliError(str(exc), code=2)
 
 
 def cmd_graph(args, config):
-    spec = _parse_spec(args)
-    kind = "reduced"
-    if args.raw:
-        kind = "raw"
-    elif args.closed_form:
-        kind = "closed-form"
-    tree, roles = _build_tree(spec, kind)
+    tree, roles = _build_tree(_parse_spec(args), args.kind)
     gram = gram_matrix(tree)
     det = det_exact(gram)
     negdef = is_negative_definite(gram)
@@ -389,12 +382,11 @@ def build_parser():
     p.add_argument("--pairs", required=True, help="p1,a1[,p2,a2...]")
     p.add_argument("--n", type=int, required=True, help="surgery coefficient")
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--raw", action="store_true")
-    mode.add_argument("--reduced", action="store_true")
-    mode.add_argument("--closed-form", dest="closed_form", action="store_true")
+    for kind in ("raw", "reduced", "closed-form"):
+        mode.add_argument(f"--{kind}", dest="kind", action="store_const", const=kind)
     p.add_argument("--dot", action="store_true", help="emit GraphViz")
     p.add_argument("--json", action="store_true", help="emit the tree as JSON")
-    p.set_defaults(func=cmd_graph)
+    p.set_defaults(func=cmd_graph, kind="reduced")
 
     p = sub.add_parser("embed", help="decide lattice embeddability")
     p.add_argument("graph_file", nargs="?", help="plumbing JSON file")

@@ -68,10 +68,6 @@ class SearchResult:
     nodes: int
 
 
-class BudgetExceeded(Exception):
-    pass
-
-
 def verify_embedding(gram, vectors) -> bool:
     """Exact check that -(v_i . v_j) reproduces the Gram matrix entrywise."""
     n = len(gram)
@@ -152,23 +148,22 @@ def _sorted_tuples(size, budget, lo, hi):
 
 
 class _Searcher:
-    def __init__(self, gram, rank, order, budget, collect=False):
+    def __init__(self, gram, rank, budget=None):
         self.gram = gram
         self.n = len(gram)
         self.rank = rank
-        self.order = order
+        self.order = placement_order(gram)
         self.budget = budget
-        self.collect = collect
         self.nodes = 0
-        self.solutions = []
-        self.witness = None
+        self.exhausted = False
 
-    def run(self):
-        """Depth-first search over the candidates of each depth.
+    def embeddings(self):
+        """Every completed embedding, in depth-first order.
 
         frames[d] iterates the candidates for the vertex at depth d and
         placed[d] is the one it proposed last, so the placement depth
-        uses no Python frames.
+        uses no Python frames.  Each placed vector is a node; placing
+        vector budget + 1 sets exhausted and ends the search.
         """
         placed = []
         frames = []
@@ -178,10 +173,7 @@ class _Searcher:
                 rows = [None] * self.n
                 for slot, vec in zip(self.order, placed):
                     rows[slot] = vec
-                if not self.collect:
-                    self.witness = tuple(rows)
-                    return self.witness
-                self.solutions.append(tuple(rows))
+                yield tuple(rows)
             else:
                 vertex = self.order[depth]
                 norm = -self.gram[vertex][vertex]
@@ -193,17 +185,15 @@ class _Searcher:
                     placed.pop()
                 vec = next(frames[-1], None)
                 if vec is not None:
-                    self._tick()
+                    self.nodes += 1
+                    if self.budget is not None and self.nodes > self.budget:
+                        self.exhausted = True
+                        return
                     placed.append(vec)
                     break
                 frames.pop()
             else:
-                return self.solutions if self.collect else None
-
-    def _tick(self):
-        self.nodes += 1
-        if self.budget is not None and self.nodes > self.budget:
-            raise BudgetExceeded
+                return
 
     def _candidates(self, placed, norm, targets):
         """All vectors of the given norm whose dot products with the placed
@@ -370,10 +360,9 @@ def find_embedding(gram, rank=None, budget=None) -> SearchResult:
     rank below 1.
     """
     r = _check_gram(gram, rank)
-    searcher = _Searcher(gram, r, placement_order(gram), budget)
-    try:
-        witness = searcher.run()
-    except BudgetExceeded:
+    searcher = _Searcher(gram, r, budget)
+    witness = next(searcher.embeddings(), None)
+    if searcher.exhausted:
         return SearchResult(SearchStatus.INDETERMINATE, None, searcher.nodes)
     if witness is None:
         return SearchResult(SearchStatus.NONE, None, searcher.nodes)
@@ -382,7 +371,7 @@ def find_embedding(gram, rank=None, budget=None) -> SearchResult:
     return SearchResult(SearchStatus.FOUND, witness, searcher.nodes)
 
 
-def _check_gram(gram, rank):
+def _check_gram(gram, rank=None):
     """Validate the search input; returns the target rank."""
     from .plumbing import is_negative_definite
 
@@ -435,9 +424,8 @@ def enumerate_embeddings(gram, rank=None, locally_minimal_only=False) -> list:
     isometry class.
     """
     r = _check_gram(gram, rank)
-    searcher = _Searcher(gram, r, placement_order(gram), None, collect=True)
     seen = {}
-    for sol in searcher.run():
+    for sol in _Searcher(gram, r).embeddings():
         if locally_minimal_only and not is_locally_minimal(sol):
             continue
         seen[matrix_canonical_form(sol)] = True
@@ -447,14 +435,14 @@ def enumerate_embeddings(gram, rank=None, locally_minimal_only=False) -> list:
 # -- presentation ------------------------------------------------------------
 
 
-def render_vector(vec, symbol="e") -> str:
+def render_vector(vec) -> str:
     """Human-readable form such as 'e1-e2+2e5'; the zero vector renders as '0'."""
     parts = []
     for k, x in enumerate(vec, start=1):
         if x == 0:
             continue
         mag = "" if abs(x) == 1 else str(abs(x))
-        parts.append(("-" if x < 0 else ("+" if parts else "")) + mag + f"{symbol}{k}")
+        parts.append(("-" if x < 0 else ("+" if parts else "")) + mag + f"e{k}")
     return "".join(parts) if parts else "0"
 
 

@@ -124,13 +124,6 @@ class WeightedTree:
     def fresh_id(self) -> int:
         return max(self._weights) + 1
 
-    def relabeled(self, mapping) -> "WeightedTree":
-        """Copy with vertex ids renamed by the given injective mapping."""
-        return WeightedTree(
-            {mapping[v]: w for v, w in self._weights.items()},
-            [(mapping[a], mapping[b]) for a, b in self._edges],
-        )
-
     # -- serialisation -----------------------------------------------------
 
     def to_json(self) -> str:

@@ -278,6 +278,14 @@ def reference_reduce_tree(tree: WeightedTree) -> WeightedTree:
             return t
 
 
+def relabel(tree: WeightedTree, mapping) -> WeightedTree:
+    """Copy of the tree with vertex ids renamed by the injective mapping."""
+    return WeightedTree(
+        {mapping[v]: w for v, w in tree.weights.items()},
+        [(mapping[a], mapping[b]) for a, b in tree.edges],
+    )
+
+
 def brute_force_isomorphic(t1: WeightedTree, t2: WeightedTree) -> bool:
     """Weight-preserving tree isomorphism by trying every vertex bijection."""
     v1, v2 = t1.vertices(), t2.vertices()

@@ -202,6 +202,21 @@ class TestClosedForm:
             closed_form_two_iter(SurgerySpec(CableTower(((2, 3), (2, 17))), 20))
 
 
+class TestFramingRule:
+    @pytest.mark.parametrize("n", [34, 33, 20])
+    def test_builders_reject_alike(self, n):
+        # N = 0, -1, -14: one exception class and message from both paths
+        spec = SurgerySpec(CableTower(((2, 3), (2, 17))), n)
+        errors = []
+        for build in (closed_form_two_iter, reduced_plumbing):
+            with pytest.raises(ValueError) as info:
+                build(spec)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+        want = ReducibleBoundaryError if n == 34 else NoNegativeDefiniteFormError
+        assert errors[0][0] is want
+
+
 class TestTwoIterParameters:
     def test_worked_example(self):
         par = two_iter_parameters(SurgerySpec(CableTower(((2, 3), (2, 17))), 36))

@@ -3,7 +3,12 @@ import json
 import pytest
 
 from knotplumb import classify
-from knotplumb.cabling import CableTower, SurgerySpec, closed_form_two_iter
+from knotplumb.cabling import (
+    CableTower,
+    SurgerySpec,
+    UnsupportedTowerError,
+    closed_form_two_iter,
+)
 from knotplumb.classify import (
     SweepRow,
     VerdictKind,
@@ -44,6 +49,11 @@ class TestClassifyOne:
     def test_examples(self, tup, kind):
         verdict = classify_one(spec_for(*tup))
         assert verdict.verdict is kind
+
+    def test_non_algebraic_tower_rejected(self):
+        # (2,3;2,11): 11 < 2*2*3, in the congruence families but not algebraic
+        with pytest.raises(UnsupportedTowerError, match="is not algebraic"):
+            classify_one(spec_for(2, 3, 2, 11, 30))
 
     def test_low_n_skips_search(self):
         verdict = classify_one(spec_for(2, 3, 2, 17, 33))
@@ -138,6 +148,10 @@ class TestKnownWitness:
     def test_off_family_none(self):
         assert known_witness(spec_for(2, 3, 2, 17, 38)) is None
         assert known_witness(spec_for(2, 3, 2, 13, 28)) is None
+
+    def test_non_algebraic_tower_rejected(self):
+        with pytest.raises(UnsupportedTowerError, match="is not algebraic"):
+            known_witness(spec_for(2, 3, 2, 11, 30))
 
     def test_engine_rediscovers(self):
         for form, p1, p2 in [("derived", 2, 2), ("derived", 3, 2), ("family2", 2, 3)]:

@@ -69,6 +69,16 @@ class TestGraph:
         res = run_cli("graph", "--pairs", "2,3,2,17", "--n", "33", "--reduced")
         assert res.returncode == 2
 
+    def test_zero_n_same_error_from_both_builders(self):
+        # N = 0: closed form and calculus reject with one message, exit 2
+        results = [
+            run_cli("graph", "--pairs", "2,3,2,17", "--n", "34", flag)
+            for flag in ("--closed-form", "--reduced")
+        ]
+        assert [res.returncode for res in results] == [2, 2]
+        assert results[0].stderr == results[1].stderr
+        assert results[0].stderr.startswith("error: N = 0: ")
+
     def test_dot_roles(self):
         res = run_cli("graph", "--pairs", "2,3,2,17", "--n", "36", "--closed-form", "--dot")
         assert 'role="node2"' in res.stdout and "--" in res.stdout
@@ -222,6 +232,7 @@ BAD_INPUTS = {
     "missing-graph": ["embed", "missing.json"],
     "graph-not-json": ["embed", "notjson.json"],
     "graph-not-a-tree": ["embed", "dupedge.json"],
+    "graph-not-connected": ["embed", "triangle.json"],
     "graph-bool-weight": ["embed", "weight-bool.json"],
     "graph-bool-id": ["embed", "id-bool.json"],
     "rank-zero": ["embed", "chain3.json", "--rank", "0"],
@@ -265,6 +276,10 @@ def test_bad_input_is_an_error_not_a_traceback(tmp_path, argv):
     (tmp_path / "dupedge.json").write_text(
         json.dumps({"vertices": vertices, "edges": [[0, 1], [1, 0]]})
     )
+    four = [{"id": v, "weight": -2} for v in range(4)]
+    (tmp_path / "triangle.json").write_text(
+        json.dumps({"vertices": four, "edges": [[0, 1], [1, 2], [0, 2]]})
+    )
     (tmp_path / "weight-bool.json").write_text(
         json.dumps({"vertices": [{"id": 0, "weight": True}], "edges": []})
     )
@@ -281,5 +296,5 @@ def test_bad_input_is_an_error_not_a_traceback(tmp_path, argv):
     res = run_cli(*argv)
     assert res.returncode == 1, res.stdout + res.stderr
     assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr, res.stderr
-    if argv[1].endswith("bool.json"):
+    if argv[1].endswith(("bool.json", "triangle.json")):
         assert ": not a plumbing tree: " in res.stderr, res.stderr

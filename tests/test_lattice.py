@@ -198,6 +198,25 @@ class TestFindEmbedding:
         assert res.status is SearchStatus.INDETERMINATE
         assert res.nodes > 3 >= res.nodes - 1
 
+    @pytest.mark.parametrize(
+        "pairs,n,budget,status",
+        [
+            # rank-26 chain T(2,3;2,53): refuted after exactly 29 nodes
+            (((2, 3), (2, 53)), 108, 28, SearchStatus.INDETERMINATE),
+            (((2, 3), (2, 53)), 108, 29, SearchStatus.NONE),
+            # (2,3;2,17;36): the first witness completes at node 9
+            (((2, 3), (2, 17)), 36, 8, SearchStatus.INDETERMINATE),
+            (((2, 3), (2, 17)), 36, 9, SearchStatus.FOUND),
+        ],
+    )
+    def test_budget_boundary(self, pairs, n, budget, status):
+        gram = gram_matrix(closed_form_two_iter(SurgerySpec(CableTower(pairs), n)))
+        res = find_embedding(gram, budget=budget)
+        assert res.status is status
+        # a search that runs out stops on the node that exceeds the budget
+        assert res.nodes == (budget + 1 if status is SearchStatus.INDETERMINATE else budget)
+        assert (res.witness is not None) == (status is SearchStatus.FOUND)
+
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
             find_embedding([[-2, 1], [1, 0]])
@@ -517,7 +536,7 @@ class TestPresentation:
     def test_render(self):
         assert render_vector((1, -1, 0, 2)) == "e1-e2+2e4"
         assert render_vector((0, 0)) == "0"
-        assert render_vector((-1,), symbol="f") == "-f1"
+        assert render_vector((-1,)) == "-e1"
 
     def test_json_round_trip(self):
         vectors = ((1, -1, 0), (0, 1, -1))

@@ -29,6 +29,7 @@ from oracles import (
     minors_negative_definite,
     random_tree,
     reference_reduce_tree,
+    relabel,
     signature,
 )
 
@@ -50,6 +51,12 @@ class TestWeightedTree:
     def test_rejects_disconnected(self):
         with pytest.raises(ValueError):
             WeightedTree({0: -2, 1: -2, 2: -2}, [(0, 1)])
+
+    def test_rejects_disconnected_with_tree_edge_count(self):
+        # a triangle plus an isolated vertex has n - 1 edges and no loop or
+        # duplicate, so only the connectivity walk rejects it
+        with pytest.raises(ValueError, match="not connected"):
+            WeightedTree({0: -2, 1: -2, 2: -2, 3: -2}, [(0, 1), (1, 2), (0, 2)])
 
     def test_rejects_dangling_edge(self):
         with pytest.raises(ValueError):
@@ -392,7 +399,7 @@ class TestReduce:
             ids = t.vertices()
             perm = ids[:]
             rng.shuffle(perm)
-            relabeled = t.relabeled(dict(zip(ids, perm)))
+            relabeled = relabel(t, dict(zip(ids, perm)))
             assert are_isomorphic(reduce_tree(t), reduce_tree(relabeled))
 
     def test_site_choice_matches_reference(self):
@@ -423,7 +430,7 @@ class TestReduce:
 class TestIsomorphism:
     def test_relabeled_iso(self):
         t = WeightedTree({0: -2, 1: -3, 2: -2, 3: -5}, [(0, 1), (1, 2), (1, 3)])
-        relabeled = t.relabeled({0: 10, 1: 7, 2: 3, 3: 99})
+        relabeled = relabel(t, {0: 10, 1: 7, 2: 3, 3: 99})
         assert are_isomorphic(t, relabeled)
         assert canonical_form(t) == canonical_form(relabeled)
 
@@ -443,9 +450,9 @@ class TestIsomorphism:
         rng = random.Random(41)
         perm = list(range(n))
         rng.shuffle(perm)
-        assert are_isomorphic(chain, chain.relabeled(dict(zip(range(n), perm))))
+        assert are_isomorphic(chain, relabel(chain, dict(zip(range(n), perm))))
         bent = path_tree([-2] * (n - 1) + [-3])
-        assert not are_isomorphic(chain, bent.relabeled(dict(zip(range(n), perm))))
+        assert not are_isomorphic(chain, relabel(bent, dict(zip(range(n), perm))))
         assert not are_isomorphic(bent, path_tree([-3] + [-2] * (n - 2) + [-3]))
 
     def test_matches_brute_force_on_small_trees(self):
