@@ -27,6 +27,7 @@ how the discrepancy is documented rather than guessed away.
 """
 
 import math
+import os
 import time
 from dataclasses import asdict, dataclass, field
 from enum import Enum
@@ -291,9 +292,11 @@ def _sweep_worker(args):
 
 def sweep(tuples, budget=DEFAULT_BUDGET, workers=1) -> list:
     """Classify every tuple; rows come back sorted by tuple, independent of
-    worker scheduling (pool.map keeps the sorted job order)."""
+    worker scheduling (pool.map keeps the sorted job order).  At most one
+    worker process runs per job and per CPU, whatever workers asks for."""
     jobs = [(t, budget) for t in sorted(set(tuples))]
-    if workers > 1 and len(jobs) > 1:
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
         with Pool(workers) as pool:
             return pool.map(_sweep_worker, jobs, chunksize=8)
     return [_sweep_worker(j) for j in jobs]

@@ -50,6 +50,7 @@ already placed.  The order affects speed only, never the verdict.
 All arithmetic is on plain integers.
 """
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
@@ -385,6 +386,9 @@ def _check_gram(gram, rank=None):
     r = n if rank is None else int(rank)
     if r < 1:
         raise ValueError(f"rank must be at least 1, got {r}")
+    if r > sys.maxsize:
+        # the search keeps a list with one slot per coordinate
+        raise ValueError(f"rank must be at most {sys.maxsize}, got {r}")
     return r
 
 

@@ -82,6 +82,18 @@ class WeightedTree:
         self._edges = frozenset(es)
         self._adj = {v: frozenset(ns) for v, ns in adj.items()}
 
+    @classmethod
+    def _trusted(cls, weights, edges, adj):
+        """A tree from parts known to form one, checked and copied not at
+        all: weights a dict, edges a frozenset of (low, high) pairs, adj a
+        dict of frozensets, none of them shared with a caller that might
+        mutate it.  The calculus moves build their results this way."""
+        tree = object.__new__(cls)
+        tree._weights = weights
+        tree._edges = edges
+        tree._adj = adj
+        return tree
+
     # -- basic accessors ---------------------------------------------------
 
     @property
@@ -310,6 +322,28 @@ def is_negative_definite(matrix) -> bool:
 # -- calculus moves ---------------------------------------------------------
 
 
+def _edge(a, b):
+    return (a, b) if a < b else (b, a)
+
+
+def _rewired(tree, weights, cut, join):
+    """The move result with the given weights and tree's edges less cut
+    plus join (sets of (low, high) pairs), by the trusted constructor: a
+    move on a tree yields a tree.  Only the ends of cut and joined edges
+    get new adjacency; an end missing from weights is a deleted vertex."""
+    adj = dict(tree._adj)
+    for a, b in cut:
+        for x, y in ((a, b), (b, a)):
+            if x in weights:
+                adj[x] = adj[x] - {y}
+            else:
+                adj.pop(x, None)
+    for a, b in join:
+        adj[a] = adj.get(a, frozenset()) | {b}
+        adj[b] = adj.get(b, frozenset()) | {a}
+    return WeightedTree._trusted(weights, (tree._edges - cut) | join, adj)
+
+
 def blow_down(tree: WeightedTree, v: int) -> WeightedTree:
     """Remove a (-1)-vertex of valence <= 2, raising its neighbours by one.
 
@@ -327,10 +361,8 @@ def blow_down(tree: WeightedTree, v: int) -> WeightedTree:
     del weights[v]
     for u in ns:
         weights[u] += 1
-    edges = [e for e in tree.edges if v not in e]
-    if len(ns) == 2:
-        edges.append((ns[0], ns[1]))
-    return WeightedTree(weights, edges)
+    join = {tuple(ns)} if len(ns) == 2 else set()
+    return _rewired(tree, weights, {_edge(v, u) for u in ns}, join)
 
 
 def blow_up(tree: WeightedTree, site) -> WeightedTree:
@@ -350,16 +382,15 @@ def blow_up(tree: WeightedTree, site) -> WeightedTree:
             raise InvalidMoveError(f"no vertex {site}")
         weights[site] -= 1
         weights[new] = -1
-        return WeightedTree(weights, list(tree.edges) + [(site, new)])
+        return _rewired(tree, weights, set(), {(site, new)})
     a, b = site
-    e = (a, b) if a < b else (b, a)
+    e = _edge(a, b)
     if e not in tree.edges:
         raise InvalidMoveError(f"no edge {site}")
     weights[a] -= 1
     weights[b] -= 1
     weights[new] = -1
-    edges = [x for x in tree.edges if x != e] + [(a, new), (b, new)]
-    return WeightedTree(weights, edges)
+    return _rewired(tree, weights, {e}, {(a, new), (b, new)})
 
 
 def absorb_zero(tree: WeightedTree, v: int) -> WeightedTree:
@@ -379,14 +410,9 @@ def absorb_zero(tree: WeightedTree, v: int) -> WeightedTree:
     merged = weights[a] + weights[b]
     del weights[v], weights[b]
     weights[a] = merged
-    edges = []
-    for x, y in tree.edges:
-        if v in (x, y):
-            continue
-        x = a if x == b else x
-        y = a if y == b else y
-        edges.append((x, y))
-    return WeightedTree(weights, edges)
+    moved = tree.neighbors(b) - {v}
+    cut = {_edge(v, a), _edge(v, b)} | {_edge(b, x) for x in moved}
+    return _rewired(tree, weights, cut, {_edge(a, x) for x in moved})
 
 
 def flatten_positive_leaf(tree: WeightedTree, leaf: int) -> WeightedTree:
@@ -407,15 +433,15 @@ def flatten_positive_leaf(tree: WeightedTree, leaf: int) -> WeightedTree:
     weights = tree.weights
     del weights[leaf]
     weights[nb] = -2
-    edges = [e for e in tree.edges if leaf not in e]
+    join = set()
     prev = nb
     fresh = max(weights) + 1
     for _ in range(n - 1):
         weights[fresh] = -2
-        edges.append((prev, fresh))
+        join.add((prev, fresh))
         prev = fresh
         fresh += 1
-    return WeightedTree(weights, edges)
+    return _rewired(tree, weights, {_edge(leaf, nb)}, join)
 
 
 class NoNegativeDefiniteFormError(ValueError):
@@ -423,32 +449,31 @@ class NoNegativeDefiniteFormError(ValueError):
 
 
 def _flatten_sites(tree):
+    w, adj = tree._weights, tree._adj
     return [
         v
-        for v in tree.vertices()
-        if tree.valence(v) == 1
-        and tree.weight(v) >= 1
-        and tree.weight(next(iter(tree.neighbors(v)))) == -1
+        for v, wt in w.items()
+        if wt >= 1 and len(adj[v]) == 1 and w[next(iter(adj[v]))] == -1
     ]
 
 
 def _blow_down_sites(tree):
+    w, adj = tree._weights, tree._adj
     return [
         v
-        for v in tree.vertices()
-        if tree.weight(v) == -1
-        and tree.valence(v) == 2
-        and all(tree.weight(u) <= -1 for u in tree.neighbors(v))
+        for v, wt in w.items()
+        if wt == -1 and len(adj[v]) == 2 and all(w[u] <= -1 for u in adj[v])
     ]
 
 
 def _absorb_sites(tree):
-    return [v for v in tree.vertices() if tree.weight(v) == 0 and tree.valence(v) == 2]
+    adj = tree._adj
+    return [v for v, wt in tree._weights.items() if wt == 0 and len(adj[v]) == 2]
 
 
 def reduction_measure(tree: WeightedTree) -> int:
     """Vertex count plus total positive weight; strictly drops at each loop move."""
-    return len(tree) + sum(w for w in tree.weights.values() if w > 0)
+    return len(tree) + sum(w for w in tree._weights.values() if w > 0)
 
 
 def reduce_tree(tree: WeightedTree) -> WeightedTree:
@@ -485,6 +510,7 @@ def reduce_tree(tree: WeightedTree) -> WeightedTree:
     """
     t = tree
     measure = reduction_measure(t)
+    memo = {}
     while True:
         for finder, move in (
             (_flatten_sites, flatten_positive_leaf),
@@ -493,9 +519,15 @@ def reduce_tree(tree: WeightedTree) -> WeightedTree:
         ):
             sites = finder(t)
             if sites:
-                memo = {}
-                site = min(sites, key=lambda v: (_rooted_encoding(t, v, memo), v))
-                t = move(t, site)
+                if len(sites) == 1:
+                    (site,) = sites
+                else:
+                    site = min(sites, key=lambda v: (_rooted_encoding(t, v, memo), v))
+                    for v in sites:
+                        memo.pop((v, None), None)
+                moved = move(t, site)
+                _drop_stale(memo, t, moved)
+                t = moved
                 break
         else:
             return t
@@ -513,9 +545,14 @@ def _rooted_encoding(tree, root, memo):
     at root; reduce_tree orders its candidate sites by it.
 
     memo maps (vertex, parent) to the encoding of the branch at vertex
-    away from parent, the whole tree under (root, None).  Calls on one
-    tree that share a memo build each branch once, so the encodings from
-    several roots share every branch they have in common.
+    away from parent, the whole tree under (root, None).  It is closed
+    under children: a branch is entered only after every branch below it.
+    Calls that share a memo build each branch once, so the encodings from
+    several roots share every branch they have in common.  reduce_tree
+    keeps one memo across all the moves of a reduction and drops what
+    each move made stale (_drop_stale), so a step re-encodes only the
+    branches that reach from its sites to where the last move changed
+    the tree.
     """
     adj, weights = tree._adj, tree._weights
     todo = [(root, None)]
@@ -527,6 +564,33 @@ def _rooted_encoding(tree, root, memo):
             tuple(sorted([memo[c, v] for c in adj[v] if c != parent])),
         )
     return memo[root, None]
+
+
+def _drop_stale(memo, old, new):
+    """Forget the entries of a _rooted_encoding memo that stop holding when
+    the tree old becomes new by one move.
+
+    A vertex is touched when the move changed its weight, created or
+    deleted it, or changed one of its edges.  A branch of old stays valid
+    in new when its side holds no touched vertex (its own edge then
+    survives too).  The branches holding a touched vertex u are found
+    walking out from u: (u, y) for each neighbour y, then (y, z) for z
+    beyond y, and so on.  The walk goes past (x, y) only where that entry
+    was present, since an entry further out would have (x, y) as a child.
+    Edges the move added get both their keys dropped too.
+    """
+    changed = old._edges ^ new._edges
+    touched = {v for e in changed for v in e}
+    touched.update(v for v, _ in old._weights.items() ^ new._weights.items())
+    adj = old._adj
+    todo = [(u, y) for u in touched if u in adj for y in adj[u]]
+    while todo:
+        x, y = todo.pop()
+        if memo.pop((x, y), None) is not None:
+            todo.extend((y, z) for z in adj[y] if z != x)
+    for a, b in changed:
+        memo.pop((a, b), None)
+        memo.pop((b, a), None)
 
 
 def _preorder(tree, root):

@@ -201,6 +201,33 @@ class TestSweep:
         strip = lambda rows: [(r.key(), r.verdict, r.nodes, r.rank) for r in rows]
         assert strip(seq) == strip(par)
 
+    def test_worker_count_is_capped(self, monkeypatch):
+        # a fake pool: no test starts the processes a huge count asks for
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                asked.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return [fn(job) for job in jobs]
+
+        monkeypatch.setattr(classify, "Pool", RecordingPool)
+        tuples = admissible_tuples((2,), (1,), (2,), 9, (2,))
+        serial = rows_to_csv(sweep(tuples))
+        huge = 10**20
+        for cpus, pool_size in ((64, len(tuples)), (3, 3), (1, None), (None, None)):
+            monkeypatch.setattr(classify.os, "cpu_count", lambda: cpus)
+            asked.clear()
+            assert rows_to_csv(sweep(tuples, workers=huge)) == serial
+            assert asked == ([] if pool_size is None else [pool_size])
+
     def test_admissible_range_is_algebraic_and_deduplicated(self):
         tuples = admissible_tuples((2,), (1,), (2, 3), 8, (2,))
         assert len(tuples) == len(set(tuples))

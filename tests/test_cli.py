@@ -236,6 +236,7 @@ BAD_INPUTS = {
     "graph-bool-weight": ["embed", "weight-bool.json"],
     "graph-bool-id": ["embed", "id-bool.json"],
     "rank-zero": ["embed", "chain3.json", "--rank", "0"],
+    "rank-huge": ["embed", "chain3.json", "--rank", "99999999999999999999"],
     "rank-zero-enumerate": ["embed", "chain3.json", "--rank", "0", "--enumerate"],
     "config-missing": ["--config", "missing.cfg", "embed", "chain3.json"],
     "config-workers-not-int": ["--config", "workers.cfg", "embed", "chain3.json"],

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from knotplumb import plumbing
 from knotplumb.cabling import CableTower, SurgerySpec, raw_plumbing, reduced_plumbing
 from knotplumb.classify import family_tuple
 from knotplumb.plumbing import (
@@ -32,6 +33,16 @@ from oracles import (
     relabel,
     signature,
 )
+
+
+THREE_ITERATION_SPECS = [
+    SurgerySpec(CableTower(pairs), n)
+    for pairs, n in (
+        (((2, 3), (2, 17), (2, 69)), 140),
+        (((3, 4), (2, 25), (2, 101)), 205),
+        (((2, 3), (3, 19), (2, 115)), 233),
+    )
+]
 
 
 def path_tree(weights):
@@ -365,6 +376,33 @@ def apply_random_move(rng, tree):
     return blow_up(tree, site)
 
 
+def test_move_results_match_validated_rebuild():
+    # the moves build their results unchecked, from the parent's parts
+    rng = random.Random(47)
+    applied = {}
+    for i in range(150):
+        t = random_tree(rng, max_vertices=10, weights=(-2, 2))
+        if i % 2:
+            # ids 0..n-1: flatten_positive_leaf's fresh ids may reuse the leaf's
+            t = relabel(t, {v: k for k, v in enumerate(t.vertices())})
+        before = t.to_json()
+        moves = (blow_down, blow_up, absorb_zero, flatten_positive_leaf)
+        sites = [(move, v) for move in moves for v in t.vertices()]
+        sites += [(blow_up, e) for e in sorted(t.edges)]
+        for move, site in sites:
+            try:
+                out = move(t, site)
+            except InvalidMoveError:
+                continue
+            applied[move.__name__] = applied.get(move.__name__, 0) + 1
+            assert out == WeightedTree(out.weights, out.edges)
+            for v in out.vertices():
+                ends = {b if a == v else a for a, b in out.edges if v in (a, b)}
+                assert out.neighbors(v) == ends
+        assert t.to_json() == before
+    assert len(applied) == 4 and min(applied.values()) > 20, applied
+
+
 class TestReduce:
     def test_idempotent_on_reduced(self):
         t = path_tree([-2, -3, -2])
@@ -404,21 +442,48 @@ class TestReduce:
 
     def test_site_choice_matches_reference(self):
         rng = random.Random(37)
+
+        def dense(t, key=lambda w: 0):
+            # ids 0..n-1, ordered by key of the weight, ties at random
+            ids = t.vertices()
+            rng.shuffle(ids)
+            ids.sort(key=lambda v: key(t.weight(v)))
+            return relabel(t, {v: i for i, v in enumerate(ids)})
+
         trees = [random_tree(rng) for _ in range(200)]
         # -1's and -2's only: many blow-down sites per step, so the order matters
         trees += [random_tree(rng, max_vertices=30, weights=(-2, -1)) for _ in range(100)]
+        # -1's take the top ids, so a blow-down can delete the largest id,
+        # which flatten_positive_leaf's fresh max + 1 then hands out again
+        trees += [dense(random_tree(rng, weights=(-3, 3)), lambda w: w == -1) for _ in range(300)]
+        # rich in 0's and positive leaves: every move kind comes right
+        # before some step with several sites
+        trees += [dense(random_tree(rng, max_vertices=40, weights=(-2, 2))) for _ in range(100)]
         family = [family_tuple("derived", p1, p2) for p1 in (2, 3) for p2 in (2, 3)]
         family += [family_tuple("family2", 0, p2) for p2 in (2, 3)]
         for p1, a1, p2, a2, n in family:
             trees.append(raw_plumbing(SurgerySpec(CableTower(((p1, a1), (p2, a2))), n)))
-        for pairs, n in (
-            (((2, 3), (2, 17), (2, 69)), 140),
-            (((3, 4), (2, 25), (2, 101)), 205),
-            (((2, 3), (3, 19), (2, 115)), 233),
-        ):
-            trees.append(raw_plumbing(SurgerySpec(CableTower(pairs), n)))
+        trees += [raw_plumbing(spec) for spec in THREE_ITERATION_SPECS]
         for t in trees:
             assert reduce_tree(t).to_json() == reference_reduce_tree(t).to_json()
+
+    def test_branch_encodings_are_kept_across_moves(self, monkeypatch):
+        # a count, not a time: re-encoding the whole tree at every step
+        # built 1901, 3769 and 3597 branch encodings on these towers
+        real = plumbing._rooted_encoding
+        built = []
+
+        def counting(tree, root, memo):
+            size = len(memo)
+            encoding = real(tree, root, memo)
+            built[-1] += len(memo) - size
+            return encoding
+
+        monkeypatch.setattr(plumbing, "_rooted_encoding", counting)
+        for spec, rebuilt in zip(THREE_ITERATION_SPECS, (1901, 3769, 3597)):
+            built.append(0)
+            reduce_tree(raw_plumbing(spec))
+            assert 0 < built[-1] <= rebuilt // 2
 
     def test_preserves_det_through_full_reduction(self):
         spec = SurgerySpec(CableTower(((2, 7), (2, 31))), 64)
