@@ -11,23 +11,27 @@ determinant of the intersection form.
 
 Trees are immutable values: every move returns a new tree, so instances can
 be shared freely between worker processes.  All linear algebra is exact
-integer/rational arithmetic.
+integer arithmetic on integer matrices.
 
 The determinant and the negative-definiteness test take the tree's own
 route: a leaf is eliminated into its neighbour by a Schur complement (the
 neighbour's diagonal drops by a^2/d for a leaf of diagonal d joined by a),
-leaf after leaf toward the rest, O(n) exact steps in all.  This is the
-continued-fraction bookkeeping of Neumann's plumbing calculus.  A leaf
-whose diagonal has become 0 cannot be a pivot; it is expanded away with
-its neighbour instead, det S = -a^2 det(S - {leaf, neighbour}), and the
-form is then indefinite.  Raw plumbings do hit that case.  A matrix whose
-off-diagonal support has a cycle, or that is not symmetric, has no leaf
-order to follow and takes fraction-free (Bareiss) elimination instead.
+leaf after leaf toward the rest, O(n) steps in all.  This is the
+continued-fraction bookkeeping of Neumann's plumbing calculus, kept in
+integers: each diagonal is a numerator over a positive denominator, the
+numerator being the continuant (the determinant, up to sign) of the
+subtree eliminated into that vertex and the denominator the product of
+its children's.  A leaf whose diagonal has become 0 cannot be a pivot; it
+is expanded away with its neighbour instead,
+det S = -a^2 det(S - {leaf, neighbour}), and the form is then indefinite.
+A matrix whose off-diagonal support has a cycle, or that is not
+symmetric, has no leaf order to follow and takes fraction-free (Bareiss)
+elimination instead.  Entries must be ints: a float, Fraction or bool
+entry raises TypeError instead of being truncated.
 """
 
 import json
-from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 
 
 class InvalidMoveError(ValueError):
@@ -190,18 +194,29 @@ def gram_matrix(tree: WeightedTree) -> list:
 
 
 def _forest_elimination(matrix):
-    """(det, negative definite) of a symmetric matrix by leaf elimination.
+    """(det, negative definite) of a symmetric integer matrix by leaf
+    elimination, in integers only.
 
-    The off-diagonal support of the matrix is read as a graph.  A leaf v
-    with diagonal entry d_v and one neighbour p, joined by the entry a, is
-    eliminated toward the rest: if d_v != 0 it contributes the pivot d_v
-    and its Schur complement lowers d_p by a^2 / d_v; if d_v == 0 the
-    expansion det S = -a^2 det(S - {v, p}) removes v and p together.  An
-    isolated vertex contributes its diagonal entry as a pivot.  This is
-    the continued-fraction bookkeeping of the plumbing calculus, O(n)
-    exact Fraction steps after the O(n^2) scan of the entries.  The matrix
-    is negative definite exactly when every pivot is negative and the
-    zero rule never fired.
+    The off-diagonal support of the matrix is read as a graph.  Each
+    vertex keeps its Schur-complemented diagonal as an integer numerator
+    over a positive integer denominator, at first its entry over 1.  A
+    leaf v with pivot d/q and one neighbour p, joined by the entry a, is
+    eliminated toward the rest: if d != 0 the pivot d/q goes into the
+    determinant and p's diagonal drops by a^2 q / d, that is
+    num[p] <- num[p] d - a^2 q den[p] and den[p] <- den[p] d, both
+    negated when d < 0; if d == 0 the expansion det S = -a^2 det(S - {v, p})
+    removes v and p together.  An isolated vertex contributes its pivot.
+    num[p] is then, up to sign, the determinant of the subtree eliminated
+    into p (a continuant of the plumbing calculus) and den[p] the product
+    of its children's, so no entry outgrows the minors it stands for and
+    no gcd is taken.  The determinant is the product of the pivots,
+    divided out once at the end.  The matrix is negative definite exactly
+    when every pivot numerator is negative and the zero rule never fired.
+    O(n) integer steps after the scan of the entries.
+
+    Every entry read -- the diagonal and the non-zero entries -- must be
+    an int (type(x) is int, so not a bool), else TypeError: a float or
+    Fraction entry has no exact integer determinant to return.
 
     Returns None, having decided nothing, for a non-square or asymmetric
     matrix, and when no vertex of degree <= 1 is left to eliminate, which
@@ -210,31 +225,39 @@ def _forest_elimination(matrix):
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         return None
-    diag = []
+    cols = range(n)
+    num = []
     adj = []
     for i, row in enumerate(matrix):
-        nbrs = {j: a for j, a in enumerate(row) if a and j != i}
-        if any(matrix[j][i] != a for j, a in nbrs.items()):
-            return None
-        diag.append(Fraction(row[i]))
+        nbrs = {j: row[j] for j in compress(cols, row)}
+        nbrs.pop(i, None)
+        num.append(row[i])
         adj.append(nbrs)
-    det = Fraction(1)
+    if not {int}.issuperset(map(type, chain(num, *map(dict.values, adj)))):
+        raise TypeError("matrix entries must be integers")
+    for i, nbrs in enumerate(adj):
+        for j, a in nbrs.items():
+            if adj[j].get(i) != a:
+                return None
+    den = [1] * n
+    det_num = det_den = 1
     negative = True
     left = n
     alive = [True] * n
-    leaves = [v for v in range(n) if len(adj[v]) <= 1]
+    leaves = [v for v in cols if len(adj[v]) <= 1]
     while leaves:
         v = leaves.pop()
         if not alive[v]:
             continue
         alive[v] = False
         left -= 1
-        d = diag[v]
+        d = num[v]
+        q = den[v]
         if adj[v]:
             ((p, a),) = adj[v].items()
             del adj[p][v]
             if d == 0:
-                det *= -a * a
+                det_num *= -a * a
                 negative = False
                 alive[p] = False
                 left -= 1
@@ -243,14 +266,35 @@ def _forest_elimination(matrix):
                     if len(adj[u]) <= 1:
                         leaves.append(u)
                 continue
-            diag[p] -= a * a / d
+            drop = a * a * q * den[p]
+            if d > 0:
+                num[p] = num[p] * d - drop
+                den[p] *= d
+            else:
+                num[p] = drop - num[p] * d
+                den[p] *= -d
             if len(adj[p]) <= 1:
                 leaves.append(p)
-        det *= d
+        det_num *= d
+        det_den *= q
         negative = negative and d < 0
     if left:
         return None
-    return int(det), negative
+    det, rest = divmod(det_num, det_den)
+    if rest:
+        raise AssertionError("leaf elimination left a fractional determinant")
+    return det, negative
+
+
+def _integer_rows(matrix):
+    """A mutable copy of the matrix rows; ValueError unless the matrix is
+    square, TypeError unless every entry is an int (type(x) is int, so
+    not a bool)."""
+    if any(len(row) != len(matrix) for row in matrix):
+        raise ValueError("matrix is not square")
+    if any(type(x) is not int for row in matrix for x in row):
+        raise TypeError("matrix entries must be integers")
+    return [list(row) for row in matrix]
 
 
 def det_exact(matrix) -> int:
@@ -258,10 +302,12 @@ def det_exact(matrix) -> int:
 
     A symmetric matrix whose off-diagonal support is a forest -- the
     intersection form of any plumbing, or a disjoint union of them -- is
-    done by leaf elimination (_forest_elimination) in O(n) exact steps.
+    done by integer leaf elimination (_forest_elimination) in O(n) steps.
     A matrix that elimination cannot finish, one with a cycle in its
     support or an asymmetric one, takes fraction-free (Bareiss)
-    elimination, O(n^3).
+    elimination, O(n^3).  Raises TypeError if an entry either path reads
+    is not an int (a bool, float or Fraction), rather than truncating it,
+    and ValueError if the matrix is not square.
     """
     forest = _forest_elimination(matrix)
     if forest is not None:
@@ -269,7 +315,7 @@ def det_exact(matrix) -> int:
     n = len(matrix)
     if n == 0:
         return 1
-    m = [list(map(int, row)) for row in matrix]
+    m = _integer_rows(matrix)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -289,33 +335,38 @@ def det_exact(matrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def leading_principal_minors(matrix) -> list:
-    """Determinants of the leading k-by-k blocks, k = 1..n."""
-    return [det_exact([row[: k + 1] for row in matrix[: k + 1]]) for k in range(len(matrix))]
-
-
 def is_negative_definite(matrix) -> bool:
     """Whether a symmetric integer matrix is negative definite.
 
-    A forest-supported matrix is decided by leaf elimination
-    (_forest_elimination) in O(n) exact steps: definite exactly when every
+    A forest-supported matrix is decided by integer leaf elimination
+    (_forest_elimination) in O(n) steps: definite exactly when every
     pivot is negative and no zero pivot had to be expanded away.  A
     symmetric matrix that elimination cannot finish (a cycle in its
     support) takes the Sylvester test, (-1)^k times the k-th leading
-    principal minor > 0 for all k, one determinant per minor.  Raises
-    ValueError if the matrix is not symmetric.
+    principal minor > 0 for all k, in one Bareiss pass without row swaps,
+    whose k-th pivot is the k-th leading minor; it stops at the first
+    minor of the wrong sign (or zero), O(n^3) in all.  Raises TypeError
+    if an entry read is not an int, and ValueError if the matrix is not
+    square or not symmetric.
     """
     forest = _forest_elimination(matrix)
     if forest is not None:
         return forest[1]
-    n = len(matrix)
+    m = _integer_rows(matrix)
+    n = len(m)
     for i in range(n):
         for j in range(n):
-            if matrix[i][j] != matrix[j][i]:
+            if m[i][j] != m[j][i]:
                 raise ValueError("matrix is not symmetric")
-    for k, minor in enumerate(leading_principal_minors(matrix), start=1):
-        if (minor if k % 2 == 0 else -minor) <= 0:
+    prev = 1
+    for k in range(n):
+        pivot = m[k][k]
+        if (pivot if k % 2 else -pivot) <= 0:
             return False
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+        prev = pivot
     return True
 
 

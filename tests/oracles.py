@@ -3,12 +3,15 @@
 Everything here deliberately avoids the implementation's algorithms: the
 determinant is cofactor expansion or fraction-free (Bareiss) elimination
 of the whole matrix instead of leaf elimination along the tree, and
-definiteness is the leading-minor test; the inertia is a congruence
-diagonalisation; the embedding search is plain depth-first over all
-candidate vectors with no symmetry pruning; the partial reduction below
-re-implements the move loop without the leaf-flattening step so the
-intermediate "minimal" graph can be inspected; and reference_reduce_tree
-picks its sites by the recursive, unmemoised rooted encoding.
+definiteness is the leading-minor test, one determinant per minor; leaf
+elimination itself has a reference with Fraction pivots, against the
+implementation's integer numerators and denominators; the inertia is a
+congruence diagonalisation; the embedding search is plain depth-first
+over all candidate vectors with no symmetry pruning; the partial
+reduction below re-implements the move loop without the leaf-flattening
+step so the intermediate "minimal" graph can be inspected; and
+reference_reduce_tree picks its sites by the recursive, unmemoised rooted
+encoding.
 """
 
 import itertools
@@ -65,12 +68,72 @@ def bareiss_det(matrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def leading_principal_minors(matrix) -> list:
+    """Determinants of the leading k-by-k blocks, k = 1..n."""
+    return [bareiss_det([row[: k + 1] for row in matrix[: k + 1]]) for k in range(len(matrix))]
+
+
 def minors_negative_definite(matrix) -> bool:
     """Sylvester test: (-1)^k times the k-th leading principal minor > 0."""
     return all(
         (-1) ** k * bareiss_det([row[:k] for row in matrix[:k]]) > 0
         for k in range(1, len(matrix) + 1)
     )
+
+
+def fraction_forest_elimination(matrix):
+    """(det, negative definite) of a symmetric matrix by leaf elimination
+    with every pivot a Fraction: the reference for the integer kernel
+    plumbing._forest_elimination, which it must match wherever that
+    decides.  A leaf of diagonal d joined to p by a lowers d_p by a^2 / d;
+    a zero leaf is expanded away with p, det S = -a^2 det(S - {v, p}), and
+    makes the form indefinite.  None for a non-square or asymmetric
+    matrix, or one whose support has a cycle.
+    """
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        return None
+    diag = []
+    adj = []
+    for i, row in enumerate(matrix):
+        nbrs = {j: a for j, a in enumerate(row) if a and j != i}
+        if any(matrix[j][i] != a for j, a in nbrs.items()):
+            return None
+        diag.append(Fraction(row[i]))
+        adj.append(nbrs)
+    det = Fraction(1)
+    negative = True
+    left = n
+    alive = [True] * n
+    leaves = [v for v in range(n) if len(adj[v]) <= 1]
+    while leaves:
+        v = leaves.pop()
+        if not alive[v]:
+            continue
+        alive[v] = False
+        left -= 1
+        d = diag[v]
+        if adj[v]:
+            ((p, a),) = adj[v].items()
+            del adj[p][v]
+            if d == 0:
+                det *= -a * a
+                negative = False
+                alive[p] = False
+                left -= 1
+                for u in adj[p]:
+                    del adj[u][p]
+                    if len(adj[u]) <= 1:
+                        leaves.append(u)
+                continue
+            diag[p] -= a * a / d
+            if len(adj[p]) <= 1:
+                leaves.append(p)
+        det *= d
+        negative = negative and d < 0
+    if left:
+        return None
+    return int(det), negative
 
 
 def signature(matrix) -> tuple:

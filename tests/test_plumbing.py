@@ -1,5 +1,8 @@
 import json
 import random
+from collections import Counter
+from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +22,6 @@ from knotplumb.plumbing import (
     flatten_positive_leaf,
     gram_matrix,
     is_negative_definite,
-    leading_principal_minors,
     reduce_tree,
 )
 
@@ -27,6 +29,8 @@ from oracles import (
     bareiss_det,
     brute_force_isomorphic,
     cofactor_det,
+    fraction_forest_elimination,
+    leading_principal_minors,
     minors_negative_definite,
     random_tree,
     reference_reduce_tree,
@@ -131,6 +135,18 @@ class TestDet:
         assert abs(det_exact(gram_matrix(reduced_plumbing(spec)))) == 36
 
 
+def random_tower_spec(rng, iterations):
+    """An algebraic tower of multiplicities 2 and 3, each coefficient
+    among the few smallest that keep it algebraic, with N in 1..40."""
+    pairs = []
+    for _ in range(iterations):
+        p = rng.choice((2, 3))
+        low = pairs[-1][0] * p * pairs[-1][1] + 1 if pairs else p + 1
+        a = [x for x in range(low, low + 2 * p) if gcd(x, p) == 1][rng.randrange(2)]
+        pairs.append((p, a))
+    return SurgerySpec(CableTower(tuple(pairs)), p * a + rng.randint(1, 40))
+
+
 def relabel_matrix(m, perm):
     return [[m[perm[i]][perm[j]] for j in range(len(m))] for i in range(len(m))]
 
@@ -218,10 +234,112 @@ class TestForestElimination:
         with pytest.raises(ValueError):
             is_negative_definite(m)
 
-    def test_long_chain_is_linear(self):
+    def test_rejects_non_square(self):
+        # unchecked, Bareiss reads [[1, 2]] as det 1 and the second as
+        # negative definite
+        for m in ([[1, 2]], [[-2, 1, 0], [1, -2]], [[-2], [1]]):
+            with pytest.raises(ValueError, match="not square"):
+                det_exact(m)
+            with pytest.raises(ValueError, match="not square"):
+                is_negative_definite(m)
+
+    def test_long_chain_is_linear(self, monkeypatch):
+        # integer numerators and denominators only: no Fraction is built
+        def no_fractions(*args):
+            raise AssertionError("leaf elimination built a Fraction")
+
+        monkeypatch.setattr(plumbing, "Fraction", no_fractions, raising=False)
         g = gram_matrix(path_tree([-2] * 1001))
         assert det_exact(g) == -1002
         assert is_negative_definite(g)
+
+    def test_rejects_non_integer_entries(self):
+        # int() would truncate these: det [[0.5]] to 0, and
+        # det [[-2.7, 1], [1, -2]] (4.4) to 4
+        cases = []
+        for bad in (0.5, -2.7, 1.0, Fraction(1, 2), Fraction(-3), True):
+            cases += [[[bad]], [[bad, 1], [1, -2]], [[-2, bad], [bad, -2]]]
+        # a zero entry that leaf elimination skips but Bareiss reads: on a
+        # cycle, and where it breaks the symmetry
+        for zero in (0.0, Fraction(0), False):
+            cases.append([[-3, 1, 1, zero], [1, -3, 1, 0], [1, 1, -3, 0], [zero, 0, 0, -2]])
+            cases.append([[-2, 1], [zero, -2]])
+        for m in cases:
+            with pytest.raises(TypeError):
+                det_exact(m)
+            with pytest.raises(TypeError):
+                is_negative_definite(m)
+
+    def test_matches_fraction_reference_on_plumbings(self):
+        # raw plumbings are indefinite, reduced ones definite; the raw
+        # trees reach rank 659 here
+        rng = random.Random(53)
+        specs = list(THREE_ITERATION_SPECS)
+        specs += [random_tower_spec(rng, k) for k in (2, 3, 4) for _ in range(4)]
+        outcomes = set()
+        for spec in specs:
+            raw = raw_plumbing(spec)
+            for tree in (raw, reduce_tree(raw)):
+                g = gram_matrix(tree)
+                reference = fraction_forest_elimination(g)
+                assert (det_exact(g), is_negative_definite(g)) == reference
+                outcomes.add(reference[1])
+        assert outcomes == {False, True}
+
+    def test_matches_fraction_reference_on_large_forests(self):
+        # heavy weights and entries up to 3 make the numerators and
+        # denominators grow far past machine words (determinants of up to
+        # 228 bits), and the weights from -40 to 10 fire the zero rule in
+        # about a fifth of these forests
+        rng = random.Random(59)
+        outcomes = set()
+        for _ in range(1000):
+            blocks = []
+            size = rng.randint(1, 60)
+            while size > 0:
+                g = gram_matrix(random_tree(rng, max_vertices=size, weights=(-40, 10)))
+                for i in range(len(g)):
+                    for j in range(i + 1, len(g)):
+                        if g[i][j]:
+                            g[i][j] = g[j][i] = rng.choice((-3, -2, -1, 1, 2, 3))
+                blocks.append(g)
+                size -= len(g)
+            m = block_diagonal(*blocks)
+            perm = list(range(len(m)))
+            rng.shuffle(perm)
+            m = relabel_matrix(m, perm)
+            reference = fraction_forest_elimination(m)
+            assert (det_exact(m), is_negative_definite(m)) == reference
+            outcomes.add((reference[0] == 0, reference[1]))
+        assert outcomes == {(True, False), (False, False), (False, True)}
+
+    def test_cyclic_fallback_matches_minors(self):
+        # one Bareiss pass, stopped at the first minor of the wrong sign
+        rng = random.Random(61)
+        kinds = Counter()
+        for _ in range(400):
+            n = rng.randint(3, 7)
+            kind = rng.choice(("definite", "singular", "indefinite"))
+            if kind == "indefinite":
+                m = [[0] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(i, n):
+                        m[i][j] = m[j][i] = rng.randint(-4, 3)
+            else:
+                a = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+                if kind == "singular":
+                    i, j = rng.sample(range(n), 2)
+                    a[i] = a[j][:]
+                m = [[-sum(x * y for x, y in zip(r, s)) for s in a] for r in a]
+            if plumbing._forest_elimination(m) is not None:
+                continue  # a forest: not the fallback
+            det = det_exact(m)
+            assert det == bareiss_det(m)
+            negdef = is_negative_definite(m)
+            assert negdef == minors_negative_definite(m)
+            kinds[det == 0, negdef] += 1
+        assert set(kinds) == {(True, False), (False, False), (False, True)}, kinds
+        assert min(kinds.values()) >= 20, kinds
 
 
 class TestDefiniteness:
