@@ -7,7 +7,8 @@ definiteness is the leading-minor test, one determinant per minor; leaf
 elimination itself has a reference with Fraction pivots, against the
 implementation's integer numerators and denominators; the inertia is a
 congruence diagonalisation; the embedding search is plain depth-first
-over all candidate vectors with no symmetry pruning; the partial
+over all candidate vectors with no symmetry pruning, and the column
+classes the search keeps incrementally are grouped from scratch; the partial
 reduction below re-implements the move loop without the leaf-flattening
 step so the intermediate "minimal" graph can be inspected; and
 reference_reduce_tree picks its sites by the recursive, unmemoised rooted
@@ -211,6 +212,19 @@ def all_vectors_of_norm(norm, rank):
 
     rec([], norm)
     return out
+
+
+def column_classes(placed, rank):
+    """The column classes of the placed vectors, grouped from scratch:
+    (sig, coordinates) pairs, sig the class's column of placed entries
+    and the coordinates ascending, by descending sig with the untouched
+    class (all-zero sig) last."""
+    classes = {}
+    for k, sig in enumerate(zip(*placed) if placed else [()] * rank):
+        classes.setdefault(sig, []).append(k)
+    items = sorted(classes.items(), reverse=True)
+    items.sort(key=lambda item: not any(item[0]))
+    return items
 
 
 def canonical_candidates(placed, norm, targets, rank):

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -11,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 import knotplumb
 from knotplumb import lattice
 from knotplumb.cabling import CableTower, SurgerySpec, closed_form_two_iter
+from knotplumb.classify import desk_range_tuples
 from knotplumb.lattice import (
     SearchStatus,
     embedding_from_json_obj,
@@ -27,6 +29,7 @@ from knotplumb.plumbing import WeightedTree, det_exact, gram_matrix, is_negative
 
 from oracles import (
     canonical_candidates,
+    column_classes,
     naive_find_embedding,
     random_tree,
     square_decompositions,
@@ -334,29 +337,80 @@ class TestAgainstNaiveOracle:
         assert len(res.witness[0]) == 6
 
 
+def dense(vec, rank):
+    """A sparse vector of the search, (coordinate, entry) pairs, as a tuple."""
+    out = [0] * rank
+    for k, x in vec:
+        out[k] = x
+    return tuple(out)
+
+
+def node_inputs(searcher, depth):
+    """Dense placed vectors, norm and targets of the vertex at this depth,
+    read from the Gram matrix."""
+    vertex = searcher.order[depth]
+    placed = [dense(p, searcher.rank) for p in searcher.placed]
+    targets = [-searcher.gram[vertex][searcher.order[j]] for j in range(depth)]
+    return placed, -searcher.gram[vertex][vertex], targets
+
+
+def search_partition(searcher):
+    """The searcher's incremental column classes as column_classes lists them."""
+    depth = len(searcher.placed)
+    out = []
+    for cls in searcher._classes():
+        sig = [0] * depth
+        for j, x in cls.sig:
+            sig[j] = x
+        out.append((tuple(sig), list(range(cls.lo, cls.hi))))
+    return out
+
+
 def check_candidates_against_oracle(monkeypatch, norm_two_cases):
     """Make every _candidates call assert that it returns the oracle's list,
-    element for element; returns the list of output lengths.  The kinds of
-    norm-2 calls and candidates seen are added to norm_two_cases."""
+    element for element, on dense placed vectors and targets; returns the
+    list of output lengths.  The kinds of norm-2 calls and candidates seen
+    are added to norm_two_cases."""
     real = lattice._Searcher._candidates
     calls = []
 
-    def checked(self, placed, norm, targets):
-        out = real(self, placed, norm, targets)
+    def checked(self, depth):
+        out = real(self, depth)
+        placed, norm, targets = node_inputs(self, depth)
+        got = [dense(vec, self.rank) for vec in out]
         want = canonical_candidates(placed, norm, targets, self.rank)
-        assert out == want, (placed, norm, targets)
-        calls.append(len(out))
+        assert got == want, (placed, norm, targets)
+        calls.append(len(got))
         if norm == 2:
             if not placed:
                 norm_two_cases.add("depth 0")
             if self.rank == 1:
                 norm_two_cases.add("rank 1")
-            for vec in out:
+            for vec in got:
                 norm_two_cases.add(norm_two_case(placed, vec))
+                if sum(1 for t in targets if t) >= 2:
+                    norm_two_cases.add("targets with >= 2 nonzero entries")
         return out
 
     monkeypatch.setattr(lattice._Searcher, "_candidates", checked)
     return calls
+
+
+def check_partition_against_oracle(monkeypatch):
+    """Make every _candidates call, one per node, first assert that the
+    incremental column classes equal the from-scratch grouping; returns
+    the list of class counts."""
+    real = lattice._Searcher._candidates
+    counts = []
+
+    def checked(self, depth):
+        want = column_classes(node_inputs(self, depth)[0], self.rank)
+        assert search_partition(self) == want, depth
+        counts.append(len(want))
+        return real(self, depth)
+
+    monkeypatch.setattr(lattice._Searcher, "_candidates", checked)
+    return counts
 
 
 def norm_two_case(placed, vec):
@@ -390,6 +444,18 @@ def mostly_minus_two_gram(rng):
     return g
 
 
+def cyclic_minus_two_gram(rng):
+    """mostly_minus_two_gram with one or two more edges of weight +-1, so
+    that the support may have a cycle: a vertex placed after two of its
+    neighbours then has targets with two nonzero entries, which a tree
+    never gives."""
+    g = mostly_minus_two_gram(rng)
+    for _ in range(rng.choice((1, 2)) if len(g) > 1 else 0):
+        i, j = rng.sample(range(len(g)), 2)
+        g[i][j] = g[j][i] = rng.choice((1, -1))
+    return g
+
+
 NORM_TWO_CASES = {
     "depth 0",
     "rank 1",
@@ -399,6 +465,7 @@ NORM_TWO_CASES = {
     "same class (1, 1)",
     "same class (1, -1)",
     "same class (-1, -1)",
+    "targets with >= 2 nonzero entries",
 }
 
 
@@ -421,14 +488,15 @@ class TestCandidates:
         assert len(calls) > 1000 and sum(calls) > 1000
 
     def test_norm_two_lookup_matches_the_enumeration(self, monkeypatch):
-        # mostly -2 trees, so that most calls take the norm-2 lookup, and
-        # every case of that lookup must give the enumeration's list
+        # mostly -2 trees, then the same with a cycle, so that most calls
+        # take the norm-2 lookup, and every case of that lookup must give
+        # the enumeration's list
         cases = set()
         calls = check_candidates_against_oracle(monkeypatch, cases)
         rng = random.Random(29)
         graphs = 0
-        while graphs < 60:
-            g = mostly_minus_two_gram(rng)
+        while graphs < 100:
+            g = (mostly_minus_two_gram if graphs < 60 else cyclic_minus_two_gram)(rng)
             if not is_negative_definite(g):
                 continue
             graphs += 1
@@ -437,8 +505,36 @@ class TestCandidates:
         assert cases == NORM_TWO_CASES
         assert len(calls) > 500
 
+    def test_incremental_partition_matches_the_grouping(self, monkeypatch):
+        # at every node, the classes kept by splitting and undoing equal the
+        # from-scratch grouping: same classes, same order, same coordinates.
+        # Every closed-form desk graph is searched, then random trees (some
+        # with a cycle) are enumerated and searched above their rank, so
+        # that the search backtracks through many splits
+        counts = check_partition_against_oracle(monkeypatch)
+        for p1, a1, p2, a2, n in desk_range_tuples():
+            spec = SurgerySpec(CableTower(((p1, a1), (p2, a2))), n)
+            find_embedding(gram_matrix(closed_form_two_iter(spec)))
+        assert len(counts) == 26017
+        rng = random.Random(41)
+        graphs = 0
+        while graphs < 200:
+            if graphs % 2:
+                g = cyclic_minus_two_gram(rng)
+            else:
+                g = gram_matrix(random_tree(rng, max_vertices=8, weights=(-4, -1)))
+            if not is_negative_definite(g):
+                continue
+            graphs += 1
+            enumerate_embeddings(g)
+            for rank in (len(g) + 1, len(g) + 2):
+                find_embedding(g, rank=rank)
+        assert len(counts) - 26017 > 3000 and max(counts) > 20
+
     @pytest.mark.parametrize(
-        "k2, n, rank, nodes", [(53, 108, 26, 29), (103, 208, 51, 54), (203, 408, 101, 104)]
+        "k2, n, rank, nodes",
+        [(53, 108, 26, 29), (103, 208, 51, 54), (203, 408, 101, 104),
+         (403, 808, 201, 204), (803, 1608, 401, 404)],
     )
     def test_chain_refute_node_counts(self, k2, n, rank, nodes):
         # node counts do not depend on the machine; a change to the
@@ -450,6 +546,70 @@ class TestCandidates:
         res = find_embedding(g)
         assert res.status is SearchStatus.NONE
         assert res.nodes == nodes
+
+
+def e8_gram():
+    """The E8 plumbing: a -2 tree, T-shaped with arms of 1, 2 and 4 vertices."""
+    edges = [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6), (6, 7)]
+    return gram_matrix(WeightedTree({v: -2 for v in range(8)}, edges))
+
+
+class TestRankAboveTrace:
+    """An embedding touches at most -trace(G) coordinates, so a larger
+    rank only adds zero columns: the search runs at -trace(G) and pads."""
+
+    def test_candidates_are_the_padded_enumeration(self, monkeypatch):
+        # each candidate list at width -trace(G), padded with zeros, is the
+        # unpruned enumeration's at the requested rank
+        real = lattice._Searcher._candidates
+        calls = []
+
+        def checked(self, depth):
+            out = real(self, depth)
+            placed, norm, targets = node_inputs(self, depth)
+            pad = (0,) * (rank - self.rank)
+            want = canonical_candidates([p + pad for p in placed], norm, targets, rank)
+            assert [dense(vec, self.rank) + pad for vec in out] == want, (placed, rank)
+            calls.append(len(out))
+            return out
+
+        monkeypatch.setattr(lattice._Searcher, "_candidates", checked)
+        star = [[-2, 1, 1, 1], [1, -2, 0, 0], [1, 0, -2, 0], [1, 0, 0, -2]]
+        for g in ([[-2]], [[-3]], [[-4]], chain_gram(2), chain_gram(3), chain_gram(4), star,
+                  [[-3, 1], [1, -2]], block_diag([[-2]], [[-3]]), block_diag([[-2]], [[-2]])):
+            trace = -sum(g[i][i] for i in range(len(g)))
+            for rank in (trace + 1, trace + 2):
+                find_embedding(g, rank=rank)
+                enumerate_embeddings(g, rank=rank)
+        assert len(calls) > 80 and sum(calls) > 100
+
+    def test_e8_at_rank_a_million(self):
+        # E8 embeds in no (Z^r, -Id); at rank 10**6 the search costs what
+        # it costs at rank 16 = -trace, in nodes and in memory
+        g = e8_gram()
+        peaks = []
+        for rank in (16, 10**6):
+            tracemalloc.start()
+            try:
+                res = find_embedding(g, rank=rank)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert res.status is SearchStatus.NONE and res.nodes == 6, rank
+        assert peaks[1] <= peaks[0] + 64 * 1024, peaks
+
+    def test_witness_is_padded(self):
+        res = find_embedding(chain_gram(3), rank=10**5)
+        assert res.status is SearchStatus.FOUND and res.nodes == 3
+        staircase = ((1, 1, 0, 0), (0, -1, 1, 0), (0, 0, -1, 1))
+        assert res.witness == tuple(v + (0,) * (10**5 - 4) for v in staircase)
+
+    def test_enumeration_is_padded(self):
+        # chain of 2 (-trace 4): the staircase, plus the class that
+        # leaves a coordinate free, each with zero columns appended
+        got = enumerate_embeddings(chain_gram(2), rank=7)
+        assert got == [((1, 1, 0) + (0,) * 4, (0, -1, 1) + (0,) * 4)]
+        assert enumerate_embeddings(chain_gram(2), rank=7, locally_minimal_only=True) == []
 
 
 class TestDeepSearches:
@@ -479,15 +639,24 @@ class TestDeepSearches:
         assert res.status is SearchStatus.FOUND
         assert res.witness == ((1, 1, 1) + (0,) * 1497,)
 
-    def test_rank_1001_chain_starts(self):
+    def test_rank_1001_chain_refutes(self):
         # T(2,3; 2,2003), n = 4008: its first vertex has norm 3 and meets
-        # one 1001-wide untouched class; the full search is not run here
-        spec = SurgerySpec(CableTower(((2, 3), (2, 2003))), 4008)
-        g = gram_matrix(closed_form_two_iter(spec))
-        assert len(g) == 1001
-        res = find_embedding(g, budget=20)
-        assert res.status is SearchStatus.INDETERMINATE
-        assert res.nodes == 21
+        # one 1001-wide untouched class, and the search goes 1001 deep,
+        # under a recursion limit far below that
+        code = (
+            "import sys\n"
+            "from knotplumb.cabling import CableTower, SurgerySpec, closed_form_two_iter\n"
+            "from knotplumb.lattice import find_embedding\n"
+            "from knotplumb.plumbing import gram_matrix\n"
+            "spec = SurgerySpec(CableTower(((2, 3), (2, 2003))), 4008)\n"
+            "g = gram_matrix(closed_form_two_iter(spec))\n"
+            "sys.setrecursionlimit(60)\n"
+            "res = find_embedding(g)\n"
+            "print(len(g), res.status.value, res.nodes)\n"
+        )
+        res = run_child(code)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == ["1001", "none", "1004"]
 
     def test_sorted_tuples_order(self):
         # descending lexicographic, exactly the nonincreasing tuples in range
