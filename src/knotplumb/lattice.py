@@ -501,14 +501,10 @@ def _check_gram(gram, rank=None):
     """Validate the search input; returns the target rank."""
     from .plumbing import is_negative_definite
 
-    n = len(gram)
-    for i in range(n):
-        if len(gram[i]) != n:
-            raise ValueError("Gram matrix is not square")
-    if not is_negative_definite(gram):
+    if not is_negative_definite(gram):  # ValueError if not square
         # embeddings into -Id exist only for negative-definite forms
         raise ValueError("intersection form is not negative definite")
-    r = n if rank is None else int(rank)
+    r = len(gram) if rank is None else int(rank)
     if r < 1:
         raise ValueError(f"rank must be at least 1, got {r}")
     if r > sys.maxsize:

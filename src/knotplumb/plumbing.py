@@ -13,21 +13,21 @@ Trees are immutable values: every move returns a new tree, so instances can
 be shared freely between worker processes.  All linear algebra is exact
 integer arithmetic on integer matrices.
 
-The determinant and the negative-definiteness test take the tree's own
-route: a leaf is eliminated into its neighbour by a Schur complement (the
-neighbour's diagonal drops by a^2/d for a leaf of diagonal d joined by a),
-leaf after leaf toward the rest, O(n) steps in all.  This is the
-continued-fraction bookkeeping of Neumann's plumbing calculus, kept in
-integers: each diagonal is a numerator over a positive denominator, the
-numerator being the continuant (the determinant, up to sign) of the
-subtree eliminated into that vertex and the denominator the product of
-its children's.  A leaf whose diagonal has become 0 cannot be a pivot; it
-is expanded away with its neighbour instead,
-det S = -a^2 det(S - {leaf, neighbour}), and the form is then indefinite.
-A matrix whose off-diagonal support has a cycle, or that is not
-symmetric, has no leaf order to follow and takes fraction-free (Bareiss)
-elimination instead.  Entries must be ints: a float, Fraction or bool
-entry raises TypeError instead of being truncated.
+The determinant and the negative-definiteness test (form_invariants, run
+once per tree and kept on it) take the tree's own route: a leaf is
+eliminated into its neighbour by a Schur complement (the neighbour's
+diagonal drops by a^2/d for a leaf of diagonal d joined by a), leaf after
+leaf toward the rest, O(n) steps in all.  This is the continued-fraction
+bookkeeping of Neumann's plumbing calculus, kept in integers: each diagonal
+is a numerator over a positive denominator, the numerator being the
+continuant (the determinant, up to sign) of the subtree eliminated into
+that vertex and the denominator the product of its children's.  A leaf
+whose diagonal has become 0 cannot be a pivot; it is expanded away with its
+neighbour instead, det S = -a^2 det(S - {leaf, neighbour}), and the form is
+then indefinite.  A matrix whose off-diagonal support has a cycle, or that
+is not symmetric, has no leaf order to follow and takes fraction-free
+(Bareiss) elimination instead.  Entries must be ints: a float, Fraction or
+bool entry raises TypeError instead of being truncated.
 """
 
 import json
@@ -46,7 +46,7 @@ class WeightedTree:
     is disallowed.
     """
 
-    __slots__ = ("_weights", "_edges", "_adj")
+    __slots__ = ("_weights", "_edges", "_adj", "_form")
 
     def __init__(self, weights, edges):
         w = dict(weights)
@@ -85,6 +85,7 @@ class WeightedTree:
         self._weights = w
         self._edges = frozenset(es)
         self._adj = {v: frozenset(ns) for v, ns in adj.items()}
+        self._form = None
 
     @classmethod
     def _trusted(cls, weights, edges, adj):
@@ -96,6 +97,7 @@ class WeightedTree:
         tree._weights = weights
         tree._edges = edges
         tree._adj = adj
+        tree._form = None
         return tree
 
     # -- basic accessors ---------------------------------------------------
@@ -155,7 +157,12 @@ class WeightedTree:
         edges = [tuple(e) for e in obj["edges"]]
         if any(type(v) is not int for e in edges for v in e):
             raise TypeError("edge ends must be integer vertex ids")
-        return cls({item["id"]: item["weight"] for item in obj["vertices"]}, edges)
+        weights = {}
+        for item in obj["vertices"]:
+            if item["id"] in weights:  # a dict would keep the last weight only
+                raise ValueError(f"duplicate vertex id {item['id']}")
+            weights[item["id"]] = item["weight"]
+        return cls(weights, edges)
 
     def to_dot(self, roles=None) -> str:
         """GraphViz rendering with weights as labels.
@@ -193,35 +200,22 @@ def gram_matrix(tree: WeightedTree) -> list:
     return m
 
 
+def form_invariants(tree: WeightedTree) -> tuple:
+    """(det, negative definite) of the tree's intersection form, by
+    _eliminate on its own edges; computed once and kept on the tree."""
+    if tree._form is None:
+        index = {v: i for i, v in enumerate(tree._weights)}
+        adj = [dict.fromkeys([index[u] for u in tree._adj[v]], 1) for v in tree._weights]
+        tree._form = _eliminate(list(tree._weights.values()), adj)
+    return tree._form
+
+
 def _forest_elimination(matrix):
-    """(det, negative definite) of a symmetric integer matrix by leaf
-    elimination, in integers only.
-
-    The off-diagonal support of the matrix is read as a graph.  Each
-    vertex keeps its Schur-complemented diagonal as an integer numerator
-    over a positive integer denominator, at first its entry over 1.  A
-    leaf v with pivot d/q and one neighbour p, joined by the entry a, is
-    eliminated toward the rest: if d != 0 the pivot d/q goes into the
-    determinant and p's diagonal drops by a^2 q / d, that is
-    num[p] <- num[p] d - a^2 q den[p] and den[p] <- den[p] d, both
-    negated when d < 0; if d == 0 the expansion det S = -a^2 det(S - {v, p})
-    removes v and p together.  An isolated vertex contributes its pivot.
-    num[p] is then, up to sign, the determinant of the subtree eliminated
-    into p (a continuant of the plumbing calculus) and den[p] the product
-    of its children's, so no entry outgrows the minors it stands for and
-    no gcd is taken.  The determinant is the product of the pivots,
-    divided out once at the end.  The matrix is negative definite exactly
-    when every pivot numerator is negative and the zero rule never fired.
-    O(n) integer steps after the scan of the entries.
-
-    Every entry read -- the diagonal and the non-zero entries -- must be
-    an int (type(x) is int, so not a bool), else TypeError: a float or
-    Fraction entry has no exact integer determinant to return.
-
-    Returns None, having decided nothing, for a non-square or asymmetric
-    matrix, and when no vertex of degree <= 1 is left to eliminate, which
-    happens only when the support contains a cycle.
-    """
+    """_eliminate on a matrix; None, having decided nothing, if it is not
+    square and symmetric or its support has a cycle.  Every entry read --
+    the diagonal and the non-zero entries -- must be an int (type(x) is
+    int, so not a bool), else TypeError: a float or Fraction entry has no
+    exact integer determinant to return."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         return None
@@ -239,12 +233,37 @@ def _forest_elimination(matrix):
         for j, a in nbrs.items():
             if adj[j].get(i) != a:
                 return None
+    return _eliminate(num, adj)
+
+
+def _eliminate(num, adj):
+    """(det, negative definite) of the symmetric matrix with integer
+    diagonal num and non-zero off-diagonal entries adj[i] = {j: a}, by leaf
+    elimination in integers; None if the support has a cycle.  Consumes both.
+
+    Each vertex keeps its Schur-complemented diagonal as an integer
+    numerator over a positive integer denominator, at first its entry
+    over 1.  A leaf v with pivot d/q and one neighbour p, joined by the
+    entry a, is eliminated toward the rest: if d != 0 the pivot d/q goes
+    into the determinant and p's diagonal drops by a^2 q / d, that is
+    num[p] <- num[p] d - a^2 q den[p] and den[p] <- den[p] d, both
+    negated when d < 0; if d == 0 the expansion det S = -a^2 det(S - {v, p})
+    removes v and p together.  An isolated vertex contributes its pivot.
+    num[p] is then, up to sign, the determinant of the subtree eliminated
+    into p (a continuant of the plumbing calculus) and den[p] the product
+    of its children's, so no entry outgrows the minors it stands for and
+    no gcd is taken.  The determinant is the product of the pivots,
+    divided out once at the end.  The matrix is negative definite exactly
+    when every pivot numerator is negative and the zero rule never fired.
+    O(n) integer steps.
+    """
+    n = len(num)
     den = [1] * n
     det_num = det_den = 1
     negative = True
     left = n
     alive = [True] * n
-    leaves = [v for v in cols if len(adj[v]) <= 1]
+    leaves = [v for v in range(n) if len(adj[v]) <= 1]
     while leaves:
         v = leaves.pop()
         if not alive[v]:
@@ -313,8 +332,6 @@ def det_exact(matrix) -> int:
     if forest is not None:
         return forest[0]
     n = len(matrix)
-    if n == 0:
-        return 1
     m = _integer_rows(matrix)
     sign = 1
     prev = 1

@@ -1,13 +1,16 @@
 import json
+import math
+from collections import Counter
 
 import pytest
 
-from knotplumb import classify
+from knotplumb import classify, cli, plumbing
 from knotplumb.cabling import (
     CableTower,
     SurgerySpec,
     UnsupportedTowerError,
     closed_form_two_iter,
+    reduced_plumbing,
 )
 from knotplumb.classify import (
     SweepRow,
@@ -23,13 +26,32 @@ from knotplumb.classify import (
     theorem_audit,
 )
 from knotplumb.lattice import find_embedding, verify_embedding
-from knotplumb.plumbing import gram_matrix
+from knotplumb.plumbing import form_invariants, gram_matrix
 
 from test_lattice import run_child
 
 
 def spec_for(p1, a1, p2, a2, n):
     return SurgerySpec(CableTower(((p1, a1), (p2, a2))), n)
+
+
+def count_exact_passes(monkeypatch):
+    """A Counter of leaf-elimination kernel runs ("kernel") and Gram matrix
+    builds ("gram"), counted while the monkeypatch lasts."""
+    calls = Counter()
+    kernel, gram = plumbing._eliminate, plumbing.gram_matrix
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(plumbing, "_eliminate", counted("kernel", kernel))
+    for module in (plumbing, classify, cli):  # every module that looks gram_matrix up
+        monkeypatch.setattr(module, "gram_matrix", counted("gram", gram))
+    return calls
 
 
 class TestClassifyOne:
@@ -65,16 +87,18 @@ class TestClassifyOne:
         assert verify_embedding(gram, verdict.witness)
 
     def test_paths_agree(self):
-        # the named regimes plus a deterministic slice of the desk range
+        # the named regimes plus a deterministic slice of the desk range;
+        # classify_one's verdict reads only these from its graph
         sample = [(2, 3, 2, 17, 36), (2, 3, 2, 13, 28), (2, 3, 3, 22, 70)]
         sample += desk_range_tuples()[::67]
         for tup in sample:
-            closed = classify_one(spec_for(*tup), path="closed")
-            calculus = classify_one(spec_for(*tup), path="calculus")
-            assert closed.verdict is calculus.verdict, tup
-            assert (closed.rank, closed.nodes, closed.proof) == (
-                calculus.rank, calculus.nodes, calculus.proof
-            ), tup
+            spec = spec_for(*tup)
+            closed, calculus = closed_form_two_iter(spec), reduced_plumbing(spec)
+            assert len(closed) == len(calculus), tup
+            assert form_invariants(closed) == form_invariants(calculus), tup
+            if math.isqrt(spec.n) ** 2 == spec.n:
+                a, b = (find_embedding(gram_matrix(t)) for t in (closed, calculus))
+                assert (a.status, a.nodes) == (b.status, b.nodes), tup
 
     def test_rejects_out_of_family(self):
         with pytest.raises(Exception):
@@ -113,20 +137,35 @@ class TestClassifyOne:
 
     def test_definiteness_check_survives_optimize(self):
         # the non-square branch checks definiteness with a raise, not an
-        # assert, which -O strips
+        # assert, which -O strips; the kernel keeps the true determinant so
+        # that the builder's |det| = n check passes
         code = (
             "from knotplumb import classify, plumbing\n"
             "from knotplumb.cabling import CableTower, SurgerySpec\n"
-            "plumbing.is_negative_definite = lambda gram: False\n"
+            "kernel = plumbing._eliminate\n"
+            "plumbing._eliminate = lambda num, adj: (kernel(num, adj)[0], False)\n"
             "spec = SurgerySpec(CableTower(((2, 3), (2, 53))), 108)\n"
             "try:\n"
             "    classify.classify_one(spec)\n"
-            "except ValueError:\n"
-            "    raise SystemExit(0)\n"
+            "except ValueError as exc:\n"
+            "    raise SystemExit(0 if 'not negative definite' in str(exc) else repr(exc))\n"
             "raise SystemExit('indefinite form refuted by the determinant')\n"
         )
         res = run_child(code, "-O")
         assert res.returncode == 0, res.stdout + res.stderr
+
+    def test_one_exact_pass_per_built_tree(self, monkeypatch):
+        # the builder's pass decides a non-square n; a square n adds only
+        # find_embedding's own check on the one Gram matrix it is given
+        calls = count_exact_passes(monkeypatch)
+        proofs = Counter()
+        for tup in desk_range_tuples():
+            calls.clear()
+            row = classify_one(spec_for(*tup))
+            proofs[row.proof] += 1
+            square = math.isqrt(tup[4]) ** 2 == tup[4]
+            assert calls == (Counter(kernel=2, gram=1) if square else Counter(kernel=1)), tup
+        assert set(proofs) == {"determinant", "search", "witness"}, proofs
 
 
 class TestKnownWitness:

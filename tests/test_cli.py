@@ -2,13 +2,17 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 import knotplumb
 from knotplumb import cli
+from knotplumb.classify import desk_range_tuples
 from knotplumb.lattice import verify_embedding
 from knotplumb.plumbing import WeightedTree, gram_matrix
+
+from test_classify import count_exact_passes
 
 
 def run_cli(*args, env_extra=None, cwd=None):
@@ -86,6 +90,21 @@ class TestGraph:
     def test_default_text(self):
         res = run_cli("graph", "--pairs", "2,3", "--n", "8")
         assert "rank 4" in res.stdout and "det 8" in res.stdout
+
+    @pytest.mark.parametrize("kind,passes", [("closed-form", 1), ("raw", 1), ("reduced", 2)])
+    def test_one_exact_pass_per_built_tree(self, monkeypatch, capsys, kind, passes):
+        # the printed det and definiteness are the builder's; --reduced
+        # builds the raw tree, checks it, then reduces it to a new tree
+        calls = count_exact_passes(monkeypatch)
+        tuples = desk_range_tuples()
+        for p1, a1, p2, a2, n in tuples:
+            calls.clear()
+            argv = ["graph", f"--{kind}", "--pairs", f"{p1},{a1},{p2},{a2}", "--n", str(n)]
+            assert cli.main(argv) == 0
+            assert calls == Counter(kernel=passes), (p1, a1, p2, a2, n)
+        # the raw tree carries the positive leaf N
+        definite = "no" if kind == "raw" else "yes"
+        assert capsys.readouterr().out.count(f"negative definite: {definite}\n") == len(tuples)
 
 
 class TestEmbed:
@@ -235,12 +254,14 @@ BAD_INPUTS = {
     "graph-not-connected": ["embed", "triangle.json"],
     "graph-bool-weight": ["embed", "weight-bool.json"],
     "graph-bool-id": ["embed", "id-bool.json"],
+    "graph-duplicate-id": ["embed", "dupid.json"],
     "rank-zero": ["embed", "chain3.json", "--rank", "0"],
     "rank-huge": ["embed", "chain3.json", "--rank", "99999999999999999999"],
     "rank-zero-enumerate": ["embed", "chain3.json", "--rank", "0", "--enumerate"],
     "config-missing": ["--config", "missing.cfg", "embed", "chain3.json"],
     "config-workers-not-int": ["--config", "workers.cfg", "embed", "chain3.json"],
     "config-order-removed": ["--config", "order.cfg", "embed", "chain3.json"],
+    "config-not-utf8": ["--config", "notutf8.cfg", "sweep", *SWEEP_ARGS],
     "workers-zero": ["sweep", *SWEEP_ARGS, "--workers", "0"],
     "budget-zero-embed": ["embed", "chain3.json", "--budget", "0"],
     "budget-negative-embed": ["embed", "chain3.json", "--budget", "-1"],
@@ -287,6 +308,10 @@ def test_bad_input_is_an_error_not_a_traceback(tmp_path, argv):
     (tmp_path / "id-bool.json").write_text(
         json.dumps({"vertices": [{"id": True, "weight": -2}], "edges": []})
     )
+    (tmp_path / "dupid.json").write_text(
+        json.dumps({"vertices": [{"id": 0, "weight": -2}, {"id": 0, "weight": -3}], "edges": []})
+    )
+    (tmp_path / "notutf8.cfg").write_bytes(b"\xff\xfe\x00bad")
     (tmp_path / "workers.cfg").write_text("workers=abc\n")
     (tmp_path / "order.cfg").write_text("order=weight\n")
     (tmp_path / "budget.cfg").write_text("budget=0\n")
@@ -297,5 +322,7 @@ def test_bad_input_is_an_error_not_a_traceback(tmp_path, argv):
     res = run_cli(*argv)
     assert res.returncode == 1, res.stdout + res.stderr
     assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr, res.stderr
-    if argv[1].endswith(("bool.json", "triangle.json")):
+    if argv[1].endswith(("bool.json", "triangle.json", "dupid.json")):
         assert ": not a plumbing tree: " in res.stderr, res.stderr
+    if argv[1].endswith("notutf8.cfg"):
+        assert res.stderr.startswith("error: cannot read config: "), res.stderr

@@ -226,6 +226,11 @@ class TestFindEmbedding:
         with pytest.raises(ValueError):
             find_embedding([[2]])
 
+    def test_rejects_ragged_gram(self):
+        for gram in ([[-2, 1], [1]], [[-2], [1, -2]], [[-2, 1, 0], [1, -2]]):
+            with pytest.raises(ValueError, match="not square"):
+                find_embedding(gram)
+
     def test_verdict_invariant_under_relabelling(self):
         # a relabelled matrix is placed in a different order, so this also
         # checks that the verdict does not depend on the placement order

@@ -20,6 +20,7 @@ from knotplumb.plumbing import (
     canonical_form,
     det_exact,
     flatten_positive_leaf,
+    form_invariants,
     gram_matrix,
     is_negative_definite,
     reduce_tree,
@@ -86,6 +87,12 @@ class TestWeightedTree:
         with pytest.raises(TypeError):
             WeightedTree.from_json(text + '"edges": [[0, true]]}')
 
+    def test_from_json_rejects_duplicate_id(self):
+        # a dict keyed by id would keep one of the two vertices silently
+        text = '{"vertices": [{"id": 0, "weight": -2}, {"id": 0, "weight": -3}], "edges": []}'
+        with pytest.raises(ValueError, match="duplicate vertex id 0"):
+            WeightedTree.from_json(text)
+
     def test_json_round_trip(self):
         t = path_tree([-2, -3, -5])
         assert WeightedTree.from_json(t.to_json()) == t
@@ -117,6 +124,9 @@ class TestGram:
 class TestDet:
     def test_single(self):
         assert det_exact([[-2]]) == -2
+
+    def test_empty(self):
+        assert det_exact([]) == 1
 
     @pytest.mark.parametrize("k", range(1, 11))
     def test_minus_two_chains(self, k):
@@ -340,6 +350,57 @@ class TestForestElimination:
             kinds[det == 0, negdef] += 1
         assert set(kinds) == {(True, False), (False, False), (False, True)}, kinds
         assert min(kinds.values()) >= 20, kinds
+
+
+class TestFormInvariants:
+    """form_invariants eliminates leaves over the tree's own edges; the
+    matrix functions on its Gram matrix pin it."""
+
+    def test_matches_matrix_functions(self):
+        rng = random.Random(67)
+        outcomes = set()
+        for i in range(1500):
+            t = random_tree(rng, max_vertices=10)
+            g = gram_matrix(t)
+            expected = (det_exact(g), is_negative_definite(g))
+            assert form_invariants(t) == expected
+            # ids spread out and negative: the elimination does not index by id
+            ids = rng.sample(range(-10**6, 10**6), len(t))
+            assert form_invariants(relabel(t, dict(zip(t.vertices(), ids)))) == expected
+            outcomes.add((expected[0] == 0, expected[1]))
+        assert outcomes == {(True, False), (False, False), (False, True)}
+        # a 0-leaf on a -1: the zero rule fires
+        assert form_invariants(path_tree([0, -1, -2, -2])) == (-3, False)
+
+    def test_computed_once_per_tree(self, monkeypatch):
+        t = path_tree([-2, -3, -2])
+        kernel = plumbing._eliminate
+        calls = []
+        monkeypatch.setattr(plumbing, "_eliminate", lambda *a: calls.append(1) or kernel(*a))
+        assert form_invariants(t) == form_invariants(t) == (-8, True)
+        assert len(calls) == 1
+
+    def test_new_trees_start_uncomputed(self):
+        # a move's result or a parsed copy must not carry a form it was
+        # not computed for
+        rng = random.Random(71)
+        moved = 0
+        for _ in range(100):
+            t = random_tree(rng, max_vertices=8, weights=(-2, 2))
+            form_invariants(t)
+            copy = WeightedTree.from_json(t.to_json())
+            assert copy._form is None
+            for move in (blow_down, blow_up, absorb_zero, flatten_positive_leaf):
+                for v in t.vertices():
+                    try:
+                        out = move(t, v)
+                    except InvalidMoveError:
+                        continue
+                    moved += 1
+                    assert out._form is None
+                    g = gram_matrix(out)
+                    assert form_invariants(out) == (det_exact(g), is_negative_definite(g))
+        assert moved > 100
 
 
 class TestDefiniteness:
