@@ -51,11 +51,14 @@ class CableTower:
     pairs: tuple
 
     def __post_init__(self):
-        pairs = tuple((int(p), int(a)) for p, a in self.pairs)
+        pairs = tuple((p, a) for p, a in self.pairs)
         object.__setattr__(self, "pairs", pairs)
         if not pairs:
             raise ValueError("a tower needs at least one cabling pair")
         for p, a in pairs:
+            # type(x) is int: int() would truncate 2.9 to 2, and True is no multiplicity
+            if type(p) is not int or type(a) is not int:
+                raise TypeError(f"cabling pair ({p!r},{a!r}) must be integers")
             if p < 2:
                 raise ValueError(f"cabling multiplicity {p} must be >= 2")
             if a < 1:
@@ -81,6 +84,8 @@ class SurgerySpec:
     n: int
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            raise TypeError(f"surgery coefficient {self.n!r} must be an integer")
         if self.n == 0:
             raise ValueError("surgery coefficient must be nonzero")
 
@@ -94,7 +99,7 @@ class SurgerySpec:
 
     @classmethod
     def from_json_obj(cls, obj) -> "SurgerySpec":
-        return cls(CableTower(tuple(tuple(p) for p in obj["pairs"])), int(obj["n"]))
+        return cls(CableTower(tuple(tuple(p) for p in obj["pairs"])), obj["n"])
 
 
 def corner_weight(p: int, a: int) -> int:

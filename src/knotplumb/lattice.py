@@ -64,7 +64,7 @@ limit.
 A node budget turns an over-long search into an explicit indeterminate
 outcome, never a wrong answer.
 
-Vertices are placed in one fixed depth-first order (placement_order), so
+Vertices are placed in one fixed depth-first order (_depth_first), so
 each vertex after the first of its component is placed next to one
 already placed.  The order affects speed only, never the verdict.
 
@@ -112,8 +112,8 @@ def _adjacency(gram):
     return [frozenset(compress(cols, row)) - {i} for i, row in enumerate(gram)]
 
 
-def placement_order(gram) -> list:
-    """Order in which the search places vertices.
+def _depth_first(adj):
+    """Order in which the search places vertices, given their neighbours.
 
     Depth-first preorder from the lowest index, neighbours visited in
     ascending index, each further component started at its lowest
@@ -122,10 +122,6 @@ def placement_order(gram) -> list:
     prune candidates from the start.  Any complete order gives the same
     verdict; the order only affects speed.
     """
-    return _depth_first(_adjacency(gram))
-
-
-def _depth_first(adj):
     placed = [False] * len(adj)
     order = []
     for root in range(len(adj)):
@@ -499,12 +495,15 @@ def _padded(vectors, extra):
 
 def _check_gram(gram, rank=None):
     """Validate the search input; returns the target rank."""
+    # looked up per call, so perfbench's patch of plumbing's attribute spans it
     from .plumbing import is_negative_definite
 
     if not is_negative_definite(gram):  # ValueError if not square
         # embeddings into -Id exist only for negative-definite forms
         raise ValueError("intersection form is not negative definite")
-    r = len(gram) if rank is None else int(rank)
+    r = len(gram) if rank is None else rank
+    if type(r) is not int:  # int() would search rank 2 for 2.9, rank 1 for True
+        raise TypeError(f"rank must be an integer, got {r!r}")
     if r < 1:
         raise ValueError(f"rank must be at least 1, got {r}")
     if r > sys.maxsize:
@@ -578,8 +577,12 @@ def embedding_to_json_obj(vectors) -> dict:
 
 
 def embedding_from_json_obj(obj) -> tuple:
+    """Vectors of an embedding_to_json_obj object; TypeError unless rank
+    and every entry are ints, since truncation could make a non-witness verify."""
     rank = obj["rank"]
-    vectors = tuple(tuple(int(x) for x in v) for v in obj["vectors"])
+    vectors = tuple(tuple(v) for v in obj["vectors"])
+    if type(rank) is not int or any(type(x) is not int for v in vectors for x in v):
+        raise TypeError("witness rank and entries must be integers")
     if any(len(v) != rank for v in vectors):
         raise ValueError("vector length disagrees with declared rank")
     return vectors

@@ -25,9 +25,9 @@ that vertex and the denominator the product of its children's.  A leaf
 whose diagonal has become 0 cannot be a pivot; it is expanded away with its
 neighbour instead, det S = -a^2 det(S - {leaf, neighbour}), and the form is
 then indefinite.  A matrix whose off-diagonal support has a cycle, or that
-is not symmetric, has no leaf order to follow and takes fraction-free
-(Bareiss) elimination instead.  Entries must be ints: a float, Fraction or
-bool entry raises TypeError instead of being truncated.
+is not symmetric, has no leaf order to follow and takes one fraction-free
+(Bareiss) pass instead, which gives both answers.  Entries must be ints: a
+float, Fraction or bool entry raises TypeError instead of being truncated.
 """
 
 import json
@@ -41,24 +41,31 @@ class InvalidMoveError(ValueError):
 class WeightedTree:
     """Immutable finite tree with integer vertex weights.
 
-    Vertices are identified by arbitrary integer ids.  The edge set must
-    form a tree (connected and acyclic) on the vertex set; the empty tree
-    is disallowed.
+    Vertices are arbitrary integer ids, each given once with its weight,
+    as a dict or as (id, weight) pairs.  The edge set must form a tree
+    (connected and acyclic) on them; the empty tree is disallowed.  This
+    constructor is the one check of a tree from outside input.
     """
 
     __slots__ = ("_weights", "_edges", "_adj", "_form")
 
     def __init__(self, weights, edges):
-        w = dict(weights)
-        if not w:
-            raise ValueError("the empty tree is not a plumbing")
-        # type(x) is int: a bool (JSON true) must not pass for 1
-        for v, wt in w.items():
+        w = {}
+        for v, wt in weights.items() if isinstance(weights, dict) else weights:
+            # type(x) is int: a bool (JSON true) must not pass for 1
             if type(v) is not int or type(wt) is not int:
                 raise TypeError("vertex ids and weights must be integers")
+            if v in w:  # a dict would keep the last weight only
+                raise ValueError(f"duplicate vertex id {v}")
+            w[v] = wt
+        if not w:
+            raise ValueError("the empty tree is not a plumbing")
         es = set()
         adj = {v: set() for v in w}
         for a, b in edges:
+            # True or 1.0 would find vertex 1 and be stored as an end
+            if type(a) is not int or type(b) is not int:
+                raise TypeError("edge ends must be integer vertex ids")
             if a not in w or b not in w:
                 raise ValueError(f"edge ({a},{b}) references a missing vertex")
             if a == b:
@@ -154,15 +161,7 @@ class WeightedTree:
     @classmethod
     def from_json(cls, text: str) -> "WeightedTree":
         obj = json.loads(text)
-        edges = [tuple(e) for e in obj["edges"]]
-        if any(type(v) is not int for e in edges for v in e):
-            raise TypeError("edge ends must be integer vertex ids")
-        weights = {}
-        for item in obj["vertices"]:
-            if item["id"] in weights:  # a dict would keep the last weight only
-                raise ValueError(f"duplicate vertex id {item['id']}")
-            weights[item["id"]] = item["weight"]
-        return cls(weights, edges)
+        return cls([(v["id"], v["weight"]) for v in obj["vertices"]], obj["edges"])
 
     def to_dot(self, roles=None) -> str:
         """GraphViz rendering with weights as labels.
@@ -305,15 +304,39 @@ def _eliminate(num, adj):
     return det, negative
 
 
-def _integer_rows(matrix):
-    """A mutable copy of the matrix rows; ValueError unless the matrix is
-    square, TypeError unless every entry is an int (type(x) is int, so
-    not a bool)."""
-    if any(len(row) != len(matrix) for row in matrix):
+def _bareiss(matrix):
+    """(det, negative definite) of a square integer matrix by one
+    fraction-free (Bareiss) pass, swapping in a lower row at a zero pivot;
+    ValueError unless square, TypeError unless every entry is an int
+    (type(x) is int, so not a bool).  Until the first swap, pivot k is the
+    k-th leading principal minor, so a symmetric matrix is negative
+    definite exactly when no swap was needed and the pivots alternate in
+    sign, negative first (Sylvester's criterion).  O(n^3)."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
     if any(type(x) is not int for row in matrix for x in row):
         raise TypeError("matrix entries must be integers")
-    return [list(row) for row in matrix]
+    m = [list(row) for row in matrix]
+    sign = prev = 1
+    negative = True
+    for k in range(n):
+        if m[k][k] == 0:
+            negative = False
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0, False
+        pivot = m[k][k]
+        negative = negative and (pivot > 0 if k % 2 else pivot < 0)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+        prev = pivot
+    return sign * prev, negative
 
 
 def det_exact(matrix) -> int:
@@ -321,35 +344,13 @@ def det_exact(matrix) -> int:
 
     A symmetric matrix whose off-diagonal support is a forest -- the
     intersection form of any plumbing, or a disjoint union of them -- is
-    done by integer leaf elimination (_forest_elimination) in O(n) steps.
-    A matrix that elimination cannot finish, one with a cycle in its
-    support or an asymmetric one, takes fraction-free (Bareiss)
-    elimination, O(n^3).  Raises TypeError if an entry either path reads
-    is not an int (a bool, float or Fraction), rather than truncating it,
-    and ValueError if the matrix is not square.
+    done by integer leaf elimination (_forest_elimination) in O(n) steps;
+    any other, one with a cycle in its support or an asymmetric one, by
+    one Bareiss pass (_bareiss), O(n^3).  Raises TypeError if an entry
+    either path reads is not an int (a bool, float or Fraction), rather
+    than truncating it, and ValueError if the matrix is not square.
     """
-    forest = _forest_elimination(matrix)
-    if forest is not None:
-        return forest[0]
-    n = len(matrix)
-    m = _integer_rows(matrix)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return (_forest_elimination(matrix) or _bareiss(matrix))[0]
 
 
 def is_negative_definite(matrix) -> bool:
@@ -357,34 +358,18 @@ def is_negative_definite(matrix) -> bool:
 
     A forest-supported matrix is decided by integer leaf elimination
     (_forest_elimination) in O(n) steps: definite exactly when every
-    pivot is negative and no zero pivot had to be expanded away.  A
-    symmetric matrix that elimination cannot finish (a cycle in its
-    support) takes the Sylvester test, (-1)^k times the k-th leading
-    principal minor > 0 for all k, in one Bareiss pass without row swaps,
-    whose k-th pivot is the k-th leading minor; it stops at the first
-    minor of the wrong sign (or zero), O(n^3) in all.  Raises TypeError
-    if an entry read is not an int, and ValueError if the matrix is not
-    square or not symmetric.
+    pivot is negative and no zero pivot had to be expanded away; any
+    other symmetric matrix (a cycle in its support) by the Sylvester test
+    on the pivots of det_exact's Bareiss pass (_bareiss), O(n^3).  Raises
+    TypeError if an entry read is not an int, and ValueError if the matrix
+    is not square or not symmetric.
     """
-    forest = _forest_elimination(matrix)
-    if forest is not None:
-        return forest[1]
-    m = _integer_rows(matrix)
-    n = len(m)
-    for i in range(n):
-        for j in range(n):
-            if m[i][j] != m[j][i]:
-                raise ValueError("matrix is not symmetric")
-    prev = 1
-    for k in range(n):
-        pivot = m[k][k]
-        if (pivot if k % 2 else -pivot) <= 0:
-            return False
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-        prev = pivot
-    return True
+    result = _forest_elimination(matrix)
+    if result is None:
+        result = _bareiss(matrix)
+        if any(row[j] != matrix[j][i] for i, row in enumerate(matrix) for j in range(i)):
+            raise ValueError("matrix is not symmetric")
+    return result[1]
 
 
 # -- calculus moves ---------------------------------------------------------

@@ -29,3 +29,22 @@ def test_layer_patch_targets_exist(workloads):
     for module, attr, span in workloads.LAYER_PATCHES:
         target = getattr(module, attr, None)
         assert callable(target), f"{module.__name__}.{attr} (span {span})"
+
+
+def test_search_check_is_seen_by_the_plumbing_span(monkeypatch):
+    # lattice._check_gram looks is_negative_definite up on plumbing at call
+    # time, so the span LAYER_PATCHES puts there times the search's check
+    from knotplumb import lattice, plumbing
+
+    calls = []
+    check = plumbing.is_negative_definite
+
+    def counted(matrix):
+        calls.append(len(matrix))
+        return check(matrix)
+
+    monkeypatch.setattr(plumbing, "is_negative_definite", counted)
+    grams = ([[-2]], [[-2, 1], [1, -2]], [[-2, 1, 0], [1, -2, 1], [0, 1, -2]])
+    for gram in grams:
+        lattice.find_embedding(gram)
+    assert calls == [1, 2, 3]

@@ -39,6 +39,12 @@ class TestCableTower:
         assert CableTower(((2, 3), (2, 13))).is_algebraic()
         assert not CableTower(((2, 3), (2, 11))).is_algebraic()
 
+    def test_rejects_non_integer_parameters(self):
+        # int() would read ((2.9, 3), (2, 17.5)) as ((2, 3), (2, 17))
+        for pairs in (((2.9, 3), (2, 17.5)), ((2, 3), (2, 17.0)), ((True, 3),), (("2", 3),)):
+            with pytest.raises(TypeError, match="must be integers"):
+                CableTower(pairs)
+
 
 class TestCornerWeight:
     def test_worked_examples(self):
@@ -232,3 +238,12 @@ class TestTwoIterParameters:
     def test_json_round_trip(self):
         spec = SurgerySpec(CableTower(((2, 3), (2, 17))), 36)
         assert SurgerySpec.from_json_obj(spec.to_json_obj()) == spec
+
+    def test_rejects_non_integer_coefficient(self):
+        # a float n used to pass here and fail deep inside classify_one
+        knot = CableTower(((2, 3), (2, 17)))
+        for n in (36.0, True, "36"):
+            with pytest.raises(TypeError, match="must be an integer"):
+                SurgerySpec(knot, n)
+            with pytest.raises(TypeError, match="must be an integer"):
+                SurgerySpec.from_json_obj({"pairs": [[2, 3], [2, 17]], "n": n})

@@ -254,6 +254,7 @@ BAD_INPUTS = {
     "graph-not-connected": ["embed", "triangle.json"],
     "graph-bool-weight": ["embed", "weight-bool.json"],
     "graph-bool-id": ["embed", "id-bool.json"],
+    "graph-bool-edge": ["embed", "edge-bool.json"],
     "graph-duplicate-id": ["embed", "dupid.json"],
     "rank-zero": ["embed", "chain3.json", "--rank", "0"],
     "rank-huge": ["embed", "chain3.json", "--rank", "99999999999999999999"],
@@ -307,6 +308,9 @@ def test_bad_input_is_an_error_not_a_traceback(tmp_path, argv):
     )
     (tmp_path / "id-bool.json").write_text(
         json.dumps({"vertices": [{"id": True, "weight": -2}], "edges": []})
+    )
+    (tmp_path / "edge-bool.json").write_text(
+        json.dumps({"vertices": vertices, "edges": [[0, True]]})
     )
     (tmp_path / "dupid.json").write_text(
         json.dumps({"vertices": [{"id": 0, "weight": -2}, {"id": 0, "weight": -3}], "edges": []})

@@ -21,7 +21,6 @@ from knotplumb.lattice import (
     find_embedding,
     is_locally_minimal,
     matrix_canonical_form,
-    placement_order,
     render_vector,
     verify_embedding,
 )
@@ -278,6 +277,17 @@ class TestFindEmbedding:
             find_embedding(chain_gram(2), rank=0)
         with pytest.raises(ValueError):
             enumerate_embeddings(chain_gram(2), rank=0)
+
+    def test_rejects_non_integer_rank(self):
+        # int() searched rank 2 for 2.9, and reported NONE where rank 3
+        # finds a witness; True searched rank 1
+        g = [[-2, 1], [1, -2]]
+        assert find_embedding(g, rank=3).status is SearchStatus.FOUND
+        for rank in (2.9, 3.0, True, "3"):
+            with pytest.raises(TypeError, match="rank must be an integer"):
+                find_embedding(g, rank=rank)
+            with pytest.raises(TypeError, match="rank must be an integer"):
+                enumerate_embeddings(g, rank=rank)
 
     def test_monotone_in_rank(self):
         rng = random.Random(9)
@@ -718,6 +728,21 @@ class TestPresentation:
         assert obj["rank"] == 3
         assert embedding_from_json_obj(obj) == vectors
 
+    def test_json_rejects_non_integer_entries(self):
+        # int() read [[1.5, -1.2]] as ((1, -1),), which verifies against [[-2]]
+        assert verify_embedding([[-2]], ((1, -1),))
+        for obj in (
+            {"rank": 2, "vectors": [[1.5, -1.2]]},
+            {"rank": 2, "vectors": [[1.0, -1]]},
+            {"rank": 2, "vectors": [[True, -1]]},
+            {"rank": 2, "vectors": [["1", -1]]},
+            {"rank": 2, "vectors": ["1-"]},
+            {"rank": 2.0, "vectors": [[1, -1]]},
+            {"rank": "2", "vectors": [[1, -1]]},
+        ):
+            with pytest.raises(TypeError, match="must be integers"):
+                embedding_from_json_obj(obj)
+
 
 class TestPlacementOrder:
     def test_each_vertex_after_the_first_has_a_placed_neighbour(self):
@@ -727,7 +752,7 @@ class TestPlacementOrder:
             perm = list(range(len(g)))
             rng.shuffle(perm)
             g = relabel(g, perm)
-            order = placement_order(g)
+            order = lattice._Searcher(g, len(g)).order
             assert sorted(order) == list(range(len(g)))
             assert order[0] == 0
             for k in range(1, len(order)):
@@ -738,12 +763,12 @@ class TestPlacementOrder:
         g = [[-2 if i == j else 0 for j in range(7)] for i in range(7)]
         for a, b in ((2, 0), (2, 1), (2, 3), (4, 6), (6, 5)):
             g[a][b] = g[b][a] = 1
-        assert placement_order(g) == [0, 2, 1, 3, 4, 6, 5]
+        assert lattice._Searcher(g, len(g)).order == [0, 2, 1, 3, 4, 6, 5]
 
     def test_identity_on_closed_form(self):
         spec = SurgerySpec(CableTower(((2, 3), (2, 17))), 36)
         g = gram_matrix(closed_form_two_iter(spec))
-        assert placement_order(g) == list(range(len(g)))
+        assert lattice._Searcher(g, len(g)).order == list(range(len(g)))
 
 
 @settings(max_examples=40, deadline=None)

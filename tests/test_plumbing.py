@@ -93,6 +93,27 @@ class TestWeightedTree:
         with pytest.raises(ValueError, match="duplicate vertex id 0"):
             WeightedTree.from_json(text)
 
+    def test_rejects_duplicate_id_given_as_pairs(self):
+        # dict(pairs) would keep {0: -3} and drop the first vertex
+        with pytest.raises(ValueError, match="duplicate vertex id 0"):
+            WeightedTree([(0, -2), (0, -3)], [])
+        with pytest.raises(ValueError, match="duplicate vertex id 1"):
+            WeightedTree([(0, -2), (1, -2), (1, -2)], [(0, 1)])
+        assert WeightedTree([(0, -2), (1, -3)], [(0, 1)]) == path_tree([-2, -3])
+
+    @pytest.mark.parametrize("end", [True, 1.0])
+    def test_rejects_non_integer_edge_ends(self, end):
+        # True and 1.0 both find vertex 1 in a dict and were stored as
+        # edge ends: to_json then wrote [0, true], which from_json rejects
+        with pytest.raises(TypeError, match="edge ends must be integer vertex ids"):
+            WeightedTree({0: -2, 1: -2}, [(0, end)])
+        text = json.dumps({
+            "vertices": [{"id": 0, "weight": -2}, {"id": 1, "weight": -2}],
+            "edges": [[0, end]],
+        })
+        with pytest.raises(TypeError, match="edge ends must be integer vertex ids"):
+            WeightedTree.from_json(text)
+
     def test_json_round_trip(self):
         t = path_tree([-2, -3, -5])
         assert WeightedTree.from_json(t.to_json()) == t
@@ -324,7 +345,8 @@ class TestForestElimination:
         assert outcomes == {(True, False), (False, False), (False, True)}
 
     def test_cyclic_fallback_matches_minors(self):
-        # one Bareiss pass, stopped at the first minor of the wrong sign
+        # the Bareiss pass behind det_exact decides definiteness too: its
+        # pivots are the leading minors until it first swaps rows
         rng = random.Random(61)
         kinds = Counter()
         for _ in range(400):
@@ -350,6 +372,36 @@ class TestForestElimination:
             kinds[det == 0, negdef] += 1
         assert set(kinds) == {(True, False), (False, False), (False, True)}, kinds
         assert min(kinds.values()) >= 20, kinds
+
+    def test_bareiss_swaps_rows_at_zero_pivots(self):
+        # cycle-supported and asymmetric matrices kept only when a leading
+        # minor vanishes, so the pass meets a zero pivot: it must swap in a
+        # lower row there, or stop at a zero column
+        rng = random.Random(71)
+        kinds = Counter()
+        for _ in range(4000):
+            n = rng.randint(2, 7)
+            m = [[0] * n for _ in range(n)]
+            symmetric = rng.random() < 0.5
+            for i in range(n):
+                for j in range(i if symmetric else 0, n):
+                    if i == j or rng.random() < 0.5:
+                        m[i][j] = rng.randint(-2, 1)
+                        if symmetric:
+                            m[j][i] = m[i][j]
+            minors = leading_principal_minors(m)
+            if 0 not in minors or plumbing._forest_elimination(m) is not None:
+                continue
+            det = det_exact(m)
+            assert det == bareiss_det(m) == cofactor_det(m), m
+            if m == [list(col) for col in zip(*m)]:
+                assert (is_negative_definite(m), minors_negative_definite(m)) == (False, False)
+            else:
+                with pytest.raises(ValueError, match="not symmetric"):
+                    is_negative_definite(m)
+            kinds[symmetric, min(minors.index(0), 2), det != 0] += 1
+        # both kinds, a first zero pivot at k = 0, 1 and >= 2, singular or not
+        assert len(kinds) == 12 and min(kinds.values()) >= 10, kinds
 
 
 class TestFormInvariants:
