@@ -244,7 +244,8 @@ def _embed_input(args):
             tree = WeightedTree.from_json(json.dumps(obj))
         except OSError as exc:
             raise CliError(f"cannot read graph: {exc}")
-        except (ValueError, TypeError, KeyError) as exc:
+        except (ValueError, TypeError, KeyError, RecursionError) as exc:
+            # RecursionError: json.load on deeply nested arrays or objects
             raise CliError(f"{args.graph_file}: not a plumbing tree: {exc!r}")
         name = os.path.splitext(os.path.basename(args.graph_file))[0]
         return tree, name

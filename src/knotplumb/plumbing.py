@@ -542,7 +542,11 @@ def reduce_tree(tree: WeightedTree) -> WeightedTree:
     and yield isomorphic results, which makes the fixed point independent
     of the vertex labelling -- the normal form is a property of the graph,
     not of the order the moves happen to be found in.  On identical input
-    the run is deterministic byte for byte.
+    the run is deterministic byte for byte.  No encoding is built: a step
+    with several sites compares them with _SiteOrder, which reads that
+    order off the tree, stops at the first difference and keeps nothing
+    past the step, and a step with one site compares nothing.  Neither
+    recurses, so a tree of any depth reduces.
 
     Termination: the measure reduction_measure (vertex count plus total
     positive weight) strictly decreases at every step.  Flattening a leaf
@@ -563,7 +567,6 @@ def reduce_tree(tree: WeightedTree) -> WeightedTree:
     """
     t = tree
     measure = reduction_measure(t)
-    memo = {}
     while True:
         for finder, move in (
             (_flatten_sites, flatten_positive_leaf),
@@ -572,15 +575,7 @@ def reduce_tree(tree: WeightedTree) -> WeightedTree:
         ):
             sites = finder(t)
             if sites:
-                if len(sites) == 1:
-                    (site,) = sites
-                else:
-                    site = min(sites, key=lambda v: (_rooted_encoding(t, v, memo), v))
-                    for v in sites:
-                        memo.pop((v, None), None)
-                moved = move(t, site)
-                _drop_stale(memo, t, moved)
-                t = moved
+                t = move(t, sites[0] if len(sites) == 1 else _SiteOrder(t).least(sites))
                 break
         else:
             return t
@@ -593,57 +588,96 @@ def reduce_tree(tree: WeightedTree) -> WeightedTree:
 # -- canonical forms and isomorphism ----------------------------------------
 
 
-def _rooted_encoding(tree, root, memo):
-    """Nested encoding (weight, sorted child encodings) of the tree rooted
-    at root; reduce_tree orders its candidate sites by it.
+class _SiteOrder:
+    """The order of reduce_tree's candidate sites in one tree: by the nested
+    encoding (weight, sorted child encodings) of the tree rooted at each,
+    vertex id as the final tiebreak, with no encoding built.
 
-    memo maps (vertex, parent) to the encoding of the branch at vertex
-    away from parent, the whole tree under (root, None).  It is closed
-    under children: a branch is entered only after every branch below it.
-    Calls that share a memo build each branch once, so the encodings from
-    several roots share every branch they have in common.  reduce_tree
-    keeps one memo across all the moves of a reduction and drops what
-    each move made stale (_drop_stale), so a step re-encodes only the
-    branches that reach from its sites to where the last move changed
-    the tree.
+    Branches are compared as those tuples are: weight first, then the
+    children least first, pair by pair, a shorter list sorting first where
+    one is a prefix of the other.  A comparison stops at the first
+    difference, and a branch's children are put in order only when a
+    comparison reaches that branch, then kept for the life of this object,
+    which is one step of reduce_tree: the tree does not change under it,
+    so nothing it keeps goes stale.  Ordering children needs comparisons
+    and comparing needs ordered children, so both are generator tasks that
+    yield the task they wait on; _run drives them from a list, so a
+    comparison costs no Python frames however deep the tree.
     """
-    adj, weights = tree._adj, tree._weights
-    todo = [(root, None)]
-    for v, parent in todo:  # breadth first; the list grows as it is read
-        todo.extend((c, v) for c in adj[v] if c != parent and (c, v) not in memo)
-    for v, parent in reversed(todo):
-        memo[v, parent] = (
-            weights[v],
-            tuple(sorted([memo[c, v] for c in adj[v] if c != parent])),
-        )
-    return memo[root, None]
+
+    __slots__ = ("_weights", "_adj", "_children")
+
+    def __init__(self, tree):
+        self._weights = tree._weights
+        self._adj = tree._adj
+        self._children = {}  # branch (vertex, parent) -> children, least first
+
+    def least(self, sites):
+        """min(sites, key=(encoding of the tree rooted at v, v))."""
+        weights = self._weights
+        best = sites[0]
+        for v in sites[1:]:
+            d = weights[v] - weights[best] or _run(self._compare(v, None, best, None))
+            if d < 0 or d == 0 and v < best:
+                best = v
+        return best
+
+    def _compare(self, x, px, y, py):
+        """Task: negative, zero or positive as the branch at x away from px
+        sorts below, level with or above the branch at y away from py, the
+        two of equal weight."""
+        xs = self._children.get((x, px))
+        if xs is None:
+            xs = yield self._order(x, px)
+        ys = self._children.get((y, py))
+        if ys is None:
+            ys = yield self._order(y, py)
+        weights = self._weights
+        for a, b in zip(xs, ys):
+            d = weights[a] - weights[b] or (yield self._compare(a, x, b, y))
+            if d:
+                return d
+        return len(xs) - len(ys)
+
+    def _order(self, v, parent):
+        """Task: the children of the branch at v away from parent, least
+        first, by binary insertion; kept for later comparisons."""
+        kids = []
+        weights = self._weights
+        for c in self._adj[v]:
+            if c != parent:
+                lo, hi = 0, len(kids)
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    k = kids[mid]
+                    d = weights[c] - weights[k] or (yield self._compare(c, v, k, v))
+                    if d < 0:
+                        hi = mid
+                    else:
+                        lo = mid + 1
+                kids.insert(lo, c)
+        self._children[v, parent] = kids
+        return kids
 
 
-def _drop_stale(memo, old, new):
-    """Forget the entries of a _rooted_encoding memo that stop holding when
-    the tree old becomes new by one move.
-
-    A vertex is touched when the move changed its weight, created or
-    deleted it, or changed one of its edges.  A branch of old stays valid
-    in new when its side holds no touched vertex (its own edge then
-    survives too).  The branches holding a touched vertex u are found
-    walking out from u: (u, y) for each neighbour y, then (y, z) for z
-    beyond y, and so on.  The walk goes past (x, y) only where that entry
-    was present, since an entry further out would have (x, y) as a child.
-    Edges the move added get both their keys dropped too.
-    """
-    changed = old._edges ^ new._edges
-    touched = {v for e in changed for v in e}
-    touched.update(v for v, _ in old._weights.items() ^ new._weights.items())
-    adj = old._adj
-    todo = [(u, y) for u in touched if u in adj for y in adj[u]]
-    while todo:
-        x, y = todo.pop()
-        if memo.pop((x, y), None) is not None:
-            todo.extend((y, z) for z in adj[y] if z != x)
-    for a, b in changed:
-        memo.pop((a, b), None)
-        memo.pop((b, a), None)
+def _run(task):
+    """The value a generator task returns, where each value it yields is a
+    sub-task whose result is sent back to it: a call stack kept in a list,
+    not in Python frames."""
+    waiting = []
+    value = None
+    while True:
+        try:
+            sub = task.send(value)
+        except StopIteration as done:
+            if not waiting:
+                return done.value
+            task = waiting.pop()
+            value = done.value
+        else:
+            waiting.append(task)
+            task = sub
+            value = None
 
 
 def _preorder(tree, root):

@@ -256,6 +256,7 @@ BAD_INPUTS = {
     "graph-bool-id": ["embed", "id-bool.json"],
     "graph-bool-edge": ["embed", "edge-bool.json"],
     "graph-duplicate-id": ["embed", "dupid.json"],
+    "graph-deeply-nested": ["embed", "nested.json"],
     "rank-zero": ["embed", "chain3.json", "--rank", "0"],
     "rank-huge": ["embed", "chain3.json", "--rank", "99999999999999999999"],
     "rank-zero-enumerate": ["embed", "chain3.json", "--rank", "0", "--enumerate"],
@@ -315,6 +316,7 @@ def test_bad_input_is_an_error_not_a_traceback(tmp_path, argv):
     (tmp_path / "dupid.json").write_text(
         json.dumps({"vertices": [{"id": 0, "weight": -2}, {"id": 0, "weight": -3}], "edges": []})
     )
+    (tmp_path / "nested.json").write_text("[" * 100_000)
     (tmp_path / "notutf8.cfg").write_bytes(b"\xff\xfe\x00bad")
     (tmp_path / "workers.cfg").write_text("workers=abc\n")
     (tmp_path / "order.cfg").write_text("order=weight\n")
@@ -326,7 +328,7 @@ def test_bad_input_is_an_error_not_a_traceback(tmp_path, argv):
     res = run_cli(*argv)
     assert res.returncode == 1, res.stdout + res.stderr
     assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr, res.stderr
-    if argv[1].endswith(("bool.json", "triangle.json", "dupid.json")):
+    if argv[1].endswith(("bool.json", "triangle.json", "dupid.json", "nested.json")):
         assert ": not a plumbing tree: " in res.stderr, res.stderr
     if argv[1].endswith("notutf8.cfg"):
         assert res.stderr.startswith("error: cannot read config: "), res.stderr

@@ -38,6 +38,7 @@ from oracles import (
     relabel,
     signature,
 )
+from test_lattice import run_child
 
 
 THREE_ITERATION_SPECS = [
@@ -53,6 +54,37 @@ THREE_ITERATION_SPECS = [
 def path_tree(weights):
     ids = list(range(len(weights)))
     return WeightedTree(dict(zip(ids, weights)), list(zip(ids, ids[1:])))
+
+
+def caterpillar(spine, ones):
+    """A -2 path 0..spine-1 with one -2 leg at each vertex, except at the
+    vertices in ones, which weigh -1 and have valence 2: blow-down sites."""
+    weights = {v: -1 if v in ones else -2 for v in range(spine)}
+    edges = [(v, v + 1) for v in range(spine - 1)]
+    for v in range(spine):
+        if v not in ones:
+            leg = len(weights)
+            weights[leg] = -2
+            edges.append((v, leg))
+    return WeightedTree(weights, edges)
+
+
+def binary_tree(depth, ones):
+    """A complete binary -2 tree of the given depth (vertex i has children
+    2i + 1 and 2i + 2), with a -1 dividing the edge above each vertex in
+    ones: blow-down sites."""
+    n = 2 ** (depth + 1) - 1
+    weights = dict.fromkeys(range(n), -2)
+    edges = []
+    for c in range(1, n):
+        parent = (c - 1) // 2
+        if c in ones:
+            mid = len(weights)
+            weights[mid] = -1
+            edges += [(parent, mid), (mid, c)]
+        else:
+            edges.append((parent, c))
+    return WeightedTree(weights, edges)
 
 
 class TestWeightedTree:
@@ -695,26 +727,67 @@ class TestReduce:
         for p1, a1, p2, a2, n in family:
             trees.append(raw_plumbing(SurgerySpec(CableTower(((p1, a1), (p2, a2))), n)))
         trees += [raw_plumbing(spec) for spec in THREE_ITERATION_SPECS]
+        # ties that go deep: sites placed symmetrically have equal
+        # encodings, walked to the end and settled by vertex id; one vertex
+        # off symmetry, they differ only far down, where one branch runs
+        # out of children first
+        deep = [caterpillar(30, ones) for ones in ({7, 22}, {7, 21}, {4, 14, 25}, {4, 15, 25})]
+        deep += [caterpillar(29, ones) for ones in ({9, 19}, {1, 14, 27}, {1, 14, 26})]
+        deep += [binary_tree(4, ones) for ones in ({1, 2}, {15, 30}, {7, 10, 13}, {15, 29})]
+        deep += [binary_tree(4, ones) for ones in ({3, 6}, {1, 5, 6}, {3, 4, 6}, {16, 21, 28})]
+        trees += deep + [dense(t) for t in deep]
         for t in trees:
             assert reduce_tree(t).to_json() == reference_reduce_tree(t).to_json()
 
-    def test_branch_encodings_are_kept_across_moves(self, monkeypatch):
-        # a count, not a time: re-encoding the whole tree at every step
-        # built 1901, 3769 and 3597 branch encodings on these towers
-        real = plumbing._rooted_encoding
-        built = []
+    def test_site_order_orders_few_branches(self, monkeypatch):
+        # a count, not a time: the encoding memo kept across moves built
+        # 579, 1049 and 801 branch encodings on these towers (re-encoding
+        # the whole tree at every step, 1901, 3769 and 3597); the lazy
+        # comparison orders the children of only the branches it reaches
+        real = plumbing._SiteOrder._order
+        ordered = []
 
-        def counting(tree, root, memo):
-            size = len(memo)
-            encoding = real(tree, root, memo)
-            built[-1] += len(memo) - size
-            return encoding
+        def counting(self, v, parent):
+            ordered[-1] += 1
+            return (yield from real(self, v, parent))
 
-        monkeypatch.setattr(plumbing, "_rooted_encoding", counting)
-        for spec, rebuilt in zip(THREE_ITERATION_SPECS, (1901, 3769, 3597)):
-            built.append(0)
+        monkeypatch.setattr(plumbing._SiteOrder, "_order", counting)
+        for spec, memo_built in zip(THREE_ITERATION_SPECS, (579, 1049, 801)):
+            ordered.append(0)
             reduce_tree(raw_plumbing(spec))
-            assert 0 < built[-1] <= rebuilt // 2
+            assert 0 < ordered[-1] <= memo_built // 3
+
+    @pytest.mark.parametrize(
+        "tree, size, weights",
+        [
+            # a path: the compared branches are 700 and 699 vertices deep
+            (path_tree([-2] * 700 + [-1] + [-2] * 99 + [-1] + [-2] * 699), 1492, {-3: 2, -2: 1490}),
+            # the two blow-downs leave their spine neighbours at -1, valence 3
+            (caterpillar(1200, {595, 605}), 2396, {-2: 2392, -1: 4}),
+        ],
+        ids=["path-1500", "caterpillar-1200"],
+    )
+    def test_deep_trees_use_no_python_frames(self, tmp_path, tree, size, weights):
+        # under a recursion limit far below the depth of either tree;
+        # comparing nested encodings raised RecursionError at the default
+        path = tmp_path / "tree.json"
+        path.write_text(tree.to_json())
+        code = (
+            "import json, sys\n"
+            "from collections import Counter\n"
+            "from knotplumb.plumbing import WeightedTree, form_invariants, reduce_tree\n"
+            f"tree = WeightedTree.from_json(open({str(path)!r}).read())\n"
+            "sys.setrecursionlimit(60)\n"
+            "red = reduce_tree(tree)\n"
+            "dets = [abs(form_invariants(t)[0]) for t in (tree, red)]\n"
+            "print(json.dumps([len(red), Counter(red.weights.values()), dets[0] == dets[1]]))\n"
+        )
+        res = run_child(code)
+        assert res.returncode == 0, res.stderr
+        count, histogram, det_kept = json.loads(res.stdout)
+        assert count == size
+        assert {int(w): k for w, k in histogram.items()} == weights
+        assert det_kept
 
     def test_preserves_det_through_full_reduction(self):
         spec = SurgerySpec(CableTower(((2, 7), (2, 31))), 64)
