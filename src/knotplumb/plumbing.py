@@ -9,9 +9,13 @@ move flattening a positive leaf next to a -1 into a chain of -2's) all
 preserve the boundary 3-manifold and hence the absolute value of the
 determinant of the intersection form.
 
-Trees are immutable values: every move returns a new tree, so instances can
-be shared freely between worker processes.  All linear algebra is exact
-integer arithmetic on integer matrices.
+Trees are immutable values: every public move returns a new tree, so
+instances can be shared freely between worker processes.  Each move is
+written once, as a rewiring of a mutable working copy; a public move runs
+it on a copy of its tree, and reduce_tree on the one copy it keeps for a
+whole reduction, updating each move class's sites only around the
+vertices a move touched and freezing the copy into a tree at the end.
+All linear algebra is exact integer arithmetic on integer matrices.
 
 The determinant and the negative-definiteness test (form_invariants, run
 once per tree and kept on it) take the tree's own route: a leaf is
@@ -251,14 +255,18 @@ def _eliminate(num, adj):
     num[p] is then, up to sign, the determinant of the subtree eliminated
     into p (a continuant of the plumbing calculus) and den[p] the product
     of its children's, so no entry outgrows the minors it stands for and
-    no gcd is taken.  The determinant is the product of the pivots,
-    divided out once at the end.  The matrix is negative definite exactly
-    when every pivot numerator is negative and the zero rule never fired.
-    O(n) integer steps.
+    no gcd is taken.  The determinant is the product of the pivots, kept
+    as an integer: a pivot's denominator is divided out when the pivot is
+    taken, exactly, since it is the product of the |d| of the children,
+    whose numerators are already factors of the product.  So the product
+    holds the continuants of the subtrees not yet joined, not a product
+    of every pivot's.  The matrix is negative definite exactly when every
+    pivot numerator is negative and the zero rule never fired.  O(n)
+    integer steps.
     """
     n = len(num)
     den = [1] * n
-    det_num = det_den = 1
+    det = 1
     negative = True
     left = n
     alive = [True] * n
@@ -275,7 +283,7 @@ def _eliminate(num, adj):
             ((p, a),) = adj[v].items()
             del adj[p][v]
             if d == 0:
-                det_num *= -a * a
+                det *= -a * a
                 negative = False
                 alive[p] = False
                 left -= 1
@@ -293,14 +301,12 @@ def _eliminate(num, adj):
                 den[p] *= -d
             if len(adj[p]) <= 1:
                 leaves.append(p)
-        det_num *= d
-        det_den *= q
+        det, rest = divmod(det * d, q)
+        if rest:
+            raise AssertionError("leaf elimination left a fractional determinant")
         negative = negative and d < 0
     if left:
         return None
-    det, rest = divmod(det_num, det_den)
-    if rest:
-        raise AssertionError("leaf elimination left a fractional determinant")
     return det, negative
 
 
@@ -373,28 +379,98 @@ def is_negative_definite(matrix) -> bool:
 
 
 # -- calculus moves ---------------------------------------------------------
+#
+# Each _*_at move rewires a working copy of a tree in place (weights a dict,
+# adj a dict of sets) at a site where it applies, and returns the vertices
+# it created.
 
 
-def _edge(a, b):
-    return (a, b) if a < b else (b, a)
+def _blow_down_at(weights, adj, v):
+    ns = adj.pop(v)
+    del weights[v]
+    for u in ns:
+        adj[u].remove(v)
+        weights[u] += 1
+    if len(ns) == 2:
+        a, b = ns
+        adj[a].add(b)
+        adj[b].add(a)
+    return []
 
 
-def _rewired(tree, weights, cut, join):
-    """The move result with the given weights and tree's edges less cut
-    plus join (sets of (low, high) pairs), by the trusted constructor: a
-    move on a tree yields a tree.  Only the ends of cut and joined edges
-    get new adjacency; an end missing from weights is a deleted vertex."""
-    adj = dict(tree._adj)
-    for a, b in cut:
-        for x, y in ((a, b), (b, a)):
-            if x in weights:
-                adj[x] = adj[x] - {y}
-            else:
-                adj.pop(x, None)
-    for a, b in join:
-        adj[a] = adj.get(a, frozenset()) | {b}
-        adj[b] = adj.get(b, frozenset()) | {a}
-    return WeightedTree._trusted(weights, (tree._edges - cut) | join, adj)
+def _blow_up_at(weights, adj, ends):
+    """ends: the vertex (v,) or the edge (a, b) to blow up."""
+    new = max(weights) + 1
+    for x in ends:
+        weights[x] -= 1
+    weights[new] = -1
+    if len(ends) == 2:
+        a, b = ends
+        adj[a].remove(b)
+        adj[b].remove(a)
+    for x in ends:
+        adj[x].add(new)
+    adj[new] = set(ends)
+    return [new]
+
+
+def _absorb_at(weights, adj, v):
+    a, b = sorted(adj.pop(v))
+    merged = weights[a] + weights[b]
+    del weights[v], weights[b]
+    weights[a] = merged
+    moved = adj.pop(b)
+    moved.remove(v)
+    adj[a].remove(v)
+    for x in moved:
+        adj[x].remove(b)
+        adj[x].add(a)
+    adj[a] |= moved
+    return []
+
+
+def _flatten_at(weights, adj, leaf):
+    n = weights.pop(leaf)
+    (nb,) = adj.pop(leaf)
+    adj[nb].remove(leaf)
+    weights[nb] = -2
+    fresh = max(weights) + 1
+    new = list(range(fresh, fresh + n - 1))
+    prev = nb
+    for x in new:
+        weights[x] = -2
+        adj[prev].add(x)
+        adj[x] = {prev}
+        prev = x
+    return new
+
+
+def _frozen(weights, adj):
+    """The tree of a working copy, by the trusted constructor: a move on a
+    tree yields a tree.  Takes weights over; copies adj."""
+    return WeightedTree._trusted(
+        weights,
+        frozenset((a, b) for a, ns in adj.items() for b in ns if a < b),
+        {v: frozenset(ns) for v, ns in adj.items()},
+    )
+
+
+def _moved(tree, move, site):
+    """The tree that move makes of a copy of tree at site."""
+    weights = dict(tree._weights)
+    adj = {v: set(ns) for v, ns in tree._adj.items()}
+    move(weights, adj, site)
+    return _frozen(weights, adj)
+
+
+def _vertex(tree, v):
+    """v, a vertex of tree: TypeError unless an int (type(v) is int, so
+    not a bool or 1.0), InvalidMoveError if tree has no such vertex."""
+    if type(v) is not int:
+        raise TypeError(f"move site {v!r} is not an integer vertex id")
+    if v not in tree._weights:
+        raise InvalidMoveError(f"no vertex {v}")
+    return v
 
 
 def blow_down(tree: WeightedTree, v: int) -> WeightedTree:
@@ -403,19 +479,13 @@ def blow_down(tree: WeightedTree, v: int) -> WeightedTree:
     If the vertex had two neighbours they become adjacent.  Preserves the
     boundary and |det| of the intersection form.
     """
-    if tree.weight(v) != -1:
+    if tree.weight(_vertex(tree, v)) != -1:
         raise InvalidMoveError(f"vertex {v} has weight {tree.weight(v)}, not -1")
-    ns = sorted(tree.neighbors(v))
-    if len(ns) > 2:
-        raise InvalidMoveError(f"vertex {v} has valence {len(ns)} > 2")
+    if tree.valence(v) > 2:
+        raise InvalidMoveError(f"vertex {v} has valence {tree.valence(v)} > 2")
     if len(tree) == 1:
         raise InvalidMoveError("cannot blow down the last vertex")
-    weights = tree.weights
-    del weights[v]
-    for u in ns:
-        weights[u] += 1
-    join = {tuple(ns)} if len(ns) == 2 else set()
-    return _rewired(tree, weights, {_edge(v, u) for u in ns}, join)
+    return _moved(tree, _blow_down_at, v)
 
 
 def blow_up(tree: WeightedTree, site) -> WeightedTree:
@@ -428,22 +498,14 @@ def blow_up(tree: WeightedTree, site) -> WeightedTree:
     """
     if site == "free":
         raise InvalidMoveError("free blow-ups are rejected: trees must stay connected")
-    new = tree.fresh_id()
-    weights = tree.weights
-    if isinstance(site, int):
-        if site not in weights:
-            raise InvalidMoveError(f"no vertex {site}")
-        weights[site] -= 1
-        weights[new] = -1
-        return _rewired(tree, weights, set(), {(site, new)})
-    a, b = site
-    e = _edge(a, b)
-    if e not in tree.edges:
-        raise InvalidMoveError(f"no edge {site}")
-    weights[a] -= 1
-    weights[b] -= 1
-    weights[new] = -1
-    return _rewired(tree, weights, {e}, {(a, new), (b, new)})
+    if isinstance(site, (tuple, list)):
+        a, b = site
+        ends = (_vertex(tree, a), _vertex(tree, b))
+        if b not in tree.neighbors(a):
+            raise InvalidMoveError(f"no edge {site}")
+    else:
+        ends = (_vertex(tree, site),)
+    return _moved(tree, _blow_up_at, ends)
 
 
 def absorb_zero(tree: WeightedTree, v: int) -> WeightedTree:
@@ -453,19 +515,11 @@ def absorb_zero(tree: WeightedTree, v: int) -> WeightedTree:
     smaller id) of weight weight(a) + weight(b) inheriting all their other
     edges.  Drops one positive and one negative eigenvalue of the form.
     """
-    if tree.weight(v) != 0:
+    if tree.weight(_vertex(tree, v)) != 0:
         raise InvalidMoveError(f"vertex {v} has weight {tree.weight(v)}, not 0")
-    ns = sorted(tree.neighbors(v))
-    if len(ns) != 2:
-        raise InvalidMoveError(f"vertex {v} has valence {len(ns)}, need 2")
-    a, b = ns
-    weights = tree.weights
-    merged = weights[a] + weights[b]
-    del weights[v], weights[b]
-    weights[a] = merged
-    moved = tree.neighbors(b) - {v}
-    cut = {_edge(v, a), _edge(v, b)} | {_edge(b, x) for x in moved}
-    return _rewired(tree, weights, cut, {_edge(a, x) for x in moved})
+    if tree.valence(v) != 2:
+        raise InvalidMoveError(f"vertex {v} has valence {tree.valence(v)}, need 2")
+    return _moved(tree, _absorb_at, v)
 
 
 def flatten_positive_leaf(tree: WeightedTree, leaf: int) -> WeightedTree:
@@ -477,56 +531,89 @@ def flatten_positive_leaf(tree: WeightedTree, leaf: int) -> WeightedTree:
     where the -1 was; the positive index of the form drops by exactly one
     and |det| is preserved.
     """
-    n = tree.weight(leaf)
-    if tree.valence(leaf) != 1 or n < 1:
+    if tree.valence(_vertex(tree, leaf)) != 1 or tree.weight(leaf) < 1:
         raise InvalidMoveError(f"vertex {leaf} is not a positive leaf")
     (nb,) = tree.neighbors(leaf)
     if tree.weight(nb) != -1:
         raise InvalidMoveError(f"neighbour of leaf {leaf} has weight {tree.weight(nb)}, not -1")
-    weights = tree.weights
-    del weights[leaf]
-    weights[nb] = -2
-    join = set()
-    prev = nb
-    fresh = max(weights) + 1
-    for _ in range(n - 1):
-        weights[fresh] = -2
-        join.add((prev, fresh))
-        prev = fresh
-        fresh += 1
-    return _rewired(tree, weights, {_edge(leaf, nb)}, join)
+    return _moved(tree, _flatten_at, leaf)
 
 
 class NoNegativeDefiniteFormError(ValueError):
     """Reduction cannot reach a negative-definite normal form (the N < 0 regime)."""
 
 
-def _flatten_sites(tree):
-    w, adj = tree._weights, tree._adj
-    return [
-        v
-        for v, wt in w.items()
-        if wt >= 1 and len(adj[v]) == 1 and w[next(iter(adj[v]))] == -1
-    ]
+def _site_class(weights, adj, v):
+    """The reduce_tree move class that has a site at v: 0 flattens a
+    positive leaf next to a -1, 1 blows down a -1 of valence 2 between
+    negative weights, 2 absorbs a 0 of valence 2; None if v is no site.
+    v's weight tells the classes apart, so v is a site of one at most."""
+    wt = weights[v]
+    ns = adj[v]
+    if wt >= 1:
+        if len(ns) == 1 and weights[next(iter(ns))] == -1:
+            return 0
+    elif wt == -1:
+        if len(ns) == 2 and all(weights[u] <= -1 for u in ns):
+            return 1
+    elif wt == 0 and len(ns) == 2:
+        return 2
+    return None
 
 
-def _blow_down_sites(tree):
-    w, adj = tree._weights, tree._adj
-    return [
-        v
-        for v, wt in w.items()
-        if wt == -1 and len(adj[v]) == 2 and all(w[u] <= -1 for u in adj[v])
-    ]
+class _Reduction:
+    """reduce_tree's working state: one mutable copy of the tree (weights a
+    dict, adj a dict of sets) and the sites of each move class, a set per
+    class, kept up to date move by move."""
 
+    __slots__ = ("weights", "adj", "sites")
 
-def _absorb_sites(tree):
-    adj = tree._adj
-    return [v for v, wt in tree._weights.items() if wt == 0 and len(adj[v]) == 2]
+    def __init__(self, tree):
+        self.weights = weights = dict(tree._weights)
+        self.adj = adj = {v: set(ns) for v, ns in tree._adj.items()}
+        self.sites = (set(), set(), set())
+        for v in weights:
+            self._classify(v)
 
+    def _classify(self, v):
+        k = _site_class(self.weights, self.adj, v)
+        if k is not None:
+            self.sites[k].add(v)
 
-def reduction_measure(tree: WeightedTree) -> int:
-    """Vertex count plus total positive weight; strictly drops at each loop move."""
-    return len(tree) + sum(w for w in tree._weights.values() if w > 0)
+    def step(self) -> bool:
+        """Make one move of the first class with a site, at its least site;
+        False if no class has one.
+
+        A move changes the weights only of its site, the site's neighbours
+        and the vertices it creates, so the measure's change is read off
+        those and the vertex count.  A vertex's class depends only on its
+        weight, its valence and its neighbours' weights, which a move can
+        change only at those vertices and their neighbours, so only they
+        are classified again.
+        """
+        weights, adj = self.weights, self.adj
+        for sites, move in zip(self.sites, (_flatten_at, _blow_down_at, _absorb_at)):
+            if sites:
+                break
+        else:
+            return False
+        v = _SiteOrder(weights, adj).least(sites)
+        touched = [v, *adj[v]]
+        before = len(weights) + sum(weights[x] for x in touched if weights[x] > 0)
+        touched += move(weights, adj, v)
+        after = len(weights) + sum(weights[x] for x in touched if weights.get(x, 0) > 0)
+        if after >= before:
+            raise AssertionError("reduction measure failed to decrease")
+        stale = set(touched)
+        for x in touched:
+            if x in adj:
+                stale |= adj[x]
+        for x in stale:
+            for sites in self.sites:
+                sites.discard(x)
+            if x in weights:
+                self._classify(x)
+        return True
 
 
 def reduce_tree(tree: WeightedTree) -> WeightedTree:
@@ -548,13 +635,21 @@ def reduce_tree(tree: WeightedTree) -> WeightedTree:
     past the step, and a step with one site compares nothing.  Neither
     recurses, so a tree of any depth reduces.
 
-    Termination: the measure reduction_measure (vertex count plus total
-    positive weight) strictly decreases at every step.  Flattening a leaf
-    of weight N adds N - 2 vertices but removes N of positive weight; a
-    loop blow-down removes a vertex without pushing any weight above 0
-    (that is what the negative-neighbour condition buys); an absorption
-    removes two vertices and positive weight is subadditive under the
-    merge.  The measure is checked, not just documented.
+    The moves run in place on one working copy of the tree (_Reduction),
+    which also keeps each class's sites: after a move only the vertices
+    it touched and their neighbours are classified again, so besides the
+    site comparison a move costs work in the vertices it touches, not a
+    scan and a copy of the tree.  (A flatten still finds its fresh ids by
+    max(weights) + 1, but it happens about once per cabling hook.)  The
+    copy is frozen into the result once, at the end.
+
+    Termination: the measure (vertex count plus total positive weight)
+    strictly decreases at every step.  Flattening a leaf of weight N adds
+    N - 2 vertices but removes N of positive weight; a loop blow-down
+    removes a vertex without pushing any weight above 0 (that is what the
+    negative-neighbour condition buys); an absorption removes two vertices
+    and positive weight is subadditive under the merge.  The measure is
+    checked at every step, not just documented.
 
     Blow-downs at valence 0/1 and at -1's with a non-negative neighbour
     are legal moves (see blow_down) but are left out of the loop: the
@@ -565,31 +660,20 @@ def reduce_tree(tree: WeightedTree) -> WeightedTree:
     N >= 1 has every weight <= -2; callers interpret other terminal shapes
     (see cabling.reduced_plumbing for the N <= 0 regimes).
     """
-    t = tree
-    measure = reduction_measure(t)
-    while True:
-        for finder, move in (
-            (_flatten_sites, flatten_positive_leaf),
-            (_blow_down_sites, blow_down),
-            (_absorb_sites, absorb_zero),
-        ):
-            sites = finder(t)
-            if sites:
-                t = move(t, sites[0] if len(sites) == 1 else _SiteOrder(t).least(sites))
-                break
-        else:
-            return t
-        new_measure = reduction_measure(t)
-        if new_measure >= measure:
-            raise AssertionError("reduction measure failed to decrease")
-        measure = new_measure
+    state = _Reduction(tree)
+    if not state.step():
+        return tree  # already reduced: the input, its memoised form kept
+    while state.step():
+        pass
+    return _frozen(state.weights, state.adj)
 
 
 # -- canonical forms and isomorphism ----------------------------------------
 
 
 class _SiteOrder:
-    """The order of reduce_tree's candidate sites in one tree: by the nested
+    """The order of reduce_tree's candidate sites in one tree, given as a
+    weights dict and an adjacency dict read in place: by the nested
     encoding (weight, sorted child encodings) of the tree rooted at each,
     vertex id as the final tiebreak, with no encoding built.
 
@@ -598,8 +682,8 @@ class _SiteOrder:
     one is a prefix of the other.  A comparison stops at the first
     difference, and a branch's children are put in order only when a
     comparison reaches that branch, then kept for the life of this object,
-    which is one step of reduce_tree: the tree does not change under it,
-    so nothing it keeps goes stale.  Ordering children needs comparisons
+    which is one step of reduce_tree: the working copy does not change
+    until the step's site is chosen, so nothing it keeps goes stale.  Ordering children needs comparisons
     and comparing needs ordered children, so both are generator tasks that
     yield the task they wait on; _run drives them from a list, so a
     comparison costs no Python frames however deep the tree.
@@ -607,16 +691,17 @@ class _SiteOrder:
 
     __slots__ = ("_weights", "_adj", "_children")
 
-    def __init__(self, tree):
-        self._weights = tree._weights
-        self._adj = tree._adj
+    def __init__(self, weights, adj):
+        self._weights = weights
+        self._adj = adj
         self._children = {}  # branch (vertex, parent) -> children, least first
 
     def least(self, sites):
         """min(sites, key=(encoding of the tree rooted at v, v))."""
         weights = self._weights
-        best = sites[0]
-        for v in sites[1:]:
+        sites = iter(sites)
+        best = next(sites)
+        for v in sites:
             d = weights[v] - weights[best] or _run(self._compare(v, None, best, None))
             if d < 0 or d == 0 and v < best:
                 best = v

@@ -12,7 +12,8 @@ classes the search keeps incrementally are grouped from scratch; the partial
 reduction below re-implements the move loop without the leaf-flattening
 step so the intermediate "minimal" graph can be inspected; and
 reference_reduce_tree picks its sites by the recursive, unmemoised rooted
-encoding.
+encoding, among the sites reference_sites finds by a full scan at every
+step, where the implementation keeps them move by move.
 """
 
 import itertools
@@ -317,37 +318,40 @@ def _recursive_encoding(tree, root, parent):
     return (tree.weight(root), tuple(children))
 
 
+def reference_sites(tree: WeightedTree) -> tuple:
+    """The sites of reduce_tree's three move classes in tree, by a full
+    scan each, in ascending id: positive leaves next to a -1 (flatten),
+    -1's of valence 2 between negative weights (blow-down), and 0's of
+    valence 2 (absorb)."""
+    vs = tree.vertices()
+    return (
+        [
+            v
+            for v in vs
+            if tree.valence(v) == 1
+            and tree.weight(v) >= 1
+            and tree.weight(next(iter(tree.neighbors(v)))) == -1
+        ],
+        [
+            v
+            for v in vs
+            if tree.weight(v) == -1
+            and tree.valence(v) == 2
+            and all(tree.weight(u) <= -1 for u in tree.neighbors(v))
+        ],
+        [v for v in vs if tree.weight(v) == 0 and tree.valence(v) == 2],
+    )
+
+
 def reference_reduce_tree(tree: WeightedTree) -> WeightedTree:
     """The reduction loop of plumbing.reduce_tree, each move's site chosen
     by the recursive rooted encoding, rebuilt from scratch for every
-    candidate site (vertex id as the final tiebreak)."""
+    candidate site (vertex id as the final tiebreak), among the sites
+    reference_sites finds afresh at every step."""
     t = tree
     while True:
-        vs = t.vertices()
-        classes = (
-            (
-                [
-                    v
-                    for v in vs
-                    if t.valence(v) == 1
-                    and t.weight(v) >= 1
-                    and t.weight(next(iter(t.neighbors(v)))) == -1
-                ],
-                flatten_positive_leaf,
-            ),
-            (
-                [
-                    v
-                    for v in vs
-                    if t.weight(v) == -1
-                    and t.valence(v) == 2
-                    and all(t.weight(u) <= -1 for u in t.neighbors(v))
-                ],
-                blow_down,
-            ),
-            ([v for v in vs if t.weight(v) == 0 and t.valence(v) == 2], absorb_zero),
-        )
-        for sites, move in classes:
+        moves = (flatten_positive_leaf, blow_down, absorb_zero)
+        for sites, move in zip(reference_sites(t), moves):
             if sites:
                 t = move(t, min(sites, key=lambda v: (_recursive_encoding(t, v, None), v)))
                 break

@@ -35,6 +35,7 @@ from oracles import (
     minors_negative_definite,
     random_tree,
     reference_reduce_tree,
+    reference_sites,
     relabel,
     signature,
 )
@@ -456,6 +457,24 @@ class TestFormInvariants:
         # a 0-leaf on a -1: the zero rule fires
         assert form_invariants(path_tree([0, -1, -2, -2])) == (-3, False)
 
+    def test_caterpillars_match_oracles(self):
+        # the spine's continuants grow with its length; the determinant is
+        # kept as one integer, its pivots' denominators divided out as they
+        # are taken, and must still come out exact
+        outcomes = set()
+        for spine in range(1, 41):
+            # no -1, one, every third, or a -1 path (det 0 at spine 2 mod 3)
+            for ones in (set(), {spine // 2}, set(range(0, spine, 3)), set(range(spine))):
+                t = caterpillar(spine, ones)
+                g = gram_matrix(t)
+                det, negative = form_invariants(t)
+                assert det == bareiss_det(g)
+                assert (det, negative) == fraction_forest_elimination(g)
+                if spine <= 12:
+                    assert negative == minors_negative_definite(g)
+                outcomes.add((det == 0, negative))
+        assert outcomes == {(True, False), (False, False), (False, True)}
+
     def test_computed_once_per_tree(self, monkeypatch):
         t = path_tree([-2, -3, -2])
         kernel = plumbing._eliminate
@@ -608,6 +627,45 @@ class TestFlatten:
             flatten_positive_leaf(path_tree([-1, 0]), 1)
         with pytest.raises(InvalidMoveError):
             flatten_positive_leaf(path_tree([-2, 2]), 1)
+
+
+class TestMoveSites:
+    """Every public move takes int vertex ids only, and says InvalidMoveError
+    for a vertex or an edge the tree does not have."""
+
+    MOVES = (blow_down, blow_up, absorb_zero, flatten_positive_leaf)
+
+    @pytest.mark.parametrize("site", [True, 1.0, "1", None])
+    def test_non_int_vertex_is_a_type_error(self, site):
+        t = path_tree([-1, -1, 0])
+        for move in self.MOVES:
+            with pytest.raises(TypeError, match="not an integer vertex id"):
+                move(t, site)
+
+    @pytest.mark.parametrize("edge", [(True, 1), (0, 1.0), (0.0, 1), [0, True]])
+    def test_non_int_edge_end_is_a_type_error(self, edge):
+        # a dict lookup finds vertices 0 and 1 for these; unchecked, they
+        # would be stored as edge ends
+        with pytest.raises(TypeError, match="not an integer vertex id"):
+            blow_up(path_tree([-2, -2, -2]), edge)
+
+    def test_missing_vertex_is_invalid(self):
+        t = path_tree([-1, -1, 0])
+        for move in self.MOVES:
+            with pytest.raises(InvalidMoveError, match="no vertex 7"):
+                move(t, 7)
+        with pytest.raises(InvalidMoveError, match="no vertex 7"):
+            blow_up(t, (1, 7))
+
+    def test_missing_edge_is_invalid(self):
+        t = path_tree([-2, -2, -2])
+        for edge in ((0, 2), (2, 0), (1, 1)):
+            with pytest.raises(InvalidMoveError, match="no edge"):
+                blow_up(t, edge)
+
+    def test_list_edge_is_an_edge(self):
+        t = path_tree([-2, -2, -2])
+        assert blow_up(t, [2, 1]) == blow_up(t, (1, 2))
 
 
 def apply_random_move(rng, tree):
@@ -788,6 +846,98 @@ class TestReduce:
         assert count == size
         assert {int(w): k for w, k in histogram.items()} == weights
         assert det_kept
+
+    def test_moves_per_kind_on_three_iteration_towers(self, monkeypatch):
+        # the counts of the loop that rescanned and copied the tree per move
+        applied = Counter()
+        for name in ("_flatten_at", "_blow_down_at", "_absorb_at"):
+            real = getattr(plumbing, name)
+
+            def counted(weights, adj, v, real=real, name=name):
+                applied[name] += 1
+                return real(weights, adj, v)
+
+            monkeypatch.setattr(plumbing, name, counted)
+        counts = []
+        for spec in THREE_ITERATION_SPECS:
+            raw = raw_plumbing(spec)
+            applied.clear()
+            reduce_tree(raw)
+            counts.append(tuple(applied[n] for n in ("_flatten_at", "_blow_down_at", "_absorb_at")))
+        assert counts == [(1, 40, 2), (1, 62, 2), (1, 63, 2)]
+
+    def test_live_sites_match_a_full_scan_after_every_step(self):
+        rng = random.Random(53)
+        trees = [random_tree(rng, max_vertices=30, weights=(-2, 2)) for _ in range(300)]
+        trees += [random_tree(rng, max_vertices=40, weights=(-2, -1)) for _ in range(100)]
+        trees += [raw_plumbing(spec) for spec in THREE_ITERATION_SPECS]
+        steps = 0
+        for t in trees:
+            state = plumbing._Reduction(t)
+            while True:
+                frozen = plumbing._frozen(dict(state.weights), state.adj)
+                assert frozen == WeightedTree(frozen.weights, frozen.edges)
+                assert tuple(sorted(s) for s in state.sites) == reference_sites(frozen)
+                if not state.step():
+                    break
+                steps += 1
+            assert frozen == reduce_tree(t)
+        assert steps > 800
+
+    @pytest.mark.parametrize("ones", [{595, 605}, set(range(3, 60, 4))], ids=["2-sites", "15-sites"])
+    def test_classifies_few_vertices_per_move(self, monkeypatch, ones):
+        # a count, not a time: one scan at the start, then a bounded number
+        # of vertices per move however long the tree
+        tree = caterpillar(1200, ones)
+        classify = plumbing._site_class
+        calls = []
+
+        def counted(weights, adj, v):
+            calls[-1] += 1
+            return classify(weights, adj, v)
+
+        monkeypatch.setattr(plumbing, "_site_class", counted)
+        calls.append(0)
+        state = plumbing._Reduction(tree)
+        assert calls == [len(tree)]
+        while True:
+            calls.append(0)
+            if not state.step():
+                break
+        assert calls[-1] == 0
+        per_move = calls[1:-1]
+        assert len(per_move) == len(ones)
+        assert max(per_move) <= 8
+
+    @pytest.mark.parametrize(
+        "move, tree",
+        [
+            ("_flatten_at", path_tree([-2, -1, 3])),
+            ("_blow_down_at", path_tree([-2, -1, -2])),
+            ("_absorb_at", path_tree([-2, 0, -2])),
+        ],
+    )
+    def test_a_move_that_changes_nothing_fails_the_measure(self, monkeypatch, move, tree):
+        # the termination measure is checked at every step, not assumed
+        monkeypatch.setattr(plumbing, move, lambda weights, adj, v: [])
+        with pytest.raises(AssertionError, match="reduction measure failed to decrease"):
+            reduce_tree(tree)
+
+    def test_created_vertices_count_in_the_measure(self, monkeypatch):
+        # a flatten whose new chain came out positive would raise the
+        # measure; the check reads the vertices a move creates as well
+        real = plumbing._flatten_at
+
+        def positive_chain(weights, adj, leaf):
+            new = real(weights, adj, leaf)
+            for x in new:
+                weights[x] = 3
+            return new
+
+        monkeypatch.setattr(plumbing, "_flatten_at", positive_chain)
+        # the leaf is not the largest id, so no new vertex reuses its id
+        with pytest.raises(AssertionError, match="reduction measure failed to decrease"):
+            reduce_tree(path_tree([3, -1, -2]))
 
     def test_preserves_det_through_full_reduction(self):
         spec = SurgerySpec(CableTower(((2, 7), (2, 31))), 64)
