@@ -21,6 +21,7 @@ emitted directly in closed form, and the two construction paths are kept
 as mutual oracles (plumbing.form_invariants checks |det| = n on both).
 """
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -135,7 +136,8 @@ def _require_buildable(spec: SurgerySpec):
 
 
 def _require_positive_framing(spec: SurgerySpec):
-    """N >= 1, the range in which a reduced negative-definite tree exists."""
+    """N >= 1, the range in which a reduced negative-definite tree exists,
+    and N - 1 <= sys.maxsize, the most -2's a tail can count."""
     n_red = spec.reduced_framing
     if n_red < 0:
         raise NoNegativeDefiniteFormError(
@@ -143,6 +145,8 @@ def _require_positive_framing(spec: SurgerySpec):
         )
     if n_red == 0:
         raise ReducibleBoundaryError("N = 0: boundary may be a nontrivial connected sum")
+    if n_red - 1 > sys.maxsize:
+        raise UnsupportedTowerError(f"N - 1 must be at most {sys.maxsize}, got N = {n_red}")
 
 
 class _TreeBuilder:

@@ -313,6 +313,8 @@ def _range_tuples(args):
         raise CliError("invalid ranges")
     if any(p < 2 for p in p1s + p2s) or any(k < 1 for k in k1s):
         raise CliError("invalid ranges: p >= 2 and k1 >= 1 required")
+    if max(ns) - 1 > sys.maxsize:  # as cabling._require_positive_framing
+        raise CliError(f"invalid ranges: N - 1 must be at most {sys.maxsize}")
     tuples = admissible_tuples(p1s, k1s, p2s, args.k2_max, ns)
     for t in tuples:
         if t[4] == 0:

@@ -18,20 +18,22 @@ vertices a move touched and freezing the copy into a tree at the end.
 All linear algebra is exact integer arithmetic on integer matrices.
 
 The determinant and the negative-definiteness test (form_invariants, run
-once per tree and kept on it) take the tree's own route: a leaf is
-eliminated into its neighbour by a Schur complement (the neighbour's
-diagonal drops by a^2/d for a leaf of diagonal d joined by a), leaf after
-leaf toward the rest, O(n) steps in all.  This is the continued-fraction
-bookkeeping of Neumann's plumbing calculus, kept in integers: each diagonal
-is a numerator over a positive denominator, the numerator being the
-continuant (the determinant, up to sign) of the subtree eliminated into
-that vertex and the denominator the product of its children's.  A leaf
-whose diagonal has become 0 cannot be a pivot; it is expanded away with its
-neighbour instead, det S = -a^2 det(S - {leaf, neighbour}), and the form is
-then indefinite.  A matrix whose off-diagonal support has a cycle, or that
-is not symmetric, has no leaf order to follow and takes one fraction-free
-(Bareiss) pass instead, which gives both answers.  Entries must be ints: a
-float, Fraction or bool entry raises TypeError instead of being truncated.
+once per tree and kept on it) take the tree's own route: one walk from a
+root gives each vertex its parent, and the vertices are then eliminated in
+the reverse of the walk, each into its parent by a Schur complement (the
+parent's diagonal drops by a^2/d for a vertex of diagonal d joined by a)
+once all of its children are in, O(n) steps in all.  This is the
+continued-fraction bookkeeping of Neumann's plumbing calculus, kept in
+integers: each diagonal is a numerator over a positive denominator, the
+numerator being the continuant (the determinant, up to sign) of the subtree
+eliminated into that vertex and the denominator the product of its
+children's.  A vertex whose diagonal has become 0 cannot be a pivot; it is
+expanded away with its parent instead, det S = -a^2 det(S - {vertex,
+parent}), and the form is then indefinite.  A matrix whose off-diagonal
+support has a cycle, or that is not symmetric, has no such order and takes
+one fraction-free (Bareiss) pass instead, which gives both answers.  Entries
+must be ints: a float, Fraction or bool entry raises TypeError instead of
+being truncated.
 """
 
 import json
@@ -150,9 +152,6 @@ class WeightedTree:
         ws = ", ".join(f"{v}:{w}" for v, w in sorted(self._weights.items()))
         return f"WeightedTree({{{ws}}}, {sorted(self._edges)})"
 
-    def fresh_id(self) -> int:
-        return max(self._weights) + 1
-
     # -- serialisation -----------------------------------------------------
 
     def to_json(self) -> str:
@@ -205,11 +204,10 @@ def gram_matrix(tree: WeightedTree) -> list:
 
 def form_invariants(tree: WeightedTree) -> tuple:
     """(det, negative definite) of the tree's intersection form, by
-    _eliminate on its own edges; computed once and kept on the tree."""
+    _eliminate on its own weights and adjacency; computed once and kept on
+    the tree."""
     if tree._form is None:
-        index = {v: i for i, v in enumerate(tree._weights)}
-        adj = [dict.fromkeys([index[u] for u in tree._adj[v]], 1) for v in tree._weights]
-        tree._form = _eliminate(list(tree._weights.values()), adj)
+        tree._form = _eliminate(tree._weights, tree._adj)
     return tree._form
 
 
@@ -223,90 +221,95 @@ def _forest_elimination(matrix):
     if any(len(row) != n for row in matrix):
         return None
     cols = range(n)
-    num = []
-    adj = []
-    for i, row in enumerate(matrix):
-        nbrs = {j: row[j] for j in compress(cols, row)}
-        nbrs.pop(i, None)
-        num.append(row[i])
-        adj.append(nbrs)
-    if not {int}.issuperset(map(type, chain(num, *map(dict.values, adj)))):
+    num = {i: row[i] for i, row in enumerate(matrix)}
+    adj = {i: {j: row[j] for j in compress(cols, row) if j != i} for i, row in enumerate(matrix)}
+    if not {int}.issuperset(map(type, chain(num.values(), *map(dict.values, adj.values())))):
         raise TypeError("matrix entries must be integers")
-    for i, nbrs in enumerate(adj):
+    for i, nbrs in adj.items():
         for j, a in nbrs.items():
             if adj[j].get(i) != a:
                 return None
     return _eliminate(num, adj)
 
 
+def _walk(adj, root, parent):
+    """The vertices reachable from root by adj, breadth first, so each
+    after its parent, which goes into parent (root's as None); None if a
+    vertex is reached twice, closing a cycle."""
+    parent[root] = None
+    order = [root]
+    for v in order:
+        p = parent[v]
+        for c in adj[v]:
+            if c != p:
+                if c in parent:
+                    return None
+                parent[c] = v
+                order.append(c)
+    return order
+
+
 def _eliminate(num, adj):
     """(det, negative definite) of the symmetric matrix with integer
-    diagonal num and non-zero off-diagonal entries adj[i] = {j: a}, by leaf
-    elimination in integers; None if the support has a cycle.  Consumes both.
+    diagonal num[v] and non-zero off-diagonal entries adj[v], a dict
+    {u: a}, or a set of the u where every entry is 1 (a plumbing's form);
+    None if the support has a cycle.  Reads both, changes neither.
 
-    Each vertex keeps its Schur-complemented diagonal as an integer
-    numerator over a positive integer denominator, at first its entry
-    over 1.  A leaf v with pivot d/q and one neighbour p, joined by the
-    entry a, is eliminated toward the rest: if d != 0 the pivot d/q goes
-    into the determinant and p's diagonal drops by a^2 q / d, that is
-    num[p] <- num[p] d - a^2 q den[p] and den[p] <- den[p] d, both
-    negated when d < 0; if d == 0 the expansion det S = -a^2 det(S - {v, p})
-    removes v and p together.  An isolated vertex contributes its pivot.
-    num[p] is then, up to sign, the determinant of the subtree eliminated
-    into p (a continuant of the plumbing calculus) and den[p] the product
-    of its children's, so no entry outgrows the minors it stands for and
-    no gcd is taken.  The determinant is the product of the pivots, kept
-    as an integer: a pivot's denominator is divided out when the pivot is
-    taken, exactly, since it is the product of the |d| of the children,
-    whose numerators are already factors of the product.  So the product
-    holds the continuants of the subtrees not yet joined, not a product
-    of every pivot's.  The matrix is negative definite exactly when every
-    pivot numerator is negative and the zero rule never fired.  O(n)
-    integer steps.
+    Each component is walked from a root (_walk) and eliminated in reverse,
+    each vertex into its parent after all of its children, by Schur
+    complements in integers: a vertex keeps its complemented diagonal as a
+    numerator over a positive denominator, at first its entry over 1.  A
+    vertex v of pivot d/q, joined to its parent p by the entry a, goes
+    into p: if d != 0 the pivot d/q goes into the determinant and p's
+    diagonal drops by a^2 q / d, num[p] <- num[p] d - a^2 q den[p] and
+    den[p] <- den[p] d, both negated when d < 0; if d == 0 the expansion
+    det S = -a^2 det(S - {v, p}) removes v and p, and p's children not yet
+    eliminated become roots.  A root's pivot goes into the determinant
+    alone.  num[p] is then, up to sign, the determinant of the subtree
+    eliminated into p (a continuant of the plumbing calculus) and den[p]
+    the product of its children's, so no entry outgrows the minors it
+    stands for and no gcd is taken.  The determinant is kept as an
+    integer: a pivot's denominator, the product of the |d| of its
+    children, whose numerators are factors of it already, is divided out
+    exactly when the pivot is taken.  The matrix is negative definite
+    exactly when every pivot is negative and the zero rule never fired.
+    O(n) integer steps and no recursion.
     """
-    n = len(num)
-    den = [1] * n
+    weighted = type(next(iter(adj.values()), None)) is dict
+    num = dict(num)
+    den = dict.fromkeys(num, 1)
+    den[None] = 0  # den[p] == 0: p is no parent (v a root) or is gone
+    parent = {}  # every vertex, each component in the order of its walk
+    for root in num:
+        if root not in parent and _walk(adj, root, parent) is None:
+            return None
     det = 1
     negative = True
-    left = n
-    alive = [True] * n
-    leaves = [v for v in range(n) if len(adj[v]) <= 1]
-    while leaves:
-        v = leaves.pop()
-        if not alive[v]:
-            continue
-        alive[v] = False
-        left -= 1
-        d = num[v]
+    for v, p in reversed(parent.items()):
         q = den[v]
-        if adj[v]:
-            ((p, a),) = adj[v].items()
-            del adj[p][v]
+        if not q:
+            continue  # expanded away with a child
+        d = num[v]
+        dp = den[p]
+        if dp:
+            a2 = adj[v][p] ** 2 if weighted else 1
             if d == 0:
-                det *= -a * a
+                det *= -a2
                 negative = False
-                alive[p] = False
-                left -= 1
-                for u in adj[p]:
-                    del adj[u][p]
-                    if len(adj[u]) <= 1:
-                        leaves.append(u)
+                den[p] = 0
                 continue
-            drop = a * a * q * den[p]
             if d > 0:
-                num[p] = num[p] * d - drop
-                den[p] *= d
+                num[p] = num[p] * d - a2 * q * dp
+                den[p] = dp * d
+                negative = False
             else:
-                num[p] = drop - num[p] * d
-                den[p] *= -d
-            if len(adj[p]) <= 1:
-                leaves.append(p)
+                num[p] = a2 * q * dp - num[p] * d
+                den[p] = -dp * d
+        elif d >= 0:
+            negative = False
         det, rest = divmod(det * d, q)
         if rest:
             raise AssertionError("leaf elimination left a fractional determinant")
-        negative = negative and d < 0
-    if left:
-        return None
     return det, negative
 
 
@@ -765,25 +768,11 @@ def _run(task):
             value = None
 
 
-def _preorder(tree, root):
-    """Vertices in depth-first preorder from root, and each one's parent."""
-    parent = {root: None}
-    order = []
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for c in tree.neighbors(v):
-            if c != parent[v]:
-                parent[c] = v
-                stack.append(c)
-    return order, parent
-
-
 def _centroids(tree):
     """The one or two vertices whose removal leaves the smallest largest
     component, from subtree sizes in one pass."""
-    order, parent = _preorder(tree, tree.vertices()[0])
+    parent = {}
+    order = _walk(tree._adj, tree.vertices()[0], parent)
     size = dict.fromkeys(order, 1)
     for v in reversed(order[1:]):
         size[parent[v]] += size[v]
@@ -803,7 +792,8 @@ def _flat_encoding(tree, root):
     however deep the tree.  The child counts make it decode uniquely, so
     two rooted trees get equal serializations iff they are isomorphic.
     """
-    order, parent = _preorder(tree, root)
+    parent = {}
+    order = _walk(tree._adj, root, parent)
     enc = {}
     for v in reversed(order):
         kids = sorted(enc.pop(c) for c in tree.neighbors(v) if c != parent[v])

@@ -13,7 +13,8 @@ reduction below re-implements the move loop without the leaf-flattening
 step so the intermediate "minimal" graph can be inspected; and
 reference_reduce_tree picks its sites by the recursive, unmemoised rooted
 encoding, among the sites reference_sites finds by a full scan at every
-step, where the implementation keeps them move by move.
+step, where the implementation keeps them move by move.  fresh_id, a
+helper only the tests use, lives here too.
 """
 
 import itertools
@@ -365,6 +366,12 @@ def relabel(tree: WeightedTree, mapping) -> WeightedTree:
         {mapping[v]: w for v, w in tree.weights.items()},
         [(mapping[a], mapping[b]) for a, b in tree.edges],
     )
+
+
+def fresh_id(tree: WeightedTree) -> int:
+    """The least id above every vertex of tree: the one a blow-up gives
+    the -1 it adds."""
+    return max(tree.vertices()) + 1
 
 
 def brute_force_isomorphic(t1: WeightedTree, t2: WeightedTree) -> bool:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -7,6 +8,7 @@ from knotplumb.cabling import (
     ReducibleBoundaryError,
     SurgerySpec,
     UnsupportedTowerError,
+    _require_positive_framing,
     closed_form_two_iter,
     corner_weight,
     raw_plumbing,
@@ -221,6 +223,22 @@ class TestFramingRule:
         assert errors[0] == errors[1]
         want = ReducibleBoundaryError if n == 34 else NoNegativeDefiniteFormError
         assert errors[0][0] is want
+
+    def test_rejects_a_tail_longer_than_sys_maxsize(self):
+        # the closed form's tail and the flattening of the leaf add N - 1
+        # vertices of weight -2, which no range of ids can hold past
+        # sys.maxsize
+        for pairs in (((2, 3),), ((2, 3), (2, 17))):
+            p, a = pairs[-1]
+            with pytest.raises(UnsupportedTowerError, match=f"at most {sys.maxsize}"):
+                _require_positive_framing(SurgerySpec(CableTower(pairs), p * a + sys.maxsize + 2))
+            _require_positive_framing(SurgerySpec(CableTower(pairs), p * a + sys.maxsize + 1))
+        spec = SurgerySpec(CableTower(((2, 3),)), 6 + 10**30)
+        with pytest.raises(UnsupportedTowerError):
+            reduced_plumbing(spec)
+        # the raw graph keeps N as the weight of one leaf
+        raw = raw_plumbing(spec)
+        assert (len(raw), max(raw.weights.values())) == (4, 10**30)
 
 
 class TestTwoIterParameters:

@@ -277,6 +277,8 @@ BAD_INPUTS = {
     "audit-n-zero": ["audit", *ZERO_N_ARGS],
     "locally-minimal-without-enumerate": ["embed", "chain3.json", "--locally-minimal"],
     "budget-with-enumerate": ["embed", "chain3.json", "--enumerate", "--budget", "1"],
+    "graph-n-huge": ["graph", "--pairs", "2,3", "--n", "99999999999999999999999999999"],
+    "embed-n-huge": ["embed", "--pairs", "2,3,2,17", "--n", "99999999999999999999999999999"],
 }
 
 
@@ -290,6 +292,18 @@ def test_unwritable_out_fails_before_searching(tmp_path, monkeypatch, capsys, co
     code = cli.main([command, *SWEEP_ARGS, "--out", str(tmp_path / "plain" / "x")])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: cannot create output directory")
+
+
+@pytest.mark.parametrize("command", ["sweep", "audit"])
+def test_huge_framing_fails_before_searching(tmp_path, monkeypatch, capsys, command):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched a framing beyond sys.maxsize")
+
+    monkeypatch.setattr(cli, "sweep", no_search)
+    huge = str(sys.maxsize + 2)
+    code = cli.main([command, *SWEEP_ARGS, "--N", f"2,{huge}", "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: invalid ranges: N - 1 must be at most {sys.maxsize}\n"
 
 
 @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
@@ -323,7 +337,7 @@ def test_bad_input_is_an_error_not_a_traceback(tmp_path, argv):
     (tmp_path / "budget.cfg").write_text("budget=0\n")
     (tmp_path / "plain").write_text("a regular file, so plain/x cannot be created\n")
     argv = [str(tmp_path / a) if a.endswith((".json", ".cfg")) or "/" in a else a for a in argv]
-    if "--out" not in argv:
+    if "--out" not in argv and argv[0] != "graph":  # graph writes no files
         argv += ["--out", str(tmp_path)]
     res = run_cli(*argv)
     assert res.returncode == 1, res.stdout + res.stderr

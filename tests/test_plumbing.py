@@ -2,6 +2,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 from math import gcd
 
 import pytest
@@ -31,6 +32,7 @@ from oracles import (
     brute_force_isomorphic,
     cofactor_det,
     fraction_forest_elimination,
+    fresh_id,
     leading_principal_minors,
     minors_negative_definite,
     random_tree,
@@ -438,8 +440,8 @@ class TestForestElimination:
 
 
 class TestFormInvariants:
-    """form_invariants eliminates leaves over the tree's own edges; the
-    matrix functions on its Gram matrix pin it."""
+    """form_invariants eliminates the tree over its own edges; the matrix
+    functions on its Gram matrix pin it."""
 
     def test_matches_matrix_functions(self):
         rng = random.Random(67)
@@ -506,6 +508,102 @@ class TestFormInvariants:
         assert moved > 100
 
 
+def tree_of(m):
+    """The tree whose Gram matrix is m (entries 1 off the diagonal), its
+    vertices 0..n-1 added in that order: the walk starts at 0."""
+    n = len(m)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if m[i][j]]
+    return WeightedTree({i: m[i][i] for i in range(n)}, edges)
+
+
+def assert_every_walk_matches(m, perms=None):
+    """det_exact, is_negative_definite and, for the form of a tree,
+    form_invariants agree with the oracles on every relabelling of the
+    forest-supported m (or on those in perms), so that the walk starts at
+    every vertex and meets every vertex's children in every order."""
+    want = fraction_forest_elimination(m)
+    assert want[0] == bareiss_det(m) == cofactor_det(m)
+    assert want[1] == minors_negative_definite(m)
+    entries = [m[i][j] for i in range(len(m)) for j in range(i + 1, len(m)) if m[i][j]]
+    tree = entries == [1] * (len(m) - 1)  # a forest with n - 1 edges is a tree
+    for perm in perms or permutations(range(len(m))):
+        p = relabel_matrix(m, perm)
+        assert (det_exact(p), is_negative_definite(p)) == want, perm
+        if tree:
+            assert form_invariants(tree_of(p)) == want, perm
+    return want
+
+
+class TestReverseWalk:
+    """The elimination runs in the reverse of a walk from a root, so a
+    vertex goes into its parent while the parent's other children may not
+    have gone in yet, and a root is met with nothing left to go into."""
+
+    def test_zero_leaf_before_its_siblings(self):
+        # 0 - 1 with children 2 and the 0-leaf 3, and 4 below 2: the walk
+        # from 0 eliminates 4, then 3, whose zero expands 1 away while 2 is
+        # still in; 2 is then a root, its pivot final
+        weights = [-2, -3, -2, 0, -2]
+        edges = [(0, 1), (1, 2), (1, 3), (2, 4)]
+        m = gram_matrix(WeightedTree(dict(enumerate(weights)), edges))
+        assert assert_every_walk_matches(m) == (-(1**2) * -2 * 3, False)  # -a^2 det(rest)
+        # 2 - 4 of pivot 0 once 1 is gone: that root's zero makes det 0
+        m[2][2] = m[4][4] = -1
+        assert assert_every_walk_matches(m) == (0, False)
+        # entries other than 1 scale the expansion by -a^2
+        m = gram_matrix(WeightedTree(dict(enumerate(weights)), edges))
+        m[1][3] = m[3][1] = 3
+        m[1][2] = m[2][1] = -2
+        assert assert_every_walk_matches(m) == (-(3**2) * -2 * 3, False)
+
+    def test_zero_pivot_at_the_root(self):
+        cases = [
+            ([[-1, 1], [1, -1]], (0, False)),  # -1 - 1/(-1) = 0
+            (gram_matrix(WeightedTree({0: -2, 1: -1, 2: -1}, [(0, 1), (0, 2)])), (0, False)),
+            ([[0]], (0, False)),
+            ([[0, 2], [2, -3]], (-4, False)),  # a 0-leaf, the root of half the walks
+            (block_diagonal([[-2]], [[0]], [[-3]]), (0, False)),
+        ]
+        for m, want in cases:
+            assert assert_every_walk_matches(m) == want, m
+
+    def test_forests_with_entries_other_than_one(self):
+        rng = random.Random(83)
+        outcomes = Counter()
+        for _ in range(400):
+            blocks = []
+            size = 7  # cofactor_det is exponential in it
+            while len(blocks) < 2 or size and len(blocks) < 3:
+                g = gram_matrix(random_tree(rng, max_vertices=min(size, 3), weights=(-4, 1)))
+                size -= len(g)
+                for i in range(len(g)):
+                    for j in range(i + 1, len(g)):
+                        if g[i][j]:
+                            g[i][j] = g[j][i] = rng.choice((-3, -2, -1, 1, 2, 3))
+                blocks.append(g)
+            m = block_diagonal(*blocks)
+            perms = [rng.sample(range(len(m)), len(m)) for _ in range(20)]
+            det, negative = assert_every_walk_matches(m, perms)
+            outcomes[det == 0, negative] += 1
+        assert set(outcomes) == {(True, False), (False, False), (False, True)}, outcomes
+
+    def test_long_path_under_a_low_recursion_limit(self):
+        # a 100,000-vertex -2 path, walked from an end and from the middle
+        code = (
+            "import sys\n"
+            "from knotplumb.plumbing import WeightedTree, form_invariants\n"
+            "n = 100_000\n"
+            "edges = [(v, v + 1) for v in range(n - 1)]\n"
+            "trees = [WeightedTree(dict.fromkeys(ids, -2), edges)\n"
+            "         for ids in (range(n), [n // 2, *range(n)])]\n"
+            "sys.setrecursionlimit(60)\n"
+            "print([form_invariants(t) == ((-1) ** n * (n + 1), True) for t in trees])\n"
+        )
+        res = run_child(code)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "[True, True]\n"
+
+
 class TestDefiniteness:
     def test_single_cases(self):
         assert is_negative_definite([[-2]])
@@ -566,11 +664,11 @@ class TestBlowUp:
             t = random_tree(rng, max_vertices=6)
             v = rng.choice(t.vertices())
             up = blow_up(t, v)
-            assert blow_down(up, up.fresh_id() - 1) == t
+            assert blow_down(up, fresh_id(up) - 1) == t
             if len(t) > 1:
                 e = sorted(t.edges)[0]
                 up = blow_up(t, e)
-                assert blow_down(up, up.fresh_id() - 1) == t
+                assert blow_down(up, fresh_id(up) - 1) == t
 
     def test_free_rejected(self):
         with pytest.raises(InvalidMoveError):
