@@ -30,6 +30,7 @@ from .hjcf import ceil_div, expand_neg_cf, star_inverse
 from .plumbing import (
     NoNegativeDefiniteFormError,
     WeightedTree,
+    _frozen,
     det_exact,  # unused; perfbench's LAYER_PATCHES wraps cabling.det_exact
     form_invariants,
     reduce_tree,
@@ -150,22 +151,26 @@ def _require_positive_framing(spec: SurgerySpec):
 
 
 class _TreeBuilder:
-    """Vertices numbered in the order they are added, each with a role."""
+    """Vertices numbered in the order they are added, each with a role and
+    attached to an earlier one (but the first), so the result is a tree by
+    construction and is frozen as the calculus moves' results are, not
+    validated again."""
 
     def __init__(self):
-        self.weights, self.edges, self.roles = {}, [], {}
+        self.weights, self.adj, self.roles = {}, {}, {}
 
     def add(self, weight, role, attach=None):
         v = len(self.weights)
         self.weights[v] = weight
         self.roles[v] = role
+        self.adj[v] = set() if attach is None else {attach}
         if attach is not None:
-            self.edges.append((attach, v))
+            self.adj[attach].add(v)
         return v
 
     def finish(self, spec, with_roles):
         """The tree, checked against its oracle |det| = |n|; with its roles if asked."""
-        tree = WeightedTree(self.weights, self.edges)
+        tree = _frozen(self.weights, self.adj)
         if abs(form_invariants(tree)[0]) != abs(spec.n):
             raise AssertionError(
                 f"plumbing determinant does not match surgery coefficient {spec.n}"

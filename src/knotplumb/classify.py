@@ -93,8 +93,9 @@ def classify_one(spec: SurgerySpec, budget=DEFAULT_BUDGET) -> SweepRow:
     The graph is the closed-form one; the calculus path builds an
     isomorphic one, which the test suite checks.  A non-square n is decided
     with 0 nodes by the determinant and definiteness the builder computed
-    (plumbing.form_invariants); budget only bounds the search of a square
-    n, the one case that builds a Gram matrix.  ms is the call's wall time.
+    (plumbing.form_invariants); a square n is searched on the tree itself,
+    which reads the same memoised definiteness, and budget only bounds that
+    search.  ms is the call's wall time.
     """
     t0 = time.perf_counter()
     n_red = two_iter_parameters(spec)["N"]  # validates the tower
@@ -113,7 +114,7 @@ def classify_one(spec: SurgerySpec, budget=DEFAULT_BUDGET) -> SweepRow:
                 raise ValueError("intersection form is not negative definite")
             verdict, proof = VerdictKind.OBSTRUCTION_FAILS, "determinant"
         else:
-            result = find_embedding(gram_matrix(tree), budget=budget)
+            result = find_embedding(tree, budget=budget)
             verdict, proof = _SEARCH_VERDICT[result.status]
             witness, nodes = result.witness, result.nodes
     (p1, a1), (p2, a2) = spec.knot.pairs

@@ -54,7 +54,6 @@ from .plumbing import (
     WeightedTree,
     det_exact,  # unused; perfbench's LAYER_PATCHES wraps cli.det_exact
     form_invariants,
-    gram_matrix,
     is_negative_definite,  # unused; perfbench's LAYER_PATCHES wraps cli.is_negative_definite
 )
 
@@ -266,17 +265,16 @@ def cmd_embed(args, config):
         # the class-by-class enumeration has no node budget
         raise CliError("--budget does not apply to --enumerate")
     tree, name = _embed_input(args)
-    gram = gram_matrix(tree)
-    rank = args.rank if args.rank is not None else len(gram)
+    rank = args.rank if args.rank is not None else len(tree)
     budget = resolve_positive(args, config, "budget", DEFAULT_BUDGET)
     out_dir = resolve(args, config, "out", os.environ.get("KNOTPLUMB_OUT", "."))
     try:
         if args.enumerate:
             classes = enumerate_embeddings(
-                gram, rank=rank, locally_minimal_only=args.locally_minimal
+                tree, rank=rank, locally_minimal_only=args.locally_minimal
             )
         else:
-            result = find_embedding(gram, rank=rank, budget=budget)
+            result = find_embedding(tree, rank=rank, budget=budget)
     except ValueError as exc:  # not negative definite, or rank < 1
         raise CliError(str(exc))
     if args.enumerate:
@@ -394,7 +392,7 @@ def build_parser():
     p.add_argument("graph_file", nargs="?", help="plumbing JSON file")
     p.add_argument("--pairs", help="p1,a1[,p2,a2...] (build reduced graph)")
     p.add_argument("--n", type=int)
-    p.add_argument("--rank", type=int, help="target rank (default: Gram dimension)")
+    p.add_argument("--rank", type=int, help="target rank (default: vertex count)")
     p.add_argument("--budget", type=int, help="search node budget (not with --enumerate)")
     p.add_argument("--enumerate", action="store_true", help="list all classes")
     p.add_argument(

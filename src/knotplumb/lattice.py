@@ -1,10 +1,12 @@
 """Exhaustive lattice-embedding search into (Z^r, -Id).
 
-A lattice embedding of a negative-definite Gram matrix G assigns to each
-index i a vector v_i in Z^r with <v_i, v_j>_{-Id} = -(v_i . v_j) = G[i][j].
-Existence of such an embedding at r = rank(G) is necessary for the
-plumbed 4-manifold's boundary to bound a rational homology 4-ball, so a
-completed search that finds nothing is a proof of obstruction.
+A lattice embedding of a plumbing tree's negative-definite intersection
+form G assigns to each vertex i a vector v_i in Z^r with <v_i, v_j>_{-Id}
+= -(v_i . v_j) = G[i][j].  Existence of such an embedding at r = rank(G)
+is necessary for the plumbed 4-manifold's boundary to bound a rational
+homology 4-ball, so a completed search that finds nothing is a proof of
+obstruction.  The search reads G off the tree's weights and edges (the
+Gram matrix is built only to re-verify a witness).
 
 The search is complete backtracking over candidate vectors of the right
 norm, with symmetry breaking: after placing some vectors, coordinates of
@@ -74,8 +76,9 @@ All arithmetic is on plain integers.
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
 from math import isqrt
+
+from .plumbing import form_invariants, gram_matrix
 
 
 class SearchStatus(Enum):
@@ -105,11 +108,6 @@ def verify_embedding(gram, vectors) -> bool:
             if -dot != gram[i][j]:
                 return False
     return True
-
-
-def _adjacency(gram):
-    cols = range(len(gram))
-    return [frozenset(compress(cols, row)) - {i} for i, row in enumerate(gram)]
 
 
 def _depth_first(adj):
@@ -179,22 +177,23 @@ class _Class:
 
 
 class _Searcher:
-    def __init__(self, gram, rank, budget=None):
-        self.gram = gram
-        self.n = len(gram)
+    def __init__(self, diag, off, rank, budget=None):
+        # the form: diag[i] its i-th diagonal entry, off[i] {j: entry} for
+        # each non-zero off-diagonal entry of row i
+        self.diag, self.off = diag, off
+        self.n = len(diag)
         # an embedding touches at most -trace(G) coordinates (each vector at
         # most its norm), so any further coordinates stay zero
-        self.rank = min(rank, -sum(gram[i][i] for i in range(self.n)))
-        adj = _adjacency(gram)
-        self.order = _depth_first(adj)
+        self.rank = min(rank, -sum(diag))
+        self.order = _depth_first(off)
         depth_of = [0] * self.n
         for d, v in enumerate(self.order):
             depth_of[v] = d
-        self.norms = [-gram[v][v] for v in self.order]
+        self.norms = [-diag[v] for v in self.order]
         # links[d]: (depth j, target) for each neighbour placed before depth
         # d; every other target of the vertex at depth d is 0
         self.links = [
-            sorted((depth_of[w], -gram[v][w]) for w in adj[v] if depth_of[w] < d)
+            sorted((depth_of[w], -a) for w, a in off[v].items() if depth_of[w] < d)
             for d, v in enumerate(self.order)
         ]
         self.budget = budget
@@ -465,24 +464,25 @@ class _Searcher:
         return [((k1, v1), (k2, v2)) for k1, v1, k2, v2 in found]
 
 
-def find_embedding(gram, rank=None, budget=None) -> SearchResult:
-    """Decide embeddability of a negative-definite Gram matrix into (Z^r, -Id).
+def find_embedding(tree, rank=None, budget=None) -> SearchResult:
+    """Decide embeddability of a plumbing tree's negative-definite
+    intersection form into (Z^r, -Id).
 
-    Returns FOUND with a verified witness, NONE after exhausting the
-    (symmetry-pruned but complete) search space, or INDETERMINATE when the
-    node budget runs out.  rank defaults to the dimension of the matrix,
-    the rank relevant to the rational-homology-ball obstruction.  Raises
-    ValueError for a matrix that is not square and negative definite, or a
-    rank below 1.
+    Returns FOUND with a verified witness, one vector per vertex in
+    ascending vertex id, NONE after exhausting the (symmetry-pruned but
+    complete) search space, or INDETERMINATE when the node budget runs
+    out.  rank defaults to the vertex count, the rank relevant to the
+    rational-homology-ball obstruction.  Raises ValueError for a form that
+    is not negative definite, or a rank below 1.
     """
-    r = _check_gram(gram, rank)
-    searcher = _Searcher(gram, r, budget)
+    r = _target_rank(tree, rank)
+    searcher = _Searcher(*_form_rows(tree), r, budget)
     witness = next(searcher.embeddings(), None)
     if searcher.exhausted:
         return SearchResult(SearchStatus.INDETERMINATE, None, searcher.nodes)
     if witness is None:
         return SearchResult(SearchStatus.NONE, None, searcher.nodes)
-    if not verify_embedding(gram, witness):
+    if not verify_embedding(gram_matrix(tree), witness):
         raise AssertionError("search produced a witness that fails verification")
     return SearchResult(SearchStatus.FOUND, _padded(witness, r - searcher.rank), searcher.nodes)
 
@@ -493,15 +493,24 @@ def _padded(vectors, extra):
     return tuple(v + zeros for v in vectors)
 
 
-def _check_gram(gram, rank=None):
-    """Validate the search input; returns the target rank."""
-    # looked up per call, so perfbench's patch of plumbing's attribute spans it
-    from .plumbing import is_negative_definite
+def _form_rows(tree):
+    """The tree's intersection form as _Searcher takes it: the diagonal
+    and, per row, {column: 1} for each neighbour, rows and columns in
+    ascending vertex id as in gram_matrix."""
+    order = tree.vertices()
+    index = {v: i for i, v in enumerate(order)}
+    return (
+        [tree.weight(v) for v in order],
+        [{index[u]: 1 for u in tree.neighbors(v)} for v in order],
+    )
 
-    if not is_negative_definite(gram):  # ValueError if not square
+
+def _target_rank(tree, rank):
+    """Validate the search input; returns the target rank."""
+    if not form_invariants(tree)[1]:
         # embeddings into -Id exist only for negative-definite forms
         raise ValueError("intersection form is not negative definite")
-    r = len(gram) if rank is None else rank
+    r = len(tree) if rank is None else rank
     if type(r) is not int:  # int() would search rank 2 for 2.9, rank 1 for True
         raise TypeError(f"rank must be an integer, got {r!r}")
     if r < 1:
@@ -538,8 +547,9 @@ def is_locally_minimal(vectors) -> bool:
     return all(any(v[k] != 0 for v in vectors) for k in range(len(vectors[0])))
 
 
-def enumerate_embeddings(gram, rank=None, locally_minimal_only=False) -> list:
-    """All embeddings up to self-isometry of the target, canonically presented.
+def enumerate_embeddings(tree, rank=None, locally_minimal_only=False) -> list:
+    """All embeddings of a plumbing tree's form up to self-isometry of the
+    target, canonically presented; rank and ValueError as in find_embedding.
 
     Intended for small instances (the search collects every completion).
     The stepwise pruning already quotients by most of the symmetry; the
@@ -547,9 +557,9 @@ def enumerate_embeddings(gram, rank=None, locally_minimal_only=False) -> list:
     negatives of each other), so the returned list has one entry per
     isometry class.
     """
-    r = _check_gram(gram, rank)
+    r = _target_rank(tree, rank)
     seen = {}
-    searcher = _Searcher(gram, r)
+    searcher = _Searcher(*_form_rows(tree), r)
     for sol in searcher.embeddings():
         sol = _padded(sol, r - searcher.rank)
         if locally_minimal_only and not is_locally_minimal(sol):

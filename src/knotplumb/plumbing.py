@@ -29,11 +29,12 @@ numerator being the continuant (the determinant, up to sign) of the subtree
 eliminated into that vertex and the denominator the product of its
 children's.  A vertex whose diagonal has become 0 cannot be a pivot; it is
 expanded away with its parent instead, det S = -a^2 det(S - {vertex,
-parent}), and the form is then indefinite.  A matrix whose off-diagonal
-support has a cycle, or that is not symmetric, has no such order and takes
-one fraction-free (Bareiss) pass instead, which gives both answers.  Entries
-must be ints: a float, Fraction or bool entry raises TypeError instead of
-being truncated.
+parent}), and the form is then indefinite.  det_exact and
+is_negative_definite run the same elimination on a matrix, so they are
+defined on square, symmetric integer matrices whose support is a forest
+(the form of any plumbing, or a disjoint union of them); any other matrix
+raises ValueError.  Entries must be ints: a float, Fraction or bool entry
+raises TypeError instead of being truncated.
 """
 
 import json
@@ -99,19 +100,6 @@ class WeightedTree:
         self._edges = frozenset(es)
         self._adj = {v: frozenset(ns) for v, ns in adj.items()}
         self._form = None
-
-    @classmethod
-    def _trusted(cls, weights, edges, adj):
-        """A tree from parts known to form one, checked and copied not at
-        all: weights a dict, edges a frozenset of (low, high) pairs, adj a
-        dict of frozensets, none of them shared with a caller that might
-        mutate it.  The calculus moves build their results this way."""
-        tree = object.__new__(cls)
-        tree._weights = weights
-        tree._edges = edges
-        tree._adj = adj
-        tree._form = None
-        return tree
 
     # -- basic accessors ---------------------------------------------------
 
@@ -212,14 +200,14 @@ def form_invariants(tree: WeightedTree) -> tuple:
 
 
 def _forest_elimination(matrix):
-    """_eliminate on a matrix; None, having decided nothing, if it is not
-    square and symmetric or its support has a cycle.  Every entry read --
-    the diagonal and the non-zero entries -- must be an int (type(x) is
-    int, so not a bool), else TypeError: a float or Fraction entry has no
-    exact integer determinant to return."""
+    """_eliminate on a matrix: ValueError unless it is square and symmetric
+    and its support is a forest.  Every entry read -- the diagonal and the
+    non-zero entries -- must be an int (type(x) is int, so not a bool),
+    else TypeError: a float or Fraction entry has no exact integer
+    determinant to return."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
-        return None
+        raise ValueError("matrix is not square")
     cols = range(n)
     num = {i: row[i] for i, row in enumerate(matrix)}
     adj = {i: {j: row[j] for j in compress(cols, row) if j != i} for i, row in enumerate(matrix)}
@@ -228,8 +216,11 @@ def _forest_elimination(matrix):
     for i, nbrs in adj.items():
         for j, a in nbrs.items():
             if adj[j].get(i) != a:
-                return None
-    return _eliminate(num, adj)
+                raise ValueError("matrix is not symmetric")
+    result = _eliminate(num, adj)
+    if result is None:
+        raise ValueError("matrix support has a cycle")
+    return result
 
 
 def _walk(adj, root, parent):
@@ -313,72 +304,24 @@ def _eliminate(num, adj):
     return det, negative
 
 
-def _bareiss(matrix):
-    """(det, negative definite) of a square integer matrix by one
-    fraction-free (Bareiss) pass, swapping in a lower row at a zero pivot;
-    ValueError unless square, TypeError unless every entry is an int
-    (type(x) is int, so not a bool).  Until the first swap, pivot k is the
-    k-th leading principal minor, so a symmetric matrix is negative
-    definite exactly when no swap was needed and the pivots alternate in
-    sign, negative first (Sylvester's criterion).  O(n^3)."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix is not square")
-    if any(type(x) is not int for row in matrix for x in row):
-        raise TypeError("matrix entries must be integers")
-    m = [list(row) for row in matrix]
-    sign = prev = 1
-    negative = True
-    for k in range(n):
-        if m[k][k] == 0:
-            negative = False
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0, False
-        pivot = m[k][k]
-        negative = negative and (pivot > 0 if k % 2 else pivot < 0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-        prev = pivot
-    return sign * prev, negative
-
-
 def det_exact(matrix) -> int:
-    """Exact determinant of a square integer matrix.
-
-    A symmetric matrix whose off-diagonal support is a forest -- the
-    intersection form of any plumbing, or a disjoint union of them -- is
-    done by integer leaf elimination (_forest_elimination) in O(n) steps;
-    any other, one with a cycle in its support or an asymmetric one, by
-    one Bareiss pass (_bareiss), O(n^3).  Raises TypeError if an entry
-    either path reads is not an int (a bool, float or Fraction), rather
-    than truncating it, and ValueError if the matrix is not square.
+    """Exact determinant of a square, symmetric integer matrix whose
+    off-diagonal support is a forest -- the intersection form of any
+    plumbing, or a disjoint union of them -- by integer leaf elimination
+    (_forest_elimination) in O(n) steps.  Raises ValueError for any other
+    matrix, and TypeError if an entry read is not an int (a bool, float or
+    Fraction), rather than truncating it.
     """
-    return (_forest_elimination(matrix) or _bareiss(matrix))[0]
+    return _forest_elimination(matrix)[0]
 
 
 def is_negative_definite(matrix) -> bool:
-    """Whether a symmetric integer matrix is negative definite.
-
-    A forest-supported matrix is decided by integer leaf elimination
-    (_forest_elimination) in O(n) steps: definite exactly when every
-    pivot is negative and no zero pivot had to be expanded away; any
-    other symmetric matrix (a cycle in its support) by the Sylvester test
-    on the pivots of det_exact's Bareiss pass (_bareiss), O(n^3).  Raises
-    TypeError if an entry read is not an int, and ValueError if the matrix
-    is not square or not symmetric.
+    """Whether a square, symmetric, forest-supported integer matrix is
+    negative definite, by det_exact's leaf elimination: definite exactly
+    when every pivot is negative and no zero pivot had to be expanded
+    away.  Raises ValueError and TypeError as det_exact does.
     """
-    result = _forest_elimination(matrix)
-    if result is None:
-        result = _bareiss(matrix)
-        if any(row[j] != matrix[j][i] for i, row in enumerate(matrix) for j in range(i)):
-            raise ValueError("matrix is not symmetric")
-    return result[1]
+    return _forest_elimination(matrix)[1]
 
 
 # -- calculus moves ---------------------------------------------------------
@@ -449,13 +392,16 @@ def _flatten_at(weights, adj, leaf):
 
 
 def _frozen(weights, adj):
-    """The tree of a working copy, by the trusted constructor: a move on a
-    tree yields a tree.  Takes weights over; copies adj."""
-    return WeightedTree._trusted(
-        weights,
-        frozenset((a, b) for a, ns in adj.items() for b in ns if a < b),
-        {v: frozenset(ns) for v, ns in adj.items()},
-    )
+    """The tree of a working copy, checked not at all: a move on a tree,
+    like cabling's builder attaching each vertex to an earlier one, yields
+    a tree.  Takes weights over, which no caller may mutate after; copies
+    adj."""
+    tree = object.__new__(WeightedTree)
+    tree._weights = weights
+    tree._edges = frozenset((a, b) for a, ns in adj.items() for b in ns if a < b)
+    tree._adj = {v: frozenset(ns) for v, ns in adj.items()}
+    tree._form = None
+    return tree
 
 
 def _moved(tree, move, site):

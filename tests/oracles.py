@@ -15,6 +15,13 @@ reference_reduce_tree picks its sites by the recursive, unmemoised rooted
 encoding, among the sites reference_sites finds by a full scan at every
 step, where the implementation keeps them move by move.  fresh_id, a
 helper only the tests use, lives here too.
+
+search_gram and enumerate_gram are adapters, not oracles: they run the
+implementation's search (lattice._Searcher) on a matrix that is no
+plumbing tree's form -- a forest, a support with a cycle, off-diagonal
+entries other than 1 -- which find_embedding, taking a tree, cannot be
+given.  Definiteness comes from the leading-minor test and a witness is
+re-checked by verify_embedding.
 """
 
 import itertools
@@ -22,6 +29,8 @@ import math
 import random
 from fractions import Fraction
 
+from knotplumb import lattice
+from knotplumb.lattice import SearchResult, SearchStatus, verify_embedding
 from knotplumb.plumbing import (
     WeightedTree,
     absorb_zero,
@@ -282,6 +291,48 @@ def naive_find_embedding(gram, rank):
         return None
 
     return rec([])
+
+
+def gram_rows(gram):
+    """The matrix as lattice._Searcher takes a form: its diagonal, and per
+    row {column: entry} for each non-zero off-diagonal entry."""
+    return (
+        [row[i] for i, row in enumerate(gram)],
+        [{j: x for j, x in enumerate(row) if x and j != i} for i, row in enumerate(gram)],
+    )
+
+
+def _gram_searcher(gram, rank, budget=None):
+    """(target rank, lattice._Searcher on the rows of gram)."""
+    if not minors_negative_definite(gram):
+        raise ValueError("intersection form is not negative definite")
+    r = len(gram) if rank is None else rank
+    return r, lattice._Searcher(*gram_rows(gram), r, budget)
+
+
+def search_gram(gram, rank=None, budget=None):
+    """find_embedding on a symmetric integer matrix: the same SearchResult,
+    rank defaulting to the dimension."""
+    r, searcher = _gram_searcher(gram, rank, budget)
+    witness = next(searcher.embeddings(), None)
+    if searcher.exhausted:
+        return SearchResult(SearchStatus.INDETERMINATE, None, searcher.nodes)
+    if witness is None:
+        return SearchResult(SearchStatus.NONE, None, searcher.nodes)
+    if not verify_embedding(gram, witness):
+        raise AssertionError("search produced a witness that fails verification")
+    return SearchResult(SearchStatus.FOUND, lattice._padded(witness, r - searcher.rank), searcher.nodes)
+
+
+def enumerate_gram(gram, rank=None, locally_minimal_only=False):
+    """enumerate_embeddings on a symmetric integer matrix."""
+    r, searcher = _gram_searcher(gram, rank)
+    seen = set()
+    for sol in searcher.embeddings():
+        sol = lattice._padded(sol, r - searcher.rank)
+        if not locally_minimal_only or lattice.is_locally_minimal(sol):
+            seen.add(lattice.matrix_canonical_form(sol))
+    return sorted(seen)
 
 
 def contract_junctions(tree: WeightedTree) -> WeightedTree:

@@ -49,7 +49,7 @@ from knotplumb.plumbing import (
     reduce_tree,
 )
 
-from oracles import catalogue_count, naive_find_embedding, random_tree, relabel
+from oracles import catalogue_count, enumerate_gram, naive_find_embedding, random_tree, relabel
 from fractions import Fraction
 
 
@@ -151,13 +151,8 @@ def test_criterion_4_construction_oracle():
         assert are_isomorphic(reduced, closed_form_two_iter(spec))
 
 
-def _chain_gram(k):
-    g = [[0] * k for _ in range(k)]
-    for i in range(k):
-        g[i][i] = -2
-        if i + 1 < k:
-            g[i][i + 1] = g[i + 1][i] = 1
-    return g
+def _chain(k):
+    return WeightedTree({i: -2 for i in range(k)}, [(i, i + 1) for i in range(k - 1)])
 
 
 def _block_diag(blocks):
@@ -185,14 +180,15 @@ def _partitions(m, cap=None):
 @criterion(5, "-2-chain embedding classes and the disjoint-union catalogue")
 def test_criterion_5_chain_classes():
     for k in range(1, 7):
-        up = enumerate_embeddings(_chain_gram(k), rank=k + 1, locally_minimal_only=True)
+        up = enumerate_embeddings(_chain(k), rank=k + 1, locally_minimal_only=True)
         assert len(up) == 1
-        eq = enumerate_embeddings(_chain_gram(k), rank=k, locally_minimal_only=True)
+        eq = enumerate_embeddings(_chain(k), rank=k, locally_minimal_only=True)
         assert len(eq) == (1 if k == 3 else 0)
     for total in range(1, 8):
         for lengths in _partitions(total):
-            gram = _block_diag([_chain_gram(k) for k in lengths])
-            got = len(enumerate_embeddings(gram, rank=total))
+            # a disjoint union is no tree: searched on its matrix
+            gram = _block_diag([gram_matrix(_chain(k)) for k in lengths])
+            got = len(enumerate_gram(gram, rank=total))
             assert got == catalogue_count(lengths, total), lengths
 
 
@@ -213,7 +209,7 @@ def test_criterion_6_engine_completeness():
                 if not is_negative_definite(gram):
                     continue
                 checked += 1
-                fast = find_embedding(gram)
+                fast = find_embedding(tree)
                 slow = naive_find_embedding(gram, n)
                 assert (fast.status is SearchStatus.FOUND) == (slow is not None)
                 if slow is not None:
@@ -289,11 +285,11 @@ def test_criterion_7_theorem_audit():
     } == DESK_WITNESSES
     for row in passing_rows:
         spec = SurgerySpec(CableTower(((row.p1, row.a1), (row.p2, row.a2))), row.n)
-        gram = gram_matrix(closed_form_two_iter(spec))
-        assert verify_embedding(gram, row.witness)
+        tree = closed_form_two_iter(spec)
+        assert verify_embedding(gram_matrix(tree), row.witness)
         witness = known_witness(spec)
         assert witness is not None  # construction self-verifies
-        rediscovered = find_embedding(gram)
+        rediscovered = find_embedding(tree)
         assert rediscovered.status is SearchStatus.FOUND
 
 
@@ -305,7 +301,7 @@ def test_search_refutes_every_non_square_desk_graph():
         if math.isqrt(n) ** 2 == n:
             continue
         spec = SurgerySpec(CableTower(((p1, a1), (p2, a2))), n)
-        result = find_embedding(gram_matrix(closed_form_two_iter(spec)))
+        result = find_embedding(closed_form_two_iter(spec))
         assert result.status is SearchStatus.NONE, (p1, a1, p2, a2, n)
         nodes += result.nodes
     assert nodes == 23579

@@ -31,20 +31,28 @@ def test_layer_patch_targets_exist(workloads):
         assert callable(target), f"{module.__name__}.{attr} (span {span})"
 
 
-def test_search_check_is_seen_by_the_plumbing_span(monkeypatch):
-    # lattice._check_gram looks is_negative_definite up on plumbing at call
-    # time, so the span LAYER_PATCHES puts there times the search's check
-    from knotplumb import lattice, plumbing
-
-    calls = []
-    check = plumbing.is_negative_definite
-
-    def counted(matrix):
-        calls.append(len(matrix))
-        return check(matrix)
-
-    monkeypatch.setattr(plumbing, "is_negative_definite", counted)
-    grams = ([[-2]], [[-2, 1], [1, -2]], [[-2, 1, 0], [1, -2, 1], [0, 1, -2]])
-    for gram in grams:
-        lattice.find_embedding(gram)
-    assert calls == [1, 2, 3]
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_smoke_workloads_run_clean(workloads, tmp_path, monkeypatch, traced):
+    # every workload on its smallest inputs, in this process, as the
+    # benchmark's one pass runs it: the library calls, the attributes the
+    # trace wraps and the checks must still fit together
+    sys.path.insert(0, str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    try:
+        import spans
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    for name, workload in workloads.WORKLOADS.items():
+        tracer = spans.Tracer() if traced else spans.NullTracer()
+        stats = workloads.instrument(tracer) if traced else None
+        inputs = workload.inputs(1, "smoke")
+        try:
+            unit = workload.run(inputs, tracer, str(tmp_path))
+        finally:
+            tracer.restore()
+        failures = workloads.Failures()
+        workload.check(inputs, unit, failures)
+        assert failures.entries == [], (name, traced)
+        assert unit.counts["items"] == len(inputs) >= 1, name
+        if traced:
+            assert stats["lattice.nodes"] == unit.counts.get("lattice.nodes", 0), name

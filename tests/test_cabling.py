@@ -1,8 +1,10 @@
 import math
+import random
 import sys
 
 import pytest
 
+from knotplumb.classify import desk_range_tuples
 from knotplumb.cabling import (
     CableTower,
     ReducibleBoundaryError,
@@ -26,6 +28,7 @@ from knotplumb.plumbing import (
 )
 
 from oracles import contract_junctions, signature
+from test_plumbing import THREE_ITERATION_SPECS, random_tower_spec
 
 
 class TestCableTower:
@@ -208,6 +211,22 @@ class TestClosedForm:
     def test_rejects_negative_n(self):
         with pytest.raises(NoNegativeDefiniteFormError):
             closed_form_two_iter(SurgerySpec(CableTower(((2, 3), (2, 17))), 20))
+
+
+class TestBuilder:
+    def test_built_trees_equal_validated_copies(self):
+        # the builder attaches each vertex to an earlier one and freezes the
+        # result unchecked; the validating constructor must accept it and
+        # agree on weights, edges and adjacency
+        rng = random.Random(83)
+        specs = [SurgerySpec(CableTower((t[:2], t[2:4])), t[4]) for t in desk_range_tuples()]
+        trees = [build(spec) for spec in specs for build in (closed_form_two_iter, raw_plumbing)]
+        towers = THREE_ITERATION_SPECS + [random_tower_spec(rng, k) for k in (1, 2, 3, 4) for _ in range(6)]
+        trees += [raw_plumbing(spec) for spec in towers]
+        for t in trees:
+            copy = WeightedTree(t.weights, t.edges)
+            assert t == copy and t._adj == copy._adj, t
+        assert len(trees) == 2 * 1005 + 27
 
 
 class TestFramingRule:

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from knotplumb import classify, cli, plumbing
+from knotplumb import classify, lattice, plumbing
 from knotplumb.cabling import (
     CableTower,
     SurgerySpec,
@@ -49,9 +49,28 @@ def count_exact_passes(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(plumbing, "_eliminate", counted("kernel", kernel))
-    for module in (plumbing, classify, cli):  # every module that looks gram_matrix up
+    for module in (plumbing, classify, lattice):  # every module that looks gram_matrix up
         monkeypatch.setattr(module, "gram_matrix", counted("gram", gram))
     return calls
+
+
+def indefinite_kernel_code(call, p1, a1, p2, a2, n):
+    """A program that makes the leaf-elimination kernel call every form
+    indefinite (keeping the true determinant, so the builder's |det| = n
+    check passes), runs call on spec and exits 0 only if it raises
+    ValueError for a form that is not negative definite."""
+    return (
+        "from knotplumb import classify, lattice, plumbing\n"
+        "from knotplumb.cabling import CableTower, SurgerySpec, closed_form_two_iter\n"
+        "kernel = plumbing._eliminate\n"
+        "plumbing._eliminate = lambda num, adj: (kernel(num, adj)[0], False)\n"
+        f"spec = SurgerySpec(CableTower((({p1}, {a1}), ({p2}, {a2}))), {n})\n"
+        "try:\n"
+        f"    {call}\n"
+        "except ValueError as exc:\n"
+        "    raise SystemExit(0 if 'not negative definite' in str(exc) else repr(exc))\n"
+        "raise SystemExit('indefinite form decided')\n"
+    )
 
 
 class TestClassifyOne:
@@ -97,7 +116,7 @@ class TestClassifyOne:
             assert len(closed) == len(calculus), tup
             assert form_invariants(closed) == form_invariants(calculus), tup
             if math.isqrt(spec.n) ** 2 == spec.n:
-                a, b = (find_embedding(gram_matrix(t)) for t in (closed, calculus))
+                a, b = (find_embedding(t) for t in (closed, calculus))
                 assert (a.status, a.nodes) == (b.status, b.nodes), tup
 
     def test_rejects_out_of_family(self):
@@ -139,32 +158,30 @@ class TestClassifyOne:
         # the non-square branch checks definiteness with a raise, not an
         # assert, which -O strips; the kernel keeps the true determinant so
         # that the builder's |det| = n check passes
-        code = (
-            "from knotplumb import classify, plumbing\n"
-            "from knotplumb.cabling import CableTower, SurgerySpec\n"
-            "kernel = plumbing._eliminate\n"
-            "plumbing._eliminate = lambda num, adj: (kernel(num, adj)[0], False)\n"
-            "spec = SurgerySpec(CableTower(((2, 3), (2, 53))), 108)\n"
-            "try:\n"
-            "    classify.classify_one(spec)\n"
-            "except ValueError as exc:\n"
-            "    raise SystemExit(0 if 'not negative definite' in str(exc) else repr(exc))\n"
-            "raise SystemExit('indefinite form refuted by the determinant')\n"
-        )
-        res = run_child(code, "-O")
+        res = run_child(indefinite_kernel_code("classify.classify_one(spec)", 2, 3, 2, 53, 108), "-O")
+        assert res.returncode == 0, res.stdout + res.stderr
+
+    @pytest.mark.parametrize(
+        "call", ["classify.classify_one(spec)", "lattice.find_embedding(closed_form_two_iter(spec))"]
+    )
+    def test_search_definiteness_check_survives_optimize(self, call):
+        # a square n is searched, and the search reads the tree's memoised
+        # definiteness with a raise, not an assert
+        res = run_child(indefinite_kernel_code(call, 2, 3, 2, 15, 36), "-O")
         assert res.returncode == 0, res.stdout + res.stderr
 
     def test_one_exact_pass_per_built_tree(self, monkeypatch):
-        # the builder's pass decides a non-square n; a square n adds only
-        # find_embedding's own check on the one Gram matrix it is given
+        # the builder's pass decides a non-square n, and the search of a
+        # square n reads the same memoised definiteness; a Gram matrix is
+        # built only to verify a witness
         calls = count_exact_passes(monkeypatch)
         proofs = Counter()
         for tup in desk_range_tuples():
             calls.clear()
             row = classify_one(spec_for(*tup))
             proofs[row.proof] += 1
-            square = math.isqrt(tup[4]) ** 2 == tup[4]
-            assert calls == (Counter(kernel=2, gram=1) if square else Counter(kernel=1)), tup
+            want = Counter(kernel=1, gram=1) if row.proof == "witness" else Counter(kernel=1)
+            assert calls == want, tup
         assert set(proofs) == {"determinant", "search", "witness"}, proofs
 
 
@@ -196,8 +213,7 @@ class TestKnownWitness:
         for form, p1, p2 in [("derived", 2, 2), ("derived", 3, 2), ("family2", 2, 3)]:
             tup = family_tuple(form, p1, p2)
             spec = spec_for(*tup)
-            gram = gram_matrix(closed_form_two_iter(spec))
-            assert find_embedding(gram).status.value == "found"
+            assert find_embedding(closed_form_two_iter(spec)).status.value == "found"
 
     def test_generator_produces_spec_example(self):
         # (3,4;2,31;64): family 1 at p1 = 3, p2 = 2

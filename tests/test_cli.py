@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -161,6 +162,22 @@ class TestEmbed:
             "--out", str(tmp_path),
         )
         assert res.returncode == 4
+
+    def test_memory_is_linear_in_the_path(self, tmp_path, capsys):
+        # embed searches the tree and builds no n x n Gram matrix: doubling
+        # a -2 path (refuted at rank n) must not quadruple the peak
+        peaks = []
+        for k in (1001, 2001):
+            f = tmp_path / f"path{k}.json"
+            write_chain(f, k)
+            tracemalloc.start()
+            try:
+                assert cli.main(["embed", str(f), "--out", str(tmp_path)]) == 3
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert capsys.readouterr().out.startswith("no embedding into rank 1001")
+        assert peaks[1] <= 2.5 * peaks[0], peaks
 
     def test_env_out_dir(self, tmp_path):
         res = run_cli(

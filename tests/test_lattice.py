@@ -29,24 +29,32 @@ from knotplumb.plumbing import WeightedTree, det_exact, gram_matrix, is_negative
 from oracles import (
     canonical_candidates,
     column_classes,
+    enumerate_gram,
+    gram_rows,
+    minors_negative_definite,
     naive_find_embedding,
     random_tree,
+    relabel,
+    search_gram,
     square_decompositions,
 )
 
 
-def chain_gram(k, weight=-2):
-    g = [[0] * k for _ in range(k)]
-    for i in range(k):
-        g[i][i] = weight
-        if i + 1 < k:
-            g[i][i + 1] = g[i + 1][i] = 1
-    return g
+def path(weights):
+    """The path with these weights, vertices 0, 1, ... in order."""
+    return WeightedTree(dict(enumerate(weights)), [(i, i + 1) for i in range(len(weights) - 1)])
 
 
-def relabel(gram, perm):
-    """The Gram matrix of the same graph with vertex i renamed perm.index(i)."""
-    return [[gram[a][b] for b in perm] for a in perm]
+def chain(k, weight=-2):
+    return path([weight] * k)
+
+
+def shuffled(tree, rng):
+    """tree with its vertices renamed 0..n-1 in a random order, so that the
+    search places them in another order."""
+    ids = tree.vertices()
+    rng.shuffle(ids)
+    return relabel(tree, {v: i for i, v in enumerate(ids)})
 
 
 def block_diag(*blocks):
@@ -78,7 +86,7 @@ class TestVerify:
 
     def test_three_chain_special(self):
         vectors = ((1, -1, 0), (0, 1, -1), (-1, -1, 0))
-        assert verify_embedding(chain_gram(3), vectors)
+        assert verify_embedding(gram_matrix(chain(3)), vectors)
 
     def test_worked_example_witness(self):
         # coordinates f1..f4, g1..g3, h for the 8-vertex centipede of
@@ -141,30 +149,31 @@ class TestChains:
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_rank_k_plus_one_found(self, k):
-        assert find_embedding(chain_gram(k), rank=k + 1).status is SearchStatus.FOUND
+        assert find_embedding(chain(k), rank=k + 1).status is SearchStatus.FOUND
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_rank_k_only_at_three(self, k):
-        res = find_embedding(chain_gram(k), rank=k)
+        res = find_embedding(chain(k), rank=k)
         expected = SearchStatus.FOUND if k == 3 else SearchStatus.NONE
         assert res.status is expected
 
     @pytest.mark.parametrize("k", [1, 2, 4, 5, 6])
     def test_unique_class_into_rank_k_plus_one(self, k):
-        classes = enumerate_embeddings(chain_gram(k), rank=k + 1, locally_minimal_only=True)
+        classes = enumerate_embeddings(chain(k), rank=k + 1, locally_minimal_only=True)
         assert len(classes) == 1
 
     def test_three_chain_classes(self):
-        assert len(enumerate_embeddings(chain_gram(3), rank=3)) == 1
+        assert len(enumerate_embeddings(chain(3), rank=3)) == 1
         # into rank 4, the staircase is the only locally minimal class;
         # dropping local minimality adds the special embedding
-        assert len(enumerate_embeddings(chain_gram(3), rank=4, locally_minimal_only=True)) == 1
-        assert len(enumerate_embeddings(chain_gram(3), rank=4)) == 2
+        assert len(enumerate_embeddings(chain(3), rank=4, locally_minimal_only=True)) == 1
+        assert len(enumerate_embeddings(chain(3), rank=4)) == 2
 
 
 class TestDisjointUnions:
+    # a disjoint union is no tree: searched on its matrix (enumerate_gram)
     def test_two_singletons_rank_two(self):
-        classes = enumerate_embeddings(block_diag([[-2]], [[-2]]), rank=2)
+        classes = enumerate_gram(block_diag([[-2]], [[-2]]), rank=2)
         assert classes == [((1, 1), (1, -1))]
 
     def test_catalogue_until_rank_seven(self):
@@ -177,26 +186,26 @@ class TestDisjointUnions:
                         (3, 3, 1), (2, 2, 3), (4, 3), (1, 1, 3, 1)]:
             if sum(lengths) > 7:
                 continue
-            gram = block_diag(*[chain_gram(k) for k in lengths])
-            got = len(enumerate_embeddings(gram, rank=sum(lengths)))
+            gram = block_diag(*[gram_matrix(chain(k)) for k in lengths])
+            got = len(enumerate_gram(gram, rank=sum(lengths)))
             assert got == catalogue_count(lengths, sum(lengths)), lengths
 
 
 class TestFindEmbedding:
     def test_worked_example_found(self):
         spec = SurgerySpec(CableTower(((2, 3), (2, 17))), 36)
-        res = find_embedding(gram_matrix(closed_form_two_iter(spec)))
+        res = find_embedding(closed_form_two_iter(spec))
         assert res.status is SearchStatus.FOUND
         assert verify_embedding(gram_matrix(closed_form_two_iter(spec)), res.witness)
 
     def test_non_family_none(self):
         spec = SurgerySpec(CableTower(((2, 3), (2, 17))), 38)
-        res = find_embedding(gram_matrix(closed_form_two_iter(spec)))
+        res = find_embedding(closed_form_two_iter(spec))
         assert res.status is SearchStatus.NONE
 
     def test_budget_indeterminate(self):
         spec = SurgerySpec(CableTower(((2, 3), (2, 17))), 38)
-        res = find_embedding(gram_matrix(closed_form_two_iter(spec)), budget=3)
+        res = find_embedding(closed_form_two_iter(spec), budget=3)
         assert res.status is SearchStatus.INDETERMINATE
         assert res.nodes > 3 >= res.nodes - 1
 
@@ -212,59 +221,52 @@ class TestFindEmbedding:
         ],
     )
     def test_budget_boundary(self, pairs, n, budget, status):
-        gram = gram_matrix(closed_form_two_iter(SurgerySpec(CableTower(pairs), n)))
-        res = find_embedding(gram, budget=budget)
+        tree = closed_form_two_iter(SurgerySpec(CableTower(pairs), n))
+        res = find_embedding(tree, budget=budget)
         assert res.status is status
         # a search that runs out stops on the node that exceeds the budget
         assert res.nodes == (budget + 1 if status is SearchStatus.INDETERMINATE else budget)
         assert (res.witness is not None) == (status is SearchStatus.FOUND)
 
     def test_rejects_indefinite(self):
-        with pytest.raises(ValueError):
-            find_embedding([[-2, 1], [1, 0]])
-        with pytest.raises(ValueError):
-            find_embedding([[2]])
-
-    def test_rejects_ragged_gram(self):
-        for gram in ([[-2, 1], [1]], [[-2], [1, -2]], [[-2, 1, 0], [1, -2]]):
-            with pytest.raises(ValueError, match="not square"):
-                find_embedding(gram)
+        for tree in (path([-2, 0]), path([2])):
+            with pytest.raises(ValueError, match="not negative definite"):
+                find_embedding(tree)
+            with pytest.raises(ValueError, match="not negative definite"):
+                enumerate_embeddings(tree)
 
     def test_verdict_invariant_under_relabelling(self):
-        # a relabelled matrix is placed in a different order, so this also
+        # a relabelled tree is placed in a different order, so this also
         # checks that the verdict does not depend on the placement order
         rng = random.Random(5)
         for _ in range(25):
             t = random_tree(rng, max_vertices=6, weights=(-4, -2))
-            g = gram_matrix(t)
-            if not is_negative_definite(g):
+            if not is_negative_definite(gram_matrix(t)):
                 continue
-            status = find_embedding(g).status
+            status = find_embedding(t).status
             for _ in range(3):
-                perm = list(range(len(g)))
-                rng.shuffle(perm)
-                assert find_embedding(relabel(g, perm)).status is status, perm
+                moved = shuffled(t, rng)
+                assert find_embedding(moved).status is status, moved
 
     def test_chain_refute_stays_small_under_relabelling(self):
         # rank-26 refute of T(2,3;2,53), n = 108; depth-first placement
         # needs 26-71 nodes under these labellings, input order 114-3865
         spec = SurgerySpec(CableTower(((2, 3), (2, 53))), 108)
-        g = gram_matrix(closed_form_two_iter(spec))
-        rank = len(g)
+        t = closed_form_two_iter(spec)
+        rank = len(t)
         assert rank == 26
         for seed in range(20):
-            perm = list(range(rank))
-            random.Random(seed).shuffle(perm)
-            res = find_embedding(relabel(g, perm), budget=4 * rank)
+            res = find_embedding(shuffled(t, random.Random(seed)), budget=4 * rank)
             assert res.status is SearchStatus.NONE, (seed, res.nodes)
 
     def test_soundness_check_survives_optimize(self):
         # the witness re-verification must not be an assert, which -O strips
         code = (
             "from knotplumb import lattice\n"
+            "from knotplumb.plumbing import WeightedTree\n"
             "lattice.verify_embedding = lambda gram, vectors: False\n"
             "try:\n"
-            "    lattice.find_embedding([[-1]])\n"
+            "    lattice.find_embedding(WeightedTree({0: -1}, []))\n"
             "except AssertionError:\n"
             "    raise SystemExit(0)\n"
             "raise SystemExit('unverified witness accepted')\n"
@@ -274,14 +276,14 @@ class TestFindEmbedding:
 
     def test_rejects_rank_below_one(self):
         with pytest.raises(ValueError):
-            find_embedding(chain_gram(2), rank=0)
+            find_embedding(chain(2), rank=0)
         with pytest.raises(ValueError):
-            enumerate_embeddings(chain_gram(2), rank=0)
+            enumerate_embeddings(chain(2), rank=0)
 
     def test_rejects_non_integer_rank(self):
         # int() searched rank 2 for 2.9, and reported NONE where rank 3
         # finds a witness; True searched rank 1
-        g = [[-2, 1], [1, -2]]
+        g = chain(2)
         assert find_embedding(g, rank=3).status is SearchStatus.FOUND
         for rank in (2.9, 3.0, True, "3"):
             with pytest.raises(TypeError, match="rank must be an integer"):
@@ -293,12 +295,11 @@ class TestFindEmbedding:
         rng = random.Random(9)
         for _ in range(20):
             t = random_tree(rng, max_vertices=5, weights=(-4, -2))
-            g = gram_matrix(t)
-            if not is_negative_definite(g) or len(g) < 2:
+            if not is_negative_definite(gram_matrix(t)) or len(t) < 2:
                 continue
-            n = len(g)
-            if find_embedding(g, rank=n).status is SearchStatus.NONE:
-                assert find_embedding(g, rank=n - 1).status is SearchStatus.NONE
+            n = len(t)
+            if find_embedding(t, rank=n).status is SearchStatus.NONE:
+                assert find_embedding(t, rank=n - 1).status is SearchStatus.NONE
 
 
 class TestAgainstNaiveOracle:
@@ -311,7 +312,7 @@ class TestAgainstNaiveOracle:
             if not is_negative_definite(g):
                 continue
             checked += 1
-            fast = find_embedding(g)
+            fast = find_embedding(t)
             slow = naive_find_embedding(g, len(g))
             assert (fast.status is SearchStatus.FOUND) == (slow is not None)
             if slow is not None:
@@ -330,7 +331,7 @@ class TestAgainstNaiveOracle:
                 continue
             checked += 1
             assert naive_find_embedding(g, len(g)) is None, (g, det)
-            assert find_embedding(g).status is SearchStatus.NONE, (g, det)
+            assert find_embedding(t).status is SearchStatus.NONE, (g, det)
 
     def test_rank_five_sample(self):
         # a slice above the acceptance battery's rank range
@@ -342,12 +343,12 @@ class TestAgainstNaiveOracle:
             if not is_negative_definite(g) or len(g) != 5:
                 continue
             checked += 1
-            fast = find_embedding(g)
+            fast = find_embedding(t)
             slow = naive_find_embedding(g, 5)
             assert (fast.status is SearchStatus.FOUND) == (slow is not None)
 
     def test_oversized_target_rank(self):
-        res = find_embedding(chain_gram(4), rank=6)
+        res = find_embedding(chain(4), rank=6)
         assert res.status is SearchStatus.FOUND
         assert len(res.witness[0]) == 6
 
@@ -362,11 +363,11 @@ def dense(vec, rank):
 
 def node_inputs(searcher, depth):
     """Dense placed vectors, norm and targets of the vertex at this depth,
-    read from the Gram matrix."""
+    read from the form the searcher was given."""
     vertex = searcher.order[depth]
     placed = [dense(p, searcher.rank) for p in searcher.placed]
-    targets = [-searcher.gram[vertex][searcher.order[j]] for j in range(depth)]
-    return placed, -searcher.gram[vertex][vertex], targets
+    targets = [-searcher.off[vertex].get(searcher.order[j], 0) for j in range(depth)]
+    return placed, -searcher.diag[vertex], targets
 
 
 def search_partition(searcher):
@@ -494,12 +495,11 @@ class TestCandidates:
         graphs = 0
         while graphs < 150:
             t = random_tree(rng, max_vertices=6, weights=(-5, -1))
-            g = gram_matrix(t)
-            if not is_negative_definite(g):
+            if not is_negative_definite(gram_matrix(t)):
                 continue
             graphs += 1
-            enumerate_embeddings(g)
-            find_embedding(g, rank=len(g) + 1)
+            enumerate_embeddings(t)
+            find_embedding(t, rank=len(t) + 1)
         assert len(calls) > 1000 and sum(calls) > 1000
 
     def test_norm_two_lookup_matches_the_enumeration(self, monkeypatch):
@@ -512,11 +512,11 @@ class TestCandidates:
         graphs = 0
         while graphs < 100:
             g = (mostly_minus_two_gram if graphs < 60 else cyclic_minus_two_gram)(rng)
-            if not is_negative_definite(g):
+            if not minors_negative_definite(g):
                 continue
             graphs += 1
             for rank in (len(g), len(g) + 1, len(g) + 2):
-                find_embedding(g, rank=rank)
+                search_gram(g, rank=rank)
         assert cases == NORM_TWO_CASES
         assert len(calls) > 500
 
@@ -529,7 +529,7 @@ class TestCandidates:
         counts = check_partition_against_oracle(monkeypatch)
         for p1, a1, p2, a2, n in desk_range_tuples():
             spec = SurgerySpec(CableTower(((p1, a1), (p2, a2))), n)
-            find_embedding(gram_matrix(closed_form_two_iter(spec)))
+            find_embedding(closed_form_two_iter(spec))
         assert len(counts) == 26017
         rng = random.Random(41)
         graphs = 0
@@ -538,12 +538,12 @@ class TestCandidates:
                 g = cyclic_minus_two_gram(rng)
             else:
                 g = gram_matrix(random_tree(rng, max_vertices=8, weights=(-4, -1)))
-            if not is_negative_definite(g):
+            if not minors_negative_definite(g):
                 continue
             graphs += 1
-            enumerate_embeddings(g)
+            enumerate_gram(g)
             for rank in (len(g) + 1, len(g) + 2):
-                find_embedding(g, rank=rank)
+                search_gram(g, rank=rank)
         assert len(counts) - 26017 > 3000 and max(counts) > 20
 
     @pytest.mark.parametrize(
@@ -556,17 +556,17 @@ class TestCandidates:
         # candidate generator or the placement order that moves them is
         # a change of the search, not of its speed
         spec = SurgerySpec(CableTower(((2, 3), (2, k2))), n)
-        g = gram_matrix(closed_form_two_iter(spec))
-        assert len(g) == rank
-        res = find_embedding(g)
+        t = closed_form_two_iter(spec)
+        assert len(t) == rank
+        res = find_embedding(t)
         assert res.status is SearchStatus.NONE
         assert res.nodes == nodes
 
 
-def e8_gram():
+def e8():
     """The E8 plumbing: a -2 tree, T-shaped with arms of 1, 2 and 4 vertices."""
     edges = [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6), (6, 7)]
-    return gram_matrix(WeightedTree({v: -2 for v in range(8)}, edges))
+    return WeightedTree({v: -2 for v in range(8)}, edges)
 
 
 class TestRankAboveTrace:
@@ -589,19 +589,24 @@ class TestRankAboveTrace:
             return out
 
         monkeypatch.setattr(lattice._Searcher, "_candidates", checked)
-        star = [[-2, 1, 1, 1], [1, -2, 0, 0], [1, 0, -2, 0], [1, 0, 0, -2]]
-        for g in ([[-2]], [[-3]], [[-4]], chain_gram(2), chain_gram(3), chain_gram(4), star,
-                  [[-3, 1], [1, -2]], block_diag([[-2]], [[-3]]), block_diag([[-2]], [[-2]])):
+        star = WeightedTree({v: -2 for v in range(4)}, [(0, 1), (0, 2), (0, 3)])
+        trees = [path([-2]), path([-3]), path([-4]), chain(2), chain(3), chain(4), star,
+                 path([-3, -2])]
+        # a disjoint union is no tree: searched on its matrix
+        forests = [block_diag([[-2]], [[-3]]), block_diag([[-2]], [[-2]])]
+        runs = [(find_embedding, enumerate_embeddings, t, gram_matrix(t)) for t in trees]
+        runs += [(search_gram, enumerate_gram, g, g) for g in forests]
+        for search, enumerate_, form, g in runs:
             trace = -sum(g[i][i] for i in range(len(g)))
             for rank in (trace + 1, trace + 2):
-                find_embedding(g, rank=rank)
-                enumerate_embeddings(g, rank=rank)
+                search(form, rank=rank)
+                enumerate_(form, rank=rank)
         assert len(calls) > 80 and sum(calls) > 100
 
     def test_e8_at_rank_a_million(self):
         # E8 embeds in no (Z^r, -Id); at rank 10**6 the search costs what
         # it costs at rank 16 = -trace, in nodes and in memory
-        g = e8_gram()
+        g = e8()
         peaks = []
         for rank in (16, 10**6):
             tracemalloc.start()
@@ -614,7 +619,7 @@ class TestRankAboveTrace:
         assert peaks[1] <= peaks[0] + 64 * 1024, peaks
 
     def test_witness_is_padded(self):
-        res = find_embedding(chain_gram(3), rank=10**5)
+        res = find_embedding(chain(3), rank=10**5)
         assert res.status is SearchStatus.FOUND and res.nodes == 3
         staircase = ((1, 1, 0, 0), (0, -1, 1, 0), (0, 0, -1, 1))
         assert res.witness == tuple(v + (0,) * (10**5 - 4) for v in staircase)
@@ -622,9 +627,9 @@ class TestRankAboveTrace:
     def test_enumeration_is_padded(self):
         # chain of 2 (-trace 4): the staircase, plus the class that
         # leaves a coordinate free, each with zero columns appended
-        got = enumerate_embeddings(chain_gram(2), rank=7)
+        got = enumerate_embeddings(chain(2), rank=7)
         assert got == [((1, 1, 0) + (0,) * 4, (0, -1, 1) + (0,) * 4)]
-        assert enumerate_embeddings(chain_gram(2), rank=7, locally_minimal_only=True) == []
+        assert enumerate_embeddings(chain(2), rank=7, locally_minimal_only=True) == []
 
 
 class TestDeepSearches:
@@ -638,19 +643,18 @@ class TestDeepSearches:
             "import sys\n"
             "from knotplumb.cabling import CableTower, SurgerySpec, closed_form_two_iter\n"
             "from knotplumb.lattice import find_embedding\n"
-            "from knotplumb.plumbing import gram_matrix\n"
             "spec = SurgerySpec(CableTower(((2, 3), (2, 203))), 408)\n"
-            "g = gram_matrix(closed_form_two_iter(spec))\n"
+            "t = closed_form_two_iter(spec)\n"
             "sys.setrecursionlimit(60)\n"
-            "res = find_embedding(g)\n"
-            "print(len(g), res.status.value, res.nodes)\n"
+            "res = find_embedding(t)\n"
+            "print(len(t), res.status.value, res.nodes)\n"
         )
         res = run_child(code)
         assert res.returncode == 0, res.stderr
         assert res.stdout.split() == ["101", "none", "104"]
 
     def test_wide_untouched_class(self):
-        res = find_embedding([[-3]], rank=1500)
+        res = find_embedding(path([-3]), rank=1500)
         assert res.status is SearchStatus.FOUND
         assert res.witness == ((1, 1, 1) + (0,) * 1497,)
 
@@ -662,12 +666,11 @@ class TestDeepSearches:
             "import sys\n"
             "from knotplumb.cabling import CableTower, SurgerySpec, closed_form_two_iter\n"
             "from knotplumb.lattice import find_embedding\n"
-            "from knotplumb.plumbing import gram_matrix\n"
             "spec = SurgerySpec(CableTower(((2, 3), (2, 2003))), 4008)\n"
-            "g = gram_matrix(closed_form_two_iter(spec))\n"
+            "t = closed_form_two_iter(spec)\n"
             "sys.setrecursionlimit(60)\n"
-            "res = find_embedding(g)\n"
-            "print(len(g), res.status.value, res.nodes)\n"
+            "res = find_embedding(t)\n"
+            "print(len(t), res.status.value, res.nodes)\n"
         )
         res = run_child(code)
         assert res.returncode == 0, res.stderr
@@ -748,11 +751,9 @@ class TestPlacementOrder:
     def test_each_vertex_after_the_first_has_a_placed_neighbour(self):
         rng = random.Random(11)
         for _ in range(30):
-            g = gram_matrix(random_tree(rng, max_vertices=9, weights=(-4, -2)))
-            perm = list(range(len(g)))
-            rng.shuffle(perm)
-            g = relabel(g, perm)
-            order = lattice._Searcher(g, len(g)).order
+            t = shuffled(random_tree(rng, max_vertices=9, weights=(-4, -2)), rng)
+            g = gram_matrix(t)
+            order = lattice._Searcher(*lattice._form_rows(t), len(t)).order
             assert sorted(order) == list(range(len(g)))
             assert order[0] == 0
             for k in range(1, len(order)):
@@ -763,12 +764,12 @@ class TestPlacementOrder:
         g = [[-2 if i == j else 0 for j in range(7)] for i in range(7)]
         for a, b in ((2, 0), (2, 1), (2, 3), (4, 6), (6, 5)):
             g[a][b] = g[b][a] = 1
-        assert lattice._Searcher(g, len(g)).order == [0, 2, 1, 3, 4, 6, 5]
+        assert lattice._Searcher(*gram_rows(g), len(g)).order == [0, 2, 1, 3, 4, 6, 5]
 
     def test_identity_on_closed_form(self):
         spec = SurgerySpec(CableTower(((2, 3), (2, 17))), 36)
-        g = gram_matrix(closed_form_two_iter(spec))
-        assert lattice._Searcher(g, len(g)).order == list(range(len(g)))
+        t = closed_form_two_iter(spec)
+        assert lattice._Searcher(*lattice._form_rows(t), len(t)).order == list(range(len(t)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -779,26 +780,26 @@ def test_found_witnesses_always_verify(seed):
     g = gram_matrix(t)
     if not is_negative_definite(g):
         return
-    res = find_embedding(g)
+    res = find_embedding(t)
     if res.status is SearchStatus.FOUND:
         assert verify_embedding(g, res.witness)
 
 
 @st.composite
-def negative_definite_grams(draw, max_vertices=6):
-    """Gram matrix of a random negative-definite tree, weights -5..-1."""
+def negative_definite_trees(draw, max_vertices=6):
+    """A random negative-definite tree, weights -5..-1."""
     n = draw(st.integers(1, max_vertices))
     weights = draw(st.lists(st.integers(-5, -1), min_size=n, max_size=n))
     edges = [(i, draw(st.integers(0, i - 1))) for i in range(1, n)]
-    g = gram_matrix(WeightedTree(dict(enumerate(weights)), edges))
-    assume(is_negative_definite(g))
-    return g
+    t = WeightedTree(dict(enumerate(weights)), edges)
+    assume(is_negative_definite(gram_matrix(t)))
+    return t
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_verdict_and_class_count_invariant_under_relabelling(data):
-    g = data.draw(negative_definite_grams())
-    h = relabel(g, data.draw(st.permutations(range(len(g)))))
+    g = data.draw(negative_definite_trees())
+    h = relabel(g, dict(enumerate(data.draw(st.permutations(range(len(g)))))))
     assert find_embedding(h).status is find_embedding(g).status
     assert len(enumerate_embeddings(h)) == len(enumerate_embeddings(g))

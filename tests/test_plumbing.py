@@ -285,19 +285,23 @@ class TestForestElimination:
         assert not is_negative_definite(m)
 
     def test_cycle_supported_matrices(self):
+        # no plumbing has these forms: a cycle in the support is rejected,
+        # whether the form is definite, singular or has a zero leaf
         triangle = [[-3, 1, 1], [1, -3, 1], [1, 1, -3]]
-        assert det_exact(triangle) == bareiss_det(triangle) == -16
-        assert is_negative_definite(triangle)
         singular = [[-2, 1, 1], [1, -2, 1], [1, 1, -2]]
-        assert det_exact(singular) == 0 and not is_negative_definite(singular)
-        # a zero leaf hanging off the cycle
         tailed = [[0, 1, 0, 0], [1, -3, 1, 1], [0, 1, -3, 1], [0, 1, 1, -3]]
-        assert_matches_oracles(tailed)
+        for m in (triangle, singular, tailed):
+            with pytest.raises(ValueError, match="cycle"):
+                det_exact(m)
+            with pytest.raises(ValueError, match="cycle"):
+                is_negative_definite(m)
 
     def test_asymmetric_input(self):
         m = [[-2, 1, 0], [0, -2, 1], [0, 1, -2]]
-        assert det_exact(m) == bareiss_det(m) == -6
-        with pytest.raises(ValueError):
+        assert bareiss_det(m) == -6
+        with pytest.raises(ValueError, match="not symmetric"):
+            det_exact(m)
+        with pytest.raises(ValueError, match="not symmetric"):
             is_negative_definite(m)
 
     def test_rejects_non_square(self):
@@ -325,16 +329,22 @@ class TestForestElimination:
         cases = []
         for bad in (0.5, -2.7, 1.0, Fraction(1, 2), Fraction(-3), True):
             cases += [[[bad]], [[bad, 1], [1, -2]], [[-2, bad], [bad, -2]]]
-        # a zero entry that leaf elimination skips but Bareiss reads: on a
-        # cycle, and where it breaks the symmetry
-        for zero in (0.0, Fraction(0), False):
-            cases.append([[-3, 1, 1, zero], [1, -3, 1, 0], [1, 1, -3, 0], [zero, 0, 0, -2]])
-            cases.append([[-2, 1], [zero, -2]])
         for m in cases:
             with pytest.raises(TypeError):
                 det_exact(m)
             with pytest.raises(TypeError):
                 is_negative_definite(m)
+        # a zero entry is never read, so a non-int one is no TypeError; on
+        # a cycle, or where it breaks the symmetry, the shape is rejected
+        for zero in (0.0, Fraction(0), False):
+            for m, shape in (
+                ([[-3, 1, 1, zero], [1, -3, 1, 0], [1, 1, -3, 0], [zero, 0, 0, -2]], "cycle"),
+                ([[-2, 1], [zero, -2]], "not symmetric"),
+            ):
+                with pytest.raises(ValueError, match=shape):
+                    det_exact(m)
+                with pytest.raises(ValueError, match=shape):
+                    is_negative_definite(m)
 
     def test_matches_fraction_reference_on_plumbings(self):
         # raw plumbings are indefinite, reduced ones definite; the raw
@@ -380,8 +390,9 @@ class TestForestElimination:
         assert outcomes == {(True, False), (False, False), (False, True)}
 
     def test_cyclic_fallback_matches_minors(self):
-        # the Bareiss pass behind det_exact decides definiteness too: its
-        # pivots are the leading minors until it first swaps rows
+        # symmetric matrices whose support has a cycle, definite, singular
+        # and indefinite ones alike, are rejected: the elimination has no
+        # general-matrix fallback
         rng = random.Random(61)
         kinds = Counter()
         for _ in range(400):
@@ -398,20 +409,19 @@ class TestForestElimination:
                     i, j = rng.sample(range(n), 2)
                     a[i] = a[j][:]
                 m = [[-sum(x * y for x, y in zip(r, s)) for s in a] for r in a]
-            if plumbing._forest_elimination(m) is not None:
-                continue  # a forest: not the fallback
-            det = det_exact(m)
-            assert det == bareiss_det(m)
-            negdef = is_negative_definite(m)
-            assert negdef == minors_negative_definite(m)
-            kinds[det == 0, negdef] += 1
+            if fraction_forest_elimination(m) is not None:
+                continue  # a forest
+            for f in (det_exact, is_negative_definite):
+                with pytest.raises(ValueError, match="cycle"):
+                    f(m)
+            kinds[bareiss_det(m) == 0, minors_negative_definite(m)] += 1
         assert set(kinds) == {(True, False), (False, False), (False, True)}, kinds
         assert min(kinds.values()) >= 20, kinds
 
     def test_bareiss_swaps_rows_at_zero_pivots(self):
-        # cycle-supported and asymmetric matrices kept only when a leading
-        # minor vanishes, so the pass meets a zero pivot: it must swap in a
-        # lower row there, or stop at a zero column
+        # cycle-supported and asymmetric matrices with a vanishing leading
+        # minor, where a Bareiss pass would have to swap rows, are rejected
+        # as no plumbing's form; the oracles still agree on them
         rng = random.Random(71)
         kinds = Counter()
         for _ in range(4000):
@@ -425,15 +435,14 @@ class TestForestElimination:
                         if symmetric:
                             m[j][i] = m[i][j]
             minors = leading_principal_minors(m)
-            if 0 not in minors or plumbing._forest_elimination(m) is not None:
+            if 0 not in minors or fraction_forest_elimination(m) is not None:
                 continue
-            det = det_exact(m)
-            assert det == bareiss_det(m) == cofactor_det(m), m
-            if m == [list(col) for col in zip(*m)]:
-                assert (is_negative_definite(m), minors_negative_definite(m)) == (False, False)
-            else:
-                with pytest.raises(ValueError, match="not symmetric"):
-                    is_negative_definite(m)
+            det = bareiss_det(m)
+            assert det == cofactor_det(m), m
+            shape = "cycle" if m == [list(col) for col in zip(*m)] else "not symmetric"
+            for f in (det_exact, is_negative_definite):
+                with pytest.raises(ValueError, match=shape):
+                    f(m)
             kinds[symmetric, min(minors.index(0), 2), det != 0] += 1
         # both kinds, a first zero pivot at k = 0, 1 and >= 2, singular or not
         assert len(kinds) == 12 and min(kinds.values()) >= 10, kinds
