@@ -114,10 +114,20 @@ def resolve_positive(args, config, key, default):
 
 
 def _write_text(path, text):
+    """Write text to a new sibling file (0o666 less the umask) renamed over path."""
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
     try:
-        with open(path, "w") as fh:
-            fh.write(text)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     except OSError as exc:
+        if exc.filename is not None:  # name path, not the sibling
+            exc = OSError(exc.errno, exc.strerror, path)
         raise CliError(f"cannot write {path}: {exc}")
 
 

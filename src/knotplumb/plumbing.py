@@ -15,7 +15,9 @@ written once, as a rewiring of a mutable working copy; a public move runs
 it on a copy of its tree, and reduce_tree on the one copy it keeps for a
 whole reduction, updating each move class's sites only around the
 vertices a move touched and freezing the copy into a tree at the end.
-All linear algebra is exact integer arithmetic on integer matrices.
+Sites are compared (_SiteOrder) by plain calls down to a fixed depth and
+by frame-free tasks below it, so a tree of any depth reduces.  All linear
+algebra is exact integer arithmetic on integer matrices.
 
 The determinant and the negative-definiteness test (form_invariants, run
 once per tree and kept on it) take the tree's own route: one walk from a
@@ -513,21 +515,15 @@ def _site_class(weights, adj, v):
 class _Reduction:
     """reduce_tree's working state: one mutable copy of the tree (weights a
     dict, adj a dict of sets) and the sites of each move class, a set per
-    class, kept up to date move by move."""
+    class and a dict site -> class, kept up to date move by move."""
 
-    __slots__ = ("weights", "adj", "sites")
+    __slots__ = ("weights", "adj", "sites", "site_class")
 
     def __init__(self, tree):
         self.weights = weights = dict(tree._weights)
         self.adj = adj = {v: set(ns) for v, ns in tree._adj.items()}
-        self.sites = (set(), set(), set())
-        for v in weights:
-            self._classify(v)
-
-    def _classify(self, v):
-        k = _site_class(self.weights, self.adj, v)
-        if k is not None:
-            self.sites[k].add(v)
+        self.site_class = {v: k for v in weights if (k := _site_class(weights, adj, v)) is not None}
+        self.sites = tuple({v for v, k in self.site_class.items() if k == c} for c in range(3))
 
     def step(self) -> bool:
         """Make one move of the first class with a site, at its least site;
@@ -546,7 +542,7 @@ class _Reduction:
                 break
         else:
             return False
-        v = _SiteOrder(weights, adj).least(sites)
+        v = min(sites) if len(sites) == 1 else _SiteOrder(weights, adj).least(sites)
         touched = [v, *adj[v]]
         before = len(weights) + sum(weights[x] for x in touched if weights[x] > 0)
         touched += move(weights, adj, v)
@@ -557,11 +553,13 @@ class _Reduction:
         for x in touched:
             if x in adj:
                 stale |= adj[x]
+        site_class = self.site_class
         for x in stale:
-            for sites in self.sites:
-                sites.discard(x)
-            if x in weights:
-                self._classify(x)
+            if x in site_class:
+                self.sites[site_class.pop(x)].remove(x)
+            if x in weights and (k := _site_class(weights, adj, x)) is not None:
+                self.sites[k].add(x)
+                site_class[x] = k
         return True
 
 
@@ -579,10 +577,8 @@ def reduce_tree(tree: WeightedTree) -> WeightedTree:
     of the vertex labelling -- the normal form is a property of the graph,
     not of the order the moves happen to be found in.  On identical input
     the run is deterministic byte for byte.  No encoding is built: a step
-    with several sites compares them with _SiteOrder, which reads that
-    order off the tree, stops at the first difference and keeps nothing
-    past the step, and a step with one site compares nothing.  Neither
-    recurses, so a tree of any depth reduces.
+    with several sites compares them lazily, in a bounded number of frames
+    (_SiteOrder), and a step with one site compares nothing.
 
     The moves run in place on one working copy of the tree (_Reduction),
     which also keeps each class's sites: after a move only the vertices
@@ -620,6 +616,11 @@ def reduce_tree(tree: WeightedTree) -> WeightedTree:
 # -- canonical forms and isomorphism ----------------------------------------
 
 
+# _SiteOrder's plain calls: a budget of 32 frames, two a level, well inside
+# a recursion limit of 60 and past any comparison on a 2-4-iteration tower
+_PLAIN_DEPTH = 32 // 2
+
+
 class _SiteOrder:
     """The order of reduce_tree's candidate sites in one tree, given as a
     weights dict and an adjacency dict read in place: by the nested
@@ -632,10 +633,12 @@ class _SiteOrder:
     difference, and a branch's children are put in order only when a
     comparison reaches that branch, then kept for the life of this object,
     which is one step of reduce_tree: the working copy does not change
-    until the step's site is chosen, so nothing it keeps goes stale.  Ordering children needs comparisons
-    and comparing needs ordered children, so both are generator tasks that
-    yield the task they wait on; _run drives them from a list, so a
-    comparison costs no Python frames however deep the tree.
+    until the step's site is chosen, so nothing it keeps goes stale.
+    Ordering children needs comparisons and comparing needs ordered
+    children: down to _PLAIN_DEPTH levels below the sites both are plain
+    calls, two frames a level, and below that generator tasks that yield
+    the task they wait on, driven by _run from a list at no Python frames.
+    Both paths fill one _children cache alike, so neither changes a result.
     """
 
     __slots__ = ("_weights", "_adj", "_children")
@@ -651,10 +654,48 @@ class _SiteOrder:
         sites = iter(sites)
         best = next(sites)
         for v in sites:
-            d = weights[v] - weights[best] or _run(self._compare(v, None, best, None))
+            d = weights[v] - weights[best] or self._shallow_compare(v, None, best, None, 0)
             if d < 0 or d == 0 and v < best:
                 best = v
         return best
+
+    def _shallow_compare(self, x, px, y, py, depth):
+        """_compare at depth levels below the sites, by the task from _PLAIN_DEPTH."""
+        if depth == _PLAIN_DEPTH:
+            return _run(self._compare(x, px, y, py))
+        depth += 1
+        children = self._children
+        xs = children.get((x, px))
+        if xs is None:
+            xs = self._shallow_order(x, px, depth)
+        ys = children.get((y, py))
+        if ys is None:
+            ys = self._shallow_order(y, py, depth)
+        weights = self._weights
+        for a, b in zip(xs, ys):
+            d = weights[a] - weights[b] or self._shallow_compare(a, x, b, y, depth)
+            if d:
+                return d
+        return len(xs) - len(ys)
+
+    def _shallow_order(self, v, parent, depth):
+        """_order by plain calls, v's children being depth levels down."""
+        kids = []
+        weights = self._weights
+        for c in self._adj[v]:
+            if c != parent:
+                lo, hi = 0, len(kids)
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    k = kids[mid]
+                    d = weights[c] - weights[k] or self._shallow_compare(c, v, k, v, depth)
+                    if d < 0:
+                        hi = mid
+                    else:
+                        lo = mid + 1
+                kids.insert(lo, c)
+        self._children[v, parent] = kids
+        return kids
 
     def _compare(self, x, px, y, py):
         """Task: negative, zero or positive as the branch at x away from px

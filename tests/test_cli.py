@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ from knotplumb.lattice import verify_embedding
 from knotplumb.plumbing import WeightedTree, gram_matrix
 
 from test_classify import count_exact_passes
+from test_lattice import run_child
 
 
 def run_cli(*args, env_extra=None, cwd=None):
@@ -262,6 +264,34 @@ class TestConfig:
         assert res.returncode == 0
         assert (other / "witness_2_3_2_17_36.json").exists()
         assert not (tmp_path / "witness_2_3_2_17_36.json").exists()
+
+
+class TestAtomicWrites:
+    def test_new_file_gets_the_mode_open_would_give(self, tmp_path):
+        (tmp_path / "plain.csv").write_text("")
+        cli._write_text(str(tmp_path / "rows.csv"), "a,b\n")
+        assert (tmp_path / "rows.csv").read_text() == "a,b\n"
+        assert (tmp_path / "rows.csv").stat().st_mode == (tmp_path / "plain.csv").stat().st_mode
+        assert sorted(os.listdir(tmp_path)) == ["plain.csv", "rows.csv"]
+
+    def test_write_failing_midway_keeps_the_old_file(self, tmp_path):
+        # the witness is 240 bytes; a 100-byte file size limit fails its
+        # write part way, where a plain open(path, "w") had already
+        # truncated the old file
+        witness = tmp_path / "witness_2_3_2_17_36.json"
+        witness.write_bytes(b"the previous witness\n")
+        code = (
+            "import resource, sys\n"
+            "from knotplumb import cli\n"
+            "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (100, hard))\n"
+            f"sys.exit(cli.main(['embed', '--pairs', '2,3,2,17', '--n', '36', '--out', {str(tmp_path)!r}]))\n"
+        )
+        res = run_child(code)
+        assert res.returncode == 1, res.stderr
+        assert res.stderr == f"error: cannot write {witness}: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}\n"
+        assert witness.read_bytes() == b"the previous witness\n"
+        assert os.listdir(tmp_path) == [witness.name]
 
 
 BAD_INPUTS = {

@@ -41,6 +41,7 @@ from oracles import (
     relabel,
     signature,
 )
+import oracles
 from test_lattice import run_child
 
 
@@ -69,6 +70,31 @@ def caterpillar(spine, ones):
             leg = len(weights)
             weights[leg] = -2
             edges.append((v, leg))
+    return WeightedTree(weights, edges)
+
+
+def spined_sites(a, b, middle):
+    """Two blow-down sites joined by a -2 path of middle vertices, with a
+    spine of a -3's beyond the first and one of b -3's beyond the second,
+    each spine vertex carrying a -2 leg.  Rooted at a site, and again at
+    each spine vertex, the -3 child sorts first and the -2 child second,
+    so where a != b the sites' encodings first differ where the shorter
+    spine ends, inside the first child pair at every level above it."""
+    weights = {0: -1, 1: -1}
+    edges = []
+    prev = 0
+    for _ in range(middle):
+        weights[len(weights)] = -2
+        edges.append((prev, len(weights) - 1))
+        prev = len(weights) - 1
+    edges.append((prev, 1))
+    for site, length in ((0, a), (1, b)):
+        prev = site
+        for _ in range(length):
+            spine, leg = len(weights), len(weights) + 1
+            weights[spine], weights[leg] = -3, -2
+            edges += [(prev, spine), (spine, leg)]
+            prev = spine
     return WeightedTree(weights, edges)
 
 
@@ -831,6 +857,61 @@ def test_move_results_match_validated_rebuild():
     assert len(applied) == 4 and min(applied.values()) > 20, applied
 
 
+def site_choice_corpus():
+    """Trees where reduce_tree's site choice matters: random trees of
+    several shapes, family and three-iteration towers, and deep ties."""
+    rng = random.Random(37)
+
+    def dense(t, key=lambda w: 0):
+        # ids 0..n-1, ordered by key of the weight, ties at random
+        ids = t.vertices()
+        rng.shuffle(ids)
+        ids.sort(key=lambda v: key(t.weight(v)))
+        return relabel(t, {v: i for i, v in enumerate(ids)})
+
+    trees = [random_tree(rng) for _ in range(200)]
+    # -1's and -2's only: many blow-down sites per step, so the order matters
+    trees += [random_tree(rng, max_vertices=30, weights=(-2, -1)) for _ in range(100)]
+    # -1's take the top ids, so a blow-down can delete the largest id,
+    # which flatten_positive_leaf's fresh max + 1 then hands out again
+    trees += [dense(random_tree(rng, weights=(-3, 3)), lambda w: w == -1) for _ in range(300)]
+    # rich in 0's and positive leaves: every move kind comes right
+    # before some step with several sites
+    trees += [dense(random_tree(rng, max_vertices=40, weights=(-2, 2))) for _ in range(100)]
+    family = [family_tuple("derived", p1, p2) for p1 in (2, 3) for p2 in (2, 3)]
+    family += [family_tuple("family2", 0, p2) for p2 in (2, 3)]
+    for p1, a1, p2, a2, n in family:
+        trees.append(raw_plumbing(SurgerySpec(CableTower(((p1, a1), (p2, a2))), n)))
+    trees += [raw_plumbing(spec) for spec in THREE_ITERATION_SPECS]
+    # ties that go deep: sites placed symmetrically have equal
+    # encodings, walked to the end and settled by vertex id; one vertex
+    # off symmetry, they differ only far down, where one branch runs
+    # out of children first
+    deep = [caterpillar(30, ones) for ones in ({7, 22}, {7, 21}, {4, 14, 25}, {4, 15, 25})]
+    deep += [caterpillar(29, ones) for ones in ({9, 19}, {1, 14, 27}, {1, 14, 26})]
+    deep += [binary_tree(4, ones) for ones in ({1, 2}, {15, 30}, {7, 10, 13}, {15, 29})]
+    deep += [binary_tree(4, ones) for ones in ({3, 6}, {1, 5, 6}, {3, 4, 6}, {16, 21, 28})]
+    return trees + deep + [dense(t) for t in deep]
+
+
+def record_moves(monkeypatch, module, names):
+    """Wrap the move functions named, flatten, blow-down and absorb in that
+    order, on module; the list of (move class, site) each call appends to."""
+    taken = []
+    for kind, name in enumerate(names):
+        real = getattr(module, name)
+
+        def recorded(*args, real=real, kind=kind):
+            taken.append((kind, args[-1]))
+            return real(*args)
+
+        monkeypatch.setattr(module, name, recorded)
+    return taken
+
+
+IN_PLACE_MOVES = ("_flatten_at", "_blow_down_at", "_absorb_at")
+
+
 class TestReduce:
     def test_idempotent_on_reduced(self):
         t = path_tree([-2, -3, -2])
@@ -869,54 +950,43 @@ class TestReduce:
             assert are_isomorphic(reduce_tree(t), reduce_tree(relabeled))
 
     def test_site_choice_matches_reference(self):
-        rng = random.Random(37)
-
-        def dense(t, key=lambda w: 0):
-            # ids 0..n-1, ordered by key of the weight, ties at random
-            ids = t.vertices()
-            rng.shuffle(ids)
-            ids.sort(key=lambda v: key(t.weight(v)))
-            return relabel(t, {v: i for i, v in enumerate(ids)})
-
-        trees = [random_tree(rng) for _ in range(200)]
-        # -1's and -2's only: many blow-down sites per step, so the order matters
-        trees += [random_tree(rng, max_vertices=30, weights=(-2, -1)) for _ in range(100)]
-        # -1's take the top ids, so a blow-down can delete the largest id,
-        # which flatten_positive_leaf's fresh max + 1 then hands out again
-        trees += [dense(random_tree(rng, weights=(-3, 3)), lambda w: w == -1) for _ in range(300)]
-        # rich in 0's and positive leaves: every move kind comes right
-        # before some step with several sites
-        trees += [dense(random_tree(rng, max_vertices=40, weights=(-2, 2))) for _ in range(100)]
-        family = [family_tuple("derived", p1, p2) for p1 in (2, 3) for p2 in (2, 3)]
-        family += [family_tuple("family2", 0, p2) for p2 in (2, 3)]
-        for p1, a1, p2, a2, n in family:
-            trees.append(raw_plumbing(SurgerySpec(CableTower(((p1, a1), (p2, a2))), n)))
-        trees += [raw_plumbing(spec) for spec in THREE_ITERATION_SPECS]
-        # ties that go deep: sites placed symmetrically have equal
-        # encodings, walked to the end and settled by vertex id; one vertex
-        # off symmetry, they differ only far down, where one branch runs
-        # out of children first
-        deep = [caterpillar(30, ones) for ones in ({7, 22}, {7, 21}, {4, 14, 25}, {4, 15, 25})]
-        deep += [caterpillar(29, ones) for ones in ({9, 19}, {1, 14, 27}, {1, 14, 26})]
-        deep += [binary_tree(4, ones) for ones in ({1, 2}, {15, 30}, {7, 10, 13}, {15, 29})]
-        deep += [binary_tree(4, ones) for ones in ({3, 6}, {1, 5, 6}, {3, 4, 6}, {16, 21, 28})]
-        trees += deep + [dense(t) for t in deep]
-        for t in trees:
+        for t in site_choice_corpus():
             assert reduce_tree(t).to_json() == reference_reduce_tree(t).to_json()
+
+    def test_move_sequence_matches_reference(self, monkeypatch):
+        # every step's move and site, not only the tree the steps end in
+        kinds = Counter()
+        for t in site_choice_corpus():
+            with monkeypatch.context() as m:
+                ours = record_moves(m, plumbing, IN_PLACE_MOVES)
+                reduce_tree(t)
+            with monkeypatch.context() as m:
+                public = ("flatten_positive_leaf", "blow_down", "absorb_zero")
+                theirs = record_moves(m, oracles, public)
+                reference_reduce_tree(t)
+            assert ours == theirs
+            kinds.update(kind for kind, _ in ours)
+        assert min(kinds[kind] for kind in range(3)) > 100, kinds
 
     def test_site_order_orders_few_branches(self, monkeypatch):
         # a count, not a time: the encoding memo kept across moves built
         # 579, 1049 and 801 branch encodings on these towers (re-encoding
         # the whole tree at every step, 1901, 3769 and 3597); the lazy
         # comparison orders the children of only the branches it reaches
-        real = plumbing._SiteOrder._order
+        # on both paths: plain calls near the sites, tasks further down
+        real_task, real_plain = plumbing._SiteOrder._order, plumbing._SiteOrder._shallow_order
         ordered = []
 
-        def counting(self, v, parent):
+        def counting_task(self, v, parent):
             ordered[-1] += 1
-            return (yield from real(self, v, parent))
+            return (yield from real_task(self, v, parent))
 
-        monkeypatch.setattr(plumbing._SiteOrder, "_order", counting)
+        def counting_plain(self, v, parent, depth):
+            ordered[-1] += 1
+            return real_plain(self, v, parent, depth)
+
+        monkeypatch.setattr(plumbing._SiteOrder, "_order", counting_task)
+        monkeypatch.setattr(plumbing._SiteOrder, "_shallow_order", counting_plain)
         for spec, memo_built in zip(THREE_ITERATION_SPECS, (579, 1049, 801)):
             ordered.append(0)
             reduce_tree(raw_plumbing(spec))
@@ -933,7 +1003,8 @@ class TestReduce:
         ids=["path-1500", "caterpillar-1200"],
     )
     def test_deep_trees_use_no_python_frames(self, tmp_path, tree, size, weights):
-        # under a recursion limit far below the depth of either tree;
+        # under a recursion limit far below the depth of either tree: the
+        # comparison's frames stop at a fixed depth, whatever the tree's;
         # comparing nested encodings raised RecursionError at the default
         path = tmp_path / "tree.json"
         path.write_text(tree.to_json())
@@ -954,23 +1025,39 @@ class TestReduce:
         assert {int(w): k for w, k in histogram.items()} == weights
         assert det_kept
 
+    def test_deep_tie_in_the_first_child_pair(self, tmp_path, monkeypatch):
+        # the two sites' encodings first differ 120 levels down, far past
+        # the plain calls' depth and the recursion limit, and at every level
+        # inside the first child pair, with the second pair still to come
+        tree = spined_sites(120, 121, 3)
+        handed_off = []
+        real = plumbing._run
+        monkeypatch.setattr(plumbing, "_run", lambda task: handed_off.append(1) or real(task))
+        assert reduce_tree(tree) == reference_reduce_tree(tree)
+        assert handed_off
+        path = tmp_path / "tree.json"
+        path.write_text(tree.to_json())
+        code = (
+            "import sys\n"
+            "from knotplumb.plumbing import WeightedTree, reduce_tree\n"
+            f"tree = WeightedTree.from_json(open({str(path)!r}).read())\n"
+            "sys.setrecursionlimit(60)\n"
+            "print(reduce_tree(tree).to_json())\n"
+        )
+        res = run_child(code)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == reference_reduce_tree(tree).to_json() + "\n"
+
     def test_moves_per_kind_on_three_iteration_towers(self, monkeypatch):
         # the counts of the loop that rescanned and copied the tree per move
-        applied = Counter()
-        for name in ("_flatten_at", "_blow_down_at", "_absorb_at"):
-            real = getattr(plumbing, name)
-
-            def counted(weights, adj, v, real=real, name=name):
-                applied[name] += 1
-                return real(weights, adj, v)
-
-            monkeypatch.setattr(plumbing, name, counted)
+        taken = record_moves(monkeypatch, plumbing, IN_PLACE_MOVES)
         counts = []
         for spec in THREE_ITERATION_SPECS:
             raw = raw_plumbing(spec)
-            applied.clear()
+            taken.clear()
             reduce_tree(raw)
-            counts.append(tuple(applied[n] for n in ("_flatten_at", "_blow_down_at", "_absorb_at")))
+            applied = Counter(kind for kind, _ in taken)
+            counts.append(tuple(applied[kind] for kind in range(3)))
         assert counts == [(1, 40, 2), (1, 62, 2), (1, 63, 2)]
 
     def test_live_sites_match_a_full_scan_after_every_step(self):
