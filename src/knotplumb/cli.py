@@ -23,6 +23,7 @@ directory.
 import argparse
 import json
 import os
+import stat
 import sys
 
 from . import hjcf
@@ -114,14 +115,25 @@ def resolve_positive(args, config, key, default):
 
 
 def _write_text(path, text):
-    """Write text to a new sibling file (0o666 less the umask) renamed over path."""
-    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    """Write text to path.  A regular or missing file, found through any
+    symlinks, is replaced by renaming a new sibling (0o666 less the umask)
+    over it; a device or FIFO (/dev/null, /dev/stdout) is written in place."""
     try:
+        try:
+            in_place = not stat.S_ISREG(os.stat(path).st_mode)
+        except FileNotFoundError:
+            in_place = False
+        if in_place:
+            with open(path, "w") as fh:
+                fh.write(text)
+            return
+        target = os.path.realpath(path)
+        tmp = f"{target}.{os.urandom(4).hex()}.tmp"
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with open(fd, "w") as fh:
                 fh.write(text)
-            os.replace(tmp, path)
+            os.replace(tmp, target)
         except BaseException:
             os.unlink(tmp)
             raise

@@ -664,13 +664,8 @@ class _SiteOrder:
         if depth == _PLAIN_DEPTH:
             return _run(self._compare(x, px, y, py))
         depth += 1
-        children = self._children
-        xs = children.get((x, px))
-        if xs is None:
-            xs = self._shallow_order(x, px, depth)
-        ys = children.get((y, py))
-        if ys is None:
-            ys = self._shallow_order(y, py, depth)
+        xs = self._kids(x, px, depth)
+        ys = self._kids(y, py, depth)
         weights = self._weights
         for a, b in zip(xs, ys):
             d = weights[a] - weights[b] or self._shallow_compare(a, x, b, y, depth)
@@ -678,8 +673,11 @@ class _SiteOrder:
                 return d
         return len(xs) - len(ys)
 
-    def _shallow_order(self, v, parent, depth):
-        """_order by plain calls, v's children being depth levels down."""
+    def _kids(self, v, parent, depth):
+        """_order by plain calls, v's children being depth levels down; kept."""
+        kids = self._children.get((v, parent))
+        if kids is not None:
+            return kids
         kids = []
         weights = self._weights
         for c in self._adj[v]:

@@ -1,8 +1,10 @@
 import errno
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -292,6 +294,37 @@ class TestAtomicWrites:
         assert res.stderr == f"error: cannot write {witness}: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}\n"
         assert witness.read_bytes() == b"the previous witness\n"
         assert os.listdir(tmp_path) == [witness.name]
+
+    def test_symlinked_target_updates_the_file_it_points_to(self, tmp_path):
+        (tmp_path / "data").mkdir()
+        real = tmp_path / "data" / "rows.csv"
+        real.write_text("old\n")
+        link = tmp_path / "rows.csv"
+        link.symlink_to(real)
+        cli._write_text(str(link), "a,b\n")
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert real.read_text() == "a,b\n"
+        assert os.listdir(tmp_path / "data") == ["rows.csv"]
+
+    def test_fifo_target_is_written_in_place(self, tmp_path):
+        # the stand-in for /dev/null, /dev/stdout or a process
+        # substitution: renaming a sibling over it would replace the node
+        fifo = tmp_path / "rows.csv"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        cli._write_text(str(fifo), "a,b\n")
+        reader.join(timeout=30)
+        assert got == ["a,b\n"]
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert os.listdir(tmp_path) == ["rows.csv"]
+
+    def test_directory_target_gives_the_plain_open_error(self, tmp_path):
+        with pytest.raises(cli.CliError) as err:
+            cli._write_text(str(tmp_path), "a,b\n")
+        assert str(err.value) == f"cannot write {tmp_path}: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{tmp_path}'"
+        assert os.listdir(tmp_path) == []
 
 
 BAD_INPUTS = {

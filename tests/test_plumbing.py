@@ -974,7 +974,7 @@ class TestReduce:
         # the whole tree at every step, 1901, 3769 and 3597); the lazy
         # comparison orders the children of only the branches it reaches
         # on both paths: plain calls near the sites, tasks further down
-        real_task, real_plain = plumbing._SiteOrder._order, plumbing._SiteOrder._shallow_order
+        real_task, real_plain = plumbing._SiteOrder._order, plumbing._SiteOrder._kids
         ordered = []
 
         def counting_task(self, v, parent):
@@ -982,11 +982,11 @@ class TestReduce:
             return (yield from real_task(self, v, parent))
 
         def counting_plain(self, v, parent, depth):
-            ordered[-1] += 1
+            ordered[-1] += (v, parent) not in self._children  # not a cache hit
             return real_plain(self, v, parent, depth)
 
         monkeypatch.setattr(plumbing._SiteOrder, "_order", counting_task)
-        monkeypatch.setattr(plumbing._SiteOrder, "_shallow_order", counting_plain)
+        monkeypatch.setattr(plumbing._SiteOrder, "_kids", counting_plain)
         for spec, memo_built in zip(THREE_ITERATION_SPECS, (579, 1049, 801)):
             ordered.append(0)
             reduce_tree(raw_plumbing(spec))
