@@ -15,9 +15,11 @@ written once, as a rewiring of a mutable working copy; a public move runs
 it on a copy of its tree, and reduce_tree on the one copy it keeps for a
 whole reduction, updating each move class's sites only around the
 vertices a move touched and freezing the copy into a tree at the end.
-Sites are compared (_SiteOrder) by plain calls down to a fixed depth and
-by frame-free tasks below it, so a tree of any depth reduces.  All linear
-algebra is exact integer arithmetic on integer matrices.
+Sites are keyed by their weight and their least neighbour's, which
+decides most steps; only sites tied on the key are compared (_SiteOrder),
+by plain calls down to a fixed depth and by frame-free tasks below it, so
+a tree of any depth reduces.  All linear algebra is exact integer
+arithmetic on integer matrices.
 
 The determinant and the negative-definiteness test (form_invariants, run
 once per tree and kept on it) take the tree's own route: one walk from a
@@ -495,46 +497,58 @@ class NoNegativeDefiniteFormError(ValueError):
 
 
 def _site_class(weights, adj, v):
-    """The reduce_tree move class that has a site at v: 0 flattens a
-    positive leaf next to a -1, 1 blows down a -1 of valence 2 between
-    negative weights, 2 absorbs a 0 of valence 2; None if v is no site.
-    v's weight tells the classes apart, so v is a site of one at most."""
+    """(class, key) of the reduce_tree move class with a site at v, None if
+    v is no site: 0 flattens a positive leaf next to a -1, 1 blows down a
+    -1 of valence 2 between negative weights, 2 absorbs a 0 of valence 2
+    (v's weight tells them apart).  The key, v's weight and its least
+    neighbour's, is the first two entries of _SiteOrder's encoding."""
     wt = weights[v]
     ns = adj[v]
     if wt >= 1:
         if len(ns) == 1 and weights[next(iter(ns))] == -1:
-            return 0
-    elif wt == -1:
-        if len(ns) == 2 and all(weights[u] <= -1 for u in ns):
-            return 1
-    elif wt == 0 and len(ns) == 2:
-        return 2
+            return 0, (wt, -1)
+    elif (wt == -1 or wt == 0) and len(ns) == 2:
+        x, y = ns
+        a, b = weights[x], weights[y]
+        if b < a:
+            a, b = b, a
+        if wt == 0:
+            return 2, (0, a)
+        if b <= -1:
+            return 1, (-1, a)
     return None
 
 
 class _Reduction:
     """reduce_tree's working state: one mutable copy of the tree (weights a
-    dict, adj a dict of sets) and the sites of each move class, a set per
-    class and a dict site -> class, kept up to date move by move."""
+    dict, adj a dict of sets), the sites of each move class, a dict site ->
+    key (_site_class) per class, and a dict site -> class, kept up to date
+    move by move."""
 
     __slots__ = ("weights", "adj", "sites", "site_class")
 
     def __init__(self, tree):
         self.weights = weights = dict(tree._weights)
         self.adj = adj = {v: set(ns) for v, ns in tree._adj.items()}
-        self.site_class = {v: k for v in weights if (k := _site_class(weights, adj, v)) is not None}
-        self.sites = tuple({v for v, k in self.site_class.items() if k == c} for c in range(3))
+        self.sites = ({}, {}, {})
+        self.site_class = {}
+        for v in weights:
+            if (found := _site_class(weights, adj, v)) is not None:
+                k, key = found
+                self.sites[k][v] = key
+                self.site_class[v] = k
 
     def step(self) -> bool:
         """Make one move of the first class with a site, at its least site;
         False if no class has one.
 
-        A move changes the weights only of its site, the site's neighbours
-        and the vertices it creates, so the measure's change is read off
-        those and the vertex count.  A vertex's class depends only on its
-        weight, its valence and its neighbours' weights, which a move can
-        change only at those vertices and their neighbours, so only they
-        are classified again.
+        A scan of the class's keys finds the least; the sites tied at it go
+        to _SiteOrder, whose order the key's is a prefix of.
+        A move changes weights and valences only at its site, the site's
+        neighbours and the vertices it creates (an absorb moves edges, not
+        valences), so the measure's change is read off those and the vertex
+        count, and only they and their neighbours of weight >= -1, whose
+        class and key read neighbours' weights, are classified again.
         """
         weights, adj = self.weights, self.adj
         for sites, move in zip(self.sites, (_flatten_at, _blow_down_at, _absorb_at)):
@@ -542,7 +556,13 @@ class _Reduction:
                 break
         else:
             return False
-        v = min(sites) if len(sites) == 1 else _SiteOrder(weights, adj).least(sites)
+        tied = []
+        for x, key in sites.items():
+            if not tied or key < least:
+                least, tied = key, [x]
+            elif key == least:
+                tied.append(x)
+        v = tied[0] if len(tied) == 1 else _SiteOrder(weights, adj).least(tied)
         touched = [v, *adj[v]]
         before = len(weights) + sum(weights[x] for x in touched if weights[x] > 0)
         touched += move(weights, adj, v)
@@ -552,13 +572,16 @@ class _Reduction:
         stale = set(touched)
         for x in touched:
             if x in adj:
-                stale |= adj[x]
-        site_class = self.site_class
+                for u in adj[x]:
+                    if weights[u] >= -1:
+                        stale.add(u)
+        site_class, classes = self.site_class, self.sites
         for x in stale:
             if x in site_class:
-                self.sites[site_class.pop(x)].remove(x)
-            if x in weights and (k := _site_class(weights, adj, x)) is not None:
-                self.sites[k].add(x)
+                del classes[site_class.pop(x)][x]
+            if x in weights and (found := _site_class(weights, adj, x)) is not None:
+                k, key = found
+                classes[k][x] = key
                 site_class[x] = k
         return True
 
@@ -576,17 +599,19 @@ def reduce_tree(tree: WeightedTree) -> WeightedTree:
     and yield isomorphic results, which makes the fixed point independent
     of the vertex labelling -- the normal form is a property of the graph,
     not of the order the moves happen to be found in.  On identical input
-    the run is deterministic byte for byte.  No encoding is built: a step
-    with several sites compares them lazily, in a bounded number of frames
-    (_SiteOrder), and a step with one site compares nothing.
+    the run is deterministic byte for byte.  No encoding is built: a
+    site's key, its weight and its least neighbour's, is the first two
+    entries of its encoding and decides most steps; only sites tied on it
+    are compared further, lazily, in a bounded number of frames (_SiteOrder).
 
     The moves run in place on one working copy of the tree (_Reduction),
-    which also keeps each class's sites: after a move only the vertices
-    it touched and their neighbours are classified again, so besides the
-    site comparison a move costs work in the vertices it touches, not a
-    scan and a copy of the tree.  (A flatten still finds its fresh ids by
-    max(weights) + 1, but it happens about once per cabling hook.)  The
-    copy is frozen into the result once, at the end.
+    which also keeps each class's sites and their keys: after a move only
+    the vertices it touched and their neighbours of weight >= -1 are
+    classified again.  So a step costs a scan of its class's keys, any
+    comparison of tied sites and work in the vertices it touches, not a
+    scan and a copy of the tree.  (A flatten finds its fresh ids by
+    max(weights) + 1, O(n), about once per cabling hook.)  The copy is
+    frozen into the result once, at the end.
 
     Termination: the measure (vertex count plus total positive weight)
     strictly decreases at every step.  Flattening a leaf of weight N adds
@@ -625,7 +650,8 @@ class _SiteOrder:
     """The order of reduce_tree's candidate sites in one tree, given as a
     weights dict and an adjacency dict read in place: by the nested
     encoding (weight, sorted child encodings) of the tree rooted at each,
-    vertex id as the final tiebreak, with no encoding built.
+    vertex id as the final tiebreak, with no encoding built.  reduce_tree
+    hands it only the sites tied on their key (_site_class).
 
     Branches are compared as those tuples are: weight first, then the
     children least first, pair by pair, a shorter list sorting first where

@@ -956,9 +956,16 @@ class TestReduce:
     def test_move_sequence_matches_reference(self, monkeypatch):
         # every step's move and site, not only the tree the steps end in
         kinds = Counter()
+        compared = []  # the steps whose sites tie on the key
+        real_least = plumbing._SiteOrder.least
         for t in site_choice_corpus():
             with monkeypatch.context() as m:
                 ours = record_moves(m, plumbing, IN_PLACE_MOVES)
+                m.setattr(
+                    plumbing._SiteOrder,
+                    "least",
+                    lambda self, sites: compared.append(1) or real_least(self, sites),
+                )
                 reduce_tree(t)
             with monkeypatch.context() as m:
                 public = ("flatten_positive_leaf", "blow_down", "absorb_zero")
@@ -967,6 +974,37 @@ class TestReduce:
             assert ours == theirs
             kinds.update(kind for kind, _ in ours)
         assert min(kinds[kind] for kind in range(3)) > 100, kinds
+        # the key decides most steps; the tie-break below it stays covered
+        assert len(compared) > 100
+
+    def test_key_tie_settled_below_the_key(self, monkeypatch):
+        # blow-down sites 0 and 1 on a path, each between the -5 and a -2
+        # chain: both key (-1, -5), their encodings first differ where
+        # site 1's -2 chain ends in a -2 and site 0's in a -3, five levels
+        # down rooted at either; site 1 has the smaller encoding
+        ids = [8, 7, 6, 1, 4, 0, 2, 3, 5]
+        weights = [-2, -2, -2, -1, -5, -1, -2, -2, -3]
+        tree = WeightedTree(dict(zip(ids, weights)), list(zip(ids, ids[1:])))
+        state = plumbing._Reduction(tree)
+        assert state.sites[1] == {0: (-1, -5), 1: (-1, -5)}
+        tied = []
+        real_least = plumbing._SiteOrder.least
+
+        def least(self, sites):
+            tied.append(sorted(sites))
+            return real_least(self, sites)
+
+        with monkeypatch.context() as m:
+            m.setattr(plumbing._SiteOrder, "least", least)
+            ours = record_moves(m, plumbing, IN_PLACE_MOVES)
+            reduce_tree(tree)
+        with monkeypatch.context() as m:
+            public = ("flatten_positive_leaf", "blow_down", "absorb_zero")
+            theirs = record_moves(m, oracles, public)
+            reference_reduce_tree(tree)
+        assert tied[0] == [0, 1]
+        assert ours == theirs
+        assert ours[0] == (1, 1)
 
     def test_site_order_orders_few_branches(self, monkeypatch):
         # a count, not a time: the encoding memo kept across moves built
@@ -1077,6 +1115,41 @@ class TestReduce:
                 steps += 1
             assert frozen == reduce_tree(t)
         assert steps > 800
+
+    def test_site_keys_match_a_fresh_reduction_after_every_step(self):
+        # a move classifies and keys again only the vertices it touched and
+        # their neighbours of weight >= -1; a fresh _Reduction of the
+        # working copy classifies and keys every vertex
+        rng = random.Random(59)
+        trees = [random_tree(rng, max_vertices=30, weights=(-2, 2)) for _ in range(200)]
+        trees += [random_tree(rng, max_vertices=40, weights=(-3, 1)) for _ in range(100)]
+        trees += [random_tree(rng, max_vertices=40, weights=(-2, -1)) for _ in range(100)]
+        trees += [raw_plumbing(spec) for spec in THREE_ITERATION_SPECS]
+        trees.append(caterpillar(60, set(range(3, 60, 4))))
+        # absorbing the 0 at 1 moves the hub's other neighbours onto the -1
+        # at 0: positive leaves 10-12 become flatten sites, the -1's 20-22
+        # blow-down sites
+        weights = {0: -1, 1: 0, 100: 0, 2: -2, 10: 1, 11: 2, 12: 3}
+        edges = [(0, 1), (1, 100), (0, 2), (100, 10), (100, 11), (100, 12)]
+        for m in (20, 21, 22):
+            weights[m], weights[m + 10] = -1, -2
+            edges += [(100, m), (m, m + 10)]
+        repointed = WeightedTree(weights, edges)
+        trees.append(repointed)
+        steps = 0
+        for t in trees:
+            state = plumbing._Reduction(t)
+            while state.step():
+                steps += 1
+                fresh = plumbing._Reduction(plumbing._frozen(dict(state.weights), state.adj))
+                assert state.sites == fresh.sites
+                assert state.site_class == fresh.site_class
+        assert steps > 900, steps
+        state = plumbing._Reduction(repointed)
+        assert state.sites == ({}, {}, {1: (0, -1)})
+        state.step()
+        assert state.sites[0] == {10: (1, -1), 11: (2, -1), 12: (3, -1)}
+        assert state.sites[1] == dict.fromkeys((20, 21, 22), (-1, -2))
 
     @pytest.mark.parametrize("ones", [{595, 605}, set(range(3, 60, 4))], ids=["2-sites", "15-sites"])
     def test_classifies_few_vertices_per_move(self, monkeypatch, ones):
