@@ -158,7 +158,7 @@ def _write_witness(out_dir, name, witness) -> str:
 
 def _parse_int_list(text):
     try:
-        return [int(x) for x in text.split(",") if x != ""]
+        return [int(x) for x in text.split(",")]  # an empty field is an error
     except ValueError:
         raise CliError(f"expected a comma-separated integer list, got {text!r}")
 
@@ -180,6 +180,8 @@ def _parse_spec(args) -> SurgerySpec:
 def cmd_contfrac(args, config):
     out = {}
     if args.eval is not None:
+        if args.fraction is not None or args.dual or args.reverse:
+            raise CliError("--eval takes no fraction, --dual or --reverse")
         coeffs = tuple(_parse_int_list(args.eval))
         try:
             value = hjcf.eval_neg_cf(coeffs)

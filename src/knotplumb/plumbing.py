@@ -16,10 +16,11 @@ it on a copy of its tree, and reduce_tree on the one copy it keeps for a
 whole reduction, updating each move class's sites only around the
 vertices a move touched and freezing the copy into a tree at the end.
 Sites are keyed by their weight and their least neighbour's, which
-decides most steps; only sites tied on the key are compared (_SiteOrder),
-by plain calls down to a fixed depth and by frame-free tasks below it, so
-a tree of any depth reduces.  All linear algebra is exact integer
-arithmetic on integer matrices.
+decides most steps, and a blow-down goes on down a -2 path while each
+next -1 is the least site; only sites tied on the key are compared
+(_SiteOrder), walking paths in a loop, by plain calls down to a fixed
+depth and by frame-free tasks below it, so a tree of any depth reduces.
+All linear algebra is exact integer arithmetic on integer matrices.
 
 The determinant and the negative-definiteness test (form_invariants, run
 once per tree and kept on it) take the tree's own route: one walk from a
@@ -539,8 +540,9 @@ class _Reduction:
                 self.site_class[v] = k
 
     def step(self) -> bool:
-        """Make one move of the first class with a site, at its least site;
-        False if no class has one.
+        """Make one move of the first class with a site, at its least site,
+        and after a blow-down the moves of its run; False if no class has a
+        site.
 
         A scan of the class's keys finds the least; the sites tied at it go
         to _SiteOrder, whose order the key's is a prefix of.
@@ -549,6 +551,16 @@ class _Reduction:
         valences), so the measure's change is read off those and the vertex
         count, and only they and their neighbours of weight >= -1, whose
         class and key read neighbours' weights, are classified again.
+
+        A run: blowing down a -1 between b <= -3 and a -2 of valence 2
+        leaves a -1 between b, one higher, and the path's next vertex.  The
+        step blows that -1 down too, and so on, while b stays <= -2 and the
+        -1's key is strictly below every other site's as read before the
+        run: only b and the path change weight, and only up, so no site
+        appears or leaves elsewhere and no other key falls, and each move is
+        the one a step of its own would make.  A tie ends the run, for the
+        next step to settle.  The measure and the classification read only
+        the run's ends.
         """
         weights, adj = self.weights, self.adj
         for sites, move in zip(self.sites, (_flatten_at, _blow_down_at, _absorb_at)):
@@ -566,6 +578,21 @@ class _Reduction:
         touched = [v, *adj[v]]
         before = len(weights) + sum(weights[x] for x in touched if weights[x] > 0)
         touched += move(weights, adj, v)
+        if move is _blow_down_at:  # a run: v between b <= -3 and a -2 path
+            b, c = touched[1:]
+            if weights[c] < weights[b]:
+                b, c = c, b
+            bound = None  # every other site's key is (-1, a), a >= bound
+            while weights[b] <= -2 and weights[c] == -1 and len(adj[c]) == 2:
+                (d,) = adj[c] - {b}
+                if bound is None:
+                    others = (key[1] for x, key in sites.items() if x != v)
+                    bound = least[1] if len(tied) > 1 else min(others, default=0)
+                if weights[d] > -1 or min(weights[b], weights[d]) >= bound:
+                    break
+                move(weights, adj, c)
+                c = d
+            touched[1:] = b, c  # the run's ends
         after = len(weights) + sum(weights[x] for x in touched if weights.get(x, 0) > 0)
         if after >= before:
             raise AssertionError("reduction measure failed to decrease")
@@ -605,13 +632,16 @@ def reduce_tree(tree: WeightedTree) -> WeightedTree:
     are compared further, lazily, in a bounded number of frames (_SiteOrder).
 
     The moves run in place on one working copy of the tree (_Reduction),
-    which also keeps each class's sites and their keys: after a move only
+    which also keeps each class's sites and their keys: after a step only
     the vertices it touched and their neighbours of weight >= -1 are
     classified again.  So a step costs a scan of its class's keys, any
     comparison of tied sites and work in the vertices it touches, not a
-    scan and a copy of the tree.  (A flatten finds its fresh ids by
-    max(weights) + 1, O(n), about once per cabling hook.)  The copy is
-    frozen into the result once, at the end.
+    scan and a copy of the tree.  A blow-down step also makes the moves
+    of its run down a -2 path, each the unique least site in turn, and
+    classifies only the run's ends (_Reduction.step).  (A flatten finds
+    its fresh ids by max(weights) + 1, O(n); a raw surgery tree has one
+    positive vertex, the N leaf, so that is one flatten per reduction.)
+    The copy is frozen into the result once, at the end.
 
     Termination: the measure (vertex count plus total positive weight)
     strictly decreases at every step.  Flattening a leaf of weight N adds
@@ -660,11 +690,16 @@ class _SiteOrder:
     comparison reaches that branch, then kept for the life of this object,
     which is one step of reduce_tree: the working copy does not change
     until the step's site is chosen, so nothing it keeps goes stale.
-    Ordering children needs comparisons and comparing needs ordered
-    children: down to _PLAIN_DEPTH levels below the sites both are plain
-    calls, two frames a level, and below that generator tasks that yield
-    the task they wait on, driven by _run from a list at no Python frames.
-    Both paths fill one _children cache alike, so neither changes a result.
+    Two branches that each have one child, of equal weight, compare as
+    those children do, so two paths, such as the -2 paths raw plumbings
+    are made of, are walked down together in a loop (_past_paths), at no
+    frame, depth or kept children a vertex.  Below that, ordering
+    children needs comparisons and comparing needs ordered children: down
+    to _PLAIN_DEPTH levels below the sites both are plain calls, two
+    frames a level, and below that generator tasks that yield the task
+    they wait on, driven by _run from a list at no Python frames.  Both
+    fill one _children cache alike and walk paths alike, so neither
+    changes a result.
     """
 
     __slots__ = ("_weights", "_adj", "_children")
@@ -687,6 +722,7 @@ class _SiteOrder:
 
     def _shallow_compare(self, x, px, y, py, depth):
         """_compare at depth levels below the sites, by the task from _PLAIN_DEPTH."""
+        x, px, y, py = self._past_paths(x, px, y, py)
         if depth == _PLAIN_DEPTH:
             return _run(self._compare(x, px, y, py))
         depth += 1
@@ -698,6 +734,23 @@ class _SiteOrder:
             if d:
                 return d
         return len(xs) - len(ys)
+
+    def _past_paths(self, x, px, y, py):
+        """The pair of branches, x away from px and y away from py or
+        below, whose comparison decides theirs: walked down in a loop while
+        both have one child each, of equal weight."""
+        adj, weights = self._adj, self._weights
+        while px is not None and len(adj[x]) == 2 and len(adj[y]) == 2:
+            a, b = adj[x]
+            if a == px:
+                a = b
+            c, d = adj[y]
+            if c == py:
+                c = d
+            if weights[a] != weights[c]:
+                break
+            x, px, y, py = a, x, c, y
+        return x, px, y, py
 
     def _kids(self, v, parent, depth):
         """_order by plain calls, v's children being depth levels down; kept."""
@@ -725,6 +778,7 @@ class _SiteOrder:
         """Task: negative, zero or positive as the branch at x away from px
         sorts below, level with or above the branch at y away from py, the
         two of equal weight."""
+        x, px, y, py = self._past_paths(x, px, y, py)
         xs = self._children.get((x, px))
         if xs is None:
             xs = yield self._order(x, px)

@@ -62,6 +62,17 @@ class TestContfrac:
         assert res.returncode == 1 and "error" in res.stderr
         assert run_cli("contfrac", "14/4").returncode == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--eval", "2,3", "--dual"], ["7/2", "--eval", "2,2"], ["--eval", "2,2,2", "--reverse", "--json"]],
+    )
+    def test_eval_takes_nothing_else(self, capsys, argv):
+        # each was dropped silently: --eval 2,3 --dual printed 5/3
+        assert cli.main(["contfrac", *argv]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: --eval takes no fraction, --dual or --reverse\n"
+
 
 class TestGraph:
     def test_reduced_json(self):
@@ -360,6 +371,26 @@ BAD_INPUTS = {
     "graph-n-huge": ["graph", "--pairs", "2,3", "--n", "99999999999999999999999999999"],
     "embed-n-huge": ["embed", "--pairs", "2,3,2,17", "--n", "99999999999999999999999999999"],
 }
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["graph", "--pairs", "2,,3,2,13", "--n", "30", "--reduced"], "2,,3,2,13"),
+        (["graph", "--pairs", ",2,3,", "--n", "8"], ",2,3,"),
+        (["contfrac", "--eval", "2,,3"], "2,,3"),
+        (["sweep", *SWEEP_ARGS, "--p1", "2,"], "2,"),
+        (["sweep", *SWEEP_ARGS, "--k1", ",1"], ",1"),
+        (["audit", *SWEEP_ARGS, "--p2", "2,,3"], "2,,3"),
+        (["audit", *SWEEP_ARGS, "--N", ""], ""),
+    ],
+)
+def test_empty_list_field_is_an_error(capsys, argv, field):
+    # an empty field was skipped: --pairs 2,,3,2,13 ran as 2,3,2,13
+    assert cli.main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: expected a comma-separated integer list, got {field!r}\n"
 
 
 @pytest.mark.parametrize("command", ["sweep", "audit"])

@@ -1,5 +1,7 @@
 import json
 import random
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
@@ -95,6 +97,44 @@ def spined_sites(a, b, middle):
             weights[spine], weights[leg] = -3, -2
             edges += [(prev, spine), (spine, leg)]
             prev = spine
+    return WeightedTree(weights, edges)
+
+
+def spider(center, *legs):
+    """A center vertex of the given weight (id 0) with one path per leg,
+    each leg's weights listed outward from the center."""
+    weights, edges = {0: center}, []
+    for leg in legs:
+        prev = 0
+        for w in leg:
+            weights[len(weights)] = w
+            edges.append((prev, len(weights) - 1))
+            prev = len(weights) - 1
+    return WeightedTree(weights, edges)
+
+
+def run_tree(rng, hubs=5):
+    """Hubs of weight -3 to -12 joined into a tree by -2 paths, most with
+    a -1 at the end next to a hub, so that blowing it down starts a run
+    along the path; some hubs carry a -1 leg or a positive leaf."""
+    weights = {h: rng.randint(-12, -3) for h in range(hubs)}
+    edges = []
+
+    def path(a, b, ws):
+        prev = a
+        for w in ws:
+            weights[len(weights)] = w
+            edges.append((prev, len(weights) - 1))
+            prev = len(weights) - 1
+        if b is not None:
+            edges.append((prev, b))
+
+    for h in range(1, hubs):
+        ws = [-2] * rng.randint(0, 12)
+        ws.insert(rng.choice((0, 0, 0, len(ws) // 2)), -1)
+        path(rng.randrange(h), h, ws)
+    for _ in range(rng.randint(0, 3)):
+        path(rng.randrange(hubs), None, rng.choice(([-1, -2, -2, 3], [-1, -2, -4], [-1] + [-2] * 6)))
     return WeightedTree(weights, edges)
 
 
@@ -891,7 +931,27 @@ def site_choice_corpus():
     deep += [caterpillar(29, ones) for ones in ({9, 19}, {1, 14, 27}, {1, 14, 26})]
     deep += [binary_tree(4, ones) for ones in ({1, 2}, {15, 30}, {7, 10, 13}, {15, 29})]
     deep += [binary_tree(4, ones) for ones in ({3, 6}, {1, 5, 6}, {3, 4, 6}, {16, 21, 28})]
-    return trees + deep + [dense(t) for t in deep]
+    trees += deep + [dense(t) for t in deep]
+    # blow-down runs: a -1 between a vertex of weight <= -3 and a -2 path
+    # is blown down along the path while the next -1's key stays below
+    # every other site's; the second leg's -1 keys (-1, -6), so the run
+    # from the -10 stops at its key (-1, -6) and the tie goes to _SiteOrder,
+    # which the second leg's far end settles either way
+    runs = [spider(-10, [-1] + [-2] * 8 + [-3], [-4, -1, -6, end]) for end in (-2, -9)]
+    # another site on the hub ties the run's start at (-1, -10), or keys
+    # below it at (-1, -12) and raises the hub before the run starts
+    runs += [spider(-10, [-1] + [-2] * 8 + [-3], [-1, -10, -2]), spider(-10, [-1] + [-2] * 6, [-1, -12])]
+    # runs ending at a valence-3 vertex, at a -4, before a positive leaf
+    # and before a 0
+    runs += [spider(-2, [-2] * 4 + [-1, -20], [-2, -3], [-4])]
+    runs += [path_tree([-20, -1] + [-2] * 5 + [end]) for end in (-4, 3)]
+    runs += [path_tree([-20, -1] + [-2] * 5 + [0, -3])]
+    # a hub that reaches -1 mid-path, which ends its run
+    runs += [path_tree([-5, -1] + [-2] * 8 + [-3])]
+    # a -1 between two -2 paths is no run
+    runs += [path_tree([-5, -2, -2, -1, -2, -2, -3])]
+    runs += [run_tree(rng) for _ in range(60)]
+    return trees + runs + [dense(t) for t in runs]
 
 
 def record_moves(monkeypatch, module, names):
@@ -910,6 +970,24 @@ def record_moves(monkeypatch, module, names):
 
 
 IN_PLACE_MOVES = ("_flatten_at", "_blow_down_at", "_absorb_at")
+
+
+def deep_reference(tree):
+    """reference_reduce_tree(tree) for a tree too deep for its recursive
+    encodings under the default limits: run in a thread with a larger
+    stack and recursion limit, both restored after."""
+    out = []
+    limit = sys.getrecursionlimit()
+    stack = threading.stack_size(256 * 2**20)
+    sys.setrecursionlimit(100_000)
+    try:
+        worker = threading.Thread(target=lambda: out.append(reference_reduce_tree(tree)))
+        worker.start()
+        worker.join()
+    finally:
+        threading.stack_size(stack)
+        sys.setrecursionlimit(limit)
+    return out[0]
 
 
 class TestReduce:
@@ -957,7 +1035,8 @@ class TestReduce:
         # every step's move and site, not only the tree the steps end in
         kinds = Counter()
         compared = []  # the steps whose sites tie on the key
-        real_least = plumbing._SiteOrder.least
+        runs = 0  # the steps that made more than one move
+        real_least, real_step = plumbing._SiteOrder.least, plumbing._Reduction.step
         for t in site_choice_corpus():
             with monkeypatch.context() as m:
                 ours = record_moves(m, plumbing, IN_PLACE_MOVES)
@@ -966,7 +1045,12 @@ class TestReduce:
                     "least",
                     lambda self, sites: compared.append(1) or real_least(self, sites),
                 )
+                made = [0]  # the move count before each step
+                m.setattr(
+                    plumbing._Reduction, "step", lambda self: made.append(len(ours)) or real_step(self)
+                )
                 reduce_tree(t)
+                runs += sum(b - a > 1 for a, b in zip(made, made[1:]))
             with monkeypatch.context() as m:
                 public = ("flatten_positive_leaf", "blow_down", "absorb_zero")
                 theirs = record_moves(m, oracles, public)
@@ -976,6 +1060,7 @@ class TestReduce:
         assert min(kinds[kind] for kind in range(3)) > 100, kinds
         # the key decides most steps; the tie-break below it stays covered
         assert len(compared) > 100
+        assert runs > 100, runs
 
     def test_key_tie_settled_below_the_key(self, monkeypatch):
         # blow-down sites 0 and 1 on a path, each between the -5 and a -2
@@ -1086,6 +1171,53 @@ class TestReduce:
         assert res.returncode == 0, res.stderr
         assert res.stdout == reference_reduce_tree(tree).to_json() + "\n"
 
+    def test_deep_path_tie_walks_without_frames(self, tmp_path, monkeypatch):
+        # two tied sites, adjacent -1's, whose first branches are -2 paths
+        # of 5000 vertices that differ only at the far end (-3 against -4):
+        # both are walked down in a plain loop, with no task, no frame and
+        # no ordered children per vertex
+        tree = path_tree([-3] + [-2] * 5000 + [-1, -1] + [-2] * 5000 + [-4])
+        handed_off = []
+        real = plumbing._run
+        monkeypatch.setattr(plumbing, "_run", lambda task: handed_off.append(1) or real(task))
+        expected = deep_reference(tree).to_json()
+        assert reduce_tree(tree).to_json() == expected
+        assert not handed_off
+        path = tmp_path / "tree.json"
+        path.write_text(tree.to_json())
+        code = (
+            "import sys\n"
+            "from knotplumb.plumbing import WeightedTree, reduce_tree\n"
+            f"tree = WeightedTree.from_json(open({str(path)!r}).read())\n"
+            "sys.setrecursionlimit(60)\n"
+            "print(reduce_tree(tree).to_json())\n"
+        )
+        res = run_child(code)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == expected + "\n"
+
+    def test_tasks_walk_paths_too(self, monkeypatch):
+        # past the plain calls' depth the tasks walk -2 paths in the same
+        # loop: spined_sites' two 20-level spines end in -2 tails of 300
+        # vertices that differ only at their far ends, and no tail vertex
+        # gets a task or ordered children of its own
+        base = spined_sites(20, 20, 3)
+        weights, edges = base.weights, list(base.edges)
+        ends = sorted(v for v, w in weights.items() if w == -3 and base.valence(v) == 2)
+        for prev, end in zip(ends, (-3, -4)):
+            for w in [-2] * 300 + [end]:
+                weights[len(weights)] = w
+                edges.append((prev, len(weights) - 1))
+                prev = len(weights) - 1
+        tree = WeightedTree(weights, edges)
+        tasks = []
+        real = plumbing._SiteOrder._compare
+        monkeypatch.setattr(
+            plumbing._SiteOrder, "_compare", lambda self, *pair: tasks.append(1) or real(self, *pair)
+        )
+        assert reduce_tree(tree) == deep_reference(tree)
+        assert 0 < len(tasks) < 50
+
     def test_moves_per_kind_on_three_iteration_towers(self, monkeypatch):
         # the counts of the loop that rescanned and copied the tree per move
         taken = record_moves(monkeypatch, plumbing, IN_PLACE_MOVES)
@@ -1103,6 +1235,8 @@ class TestReduce:
         trees = [random_tree(rng, max_vertices=30, weights=(-2, 2)) for _ in range(300)]
         trees += [random_tree(rng, max_vertices=40, weights=(-2, -1)) for _ in range(100)]
         trees += [raw_plumbing(spec) for spec in THREE_ITERATION_SPECS]
+        # blow-down runs, whose steps re-classify only the runs' ends
+        trees += [run_tree(rng) for _ in range(40)]
         steps = 0
         for t in trees:
             state = plumbing._Reduction(t)
@@ -1114,7 +1248,7 @@ class TestReduce:
                     break
                 steps += 1
             assert frozen == reduce_tree(t)
-        assert steps > 800
+        assert steps > 800, steps
 
     def test_site_keys_match_a_fresh_reduction_after_every_step(self):
         # a move classifies and keys again only the vertices it touched and
@@ -1126,6 +1260,9 @@ class TestReduce:
         trees += [random_tree(rng, max_vertices=40, weights=(-2, -1)) for _ in range(100)]
         trees += [raw_plumbing(spec) for spec in THREE_ITERATION_SPECS]
         trees.append(caterpillar(60, set(range(3, 60, 4))))
+        # blow-down runs, whose steps key again only the runs' ends and
+        # their neighbours, while other sites on a run's hub rise
+        trees += [run_tree(rng) for _ in range(40)]
         # absorbing the 0 at 1 moves the hub's other neighbours onto the -1
         # at 0: positive leaves 10-12 become flatten sites, the -1's 20-22
         # blow-down sites
@@ -1151,11 +1288,19 @@ class TestReduce:
         assert state.sites[0] == {10: (1, -1), 11: (2, -1), 12: (3, -1)}
         assert state.sites[1] == dict.fromkeys((20, 21, 22), (-1, -2))
 
-    @pytest.mark.parametrize("ones", [{595, 605}, set(range(3, 60, 4))], ids=["2-sites", "15-sites"])
-    def test_classifies_few_vertices_per_move(self, monkeypatch, ones):
+    @pytest.mark.parametrize(
+        "tree, steps",
+        [
+            (caterpillar(1200, {595, 605}), 2),
+            (caterpillar(1200, set(range(3, 60, 4))), 15),
+            # one step blows down the -1 and the whole -2 path after it
+            (path_tree([-1200, -1] + [-2] * 1000 + [-3]), 1),
+        ],
+        ids=["2-sites", "15-sites", "run"],
+    )
+    def test_classifies_few_vertices_per_move(self, monkeypatch, tree, steps):
         # a count, not a time: one scan at the start, then a bounded number
-        # of vertices per move however long the tree
-        tree = caterpillar(1200, ones)
+        # of vertices per step however long the tree or the step's run
         classify = plumbing._site_class
         calls = []
 
@@ -1172,9 +1317,9 @@ class TestReduce:
             if not state.step():
                 break
         assert calls[-1] == 0
-        per_move = calls[1:-1]
-        assert len(per_move) == len(ones)
-        assert max(per_move) <= 8
+        per_step = calls[1:-1]
+        assert len(per_step) == steps
+        assert max(per_step) <= 8
 
     @pytest.mark.parametrize(
         "move, tree",
