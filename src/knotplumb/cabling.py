@@ -15,10 +15,12 @@ weight -1, and a leg carrying the expansion of a_i/p_i with its leading
 coefficient dropped), consecutive hooks joined through a (-p_i a_i)
 vertex and a (-1) vertex, and a final leaf of weight N = n - p_k a_k.
 Contracting the junctions and flattening the leaf yields the reduced,
-negative-definite graph whenever N >= 1; for two-iteration towers in the
-a_1 = 1 (mod p_1), a_2 = +-1 (mod p_2) families the same graph is also
-emitted directly in closed form, and the two construction paths are kept
-as mutual oracles (plumbing.form_invariants checks |det| = n on both).
+negative-definite graph whenever N >= 1; reduced_plumbing builds it
+directly by the junction rule, in time linear in its size plus the sum of
+log a_i, with that calculus, reduce_tree(raw_plumbing(spec)), as oracle.
+Two-iteration towers in the a_1 = 1 (mod p_1), a_2 = +-1 (mod p_2)
+families also have it in closed form; the construction paths are mutual
+oracles (plumbing.form_invariants checks |det| = n on each).
 """
 
 import sys
@@ -33,7 +35,7 @@ from .plumbing import (
     _frozen,
     det_exact,  # unused; perfbench's LAYER_PATCHES wraps cabling.det_exact
     form_invariants,
-    reduce_tree,
+    reduce_tree,  # unused; perfbench's LAYER_PATCHES wraps cabling.reduce_tree
 )
 
 
@@ -158,9 +160,11 @@ class _TreeBuilder:
 
     def __init__(self):
         self.weights, self.adj, self.roles = {}, {}, {}
+        self.next = 0  # the id add gives; reduced_plumbing skips some
 
     def add(self, weight, role, attach=None):
-        v = len(self.weights)
+        v = self.next
+        self.next += 1
         self.weights[v] = weight
         self.roles[v] = role
         self.adj[v] = set() if attach is None else {attach}
@@ -216,16 +220,46 @@ def raw_plumbing(spec: SurgerySpec, with_roles: bool = False):
 
 
 def reduced_plumbing(spec: SurgerySpec) -> WeightedTree:
-    """Negative-definite plumbing of the surgery, via the calculus.
+    """Negative-definite plumbing of the surgery, built by the junction rule.
+
+    The tree, ids included, is its oracle reduce_tree(raw_plumbing(spec)).
+    At hook i >= 2, with j = p_{i-1} a_{i-1}, the bridge, the -1 and torso
+    i's first j entries (-2's but for entry j) contract into the previous
+    corner, which takes entry j's weight.  The last corner and the N leaf
+    flatten into a -2 and N - 1 tail -2's, from the leaf's id on.  Torso
+    i's first ceil(a_i/p_i) - 2 entries are -2's, so only the rest of its
+    fraction is expanded: O(output + sum of log a_i) in all.
 
     Requires N >= 1 (N >= 2 is the classification regime; N = 1 also
     reduces fine).  N < 0 admits no negative-definite plumbing tree at
     all, and N = 0 may be a connected sum; both raise.
     """
     _require_positive_framing(spec)
-    reduced = reduce_tree(raw_plumbing(spec))
+    _require_buildable(spec)
+    build = _TreeBuilder()
+    prev, j = None, 0  # the corner torso i attaches to; the entries it drops
+    for i, (p, a) in enumerate(spec.knot.pairs, start=1):
+        run = ceil_div(a, p) - 2  # torso i's leading -2's
+        rest = expand_neg_cf(Fraction(a - run * p, a - (run + 1) * p))
+        leg = expand_neg_cf(Fraction(a, p))
+        if prev is not None:
+            if j - 1 > run:
+                raise AssertionError(f"junction {i - 1} would drop a torso entry other than -2")
+            build.next += 2 + j  # the bridge, the -1 and torso entries 1..j
+            build.weights[prev] = -2 if j <= run else -rest[0]
+        for coeff in [2] * (run - j) + list(rest[max(j - run, 0):]):
+            prev = build.add(-coeff, f"torso{i}", prev)
+        corner = build.add(-1, f"corner{i}", prev)  # reset by the next junction or the flatten
+        hang = corner
+        for coeff in reversed(leg[1:]):
+            hang = build.add(-coeff, f"leg{i}", hang)
+        prev, j = corner, p * a
+    build.weights[prev] = -2
+    for _ in range(spec.reduced_framing - 1):
+        prev = build.add(-2, "tail", prev)
+    reduced = build.finish(spec, with_roles=False)
     if any(w > -2 for w in reduced.weights.values()):
-        raise AssertionError("reduction of a raw surgery graph left a weight above -2")
+        raise AssertionError("the junction rule left a weight above -2")
     return reduced
 
 

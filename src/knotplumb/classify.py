@@ -90,7 +90,7 @@ class SweepRow:
 def classify_one(spec: SurgerySpec, budget=DEFAULT_BUDGET) -> SweepRow:
     """Obstruction verdict for one surgery spec in the congruence families.
 
-    The graph is the closed-form one; the calculus path builds an
+    The graph is the closed-form one; reduced_plumbing builds an
     isomorphic one, which the test suite checks.  A non-square n is decided
     with 0 nodes by the determinant and definiteness the builder computed
     (plumbing.form_invariants); a square n is searched on the tree itself,

@@ -23,6 +23,7 @@ directory.
 import argparse
 import json
 import os
+import re
 import stat
 import sys
 
@@ -157,10 +158,14 @@ def _write_witness(out_dir, name, witness) -> str:
 
 
 def _parse_int_list(text):
+    # int() alone also takes spaces, +, _ and non-ASCII digits
+    fields = text.split(",")
     try:
-        return [int(x) for x in text.split(",")]  # an empty field is an error
-    except ValueError:
-        raise CliError(f"expected a comma-separated integer list, got {text!r}")
+        if all(re.fullmatch(r"-?[0-9]+", x) for x in fields):
+            return [int(x) for x in fields]
+    except ValueError:  # more digits than int() converts
+        pass
+    raise CliError(f"expected a comma-separated integer list, got {text!r}")
 
 
 def _parse_spec(args) -> SurgerySpec:

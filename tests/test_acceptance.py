@@ -149,6 +149,8 @@ def test_criterion_4_construction_oracle():
         assert is_negative_definite(gram)
         assert abs(det_exact(gram)) == n
         assert are_isomorphic(reduced, closed_form_two_iter(spec))
+        # the junction rule builds what the calculus reaches, ids included
+        assert reduced.to_json() == reduce_tree(raw_plumbing(spec)).to_json()
 
 
 def _chain(k):

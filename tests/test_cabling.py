@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from knotplumb import cabling
 from knotplumb.classify import desk_range_tuples
 from knotplumb.cabling import (
     CableTower,
@@ -22,11 +23,13 @@ from knotplumb.plumbing import (
     WeightedTree,
     are_isomorphic,
     det_exact,
+    form_invariants,
     gram_matrix,
     is_negative_definite,
     reduce_tree,
 )
 
+from knotplumb.hjcf import expand_neg_cf
 from oracles import contract_junctions, signature
 from test_plumbing import THREE_ITERATION_SPECS, random_tower_spec
 
@@ -157,6 +160,65 @@ class TestReducedPlumbing:
         with pytest.raises(ReducibleBoundaryError):
             reduced_plumbing(SurgerySpec(CableTower(((2, 3), (2, 17))), 34))
 
+    def test_matches_the_calculus(self):
+        # the junction rule against its oracle, the calculus on the raw
+        # tree, byte for byte (ids included): random algebraic towers, each
+        # a_i within 3p + 20 of its bound, and the lift towers
+        rng = random.Random(21)
+        specs = [random_algebraic_spec(rng) for _ in range(200)]
+        specs += [lift_tower(k) for k in range(1, 7)]
+        for spec in specs:
+            calculus = reduce_tree(raw_plumbing(spec))
+            assert reduced_plumbing(spec).to_json() == calculus.to_json(), spec
+
+    def test_builds_in_output_size(self, monkeypatch):
+        # only what survives is expanded: no torso's leading -2 run is, so
+        # the coefficients expanded for the 12-iteration lift tower (a_12
+        # near 10^7) stay within a small multiple of rank plus iterations
+        expanded = []
+
+        def counting(x, q=None):
+            coeffs = expand_neg_cf(x, q)
+            expanded.extend(coeffs)
+            return coeffs
+
+        monkeypatch.setattr(cabling, "expand_neg_cf", counting)
+        spec = lift_tower(12)
+        tree = reduced_plumbing(spec)
+        assert len(tree) == 3 * 12 + 2 == 38
+        assert abs(form_invariants(tree)[0]) == spec.n
+        assert len(expanded) <= 2 * (len(tree) + 12)
+
+    def test_rejects_a_junction_dropping_more_than_twos(self, monkeypatch):
+        # (2,3;2,11) is not algebraic: the junction into torso 2 would
+        # contract past its -2 run, which the builder refuses to do
+        monkeypatch.setattr(cabling, "_require_buildable", lambda spec: None)
+        with pytest.raises(AssertionError, match="other than -2"):
+            reduced_plumbing(SurgerySpec(CableTower(((2, 3), (2, 11))), 30))
+
+
+def random_algebraic_spec(rng):
+    """An algebraic tower of 1-4 iterations, p <= 5, each a_i within 3p + 20
+    of the algebraic bound, N in 1..14."""
+    pairs = []
+    for _ in range(rng.randint(1, 4)):
+        p = rng.randint(2, 5)
+        low = pairs[-1][0] * p * pairs[-1][1] + 1 if pairs else p + 1
+        coprime = [a for a in range(low, low + 3 * p + 20) if math.gcd(a, p) == 1]
+        pairs.append((p, rng.choice(coprime)))
+    p, a = pairs[-1]
+    return SurgerySpec(CableTower(tuple(pairs)), p * a + rng.randint(1, 14))
+
+
+def lift_tower(k):
+    """The T(2,3) lift tower (2,3; 2,17; 2,71; ...) of k iterations, at
+    n = 9 * 4^(k-1): each lift is (2, 2m^2 - 1) at (2m)^2, N = 2."""
+    pairs, n = [(2, 3)], 9
+    for _ in range(k - 1):
+        pairs.append((2, 2 * n - 1))
+        n *= 4
+    return SurgerySpec(CableTower(tuple(pairs)), n)
+
 
 class TestClosedForm:
     def test_matches_calculus_on_worked_example(self):
@@ -222,11 +284,11 @@ class TestBuilder:
         specs = [SurgerySpec(CableTower((t[:2], t[2:4])), t[4]) for t in desk_range_tuples()]
         trees = [build(spec) for spec in specs for build in (closed_form_two_iter, raw_plumbing)]
         towers = THREE_ITERATION_SPECS + [random_tower_spec(rng, k) for k in (1, 2, 3, 4) for _ in range(6)]
-        trees += [raw_plumbing(spec) for spec in towers]
+        trees += [build(spec) for spec in towers for build in (raw_plumbing, reduced_plumbing)]
         for t in trees:
             copy = WeightedTree(t.weights, t.edges)
             assert t == copy and t._adj == copy._adj, t
-        assert len(trees) == 2 * 1005 + 27
+        assert len(trees) == 2 * 1005 + 2 * 27
 
 
 class TestFramingRule:

@@ -107,10 +107,10 @@ class TestGraph:
         res = run_cli("graph", "--pairs", "2,3", "--n", "8")
         assert "rank 4" in res.stdout and "det 8" in res.stdout
 
-    @pytest.mark.parametrize("kind,passes", [("closed-form", 1), ("raw", 1), ("reduced", 2)])
+    @pytest.mark.parametrize("kind,passes", [("closed-form", 1), ("raw", 1), ("reduced", 1)])
     def test_one_exact_pass_per_built_tree(self, monkeypatch, capsys, kind, passes):
         # the printed det and definiteness are the builder's; --reduced
-        # builds the raw tree, checks it, then reduces it to a new tree
+        # builds the reduced tree directly, with no raw tree to check
         calls = count_exact_passes(monkeypatch)
         tuples = desk_range_tuples()
         for p1, a1, p2, a2, n in tuples:
@@ -391,6 +391,35 @@ def test_empty_list_field_is_an_error(capsys, argv, field):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"error: expected a comma-separated integer list, got {field!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["graph", "--pairs", "2,3,2,1_7", "--n", "36", "--reduced"], "2,3,2,1_7"),
+        (["graph", "--pairs", "2,3,+2,17", "--n", "36"], "2,3,+2,17"),
+        (["embed", "--pairs", "2,\uff13", "--n", "9"], "2,\uff13"),
+        (["contfrac", "--eval", " 2, 2,+2"], " 2, 2,+2"),
+        (["contfrac", "--eval", "2,2\n"], "2,2\n"),
+        (["sweep", *SWEEP_ARGS, "--k1", "1_0"], "1_0"),
+        (["audit", *SWEEP_ARGS, "--N", "2, 3"], "2, 3"),
+        (["sweep", *SWEEP_ARGS, "--p2=--2"], "--2"),
+    ],
+)
+def test_list_field_must_be_plain_ascii_digits(capsys, argv, field):
+    # int() took these: --pairs 2,3,2,1_7 ran as 2,3,2,17 and
+    # --eval ' 2, 2,+2' printed 4/3
+    assert cli.main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: expected a comma-separated integer list, got {field!r}\n"
+
+
+def test_list_field_may_be_negative(capsys):
+    assert cli.main(["contfrac", "--eval=-2,3"]) == 1  # parsed, then not canonical
+    assert "non-canonical" in capsys.readouterr().err
+    assert cli.main(["contfrac", "--eval", "02,3"]) == 0
+    assert capsys.readouterr().out == "5/3\n"
 
 
 @pytest.mark.parametrize("command", ["sweep", "audit"])
