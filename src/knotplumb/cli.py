@@ -59,7 +59,18 @@ from .plumbing import (
     is_negative_definite,  # unused; perfbench's LAYER_PATCHES wraps cli.is_negative_definite
 )
 
-CONFIG_KEYS = {"out": str, "workers": int, "budget": int, "timing": bool}
+
+def _int(text):
+    """int(text) of an optional '-' and ASCII digits only: int() alone also
+    takes spaces, '+', '_' and non-ASCII digits."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)  # ValueError past int()'s digit limit
+
+
+_int.__name__ = "int"  # argparse and load_config name the type in errors
+
+CONFIG_KEYS = {"out": str, "workers": _int, "budget": _int, "timing": bool}
 
 
 class CliError(Exception):
@@ -158,14 +169,10 @@ def _write_witness(out_dir, name, witness) -> str:
 
 
 def _parse_int_list(text):
-    # int() alone also takes spaces, +, _ and non-ASCII digits
-    fields = text.split(",")
     try:
-        if all(re.fullmatch(r"-?[0-9]+", x) for x in fields):
-            return [int(x) for x in fields]
-    except ValueError:  # more digits than int() converts
-        pass
-    raise CliError(f"expected a comma-separated integer list, got {text!r}")
+        return [_int(x) for x in text.split(",")]
+    except ValueError:
+        raise CliError(f"expected a comma-separated integer list, got {text!r}")
 
 
 def _parse_spec(args) -> SurgerySpec:
@@ -198,11 +205,8 @@ def cmd_contfrac(args, config):
         if args.fraction is None:
             raise CliError("give a fraction like 7/2, or --eval coefficients")
         try:
-            if "/" in args.fraction:
-                num, _, den = args.fraction.partition("/")
-                coeffs = hjcf.expand_neg_cf(int(num), int(den))
-            else:
-                coeffs = hjcf.expand_neg_cf(int(args.fraction), 1)
+            num, slash, den = args.fraction.partition("/")
+            coeffs = hjcf.expand_neg_cf(_int(num), _int(den) if slash else 1)
             value = hjcf.eval_neg_cf(coeffs)
         except ValueError as exc:
             raise CliError(str(exc))
@@ -409,7 +413,7 @@ def build_parser():
 
     p = sub.add_parser("graph", help="build a plumbing graph for a surgery")
     p.add_argument("--pairs", required=True, help="p1,a1[,p2,a2...]")
-    p.add_argument("--n", type=int, required=True, help="surgery coefficient")
+    p.add_argument("--n", type=_int, required=True, help="surgery coefficient")
     mode = p.add_mutually_exclusive_group()
     for kind in ("raw", "reduced", "closed-form"):
         mode.add_argument(f"--{kind}", dest="kind", action="store_const", const=kind)
@@ -420,9 +424,9 @@ def build_parser():
     p = sub.add_parser("embed", help="decide lattice embeddability")
     p.add_argument("graph_file", nargs="?", help="plumbing JSON file")
     p.add_argument("--pairs", help="p1,a1[,p2,a2...] (build reduced graph)")
-    p.add_argument("--n", type=int)
-    p.add_argument("--rank", type=int, help="target rank (default: vertex count)")
-    p.add_argument("--budget", type=int, help="search node budget (not with --enumerate)")
+    p.add_argument("--n", type=_int)
+    p.add_argument("--rank", type=_int, help="target rank (default: vertex count)")
+    p.add_argument("--budget", type=_int, help="search node budget (not with --enumerate)")
     p.add_argument("--enumerate", action="store_true", help="list all classes")
     p.add_argument(
         "--locally-minimal",
@@ -437,11 +441,11 @@ def build_parser():
         p.add_argument("--p1", default="2,3")
         p.add_argument("--k1", default="1,2,3")
         p.add_argument("--p2", default="2,3")
-        p.add_argument("--k2-max", dest="k2_max", type=int, default=25)
+        p.add_argument("--k2-max", dest="k2_max", type=_int, default=25)
         p.add_argument("--N", default="2,3,4,5,6")
         p.add_argument("--csv", help="write rows to this CSV file")
-        p.add_argument("--workers", type=int)
-        p.add_argument("--budget", type=int)
+        p.add_argument("--workers", type=_int)
+        p.add_argument("--budget", type=_int)
         p.add_argument("--timing", action="store_const", const=True, default=None,
                        help="fill the ms column (breaks byte-determinism)")
         p.add_argument("--out", help="output directory for witness files")

@@ -833,52 +833,48 @@ def _run(task):
             value = None
 
 
-def _centroids(tree):
-    """The one or two vertices whose removal leaves the smallest largest
-    component, from subtree sizes in one pass."""
-    parent = {}
-    order = _walk(tree._adj, tree.vertices()[0], parent)
-    size = dict.fromkeys(order, 1)
-    for v in reversed(order[1:]):
-        size[parent[v]] += size[v]
-    heaviest = {
-        v: max([len(order) - size[v]] + [size[c] for c in tree.neighbors(v) if c != parent[v]])
-        for v in order
-    }
-    best = min(heaviest.values())
-    return [v for v in order if heaviest[v] == best]
-
-
-def _flat_encoding(tree, root):
-    """Preorder serialization of the tree rooted at root: a vertex's weight
-    and child count, then its children's serializations in sorted order.
-
-    A flat tuple of integers, so building and comparing it never recurses,
-    however deep the tree.  The child counts make it decode uniquely, so
-    two rooted trees get equal serializations iff they are isomorphic.
-    """
-    parent = {}
-    order = _walk(tree._adj, root, parent)
-    enc = {}
-    for v in reversed(order):
-        kids = sorted(enc.pop(c) for c in tree.neighbors(v) if c != parent[v])
-        enc[v] = tuple(chain((tree.weight(v), len(kids)), *kids))
-    return enc[root]
-
-
 def canonical_form(tree: WeightedTree):
     """Label-independent encoding: equal iff trees are weight-isomorphic.
 
-    The least flat serialization (_flat_encoding) rooted at a centroid; it
-    is compared only for equality.
+    Leaves are peeled off layer by layer down to the one or two centre
+    vertices (Aho, Hopcroft and Ullman).  A peeled vertex's key is its
+    weight and the sorted ids of the vertices peeled into it; a layer's
+    distinct keys get the next ids in sorted order, so an id names a rooted
+    subtree up to isomorphism.  The form is the tuple of each layer's
+    sorted keys, the centres' last: a tuple of tuples of (weight, tuple of
+    ids).  O(n log n), with no recursion.
     """
-    return min(_flat_encoding(tree, c) for c in _centroids(tree))
+    adj, weights = tree._adj, tree._weights
+    degree = {v: len(ns) for v, ns in adj.items()}
+    below = {v: [] for v in adj}
+    layer = [v for v, d in degree.items() if d <= 1]
+    left = len(degree)
+    ids, form = {}, []
+    while True:
+        keys = [(weights[v], tuple(sorted(below[v]))) for v in layer]
+        ordered = sorted(keys)
+        form.append(tuple(ordered))
+        left -= len(layer)
+        if not left:  # the layer was the centre: one vertex, or an edge
+            return tuple(form)
+        for k in ordered:
+            ids.setdefault(k, len(ids))
+        # more than two vertices were left, so each peeled vertex has one
+        # neighbour still in the tree, and none is peeled with it
+        peeled, layer = layer, []
+        for v, k in zip(peeled, keys):
+            degree[v] = 0
+            for u in adj[v]:
+                if degree[u]:
+                    below[u].append(ids[k])
+                    degree[u] -= 1
+                    if degree[u] == 1:
+                        layer.append(u)
+                    break
 
 
 def are_isomorphic(t1: WeightedTree, t2: WeightedTree) -> bool:
     """Weight-preserving tree isomorphism."""
     if len(t1) != len(t2):
-        return False
-    if sorted(t1.weights.values()) != sorted(t2.weights.values()):
         return False
     return canonical_form(t1) == canonical_form(t2)

@@ -13,8 +13,10 @@ reduction below re-implements the move loop without the leaf-flattening
 step so the intermediate "minimal" graph can be inspected; and
 reference_reduce_tree picks its sites by the recursive, unmemoised rooted
 encoding, among the sites reference_sites finds by a full scan at every
-step, where the implementation keeps them move by move.  fresh_id, a
-helper only the tests use, lives here too.
+step, where the implementation keeps them move by move.
+centroid_isomorphic compares the least preorder serialization rooted at
+a centroid, where the implementation peels leaves layer by layer.
+fresh_id, a helper only the tests use, lives here too.
 
 search_gram and enumerate_gram are adapters, not oracles: they run the
 implementation's search (lattice._Searcher) on a matrix that is no
@@ -28,11 +30,13 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from itertools import chain
 
 from knotplumb import lattice
 from knotplumb.lattice import SearchResult, SearchStatus, verify_embedding
 from knotplumb.plumbing import (
     WeightedTree,
+    _walk,
     absorb_zero,
     blow_down,
     flatten_positive_leaf,
@@ -438,6 +442,57 @@ def brute_force_isomorphic(t1: WeightedTree, t2: WeightedTree) -> bool:
         } == target:
             return True
     return False
+
+
+def _centroids(tree):
+    """The one or two vertices whose removal leaves the smallest largest
+    component, from subtree sizes in one pass."""
+    parent = {}
+    order = _walk(tree._adj, tree.vertices()[0], parent)
+    size = dict.fromkeys(order, 1)
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    heaviest = {
+        v: max([len(order) - size[v]] + [size[c] for c in tree.neighbors(v) if c != parent[v]])
+        for v in order
+    }
+    best = min(heaviest.values())
+    return [v for v in order if heaviest[v] == best]
+
+
+def _flat_encoding(tree, root):
+    """Preorder serialization of the tree rooted at root: a vertex's weight
+    and child count, then its children's serializations in sorted order.
+
+    A flat tuple of integers, so building and comparing it never recurses,
+    however deep the tree.  The child counts make it decode uniquely, so
+    two rooted trees get equal serializations iff they are isomorphic.
+    """
+    parent = {}
+    order = _walk(tree._adj, root, parent)
+    enc = {}
+    for v in reversed(order):
+        kids = sorted(enc.pop(c) for c in tree.neighbors(v) if c != parent[v])
+        enc[v] = tuple(chain((tree.weight(v), len(kids)), *kids))
+    return enc[root]
+
+
+def centroid_canonical_form(tree: WeightedTree):
+    """Label-independent encoding: equal iff trees are weight-isomorphic.
+
+    The least flat serialization (_flat_encoding) rooted at a centroid; it
+    is compared only for equality.
+    """
+    return min(_flat_encoding(tree, c) for c in _centroids(tree))
+
+
+def centroid_isomorphic(t1: WeightedTree, t2: WeightedTree) -> bool:
+    """Weight-preserving tree isomorphism."""
+    if len(t1) != len(t2):
+        return False
+    if sorted(t1.weights.values()) != sorted(t2.weights.values()):
+        return False
+    return centroid_canonical_form(t1) == centroid_canonical_form(t2)
 
 
 def catalogue_count(lengths, rank) -> int:

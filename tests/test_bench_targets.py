@@ -1,8 +1,10 @@
 """The traced benchmark (perfbench/workloads.py) wraps named attributes of
-the library's modules in spans; a rename or deletion there breaks the
-trace, so every target is checked here, in seconds, without running the
-benchmark."""
+the library's modules in spans, and its workloads call others; a rename or
+deletion there breaks the benchmark, so every target and every attribute
+it reads is checked here, in seconds, without running the benchmark."""
 
+import ast
+import importlib
 import pathlib
 import sys
 
@@ -56,3 +58,45 @@ def test_smoke_workloads_run_clean(workloads, tmp_path, monkeypatch, traced):
         assert unit.counts["items"] == len(inputs) >= 1, name
         if traced:
             assert stats["lattice.nodes"] == unit.counts.get("lattice.nodes", 0), name
+
+
+def knotplumb_reads(source):
+    """The (module, attribute) pairs a source file reads off knotplumb's
+    modules: m.name for each m bound by `from knotplumb import m`, and each
+    name of `from knotplumb.m import name`."""
+    tree = ast.parse(source)
+    modules, reads = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            if node.module == "knotplumb":
+                modules.update((a.asname or a.name, a.name) for a in node.names)
+            elif node.module.startswith("knotplumb."):
+                reads.update((node.module[len("knotplumb."):], a.name) for a in node.names)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        ):
+            reads.add((modules[node.value.id], node.attr))
+    return reads
+
+
+def test_workload_reads_exist():
+    reads = knotplumb_reads((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+    # the walk finds the reads each workload makes
+    assert {
+        ("plumbing", "are_isomorphic"),
+        ("cabling", "closed_form_two_iter"),
+        ("lattice", "embedding_from_json_obj"),
+        ("classify", "theorem_audit"),
+        ("cli", "main"),
+        ("cabling", "SurgerySpec"),
+    } <= reads
+    missing = [
+        f"knotplumb.{module}.{attr}"
+        for module, attr in sorted(reads)
+        if not hasattr(importlib.import_module(f"knotplumb.{module}"), attr)
+    ]
+    assert missing == []

@@ -422,6 +422,62 @@ def test_list_field_may_be_negative(capsys):
     assert capsys.readouterr().out == "5/3\n"
 
 
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["graph", "--pairs", "2,3,2,17", "--n", "3_6", "--reduced"], "--n", "3_6"),
+        (["graph", "--pairs", "2,3", "--n", " 36"], "--n", " 36"),
+        (["graph", "--pairs", "2,3", "--n", "+36"], "--n", "+36"),
+        (["embed", "--pairs", "2,3,2,17", "--n", "36", "--budget", "1_0"], "--budget", "1_0"),
+        (["embed", "chain3.json", "--rank", "\uff13"], "--rank", "\uff13"),
+        (["sweep", *SWEEP_ARGS, "--workers", "2 "], "--workers", "2 "),
+        (["audit", *SWEEP_ARGS, "--k2-max", "9_0"], "--k2-max", "9_0"),
+        (["graph", "--pairs", "2,3", "--n", "abc"], "--n", "abc"),  # the form kept
+    ],
+)
+def test_scalar_flag_must_be_plain_ascii_digits(capsys, argv, flag, value):
+    # int() took these: --n 3_6 ran with n = 36
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.endswith(f"error: argument {flag}: invalid int value: {value!r}\n")
+
+
+@pytest.mark.parametrize(
+    "fraction, field",
+    [("1_5/2", "1_5"), ("15/ 2", " 2"), ("+7/2", "+7"), ("7/\uff12", "\uff12"), ("1_5", "1_5"),
+     ("7/x", "x")],
+)
+def test_contfrac_fraction_must_be_plain_ascii_digits(capsys, fraction, field):
+    # int() took these: contfrac 1_5/2 printed [8,2]
+    assert cli.main(["contfrac", fraction]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: invalid literal for int() with base 10: {field!r}\n"
+
+
+@pytest.mark.parametrize("line", ["budget=1_0", "workers= +2", "budget=\uff11", "budget=abc"])
+def test_config_integer_must_be_plain_ascii_digits(tmp_path, capsys, line):
+    # int() took budget=1_0 as a budget of 10
+    cfg = tmp_path / "ints.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    argv = ["--config", str(cfg), "embed", "--pairs", "2,3,2,17", "--n", "36", "--out", str(tmp_path)]
+    assert cli.main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {cfg}:1: int expected for {line.partition('=')[0]}\n"
+
+
+def test_scalar_integers_may_be_negative(capsys):
+    # parsed, then refused by the tower: N = -42 < 0
+    assert cli.main(["graph", "--pairs", "2,3", "--n=-36", "--reduced"]) == 2
+    assert "N = -42 < 0" in capsys.readouterr().err
+    assert cli.main(["contfrac", "07/2"]) == 0
+    assert capsys.readouterr().out == "[4,2]\n"
+
+
 @pytest.mark.parametrize("command", ["sweep", "audit"])
 def test_unwritable_out_fails_before_searching(tmp_path, monkeypatch, capsys, command):
     def no_search(*args, **kwargs):

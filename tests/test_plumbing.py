@@ -32,6 +32,7 @@ from knotplumb.plumbing import (
 from oracles import (
     bareiss_det,
     brute_force_isomorphic,
+    centroid_isomorphic,
     cofactor_det,
     fraction_forest_elimination,
     fresh_id,
@@ -60,6 +61,14 @@ THREE_ITERATION_SPECS = [
 def path_tree(weights):
     ids = list(range(len(weights)))
     return WeightedTree(dict(zip(ids, weights)), list(zip(ids, ids[1:])))
+
+
+def random_tree_of_size(rng, n, weights=(-3, -2)):
+    """A random tree on n vertices with ids 0..n-1, each vertex after the
+    first joined to an earlier one."""
+    return WeightedTree(
+        {v: rng.randint(*weights) for v in range(n)}, [(v, rng.randrange(v)) for v in range(1, n)]
+    )
 
 
 def caterpillar(spine, ones):
@@ -1397,6 +1406,85 @@ class TestIsomorphism:
             verdicts.append(are_isomorphic(t1, t2))
             assert verdicts[-1] == brute_force_isomorphic(t1, t2)
         assert 20 < sum(verdicts) < 280
+
+    def test_one_and_two_vertices(self):
+        one, two = path_tree([-2]), path_tree([-2, -3])
+        assert are_isomorphic(one, relabel(one, {0: 9}))
+        assert not are_isomorphic(one, path_tree([-3]))
+        assert are_isomorphic(two, relabel(path_tree([-3, -2]), {0: 5, 1: 4}))
+        assert not are_isomorphic(two, path_tree([-2, -2]))
+        assert not are_isomorphic(one, two)
+        assert canonical_form(one) == (((-2, ()),),)
+        assert canonical_form(two) == (((-3, ()), (-2, ())),)
+
+    @pytest.mark.parametrize("n", [5, 6])  # one centre, then two
+    def test_paths_of_odd_and_even_length(self, n):
+        ws = [-2 - i for i in range(n)]
+        path = path_tree(ws)
+        assert len(canonical_form(path)) == (n + 1) // 2
+        assert len(canonical_form(path)[-1]) == 2 - n % 2
+        assert are_isomorphic(path, path_tree(ws[::-1]))
+        for i in range(n - 1):  # swapping two weights moves a vertex
+            moved = ws[:i] + [ws[i + 1], ws[i]] + ws[i + 2 :]
+            assert not are_isomorphic(path, path_tree(moved))
+
+    def test_differs_only_at_the_centre(self):
+        a = spider(-2, [-2, -3], [-2, -3], [-4])
+        b = spider(-5, [-2, -3], [-2, -3], [-4])
+        assert canonical_form(a)[:-1] == canonical_form(b)[:-1]
+        assert not are_isomorphic(a, b)
+        # two centres, one of them different
+        assert not are_isomorphic(path_tree([-2, -3, -3, -2]), path_tree([-2, -3, -4, -2]))
+
+    def test_spiders_with_equal_layers_attached_differently(self):
+        # both peel -5, -3, -2 and then -3, -2; only which leaf hangs on
+        # which differs
+        a = spider(-2, [-2, -3], [-3, -2], [-5])
+        b = spider(-2, [-2, -2], [-3, -3], [-5])
+        for t in (a, b):
+            assert sorted(w for w, _ in canonical_form(t)[0]) == [-5, -3, -2]
+        assert not are_isomorphic(a, b)
+        assert not brute_force_isomorphic(a, b)
+
+    def test_star_is_not_a_path_of_any_centre(self):
+        star = spider(-2, [-2], [-2], [-2], [-2])
+        assert not are_isomorphic(star, path_tree([-2] * 5))
+        assert not are_isomorphic(star, spider(-2, [-2, -2], [-2], [-2]))
+        assert canonical_form(star) == (((-2, ()),) * 4, ((-2, (0, 0, 0, 0)),))
+
+    def test_agrees_with_the_centroid_encoding(self):
+        # half relabelled copies, every third of those with one weight
+        # nudged; half independent random trees of the same size
+        rng = random.Random(47)
+        counts = Counter()
+        for i in range(20_000):
+            n = rng.randint(1, 11)
+            t1 = random_tree_of_size(rng, n)
+            if i % 2:
+                t2 = relabel(t1, dict(zip(t1.vertices(), rng.sample(range(10**6), n))))
+                assert canonical_form(t2) == canonical_form(t1)
+                if i % 3 == 1:
+                    weights = t2.weights
+                    weights[rng.choice(list(weights))] += rng.choice((-1, 1))
+                    t2 = WeightedTree(weights, t2.edges)
+            else:
+                t2 = random_tree_of_size(rng, n)
+            verdict = are_isomorphic(t1, t2)
+            assert verdict == centroid_isomorphic(t1, t2), (t1.to_json(), t2.to_json())
+            counts[i % 2, verdict] += 1
+        # every kind of pair occurs often: the nudged copies are not isomorphic
+        assert counts[1, True] == 6666 and counts[1, False] == 3334
+        assert min(counts[0, True], counts[0, False]) > 1000, counts
+
+    def test_long_path_in_about_linear_time(self):
+        # the centroid encoding copies each suffix of a path: minutes here
+        n = 100_000
+        path = path_tree([-2] * n)
+        perm = random.Random(53).sample(range(n), n)  # the path relabelled
+        edges = list(zip(perm, perm[1:]))
+        assert are_isomorphic(path, WeightedTree(dict.fromkeys(perm, -2), edges))
+        bent = WeightedTree({**dict.fromkeys(perm, -2), perm[-1]: -3}, edges)
+        assert not are_isomorphic(path, bent)
 
 
 @settings(max_examples=60, deadline=None)
