@@ -20,7 +20,7 @@ directly by the junction rule, in time linear in its size plus the sum of
 log a_i, with that calculus, reduce_tree(raw_plumbing(spec)), as oracle.
 Two-iteration towers in the a_1 = 1 (mod p_1), a_2 = +-1 (mod p_2)
 families also have it in closed form; the construction paths are mutual
-oracles (plumbing.form_invariants checks |det| = n on each).
+oracles (the builder's one exact pass checks |det| = n on each).
 """
 
 import sys
@@ -28,13 +28,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from . import plumbing
 from .hjcf import ceil_div, expand_neg_cf, star_inverse
 from .plumbing import (
     NoNegativeDefiniteFormError,
     WeightedTree,
-    _frozen,
     det_exact,  # unused; perfbench's LAYER_PATCHES wraps cabling.det_exact
-    form_invariants,
     reduce_tree,  # unused; perfbench's LAYER_PATCHES wraps cabling.reduce_tree
 )
 
@@ -154,12 +153,12 @@ def _require_positive_framing(spec: SurgerySpec):
 
 class _TreeBuilder:
     """Vertices numbered in the order they are added, each with a role and
-    attached to an earlier one (but the first), so the result is a tree by
-    construction and is frozen as the calculus moves' results are, not
-    validated again."""
+    a parent added before it (but the first), so the result is a tree by
+    construction, its one exact pass (plumbing._eliminate) needs no walk,
+    and it is frozen, not validated again, only when a tree is asked for."""
 
     def __init__(self):
-        self.weights, self.adj, self.roles = {}, {}, {}
+        self.weights, self.parent, self.roles = {}, {}, {}
         self.next = 0  # the id add gives; reduced_plumbing skips some
 
     def add(self, weight, role, attach=None):
@@ -167,18 +166,31 @@ class _TreeBuilder:
         self.next += 1
         self.weights[v] = weight
         self.roles[v] = role
-        self.adj[v] = set() if attach is None else {attach}
-        if attach is not None:
-            self.adj[attach].add(v)
+        self.parent[v] = attach
         return v
 
-    def finish(self, spec, with_roles):
-        """The tree, checked against its oracle |det| = |n|; with its roles if asked."""
-        tree = _frozen(self.weights, self.adj)
-        if abs(form_invariants(tree)[0]) != abs(spec.n):
+    def form(self, spec):
+        """(det, negative definite), checked against its oracle |det| = |n|."""
+        form = plumbing._eliminate(self.weights, None, self.parent)
+        if abs(form[0]) != abs(spec.n):
             raise AssertionError(
                 f"plumbing determinant does not match surgery coefficient {spec.n}"
             )
+        return form
+
+    def tree(self, form):
+        """The tree, its form memoised; no vertex may be added after."""
+        adj = {v: set() if p is None else {p} for v, p in self.parent.items()}
+        for v, p in self.parent.items():
+            if p is not None:
+                adj[p].add(v)
+        tree = plumbing._frozen(self.weights, adj)
+        tree._form = form
+        return tree
+
+    def finish(self, spec, with_roles):
+        """The tree, checked by its one pass; with its roles if asked."""
+        tree = self.tree(self.form(spec))
         return (tree, self.roles) if with_roles else tree
 
 
@@ -313,6 +325,12 @@ def closed_form_two_iter(spec: SurgerySpec, with_roles: bool = False):
     """
     par = two_iter_parameters(spec)
     _require_positive_framing(spec)
+    return _closed_form_builder(par).finish(spec, with_roles)
+
+
+def _closed_form_builder(par) -> _TreeBuilder:
+    """closed_form_two_iter's builder, given its two_iter_parameters with
+    N >= 1, for classify_one to check and freeze only if it searches."""
     p1, k1, p2, sign, n_red, l = (
         par["p1"],
         par["k1"],
@@ -348,4 +366,4 @@ def closed_form_two_iter(spec: SurgerySpec, with_roles: bool = False):
     prev = node2
     for _ in range(n_red - 1):
         prev = build.add(-2, "tail", prev)
-    return build.finish(spec, with_roles)
+    return build

@@ -1,18 +1,18 @@
 """End-to-end obstruction verdicts, parameter sweeps, and the family audit.
 
-classify_one decides, for an n-surgery on T(p1, a1; p2, a2) with
-a1 = 1 (mod p1) and a2 = +-1 (mod p2), what the lattice-embedding
-obstruction says: with N = n - p2*a2, negative N admits no negative
-definite plumbing tree at all, N = 0 may split as a connected sum, N = 1
-is excluded from classification, and for N >= 2 the reduced plumbing,
-built in closed form with |det| = n checked, is tested for an embedding
-into (Z^r, -Id) at r equal to its vertex count.  There an embedding is a
+classify_one decides, for an n-surgery on T(p1, a1; p2, a2) with a1 = 1
+(mod p1) and a2 = +-1 (mod p2), what the lattice-embedding obstruction
+says: with N = n - p2*a2, negative N admits no negative definite
+plumbing tree at all, N = 0 may split as a connected sum, N = 1 is
+excluded from classification, and for N >= 2 the reduced plumbing, built
+in closed form with |det| = n checked, is tested for an embedding into
+(Z^r, -Id) at r equal to its vertex count.  There an embedding is a
 square integer matrix A with G = -A*A^T, so |det G| = det(A)^2: when n
 is not a perfect square the determinant alone proves that none exists
-(proof "determinant", no search).  Otherwise the graph is searched, and
-an exhaustive NONE (proof "search") proves the surgered manifold bounds
-no rational homology 4-ball; a found embedding (proof "witness") only
-says this obstruction vanishes.
+(proof "determinant": no search and no tree, only the builder's pass).
+Otherwise the graph is searched, and an exhaustive NONE (proof "search")
+proves the surgered manifold bounds no rational homology 4-ball; a found
+embedding (proof "witness") only says this obstruction vanishes.
 
 The expected passing tuples form two families, for which explicit
 witnesses are constructed in closed form (known_witness):
@@ -36,12 +36,13 @@ from multiprocessing import Pool
 from .cabling import (
     CableTower,
     SurgerySpec,
+    _closed_form_builder,
     closed_form_two_iter,
     reduced_plumbing,  # unused; perfbench's LAYER_PATCHES wraps classify.reduced_plumbing
     two_iter_parameters,
 )
 from .lattice import SearchStatus, find_embedding, verify_embedding
-from .plumbing import form_invariants, gram_matrix
+from .plumbing import gram_matrix
 
 DEFAULT_BUDGET = 10**8
 
@@ -91,14 +92,15 @@ def classify_one(spec: SurgerySpec, budget=DEFAULT_BUDGET) -> SweepRow:
     """Obstruction verdict for one surgery spec in the congruence families.
 
     The graph is the closed-form one; reduced_plumbing builds an
-    isomorphic one, which the test suite checks.  A non-square n is decided
-    with 0 nodes by the determinant and definiteness the builder computed
-    (plumbing.form_invariants); a square n is searched on the tree itself,
-    which reads the same memoised definiteness, and budget only bounds that
-    search.  ms is the call's wall time.
+    isomorphic one, which the test suite checks.  Its builder's one exact
+    pass checks |det| = n and decides a non-square n, with 0 nodes and no
+    tree frozen; a square n's tree is frozen with that form memoised and
+    searched, and budget only bounds that search.  ms is the call's wall
+    time.
     """
     t0 = time.perf_counter()
-    n_red = two_iter_parameters(spec)["N"]  # validates the tower
+    par = two_iter_parameters(spec)  # validates the tower, once
+    n_red = par["N"]
     rank, witness, nodes, proof = None, None, 0, None
     if n_red < 0:
         verdict = VerdictKind.NO_NEGATIVE_DEFINITE_FORM
@@ -107,14 +109,15 @@ def classify_one(spec: SurgerySpec, budget=DEFAULT_BUDGET) -> SweepRow:
     elif n_red == 1:
         verdict = VerdictKind.OUT_OF_SCOPE
     else:
-        tree = closed_form_two_iter(spec)
-        rank = len(tree)
-        if math.isqrt(spec.n) ** 2 != spec.n:  # the builder checked |det| = n
-            if not form_invariants(tree)[1]:
+        build = _closed_form_builder(par)
+        form = build.form(spec)  # raises unless |det| = n
+        rank = len(build.weights)
+        if math.isqrt(spec.n) ** 2 != spec.n:
+            if not form[1]:
                 raise ValueError("intersection form is not negative definite")
             verdict, proof = VerdictKind.OBSTRUCTION_FAILS, "determinant"
         else:
-            result = find_embedding(tree, budget=budget)
+            result = find_embedding(build.tree(form), budget=budget)
             verdict, proof = _SEARCH_VERDICT[result.status]
             witness, nodes = result.witness, result.nodes
     (p1, a1), (p2, a2) = spec.knot.pairs

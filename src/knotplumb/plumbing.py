@@ -27,7 +27,8 @@ once per tree and kept on it) take the tree's own route: one walk from a
 root gives each vertex its parent, and the vertices are then eliminated in
 the reverse of the walk, each into its parent by a Schur complement (the
 parent's diagonal drops by a^2/d for a vertex of diagonal d joined by a)
-once all of its children are in, O(n) steps in all.  This is the
+once all of its children are in, O(n) steps in all (cabling's builder,
+which knows each vertex's parent, skips the walk).  This is the
 continued-fraction bookkeeping of Neumann's plumbing calculus, kept in
 integers: each diagonal is a numerator over a positive denominator, the
 numerator being the continuant (the determinant, up to sign) of the subtree
@@ -245,40 +246,43 @@ def _walk(adj, root, parent):
     return order
 
 
-def _eliminate(num, adj):
+def _eliminate(num, adj, parent=None):
     """(det, negative definite) of the symmetric matrix with integer
     diagonal num[v] and non-zero off-diagonal entries adj[v], a dict
     {u: a}, or a set of the u where every entry is 1 (a plumbing's form);
-    None if the support has a cycle.  Reads both, changes neither.
+    None if the support has a cycle.  Changes none of its arguments.
 
-    Each component is walked from a root (_walk) and eliminated in reverse,
-    each vertex into its parent after all of its children, by Schur
-    complements in integers: a vertex keeps its complemented diagonal as a
-    numerator over a positive denominator, at first its entry over 1.  A
-    vertex v of pivot d/q, joined to its parent p by the entry a, goes
-    into p: if d != 0 the pivot d/q goes into the determinant and p's
-    diagonal drops by a^2 q / d, num[p] <- num[p] d - a^2 q den[p] and
-    den[p] <- den[p] d, both negated when d < 0; if d == 0 the expansion
-    det S = -a^2 det(S - {v, p}) removes v and p, and p's children not yet
-    eliminated become roots.  A root's pivot goes into the determinant
-    alone.  num[p] is then, up to sign, the determinant of the subtree
-    eliminated into p (a continuant of the plumbing calculus) and den[p]
-    the product of its children's, so no entry outgrows the minors it
-    stands for and no gcd is taken.  The determinant is kept as an
-    integer: a pivot's denominator, the product of the |d| of its
-    children, whose numerators are factors of it already, is divided out
-    exactly when the pivot is taken.  The matrix is negative definite
-    exactly when every pivot is negative and the zero rule never fired.
-    O(n) integer steps and no recursion.
+    Each component is walked from a root (_walk) for each vertex's parent,
+    unless parent gives them (a root's as None, each vertex after its
+    parent, every entry 1 and adj unread, as cabling's builder has them),
+    and eliminated in the reverse of that order, each vertex into its
+    parent after all of its children, by Schur complements in integers: a
+    vertex keeps its complemented diagonal as a numerator over a positive
+    denominator, at first its entry over 1.  A vertex v of pivot d/q,
+    joined to its parent p by the entry a, goes into p: if d != 0 the pivot
+    d/q goes into the determinant and p's diagonal drops by a^2 q / d,
+    num[p] <- num[p] d - a^2 q den[p] and den[p] <- den[p] d, both negated
+    when d < 0; if d == 0 the expansion det S = -a^2 det(S - {v, p})
+    removes v and p, and p's children not yet eliminated become roots.  A
+    root's pivot goes into the determinant alone.  num[p] is then, up to
+    sign, the determinant of the subtree eliminated into p (a continuant of
+    the plumbing calculus) and den[p] the product of its children's, so no
+    entry outgrows the minors it stands for and no gcd is taken.  The
+    determinant is kept as an integer: a pivot's denominator, the product
+    of the |d| of its children, whose numerators are factors of it already,
+    is divided out exactly when the pivot is taken.  The matrix is negative
+    definite exactly when every pivot is negative and the zero rule never
+    fired.  O(n) integer steps and no recursion.
     """
-    weighted = type(next(iter(adj.values()), None)) is dict
+    weighted = parent is None and type(next(iter(adj.values()), None)) is dict
+    if parent is None:
+        parent = {}  # every vertex, each component in the order of its walk
+        for root in num:
+            if root not in parent and _walk(adj, root, parent) is None:
+                return None
     num = dict(num)
     den = dict.fromkeys(num, 1)
     den[None] = 0  # den[p] == 0: p is no parent (v a root) or is gone
-    parent = {}  # every vertex, each component in the order of its walk
-    for root in num:
-        if root not in parent and _walk(adj, root, parent) is None:
-            return None
     det = 1
     negative = True
     for v, p in reversed(parent.items()):

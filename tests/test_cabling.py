@@ -1,10 +1,11 @@
 import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
-from knotplumb import cabling
+from knotplumb import cabling, plumbing
 from knotplumb.classify import desk_range_tuples
 from knotplumb.cabling import (
     CableTower,
@@ -30,7 +31,13 @@ from knotplumb.plumbing import (
 )
 
 from knotplumb.hjcf import expand_neg_cf
-from oracles import contract_junctions, signature
+from oracles import (
+    bareiss_det,
+    contract_junctions,
+    fraction_forest_elimination,
+    minors_negative_definite,
+    signature,
+)
 from test_plumbing import THREE_ITERATION_SPECS, random_tower_spec
 
 
@@ -162,8 +169,8 @@ class TestReducedPlumbing:
 
     def test_matches_the_calculus(self):
         # the junction rule against its oracle, the calculus on the raw
-        # tree, byte for byte (ids included): random algebraic towers, each
-        # a_i within 3p + 20 of its bound, and the lift towers
+        # tree, byte for byte (ids included): random algebraic towers and
+        # the lift towers
         rng = random.Random(21)
         specs = [random_algebraic_spec(rng) for _ in range(200)]
         specs += [lift_tower(k) for k in range(1, 7)]
@@ -198,16 +205,38 @@ class TestReducedPlumbing:
 
 
 def random_algebraic_spec(rng):
-    """An algebraic tower of 1-4 iterations, p <= 5, each a_i within 3p + 20
-    of the algebraic bound, N in 1..14."""
+    """An algebraic tower of 1-4 iterations, p <= 5, N in 1..14, each a_i
+    within 3p + 20 of the algebraic bound in a tower of 1-2 iterations and
+    within 2p in one of 3-4, where the bound multiplies any slack in a_1
+    by up to p^6 (tens of thousands of raw vertices)."""
     pairs = []
-    for _ in range(rng.randint(1, 4)):
+    iterations = rng.randint(1, 4)
+    for _ in range(iterations):
         p = rng.randint(2, 5)
         low = pairs[-1][0] * p * pairs[-1][1] + 1 if pairs else p + 1
-        coprime = [a for a in range(low, low + 3 * p + 20) if math.gcd(a, p) == 1]
+        width = 3 * p + 20 if iterations <= 2 else 2 * p
+        coprime = [a for a in range(low, low + width) if math.gcd(a, p) == 1]
         pairs.append((p, rng.choice(coprime)))
     p, a = pairs[-1]
     return SurgerySpec(CableTower(tuple(pairs)), p * a + rng.randint(1, 14))
+
+
+def construction_parents(tree):
+    """A built tree's parents in construction order: ascending ids, each
+    vertex's parent its one lesser neighbour (the first's None)."""
+    return {v: min((u for u in tree.neighbors(v) if u < v), default=None) for v in tree.vertices()}
+
+
+def meets_zero_pivot(tree):
+    """Whether eliminating a built tree in the reverse of construction order
+    meets a zero pivot."""
+    diag = {v: Fraction(w) for v, w in tree.weights.items()}
+    for v, p in reversed(construction_parents(tree).items()):
+        if diag[v] == 0:
+            return True
+        if p is not None:
+            diag[p] -= 1 / diag[v]
+    return False
 
 
 def lift_tower(k):
@@ -289,6 +318,35 @@ class TestBuilder:
             copy = WeightedTree(t.weights, t.edges)
             assert t == copy and t._adj == copy._adj, t
         assert len(trees) == 2 * 1005 + 2 * 27
+
+    def test_one_pass_in_construction_order(self):
+        # the builder eliminates in the reverse of construction order, with
+        # no walk; the form it memoises must be the walk-order kernel's and
+        # the oracles', on raw trees (indefinite, and at N <= 0 with a zero
+        # pivot), reduced and closed-form trees of random towers and the
+        # desk range
+        rng = random.Random(29)
+        specs = [random_algebraic_spec(rng) for _ in range(40)]
+        desk = [SurgerySpec(CableTower((t[:2], t[2:4])), t[4]) for t in desk_range_tuples()]
+        trees = [build(spec) for spec in specs + desk for build in (raw_plumbing, reduced_plumbing)]
+        trees += [closed_form_two_iter(spec) for spec in desk]
+        low = [
+            raw_plumbing(SurgerySpec(spec.knot, spec.n - spec.reduced_framing + n_red))
+            for spec in [s for s in specs if s.knot.iterations <= 2] + desk[::10]
+            for n_red in (-3, -1, 0)
+        ]
+        assert sum(map(meets_zero_pivot, low)) >= len(low) // 3
+        indefinite = 0
+        for i, t in enumerate(trees + low):
+            form = plumbing._eliminate(t._weights, None, construction_parents(t))
+            assert form == t._form == plumbing._eliminate(t._weights, t._adj), t
+            if len(t) <= 400 and i % 3 == 0:  # raw, reduced and closed-form trees alike
+                assert form == fraction_forest_elimination(gram_matrix(t)), t
+            if len(t) <= 12:
+                g = gram_matrix(t)
+                assert form == (bareiss_det(g), minors_negative_definite(g)), t
+            indefinite += not form[1]
+        assert indefinite == len(low) + 40 + 1005
 
 
 class TestFramingRule:

@@ -63,7 +63,7 @@ def indefinite_kernel_code(call, p1, a1, p2, a2, n):
         "from knotplumb import classify, lattice, plumbing\n"
         "from knotplumb.cabling import CableTower, SurgerySpec, closed_form_two_iter\n"
         "kernel = plumbing._eliminate\n"
-        "plumbing._eliminate = lambda num, adj: (kernel(num, adj)[0], False)\n"
+        "plumbing._eliminate = lambda *args: (kernel(*args)[0], False)\n"
         f"spec = SurgerySpec(CableTower((({p1}, {a1}), ({p2}, {a2}))), {n})\n"
         "try:\n"
         f"    {call}\n"
@@ -171,18 +171,27 @@ class TestClassifyOne:
         assert res.returncode == 0, res.stdout + res.stderr
 
     def test_one_exact_pass_per_built_tree(self, monkeypatch):
-        # the builder's pass decides a non-square n, and the search of a
-        # square n reads the same memoised definiteness; a Gram matrix is
-        # built only to verify a witness
+        # the builder's pass decides a non-square n with no tree frozen, and
+        # the search of a square n reads the same memoised definiteness off
+        # the one tree frozen; a Gram matrix is built only to verify a
+        # witness, and N < 2 builds nothing
         calls = count_exact_passes(monkeypatch)
+        frozen = plumbing._frozen
+        monkeypatch.setattr(plumbing, "_frozen", lambda *a: calls.update(["frozen"]) or frozen(*a))
+        want = {
+            None: Counter(),
+            "determinant": Counter(kernel=1),
+            "search": Counter(kernel=1, frozen=1),
+            "witness": Counter(kernel=1, frozen=1, gram=1),
+        }
         proofs = Counter()
-        for tup in desk_range_tuples():
+        low = admissible_tuples((2, 3), (1, 2, 3), (2, 3), 25, range(-1, 2))
+        for tup in desk_range_tuples() + low:
             calls.clear()
             row = classify_one(spec_for(*tup))
             proofs[row.proof] += 1
-            want = Counter(kernel=1, gram=1) if row.proof == "witness" else Counter(kernel=1)
-            assert calls == want, tup
-        assert set(proofs) == {"determinant", "search", "witness"}, proofs
+            assert calls == want[row.proof], tup
+        assert proofs.keys() == want.keys() and proofs[None] == len(low), proofs
 
 
 class TestKnownWitness:
