@@ -16,10 +16,9 @@ it on a copy of its tree, and reduce_tree on the one copy it keeps for a
 whole reduction, updating each move class's sites only around the
 vertices a move touched and freezing the copy into a tree at the end.
 Sites are keyed by their weight and their least neighbour's, which
-decides most steps, and a blow-down goes on down a -2 path while each
-next -1 is the least site; only sites tied on the key are compared
-(_SiteOrder), walking paths in a loop, by plain calls down to a fixed
-depth and by frame-free tasks below it, so a tree of any depth reduces.
+decides most steps; only sites tied on the key are compared
+(_SiteOrder), walking paths in a loop and by frame-free tasks below
+them, so a tree of any depth reduces.
 All linear algebra is exact integer arithmetic on integer matrices.
 
 The determinant and the negative-definiteness test (form_invariants, run
@@ -163,8 +162,10 @@ class WeightedTree:
     def to_dot(self, roles=None) -> str:
         """GraphViz rendering with weights as labels.
 
-        roles, if given, maps vertex ids to segment names (torso/leg/node/
-        tail) which are attached as a node attribute.
+        roles, if given, maps vertex ids to segment names, attached as a
+        node attribute: torso{i}, leg{i}, corner{i}, junction{i} and leaf
+        for raw_plumbing's hook i, torso{i}, node{i}, leg{i} and tail for
+        closed_form_two_iter's.
         """
         lines = ["graph plumbing {", "  node [shape=circle];"]
         for v in self.vertices():
@@ -544,9 +545,8 @@ class _Reduction:
                 self.site_class[v] = k
 
     def step(self) -> bool:
-        """Make one move of the first class with a site, at its least site,
-        and after a blow-down the moves of its run; False if no class has a
-        site.
+        """Make one move of the first class with a site, at its least site;
+        False if no class has a site.
 
         A scan of the class's keys finds the least; the sites tied at it go
         to _SiteOrder, whose order the key's is a prefix of.
@@ -555,16 +555,6 @@ class _Reduction:
         valences), so the measure's change is read off those and the vertex
         count, and only they and their neighbours of weight >= -1, whose
         class and key read neighbours' weights, are classified again.
-
-        A run: blowing down a -1 between b <= -3 and a -2 of valence 2
-        leaves a -1 between b, one higher, and the path's next vertex.  The
-        step blows that -1 down too, and so on, while b stays <= -2 and the
-        -1's key is strictly below every other site's as read before the
-        run: only b and the path change weight, and only up, so no site
-        appears or leaves elsewhere and no other key falls, and each move is
-        the one a step of its own would make.  A tie ends the run, for the
-        next step to settle.  The measure and the classification read only
-        the run's ends.
         """
         weights, adj = self.weights, self.adj
         for sites, move in zip(self.sites, (_flatten_at, _blow_down_at, _absorb_at)):
@@ -582,21 +572,6 @@ class _Reduction:
         touched = [v, *adj[v]]
         before = len(weights) + sum(weights[x] for x in touched if weights[x] > 0)
         touched += move(weights, adj, v)
-        if move is _blow_down_at:  # a run: v between b <= -3 and a -2 path
-            b, c = touched[1:]
-            if weights[c] < weights[b]:
-                b, c = c, b
-            bound = None  # every other site's key is (-1, a), a >= bound
-            while weights[b] <= -2 and weights[c] == -1 and len(adj[c]) == 2:
-                (d,) = adj[c] - {b}
-                if bound is None:
-                    others = (key[1] for x, key in sites.items() if x != v)
-                    bound = least[1] if len(tied) > 1 else min(others, default=0)
-                if weights[d] > -1 or min(weights[b], weights[d]) >= bound:
-                    break
-                move(weights, adj, c)
-                c = d
-            touched[1:] = b, c  # the run's ends
         after = len(weights) + sum(weights[x] for x in touched if weights.get(x, 0) > 0)
         if after >= before:
             raise AssertionError("reduction measure failed to decrease")
@@ -633,16 +608,14 @@ def reduce_tree(tree: WeightedTree) -> WeightedTree:
     the run is deterministic byte for byte.  No encoding is built: a
     site's key, its weight and its least neighbour's, is the first two
     entries of its encoding and decides most steps; only sites tied on it
-    are compared further, lazily, in a bounded number of frames (_SiteOrder).
+    are compared further, lazily, at no Python frames a level (_SiteOrder).
 
     The moves run in place on one working copy of the tree (_Reduction),
     which also keeps each class's sites and their keys: after a step only
     the vertices it touched and their neighbours of weight >= -1 are
     classified again.  So a step costs a scan of its class's keys, any
     comparison of tied sites and work in the vertices it touches, not a
-    scan and a copy of the tree.  A blow-down step also makes the moves
-    of its run down a -2 path, each the unique least site in turn, and
-    classifies only the run's ends (_Reduction.step).  (A flatten finds
+    scan and a copy of the tree (_Reduction.step).  (A flatten finds
     its fresh ids by max(weights) + 1, O(n); a raw surgery tree has one
     positive vertex, the N leaf, so that is one flatten per reduction.)
     The copy is frozen into the result once, at the end.
@@ -675,11 +648,6 @@ def reduce_tree(tree: WeightedTree) -> WeightedTree:
 # -- canonical forms and isomorphism ----------------------------------------
 
 
-# _SiteOrder's plain calls: a budget of 32 frames, two a level, well inside
-# a recursion limit of 60 and past any comparison on a 2-4-iteration tower
-_PLAIN_DEPTH = 32 // 2
-
-
 class _SiteOrder:
     """The order of reduce_tree's candidate sites in one tree, given as a
     weights dict and an adjacency dict read in place: by the nested
@@ -698,12 +666,10 @@ class _SiteOrder:
     those children do, so two paths, such as the -2 paths raw plumbings
     are made of, are walked down together in a loop (_past_paths), at no
     frame, depth or kept children a vertex.  Below that, ordering
-    children needs comparisons and comparing needs ordered children: down
-    to _PLAIN_DEPTH levels below the sites both are plain calls, two
-    frames a level, and below that generator tasks that yield the task
-    they wait on, driven by _run from a list at no Python frames.  Both
-    fill one _children cache alike and walk paths alike, so neither
-    changes a result.
+    children needs comparisons and comparing needs ordered children: both
+    are generator tasks that yield the task they wait on, driven by _run
+    from a list at no Python frames, so a comparison of any depth runs
+    under any recursion limit.
     """
 
     __slots__ = ("_weights", "_adj", "_children")
@@ -719,25 +685,10 @@ class _SiteOrder:
         sites = iter(sites)
         best = next(sites)
         for v in sites:
-            d = weights[v] - weights[best] or self._shallow_compare(v, None, best, None, 0)
+            d = weights[v] - weights[best] or _run(self._compare(v, None, best, None))
             if d < 0 or d == 0 and v < best:
                 best = v
         return best
-
-    def _shallow_compare(self, x, px, y, py, depth):
-        """_compare at depth levels below the sites, by the task from _PLAIN_DEPTH."""
-        x, px, y, py = self._past_paths(x, px, y, py)
-        if depth == _PLAIN_DEPTH:
-            return _run(self._compare(x, px, y, py))
-        depth += 1
-        xs = self._kids(x, px, depth)
-        ys = self._kids(y, py, depth)
-        weights = self._weights
-        for a, b in zip(xs, ys):
-            d = weights[a] - weights[b] or self._shallow_compare(a, x, b, y, depth)
-            if d:
-                return d
-        return len(xs) - len(ys)
 
     def _past_paths(self, x, px, y, py):
         """The pair of branches, x away from px and y away from py or
@@ -755,28 +706,6 @@ class _SiteOrder:
                 break
             x, px, y, py = a, x, c, y
         return x, px, y, py
-
-    def _kids(self, v, parent, depth):
-        """_order by plain calls, v's children being depth levels down; kept."""
-        kids = self._children.get((v, parent))
-        if kids is not None:
-            return kids
-        kids = []
-        weights = self._weights
-        for c in self._adj[v]:
-            if c != parent:
-                lo, hi = 0, len(kids)
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    k = kids[mid]
-                    d = weights[c] - weights[k] or self._shallow_compare(c, v, k, v, depth)
-                    if d < 0:
-                        hi = mid
-                    else:
-                        lo = mid + 1
-                kids.insert(lo, c)
-        self._children[v, parent] = kids
-        return kids
 
     def _compare(self, x, px, y, py):
         """Task: negative, zero or positive as the branch at x away from px

@@ -11,7 +11,7 @@ from collections import Counter
 import pytest
 
 import knotplumb
-from knotplumb import cli
+from knotplumb import cli, plumbing
 from knotplumb.classify import desk_range_tuples
 from knotplumb.lattice import verify_embedding
 from knotplumb.plumbing import WeightedTree, gram_matrix
@@ -542,3 +542,25 @@ def test_bad_input_is_an_error_not_a_traceback(tmp_path, argv):
         assert ": not a plumbing tree: " in res.stderr, res.stderr
     if argv[1].endswith("notutf8.cfg"):
         assert res.stderr.startswith("error: cannot read config: "), res.stderr
+
+
+def test_product_commands_run_no_calculus(tmp_path, monkeypatch):
+    # graph, embed and audit build their trees by the junction rule or the
+    # closed form; the plumbing calculus (reduce_tree) is the tests' oracle
+    # and a public function, and a command that came to reduce a raw tree
+    # again would need a benchmark workload for it
+    def calculus(tree):
+        raise AssertionError("a command ran the plumbing calculus")
+
+    monkeypatch.setattr(plumbing, "_Reduction", calculus)
+    spec = ["--pairs", "2,3,2,17", "--n", "36"]
+    out = ["--out", str(tmp_path)]
+    runs = [
+        (["graph", *spec, "--reduced"], 0),
+        (["graph", *spec, "--closed-form"], 0),
+        (["graph", *spec, "--raw"], 0),
+        (["embed", *spec, *out], 0),  # a witness
+        (["embed", "--pairs", "2,3,2,15", "--n", "36", *out], 3),  # refuted
+        (["audit", "--k2-max", "12", "--workers", "1", *out], 0),
+    ]
+    assert [cli.main(argv) for argv, _ in runs] == [code for _, code in runs]

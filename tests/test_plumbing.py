@@ -124,8 +124,9 @@ def spider(center, *legs):
 
 def run_tree(rng, hubs=5):
     """Hubs of weight -3 to -12 joined into a tree by -2 paths, most with
-    a -1 at the end next to a hub, so that blowing it down starts a run
-    along the path; some hubs carry a -1 leg or a positive leaf."""
+    a -1 at the end next to a hub, so that each blow-down leaves a -1 one
+    vertex further along the path while it raises the hub; some hubs
+    carry a -1 leg or a positive leaf."""
     weights = {h: rng.randint(-12, -3) for h in range(hubs)}
     edges = []
 
@@ -941,23 +942,24 @@ def site_choice_corpus():
     deep += [binary_tree(4, ones) for ones in ({1, 2}, {15, 30}, {7, 10, 13}, {15, 29})]
     deep += [binary_tree(4, ones) for ones in ({3, 6}, {1, 5, 6}, {3, 4, 6}, {16, 21, 28})]
     trees += deep + [dense(t) for t in deep]
-    # blow-down runs: a -1 between a vertex of weight <= -3 and a -2 path
-    # is blown down along the path while the next -1's key stays below
-    # every other site's; the second leg's -1 keys (-1, -6), so the run
-    # from the -10 stops at its key (-1, -6) and the tie goes to _SiteOrder,
+    # blow-downs along -2 paths: blowing down a -1 between a hub of weight
+    # <= -3 and a -2 path leaves a -1 one vertex further along, keyed by
+    # the hub's risen weight; the second leg's -1 keys (-1, -6), so once
+    # the hub has risen from -10 to -6 the two tie and go to _SiteOrder,
     # which the second leg's far end settles either way
     runs = [spider(-10, [-1] + [-2] * 8 + [-3], [-4, -1, -6, end]) for end in (-2, -9)]
-    # another site on the hub ties the run's start at (-1, -10), or keys
-    # below it at (-1, -12) and raises the hub before the run starts
+    # another site on the hub ties the first blow-down at (-1, -10), or
+    # keys below it at (-1, -12) and raises the hub first
     runs += [spider(-10, [-1] + [-2] * 8 + [-3], [-1, -10, -2]), spider(-10, [-1] + [-2] * 6, [-1, -12])]
-    # runs ending at a valence-3 vertex, at a -4, before a positive leaf
+    # paths ending at a valence-3 vertex, at a -4, before a positive leaf
     # and before a 0
     runs += [spider(-2, [-2] * 4 + [-1, -20], [-2, -3], [-4])]
     runs += [path_tree([-20, -1] + [-2] * 5 + [end]) for end in (-4, 3)]
     runs += [path_tree([-20, -1] + [-2] * 5 + [0, -3])]
-    # a hub that reaches -1 mid-path, which ends its run
+    # a hub that rises to -1 and then to 0 mid-path, where the
+    # blow-downs stop
     runs += [path_tree([-5, -1] + [-2] * 8 + [-3])]
-    # a -1 between two -2 paths is no run
+    # a -1 between two -2 paths, whose blow-down leaves no -1
     runs += [path_tree([-5, -2, -2, -1, -2, -2, -3])]
     runs += [run_tree(rng) for _ in range(60)]
     return trees + runs + [dense(t) for t in runs]
@@ -979,6 +981,16 @@ def record_moves(monkeypatch, module, names):
 
 
 IN_PLACE_MOVES = ("_flatten_at", "_blow_down_at", "_absorb_at")
+
+
+def count_compare_tasks(monkeypatch):
+    """The list each _SiteOrder._compare task appends to as it is made."""
+    tasks = []
+    real = plumbing._SiteOrder._compare
+    monkeypatch.setattr(
+        plumbing._SiteOrder, "_compare", lambda self, *pair: tasks.append(1) or real(self, *pair)
+    )
+    return tasks
 
 
 def deep_reference(tree):
@@ -1044,8 +1056,7 @@ class TestReduce:
         # every step's move and site, not only the tree the steps end in
         kinds = Counter()
         compared = []  # the steps whose sites tie on the key
-        runs = 0  # the steps that made more than one move
-        real_least, real_step = plumbing._SiteOrder.least, plumbing._Reduction.step
+        real_least = plumbing._SiteOrder.least
         for t in site_choice_corpus():
             with monkeypatch.context() as m:
                 ours = record_moves(m, plumbing, IN_PLACE_MOVES)
@@ -1054,12 +1065,7 @@ class TestReduce:
                     "least",
                     lambda self, sites: compared.append(1) or real_least(self, sites),
                 )
-                made = [0]  # the move count before each step
-                m.setattr(
-                    plumbing._Reduction, "step", lambda self: made.append(len(ours)) or real_step(self)
-                )
                 reduce_tree(t)
-                runs += sum(b - a > 1 for a, b in zip(made, made[1:]))
             with monkeypatch.context() as m:
                 public = ("flatten_positive_leaf", "blow_down", "absorb_zero")
                 theirs = record_moves(m, oracles, public)
@@ -1069,7 +1075,6 @@ class TestReduce:
         assert min(kinds[kind] for kind in range(3)) > 100, kinds
         # the key decides most steps; the tie-break below it stays covered
         assert len(compared) > 100
-        assert runs > 100, runs
 
     def test_key_tie_settled_below_the_key(self, monkeypatch):
         # blow-down sites 0 and 1 on a path, each between the -5 and a -2
@@ -1105,20 +1110,15 @@ class TestReduce:
         # 579, 1049 and 801 branch encodings on these towers (re-encoding
         # the whole tree at every step, 1901, 3769 and 3597); the lazy
         # comparison orders the children of only the branches it reaches
-        # on both paths: plain calls near the sites, tasks further down
-        real_task, real_plain = plumbing._SiteOrder._order, plumbing._SiteOrder._kids
+        # on both paths
+        real_order = plumbing._SiteOrder._order
         ordered = []
 
-        def counting_task(self, v, parent):
+        def counting(self, v, parent):
             ordered[-1] += 1
-            return (yield from real_task(self, v, parent))
+            return (yield from real_order(self, v, parent))
 
-        def counting_plain(self, v, parent, depth):
-            ordered[-1] += (v, parent) not in self._children  # not a cache hit
-            return real_plain(self, v, parent, depth)
-
-        monkeypatch.setattr(plumbing._SiteOrder, "_order", counting_task)
-        monkeypatch.setattr(plumbing._SiteOrder, "_kids", counting_plain)
+        monkeypatch.setattr(plumbing._SiteOrder, "_order", counting)
         for spec, memo_built in zip(THREE_ITERATION_SPECS, (579, 1049, 801)):
             ordered.append(0)
             reduce_tree(raw_plumbing(spec))
@@ -1136,7 +1136,7 @@ class TestReduce:
     )
     def test_deep_trees_use_no_python_frames(self, tmp_path, tree, size, weights):
         # under a recursion limit far below the depth of either tree: the
-        # comparison's frames stop at a fixed depth, whatever the tree's;
+        # comparison takes no frame a level, whatever the tree's depth;
         # comparing nested encodings raised RecursionError at the default
         path = tmp_path / "tree.json"
         path.write_text(tree.to_json())
@@ -1157,16 +1157,12 @@ class TestReduce:
         assert {int(w): k for w, k in histogram.items()} == weights
         assert det_kept
 
-    def test_deep_tie_in_the_first_child_pair(self, tmp_path, monkeypatch):
+    def test_deep_tie_in_the_first_child_pair(self, tmp_path):
         # the two sites' encodings first differ 120 levels down, far past
-        # the plain calls' depth and the recursion limit, and at every level
-        # inside the first child pair, with the second pair still to come
+        # the recursion limit, and at every level inside the first child
+        # pair, with the second pair still to come
         tree = spined_sites(120, 121, 3)
-        handed_off = []
-        real = plumbing._run
-        monkeypatch.setattr(plumbing, "_run", lambda task: handed_off.append(1) or real(task))
         assert reduce_tree(tree) == reference_reduce_tree(tree)
-        assert handed_off
         path = tmp_path / "tree.json"
         path.write_text(tree.to_json())
         code = (
@@ -1182,16 +1178,19 @@ class TestReduce:
 
     def test_deep_path_tie_walks_without_frames(self, tmp_path, monkeypatch):
         # two tied sites, adjacent -1's, whose first branches are -2 paths
-        # of 5000 vertices that differ only at the far end (-3 against -4):
-        # both are walked down in a plain loop, with no task, no frame and
-        # no ordered children per vertex
-        tree = path_tree([-3] + [-2] * 5000 + [-1, -1] + [-2] * 5000 + [-4])
-        handed_off = []
-        real = plumbing._run
-        monkeypatch.setattr(plumbing, "_run", lambda task: handed_off.append(1) or real(task))
-        expected = deep_reference(tree).to_json()
-        assert reduce_tree(tree).to_json() == expected
-        assert not handed_off
+        # that differ only at the far end (-3 against -4): both are walked
+        # down in a plain loop, with no task, frame or ordered children per
+        # vertex, so a comparison takes as many tasks at 500 vertices a
+        # path as at 5000
+        tasks = count_compare_tasks(monkeypatch)
+        counts = []
+        for length in (500, 5000):
+            tree = path_tree([-3] + [-2] * length + [-1, -1] + [-2] * length + [-4])
+            expected = deep_reference(tree).to_json()
+            tasks.clear()
+            assert reduce_tree(tree).to_json() == expected
+            counts.append(len(tasks))
+        assert 0 < counts[0] == counts[1], counts
         path = tmp_path / "tree.json"
         path.write_text(tree.to_json())
         code = (
@@ -1206,26 +1205,28 @@ class TestReduce:
         assert res.stdout == expected + "\n"
 
     def test_tasks_walk_paths_too(self, monkeypatch):
-        # past the plain calls' depth the tasks walk -2 paths in the same
-        # loop: spined_sites' two 20-level spines end in -2 tails of 300
-        # vertices that differ only at their far ends, and no tail vertex
-        # gets a task or ordered children of its own
+        # below the sites the tasks walk -2 paths in the same loop:
+        # spined_sites' two 20-level spines end in -2 tails that differ
+        # only at their far ends, and no tail vertex gets a task or ordered
+        # children of its own, so tails of 300 and 600 vertices take as
+        # many tasks
         base = spined_sites(20, 20, 3)
-        weights, edges = base.weights, list(base.edges)
-        ends = sorted(v for v, w in weights.items() if w == -3 and base.valence(v) == 2)
-        for prev, end in zip(ends, (-3, -4)):
-            for w in [-2] * 300 + [end]:
-                weights[len(weights)] = w
-                edges.append((prev, len(weights) - 1))
-                prev = len(weights) - 1
-        tree = WeightedTree(weights, edges)
-        tasks = []
-        real = plumbing._SiteOrder._compare
-        monkeypatch.setattr(
-            plumbing._SiteOrder, "_compare", lambda self, *pair: tasks.append(1) or real(self, *pair)
-        )
-        assert reduce_tree(tree) == deep_reference(tree)
-        assert 0 < len(tasks) < 50
+        ends = sorted(v for v, w in base.weights.items() if w == -3 and base.valence(v) == 2)
+        tasks = count_compare_tasks(monkeypatch)
+        counts = []
+        for length in (300, 600):
+            weights, edges = base.weights, list(base.edges)
+            for prev, end in zip(ends, (-3, -4)):
+                for w in [-2] * length + [end]:
+                    weights[len(weights)] = w
+                    edges.append((prev, len(weights) - 1))
+                    prev = len(weights) - 1
+            tree = WeightedTree(weights, edges)
+            expected = deep_reference(tree)
+            tasks.clear()
+            assert reduce_tree(tree) == expected
+            counts.append(len(tasks))
+        assert 0 < counts[0] == counts[1], counts
 
     def test_moves_per_kind_on_three_iteration_towers(self, monkeypatch):
         # the counts of the loop that rescanned and copied the tree per move
@@ -1244,7 +1245,7 @@ class TestReduce:
         trees = [random_tree(rng, max_vertices=30, weights=(-2, 2)) for _ in range(300)]
         trees += [random_tree(rng, max_vertices=40, weights=(-2, -1)) for _ in range(100)]
         trees += [raw_plumbing(spec) for spec in THREE_ITERATION_SPECS]
-        # blow-down runs, whose steps re-classify only the runs' ends
+        # -1's that each blow-down moves one vertex along a -2 path
         trees += [run_tree(rng) for _ in range(40)]
         steps = 0
         for t in trees:
@@ -1269,8 +1270,8 @@ class TestReduce:
         trees += [random_tree(rng, max_vertices=40, weights=(-2, -1)) for _ in range(100)]
         trees += [raw_plumbing(spec) for spec in THREE_ITERATION_SPECS]
         trees.append(caterpillar(60, set(range(3, 60, 4))))
-        # blow-down runs, whose steps key again only the runs' ends and
-        # their neighbours, while other sites on a run's hub rise
+        # -1's that each blow-down moves one vertex along a -2 path, while
+        # other sites on the hub they start from rise
         trees += [run_tree(rng) for _ in range(40)]
         # absorbing the 0 at 1 moves the hub's other neighbours onto the -1
         # at 0: positive leaves 10-12 become flatten sites, the -1's 20-22
@@ -1302,14 +1303,14 @@ class TestReduce:
         [
             (caterpillar(1200, {595, 605}), 2),
             (caterpillar(1200, set(range(3, 60, 4))), 15),
-            # one step blows down the -1 and the whole -2 path after it
-            (path_tree([-1200, -1] + [-2] * 1000 + [-3]), 1),
+            # each blow-down along the -2 path is a step of its own
+            (path_tree([-1200, -1] + [-2] * 1000 + [-3]), 1001),
         ],
         ids=["2-sites", "15-sites", "run"],
     )
     def test_classifies_few_vertices_per_move(self, monkeypatch, tree, steps):
         # a count, not a time: one scan at the start, then a bounded number
-        # of vertices per step however long the tree or the step's run
+        # of vertices per step however long the tree
         classify = plumbing._site_class
         calls = []
 
