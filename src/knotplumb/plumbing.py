@@ -13,12 +13,12 @@ Trees are immutable values: every public move returns a new tree, so
 instances can be shared freely between worker processes.  Each move is
 written once, as a rewiring of a mutable working copy; a public move runs
 it on a copy of its tree, and reduce_tree on the one copy it keeps for a
-whole reduction, updating each move class's sites only around the
-vertices a move touched and freezing the copy into a tree at the end.
-Sites are keyed by their weight and their least neighbour's, which
-decides most steps; only sites tied on the key are compared
-(_SiteOrder), walking paths in a loop and by frame-free tasks below
-them, so a tree of any depth reduces.
+whole reduction, finding each step's sites among the few vertices of
+weight >= -1 and freezing the copy into a tree at the end.  Sites are
+keyed by their weight and their least neighbour's, which decides most
+steps; only sites tied on the key are compared (_SiteOrder), walking
+paths in a loop and by frame-free tasks below them, so a tree of any
+depth reduces.
 All linear algebra is exact integer arithmetic on integer matrices.
 
 The determinant and the negative-definiteness test (form_invariants, run
@@ -506,8 +506,9 @@ def _site_class(weights, adj, v):
     """(class, key) of the reduce_tree move class with a site at v, None if
     v is no site: 0 flattens a positive leaf next to a -1, 1 blows down a
     -1 of valence 2 between negative weights, 2 absorbs a 0 of valence 2
-    (v's weight tells them apart).  The key, v's weight and its least
-    neighbour's, is the first two entries of _SiteOrder's encoding."""
+    (v's weight tells them apart), so a site has weight >= -1.  The key,
+    v's weight and its least neighbour's, is the first two entries of
+    _SiteOrder's encoding."""
     wt = weights[v]
     ns = adj[v]
     if wt >= 1:
@@ -527,68 +528,52 @@ def _site_class(weights, adj, v):
 
 class _Reduction:
     """reduce_tree's working state: one mutable copy of the tree (weights a
-    dict, adj a dict of sets), the sites of each move class, a dict site ->
-    key (_site_class) per class, and a dict site -> class, kept up to date
-    move by move."""
+    dict, adj a dict of sets) and its live set, the vertices of weight
+    >= -1, which hold every site (_site_class), kept up to date move by
+    move.  A step scans the live set, O(|live|), so a tree with many
+    vertices of weight >= -1 that are no sites, say hundreds of -1 leaves,
+    pays that scan at every step; no test or product tree is like that."""
 
-    __slots__ = ("weights", "adj", "sites", "site_class")
+    __slots__ = ("weights", "adj", "live")
 
     def __init__(self, tree):
         self.weights = weights = dict(tree._weights)
-        self.adj = adj = {v: set(ns) for v, ns in tree._adj.items()}
-        self.sites = ({}, {}, {})
-        self.site_class = {}
-        for v in weights:
-            if (found := _site_class(weights, adj, v)) is not None:
-                k, key = found
-                self.sites[k][v] = key
-                self.site_class[v] = k
+        self.adj = {v: set(ns) for v, ns in tree._adj.items()}
+        self.live = {v for v, wt in weights.items() if wt >= -1}
 
     def step(self) -> bool:
         """Make one move of the first class with a site, at its least site;
         False if no class has a site.
 
-        A scan of the class's keys finds the least; the sites tied at it go
-        to _SiteOrder, whose order the key's is a prefix of.
+        The live vertices are classified, and the least (class, key) and
+        the sites tied at it kept; the tied sites go to _SiteOrder, whose
+        order the key's is a prefix of.
         A move changes weights and valences only at its site, the site's
         neighbours and the vertices it creates (an absorb moves edges, not
         valences), so the measure's change is read off those and the vertex
-        count, and only they and their neighbours of weight >= -1, whose
-        class and key read neighbours' weights, are classified again.
+        count, and only they can join or leave the live set.
         """
-        weights, adj = self.weights, self.adj
-        for sites, move in zip(self.sites, (_flatten_at, _blow_down_at, _absorb_at)):
-            if sites:
-                break
-        else:
-            return False
+        weights, adj, live = self.weights, self.adj, self.live
         tied = []
-        for x, key in sites.items():
-            if not tied or key < least:
-                least, tied = key, [x]
-            elif key == least:
+        for x in live:
+            if (found := _site_class(weights, adj, x)) is None:
+                continue
+            if not tied or found < least:
+                least, tied = found, [x]
+            elif found == least:
                 tied.append(x)
+        if not tied:
+            return False
         v = tied[0] if len(tied) == 1 else _SiteOrder(weights, adj).least(tied)
+        move = (_flatten_at, _blow_down_at, _absorb_at)[least[0]]
         touched = [v, *adj[v]]
         before = len(weights) + sum(weights[x] for x in touched if weights[x] > 0)
         touched += move(weights, adj, v)
         after = len(weights) + sum(weights[x] for x in touched if weights.get(x, 0) > 0)
         if after >= before:
             raise AssertionError("reduction measure failed to decrease")
-        stale = set(touched)
-        for x in touched:
-            if x in adj:
-                for u in adj[x]:
-                    if weights[u] >= -1:
-                        stale.add(u)
-        site_class, classes = self.site_class, self.sites
-        for x in stale:
-            if x in site_class:
-                del classes[site_class.pop(x)][x]
-            if x in weights and (found := _site_class(weights, adj, x)) is not None:
-                k, key = found
-                classes[k][x] = key
-                site_class[x] = k
+        live.difference_update(touched)
+        live.update(x for x in touched if weights.get(x, -2) >= -1)
         return True
 
 
@@ -611,13 +596,13 @@ def reduce_tree(tree: WeightedTree) -> WeightedTree:
     are compared further, lazily, at no Python frames a level (_SiteOrder).
 
     The moves run in place on one working copy of the tree (_Reduction),
-    which also keeps each class's sites and their keys: after a step only
-    the vertices it touched and their neighbours of weight >= -1 are
-    classified again.  So a step costs a scan of its class's keys, any
-    comparison of tied sites and work in the vertices it touches, not a
-    scan and a copy of the tree (_Reduction.step).  (A flatten finds
-    its fresh ids by max(weights) + 1, O(n); a raw surgery tree has one
-    positive vertex, the N leaf, so that is one flatten per reduction.)
+    which also keeps its live set, the vertices of weight >= -1: every
+    site is one, and after a step only the vertices it touched can join or
+    leave it.  So a step costs a scan of the live set, any comparison of
+    tied sites and work in the vertices it touches, not a scan and a copy
+    of the tree (_Reduction.step).  (A flatten finds its fresh ids by
+    max(weights) + 1, O(n); a raw surgery tree has one positive vertex,
+    the N leaf, so that is one flatten per reduction.)
     The copy is frozen into the result once, at the end.
 
     Termination: the measure (vertex count plus total positive weight)
@@ -680,12 +665,12 @@ class _SiteOrder:
         self._children = {}  # branch (vertex, parent) -> children, least first
 
     def least(self, sites):
-        """min(sites, key=(encoding of the tree rooted at v, v))."""
-        weights = self._weights
+        """min(sites, key=(encoding of the tree rooted at v, v)), the sites
+        of one weight, as sites tied on their key are."""
         sites = iter(sites)
         best = next(sites)
         for v in sites:
-            d = weights[v] - weights[best] or _run(self._compare(v, None, best, None))
+            d = _run(self._compare(v, None, best, None))
             if d < 0 or d == 0 and v < best:
                 best = v
         return best

@@ -236,6 +236,47 @@ class TestSweepCli:
         assert run_cli("sweep", "--N", "x").returncode == 1
 
 
+def ms_cells(csv_text):
+    """The ms column of a sweep CSV, one cell per row."""
+    header, *rows = csv_text.strip().split("\n")
+    assert header.endswith(",ms")
+    return [row.rsplit(",", 1)[1] for row in rows]
+
+
+def test_timing_fills_ms_and_the_default_leaves_it_empty(tmp_path, capsys):
+    # --timing, or timing=true in a config file, fills every ms cell of
+    # sweep's and audit --csv's rows with a whole number of milliseconds;
+    # the default leaves them empty, so reruns match byte for byte
+    out = ["--out", str(tmp_path)]
+    cfg = tmp_path / "timing.cfg"
+    cfg.write_text("timing=true\n")
+    csv_path = str(tmp_path / "rows.csv")
+    timed = []
+    for argv in (
+        ["sweep", *SWEEP_ARGS, "--timing", *out],
+        ["--config", str(cfg), "sweep", *SWEEP_ARGS, *out],
+    ):
+        assert cli.main(argv) == 0
+        timed.append(capsys.readouterr().out)
+    assert cli.main(["audit", *SWEEP_ARGS, "--csv", csv_path, "--timing", *out]) == 0
+    capsys.readouterr()
+    with open(csv_path, encoding="utf-8") as fh:
+        timed.append(fh.read())
+    for text in timed:
+        cells = ms_cells(text)
+        assert cells and all(cell.isdigit() for cell in cells), text
+    plain = []
+    for _ in range(2):
+        assert cli.main(["sweep", *SWEEP_ARGS, *out]) == 0
+        plain.append(capsys.readouterr().out)
+    assert plain[0] == plain[1]
+    assert cli.main(["audit", *SWEEP_ARGS, "--csv", csv_path, *out]) == 0
+    capsys.readouterr()
+    with open(csv_path, encoding="utf-8") as fh:
+        assert fh.read() == plain[0]
+    assert set(ms_cells(plain[0])) == {""}
+
+
 class TestAuditCli:
     def test_derived_perfect_exit_0(self, tmp_path):
         res = run_cli("audit", *SWEEP_ARGS, "--out", str(tmp_path))

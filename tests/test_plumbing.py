@@ -983,6 +983,21 @@ def record_moves(monkeypatch, module, names):
 IN_PLACE_MOVES = ("_flatten_at", "_blow_down_at", "_absorb_at")
 
 
+def live_sites(state):
+    """site -> (class, key) of each site _site_class finds among the live
+    vertices of a _Reduction, as its next step finds them."""
+    found = {v: plumbing._site_class(state.weights, state.adj, v) for v in state.live}
+    return {v: k for v, k in found.items() if k is not None}
+
+
+def least_sites(state):
+    """The least (class, key) among a _Reduction's live sites and the sites
+    tied at it, in ascending id: what its next step chooses among."""
+    sites = live_sites(state)
+    least = min(sites.values(), default=None)
+    return least, sorted(v for v, k in sites.items() if k == least)
+
+
 def count_compare_tasks(monkeypatch):
     """The list each _SiteOrder._compare task appends to as it is made."""
     tasks = []
@@ -1085,7 +1100,9 @@ class TestReduce:
         weights = [-2, -2, -2, -1, -5, -1, -2, -2, -3]
         tree = WeightedTree(dict(zip(ids, weights)), list(zip(ids, ids[1:])))
         state = plumbing._Reduction(tree)
-        assert state.sites[1] == {0: (-1, -5), 1: (-1, -5)}
+        classify = plumbing._site_class
+        assert classify(state.weights, state.adj, 0) == (1, (-1, -5))
+        assert classify(state.weights, state.adj, 1) == (1, (-1, -5))
         tied = []
         real_least = plumbing._SiteOrder.least
 
@@ -1253,7 +1270,10 @@ class TestReduce:
             while True:
                 frozen = plumbing._frozen(dict(state.weights), state.adj)
                 assert frozen == WeightedTree(frozen.weights, frozen.edges)
-                assert tuple(sorted(s) for s in state.sites) == reference_sites(frozen)
+                assert state.live == {v for v, wt in state.weights.items() if wt >= -1}
+                sites = live_sites(state)
+                by_class = tuple(sorted(v for v in sites if sites[v][0] == k) for k in range(3))
+                assert by_class == reference_sites(frozen)
                 if not state.step():
                     break
                 steps += 1
@@ -1261,9 +1281,9 @@ class TestReduce:
         assert steps > 800, steps
 
     def test_site_keys_match_a_fresh_reduction_after_every_step(self):
-        # a move classifies and keys again only the vertices it touched and
-        # their neighbours of weight >= -1; a fresh _Reduction of the
-        # working copy classifies and keys every vertex
+        # a move updates the live set only at the vertices it touched; a
+        # fresh _Reduction of the working copy builds it from every vertex,
+        # and the two must agree on it and on the sites a step chooses among
         rng = random.Random(59)
         trees = [random_tree(rng, max_vertices=30, weights=(-2, 2)) for _ in range(200)]
         trees += [random_tree(rng, max_vertices=40, weights=(-3, 1)) for _ in range(100)]
@@ -1274,8 +1294,8 @@ class TestReduce:
         # other sites on the hub they start from rise
         trees += [run_tree(rng) for _ in range(40)]
         # absorbing the 0 at 1 moves the hub's other neighbours onto the -1
-        # at 0: positive leaves 10-12 become flatten sites, the -1's 20-22
-        # blow-down sites
+        # at 0, none of them touched: positive leaves 10-12 become flatten
+        # sites, the -1's 20-22 blow-down sites
         weights = {0: -1, 1: 0, 100: 0, 2: -2, 10: 1, 11: 2, 12: 3}
         edges = [(0, 1), (1, 100), (0, 2), (100, 10), (100, 11), (100, 12)]
         for m in (20, 21, 22):
@@ -1289,28 +1309,28 @@ class TestReduce:
             while state.step():
                 steps += 1
                 fresh = plumbing._Reduction(plumbing._frozen(dict(state.weights), state.adj))
-                assert state.sites == fresh.sites
-                assert state.site_class == fresh.site_class
+                assert state.live == fresh.live
+                assert least_sites(state) == least_sites(fresh)
         assert steps > 900, steps
         state = plumbing._Reduction(repointed)
-        assert state.sites == ({}, {}, {1: (0, -1)})
+        assert live_sites(state) == {1: (2, (0, -1))}
         state.step()
-        assert state.sites[0] == {10: (1, -1), 11: (2, -1), 12: (3, -1)}
-        assert state.sites[1] == dict.fromkeys((20, 21, 22), (-1, -2))
+        flatten = {10: (0, (1, -1)), 11: (0, (2, -1)), 12: (0, (3, -1))}
+        assert live_sites(state) == flatten | dict.fromkeys((20, 21, 22), (1, (-1, -2)))
 
     @pytest.mark.parametrize(
-        "tree, steps",
+        "tree, steps, live",
         [
-            (caterpillar(1200, {595, 605}), 2),
-            (caterpillar(1200, set(range(3, 60, 4))), 15),
+            (caterpillar(1200, {595, 605}), 2, 4),
+            (caterpillar(1200, set(range(3, 60, 4))), 15, 30),
             # each blow-down along the -2 path is a step of its own
-            (path_tree([-1200, -1] + [-2] * 1000 + [-3]), 1001),
+            (path_tree([-1200, -1] + [-2] * 1000 + [-3]), 1001, 1),
         ],
         ids=["2-sites", "15-sites", "run"],
     )
-    def test_classifies_few_vertices_per_move(self, monkeypatch, tree, steps):
-        # a count, not a time: one scan at the start, then a bounded number
-        # of vertices per step however long the tree
+    def test_classifies_few_vertices_per_move(self, monkeypatch, tree, steps, live):
+        # a count, not a time: no classification at the start, then the
+        # live vertices at each step, a bounded number however long the tree
         classify = plumbing._site_class
         calls = []
 
@@ -1321,15 +1341,16 @@ class TestReduce:
         monkeypatch.setattr(plumbing, "_site_class", counted)
         calls.append(0)
         state = plumbing._Reduction(tree)
-        assert calls == [len(tree)]
+        assert calls == [0]
+        sizes = []
         while True:
+            sizes.append(len(state.live))
             calls.append(0)
             if not state.step():
                 break
-        assert calls[-1] == 0
-        per_step = calls[1:-1]
-        assert len(per_step) == steps
-        assert max(per_step) <= 8
+        assert calls[1:] == sizes
+        assert len(sizes) == steps + 1
+        assert max(sizes) <= live
 
     @pytest.mark.parametrize(
         "move, tree",
