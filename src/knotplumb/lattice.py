@@ -28,27 +28,41 @@ the parent's place.  Each class carries its signature sparsely, as the
 depth merges the split classes again on backtracking.  No node rebuilds
 the partition or reads a depth-long column.
 
-A candidate's entries are chosen one column class at a time, and a
-partial choice is dropped once a Cauchy-Schwarz bound over all the
-columns still free shows that it cannot meet a dot-product target: those
-entries have squared norm at most the unspent norm, so the gap to each
-target can close by at most sqrt(unspent norm * sum of the placed
-vector's squared entries in the free columns).  The bound is checked in
-exact integers, only on the nonzero gaps, and drops only choices with no
-completion, so it changes the speed of the search, never its candidates
-or its node count.
+A candidate is one nonincreasing tuple per column class, and a class's
+tuple moves dot product j by the class's signature at j times the
+tuple's sum.  So a vertex of norm other than 2 finds its candidates gap
+first.  While some target is unmet, the shallowest unmet one, at depth j,
+is closed by the classes of placed[j]'s coordinates, at most its norm of
+them.  With every target met, 3 or more of the norm left is spent by
+walking the remaining classes, and less than 3 only by one neutral fill,
+since a cancelling combination of distinct signatures costs at least 3.
+A Cauchy-Schwarz bound over the undecided classes gives each class a
+window of sums and, per sum, a largest sum of squares: the entries still
+free have squared norm at most the unspent norm, so gap j can close by at
+most sqrt(unspent norm * the squared norm of placed[j] in the undecided
+classes).  The bound is in exact integers and drops only choices with no
+completion.  A class's tuples of one sum come sparse from a cache keyed by
+min(width, budget), so none is as long as its class.  The caches are not
+bounded and last as long as the process: the desk range leaves 24
+lists, but a caller that meets many distinct norms keeps every list it
+built, and for {-2, -w} the list of the sum that closes the gap grows as
+sqrt(w).  The few candidates
+are then sorted into descending order of their dense entries, the order
+in which a class-by-class enumeration lists them; the test suite keeps
+that enumeration as its oracle, and the lists, node counts and witnesses
+are its own.
 
 Most vertices of the plumbing trees are -2 vertices, and a norm-2 vector
-is +-1 in two coordinates.  Its candidates skip the class-by-class
-enumeration.  When the targets are nonzero, one of the two classes holding
-a +-1 meets the support of a placed neighbour; so only those classes, at
-most the neighbours' norms of them, are tried as class A, and a +-1 in
-class A fixes the sparse signature of the class of the other +-1, which
-one dict lookup finds.  Zero targets (the first vertex of a component)
-allow only two entries in one class.  These candidates are sorted by a
-key that reproduces the enumeration's order (descending lexicographic in
-the entries in coordinate order), so both ways give the same list,
-element for element, and the same nodes and witnesses.
+is +-1 in two coordinates.  Its candidates skip the gap-first search.
+When the targets are nonzero, one of the two classes holding a +-1 meets
+the support of a placed neighbour; so only those classes, at most the
+neighbours' norms of them, are tried as class A, and a +-1 in class A
+fixes the sparse signature of the class of the other +-1, which one dict
+lookup finds; one merge of the targets and class A's signature, both in
+depth order, builds that key.  Zero targets (the first vertex of a
+component) allow only two entries in one class.  The
+candidates are sorted the same way, so this too gives the enumeration's
+list, element for element.
 
 An embedding touches at most -trace(G) coordinates, each vector at most
 its norm of them, and in canonical form the touched coordinates come
@@ -58,10 +72,9 @@ untouched class, whose tuples then differ by trailing zeros, and the
 candidates, node counts and witnesses are the same.
 
 Neither the placement depth, nor the number of classes, nor the width
-of a class costs a Python frame: the search and the class-by-class
-enumeration keep explicit stacks, and a class's tuples recurse only
-once per nonzero entry, so long chains stay clear of the recursion
-limit.
+of a class costs a Python frame: the search, the gap-first candidate
+search and the tuple builders keep explicit stacks, so long chains stay
+clear of the recursion limit.
 
 A node budget turns an over-long search into an explicit indeterminate
 outcome, never a wrong answer.
@@ -76,6 +89,7 @@ All arithmetic is on plain integers.
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from math import isqrt
 
 from .plumbing import form_invariants, gram_matrix
@@ -134,34 +148,72 @@ def _depth_first(adj):
     return order
 
 
-def _sorted_tuples(size, budget, lo, hi):
-    """Nonincreasing integer tuples of the given size with entries in
-    [lo, hi] and sum of squares <= budget, in descending lexicographic
-    order; yields (tuple, sum, sumsq).
+def _parts(total, slots, budget):
+    """The nonincreasing tuples of at most `slots` positive integers with
+    this total and sum of squares <= budget, as (parts, sum of squares)."""
+    out = []
+    stack = [((), total, slots, budget, total)]
+    while stack:
+        parts, rest, slots, room, top = stack.pop()
+        if not rest:
+            out.append((parts, budget - room))
+        elif rest * rest <= slots * room:
+            # slots parts summing to rest square to at least rest**2 / slots
+            # (Cauchy-Schwarz), and each part p leaves rest - p <= (slots - 1) * p
+            for p in range(min(top, rest, isqrt(room)), -(-rest // slots) - 1, -1):
+                stack.append((parts + (p,), rest - p, slots - 1, room - p * p, p))
+    return out
 
-    Such a tuple is its positive entries, then a block of zeros, then its
-    negative entries.  Every nonzero entry spends at least 1 of the
-    budget and the zero block is placed in one step, so the recursion is
-    at most budget + 1 deep however long the tuple is.
+
+@cache
+def _touched_tuples(width, budget, total):
+    """A touched class's tuples of one sum: the nonincreasing tuples of
+    width integers with sum total and sum of squares <= budget, as
+    (entries, q) pairs, q the sum of squares, in ascending q.
+
+    entries is sparse, (offset, entry) pairs: the positive entries at
+    offsets 0, 1, ... from the class's first coordinate, the negative ones
+    at -1, -2, ... from past its last, the most negative at -1.  At most
+    budget entries are nonzero, so callers pass min(width, budget): no
+    tuple is built as long as its class, and all classes at least budget
+    wide share one list.  Kept per sum, so that a class that must close a
+    gap exactly builds only the tuples of that sum.
     """
-    if size == 0:
-        yield (), 0, 0
-        return
-    for x in range(hi, lo - 1, -1):
-        if x == 0:
-            # a leading zero: zeros, then j negative entries; fewer
-            # negatives come first in descending order
-            most = min(size - 1, budget) if lo < 0 else 0
-            for j in range(most + 1):
-                zeros = (0,) * (size - j)
-                for rest, s, q in _sorted_tuples(j, budget, lo, -1):
-                    yield zeros + rest, s, q
-            continue
-        sq = x * x
-        if sq > budget:
-            continue
-        for rest, s, q in _sorted_tuples(size - 1, budget - sq, lo, min(hi, x)):
-            yield (x,) + rest, s + x, q + sq
+    out = []
+    most = isqrt(width * budget)  # the largest |sum| of such a tuple
+    for pos in range(max(total, 0), min(most, most + total, (budget + total) // 2) + 1):
+        neg = pos - total  # pos, neg: the sums of the positive and negative entries
+        for ps, q in _parts(pos, width - (neg > 0), budget):
+            for ns, r in _parts(neg, width - len(ps), budget - q):
+                out.append((tuple(enumerate(ps)) + tuple((-1 - i, -x) for i, x in enumerate(ns)),
+                            q + r))
+    out.sort(key=lambda e: e[1])
+    return out
+
+
+@cache
+def _untouched_fills(width, budget):
+    """The untouched class's tuples that spend exactly budget: nonincreasing,
+    non-negative, sum of squares budget, sparse as in _touched_tuples, for
+    a class min(width, budget) wide."""
+    out = []
+    stack = [((), budget, width, isqrt(budget))]
+    while stack:
+        parts, rest, slots, top = stack.pop()
+        if not rest:
+            out.append(tuple(enumerate(parts)))
+        elif rest <= slots * top * top:
+            for p in range(min(top, isqrt(rest)), 0, -1):
+                stack.append((parts + (p,), rest - p * p, slots - 1, p))
+    return out
+
+
+def _reading(vec):
+    """Sort key of a sparse vector that orders vectors as their dense
+    entries do, read in coordinate order: at the first coordinate where
+    two differ, the larger entry wins, and a missing (zero) entry beats a
+    negative one and loses to a positive one."""
+    return tuple((1, -k, x) if x > 0 else (-1, k, x) for k, x in vec) + ((0,),)
 
 
 class _Class:
@@ -314,91 +366,134 @@ class _Searcher:
         with the placed vectors equal to its targets, and canonical form
         for the placed columns.  Vectors are sparse, like placed ones.
 
-        The entries are chosen class by class in the partition's order,
-        each class as a nonincreasing tuple, the untouched class last.  A
-        partial choice is kept only if it can still meet every target: the
-        entries not yet chosen have squared norm at most the remaining
-        budget, and they move dot product j by sum_k sig(k)[j] * x_k, so
-        by Cauchy-Schwarz the gap to target j must satisfy
-            gap_j**2 <= remaining budget * sum over later classes u of
-                        size_u * sig_u[j]**2.
-        A zero gap always does, so only the nonzero gaps are kept and
-        tested.  The right-hand sums are one suffix table per depth j,
-        over the classes whose signature is nonzero at j: those holding a
-        coordinate where the vector placed at depth j is nonzero.  Only
-        partial choices that cannot complete are skipped, so the output is
-        exactly the unpruned enumeration's, in the same order.
+        A candidate is one tuple per column class, nonincreasing, and
+        non-negative on the untouched class; a class's tuple moves dot
+        product j by sig[j] times its sum.  Classes are decided one at a
+        time, the next one read off the choices so far:
 
-        Class by class, each class's tuples in descending lexicographic
-        order, the enumeration lists its output in descending lexicographic
-        order of the entries read class by class, which is coordinate
-        order.  Norm 2 is answered by signature lookup instead
-        (_norm_two), which sorts its candidates into that order, so it
-        returns the same list.
+        - while a gap (target minus dot product) is open, an undecided
+          owner of a coordinate of placed[j], j the shallowest open gap;
+        - with no gap open and 3 or more of the norm unspent, the next
+          undecided class in coordinate order, the untouched one last,
+          taking exactly what is left;
+        - with no gap open and less than 3 unspent, none: a nonzero sum
+          in a touched class opens gaps that only a cancelling
+          combination of distinct signatures closes, and that costs 3 or
+          more (two signatures, both starting positive, cancel only as
+          s_a * sig_a = -s_b * sig_b with |s_a| != |s_b|).  What remains
+          is (1, ..., -1) in one undecided touched class 2 or more wide,
+          or (1) or (1, 1) in the untouched class (_filled).
+
+        The undecided classes touching depth j hold room_j = norms[j] -
+        spent[j] of placed[j]'s squared norm, and the entries still free
+        square to at most the unspent norm, so by Cauchy-Schwarz every
+        completion has gap_j**2 <= unspent norm * room_j.  That bound
+        gives each class a window of sums and each sum a largest sum of
+        squares; it drops only choices with no completion.  Every choice
+        of a class is listed, so every candidate comes once; the few are
+        sorted into descending order of their dense entries, the order of
+        the class-by-class enumeration the test suite keeps as its oracle
+        (oracles.reference_candidates).  Norm 2 is answered by signature
+        lookup instead (_norm_two), in the same order.
         """
         norm = self.norms[depth]
         if norm == 2:
             return self._norm_two(depth)
-        classes = list(self._classes())
-        # suffix[j]: [u, sum over classes v >= u of size_v * sig_v[j]**2]
-        # for each class u whose signature is nonzero at depth j
-        suffix = {}
-        for u, cls in enumerate(classes):
-            for j, x in cls.sig:
-                suffix.setdefault(j, []).append([u, (cls.hi - cls.lo) * x * x])
-        for rows in suffix.values():
-            for a in range(len(rows) - 2, -1, -1):
-                rows[a][1] += rows[a + 1][1]
-        cap = isqrt(norm)
+        norms, placed, owner, rank = self.norms, self.placed, self.owner, self.rank
+        spent = {}  # spent[j]: the squared norm of placed[j] in decided classes
+        decided = set()
 
-        def frame(idx, budget, gaps):
-            # the tuples for class idx, with the unspent norm and gaps
-            # {j: targets[j] - (dot product with placed[j])} before it,
-            # nonzero gaps only; the untouched class takes only entries >= 0
-            cls = classes[idx]
-            tuples = _sorted_tuples(cls.hi - cls.lo, budget, -cap if cls.sig else 0, cap)
-            return tuples, budget, gaps
-
-        last = len(classes) - 1
-        out = []
-        chosen = [None] * len(classes)
-        stack = [frame(0, norm, dict(self.links[depth]))]
-        while stack:
-            idx = len(stack) - 1
-            tuples, budget, gaps = stack[-1]
-            cls = classes[idx]
-            for tup, s, q in tuples:
-                if not cls.sig and q != budget:
-                    continue  # untouched columns must exactly finish the norm
-                rem_budget = budget - q
-                new_gaps = gaps
+        def options(cls, budget, gaps):
+            # (entries, unspent norm, gaps) for each tuple of cls that keeps
+            # every open gap within its room; cls is already decided
+            width = min(cls.hi - cls.lo, budget)
+            if not cls.sig:
+                for entries in _untouched_fills(width, budget):
+                    yield entries, 0, gaps
+                return
+            hi = isqrt(width * budget)
+            lo = -hi
+            for j, x in cls.sig:  # |gap_j - x * sum| <= reach
+                g = gaps.get(j, 0)
+                if x < 0:
+                    x, g = -x, -g
+                reach = isqrt(budget * (norms[j] - spent.get(j, 0)))
+                lo = max(lo, -((reach - g) // x))
+                hi = min(hi, (g + reach) // x)
+            for s in range(hi, lo - 1, -1):
+                new = gaps
                 if s:
-                    new_gaps = dict(gaps)
+                    new = dict(gaps)
                     for j, x in cls.sig:
-                        g = new_gaps.pop(j, 0) - x * s
+                        g = new.pop(j, 0) - x * s
                         if g:
-                            new_gaps[j] = g
-                for j, g in new_gaps.items():
-                    for u, room in suffix.get(j, ()):
-                        if u > idx:
-                            break
-                    else:
-                        room = 0  # no later class moves dot product j
-                    if g * g > rem_budget * room:
+                            new[j] = g
+                # an open gap always has room: the window closes a gap at
+                # a depth whose room is gone
+                need = 0
+                for j, g in new.items():
+                    need = max(need, -(-g * g // (norms[j] - spent.get(j, 0))))
+                for entries, q in _touched_tuples(width, budget, s):
+                    if q > budget - need:
                         break
-                else:
-                    break
+                    yield entries, budget - q, new
+
+        out = []
+        stack = []  # per decided class: [class, its options, cursor, entries]
+        budget, gaps, cursor = norm, dict(self.links[depth]), 0
+        while True:
+            cls = None
+            if gaps:
+                for k, _ in placed[min(gaps)]:
+                    if owner[k] not in decided:
+                        cls = owner[k]
+                        break
+            elif budget >= 3:
+                while cursor < rank and owner[cursor] in decided:
+                    cursor = owner[cursor].hi
+                if cursor < rank:
+                    cls = owner[cursor]
             else:
+                out.extend(self._filled(stack, budget, decided))
+            if cls is not None:
+                decided.add(cls)
+                for j, x in cls.sig:
+                    spent[j] = spent.get(j, 0) + (cls.hi - cls.lo) * x * x
+                stack.append([cls, options(cls, budget, gaps), cursor, ()])
+            while stack:
+                frame = stack[-1]
+                option = next(frame[1], None)
+                if option is not None:
+                    frame[3], budget, gaps = option
+                    cursor = frame[2]
+                    break
                 stack.pop()
-                continue
-            chosen[idx] = tup
-            if idx < last:
-                stack.append(frame(idx + 1, rem_budget, new_gaps))
-            elif rem_budget == 0 and not new_gaps:
-                out.append(tuple(
-                    (c.lo + i, x) for c, t in zip(classes, chosen) for i, x in enumerate(t) if x
-                ))
+                cls = frame[0]
+                decided.discard(cls)
+                for j, x in cls.sig:
+                    spent[j] -= (cls.hi - cls.lo) * x * x
+            else:
+                break
+        if len(out) > 1:
+            out.sort(key=_reading, reverse=True)
         return out
+
+    def _filled(self, stack, budget, decided):
+        """The candidates that complete the choices on stack with no gap
+        open and budget < 3 unspent: the undecided classes stay zero but
+        for at most one neutral fill."""
+        base = [(cls.lo + o if o >= 0 else cls.hi + o, x)
+                for cls, _, _, entries in stack for o, x in entries]
+        if not budget:
+            return [tuple(sorted(base))]
+        fills = []
+        last = self.owner[self.rank - 1]
+        if not last.sig and last.hi - last.lo >= budget:
+            fills.append([(last.lo + i, 1) for i in range(budget)])
+        if budget == 2:
+            fills.extend([(cls.lo, 1), (cls.hi - 1, -1)] for cls in self.by_sig.values()
+                         if cls.sig and cls.hi - cls.lo >= 2 and cls not in decided)
+        return [tuple(sorted(base + fill)) for fill in fills]
 
     def _norm_two(self, depth):
         """_candidates for norm 2, by signature lookup.
@@ -422,12 +517,9 @@ class _Searcher:
         sparse signature of B, found by one dict lookup; 2 * sig = targets
         is the case where that lookup finds A itself.
 
-        The general enumeration lists its candidates in descending
-        lexicographic order of the entries in coordinate order.  With the
-        two nonzero entries of a candidate at coordinates k1 < k2, values
-        v1 and v2, the key (v1, -v1*k1, v2, -v2*k2) sorts in that same
-        order (a +1 earlier, or a -1 later, makes the vector larger), so
-        the two paths return equal lists.
+        The targets and sig_A are both sparse in depth order, so B's
+        signature comes from one merge of the two, with no dict and no
+        sort.  The candidates are sorted as _candidates sorts its own.
         """
         links = self.links[depth]
         found = []  # (k1, v1, k2, v2) with k1 < k2
@@ -441,12 +533,20 @@ class _Searcher:
             near = {owner[k]: None for j, _ in links for k, _ in self.placed[j]}
             for a_cls in near:
                 for a in (1, -1):
-                    rest = dict(links)
+                    # key: the targets minus a * sig_A, sparse, by one merge
+                    # of links and sig_A, both in depth order
+                    key, i = [], 0
                     for j, x in a_cls.sig:
-                        t = rest.pop(j, 0) - a * x
+                        while i < len(links) and links[i][0] < j:
+                            key.append(links[i])
+                            i += 1
+                        t = -a * x
+                        if i < len(links) and links[i][0] == j:
+                            t += links[i][1]
+                            i += 1
                         if t:
-                            rest[j] = t
-                    key = tuple(sorted(rest.items()))
+                            key.append((j, t))
+                    key = tuple(key + links[i:])
                     # the untouched class (signature ()) takes only +1
                     flipped = by_sig.get(tuple([(j, -t) for j, t in key])) if key else None
                     for b, b_cls in ((1, by_sig.get(key)), (-1, flipped)):
@@ -460,8 +560,10 @@ class _Searcher:
                             ka = a_cls.lo if a > 0 else a_cls.hi - 1
                             kb = b_cls.lo if b > 0 else b_cls.hi - 1
                             found.append((ka, a, kb, b) if ka < kb else (kb, b, ka, a))
-            found.sort(key=lambda f: (f[1], -f[1] * f[0], f[3], -f[3] * f[2]), reverse=True)
-        return [((k1, v1), (k2, v2)) for k1, v1, k2, v2 in found]
+        out = [((k1, v1), (k2, v2)) for k1, v1, k2, v2 in found]
+        if len(out) > 1:
+            out.sort(key=_reading, reverse=True)
+        return out
 
 
 def find_embedding(tree, rank=None, budget=None) -> SearchResult:

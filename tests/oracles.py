@@ -7,10 +7,13 @@ definiteness is the leading-minor test, one determinant per minor; leaf
 elimination itself has a reference with Fraction pivots, against the
 implementation's integer numerators and denominators; the inertia is a
 congruence diagonalisation; the embedding search is plain depth-first
-over all candidate vectors with no symmetry pruning, and the column
-classes the search keeps incrementally are grouped from scratch; the partial
-reduction below re-implements the move loop without the leaf-flattening
-step so the intermediate "minimal" graph can be inspected; and
+over all candidate vectors with no symmetry pruning, the column
+classes the search keeps incrementally are grouped from scratch, and
+reference_candidates lists a heavy vertex's candidates class by class
+in the search's order, where the implementation closes gaps first and
+sorts; the partial reduction below re-implements the move loop without
+the leaf-flattening step so the intermediate "minimal" graph can be
+inspected; and
 reference_reduce_tree picks its sites by the recursive, unmemoised rooted
 encoding, among the sites reference_sites finds by a full scan at every
 step, where the implementation keeps them move by move.
@@ -29,6 +32,7 @@ re-checked by verify_embedding.
 import itertools
 import math
 import random
+from math import isqrt
 from fractions import Fraction
 from itertools import chain
 
@@ -337,6 +341,131 @@ def enumerate_gram(gram, rank=None, locally_minimal_only=False):
         if not locally_minimal_only or lattice.is_locally_minimal(sol):
             seen.add(lattice.matrix_canonical_form(sol))
     return sorted(seen)
+
+
+def sorted_tuples(size, budget, lo, hi):
+    """Nonincreasing integer tuples of the given size with entries in
+    [lo, hi] and sum of squares <= budget, in descending lexicographic
+    order; yields (tuple, sum, sumsq).
+
+    Such a tuple is its positive entries, then a block of zeros, then its
+    negative entries.  Every nonzero entry spends at least 1 of the
+    budget and the zero block is placed in one step, so the recursion is
+    at most budget + 1 deep however long the tuple is.
+    """
+    if size == 0:
+        yield (), 0, 0
+        return
+    for x in range(hi, lo - 1, -1):
+        if x == 0:
+            # a leading zero: zeros, then j negative entries; fewer
+            # negatives come first in descending order
+            most = min(size - 1, budget) if lo < 0 else 0
+            for j in range(most + 1):
+                zeros = (0,) * (size - j)
+                for rest, s, q in sorted_tuples(j, budget, lo, -1):
+                    yield zeros + rest, s, q
+            continue
+        sq = x * x
+        if sq > budget:
+            continue
+        for rest, s, q in sorted_tuples(size - 1, budget - sq, lo, min(hi, x)):
+            yield (x,) + rest, s + x, q + sq
+
+
+def reference_candidates(searcher, depth):
+    """lattice._Searcher._candidates by the class-by-class enumeration
+    that it replaced, on the searcher's state at this depth.
+
+    All vectors for the vertex at this depth: its norm, dot products
+    with the placed vectors equal to its targets, and canonical form
+    for the placed columns.  Vectors are sparse, like placed ones.
+
+    The entries are chosen class by class in the partition's order,
+    each class as a nonincreasing tuple, the untouched class last.  A
+    partial choice is kept only if it can still meet every target: the
+    entries not yet chosen have squared norm at most the remaining
+    budget, and they move dot product j by sum_k sig(k)[j] * x_k, so
+    by Cauchy-Schwarz the gap to target j must satisfy
+        gap_j**2 <= remaining budget * sum over later classes u of
+                    size_u * sig_u[j]**2.
+    A zero gap always does, so only the nonzero gaps are kept and
+    tested.  The right-hand sums are one suffix table per depth j,
+    over the classes whose signature is nonzero at j: those holding a
+    coordinate where the vector placed at depth j is nonzero.  Only
+    partial choices that cannot complete are skipped, so the output is
+    exactly the unpruned enumeration's, in the same order.
+
+    Class by class, each class's tuples in descending lexicographic
+    order, the enumeration lists its output in descending lexicographic
+    order of the entries read class by class, which is coordinate
+    order.  Norm 2 is answered by signature lookup instead
+    (_norm_two), which sorts its candidates into that order, so it
+    returns the same list.
+    """
+    norm = searcher.norms[depth]
+    if norm == 2:
+        return searcher._norm_two(depth)
+    classes = list(searcher._classes())
+    # suffix[j]: [u, sum over classes v >= u of size_v * sig_v[j]**2]
+    # for each class u whose signature is nonzero at depth j
+    suffix = {}
+    for u, cls in enumerate(classes):
+        for j, x in cls.sig:
+            suffix.setdefault(j, []).append([u, (cls.hi - cls.lo) * x * x])
+    for rows in suffix.values():
+        for a in range(len(rows) - 2, -1, -1):
+            rows[a][1] += rows[a + 1][1]
+    cap = isqrt(norm)
+
+    def frame(idx, budget, gaps):
+        # the tuples for class idx, with the unspent norm and gaps
+        # {j: targets[j] - (dot product with placed[j])} before it,
+        # nonzero gaps only; the untouched class takes only entries >= 0
+        cls = classes[idx]
+        tuples = sorted_tuples(cls.hi - cls.lo, budget, -cap if cls.sig else 0, cap)
+        return tuples, budget, gaps
+
+    last = len(classes) - 1
+    out = []
+    chosen = [None] * len(classes)
+    stack = [frame(0, norm, dict(searcher.links[depth]))]
+    while stack:
+        idx = len(stack) - 1
+        tuples, budget, gaps = stack[-1]
+        cls = classes[idx]
+        for tup, s, q in tuples:
+            if not cls.sig and q != budget:
+                continue  # untouched columns must exactly finish the norm
+            rem_budget = budget - q
+            new_gaps = gaps
+            if s:
+                new_gaps = dict(gaps)
+                for j, x in cls.sig:
+                    g = new_gaps.pop(j, 0) - x * s
+                    if g:
+                        new_gaps[j] = g
+            for j, g in new_gaps.items():
+                for u, room in suffix.get(j, ()):
+                    if u > idx:
+                        break
+                else:
+                    room = 0  # no later class moves dot product j
+                if g * g > rem_budget * room:
+                    break
+            else:
+                break
+        else:
+            stack.pop()
+            continue
+        chosen[idx] = tup
+        if idx < last:
+            stack.append(frame(idx + 1, rem_budget, new_gaps))
+        elif rem_budget == 0 and not new_gaps:
+            out.append(tuple(
+                (c.lo + i, x) for c, t in zip(classes, chosen) for i, x in enumerate(t) if x
+            ))
+    return out
 
 
 def contract_junctions(tree: WeightedTree) -> WeightedTree:

@@ -34,8 +34,10 @@ from oracles import (
     minors_negative_definite,
     naive_find_embedding,
     random_tree,
+    reference_candidates,
     relabel,
     search_gram,
+    sorted_tuples,
     square_decompositions,
 )
 
@@ -562,6 +564,83 @@ class TestCandidates:
         assert res.status is SearchStatus.NONE
         assert res.nodes == nodes
 
+    @pytest.mark.parametrize(
+        "spec, rank, status, nodes",
+        [((2, 3, 3, 74, 225), 26, SearchStatus.NONE, 30),
+         ((2, 7, 3, 47, 144), 11, SearchStatus.FOUND, 27),
+         ((3, 4, 3, 64, 196), 19, SearchStatus.NONE, 28),
+         ((2, 5, 3, 32, 100), 10, SearchStatus.NONE, 21)],
+    )
+    def test_heavy_vertex_node_counts(self, spec, rank, status, nodes):
+        # the desk searches whose norm-3 and norm-4 vertices cost the most
+        p1, a1, p2, a2, n = spec
+        t = closed_form_two_iter(SurgerySpec(CableTower(((p1, a1), (p2, a2))), n))
+        assert len(t) == rank
+        res = find_embedding(t)
+        assert (res.status, res.nodes) == (status, nodes)
+        if status is SearchStatus.FOUND:
+            assert [render_vector(v) for v in res.witness] == [
+                "e1+e2", "-e2+e3", "-e1+e2+e4", "-e4+e5", "-e5+e6", "-e5-e6+e7",
+                "-e7+e8", "-e8+e9", "-e9+e10+e11", "-e9-e11", "-e10+e11"]
+
+    def test_heavy_vertices_match_the_reference_enumeration(self, monkeypatch):
+        # every candidate list of a vertex of norm other than 2 is the
+        # class-by-class enumeration's, element for element: on every
+        # closed-form desk graph, on heavy vertices hung on -2 chains, and
+        # on -2/-3 forms with a cycle, at and above their rank
+        real = lattice._Searcher._candidates
+        calls = []
+
+        def checked(self, depth):
+            out = real(self, depth)
+            if self.norms[depth] != 2:
+                assert out == reference_candidates(self, depth), (self.links[depth], out)
+                calls.append((self.norms[depth], len(out)))
+            return out
+
+        monkeypatch.setattr(lattice._Searcher, "_candidates", checked)
+        for p1, a1, p2, a2, n in desk_range_tuples():
+            spec = SurgerySpec(CableTower(((p1, a1), (p2, a2))), n)
+            find_embedding(closed_form_two_iter(spec))
+        assert len(calls) == 3103
+        rng = random.Random(53)
+        trees = 0
+        while trees < 150:
+            t = hung_on_a_chain(rng)
+            if not is_negative_definite(gram_matrix(t)):
+                continue
+            trees += 1
+            for rank in (len(t), len(t) + 1):
+                find_embedding(t, rank=rank)
+        graphs = 0
+        while graphs < 40:
+            g = cyclic_minus_two_gram(rng)
+            if not minors_negative_definite(g):
+                continue
+            graphs += 1
+            for rank in (len(g), len(g) + 1, len(g) + 2):
+                search_gram(g, rank=rank)
+        heavy = calls[3103:]
+        assert {norm for norm, _ in heavy} == {3, 4, 5, 6}
+        assert len(heavy) > 500 and sum(found for _, found in heavy) > 200
+
+
+def hung_on_a_chain(rng):
+    """A -2 chain of 1 to 30 vertices with one to three vertices of weight
+    -3 to -6 hung on it, each on a chain vertex or on an earlier one of
+    them, and sometimes a -2 leaf on a heavy vertex."""
+    length = rng.randint(1, 30)
+    weights = {v: -2 for v in range(length)}
+    edges = [(v, v + 1) for v in range(length - 1)]
+    for _ in range(rng.randint(1, 3)):
+        v = len(weights)
+        weights[v] = rng.randint(-6, -3)
+        edges.append((rng.randrange(v), v))
+        if rng.random() < 0.3:
+            weights[v + 1] = -2
+            edges.append((v, v + 1))
+    return WeightedTree(weights, edges)
+
 
 def e8():
     """The E8 plumbing: a -2 tree, T-shaped with arms of 1, 2 and 4 vertices."""
@@ -653,6 +732,24 @@ class TestDeepSearches:
         assert res.returncode == 0, res.stderr
         assert res.stdout.split() == ["101", "none", "104"]
 
+    def test_heavy_vertex_after_a_long_chain(self):
+        # a norm-5 vertex placed after a -2 chain of 300: its candidates
+        # walk every column class, under a recursion limit far below that
+        code = (
+            "import sys\n"
+            "from knotplumb.lattice import find_embedding\n"
+            "from knotplumb.plumbing import WeightedTree\n"
+            "ws = [-2] * 300 + [-5, -2]\n"
+            "t = WeightedTree(dict(enumerate(ws)), [(i, i + 1) for i in range(301)])\n"
+            "sys.setrecursionlimit(60)\n"
+            "res = find_embedding(t, rank=303)\n"
+            "print(res.status.value, res.nodes)\n"
+        )
+        res = run_child(code)
+        assert res.returncode == 0, res.stderr
+        want = find_embedding(path([-2] * 300 + [-5, -2]), rank=303)
+        assert res.stdout.split() == [want.status.value, str(want.nodes)]
+
     def test_wide_untouched_class(self):
         res = find_embedding(path([-3]), rank=1500)
         assert res.status is SearchStatus.FOUND
@@ -676,6 +773,39 @@ class TestDeepSearches:
         assert res.returncode == 0, res.stderr
         assert res.stdout.split() == ["1001", "none", "1004"]
 
+    def test_class_tuples(self):
+        # per sum, the sparse tuples of a touched class are the
+        # nonincreasing tuples with sum of squares <= budget, each once, in
+        # ascending sum of squares; the untouched fills are the
+        # non-negative ones that spend the budget exactly
+        def dense(entries, width):
+            out = [0] * width
+            for o, x in entries:
+                out[o] = x
+            return tuple(out)
+
+        for width, budget in itertools.product(range(1, 5), range(7)):
+            cap = math.isqrt(budget)
+            every = [t for t in itertools.product(range(-cap, cap + 1), repeat=width)
+                     if list(t) == sorted(t, reverse=True) and sum(x * x for x in t) <= budget]
+            for total in range(-width * cap, width * cap + 1):
+                got = lattice._touched_tuples(width, budget, total)
+                assert sorted(dense(e, width) for e, _ in got) == sorted(
+                    t for t in every if sum(t) == total), (width, budget, total)
+                qs = [q for _, q in got]
+                assert qs == sorted(qs) and all(
+                    q == sum(x * x for _, x in e) and len(e) <= budget for e, q in got)
+            fills = lattice._untouched_fills(width, budget)
+            assert sorted(dense(e, width) for e in fills) == sorted(
+                t for t in every if min(t) >= 0 and sum(x * x for x in t) == budget)
+
+    def test_class_tuples_of_a_wide_class(self):
+        # a class 2000 wide with budget 2 shares the tuples of width 2; its
+        # negative entries sit at the end of the class
+        got = [e for e, _ in lattice._touched_tuples(min(2000, 2), 2, 0)]
+        assert got == [(), ((0, 1), (-1, -1))]
+        assert lattice._untouched_fills(min(2000, 2), 2) == [((0, 1), (1, 1))]
+
     def test_sorted_tuples_order(self):
         # descending lexicographic, exactly the nonincreasing tuples in range
         for size, budget, lo, hi in itertools.product(range(5), range(7), (-2, -1, 0), (0, 1, 2)):
@@ -684,13 +814,13 @@ class TestDeepSearches:
                  if list(t) == sorted(t, reverse=True) and sum(x * x for x in t) <= budget),
                 reverse=True,
             )
-            got = list(lattice._sorted_tuples(size, budget, lo, hi))
+            got = list(sorted_tuples(size, budget, lo, hi))
             assert [t for t, _, _ in got] == want, (size, budget, lo, hi)
             assert all(s == sum(t) and q == sum(x * x for x in t) for t, s, q in got)
 
     def test_sorted_tuples_long_zero_run(self):
         # a touched class 2000 wide: zeros before the negative entries
-        got = [t for t, _, _ in lattice._sorted_tuples(2000, 2, -1, 1)]
+        got = [t for t, _, _ in sorted_tuples(2000, 2, -1, 1)]
         zeros = (0,) * 1998
         assert got == [
             (1, 1) + zeros,
