@@ -295,7 +295,7 @@ def cmd_embed(args, config):
     if args.locally_minimal and not args.enumerate:
         raise CliError("--locally-minimal needs --enumerate")
     if args.enumerate and args.budget is not None:
-        # the class-by-class enumeration has no node budget
+        # enumerate_embeddings takes no budget: a cut-short class list has no Indeterminate
         raise CliError("--budget does not apply to --enumerate")
     tree, name = _embed_input(args)
     rank = args.rank if args.rank is not None else len(tree)

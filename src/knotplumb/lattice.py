@@ -53,16 +53,16 @@ that enumeration as its oracle, and the lists, node counts and witnesses
 are its own.
 
 Most vertices of the plumbing trees are -2 vertices, and a norm-2 vector
-is +-1 in two coordinates.  Its candidates skip the gap-first search.
-When the targets are nonzero, one of the two classes holding a +-1 meets
-the support of a placed neighbour; so only those classes, at most the
-neighbours' norms of them, are tried as class A, and a +-1 in class A
-fixes the sparse signature of the class of the other +-1, which one dict
-lookup finds; one merge of the targets and class A's signature, both in
-depth order, builds that key.  Zero targets (the first vertex of a
-component) allow only two entries in one class.  The
-candidates are sorted the same way, so this too gives the enumeration's
-list, element for element.
+is +-1 in two coordinates.  One with a placed neighbour skips the
+gap-first search: one of the two classes holding a +-1 meets that
+neighbour's support, so only those classes, at most the neighbours'
+norms of them, are tried as class A, and a +-1 in class A fixes the
+signed signature of the class of the other +-1, which one dict lookup
+finds; one merge of the targets and class A's signature, both in depth
+order, builds that key.  The first vertex of a component, with zero
+targets, gets its neutral fills gap first.  The candidates are sorted
+the same way, so this too gives the enumeration's list, element for
+element.
 
 An embedding touches at most -trace(G) coordinates, each vector at most
 its norm of them, and in canonical form the touched coordinates come
@@ -193,19 +193,11 @@ def _touched_tuples(width, budget, total):
 
 @cache
 def _untouched_fills(width, budget):
-    """The untouched class's tuples that spend exactly budget: nonincreasing,
-    non-negative, sum of squares budget, sparse as in _touched_tuples, for
-    a class min(width, budget) wide."""
-    out = []
-    stack = [((), budget, width, isqrt(budget))]
-    while stack:
-        parts, rest, slots, top = stack.pop()
-        if not rest:
-            out.append(tuple(enumerate(parts)))
-        elif rest <= slots * top * top:
-            for p in range(min(top, isqrt(rest)), 0, -1):
-                stack.append((parts + (p,), rest - p * p, slots - 1, p))
-    return out
+    """The untouched class's tuples that spend exactly budget, sparse as in
+    _touched_tuples: the _parts of sums sqrt(budget) ... sqrt(width * budget)
+    with sum of squares budget, for a class min(width, budget) wide."""
+    return [tuple(enumerate(ps)) for total in range(isqrt(budget), isqrt(width * budget) + 1)
+            for ps, q in _parts(total, width, budget) if q == budget]
 
 
 def _reading(vec):
@@ -353,14 +345,6 @@ class _Searcher:
                 del self.by_sig[child.sig]
                 self.owner[child.lo:child.hi] = [cls] * (child.hi - child.lo)
 
-    def _classes(self):
-        """The column classes in order, the untouched class (if any) last."""
-        k = 0
-        while k < self.rank:
-            cls = self.owner[k]
-            yield cls
-            k = cls.hi
-
     def _candidates(self, depth):
         """All vectors for the vertex at this depth: its norm, dot products
         with the placed vectors equal to its targets, and canonical form
@@ -393,11 +377,11 @@ class _Searcher:
         of a class is listed, so every candidate comes once; the few are
         sorted into descending order of their dense entries, the order of
         the class-by-class enumeration the test suite keeps as its oracle
-        (oracles.reference_candidates).  Norm 2 is answered by signature
-        lookup instead (_norm_two), in the same order.
+        (oracles.reference_candidates).  A norm-2 vertex with a placed
+        neighbour is answered by signature lookup instead (_norm_two).
         """
         norm = self.norms[depth]
-        if norm == 2:
+        if norm == 2 and self.links[depth]:
             return self._norm_two(depth)
         norms, placed, owner, rank = self.norms, self.placed, self.owner, self.rank
         spent = {}  # spent[j]: the squared norm of placed[j] in decided classes
@@ -474,7 +458,7 @@ class _Searcher:
                     spent[j] -= (cls.hi - cls.lo) * x * x
             else:
                 break
-        if len(out) > 1:
+        if len(out) > 1:  # an unguarded one-element sort costs 1.0 us, the guard 0.03
             out.sort(key=_reading, reverse=True)
         return out
 
@@ -496,72 +480,62 @@ class _Searcher:
         return [tuple(sorted(base + fill)) for fill in fills]
 
     def _norm_two(self, depth):
-        """_candidates for norm 2, by signature lookup.
+        """_candidates for norm 2 with a placed neighbour, by signature lookup.
 
         A norm-2 vector is +-1 in two coordinates.  In canonical form a
         single entry of a class is its first coordinate if +1 and its last
         if -1, and an untouched class takes only +1.  Two entries in one
-        class are (1, 1, 0, ...), (1, 0, ..., -1) or (..., -1, -1), meeting
-        targets equal to 2 * sig, 0 or -2 * sig; the untouched class takes
-        only (1, 1, 0, ...).
+        class, (1, 1, 0, ...) or (..., -1, -1), meet targets 2 * sig or
+        -2 * sig; (1, 0, ..., -1) meets zero targets, which a placed
+        neighbour rules out.
 
         With the entries in different classes A and B (signs a, b), the
-        targets demand a * sig_A + b * sig_B = targets.  If the targets are
-        0, that asks for sig_B = -sig_A, and no class has it: every touched
-        signature starts with a positive entry.  Otherwise some target
-        t_j != 0, so sig_A[j] or sig_B[j] is nonzero: one of the two classes
+        targets demand a * sig_A + b * sig_B = targets.  Some target t_j
+        is nonzero, so sig_A[j] or sig_B[j] is: one of the two classes
         holds a coordinate where the placed neighbour at depth j is
         nonzero.  So class A ranges over the classes of those coordinates
         only, at most the neighbours' norms of them, each pair is counted
-        from its earlier class when both qualify, and A and a fix the
-        sparse signature of B, found by one dict lookup; 2 * sig = targets
-        is the case where that lookup finds A itself.
-
-        The targets and sig_A are both sparse in depth order, so B's
-        signature comes from one merge of the two, with no dict and no
-        sort.  The candidates are sorted as _candidates sorts its own.
+        from its earlier class when both qualify, and A and a fix
+        b * sig_B.  Every touched signature starts positive, so b is the
+        sign of its first entry, and one dict lookup finds B; 2 * sig =
+        targets is the case where that lookup finds A itself.  The
+        candidates are sorted as _candidates sorts its own.
         """
         links = self.links[depth]
-        found = []  # (k1, v1, k2, v2) with k1 < k2
-        if not links:
-            for cls in self._classes():
-                if cls.hi - cls.lo >= 2:
-                    found.append((cls.lo, 1, cls.hi - 1, -1) if cls.sig
-                                 else (cls.lo, 1, cls.lo + 1, 1))
-        else:
-            owner, by_sig = self.owner, self.by_sig
-            near = {owner[k]: None for j, _ in links for k, _ in self.placed[j]}
-            for a_cls in near:
-                for a in (1, -1):
-                    # key: the targets minus a * sig_A, sparse, by one merge
-                    # of links and sig_A, both in depth order
-                    key, i = [], 0
-                    for j, x in a_cls.sig:
-                        while i < len(links) and links[i][0] < j:
-                            key.append(links[i])
-                            i += 1
-                        t = -a * x
-                        if i < len(links) and links[i][0] == j:
-                            t += links[i][1]
-                            i += 1
-                        if t:
-                            key.append((j, t))
-                    key = tuple(key + links[i:])
-                    # the untouched class (signature ()) takes only +1
-                    flipped = by_sig.get(tuple([(j, -t) for j, t in key])) if key else None
-                    for b, b_cls in ((1, by_sig.get(key)), (-1, flipped)):
-                        if b_cls is None:
-                            continue
-                        if b_cls is a_cls:  # the targets are 2 * a * sig_A
-                            if a_cls.hi - a_cls.lo >= 2:
-                                found.append((a_cls.lo, 1, a_cls.lo + 1, 1) if a > 0
-                                             else (a_cls.hi - 2, -1, a_cls.hi - 1, -1))
-                        elif b_cls not in near or a_cls.lo < b_cls.lo:
-                            ka = a_cls.lo if a > 0 else a_cls.hi - 1
-                            kb = b_cls.lo if b > 0 else b_cls.hi - 1
-                            found.append((ka, a, kb, b) if ka < kb else (kb, b, ka, a))
-        out = [((k1, v1), (k2, v2)) for k1, v1, k2, v2 in found]
-        if len(out) > 1:
+        owner, by_sig = self.owner, self.by_sig
+        near = {owner[k]: None for j, _ in links for k, _ in self.placed[j]}
+        out = []
+        for a_cls in near:
+            for a in (1, -1):
+                # key: the targets minus a * sig_A, sparse, by one merge of
+                # links and sig_A, both in depth order
+                key, i = [], 0
+                for j, x in a_cls.sig:
+                    while i < len(links) and links[i][0] < j:
+                        key.append(links[i])
+                        i += 1
+                    t = -a * x
+                    if i < len(links) and links[i][0] == j:
+                        t += links[i][1]
+                        i += 1
+                    if t:
+                        key.append((j, t))
+                key = tuple(key + links[i:])
+                # b * sig_B = key, and sig_B starts positive or is the
+                # untouched class's (), which takes only +1
+                b = -1 if key and key[0][1] < 0 else 1
+                b_cls = by_sig.get(key if b > 0 else tuple([(j, -t) for j, t in key]))
+                if b_cls is None:
+                    continue
+                if b_cls is a_cls:  # the targets are 2 * a * sig_A
+                    if a_cls.hi - a_cls.lo >= 2:
+                        out.append(((a_cls.lo, 1), (a_cls.lo + 1, 1)) if a > 0
+                                   else ((a_cls.hi - 2, -1), (a_cls.hi - 1, -1)))
+                elif b_cls not in near or a_cls.lo < b_cls.lo:
+                    ka = (a_cls.lo if a > 0 else a_cls.hi - 1, a)
+                    kb = (b_cls.lo if b > 0 else b_cls.hi - 1, b)
+                    out.append((ka, kb) if ka < kb else (kb, ka))
+        if len(out) > 1:  # an unguarded one-element sort costs 1.0 us, the guard 0.03
             out.sort(key=_reading, reverse=True)
         return out
 

@@ -9,11 +9,12 @@ implementation's integer numerators and denominators; the inertia is a
 congruence diagonalisation; the embedding search is plain depth-first
 over all candidate vectors with no symmetry pruning, the column
 classes the search keeps incrementally are grouped from scratch, and
-reference_candidates lists a heavy vertex's candidates class by class
-in the search's order, where the implementation closes gaps first and
-sorts; the partial reduction below re-implements the move loop without
-the leaf-flattening step so the intermediate "minimal" graph can be
-inspected; and
+reference_candidates lists any vertex's candidates class by class in
+the search's order, where the implementation closes gaps first or, for
+norm 2, looks signatures up, and sorts; it reads the searcher's classes
+(search_classes) but calls none of its candidate code; the partial
+reduction below re-implements the move loop without the leaf-flattening
+step so the intermediate "minimal" graph can be inspected; and
 reference_reduce_tree picks its sites by the recursive, unmemoised rooted
 encoding, among the sites reference_sites finds by a full scan at every
 step, where the implementation keeps them move by move.
@@ -373,6 +374,16 @@ def sorted_tuples(size, budget, lo, hi):
             yield (x,) + rest, s + x, q + sq
 
 
+def search_classes(searcher):
+    """The searcher's column classes in coordinate order, the untouched
+    class (if any) last, read off its owner table."""
+    out, k = [], 0
+    while k < searcher.rank:
+        out.append(searcher.owner[k])
+        k = out[-1].hi
+    return out
+
+
 def reference_candidates(searcher, depth):
     """lattice._Searcher._candidates by the class-by-class enumeration
     that it replaced, on the searcher's state at this depth.
@@ -399,14 +410,10 @@ def reference_candidates(searcher, depth):
     Class by class, each class's tuples in descending lexicographic
     order, the enumeration lists its output in descending lexicographic
     order of the entries read class by class, which is coordinate
-    order.  Norm 2 is answered by signature lookup instead
-    (_norm_two), which sorts its candidates into that order, so it
-    returns the same list.
+    order.  Every norm, 2 included, is answered this way.
     """
     norm = searcher.norms[depth]
-    if norm == 2:
-        return searcher._norm_two(depth)
-    classes = list(searcher._classes())
+    classes = search_classes(searcher)
     # suffix[j]: [u, sum over classes v >= u of size_v * sig_v[j]**2]
     # for each class u whose signature is nonzero at depth j
     suffix = {}

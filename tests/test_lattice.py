@@ -36,6 +36,7 @@ from oracles import (
     random_tree,
     reference_candidates,
     relabel,
+    search_classes,
     search_gram,
     sorted_tuples,
     square_decompositions,
@@ -376,7 +377,7 @@ def search_partition(searcher):
     """The searcher's incremental column classes as column_classes lists them."""
     depth = len(searcher.placed)
     out = []
-    for cls in searcher._classes():
+    for cls in search_classes(searcher):
         sig = [0] * depth
         for j, x in cls.sig:
             sig[j] = x
@@ -506,8 +507,9 @@ class TestCandidates:
 
     def test_norm_two_lookup_matches_the_enumeration(self, monkeypatch):
         # mostly -2 trees, then the same with a cycle, so that most calls
-        # take the norm-2 lookup, and every case of that lookup must give
-        # the enumeration's list
+        # are norm 2, and every case must give the enumeration's list: the
+        # lookup's, and a component's first vertex's neutral fills (depth
+        # 0, untouched (1, 1), same class (1, -1)), which _filled gives
         cases = set()
         calls = check_candidates_against_oracle(monkeypatch, cases)
         rng = random.Random(29)
@@ -587,23 +589,28 @@ class TestCandidates:
         # every candidate list of a vertex of norm other than 2 is the
         # class-by-class enumeration's, element for element: on every
         # closed-form desk graph, on heavy vertices hung on -2 chains, and
-        # on -2/-3 forms with a cycle, at and above their rank
+        # on -2/-3 forms with a cycle, at and above their rank.  Norm-2
+        # lists, the lookup's and the first vertex's of a component, are
+        # checked too on every 5th desk graph and on the forms with a cycle
         real = lattice._Searcher._candidates
         calls = []
 
         def checked(self, depth):
             out = real(self, depth)
-            if self.norms[depth] != 2:
+            if every or self.norms[depth] != 2:
                 assert out == reference_candidates(self, depth), (self.links[depth], out)
                 calls.append((self.norms[depth], len(out)))
             return out
 
         monkeypatch.setattr(lattice._Searcher, "_candidates", checked)
-        for p1, a1, p2, a2, n in desk_range_tuples():
+        for i, (p1, a1, p2, a2, n) in enumerate(desk_range_tuples()):
+            every = i % 5 == 0
             spec = SurgerySpec(CableTower(((p1, a1), (p2, a2))), n)
             find_embedding(closed_form_two_iter(spec))
-        assert len(calls) == 3103
+        assert len(calls) == 3103 + 3590
+        assert sum(norm == 2 for norm, _ in calls) == 3590
         rng = random.Random(53)
+        every = False
         trees = 0
         while trees < 150:
             t = hung_on_a_chain(rng)
@@ -612,6 +619,7 @@ class TestCandidates:
             trees += 1
             for rank in (len(t), len(t) + 1):
                 find_embedding(t, rank=rank)
+        every = True
         graphs = 0
         while graphs < 40:
             g = cyclic_minus_two_gram(rng)
@@ -620,9 +628,11 @@ class TestCandidates:
             graphs += 1
             for rank in (len(g), len(g) + 1, len(g) + 2):
                 search_gram(g, rank=rank)
-        heavy = calls[3103:]
+        rest = calls[3103 + 3590:]
+        heavy = [(norm, found) for norm, found in rest if norm != 2]
         assert {norm for norm, _ in heavy} == {3, 4, 5, 6}
         assert len(heavy) > 500 and sum(found for _, found in heavy) > 200
+        assert len(rest) - len(heavy) > 300
 
 
 def hung_on_a_chain(rng):
