@@ -193,11 +193,19 @@ def _touched_tuples(width, budget, total):
 
 @cache
 def _untouched_fills(width, budget):
-    """The untouched class's tuples that spend exactly budget, sparse as in
-    _touched_tuples: the _parts of sums sqrt(budget) ... sqrt(width * budget)
-    with sum of squares budget, for a class min(width, budget) wide."""
-    return [tuple(enumerate(ps)) for total in range(isqrt(budget), isqrt(width * budget) + 1)
-            for ps, q in _parts(total, width, budget) if q == budget]
+    """The untouched class's tuples that spend exactly budget: nonincreasing,
+    non-negative, sum of squares budget, sparse as in _touched_tuples, for
+    a class min(width, budget) wide."""
+    out = []
+    stack = [((), budget, width, isqrt(budget))]
+    while stack:
+        parts, rest, slots, top = stack.pop()
+        if not rest:
+            out.append(tuple(enumerate(parts)))
+        elif rest <= slots * top * top:
+            for p in range(min(top, isqrt(rest)), 0, -1):
+                stack.append((parts + (p,), rest - p * p, slots - 1, p))
+    return out
 
 
 def _reading(vec):

@@ -765,6 +765,30 @@ class TestDeepSearches:
         assert res.status is SearchStatus.FOUND
         assert res.witness == ((1, 1, 1) + (0,) * 1497,)
 
+    def test_heavy_vertex_on_a_wide_untouched_class(self):
+        # {-2, -w}: at rank w + 2 the -w vertex's candidates are every fill
+        # of the w-wide untouched class that spends w exactly, which took
+        # 0.4 s at w = 120 on a 2-core host, where building every tuple
+        # under the budget and keeping the exact ones took 7 s.  At the
+        # default rank 2 and w = 10**8 the search refutes in 1 node, and
+        # its candidates must not cost time growing with w (0.06 s).  Cold
+        # caches, CPU seconds, bounds far above the measured figures
+        code = (
+            "import time\n"
+            "from knotplumb.lattice import find_embedding\n"
+            "from knotplumb.plumbing import WeightedTree\n"
+            "for w, rank, budget in ((120, 122, None), (10**8, None, 5)):\n"
+            "    t = WeightedTree({0: -2, 1: -w}, [(0, 1)])\n"
+            "    start = time.process_time()\n"
+            "    res = find_embedding(t, rank=rank, budget=budget)\n"
+            "    print(res.status.value, res.nodes, time.process_time() - start)\n"
+        )
+        res = run_child(code)
+        assert res.returncode == 0, res.stderr
+        (found, n1, s1), (cut, n2, s2) = (line.split() for line in res.stdout.splitlines())
+        assert (found, n1, cut, n2) == ("found", "2", "none", "1")
+        assert float(s1) < 3 and float(s2) < 1.5, (s1, s2)
+
     def test_rank_1001_chain_refutes(self):
         # T(2,3; 2,2003), n = 4008: its first vertex has norm 3 and meets
         # one 1001-wide untouched class, and the search goes 1001 deep,
