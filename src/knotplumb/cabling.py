@@ -18,14 +18,18 @@ Contracting the junctions and flattening the leaf yields the reduced,
 negative-definite graph whenever N >= 1; reduced_plumbing builds it
 directly by the junction rule, in time linear in its size plus the sum of
 log a_i, with that calculus, reduce_tree(raw_plumbing(spec)), as oracle.
-Two-iteration towers in the a_1 = 1 (mod p_1), a_2 = +-1 (mod p_2)
-families also have it in closed form; the construction paths are mutual
-oracles (the builder's one exact pass checks |det| = n on each).
+Its -2 runs (each torso's leading -2's and the tail) stay one entry each
+until a tree is frozen, so the builder's one exact pass, which checks
+|det| = n, costs O(runs + sum of log a_i) whatever N is.  For the
+two-iteration families a_1 = 1 (mod p_1), a_2 = +-1 (mod p_2),
+closed_form_two_iter is the same tree numbered without the junction
+rule's gaps; the tests hold its shape to the paper's closed formulas.
 """
 
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from . import plumbing
@@ -155,43 +159,56 @@ class _TreeBuilder:
     """Vertices numbered in the order they are added, each with a role and
     a parent added before it (but the first), so the result is a tree by
     construction, its one exact pass (plumbing._eliminate) needs no walk,
-    and it is frozen, not validated again, only when a tree is asked for."""
+    and it is frozen, not validated again, only when a tree is asked for.
+    A run of count c is the path of c -2's ending at the id add returns,
+    one entry until freezing expands it."""
 
     def __init__(self):
-        self.weights, self.parent, self.roles = {}, {}, {}
-        self.next = 0  # the id add gives; reduced_plumbing skips some
+        self.weights, self.parent, self.roles, self.runs = {}, {}, {}, {}
+        self.next = 0  # the id add gives next; reduced_plumbing skips some
 
-    def add(self, weight, role, attach=None):
-        v = self.next
-        self.next += 1
+    def add(self, weight, role, attach=None, count=1):
+        self.next += count
+        v = self.next - 1
         self.weights[v] = weight
         self.roles[v] = role
         self.parent[v] = attach
+        if count > 1:
+            self.runs[v] = count
         return v
 
     def form(self, spec):
         """(det, negative definite), checked against its oracle |det| = |n|."""
-        form = plumbing._eliminate(self.weights, None, self.parent)
+        form = plumbing._eliminate(self.weights, None, self.parent, self.runs)
         if abs(form[0]) != abs(spec.n):
             raise AssertionError(
                 f"plumbing determinant does not match surgery coefficient {spec.n}"
             )
         return form
 
+    def _ids(self, v):
+        return range(v + 1 - self.runs.get(v, 1), v + 1)
+
     def tree(self, form):
-        """The tree, its form memoised; no vertex may be added after."""
-        adj = {v: set() if p is None else {p} for v, p in self.parent.items()}
+        """The tree, runs expanded, form memoised; add nothing after."""
+        weights, adj = {}, {}
         for v, p in self.parent.items():
-            if p is not None:
-                adj[p].add(v)
-        tree = plumbing._frozen(self.weights, adj)
+            for u in self._ids(v):
+                weights[u], adj[u] = self.weights[v], set()
+                if p is not None:
+                    adj[u].add(p)
+                    adj[p].add(u)
+                p = u
+        tree = plumbing._frozen(weights, adj)
         tree._form = form
         return tree
 
     def finish(self, spec, with_roles):
         """The tree, checked by its one pass; with its roles if asked."""
         tree = self.tree(self.form(spec))
-        return (tree, self.roles) if with_roles else tree
+        if not with_roles:
+            return tree
+        return tree, {u: role for v, role in self.roles.items() for u in self._ids(v)}
 
 
 def raw_plumbing(spec: SurgerySpec, with_roles: bool = False):
@@ -215,8 +232,8 @@ def raw_plumbing(spec: SurgerySpec, with_roles: bool = False):
     build = _TreeBuilder()
     prev = None  # vertex the next hook's torso attaches to
     for i, (p, a) in enumerate(spec.knot.pairs, start=1):
-        torso = expand_neg_cf(Fraction(a, a - p))
-        leg = expand_neg_cf(Fraction(a, p))
+        torso = expand_neg_cf(a, a - p)
+        leg = expand_neg_cf(a, p)
         for coeff in torso:
             prev = build.add(-coeff, f"torso{i}", prev)
         corner = build.add(-corner_weight(p, a), f"corner{i}", prev)
@@ -248,31 +265,48 @@ def reduced_plumbing(spec: SurgerySpec) -> WeightedTree:
     """
     _require_positive_framing(spec)
     _require_buildable(spec)
+    build = _junction_builder(spec, gaps=True)
+    if max(build.weights.values()) > -2:
+        raise AssertionError("the junction rule left a weight above -2")
+    return build.finish(spec, with_roles=False)
+
+
+@lru_cache(maxsize=None)
+def _hook_roles(i):
+    """Hook i's role names, made once: formatting them took a tenth of a build."""
+    return f"torso{i}", f"node{i}", f"leg{i}"
+
+
+def _junction_builder(spec, gaps) -> _TreeBuilder:
+    """reduced_plumbing's builder (N >= 1), a run for each torso's leading
+    -2's and the tail; with gaps its ids are the calculus's, else 0..n-1."""
     build = _TreeBuilder()
+    add = build.add
     prev, j = None, 0  # the corner torso i attaches to; the entries it drops
     for i, (p, a) in enumerate(spec.knot.pairs, start=1):
+        torso, node, leg_role = _hook_roles(i)
         run = ceil_div(a, p) - 2  # torso i's leading -2's
-        rest = expand_neg_cf(Fraction(a - run * p, a - (run + 1) * p))
-        leg = expand_neg_cf(Fraction(a, p))
+        rest = expand_neg_cf(a - run * p, a - (run + 1) * p)
+        leg = expand_neg_cf(a, p)
         if prev is not None:
             if j - 1 > run:
                 raise AssertionError(f"junction {i - 1} would drop a torso entry other than -2")
-            build.next += 2 + j  # the bridge, the -1 and torso entries 1..j
+            if gaps:
+                build.next += 2 + j  # the bridge, the -1 and torso entries 1..j
             build.weights[prev] = -2 if j <= run else -rest[0]
-        for coeff in [2] * (run - j) + list(rest[max(j - run, 0):]):
-            prev = build.add(-coeff, f"torso{i}", prev)
-        corner = build.add(-1, f"corner{i}", prev)  # reset by the next junction or the flatten
-        hang = corner
+        if run > j:
+            prev = add(-2, torso, prev, run - j)
+        for coeff in rest[max(j - run, 0):]:
+            prev = add(-coeff, torso, prev)
+        corner = hang = add(-1, node, prev)  # reset by the next junction or the flatten
         for coeff in reversed(leg[1:]):
-            hang = build.add(-coeff, f"leg{i}", hang)
+            hang = add(-coeff, leg_role, hang)
         prev, j = corner, p * a
     build.weights[prev] = -2
-    for _ in range(spec.reduced_framing - 1):
-        prev = build.add(-2, "tail", prev)
-    reduced = build.finish(spec, with_roles=False)
-    if any(w > -2 for w in reduced.weights.values()):
-        raise AssertionError("the junction rule left a weight above -2")
-    return reduced
+    n_red = spec.reduced_framing
+    if n_red > 1:
+        add(-2, "tail", prev, n_red - 1)
+    return build
 
 
 def two_iter_parameters(spec: SurgerySpec) -> dict:
@@ -311,7 +345,7 @@ def two_iter_parameters(spec: SurgerySpec) -> dict:
 
 
 def closed_form_two_iter(spec: SurgerySpec, with_roles: bool = False):
-    """Reduced centipede graph of a two-iteration surgery, without the calculus.
+    """Reduced centipede graph of a two-iteration surgery in the +-1 families.
 
     Spine, left to right: Torso 1 = (k1-1 twos, -(p1+1)); Node 1; Torso 2;
     Node 2 (-2); Tail (N-1 twos).  Leg 1 = (p1-1 twos) hangs off Node 1 and
@@ -319,51 +353,11 @@ def closed_form_two_iter(spec: SurgerySpec, with_roles: bool = False):
     Torso 2 carries l twos followed by -3 and (p2-2) twos when a2 = -1
     (mod p2), or l twos followed by -(p2+1) when a2 = +1; Leg 2 is the
     single vertex -p2, respectively (p2-1) twos.  In the boundary case
-    l = -1 the low vertex of Torso 2 merges into Node 1.  Cross-validated
-    against reduced_plumbing on the whole sweep range.  N <= 0 raises as
-    in reduced_plumbing.
+    l = -1 the low vertex of Torso 2 merges into Node 1.  This is the
+    junction rule's tree, numbered 0..n-1 in construction order, with
+    corner i named node i; the tests hold it to these formulas.  N <= 0
+    raises as in reduced_plumbing.
     """
-    par = two_iter_parameters(spec)
+    two_iter_parameters(spec)  # the families' check
     _require_positive_framing(spec)
-    return _closed_form_builder(par).finish(spec, with_roles)
-
-
-def _closed_form_builder(par) -> _TreeBuilder:
-    """closed_form_two_iter's builder, given its two_iter_parameters with
-    N >= 1, for classify_one to check and freeze only if it searches."""
-    p1, k1, p2, sign, n_red, l = (
-        par["p1"],
-        par["k1"],
-        par["p2"],
-        par["sign"],
-        par["N"],
-        par["l"],
-    )
-    if sign == -1:
-        torso2_weights = [-2] * l + [-3] + [-2] * (p2 - 2) if l >= 0 else [-2] * (p2 - 2)
-        node1_weight = -2 if l >= 0 else -3
-        leg2_weights = [-p2]
-    else:
-        torso2_weights = [-2] * l + [-(p2 + 1)] if l >= 0 else []
-        node1_weight = -2 if l >= 0 else -(p2 + 1)
-        leg2_weights = [-2] * (p2 - 1)
-
-    build = _TreeBuilder()
-    prev = None
-    for w in [-2] * (k1 - 1) + [-(p1 + 1)]:
-        prev = build.add(w, "torso1", prev)
-    node1 = build.add(node1_weight, "node1", prev)
-    hang = node1
-    for _ in range(p1 - 1):
-        hang = build.add(-2, "leg1", hang)
-    prev = node1
-    for w in torso2_weights:
-        prev = build.add(w, "torso2", prev)
-    node2 = build.add(-2, "node2", prev)
-    hang = node2
-    for w in leg2_weights:
-        hang = build.add(w, "leg2", hang)
-    prev = node2
-    for _ in range(n_red - 1):
-        prev = build.add(-2, "tail", prev)
-    return build
+    return _junction_builder(spec, gaps=False).finish(spec, with_roles)

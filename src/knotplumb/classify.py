@@ -5,11 +5,12 @@ classify_one decides, for an n-surgery on T(p1, a1; p2, a2) with a1 = 1
 says: with N = n - p2*a2, negative N admits no negative definite
 plumbing tree at all, N = 0 may split as a connected sum, N = 1 is
 excluded from classification, and for N >= 2 the reduced plumbing, built
-in closed form with |det| = n checked, is tested for an embedding into
-(Z^r, -Id) at r equal to its vertex count.  There an embedding is a
+by the junction rule with |det| = n checked, is tested for an embedding
+into (Z^r, -Id) at r equal to its vertex count.  There an embedding is a
 square integer matrix A with G = -A*A^T, so |det G| = det(A)^2: when n
 is not a perfect square the determinant alone proves that none exists
-(proof "determinant": no search and no tree, only the builder's pass).
+(proof "determinant": no search and no tree, only the builder's pass,
+which takes each -2 run in one step, so any N costs the same).
 Otherwise the graph is searched, and an exhaustive NONE (proof "search")
 proves the surgered manifold bounds no rational homology 4-ball; a found
 embedding (proof "witness") only says this obstruction vanishes.
@@ -36,7 +37,7 @@ from multiprocessing import Pool
 from .cabling import (
     CableTower,
     SurgerySpec,
-    _closed_form_builder,
+    _junction_builder,
     closed_form_two_iter,
     reduced_plumbing,  # unused; perfbench's LAYER_PATCHES wraps classify.reduced_plumbing
     two_iter_parameters,
@@ -91,12 +92,12 @@ class SweepRow:
 def classify_one(spec: SurgerySpec, budget=DEFAULT_BUDGET) -> SweepRow:
     """Obstruction verdict for one surgery spec in the congruence families.
 
-    The graph is the closed-form one; reduced_plumbing builds an
-    isomorphic one, which the test suite checks.  Its builder's one exact
-    pass checks |det| = n and decides a non-square n, with 0 nodes and no
-    tree frozen; a square n's tree is frozen with that form memoised and
-    searched, and budget only bounds that search.  ms is the call's wall
-    time.
+    The graph is closed_form_two_iter's, the junction rule's tree numbered
+    without gaps.  Its builder's one exact pass checks |det| = n and
+    decides a non-square n, with 0 nodes and no tree frozen, in O(runs)
+    at any N; a square n's tree is expanded and frozen with that form
+    memoised and searched, and budget only bounds that search.  ms is the
+    call's wall time.
     """
     t0 = time.perf_counter()
     par = two_iter_parameters(spec)  # validates the tower, once
@@ -109,9 +110,9 @@ def classify_one(spec: SurgerySpec, budget=DEFAULT_BUDGET) -> SweepRow:
     elif n_red == 1:
         verdict = VerdictKind.OUT_OF_SCOPE
     else:
-        build = _closed_form_builder(par)
+        build = _junction_builder(spec, gaps=False)
         form = build.form(spec)  # raises unless |det| = n
-        rank = len(build.weights)
+        rank = build.next  # no gaps: the vertex count
         if math.isqrt(spec.n) ** 2 != spec.n:
             if not form[1]:
                 raise ValueError("intersection form is not negative definite")

@@ -188,6 +188,8 @@ def _parse_spec(args) -> SurgerySpec:
 
 # -- contfrac -----------------------------------------------------------------
 
+MAX_COEFFICIENTS = 10**6  # the longest list contfrac prints, checked before expanding
+
 
 def cmd_contfrac(args, config):
     out = {}
@@ -206,7 +208,13 @@ def cmd_contfrac(args, config):
             raise CliError("give a fraction like 7/2, or --eval coefficients")
         try:
             num, slash, den = args.fraction.partition("/")
-            coeffs = hjcf.expand_neg_cf(_int(num), _int(den) if slash else 1)
+            p, q = _int(num), _int(den) if slash else 1
+            longest = hjcf._expansion_length(p, q)
+            if args.dual:
+                longest = max(longest, hjcf._expansion_length(p, p - q))
+            if longest > MAX_COEFFICIENTS:
+                raise CliError(f"a list of {longest} coefficients; contfrac prints at most {MAX_COEFFICIENTS}")
+            coeffs = hjcf.expand_neg_cf(p, q)
             value = hjcf.eval_neg_cf(coeffs)
         except ValueError as exc:
             raise CliError(str(exc))

@@ -23,8 +23,9 @@ class NotReducedError(ValueError):
     """A fraction was supplied whose numerator and denominator share a factor."""
 
 
-def _as_fraction(x, q=None) -> Fraction:
-    """Coerce (p, q) pairs or Fraction/int inputs, rejecting unreduced pairs.
+def _above_one(x, q=None) -> tuple[int, int]:
+    """(numerator, denominator) in lowest terms of a rational > 1, given as
+    a Fraction, an int, or a (p, q) pair of ints.
 
     Fractions constructed by callers are reduced by design, but a raw
     (p, q) pair is checked so that an unreduced fraction arriving from a
@@ -38,12 +39,13 @@ def _as_fraction(x, q=None) -> Fraction:
             raise ValueError(f"expected a positive fraction, got {p}/{q}")
         if gcd(p, q) != 1:
             raise NotReducedError(f"{p}/{q} is not in lowest terms")
-        return Fraction(p, q)
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, Fraction):
-        return x
-    raise TypeError(f"cannot interpret {x!r} as an exact fraction")
+    elif isinstance(x, (int, Fraction)):
+        p, q = x.numerator, x.denominator
+    else:
+        raise TypeError(f"cannot interpret {x!r} as an exact fraction")
+    if p <= q:
+        raise ValueError(f"expansion requires a value > 1, got {Fraction(p, q)}")
+    return p, q
 
 
 def expand_neg_cf(x, q=None) -> tuple[int, ...]:
@@ -54,10 +56,7 @@ def expand_neg_cf(x, q=None) -> tuple[int, ...]:
     a_i >= 2 whose descending fraction equals the input.  The recursion is
     a_1 = ceil(p/q), then continue on 1/(a_1 - p/q).
     """
-    val = _as_fraction(x, q)
-    if val <= 1:
-        raise ValueError(f"expansion requires a value > 1, got {val}")
-    p, den = val.numerator, val.denominator
+    p, den = _above_one(x, q)
     coeffs = []
     while True:
         a = -(-p // den)  # ceil(p/den)
@@ -66,6 +65,19 @@ def expand_neg_cf(x, q=None) -> tuple[int, ...]:
         if rem == 0:
             return tuple(coeffs)
         p, den = den, rem
+
+
+def _expansion_length(x, q=None) -> int:
+    """len(expand_neg_cf(x, q)) in O(log) steps, raising as it does: with
+    [a_0; a_1, ..., a_m] the regular continued fraction (Euclid), the
+    expansion is a_0 + 1, a_1 - 1 twos, a_2 + 2, ..., one entry for each
+    even index (the last a_m + 1, or a_0 alone) and a_i - 1 for each odd."""
+    p, q = _above_one(x, q)
+    length, odd = 0, False
+    while q:
+        length += p // q - 1 if odd else 1
+        p, q, odd = q, p % q, not odd
+    return length
 
 
 def eval_neg_cf(coeffs) -> Fraction:
@@ -89,11 +101,8 @@ def dual_point_rule(coeffs) -> tuple[int, ...]:
     Canonical expansions are unique, so the dual is computed by evaluating
     and re-expanding; this is an involution, and [2] is its fixed point.
     """
-    val = eval_neg_cf(coeffs)
-    a, b = val.numerator, val.denominator
-    if not 1 <= b < a:
-        raise ValueError(f"point rule needs a value a/b with 1 <= b < a, got {val}")
-    return expand_neg_cf(Fraction(a, a - b))
+    val = eval_neg_cf(coeffs)  # > 1: every coefficient is at least 2
+    return expand_neg_cf(val.numerator, val.numerator - val.denominator)
 
 
 def star_inverse(a: int, b: int) -> int:

@@ -24,21 +24,17 @@ All linear algebra is exact integer arithmetic on integer matrices.
 The determinant and the negative-definiteness test (form_invariants, run
 once per tree and kept on it) take the tree's own route: one walk from a
 root gives each vertex its parent, and the vertices are then eliminated in
-the reverse of the walk, each into its parent by a Schur complement (the
-parent's diagonal drops by a^2/d for a vertex of diagonal d joined by a)
-once all of its children are in, O(n) steps in all (cabling's builder,
-which knows each vertex's parent, skips the walk).  This is the
-continued-fraction bookkeeping of Neumann's plumbing calculus, kept in
-integers: each diagonal is a numerator over a positive denominator, the
-numerator being the continuant (the determinant, up to sign) of the subtree
-eliminated into that vertex and the denominator the product of its
-children's.  A vertex whose diagonal has become 0 cannot be a pivot; it is
-expanded away with its parent instead, det S = -a^2 det(S - {vertex,
-parent}), and the form is then indefinite.  det_exact and
-is_negative_definite run the same elimination on a matrix, so they are
-defined on square, symmetric integer matrices whose support is a forest
-(the form of any plumbing, or a disjoint union of them); any other matrix
-raises ValueError.  Entries must be ints: a float, Fraction or bool entry
+the reverse of the walk, each into its parent by the expansion along their
+edge once all of its children are in, O(n) steps in all (cabling's
+builder, which knows each vertex's parent, skips the walk and hands over
+its -2 runs, one step each).  This is the continued-fraction bookkeeping
+of Neumann's plumbing calculus, kept in integers: each vertex keeps the
+determinant (the continuant) of the subtree eliminated into it and that of
+the subtree less the vertex, whose quotient is its pivot; there is no
+division.  det_exact and is_negative_definite run the same elimination on
+a matrix, so they are defined on square, symmetric integer matrices whose
+support is a forest (the form of any plumbing, or a disjoint union of
+them); any other matrix raises ValueError.  Entries must be ints: a float, Fraction or bool entry
 raises TypeError instead of being truncated.
 """
 
@@ -247,7 +243,7 @@ def _walk(adj, root, parent):
     return order
 
 
-def _eliminate(num, adj, parent=None):
+def _eliminate(num, adj, parent=None, runs=None):
     """(det, negative definite) of the symmetric matrix with integer
     diagonal num[v] and non-zero off-diagonal entries adj[v], a dict
     {u: a}, or a set of the u where every entry is 1 (a plumbing's form);
@@ -257,23 +253,25 @@ def _eliminate(num, adj, parent=None):
     unless parent gives them (a root's as None, each vertex after its
     parent, every entry 1 and adj unread, as cabling's builder has them),
     and eliminated in the reverse of that order, each vertex into its
-    parent after all of its children, by Schur complements in integers: a
-    vertex keeps its complemented diagonal as a numerator over a positive
-    denominator, at first its entry over 1.  A vertex v of pivot d/q,
-    joined to its parent p by the entry a, goes into p: if d != 0 the pivot
-    d/q goes into the determinant and p's diagonal drops by a^2 q / d,
-    num[p] <- num[p] d - a^2 q den[p] and den[p] <- den[p] d, both negated
-    when d < 0; if d == 0 the expansion det S = -a^2 det(S - {v, p})
-    removes v and p, and p's children not yet eliminated become roots.  A
-    root's pivot goes into the determinant alone.  num[p] is then, up to
-    sign, the determinant of the subtree eliminated into p (a continuant of
-    the plumbing calculus) and den[p] the product of its children's, so no
-    entry outgrows the minors it stands for and no gcd is taken.  The
-    determinant is kept as an integer: a pivot's denominator, the product
-    of the |d| of its children, whose numerators are factors of it already,
-    is divided out exactly when the pivot is taken.  The matrix is negative
-    definite exactly when every pivot is negative and the zero rule never
-    fired.  O(n) integer steps and no recursion.
+    parent after all of its children.  A vertex keeps two continuants of
+    the plumbing calculus: num[v], the determinant of the subtree
+    eliminated into it, and den[v], that of the subtree less v, the
+    product of its children's num (at first its entry and 1).  Joined to
+    its parent p by the entry a, it goes into p by the expansion along that
+    edge, num[p] <- num[p] num[v] - a^2 den[v] den[p] and den[p] <- den[p]
+    num[v]; a root's num is its component's determinant.  So no division
+    and no gcd is taken, and no entry outgrows the minors it stands for.
+    num[v]/den[v] is v's pivot (den[v] is 0 only above a zero pivot), and
+    the matrix is negative definite exactly when every pivot is negative.
+    O(n) integer steps and no recursion.
+
+    runs, given with parent, maps v to a count c > 1: v then stands for a
+    path of c vertices of diagonal -2, v joined to its children and the top
+    to parent[v].  With num[v] = d and den[v] = q, the k-th vertex up the
+    path has num (-1)^k e_k and den (-1)^(k-1) e_(k-1), for e_k = d + k(d + q)
+    linear in k: the top's are one step away, and the pivots below it are
+    all negative exactly when e_(-1) = -q and e_(c-2) are nonzero and of
+    one sign.
     """
     weighted = parent is None and type(next(iter(adj.values()), None)) is dict
     if parent is None:
@@ -281,36 +279,24 @@ def _eliminate(num, adj, parent=None):
         for root in num:
             if root not in parent and _walk(adj, root, parent) is None:
                 return None
+    runs = runs or {}
     num = dict(num)
     den = dict.fromkeys(num, 1)
-    den[None] = 0  # den[p] == 0: p is no parent (v a root) or is gone
     det = 1
     negative = True
     for v, p in reversed(parent.items()):
-        q = den[v]
-        if not q:
-            continue  # expanded away with a child
-        d = num[v]
-        dp = den[p]
-        if dp:
-            a2 = adj[v][p] ** 2 if weighted else 1
-            if d == 0:
-                det *= -a2
-                negative = False
-                den[p] = 0
-                continue
-            if d > 0:
-                num[p] = num[p] * d - a2 * q * dp
-                den[p] = dp * d
-                negative = False
-            else:
-                num[p] = a2 * q * dp - num[p] * d
-                den[p] = -dp * d
-        elif d >= 0:
-            negative = False
-        det, rest = divmod(det * d, q)
-        if rest:
-            raise AssertionError("leaf elimination left a fractional determinant")
+        d, q = num[v], den[v]
+        if v in runs:
+            c = runs[v] - 1  # the top's place in v's run
+            below = d + (c - 1) * (d + q)
+            negative = negative and (below < 0 < q or q < 0 < below)
+            d, q = (below + d + q, -below) if c % 2 == 0 else (-below - d - q, below)
+        negative = negative and (d < 0 < q or q < 0 < d)
+        if p is None:
+            det *= d
+        else:
+            num[p] = num[p] * d - (adj[v][p] ** 2 * q if weighted else q) * den[p]
+            den[p] *= d
     return det, negative
 
 
@@ -328,8 +314,8 @@ def det_exact(matrix) -> int:
 def is_negative_definite(matrix) -> bool:
     """Whether a square, symmetric, forest-supported integer matrix is
     negative definite, by det_exact's leaf elimination: definite exactly
-    when every pivot is negative and no zero pivot had to be expanded
-    away.  Raises ValueError and TypeError as det_exact does.
+    when every pivot is negative.  Raises ValueError and TypeError as
+    det_exact does.
     """
     return _forest_elimination(matrix)[1]
 

@@ -5,7 +5,7 @@ determinant is cofactor expansion or fraction-free (Bareiss) elimination
 of the whole matrix instead of leaf elimination along the tree, and
 definiteness is the leading-minor test, one determinant per minor; leaf
 elimination itself has a reference with Fraction pivots, against the
-implementation's integer numerators and denominators; the inertia is a
+implementation's integer continuants; the inertia is a
 congruence diagonalisation; the embedding search is plain depth-first
 over all candidate vectors with no symmetry pruning, the column
 classes the search keeps incrementally are grouped from scratch, and
@@ -20,6 +20,8 @@ encoding, among the sites reference_sites finds by a full scan at every
 step, where the implementation keeps them move by move.
 centroid_isomorphic compares the least preorder serialization rooted at
 a centroid, where the implementation peels leaves layer by layer.
+closed_form_reference builds the two-iteration centipede from its closed
+formulas, where the implementation derives it by the junction rule.
 fresh_id, a helper only the tests use, lives here too.
 
 search_gram and enumerate_gram are adapters, not oracles: they run the
@@ -38,6 +40,7 @@ from fractions import Fraction
 from itertools import chain
 
 from knotplumb import lattice
+from knotplumb.cabling import _TreeBuilder
 from knotplumb.lattice import SearchResult, SearchStatus, verify_embedding
 from knotplumb.plumbing import (
     WeightedTree,
@@ -674,3 +677,46 @@ def random_tree(rng: random.Random, max_vertices=12, weights=(-4, 3)) -> Weighte
     weight_map = {v: rng.randint(lo, hi) for v in ids}
     edges = [(ids[i], ids[rng.randrange(i)]) for i in range(1, n)]
     return WeightedTree(weight_map, edges)
+
+
+def closed_form_reference(par) -> _TreeBuilder:
+    """The builder of the reduced centipede graph of a two-iteration surgery,
+    given its two_iter_parameters with N >= 1, written from the closed
+    formulas (see closed_form_two_iter): the reference that the junction
+    rule's closed_form_two_iter must equal in ids, weights, roles and form."""
+    p1, k1, p2, sign, n_red, l = (
+        par["p1"],
+        par["k1"],
+        par["p2"],
+        par["sign"],
+        par["N"],
+        par["l"],
+    )
+    if sign == -1:
+        torso2_weights = [-2] * l + [-3] + [-2] * (p2 - 2) if l >= 0 else [-2] * (p2 - 2)
+        node1_weight = -2 if l >= 0 else -3
+        leg2_weights = [-p2]
+    else:
+        torso2_weights = [-2] * l + [-(p2 + 1)] if l >= 0 else []
+        node1_weight = -2 if l >= 0 else -(p2 + 1)
+        leg2_weights = [-2] * (p2 - 1)
+
+    build = _TreeBuilder()
+    prev = None
+    for w in [-2] * (k1 - 1) + [-(p1 + 1)]:
+        prev = build.add(w, "torso1", prev)
+    node1 = build.add(node1_weight, "node1", prev)
+    hang = node1
+    for _ in range(p1 - 1):
+        hang = build.add(-2, "leg1", hang)
+    prev = node1
+    for w in torso2_weights:
+        prev = build.add(w, "torso2", prev)
+    node2 = build.add(-2, "node2", prev)
+    hang = node2
+    for w in leg2_weights:
+        hang = build.add(w, "leg2", hang)
+    prev = node2
+    for _ in range(n_red - 1):
+        prev = build.add(-2, "tail", prev)
+    return build

@@ -7,9 +7,11 @@ cores; everything else is seconds.
 
 import functools
 import itertools
+import json
 import math
 import random
 import time
+from hashlib import sha256
 
 from knotplumb.cabling import (
     CableTower,
@@ -18,6 +20,7 @@ from knotplumb.cabling import (
     corner_weight,
     raw_plumbing,
     reduced_plumbing,
+    two_iter_parameters,
 )
 from knotplumb.classify import (
     VerdictKind,
@@ -25,6 +28,7 @@ from knotplumb.classify import (
     desk_range_tuples,
     family_tuple,
     known_witness,
+    rows_to_csv,
     sweep,
     theorem_audit,
 )
@@ -49,7 +53,14 @@ from knotplumb.plumbing import (
     reduce_tree,
 )
 
-from oracles import catalogue_count, enumerate_gram, naive_find_embedding, random_tree, relabel
+from oracles import (
+    catalogue_count,
+    closed_form_reference,
+    enumerate_gram,
+    naive_find_embedding,
+    random_tree,
+    relabel,
+)
 from fractions import Fraction
 
 
@@ -148,7 +159,8 @@ def test_criterion_4_construction_oracle():
         assert all(w <= -2 for w in reduced.weights.values())
         assert is_negative_definite(gram)
         assert abs(det_exact(gram)) == n
-        assert are_isomorphic(reduced, closed_form_two_iter(spec))
+        reference = closed_form_reference(two_iter_parameters(spec)).finish(spec, False)
+        assert are_isomorphic(reduced, reference)
         # the junction rule builds what the calculus reaches, ids included
         assert reduced.to_json() == reduce_tree(raw_plumbing(spec)).to_json()
 
@@ -219,6 +231,11 @@ def test_criterion_6_engine_completeness():
     assert checked > 400
 
 
+# sha256 of the serial desk sweep's CSV (rows_to_csv, no witness files) and
+# of its derived audit as `audit` prints it (json.dumps, indent=2)
+DESK_CSV_SHA256 = "57554923cfb590504607cafc94cfaff6050550264b08e45e56dec89d78efdb82"
+DESK_AUDIT_SHA256 = "40657f331c6e7587736ba1720ddeee568fe98bbb8f033821d0fcfabe52d0904a"
+
 # the first witness of each passing desk-range tuple
 DESK_WITNESSES = {
     (2, 3, 2, 17, 36): [
@@ -271,6 +288,10 @@ def test_criterion_7_theorem_audit():
     report = theorem_audit(rows, "derived")
     assert report.perfect, report.to_json_obj()
     assert not theorem_audit(rows, "printed").perfect
+    # every byte of the desk sweep's CSV and of its audit JSON
+    assert sha256(rows_to_csv(rows).encode()).hexdigest() == DESK_CSV_SHA256
+    audit_json = json.dumps(report.to_json_obj(), indent=2)
+    assert sha256(audit_json.encode()).hexdigest() == DESK_AUDIT_SHA256
 
     # a non-square n is decided by the determinant without a search; the
     # search on those graphs is pinned by the test below

@@ -1,17 +1,20 @@
 import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from knotplumb import cabling, plumbing
-from knotplumb.classify import desk_range_tuples
+from knotplumb.classify import admissible_tuples, desk_range_tuples
 from knotplumb.cabling import (
     CableTower,
     ReducibleBoundaryError,
     SurgerySpec,
     UnsupportedTowerError,
+    _TreeBuilder,
+    _junction_builder,
     _require_positive_framing,
     closed_form_two_iter,
     corner_weight,
@@ -33,6 +36,7 @@ from knotplumb.plumbing import (
 from knotplumb.hjcf import expand_neg_cf
 from oracles import (
     bareiss_det,
+    closed_form_reference,
     contract_junctions,
     fraction_forest_elimination,
     minors_negative_definite,
@@ -249,10 +253,48 @@ def lift_tower(k):
     return SurgerySpec(CableTower(tuple(pairs)), n)
 
 
+def reference_tree(spec, with_roles=False):
+    """The closed form as the reference builds it from its formulas."""
+    return closed_form_reference(two_iter_parameters(spec)).finish(spec, with_roles)
+
+
+def wide_family_specs(rng, count):
+    """Seeded two-iteration specs in the +-1 families: p_i in {2,3,4,5,7},
+    k1 <= 4, a2 up to 40 levels past the algebraic bound (the first the
+    l = -1 boundary), N in 1..12 or up to 300."""
+    specs = []
+    for _ in range(count):
+        p1, p2 = rng.choice((2, 3, 4, 5, 7)), rng.choice((2, 3, 4, 5, 7))
+        a1 = rng.randint(1, 4) * p1 + 1
+        k2 = p1 * a1 + rng.choice((0, 0, 1, rng.randint(2, 40)))
+        a2 = k2 * p2 + rng.choice((1, p2 - 1))
+        n_red = rng.randint(1, 12) if rng.random() < 0.8 else rng.randint(13, 300)
+        specs.append(SurgerySpec(CableTower(((p1, a1), (p2, a2))), n_red + p2 * a2))
+    return specs
+
+
 class TestClosedForm:
     def test_matches_calculus_on_worked_example(self):
         spec = SurgerySpec(CableTower(((2, 3), (2, 17))), 36)
-        assert are_isomorphic(closed_form_two_iter(spec), reduced_plumbing(spec))
+        assert are_isomorphic(reference_tree(spec), reduced_plumbing(spec))
+
+    def test_equals_the_reference(self):
+        # the junction rule's tree, numbered without gaps, is the closed
+        # formulas' tree: ids, weights, roles and memoised form, on the
+        # desk range, at N = 1, and on a seeded wide sample with both
+        # congruence signs and the l = -1 boundary
+        tuples = desk_range_tuples() + admissible_tuples((2, 3, 5), (1, 2, 3), (2, 3, 5), 40, (1,))
+        specs = [SurgerySpec(CableTower((t[:2], t[2:4])), t[4]) for t in tuples]
+        specs += wide_family_specs(random.Random(43), 400)
+        seen = set()
+        for spec in specs:
+            par = two_iter_parameters(spec)
+            tree, roles = closed_form_two_iter(spec, with_roles=True)
+            ref, ref_roles = reference_tree(spec, with_roles=True)
+            assert tree.to_json() == ref.to_json(), spec
+            assert roles == ref_roles and tree._form == ref._form, spec
+            seen.add((par["sign"], par["l"] == -1, min(par["N"], 2) if par["N"] <= 12 else 13))
+        assert seen == {(s, b, n) for s in (-1, 1) for b in (False, True) for n in (1, 2, 13)}
 
     def test_family2_shape(self):
         spec = SurgerySpec(CableTower(((2, 7), (2, 31))), 64)
@@ -281,7 +323,7 @@ class TestClosedForm:
             v for v in tree.neighbors(node1) if roles[v] == "torso1"
         ]
         assert [tree.weight(v) for v in torso1_end] == [-3]
-        assert are_isomorphic(tree, reduced_plumbing(spec))
+        assert are_isomorphic(reference_tree(spec), reduced_plumbing(spec))
 
     def test_plus_one_congruence_shape(self):
         # a2 = +1 (mod p2) with p2 = 3: torso 2 ends in -(p2+1), leg 2 is twos
@@ -291,7 +333,7 @@ class TestClosedForm:
         leg2 = [tree.weight(v) for v in tree.vertices() if roles[v] == "leg2"]
         assert torso2[-1] == -4 and all(w == -2 for w in torso2[:-1])
         assert leg2 == [-2, -2]
-        assert are_isomorphic(tree, reduced_plumbing(spec))
+        assert are_isomorphic(reference_tree(spec), reduced_plumbing(spec))
 
     def test_rejects_out_of_family(self):
         with pytest.raises(UnsupportedTowerError):
@@ -347,6 +389,79 @@ class TestBuilder:
                 assert form == (bareiss_det(g), minors_negative_definite(g)), t
             indefinite += not form[1]
         assert indefinite == len(low) + 40 + 1005
+
+
+class TestRunStep:
+    """The builder's pass takes a -2 run in one step; against it, the same
+    tree expanded and eliminated a vertex at a time, by the kernel in
+    construction order and by walk, and the Fraction-pivot oracle."""
+
+    @staticmethod
+    def assert_agree(build):
+        tree = build.tree(None)
+        form = plumbing._eliminate(build.weights, None, build.parent, build.runs)
+        assert form == plumbing._eliminate(tree._weights, None, construction_parents(tree))
+        assert form == plumbing._eliminate(tree._weights, tree._adj)
+        if len(tree) <= 400:
+            assert form == fraction_forest_elimination(gram_matrix(tree))
+        return form
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 100, 101])
+    def test_entry_values(self, count):
+        # leaves of weights w on the run's lowest vertex enter it at
+        # -2 - sum(1/w): below -1 (every pivot negative), -1 (all -1), -m/(m+1)
+        # in (-1, 0) for w = -1, -(m+1) (a zero pivot at the run's k = m,
+        # inside it, just below its top, at its top or past it), 0 and 1
+        # (zero and positive from the start); a 0-leaf, a zero pivot below
+        # the run, leaves its lowest vertex a den of 0.  The run is a root
+        # or hangs off a vertex.
+        leaf_sets = [[], [1], [-1], [-1, -1], [-1, -1, -1], [0], [0, -1], [0, 0]]
+        leaf_sets += [[-1, -(m + 1)] for m in {1, 2, count - 2, count - 1, count} if m > 0]
+        outcomes = set()
+        for leaves in leaf_sets:
+            for parent_weight in (None, -2, -1, 0, 3):
+                build = _TreeBuilder()
+                top = None if parent_weight is None else build.add(parent_weight, "parent")
+                run = build.add(-2, "run", top, count)
+                for w in leaves:
+                    build.add(w, "leaf", run)
+                det, negative = self.assert_agree(build)
+                outcomes.add((det == 0, negative))
+        assert outcomes == {(True, False), (False, False), (False, True)}
+
+    def test_random_trees(self):
+        # runs anywhere: under runs, under vertices of any weight, with
+        # children that make their pivots cross zero
+        rng = random.Random(31)
+        outcomes = Counter()
+        for _ in range(400):
+            build = _TreeBuilder()
+            for _ in range(rng.randint(1, 10)):
+                attach = rng.choice(list(build.weights)) if build.weights else None
+                if rng.random() < 0.4:
+                    build.add(-2, "run", attach, rng.choice((2, 3, 5, 100)))
+                else:
+                    build.add(rng.randint(-4, 3), "vertex", attach)
+            det, negative = self.assert_agree(build)
+            outcomes[det == 0, negative] += 1
+        assert len(outcomes) == 3 and min(outcomes.values()) >= 5, outcomes
+
+    def test_towers(self):
+        # the junction rule's runs at N up to 600, with and without its gaps
+        rng = random.Random(37)
+        for _ in range(40):
+            spec = random_tower_spec(rng, rng.randint(1, 4))
+            spec = SurgerySpec(spec.knot, spec.n + rng.randint(0, 560))
+            for gaps in (True, False):
+                build = _junction_builder(spec, gaps)
+                assert build.runs
+                det, negative = self.assert_agree(build)
+                assert abs(det) == spec.n and negative
+
+    def test_a_run_of_any_length(self):
+        # a -2 chain of c vertices has det (-1)^c (c + 1), in one step
+        for c in (2, 3, 10**6, 10**12, 10**12 + 1):
+            assert plumbing._eliminate({0: -2}, None, {0: None}, {0: c}) == ((-1) ** c * (c + 1), True)
 
 
 class TestFramingRule:

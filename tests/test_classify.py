@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from collections import Counter
 
 import pytest
@@ -122,6 +123,15 @@ class TestClassifyOne:
     def test_rejects_out_of_family(self):
         with pytest.raises(Exception):
             classify_one(SurgerySpec(CableTower(((2, 3), (5, 67))), 340))
+
+    def test_non_square_at_huge_N(self):
+        # the tail's N - 1 -2's are one run in the builder's pass, so a
+        # non-square n is decided by its determinant at any N
+        start = time.perf_counter()
+        row = classify_one(spec_for(2, 3, 2, 17, 10**12 + 34))
+        assert time.perf_counter() - start < 0.1
+        assert (row.verdict, row.proof) == (VerdictKind.OBSTRUCTION_FAILS, "determinant")
+        assert (row.n_reduced, row.rank, row.nodes) == (10**12, 10**12 + 6, 0)
 
     @pytest.mark.parametrize(
         "tup,kind,proof",

@@ -5,6 +5,7 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from collections import Counter
 
@@ -61,6 +62,23 @@ class TestContfrac:
         res = run_cli("contfrac", "7/0")
         assert res.returncode == 1 and "error" in res.stderr
         assert run_cli("contfrac", "14/4").returncode == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["99999999999999999999999/7", "--dual"], ["1000002/1000001"], ["1000002/1000001", "--reverse", "--json"]],
+    )
+    def test_refuses_over_a_million_coefficients(self, capsys, argv):
+        # the first ran for more than 5 s: every list's length comes from
+        # Euclid's quotients before anything is expanded
+        start = time.perf_counter()
+        assert cli.main(["contfrac", *argv]) == 1
+        assert time.perf_counter() - start < 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.endswith("contfrac prints at most 1000000\n")
+        # without --dual its list is short
+        assert cli.main(["contfrac", "99999999999999999999999/7"]) == 0
+        assert capsys.readouterr().out == "[14285714285714285714286,3,2,2]\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -234,6 +252,17 @@ class TestSweepCli:
     def test_invalid_ranges_exit_1(self):
         assert run_cli("sweep", "--p1", "1", "--k1", "1").returncode == 1
         assert run_cli("sweep", "--N", "x").returncode == 1
+
+    def test_huge_N(self, tmp_path, capsys):
+        # n = 10^12 + 2 a2 is no square: each row is decided by the builder's
+        # pass, its tail of N - 1 -2's one run, and its rank is N + 5 + l
+        N = 10**12
+        argv = ["sweep", "--p1", "2", "--k1", "1", "--p2", "2", "--k2-max", "8", "--N", str(N)]
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            f"2,3,2,{a2},{N + 2 * a2},{N},{N + 5 + l},ObstructionFails,,0,"
+            for a2, l in ((13, -1), (15, 0), (17, 1))
+        ]
 
 
 def ms_cells(csv_text):

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from knotplumb.hjcf import (
     NotReducedError,
+    _expansion_length,
     dual_point_rule,
     eval_neg_cf,
     expand_neg_cf,
@@ -43,6 +44,42 @@ class TestExpand:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             expand_neg_cf(-7, 2)
+
+    def test_every_input_form_agrees(self):
+        # an int pair is expanded without a Fraction; the value decides
+        for p, q in coprime_pairs(40):
+            assert expand_neg_cf(p, q) == expand_neg_cf(Fraction(p, q))
+        assert expand_neg_cf(5) == expand_neg_cf(Fraction(5)) == expand_neg_cf(5, 1) == (5,)
+        for bad in [(7.0, 2), (7, 2.0), ("7", 2), (Fraction(7), 2)]:
+            with pytest.raises(TypeError):
+                expand_neg_cf(*bad)
+        for bad in (3.5, "7/2", None):
+            with pytest.raises(TypeError):
+                expand_neg_cf(bad)
+        for bad in [(1, 2), (2, 2), (0, 1), (5, 0), (1,)]:
+            with pytest.raises(ValueError):
+                expand_neg_cf(*bad)
+
+
+class TestExpansionLength:
+    def test_matches_the_expansion(self):
+        pairs = list(coprime_pairs(150)) + [(10**6 + 1, 10**6), (10**6 + 1, 1), (2**61 - 1, 2**31 - 1)]
+        for p, q in pairs:
+            assert _expansion_length(p, q) == len(expand_neg_cf(p, q)), (p, q)
+        assert (_expansion_length(Fraction(7, 2)), _expansion_length(7)) == (2, 1)
+
+    def test_logarithmic_on_long_runs(self):
+        # [2] * 10^30: Euclid takes two quotients where the expansion takes 10^30 steps
+        assert _expansion_length(10**30 + 1, 10**30) == 10**30
+        assert _expansion_length(99999999999999999999999, 7) == 4
+        assert _expansion_length(99999999999999999999999, 99999999999999999999992) == 14285714285714285714286
+
+    def test_raises_as_the_expansion(self):
+        for bad in [(14, 4), (1, 2), (7, 0), (-7, 2)]:
+            with pytest.raises(ValueError) as want:
+                expand_neg_cf(*bad)
+            with pytest.raises(type(want.value), match=str(want.value)):
+                _expansion_length(*bad)
 
 
 class TestEval:

@@ -390,7 +390,7 @@ class TestForestElimination:
                 is_negative_definite(m)
 
     def test_long_chain_is_linear(self, monkeypatch):
-        # integer numerators and denominators only: no Fraction is built
+        # integer continuants only: no Fraction is built
         def no_fractions(*args):
             raise AssertionError("leaf elimination built a Fraction")
 
@@ -439,10 +439,10 @@ class TestForestElimination:
         assert outcomes == {False, True}
 
     def test_matches_fraction_reference_on_large_forests(self):
-        # heavy weights and entries up to 3 make the numerators and
-        # denominators grow far past machine words (determinants of up to
-        # 228 bits), and the weights from -40 to 10 fire the zero rule in
-        # about a fifth of these forests
+        # heavy weights and entries up to 3 make the continuants grow far
+        # past machine words (determinants of up to 228 bits), and the
+        # weights from -40 to 10 meet a zero pivot in about a fifth of
+        # these forests
         rng = random.Random(59)
         outcomes = set()
         for _ in range(1000):
@@ -541,13 +541,12 @@ class TestFormInvariants:
             assert form_invariants(relabel(t, dict(zip(t.vertices(), ids)))) == expected
             outcomes.add((expected[0] == 0, expected[1]))
         assert outcomes == {(True, False), (False, False), (False, True)}
-        # a 0-leaf on a -1: the zero rule fires
+        # a 0-leaf on a -1: a zero pivot
         assert form_invariants(path_tree([0, -1, -2, -2])) == (-3, False)
 
     def test_caterpillars_match_oracles(self):
-        # the spine's continuants grow with its length; the determinant is
-        # kept as one integer, its pivots' denominators divided out as they
-        # are taken, and must still come out exact
+        # the spine's continuants grow with its length, and the
+        # determinant must still come out exact
         outcomes = set()
         for spine in range(1, 41):
             # no -1, one, every third, or a -1 path (det 0 at spine 2 mod 3)
