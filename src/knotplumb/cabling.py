@@ -309,39 +309,18 @@ def _junction_builder(spec, gaps) -> _TreeBuilder:
     return build
 
 
-def two_iter_parameters(spec: SurgerySpec) -> dict:
-    """Derived quantities of a two-iteration spec in the +-1 congruence families.
-
-    Returns p1, a1, k1, p2, a2, k2 (= ceil(a2/p2) - 1), the congruence sign
-    of a2 modulo p2 (-1 is preferred when p2 = 2, where both hold), the
-    reduced framing N, and l = k2 - 1 - p1*a1 (the number of -2's left at
-    the head of Torso 2; l = -1 is the algebraic-only boundary case).
-    Raises UnsupportedTowerError on any other tower, or one not algebraic.
-    """
+def _require_two_iter(spec: SurgerySpec):
+    """Two cabling pairs with a1 = 1 (mod p1), a1 > p1 and a2 = +-1
+    (mod p2), algebraic: the +-1 congruence families of the closed form.
+    Raises UnsupportedTowerError on any other tower."""
     if spec.knot.iterations != 2:
         raise UnsupportedTowerError("closed form needs exactly two cabling pairs")
     (p1, a1), (p2, a2) = spec.knot.pairs
     if a1 % p1 != 1 or a1 <= p1:
         raise UnsupportedTowerError(f"a1 = {a1} must be 1 mod p1 = {p1} and exceed it")
-    if a2 % p2 == p2 - 1:
-        sign = -1
-    elif a2 % p2 == 1:
-        sign = +1
-    else:
+    if a2 % p2 not in (1, p2 - 1):
         raise UnsupportedTowerError(f"a2 = {a2} must be +-1 mod p2 = {p2}")
     _require_buildable(spec)
-    k2 = ceil_div(a2, p2) - 1
-    return {
-        "p1": p1,
-        "a1": a1,
-        "k1": (a1 - 1) // p1,
-        "p2": p2,
-        "a2": a2,
-        "k2": k2,
-        "sign": sign,
-        "N": spec.reduced_framing,
-        "l": k2 - 1 - p1 * a1,
-    }
 
 
 def closed_form_two_iter(spec: SurgerySpec, with_roles: bool = False):
@@ -358,6 +337,6 @@ def closed_form_two_iter(spec: SurgerySpec, with_roles: bool = False):
     corner i named node i; the tests hold it to these formulas.  N <= 0
     raises as in reduced_plumbing.
     """
-    two_iter_parameters(spec)  # the families' check
+    _require_two_iter(spec)
     _require_positive_framing(spec)
     return _junction_builder(spec, gaps=False).finish(spec, with_roles)

@@ -21,6 +21,10 @@ witnesses are constructed in closed form (known_witness):
     family 1: (p1, p1+1; p2, p2*(p1+1)^2 - 1; p2^2*(p1+1)^2)
     family 2: (2, 7; p2, 16*p2 - 1; 16*p2^2)
 
+Both are the cabling lift (pairs; p, p*n_b - 1; p^2*n_b) at p = p2 of a
+one-iteration base, T(p1, p1+1) at (p1+1)^2 and T(2,7) at 16, so a
+witness is a base witness followed by one lift rule (_lift).
+
 The audit also knows a "printed" variant of family 1 with
 a2 = p2*(p1+1) - 1, which fails the algebraicity requirement
 a2/p2 > p1*a1 for every p1 >= 2; comparing sweeps against either form is
@@ -38,9 +42,9 @@ from .cabling import (
     CableTower,
     SurgerySpec,
     _junction_builder,
+    _require_two_iter,
     closed_form_two_iter,
     reduced_plumbing,  # unused; perfbench's LAYER_PATCHES wraps classify.reduced_plumbing
-    two_iter_parameters,
 )
 from .lattice import SearchStatus, find_embedding, verify_embedding
 from .plumbing import gram_matrix
@@ -100,8 +104,8 @@ def classify_one(spec: SurgerySpec, budget=DEFAULT_BUDGET) -> SweepRow:
     call's wall time.
     """
     t0 = time.perf_counter()
-    par = two_iter_parameters(spec)  # validates the tower, once
-    n_red = par["N"]
+    _require_two_iter(spec)
+    n_red = spec.reduced_framing
     rank, witness, nodes, proof = None, None, 0, None
     if n_red < 0:
         verdict = VerdictKind.NO_NEGATIVE_DEFINITE_FORM
@@ -148,116 +152,58 @@ def is_family_member(p1, a1, p2, a2, n, family1_form="derived") -> bool:
     )
 
 
-def _g_block(vecs_by_id, ids, g, p2, n_red):
-    """Shared right half of both witnesses: Torso 2 tail, Node 2, Leg 2, Tail.
-
-    g(j) is the j-th basis vector (1-indexed) of the g-coordinate block of
-    length p2 + N - 1.  Covers torso2-trailing staircase g1-g2, ...,
-    node2 = g_{p2-1}-g_{p2}, leg2 = g_{p2}+...+g_{p2+N-1}, and the tail
-    staircase continuing from node2.
-    """
-    trailing, node2, leg2, tail = ids
-    for j, vid in enumerate(trailing, start=1):
-        vecs_by_id[vid] = g(j) - g(j + 1)
-    vecs_by_id[node2] = g(p2 - 1) - g(p2)
-    u = g(p2)
-    for j in range(p2 + 1, p2 + n_red):
-        u = u + g(j)
-    (leg2_id,) = leg2
-    vecs_by_id[leg2_id] = u
-    for j, vid in enumerate(tail, start=0):
-        vecs_by_id[vid] = g(p2 + j) - g(p2 + j + 1)
+def _vec(rank, plus, minus=()):
+    """The sum of e_i over plus less that over minus (0-based), of length rank."""
+    return tuple(1 if k in plus else -1 if k in minus else 0 for k in range(rank))
 
 
-class _Vec(tuple):
-    def __add__(self, other):
-        return _Vec(a + b for a, b in zip(self, other))
-
-    def __sub__(self, other):
-        return _Vec(a - b for a, b in zip(self, other))
-
-    def __neg__(self):
-        return _Vec(-a for a in self)
-
-
-def _basis(rank):
-    def e(i):  # 1-indexed within a caller-chosen offset
-        v = [0] * rank
-        v[i] = 1
-        return _Vec(v)
-
-    return e
+# T(2,7) at 16 on e_1..e_3, f_1..f_3: torso -2, -2, -3, node, leg, tail
+_T27_AT_16 = (
+    (1, -1, 0, 0, 0, 0),
+    (0, 1, -1, 0, 0, 0),
+    (-1, -1, 0, 0, 0, 1),
+    (0, 0, 0, 0, 1, -1),
+    (0, 0, 0, 1, -1, 0),
+    (0, 0, 0, -1, -1, 0),
+)
 
 
-def _ids_by_role(tree, roles):
-    by_role = {}
-    for v in tree.vertices():  # ascending ids = construction order
-        by_role.setdefault(roles[v], []).append(v)
-    return by_role
+def _lift(base, p):
+    """The witness of the (p, p*n_b - 1)-cable at p^2*n_b from one of its
+    base at n_b, N_b = n_b - p_k*a_k >= 2, both in construction order.
+
+    The lifted tree is the base tree with its last vertex (the tail's end)
+    at -3, then p - 2 torso -2's, node (-2), leg (-p) and p - 1 tail -2's:
+    on new coordinates g_1..g_{2p-1} the last vector loses g_1 and the new
+    ones are g_j - g_{j+1} (j < p), g_p + ... + g_{2p-1}, g_j - g_{j+1}."""
+    m = 2 * p - 1
+    lifted = [v + (0,) * m for v in base[:-1]] + [base[-1] + _vec(m, (), (0,))]
+    steps = [_vec(m, (i,), (i + 1,)) for i in range(m - 1)]
+    new = steps[: p - 1] + [_vec(m, range(p - 1, m))] + steps[p - 1 :]
+    return tuple(lifted + [(0,) * len(base[0]) + v for v in new])
 
 
 def known_witness(spec: SurgerySpec):
     """Explicit embedding for specs in one of the two solution families.
 
-    Instantiates the closed-form solutions (both with all free parameters
-    zero: l = p1 - 1 and N = p2 in family 1; k1 = 3, l = 0, N = p2 in
-    family 2) against the closed-form graph's vertex order, verifies the
-    result, and returns it; returns None off-family.  Raises, as
-    two_iter_parameters does, on a tower outside the families' premises.
+    Each family is one cabling lift (_lift) of a one-iteration base witness:
+    family 1 lifts T(p1, p1+1) at (p1+1)^2, family 2 lifts T(2,7) at 16,
+    both by p = p2 to N = p2.  The result is verified against the
+    closed-form graph and returned; returns None off-family.  Raises, as
+    closed_form_two_iter does, on a tower outside the families' premises.
     """
-    par = two_iter_parameters(spec)
-    p1, a1, p2, a2 = par["p1"], par["a1"], par["p2"], par["a2"]
-    n = spec.n
-    if not is_family_member(p1, a1, p2, a2, n):
+    _require_two_iter(spec)
+    (p1, a1), (p2, a2) = spec.knot.pairs
+    if not is_family_member(p1, a1, p2, a2, spec.n):
         return None
-    # both solution families sit at N = p2, n = N + p2*a2
-    if par["N"] != p2 or n != p2 + p2 * a2:
-        raise AssertionError(f"family tuple {spec} is not at N = p2")
-    tree, roles = closed_form_two_iter(spec, with_roles=True)
-    ids = _ids_by_role(tree, roles)
-    rank = len(tree)
-    base = _basis(rank)
-    vecs = {}
-
-    if (p1, a1, p2, a2, n) == family_tuple("derived", p1, p2):
-        # coordinates: f_1..f_{2p1}, g_1..g_{2p2-1}, h
-        f = lambda j: base(j - 1)
-        g = lambda j: base(2 * p1 + j - 1)
-        h = base(2 * p1 + 2 * p2 - 1)
-        (v_id,) = ids["torso1"]
-        v = f(p1 + 1)
-        for j in range(p1 + 2, 2 * p1 + 1):
-            v = v + f(j)
-        vecs[v_id] = v - h
-        vecs[ids["node1"][0]] = f(p1) - f(p1 + 1)
-        for j, vid in enumerate(ids["leg1"], start=1):  # node1 outward
-            vecs[vid] = f(p1 - j) - f(p1 - j + 1)
-        torso2 = ids["torso2"]
-        lead, w_id, trailing = torso2[: p1 - 1], torso2[p1 - 1], torso2[p1:]
-        for j, vid in enumerate(lead, start=1):
-            vecs[vid] = f(p1 + j) - f(p1 + j + 1)
-        vecs[w_id] = f(2 * p1) + h - g(1)
-        _g_block(vecs, (trailing, ids["node2"][0], ids["leg2"], ids.get("tail", [])), g, p2, par["N"])
-    elif (p1, a1, p2, a2, n) == family_tuple("family2", p1, p2):
-        # coordinates: e_1..e_3, f_1..f_3, g_1..g_{2p2-1}, one unused
-        e = lambda j: base(j - 1)
-        f = lambda j: base(3 + j - 1)
-        g = lambda j: base(6 + j - 1)
-        t1 = ids["torso1"]
-        vecs[t1[0]] = e(1) - e(2)
-        vecs[t1[1]] = e(2) - e(3)
-        vecs[t1[2]] = -e(1) - e(2) + f(3)
-        vecs[ids["node1"][0]] = f(2) - f(3)
-        vecs[ids["leg1"][0]] = f(1) - f(2)
-        torso2 = ids["torso2"]
-        w_id, trailing = torso2[0], torso2[1:]
-        vecs[w_id] = -g(1) - f(1) - f(2)
-        _g_block(vecs, (trailing, ids["node2"][0], ids["leg2"], ids.get("tail", [])), g, p2, par["N"])
-    else:
-        return None
-
-    witness = tuple(tuple(vecs[v]) for v in tree.vertices())
-    if not verify_embedding(gram_matrix(tree), witness):
+    base = _T27_AT_16
+    if a1 == p1 + 1:  # family 1 on f_1..f_{2p1}, h: torso, node, leg outward, tail
+        r = 2 * p1 + 1
+        steps = [_vec(r, (i,), (i + 1,)) for i in range(2 * p1 - 1)]
+        torso, last = _vec(r, range(p1, 2 * p1), (2 * p1,)), _vec(r, (2 * p1 - 1, 2 * p1))
+        base = [torso, *steps[p1 - 1 :: -1], *steps[p1:], last]
+    witness = _lift(base, p2)
+    if not verify_embedding(gram_matrix(closed_form_two_iter(spec)), witness):
         raise AssertionError(f"constructed witness for {spec} fails verification")
     return witness
 

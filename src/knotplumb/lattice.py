@@ -109,19 +109,30 @@ class SearchResult:
 
 
 def verify_embedding(gram, vectors) -> bool:
-    """Exact check that -(v_i . v_j) reproduces the Gram matrix entrywise."""
+    """Exact check that -(v_i . v_j) reproduces the Gram matrix entrywise.
+
+    Products are summed per coordinate over the vectors nonzero there, so
+    a pair with disjoint supports is never multiplied out: the cost is
+    n*r to read the vectors, the sum over coordinates of the square of
+    their support, and n^2/2 comparisons, not n^2*r/2 products."""
     n = len(gram)
     if len(vectors) != n:
         raise ValueError(f"{len(vectors)} vectors for a rank-{n} Gram matrix")
     r = len(vectors[0]) if vectors else 0
     if any(len(v) != r for v in vectors):
         raise ValueError("vectors of mixed lengths")
-    for i in range(n):
-        for j in range(i, n):
-            dot = sum(a * b for a, b in zip(vectors[i], vectors[j]))
-            if -dot != gram[i][j]:
-                return False
-    return True
+    columns = [[] for _ in range(r)]
+    for i, v in enumerate(vectors):
+        for k, x in enumerate(v):
+            if x:
+                columns[k].append((i, x))
+    minus_dots = [[0] * n for _ in range(n)]
+    for column in columns:
+        for a, (i, x) in enumerate(column):
+            row = minus_dots[i]
+            for j, y in column[a:]:
+                row[j] -= x * y
+    return all(minus_dots[i][i:] == list(gram[i][i:n]) for i in range(n))
 
 
 def _depth_first(adj):

@@ -21,7 +21,8 @@ step, where the implementation keeps them move by move.
 centroid_isomorphic compares the least preorder serialization rooted at
 a centroid, where the implementation peels leaves layer by layer.
 closed_form_reference builds the two-iteration centipede from its closed
-formulas, where the implementation derives it by the junction rule.
+formulas, where the implementation derives it by the junction rule;
+two_iter_parameters derives the quantities those formulas read.
 fresh_id, a helper only the tests use, lives here too.
 
 search_gram and enumerate_gram are adapters, not oracles: they run the
@@ -40,7 +41,8 @@ from fractions import Fraction
 from itertools import chain
 
 from knotplumb import lattice
-from knotplumb.cabling import _TreeBuilder
+from knotplumb.cabling import _require_two_iter, _TreeBuilder
+from knotplumb.hjcf import ceil_div
 from knotplumb.lattice import SearchResult, SearchStatus, verify_embedding
 from knotplumb.plumbing import (
     WeightedTree,
@@ -677,6 +679,32 @@ def random_tree(rng: random.Random, max_vertices=12, weights=(-4, 3)) -> Weighte
     weight_map = {v: rng.randint(lo, hi) for v in ids}
     edges = [(ids[i], ids[rng.randrange(i)]) for i in range(1, n)]
     return WeightedTree(weight_map, edges)
+
+
+def two_iter_parameters(spec) -> dict:
+    """Derived quantities of a two-iteration spec in the +-1 congruence families.
+
+    Returns p1, a1, k1, p2, a2, k2 (= ceil(a2/p2) - 1), the congruence sign
+    of a2 modulo p2 (-1 is preferred when p2 = 2, where both hold), the
+    reduced framing N, and l = k2 - 1 - p1*a1 (the number of -2's left at
+    the head of Torso 2; l = -1 is the algebraic-only boundary case).
+    Raises UnsupportedTowerError, as cabling._require_two_iter does, on any
+    other tower, or one not algebraic.
+    """
+    _require_two_iter(spec)
+    (p1, a1), (p2, a2) = spec.knot.pairs
+    k2 = ceil_div(a2, p2) - 1
+    return {
+        "p1": p1,
+        "a1": a1,
+        "k1": (a1 - 1) // p1,
+        "p2": p2,
+        "a2": a2,
+        "k2": k2,
+        "sign": -1 if a2 % p2 == p2 - 1 else +1,
+        "N": spec.reduced_framing,
+        "l": k2 - 1 - p1 * a1,
+    }
 
 
 def closed_form_reference(par) -> _TreeBuilder:

@@ -20,7 +20,6 @@ from knotplumb.cabling import (
     corner_weight,
     raw_plumbing,
     reduced_plumbing,
-    two_iter_parameters,
 )
 from knotplumb.classify import (
     VerdictKind,
@@ -60,6 +59,7 @@ from oracles import (
     naive_find_embedding,
     random_tree,
     relabel,
+    two_iter_parameters,
 )
 from fractions import Fraction
 

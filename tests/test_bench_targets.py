@@ -1,7 +1,8 @@
 """The traced benchmark (perfbench/workloads.py) wraps named attributes of
-the library's modules in spans, and its workloads call others; a rename or
-deletion there breaks the benchmark, so every target and every attribute
-it reads is checked here, in seconds, without running the benchmark."""
+the library's modules in spans, and its workloads and its self-test
+(perfbench/selftest.py) call others; a rename or deletion there breaks the
+benchmark, so every target and every attribute they read is checked here,
+in seconds, without running the benchmark."""
 
 import ast
 import importlib
@@ -84,8 +85,10 @@ def knotplumb_reads(source):
 
 
 def test_workload_reads_exist():
-    reads = knotplumb_reads((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
-    # the walk finds the reads each workload makes
+    reads = set()
+    for source in ("workloads.py", "selftest.py"):
+        reads |= knotplumb_reads((PERFBENCH / source).read_text(encoding="utf-8"))
+    # the walk finds the reads each workload and the self-test make
     assert {
         ("plumbing", "are_isomorphic"),
         ("cabling", "closed_form_two_iter"),
@@ -93,6 +96,10 @@ def test_workload_reads_exist():
         ("classify", "theorem_audit"),
         ("cli", "main"),
         ("cabling", "SurgerySpec"),
+        ("classify", "known_witness"),
+        ("classify", "SweepRow"),
+        ("classify", "admissible_tuples"),
+        ("plumbing", "gram_matrix"),
     } <= reads
     missing = [
         f"knotplumb.{module}.{attr}"

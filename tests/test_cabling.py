@@ -20,7 +20,6 @@ from knotplumb.cabling import (
     corner_weight,
     raw_plumbing,
     reduced_plumbing,
-    two_iter_parameters,
 )
 from knotplumb.plumbing import (
     NoNegativeDefiniteFormError,
@@ -41,6 +40,7 @@ from oracles import (
     fraction_forest_elimination,
     minors_negative_definite,
     signature,
+    two_iter_parameters,
 )
 from test_plumbing import THREE_ITERATION_SPECS, random_tower_spec
 

@@ -26,7 +26,7 @@ from knotplumb.classify import (
     sweep,
     theorem_audit,
 )
-from knotplumb.lattice import find_embedding, verify_embedding
+from knotplumb.lattice import find_embedding, render_vector, verify_embedding
 from knotplumb.plumbing import form_invariants, gram_matrix
 
 from test_lattice import run_child
@@ -220,6 +220,16 @@ class TestKnownWitness:
         tup = family_tuple("family2", 2, p2)
         assert known_witness(spec_for(*tup)) is not None
 
+    def test_rendered_witnesses(self):
+        # family 1 on f_1..f_4, h, g_1..g_3; family 2 on e_1..e_3, f_1..f_3, g_1..g_5
+        assert [render_vector(v) for v in known_witness(spec_for(2, 3, 2, 17, 36))] == [
+            "e3+e4-e5", "e2-e3", "e1-e2", "e3-e4", "e4+e5-e6", "e6-e7", "e7+e8", "e7-e8",
+        ]
+        assert [render_vector(v) for v in known_witness(spec_for(2, 7, 3, 47, 144))] == [
+            "e1-e2", "e2-e3", "-e1-e2+e6", "e5-e6", "e4-e5", "-e4-e5-e7", "e7-e8", "e8-e9",
+            "e9+e10+e11", "e9-e10", "e10-e11",
+        ]
+
     def test_off_family_none(self):
         assert known_witness(spec_for(2, 3, 2, 17, 38)) is None
         assert known_witness(spec_for(2, 3, 2, 13, 28)) is None
@@ -255,6 +265,35 @@ class TestKnownWitness:
         for dn in (1, 5):
             verdict = classify_one(spec_for(*base[:4], base[4] + dn))
             assert verdict.verdict is VerdictKind.OBSTRUCTION_FAILS
+
+
+def lifted(spec, p):
+    """The (p, p*n - 1)-cable of spec's tower at p^2*n."""
+    return SurgerySpec(CableTower(spec.knot.pairs + ((p, p * spec.n - 1),)), p * p * spec.n)
+
+
+class TestLift:
+    # the lift of a witness must embed the junction rule's lifted tree, for
+    # bases that known_witness does not write: searched ones, deeper towers
+
+    def test_five_lifts_of_a_searched_base(self):
+        spec = SurgerySpec(CableTower(((2, 3),)), 9)
+        witness = find_embedding(reduced_plumbing(spec)).witness
+        for p in (2, 3, 2, 3, 2):
+            spec, witness = lifted(spec, p), classify._lift(witness, p)
+            assert verify_embedding(gram_matrix(reduced_plumbing(spec)), witness), spec
+        assert spec.knot.iterations == 6 and len(witness) == 24
+
+    @pytest.mark.parametrize(
+        "base", [(2, 3, 2, 17, 36), (2, 3, 3, 26, 81), (2, 7, 2, 31, 64),
+                 (2, 7, 3, 47, 144), (3, 4, 2, 31, 64), (3, 4, 3, 47, 144)]
+    )
+    def test_desk_passes_lifted(self, base):
+        spec = spec_for(*base)
+        witness = find_embedding(closed_form_two_iter(spec)).witness
+        for p in (2, 3, 5):
+            tree = reduced_plumbing(lifted(spec, p))
+            assert verify_embedding(gram_matrix(tree), classify._lift(witness, p)), p
 
 
 class TestSweep:
