@@ -299,7 +299,12 @@ def _embed_input(args):
     return tree, name
 
 
+MAX_RANK = 10**6  # the widest rank embed takes: a witness holds one entry per coordinate
+
+
 def cmd_embed(args, config):
+    if args.rank is not None and args.rank > MAX_RANK:
+        raise CliError(f"--rank {args.rank}; embed takes a rank of at most {MAX_RANK}")
     if args.locally_minimal and not args.enumerate:
         raise CliError("--locally-minimal needs --enumerate")
     if args.enumerate and args.budget is not None:

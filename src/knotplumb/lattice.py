@@ -59,8 +59,8 @@ neighbour's support, so only those classes, at most the neighbours'
 norms of them, are tried as class A, and a +-1 in class A fixes the
 signed signature of the class of the other +-1, which one dict lookup
 finds; one merge of the targets and class A's signature, both in depth
-order, builds that key.  The first vertex of a component, with zero
-targets, gets its neutral fills gap first.  The candidates are sorted
+order, builds that key.  The first vertex of a light component, with
+zero targets, gets its neutral fills gap first.  The candidates are sorted
 the same way, so this too gives the enumeration's list, element for
 element.
 
@@ -79,9 +79,15 @@ clear of the recursion limit.
 A node budget turns an over-long search into an explicit indeterminate
 outcome, never a wrong answer.
 
-Vertices are placed in one fixed depth-first order (_depth_first), so
-each vertex after the first of its component is placed next to one
-already placed.  The order affects speed only, never the verdict.
+Vertices are placed in one fixed order (_Searcher._order): first those
+of norm at most 2, depth first (_depth_first), so that each one after
+the first of its light component is placed next to one already placed;
+then the heavy ones, of norm 3 or more, in ascending norm, the heaviest
+last.  A heavy vertex's untouched fills are as many as the partitions of
+its norm into squares; placed last, it is tried only against the few
+columns left, and a search that fails mostly fails before it.  The
+order affects speed only, never the verdict: the search is complete in
+any order.
 
 All arithmetic is on plain integers.
 """
@@ -136,14 +142,15 @@ def verify_embedding(gram, vectors) -> bool:
 
 
 def _depth_first(adj):
-    """Order in which the search places vertices, given their neighbours.
+    """Depth-first preorder of the vertices, given their neighbours.
 
-    Depth-first preorder from the lowest index, neighbours visited in
-    ascending index, each further component started at its lowest
-    unplaced index.  Every vertex after the first of its component is
-    then placed next to an already-placed one, so its dot-product targets
-    prune candidates from the start.  Any complete order gives the same
-    verdict; the order only affects speed.
+    The walk starts from the lowest index, visits neighbours in ascending
+    index, and starts each further component at its lowest unplaced
+    index.  Every vertex after the first of its component then comes
+    after one of its neighbours, so its dot-product targets prune
+    candidates from the start.  The search places its light vertices in
+    this order (_Searcher._order); any complete order gives the same
+    verdict, and the order only affects speed.
     """
     placed = [False] * len(adj)
     order = []
@@ -240,6 +247,10 @@ class _Class:
 
 
 class _Searcher:
+    """One search of a form: its vertices in placement order (_order, light
+    vertices depth first, heavy ones after them), the vectors placed so
+    far, and the column classes they leave."""
+
     def __init__(self, diag, off, rank, budget=None):
         # the form: diag[i] its i-th diagonal entry, off[i] {j: entry} for
         # each non-zero off-diagonal entry of row i
@@ -248,7 +259,7 @@ class _Searcher:
         # an embedding touches at most -trace(G) coordinates (each vector at
         # most its norm), so any further coordinates stay zero
         self.rank = min(rank, -sum(diag))
-        self.order = _depth_first(off)
+        self.order = self._order(diag, off)
         depth_of = [0] * self.n
         for d, v in enumerate(self.order):
             depth_of[v] = d
@@ -271,6 +282,17 @@ class _Searcher:
         self.owner = [whole] * self.rank
         self.by_sig = {(): whole}
         self.undo = []
+
+    @staticmethod
+    def _order(diag, off):
+        """The placement order: the vertices of norm at most 2 in
+        _depth_first's order, then those of norm 3 or more in ascending
+        (norm, index), the heaviest last.  In a tree, a light vertex whose
+        parent in the walk is heavy is the first of its light component,
+        so every other light vertex still follows a neighbour."""
+        light = [v for v in _depth_first(off) if diag[v] >= -2]
+        return light + sorted((v for v in range(len(diag)) if diag[v] <= -3),
+                              key=lambda v: (-diag[v], v))
 
     def embeddings(self):
         """Every completed embedding, in depth-first order, at self.rank.
@@ -517,8 +539,11 @@ class _Searcher:
         from its earlier class when both qualify, and A and a fix
         b * sig_B.  Every touched signature starts positive, so b is the
         sign of its first entry, and one dict lookup finds B; 2 * sig =
-        targets is the case where that lookup finds A itself.  The
-        candidates are sorted as _candidates sorts its own.
+        targets is the case where that lookup finds A itself.  Only a form
+        that is not definite asks for that: the vectors placed before a
+        norm-2 vertex have norm at most 2, so one that is +-1 on two
+        coordinates of a class is +-(the candidate).  The candidates are sorted as
+        _candidates sorts its own.
         """
         links = self.links[depth]
         owner, by_sig = self.owner, self.by_sig

@@ -30,7 +30,10 @@ implementation's search (lattice._Searcher) on a matrix that is no
 plumbing tree's form -- a forest, a support with a cycle, off-diagonal
 entries other than 1 -- which find_embedding, taking a tree, cannot be
 given.  Definiteness comes from the leading-minor test and a witness is
-re-checked by verify_embedding.
+re-checked by verify_embedding.  depth_first_search is the
+implementation's search too, with every vertex placed in plain
+depth-first order where the implementation places heavy vertices last:
+the reference that the verdict does not depend on the placement order.
 """
 
 import itertools
@@ -50,6 +53,7 @@ from knotplumb.plumbing import (
     absorb_zero,
     blow_down,
     flatten_positive_leaf,
+    gram_matrix,
 )
 
 
@@ -328,6 +332,28 @@ def search_gram(gram, rank=None, budget=None):
     """find_embedding on a symmetric integer matrix: the same SearchResult,
     rank defaulting to the dimension."""
     r, searcher = _gram_searcher(gram, rank, budget)
+    return _first_embedding(searcher, gram, r)
+
+
+class _DepthFirstSearcher(lattice._Searcher):
+    """lattice._Searcher placing every vertex in plain lattice._depth_first
+    order, heavy ones where the walk meets them."""
+
+    @staticmethod
+    def _order(diag, off):
+        return lattice._depth_first(off)
+
+
+def depth_first_search(tree, rank=None, budget=None):
+    """find_embedding with the vertices placed in plain depth-first order:
+    the reference for the verdict's independence of the placement order."""
+    r = lattice._target_rank(tree, rank)
+    searcher = _DepthFirstSearcher(*lattice._form_rows(tree), r, budget)
+    return _first_embedding(searcher, gram_matrix(tree), r)
+
+
+def _first_embedding(searcher, gram, r):
+    """The SearchResult of searcher's first embedding at target rank r."""
     witness = next(searcher.embeddings(), None)
     if searcher.exhausted:
         return SearchResult(SearchStatus.INDETERMINATE, None, searcher.nodes)

@@ -33,12 +33,15 @@ from knotplumb.plumbing import (
 )
 
 from knotplumb.hjcf import expand_neg_cf
+from knotplumb.lattice import SearchStatus, find_embedding
 from oracles import (
     bareiss_det,
     closed_form_reference,
     contract_junctions,
+    depth_first_search,
     fraction_forest_elimination,
     minors_negative_definite,
+    random_tree,
     signature,
     two_iter_parameters,
 )
@@ -519,3 +522,65 @@ class TestTwoIterParameters:
                 SurgerySpec(knot, n)
             with pytest.raises(TypeError, match="must be an integer"):
                 SurgerySpec.from_json_obj({"pairs": [[2, 3], [2, 17]], "n": n})
+
+
+def three_iteration_squares(rng, count):
+    """Seeded three-iteration towers (random_tower_spec), each at one of
+    the three squares just past p3 * a3, reduced."""
+    trees = []
+    while len(trees) < count:
+        knot = random_tower_spec(rng, 3).knot
+        p, a = knot.pairs[-1]
+        m = math.isqrt(p * a) + 1 + rng.randrange(3)
+        trees.append(reduced_plumbing(SurgerySpec(knot, m * m)))
+    return trees
+
+
+def family_lifts():
+    """The cabling lifts (pairs; p, p n - 1; p^2 n) of the one- and
+    two-iteration solutions at n, for p in 2, 3, 5: all embed."""
+    bases = [(((2, 3),), 9), (((2, 3), (2, 17)), 36), (((2, 7), (2, 31)), 64),
+             (((3, 4), (3, 47)), 144), (((2, 3), (3, 26)), 81)]
+    return [SurgerySpec(CableTower(pairs + ((p, p * n - 1),)), p * p * n)
+            for pairs, n in bases for p in (2, 3, 5)]
+
+
+class TestPlacementOrderVerdicts:
+    """The search places heavy vertices (norm 3 or more) after the light
+    ones; with every vertex in plain depth-first order instead
+    (oracles.depth_first_search) each verdict must be the same."""
+
+    @staticmethod
+    def assert_same_verdicts(trees):
+        # find_embedding verifies every witness it returns
+        statuses = [find_embedding(tree).status for tree in trees]
+        for tree, status in zip(trees, statuses):
+            assert depth_first_search(tree).status is status, tree.to_json()
+        return Counter(statuses)
+
+    def test_desk_squares(self):
+        squares = [t for t in desk_range_tuples() if math.isqrt(t[4]) ** 2 == t[4]]
+        trees = [closed_form_two_iter(SurgerySpec(CableTower((t[:2], t[2:4])), t[4]))
+                 for t in squares]
+        assert len(trees) == 58
+        assert self.assert_same_verdicts(trees) == {SearchStatus.NONE: 52, SearchStatus.FOUND: 6}
+
+    def test_three_iteration_squares(self):
+        counts = self.assert_same_verdicts(three_iteration_squares(random.Random(7), 36))
+        assert sum(counts.values()) == 36 and counts[SearchStatus.NONE] > 30
+
+    def test_lifted_towers(self):
+        specs = [lift_tower(k) for k in range(1, 7)] + family_lifts()
+        counts = self.assert_same_verdicts([reduced_plumbing(s) for s in specs])
+        assert counts == {SearchStatus.FOUND: len(specs)}
+
+    def test_random_trees_with_several_heavy_vertices(self):
+        rng = random.Random(3)
+        trees = []
+        while len(trees) < 100:
+            t = random_tree(rng, max_vertices=9, weights=(-5, -1))
+            if sum(t.weight(v) <= -3 for v in t.vertices()) >= 2 and is_negative_definite(
+                    gram_matrix(t)):
+                trees.append(t)
+        counts = self.assert_same_verdicts(trees)
+        assert counts[SearchStatus.FOUND] > 0 and counts[SearchStatus.NONE] > 0

@@ -151,7 +151,7 @@ class TestClassifyOne:
         assert (row.nodes > 0) == (proof in ("search", "witness"))
 
     def test_non_square_n_skips_search(self, monkeypatch):
-        # T(2,3;2,53), n = 108: the rank-26 chain that `embed` refutes in 29 nodes
+        # T(2,3;2,53), n = 108: the rank-26 chain that `embed` refutes in 27 nodes
         def no_search(*args, **kwargs):
             raise AssertionError("searched a non-square n")
 
@@ -431,7 +431,7 @@ MINI_CSV_LINES = [
     "2,3,2,15,32,2,7,ObstructionFails,,0,",
     "2,3,2,15,33,3,8,ObstructionFails,,0,",
     "2,3,2,15,34,4,9,ObstructionFails,,0,",
-    "2,3,2,17,36,2,8,ObstructionPasses,{},9,",
+    "2,3,2,17,36,2,8,ObstructionPasses,{},15,",
     "2,3,2,17,37,3,9,ObstructionFails,,0,",
     "2,3,2,17,38,4,10,ObstructionFails,,0,",
     "2,3,2,19,40,2,9,ObstructionFails,,0,",

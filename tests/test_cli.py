@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import resource
 import stat
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from test_classify import count_exact_passes
 from test_lattice import run_child
 
 
-def run_cli(*args, env_extra=None, cwd=None):
+def run_cli(*args, env_extra=None, cwd=None, limits=None):
     # the child imports the package this process imported, installed or not
     src = os.path.dirname(os.path.dirname(knotplumb.__file__))
     env = dict(os.environ)
@@ -34,7 +35,18 @@ def run_cli(*args, env_extra=None, cwd=None):
         text=True,
         env=env,
         cwd=cwd,
+        preexec_fn=limits,
     )
+
+
+def limited(address_space, cpu_seconds):
+    """A preexec_fn capping the child's address space (bytes) and CPU
+    seconds: the limits fall on that child only."""
+    def set_limits():
+        for kind, limit in ((resource.RLIMIT_AS, address_space), (resource.RLIMIT_CPU, cpu_seconds)):
+            hard = resource.getrlimit(kind)[1]
+            resource.setrlimit(kind, (limit if hard == resource.RLIM_INFINITY else min(limit, hard), hard))
+    return set_limits
 
 
 def write_chain(path, k):
@@ -142,6 +154,32 @@ class TestGraph:
 
 
 class TestEmbed:
+    def test_rank_far_above_the_vertex_count_is_refused(self, tmp_path):
+        # --rank 10**8 padded the 8-vector witness to 8 * 10**8 entries, a
+        # MemoryError traceback under a 2 GB address space; the rank is
+        # refused before anything is built
+        for enumerate_ in ([], ["--enumerate"]):
+            res = run_cli(
+                "embed", "--pairs", "2,3,2,17", "--n", "36", "--rank", "100000000",
+                *enumerate_, "--out", str(tmp_path), limits=limited(2 * 10**9, 20),
+            )
+            assert res.returncode == 1, res.stderr
+            assert res.stderr == "error: --rank 100000000; embed takes a rank of at most 1000000\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_family_one_at_p2_401(self, tmp_path):
+        # leg 2 weighs -401, and its untouched fills would number 1,899,244:
+        # a MemoryError traceback under this 2 GB address space while the
+        # heavy vertices were placed amid the -2's; 0.5 s for 1,610 nodes
+        # on a 2-core host
+        res = run_cli(
+            "embed", "--pairs", "2,3,401,3608", "--n", "1447209", "--out", str(tmp_path),
+            limits=limited(2 * 10**9, 20),
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[0] == "embedding found into rank 806 (1610 nodes)"
+        assert os.listdir(tmp_path) == ["witness_2_3_401_3608_1447209.json"]
+
     def test_spec_found(self, tmp_path):
         res = run_cli(
             "embed", "--pairs", "2,3,2,17", "--n", "36", "--out", str(tmp_path)
@@ -182,7 +220,7 @@ class TestEmbed:
         # classify_one decides n = 108 by the determinant; embed searches
         res = run_cli("embed", "--pairs", "2,3,2,53", "--n", "108", "--out", str(tmp_path))
         assert res.returncode == 3
-        assert res.stdout.strip() == "no embedding into rank 26 (exhausted after 29 nodes)"
+        assert res.stdout.strip() == "no embedding into rank 26 (exhausted after 27 nodes)"
 
     def test_not_negative_definite_exit_1(self, tmp_path):
         f = tmp_path / "bad.json"
