@@ -676,16 +676,20 @@ def enumerate_embeddings(tree, rank=None, locally_minimal_only=False) -> list:
     final canonicalisation removes what it cannot see (columns that are
     negatives of each other), so the returned list has one entry per
     isometry class.
+
+    Solutions are canonicalised at the searched width, -trace(G) at most,
+    and padded to rank after: zero columns sort last, so padding commutes
+    with canonicalisation, and a padded solution is never locally minimal.
     """
     r = _target_rank(tree, rank)
-    seen = {}
     searcher = _Searcher(*_form_rows(tree), r)
+    if locally_minimal_only and r > searcher.rank:
+        return []
+    seen = set()
     for sol in searcher.embeddings():
-        sol = _padded(sol, r - searcher.rank)
-        if locally_minimal_only and not is_locally_minimal(sol):
-            continue
-        seen[matrix_canonical_form(sol)] = True
-    return sorted(seen)
+        if not locally_minimal_only or is_locally_minimal(sol):
+            seen.add(matrix_canonical_form(sol))
+    return [_padded(sol, r - searcher.rank) for sol in sorted(seen)]
 
 
 # -- presentation ------------------------------------------------------------

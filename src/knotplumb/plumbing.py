@@ -15,10 +15,9 @@ written once, as a rewiring of a mutable working copy; a public move runs
 it on a copy of its tree, and reduce_tree on the one copy it keeps for a
 whole reduction, finding each step's sites among the few vertices of
 weight >= -1 and freezing the copy into a tree at the end.  Sites are
-keyed by their weight and their least neighbour's, which decides most
-steps; only sites tied on the key are compared (_SiteOrder), walking
-paths in a loop and by frame-free tasks below them, so a tree of any
-depth reduces.
+keyed by their weight and their least neighbour's, and ties on the key
+go to a canonical numbering of the tree made once by peeling leaves
+(_canonical_ranks), so a tree of any depth reduces.
 All linear algebra is exact integer arithmetic on integer matrices.
 
 The determinant and the negative-definiteness test (form_invariants, run
@@ -39,7 +38,7 @@ raises TypeError instead of being truncated.
 """
 
 import json
-from itertools import chain, compress
+from itertools import chain, compress, count
 
 
 class InvalidMoveError(ValueError):
@@ -492,9 +491,8 @@ def _site_class(weights, adj, v):
     """(class, key) of the reduce_tree move class with a site at v, None if
     v is no site: 0 flattens a positive leaf next to a -1, 1 blows down a
     -1 of valence 2 between negative weights, 2 absorbs a 0 of valence 2
-    (v's weight tells them apart), so a site has weight >= -1.  The key,
-    v's weight and its least neighbour's, is the first two entries of
-    _SiteOrder's encoding."""
+    (v's weight tells them apart), so a site has weight >= -1.  The key
+    is v's weight and its least neighbour's."""
     wt = weights[v]
     ns = adj[v]
     if wt >= 1:
@@ -514,32 +512,33 @@ def _site_class(weights, adj, v):
 
 class _Reduction:
     """reduce_tree's working state: one mutable copy of the tree (weights a
-    dict, adj a dict of sets) and its live set, the vertices of weight
-    >= -1, which hold every site (_site_class), kept up to date move by
-    move.  A step scans the live set, O(|live|), so a tree with many
-    vertices of weight >= -1 that are no sites, say hundreds of -1 leaves,
-    pays that scan at every step; no test or product tree is like that."""
+    dict, adj a dict of sets), its live set, the vertices of weight >= -1,
+    which hold every site (_site_class), kept up to date move by move, and
+    from the first tie on the key, ranks, the copy's canonical numbering,
+    and fresh, the numbers after it.  A step scans the live set, so a tree
+    with many vertices of weight >= -1 that are no sites, say hundreds of
+    -1 leaves, pays that scan at every step; no test or product tree does."""
 
-    __slots__ = ("weights", "adj", "live")
+    __slots__ = ("weights", "adj", "live", "ranks", "fresh")
 
     def __init__(self, tree):
         self.weights = weights = dict(tree._weights)
         self.adj = {v: set(ns) for v, ns in tree._adj.items()}
         self.live = {v for v, wt in weights.items() if wt >= -1}
+        self.ranks = None
 
     def step(self) -> bool:
-        """Make one move of the first class with a site, at its least site;
-        False if no class has a site.
+        """Make one move at the live site of least (class, key), ties taken
+        by least rank; False if there is no site.
 
-        The live vertices are classified, and the least (class, key) and
-        the sites tied at it kept; the tied sites go to _SiteOrder, whose
-        order the key's is a prefix of.
-        A move changes weights and valences only at its site, the site's
-        neighbours and the vertices it creates (an absorb moves edges, not
-        valences), so the measure's change is read off those and the vertex
-        count, and only they can join or leave the live set.
+        The first tie numbers the copy; then a created vertex takes the
+        next number and an absorb's merged vertex the lesser of the two it
+        merges.  A move changes weights and valences only at its site, the
+        site's neighbours and the vertices it creates (an absorb moves
+        edges, not valences), so the measure's change is read off those and
+        the vertex count, and only they can join or leave the live set.
         """
-        weights, adj, live = self.weights, self.adj, self.live
+        weights, adj, live, ranks = self.weights, self.adj, self.live, self.ranks
         tied = []
         for x in live:
             if (found := _site_class(weights, adj, x)) is None:
@@ -550,11 +549,20 @@ class _Reduction:
                 tied.append(x)
         if not tied:
             return False
-        v = tied[0] if len(tied) == 1 else _SiteOrder(weights, adj).least(tied)
+        if len(tied) > 1 and ranks is None:
+            self.ranks = ranks = _canonical_ranks(weights, adj)
+            self.fresh = count(len(ranks))
+        v = tied[0] if len(tied) == 1 else min(tied, key=ranks.__getitem__)
         move = (_flatten_at, _blow_down_at, _absorb_at)[least[0]]
         touched = [v, *adj[v]]
+        if ranks is not None and move is _absorb_at:
+            a, b = touched[1:]
+            ranks[a] = ranks[b] = min(ranks[a], ranks[b])
         before = len(weights) + sum(weights[x] for x in touched if weights[x] > 0)
-        touched += move(weights, adj, v)
+        created = move(weights, adj, v)
+        if ranks is not None:
+            ranks.update(zip(created, self.fresh))
+        touched += created
         after = len(weights) + sum(weights[x] for x in touched if weights.get(x, 0) > 0)
         if after >= before:
             raise AssertionError("reduction measure failed to decrease")
@@ -569,27 +577,24 @@ def reduce_tree(tree: WeightedTree) -> WeightedTree:
     Strategy, repeated to a fixed point: flatten a positive leaf whose
     neighbour is a -1; else blow down a (-1)-vertex of valence exactly 2
     both of whose neighbours have negative weight; else absorb a
-    0-weighted valence-2 vertex.  Within a move class the site is chosen
-    by the canonical encoding of the tree rooted there (vertex id only as
-    the final tiebreak), so the choice depends on the isomorphism class
-    alone: sites with equal encodings are automorphic images of each other
-    and yield isomorphic results, which makes the fixed point independent
-    of the vertex labelling -- the normal form is a property of the graph,
-    not of the order the moves happen to be found in.  On identical input
-    the run is deterministic byte for byte.  No encoding is built: a
-    site's key, its weight and its least neighbour's, is the first two
-    entries of its encoding and decides most steps; only sites tied on it
-    are compared further, lazily, at no Python frames a level (_SiteOrder).
+    0-weighted valence-2 vertex.  Within a move class the site is the one
+    of least key, its weight and its least neighbour's, which decides most
+    steps; sites tied on the key are taken in a canonical numbering of the
+    tree (_canonical_ranks), made at the first tie and carried through the
+    moves.  Isomorphic trees get the same numbered tree, so the choice,
+    and the fixed point, depend on the isomorphism class alone, not on the
+    vertex labelling.  On identical input the run is deterministic byte
+    for byte.
 
     The moves run in place on one working copy of the tree (_Reduction),
     which also keeps its live set, the vertices of weight >= -1: every
     site is one, and after a step only the vertices it touched can join or
-    leave it.  So a step costs a scan of the live set, any comparison of
-    tied sites and work in the vertices it touches, not a scan and a copy
-    of the tree (_Reduction.step).  (A flatten finds its fresh ids by
+    leave it.  So a step costs a scan of the live set and work in the
+    vertices it touches, not a scan and a copy of the tree, and one step
+    numbers the tree, O(n log n).  (A flatten finds its fresh ids by
     max(weights) + 1, O(n); a raw surgery tree has one positive vertex,
-    the N leaf, so that is one flatten per reduction.)
-    The copy is frozen into the result once, at the end.
+    the N leaf, so that is one flatten per reduction.)  The copy is frozen
+    into the result once, at the end.
 
     Termination: the measure (vertex count plus total positive weight)
     strictly decreases at every step.  Flattening a leaf of weight N adds
@@ -619,122 +624,43 @@ def reduce_tree(tree: WeightedTree) -> WeightedTree:
 # -- canonical forms and isomorphism ----------------------------------------
 
 
-class _SiteOrder:
-    """The order of reduce_tree's candidate sites in one tree, given as a
-    weights dict and an adjacency dict read in place: by the nested
-    encoding (weight, sorted child encodings) of the tree rooted at each,
-    vertex id as the final tiebreak, with no encoding built.  reduce_tree
-    hands it only the sites tied on their key (_site_class).
+def _canonical_ranks(weights, adj):
+    """A numbering 0..n-1 of the tree given as a weights dict and an
+    adjacency dict, under which isomorphic trees are one numbered tree.
 
-    Branches are compared as those tuples are: weight first, then the
-    children least first, pair by pair, a shorter list sorting first where
-    one is a prefix of the other.  A comparison stops at the first
-    difference, and a branch's children are put in order only when a
-    comparison reaches that branch, then kept for the life of this object,
-    which is one step of reduce_tree: the working copy does not change
-    until the step's site is chosen, so nothing it keeps goes stale.
-    Two branches that each have one child, of equal weight, compare as
-    those children do, so two paths, such as the -2 paths raw plumbings
-    are made of, are walked down together in a loop (_past_paths), at no
-    frame, depth or kept children a vertex.  Below that, ordering
-    children needs comparisons and comparing needs ordered children: both
-    are generator tasks that yield the task they wait on, driven by _run
-    from a list at no Python frames, so a comparison of any depth runs
-    under any recursion limit.
-    """
-
-    __slots__ = ("_weights", "_adj", "_children")
-
-    def __init__(self, weights, adj):
-        self._weights = weights
-        self._adj = adj
-        self._children = {}  # branch (vertex, parent) -> children, least first
-
-    def least(self, sites):
-        """min(sites, key=(encoding of the tree rooted at v, v)), the sites
-        of one weight, as sites tied on their key are."""
-        sites = iter(sites)
-        best = next(sites)
-        for v in sites:
-            d = _run(self._compare(v, None, best, None))
-            if d < 0 or d == 0 and v < best:
-                best = v
-        return best
-
-    def _past_paths(self, x, px, y, py):
-        """The pair of branches, x away from px and y away from py or
-        below, whose comparison decides theirs: walked down in a loop while
-        both have one child each, of equal weight."""
-        adj, weights = self._adj, self._weights
-        while px is not None and len(adj[x]) == 2 and len(adj[y]) == 2:
-            a, b = adj[x]
-            if a == px:
-                a = b
-            c, d = adj[y]
-            if c == py:
-                c = d
-            if weights[a] != weights[c]:
-                break
-            x, px, y, py = a, x, c, y
-        return x, px, y, py
-
-    def _compare(self, x, px, y, py):
-        """Task: negative, zero or positive as the branch at x away from px
-        sorts below, level with or above the branch at y away from py, the
-        two of equal weight."""
-        x, px, y, py = self._past_paths(x, px, y, py)
-        xs = self._children.get((x, px))
-        if xs is None:
-            xs = yield self._order(x, px)
-        ys = self._children.get((y, py))
-        if ys is None:
-            ys = yield self._order(y, py)
-        weights = self._weights
-        for a, b in zip(xs, ys):
-            d = weights[a] - weights[b] or (yield self._compare(a, x, b, y))
-            if d:
-                return d
-        return len(xs) - len(ys)
-
-    def _order(self, v, parent):
-        """Task: the children of the branch at v away from parent, least
-        first, by binary insertion; kept for later comparisons."""
-        kids = []
-        weights = self._weights
-        for c in self._adj[v]:
-            if c != parent:
-                lo, hi = 0, len(kids)
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    k = kids[mid]
-                    d = weights[c] - weights[k] or (yield self._compare(c, v, k, v))
-                    if d < 0:
-                        hi = mid
-                    else:
-                        lo = mid + 1
-                kids.insert(lo, c)
-        self._children[v, parent] = kids
-        return kids
-
-
-def _run(task):
-    """The value a generator task returns, where each value it yields is a
-    sub-task whose result is sent back to it: a call stack kept in a list,
-    not in Python frames."""
-    waiting = []
-    value = None
+    Leaves are peeled off layer by layer as in canonical_form, and each
+    peeled vertex gets its layer's id for its key, so ids order rooted
+    subtrees by height, weight and children.  The one or two centres are
+    numbered first, by key, and the rest breadth first, the vertices
+    peeled into each in (id, vertex id) order: the vertex id orders only
+    isomorphic branches, which an automorphism swaps.  O(n log n), with no
+    recursion."""
+    degree = {v: len(ns) for v, ns in adj.items()}
+    below = {v: [] for v in adj}  # (id, vertex) of each vertex peeled into v
+    layer = [v for v, d in degree.items() if d <= 1]
+    left = len(degree)
+    ids = {}
     while True:
-        try:
-            sub = task.send(value)
-        except StopIteration as done:
-            if not waiting:
-                return done.value
-            task = waiting.pop()
-            value = done.value
-        else:
-            waiting.append(task)
-            task = sub
-            value = None
+        keys = [(weights[v], tuple(sorted(i for i, _ in below[v]))) for v in layer]
+        left -= len(layer)
+        if not left:  # the layer is the centre
+            break
+        for k in sorted(keys):
+            ids.setdefault(k, len(ids))
+        peeled, layer = layer, []
+        for v, k in zip(peeled, keys):
+            degree[v] = 0
+            for u in adj[v]:
+                if degree[u]:
+                    below[u].append((ids[k], v))
+                    degree[u] -= 1
+                    if degree[u] == 1:
+                        layer.append(u)
+                    break
+    order = [v for _, v in sorted(zip(keys, layer))]
+    for v in order:  # breadth first: order grows as it is read
+        order.extend(u for _, u in sorted(below[v]))
+    return {v: r for r, v in enumerate(order)}
 
 
 def canonical_form(tree: WeightedTree):

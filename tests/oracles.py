@@ -15,9 +15,11 @@ norm 2, looks signatures up, and sorts; it reads the searcher's classes
 (search_classes) but calls none of its candidate code; the partial
 reduction below re-implements the move loop without the leaf-flattening
 step so the intermediate "minimal" graph can be inspected; and
-reference_reduce_tree picks its sites by the recursive, unmemoised rooted
-encoding, among the sites reference_sites finds by a full scan at every
-step, where the implementation keeps them move by move.
+reference_reduce_tree runs the public moves at the sites reference_sites
+finds by a full scan at every step, where the implementation keeps them
+move by move, and breaks key ties by reference_ranks, which finds the
+centres by eccentricity and orders branches by recursive nested keys,
+where the implementation peels leaves.
 centroid_isomorphic compares the least preorder serialization rooted at
 a centroid, where the implementation peels leaves layer by layer.
 closed_form_reference builds the two-iteration centipede from its closed
@@ -534,11 +536,42 @@ def contract_junctions(tree: WeightedTree) -> WeightedTree:
         return t
 
 
-def _recursive_encoding(tree, root, parent):
-    children = sorted(
-        _recursive_encoding(tree, c, root) for c in tree.neighbors(root) if c != parent
-    )
-    return (tree.weight(root), tuple(children))
+def _nested_key(tree, v, parent):
+    """(height, weight, sorted child keys) of the branch at v away from
+    parent, built recursively: the order of rooted subtrees that
+    _canonical_ranks' peel ids give."""
+    kids = sorted(_nested_key(tree, c, v) for c in tree.neighbors(v) if c != parent)
+    return (kids[-1][0] + 1 if kids else 0, tree.weight(v), tuple(kids))
+
+
+def _eccentricity(tree, v):
+    """The greatest distance from v, by breadth-first search."""
+    dist = {v: 0}
+    queue = [v]
+    for u in queue:
+        for w in tree.neighbors(u):
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return max(dist.values())
+
+
+def reference_ranks(tree: WeightedTree) -> dict:
+    """The canonical numbering reduce_tree breaks key ties by: the centres,
+    the vertices of least eccentricity, by their nested keys (each away
+    from the other centre), then every other vertex breadth first, the
+    children of each by (nested key, vertex id)."""
+    ecc = {v: _eccentricity(tree, v) for v in tree.vertices()}
+    least = min(ecc.values())
+    centres = [v for v in ecc if ecc[v] == least]
+    parent = {c: next((d for d in centres if d != c), None) for c in centres}
+    order = sorted(centres, key=lambda c: (_nested_key(tree, c, parent[c]), c))
+    for v in order:
+        kids = [c for c in tree.neighbors(v) if c != parent[v]]
+        for c in kids:
+            parent[c] = v
+        order += sorted(kids, key=lambda c: (_nested_key(tree, c, v), c))
+    return {v: r for r, v in enumerate(order)}
 
 
 def reference_sites(tree: WeightedTree) -> tuple:
@@ -567,19 +600,38 @@ def reference_sites(tree: WeightedTree) -> tuple:
 
 
 def reference_reduce_tree(tree: WeightedTree) -> WeightedTree:
-    """The reduction loop of plumbing.reduce_tree, each move's site chosen
-    by the recursive rooted encoding, rebuilt from scratch for every
-    candidate site (vertex id as the final tiebreak), among the sites
-    reference_sites finds afresh at every step."""
-    t = tree
+    """The reduction loop of plumbing.reduce_tree through the public moves:
+    at every step the first class with a site (reference_sites, a full
+    scan), and in it the site of least key, its weight and its least
+    neighbour's.  Sites tied on the key are taken by least rank: at the
+    first tie the tree is numbered (reference_ranks), and from then on a
+    flatten's chain takes the next numbers outward and an absorb's merged
+    vertex the lesser number of the two it merges."""
+    t, ranks = tree, None
+    moves = (flatten_positive_leaf, blow_down, absorb_zero)
     while True:
-        moves = (flatten_positive_leaf, blow_down, absorb_zero)
         for sites, move in zip(reference_sites(t), moves):
             if sites:
-                t = move(t, min(sites, key=lambda v: (_recursive_encoding(t, v, None), v)))
                 break
         else:
             return t
+        key = {v: (t.weight(v), min(t.weight(u) for u in t.neighbors(v))) for v in sites}
+        least = min(key.values())
+        tied = [v for v in sites if key[v] == least]
+        if len(tied) > 1 and ranks is None:
+            ranks = reference_ranks(t)
+            fresh = itertools.count(len(t))
+        v = min(tied, key=lambda v: ranks[v]) if len(tied) > 1 else tied[0]
+        if ranks is not None and move is absorb_zero:
+            a, b = t.neighbors(v)
+            ranks[min(a, b)] = min(ranks[a], ranks[b])
+        moved = move(t, v)
+        if ranks is not None:
+            # a flatten's chain: ids above the rest, or the leaf's own id
+            old = t.weights
+            created = sorted(x for x in moved.vertices() if x == v or x not in old)
+            ranks.update(zip(created, fresh))
+        t = moved
 
 
 def relabel(tree: WeightedTree, mapping) -> WeightedTree:

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -184,6 +185,17 @@ class TestReducedPlumbing:
         for spec in specs:
             calculus = reduce_tree(raw_plumbing(spec))
             assert reduced_plumbing(spec).to_json() == calculus.to_json(), spec
+
+    def test_matches_the_calculus_eight_iterations_deep(self):
+        # the 8-iteration lift tower, 49,174 raw vertices: the calculus
+        # reduces it in 0.65 CPU seconds on a 2-core host, where comparing
+        # the junction sites' rooted encodings at each step took 9.3 s
+        spec = lift_tower(8)
+        raw = raw_plumbing(spec)
+        start = time.process_time()
+        calculus = reduce_tree(raw)
+        assert time.process_time() - start < 3
+        assert calculus.to_json() == reduced_plumbing(spec).to_json()
 
     def test_builds_in_output_size(self, monkeypatch):
         # only what survives is expanded: no torso's leading -2 run is, so

@@ -1,10 +1,10 @@
+import inspect
 import json
 import random
-import sys
-import threading
+import time
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations
 from math import gcd
 
 import pytest
@@ -932,10 +932,10 @@ def site_choice_corpus():
     for p1, a1, p2, a2, n in family:
         trees.append(raw_plumbing(SurgerySpec(CableTower(((p1, a1), (p2, a2))), n)))
     trees += [raw_plumbing(spec) for spec in THREE_ITERATION_SPECS]
-    # ties that go deep: sites placed symmetrically have equal
-    # encodings, walked to the end and settled by vertex id; one vertex
-    # off symmetry, they differ only far down, where one branch runs
-    # out of children first
+    # ties that go deep: sites placed symmetrically are swapped by an
+    # automorphism and numbered apart by vertex id alone; one vertex off
+    # symmetry, their branches differ only far down, where one runs out
+    # of children first
     deep = [caterpillar(30, ones) for ones in ({7, 22}, {7, 21}, {4, 14, 25}, {4, 15, 25})]
     deep += [caterpillar(29, ones) for ones in ({9, 19}, {1, 14, 27}, {1, 14, 26})]
     deep += [binary_tree(4, ones) for ones in ({1, 2}, {15, 30}, {7, 10, 13}, {15, 29})]
@@ -944,8 +944,8 @@ def site_choice_corpus():
     # blow-downs along -2 paths: blowing down a -1 between a hub of weight
     # <= -3 and a -2 path leaves a -1 one vertex further along, keyed by
     # the hub's risen weight; the second leg's -1 keys (-1, -6), so once
-    # the hub has risen from -10 to -6 the two tie and go to _SiteOrder,
-    # which the second leg's far end settles either way
+    # the hub has risen from -10 to -6 the two tie and are taken by
+    # rank, in a numbering that the second leg's far end changes
     runs = [spider(-10, [-1] + [-2] * 8 + [-3], [-4, -1, -6, end]) for end in (-2, -9)]
     # another site on the hub ties the first blow-down at (-1, -10), or
     # keys below it at (-1, -12) and raises the hub first
@@ -961,6 +961,12 @@ def site_choice_corpus():
     # a -1 between two -2 paths, whose blow-down leaves no -1
     runs += [path_tree([-5, -2, -2, -1, -2, -2, -3])]
     runs += [run_tree(rng) for _ in range(60)]
+    # a -1 hub with two isomorphic branches 0, +1 and a 0 leaf: an absorb
+    # merges the hub into a +1, and the merged vertex must keep the lesser
+    # number of the two, not the number of the one whose id it keeps
+    weights = {420: 0, 676: 0, 719: 1, 818: -1, 874: 1, 913: 0}
+    edges = [(420, 719), (420, 818), (676, 818), (818, 913), (874, 913)]
+    runs.append(WeightedTree(weights, edges))
     return trees + runs + [dense(t) for t in runs]
 
 
@@ -997,32 +1003,69 @@ def least_sites(state):
     return least, sorted(v for v, k in sites.items() if k == least)
 
 
-def count_compare_tasks(monkeypatch):
-    """The list each _SiteOrder._compare task appends to as it is made."""
-    tasks = []
-    real = plumbing._SiteOrder._compare
-    monkeypatch.setattr(
-        plumbing._SiteOrder, "_compare", lambda self, *pair: tasks.append(1) or real(self, *pair)
+def numbered(tree, ranks):
+    """The tree with each vertex renamed by its rank: weights by rank and
+    edges as rank pairs, ascending."""
+    return (
+        sorted((ranks[v], w) for v, w in tree.weights.items()),
+        sorted(tuple(sorted((ranks[a], ranks[b]))) for a, b in tree.edges),
     )
-    return tasks
 
 
-def deep_reference(tree):
-    """reference_reduce_tree(tree) for a tree too deep for its recursive
-    encodings under the default limits: run in a thread with a larger
-    stack and recursion limit, both restored after."""
-    out = []
-    limit = sys.getrecursionlimit()
-    stack = threading.stack_size(256 * 2**20)
-    sys.setrecursionlimit(100_000)
-    try:
-        worker = threading.Thread(target=lambda: out.append(reference_reduce_tree(tree)))
-        worker.start()
-        worker.join()
-    finally:
-        threading.stack_size(stack)
-        sys.setrecursionlimit(limit)
-    return out[0]
+def spined_tails(length):
+    """spined_sites(20, 20, 3) with a -2 tail of the given length hung on
+    the far -3 of each spine, ending in a -3 on one and a -4 on the other:
+    the sites' branches differ only at the tails' far ends.  The tails
+    take the ids above the base tree's, whatever their length."""
+    base = spined_sites(20, 20, 3)
+    ends = sorted(v for v, w in base.weights.items() if w == -3 and base.valence(v) == 2)
+    weights, edges = base.weights, list(base.edges)
+    for prev, end in zip(ends, (-3, -4)):
+        for w in [-2] * length + [end]:
+            weights[len(weights)] = w
+            edges.append((prev, len(weights) - 1))
+            prev = len(weights) - 1
+    return WeightedTree(weights, edges)
+
+
+def path_tie(length):
+    """Two adjacent -1's, blow-down sites tied on their key, between -2
+    paths of the given length that end in a -3 and in a -4."""
+    return path_tree([-3] + [-2] * length + [-1, -1] + [-2] * length + [-4])
+
+
+def reduction_diff(tree, red):
+    """What reducing tree to red did, as JSON lists: the ids removed, the
+    [id, weight] of each vertex added or reweighted, and the edges added,
+    each ascending."""
+    weights = tree.weights
+    return [
+        sorted(weights.keys() - red.weights.keys()),
+        sorted([v, w] for v, w in red.weights.items() if weights.get(v) != w),
+        sorted(map(list, red.edges - tree.edges)),
+    ]
+
+
+def reduce_in_child(trees, *helpers):
+    """reduction_diff of reduce_tree on each tree of the list the
+    expression trees makes from helpers, functions of this module whose
+    source the child runs, with the CPU seconds each reduction took: from
+    a fresh interpreter under a recursion limit of 60, far below the depth
+    of any tree given."""
+    code = "\n".join([
+        "import json, sys, time",
+        "from knotplumb.plumbing import WeightedTree, reduce_tree",
+        *map(inspect.getsource, (reduction_diff, *helpers)),
+        "sys.setrecursionlimit(60)",
+        f"for tree in {trees}:",
+        "    start = time.process_time()",
+        "    red = reduce_tree(tree)",
+        "    seconds = time.process_time() - start",
+        "    print(json.dumps([*reduction_diff(tree, red), seconds]))",
+    ])
+    res = run_child(code)
+    assert res.returncode == 0, res.stderr
+    return [json.loads(line) for line in res.stdout.splitlines()]
 
 
 class TestReduce:
@@ -1069,17 +1112,15 @@ class TestReduce:
     def test_move_sequence_matches_reference(self, monkeypatch):
         # every step's move and site, not only the tree the steps end in
         kinds = Counter()
-        compared = []  # the steps whose sites tie on the key
-        real_least = plumbing._SiteOrder.least
+        ranked = 0  # the steps whose sites tie on the key
         for t in site_choice_corpus():
             with monkeypatch.context() as m:
                 ours = record_moves(m, plumbing, IN_PLACE_MOVES)
-                m.setattr(
-                    plumbing._SiteOrder,
-                    "least",
-                    lambda self, sites: compared.append(1) or real_least(self, sites),
-                )
-                reduce_tree(t)
+                state = plumbing._Reduction(t)
+                while True:
+                    ranked += len(least_sites(state)[1]) > 1
+                    if not state.step():
+                        break
             with monkeypatch.context() as m:
                 public = ("flatten_positive_leaf", "blow_down", "absorb_zero")
                 theirs = record_moves(m, oracles, public)
@@ -1087,14 +1128,14 @@ class TestReduce:
             assert ours == theirs
             kinds.update(kind for kind, _ in ours)
         assert min(kinds[kind] for kind in range(3)) > 100, kinds
-        # the key decides most steps; the tie-break below it stays covered
-        assert len(compared) > 100
+        # the key decides most steps; the rank below it stays covered
+        assert ranked > 100, ranked
 
     def test_key_tie_settled_below_the_key(self, monkeypatch):
         # blow-down sites 0 and 1 on a path, each between the -5 and a -2
-        # chain: both key (-1, -5), their encodings first differ where
-        # site 1's -2 chain ends in a -2 and site 0's in a -3, five levels
-        # down rooted at either; site 1 has the smaller encoding
+        # chain: both key (-1, -5).  The -5 is the centre, and of its two
+        # branches, equal in height, site 0's ends in the -3, the lesser
+        # leaf, so site 0 is numbered first and blown down first
         ids = [8, 7, 6, 1, 4, 0, 2, 3, 5]
         weights = [-2, -2, -2, -1, -5, -1, -2, -2, -3]
         tree = WeightedTree(dict(zip(ids, weights)), list(zip(ids, ids[1:])))
@@ -1102,43 +1143,59 @@ class TestReduce:
         classify = plumbing._site_class
         assert classify(state.weights, state.adj, 0) == (1, (-1, -5))
         assert classify(state.weights, state.adj, 1) == (1, (-1, -5))
-        tied = []
-        real_least = plumbing._SiteOrder.least
-
-        def least(self, sites):
-            tied.append(sorted(sites))
-            return real_least(self, sites)
-
+        ranks = plumbing._canonical_ranks(state.weights, state.adj)
+        assert ranks == oracles.reference_ranks(tree)
+        assert (ranks[4], ranks[0], ranks[1]) == (0, 1, 2)
         with monkeypatch.context() as m:
-            m.setattr(plumbing._SiteOrder, "least", least)
             ours = record_moves(m, plumbing, IN_PLACE_MOVES)
             reduce_tree(tree)
         with monkeypatch.context() as m:
             public = ("flatten_positive_leaf", "blow_down", "absorb_zero")
             theirs = record_moves(m, oracles, public)
             reference_reduce_tree(tree)
-        assert tied[0] == [0, 1]
         assert ours == theirs
-        assert ours[0] == (1, 1)
+        assert ours[0] == (1, 0)
 
-    def test_site_order_orders_few_branches(self, monkeypatch):
-        # a count, not a time: the encoding memo kept across moves built
-        # 579, 1049 and 801 branch encodings on these towers (re-encoding
-        # the whole tree at every step, 1901, 3769 and 3597); the lazy
-        # comparison orders the children of only the branches it reaches
-        # on both paths
-        real_order = plumbing._SiteOrder._order
-        ordered = []
+    def test_ranks_made_at_most_once_per_reduction(self, monkeypatch):
+        # a count, not a time: the tree is numbered at the first tie on the
+        # key, and the numbers are carried through every later move
+        real = plumbing._canonical_ranks
+        made = []
 
-        def counting(self, v, parent):
-            ordered[-1] += 1
-            return (yield from real_order(self, v, parent))
+        def counting(weights, adj):
+            made[-1] += 1
+            return real(weights, adj)
 
-        monkeypatch.setattr(plumbing._SiteOrder, "_order", counting)
-        for spec, memo_built in zip(THREE_ITERATION_SPECS, (579, 1049, 801)):
-            ordered.append(0)
+        monkeypatch.setattr(plumbing, "_canonical_ranks", counting)
+        for spec in THREE_ITERATION_SPECS:
+            made.append(0)
             reduce_tree(raw_plumbing(spec))
-            assert 0 < ordered[-1] <= memo_built // 3
+        assert made == [1, 1, 1]
+        made.append(0)
+        reduce_tree(path_tree([-2, -1, -3]))  # one site: no tie, no numbering
+        assert made[-1] == 0
+
+    def test_canonical_ranks_number_isomorphic_trees_alike(self):
+        # a relabelled copy is the same numbered tree: the vertex id orders
+        # only isomorphic branches, which an automorphism swaps
+        rng = random.Random(61)
+        trees = [random_tree(rng, max_vertices=n) for n in (6, 12, 20) for _ in range(100)]
+        trees += [random_tree(rng, max_vertices=30, weights=(-2, -2)) for _ in range(50)]
+        # bicentral and unicentral paths, with a mirror image or none
+        trees += [path_tree([-2] * n) for n in (1, 2, 7, 8)]
+        trees += [path_tree([-3, -2, -2, -3]), path_tree([-3, -2, -2, -4]), path_tree([-2, -3, -2])]
+        # spiders with isomorphic legs, and legs that differ far down
+        trees += [spider(-2, [-2, -3], [-2, -3], [-2, -3]), spider(-1, [-2] * 5, [-2] * 5)]
+        trees += [spider(-2, [-2, -2, -3], [-2, -2, -4], [-2, -2, -3], [-5])]
+        trees += [binary_tree(3, set()), binary_tree(3, {1, 2}), caterpillar(12, {3, 8})]
+        for t in trees:
+            ranks = plumbing._canonical_ranks(t._weights, t._adj)
+            assert sorted(ranks.values()) == list(range(len(t)))
+            assert ranks == oracles.reference_ranks(t)
+            for _ in range(4):
+                ids = t.vertices()
+                copy = relabel(t, dict(zip(ids, rng.sample(range(10**6), len(ids)))))
+                assert numbered(copy, plumbing._canonical_ranks(copy._weights, copy._adj)) == numbered(t, ranks)
 
     @pytest.mark.parametrize(
         "tree, size, weights",
@@ -1173,76 +1230,59 @@ class TestReduce:
         assert {int(w): k for w, k in histogram.items()} == weights
         assert det_kept
 
-    def test_deep_tie_in_the_first_child_pair(self, tmp_path):
-        # the two sites' encodings first differ 120 levels down, far past
-        # the recursion limit, and at every level inside the first child
-        # pair, with the second pair still to come
+    def test_every_fourth_spine_vertex_a_site(self):
+        # a -1 at every fourth spine vertex: up to 300 blow-down sites tied
+        # on their key, step after step.  The tree is numbered once, and
+        # the caterpillar of spine 1200 reduces in 0.05 s on a 2-core host,
+        # where comparing the sites' rooted encodings took 94 s
+        small = caterpillar(120, set(range(3, 120, 4)))
+        assert reduce_tree(small) == reference_reduce_tree(small)
+        tree = caterpillar(1200, set(range(3, 1200, 4)))
+        start = time.process_time()
+        red = reduce_tree(tree)
+        assert time.process_time() - start < 1
+        assert Counter(red.weights.values()) == {-2: 1202, -1: 599}
+        assert abs(form_invariants(red)[0]) == abs(form_invariants(tree)[0])
+
+    def test_deep_tie_in_the_first_child_pair(self):
+        # the two sites' branches differ 120 levels down, far past the
+        # recursion limit, inside the first child pair at every level
         tree = spined_sites(120, 121, 3)
-        assert reduce_tree(tree) == reference_reduce_tree(tree)
-        path = tmp_path / "tree.json"
-        path.write_text(tree.to_json())
-        code = (
-            "import sys\n"
-            "from knotplumb.plumbing import WeightedTree, reduce_tree\n"
-            f"tree = WeightedTree.from_json(open({str(path)!r}).read())\n"
-            "sys.setrecursionlimit(60)\n"
-            "print(reduce_tree(tree).to_json())\n"
-        )
-        res = run_child(code)
-        assert res.returncode == 0, res.stderr
-        assert res.stdout == reference_reduce_tree(tree).to_json() + "\n"
+        expected = reference_reduce_tree(tree)
+        assert reduce_tree(tree) == expected
+        ((*diff, _),) = reduce_in_child("[spined_sites(120, 121, 3)]", spined_sites)
+        assert diff == reduction_diff(tree, expected)
 
-    def test_deep_path_tie_walks_without_frames(self, tmp_path, monkeypatch):
-        # two tied sites, adjacent -1's, whose first branches are -2 paths
-        # that differ only at the far end (-3 against -4): both are walked
-        # down in a plain loop, with no task, frame or ordered children per
-        # vertex, so a comparison takes as many tasks at 500 vertices a
-        # path as at 5000
-        tasks = count_compare_tasks(monkeypatch)
-        counts = []
-        for length in (500, 5000):
-            tree = path_tree([-3] + [-2] * length + [-1, -1] + [-2] * length + [-4])
-            expected = deep_reference(tree).to_json()
-            tasks.clear()
-            assert reduce_tree(tree).to_json() == expected
-            counts.append(len(tasks))
-        assert 0 < counts[0] == counts[1], counts
-        path = tmp_path / "tree.json"
-        path.write_text(tree.to_json())
-        code = (
-            "import sys\n"
-            "from knotplumb.plumbing import WeightedTree, reduce_tree\n"
-            f"tree = WeightedTree.from_json(open({str(path)!r}).read())\n"
-            "sys.setrecursionlimit(60)\n"
-            "print(reduce_tree(tree).to_json())\n"
-        )
-        res = run_child(code)
-        assert res.returncode == 0, res.stderr
-        assert res.stdout == expected + "\n"
+    def test_deep_path_tie_walks_without_frames(self):
+        # path_tie(L): the -1's at L + 1 and L + 2 tie.  At every length
+        # the reduction blows down the one on the -4's side and absorbs the
+        # 0 it leaves, as the reference does at L = 100; the numbering
+        # peels the paths in a loop, so L = 5,000 and 50,000 reduce under
+        # a recursion limit of 60, in about linear time
+        def diff(length):
+            return [[length + 1, length + 2, length + 3], [[length, -3]], [[length, length + 4]]]
 
-    def test_tasks_walk_paths_too(self, monkeypatch):
-        # below the sites the tasks walk -2 paths in the same loop:
-        # spined_sites' two 20-level spines end in -2 tails that differ
-        # only at their far ends, and no tail vertex gets a task or ordered
-        # children of its own, so tails of 300 and 600 vertices take as
-        # many tasks
-        base = spined_sites(20, 20, 3)
-        ends = sorted(v for v, w in base.weights.items() if w == -3 and base.valence(v) == 2)
-        tasks = count_compare_tasks(monkeypatch)
-        counts = []
-        for length in (300, 600):
-            weights, edges = base.weights, list(base.edges)
-            for prev, end in zip(ends, (-3, -4)):
-                for w in [-2] * length + [end]:
-                    weights[len(weights)] = w
-                    edges.append((prev, len(weights) - 1))
-                    prev = len(weights) - 1
-            tree = WeightedTree(weights, edges)
-            expected = deep_reference(tree)
-            tasks.clear()
-            assert reduce_tree(tree) == expected
-            counts.append(len(tasks))
-        assert 0 < counts[0] == counts[1], counts
+        assert reduction_diff(path_tie(100), reference_reduce_tree(path_tie(100))) == diff(100)
+        runs = reduce_in_child("[path_tie(5_000), path_tie(50_000)]", path_tree, path_tie)
+        assert [run[:3] for run in runs] == [diff(5_000), diff(50_000)]
+        # 0.04 and 0.4 s on a 2-core host
+        assert runs[1][3] < 4, runs
+
+    def test_spined_tails_reduce_without_frames(self):
+        # the sites' branches differ only at the far ends of -2 tails below
+        # 20-level spines: at every tail length the reduction removes,
+        # reweights and joins the same vertices of the base tree, as the
+        # reference does at 100, and tails of 5,000 and 50,000 reduce
+        # under a recursion limit of 60
+        small = spined_tails(100)
+        expected = reduction_diff(small, reference_reduce_tree(small))
+        gone, changed, joined = expected
+        touched = set(gone) | {v for v, _ in changed} | set(chain(*joined))
+        assert max(touched) < len(spined_sites(20, 20, 3))
+        runs = reduce_in_child("[spined_tails(5_000), spined_tails(50_000)]", spined_sites, spined_tails)
+        assert [run[:3] for run in runs] == [expected, expected]
+        # 0.02 and 0.5 s on a 2-core host
+        assert runs[1][3] < 4, runs
 
     def test_moves_per_kind_on_three_iteration_towers(self, monkeypatch):
         # the counts of the loop that rescanned and copied the tree per move
