@@ -277,6 +277,15 @@ def _hook_roles(i):
     return f"torso{i}", f"node{i}", f"leg{i}"
 
 
+@lru_cache(maxsize=1024)
+def _hook(p, a):
+    """Hook (p, a) as the junction rule reads it, made once per pair: run,
+    torso's leading -2's; rest, the expansion of the torso after them; leg,
+    the expansion of a/p.  Bounded, since a sweep meets a new a2 per tuple."""
+    run = ceil_div(a, p) - 2
+    return run, expand_neg_cf(a - run * p, a - (run + 1) * p), expand_neg_cf(a, p)
+
+
 def _junction_builder(spec, gaps) -> _TreeBuilder:
     """reduced_plumbing's builder (N >= 1), a run for each torso's leading
     -2's and the tail; with gaps its ids are the calculus's, else 0..n-1."""
@@ -285,9 +294,7 @@ def _junction_builder(spec, gaps) -> _TreeBuilder:
     prev, j = None, 0  # the corner torso i attaches to; the entries it drops
     for i, (p, a) in enumerate(spec.knot.pairs, start=1):
         torso, node, leg_role = _hook_roles(i)
-        run = ceil_div(a, p) - 2  # torso i's leading -2's
-        rest = expand_neg_cf(a - run * p, a - (run + 1) * p)
-        leg = expand_neg_cf(a, p)
+        run, rest, leg = _hook(p, a)  # run: torso i's leading -2's
         if prev is not None:
             if j - 1 > run:
                 raise AssertionError(f"junction {i - 1} would drop a torso entry other than -2")

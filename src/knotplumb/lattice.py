@@ -30,39 +30,41 @@ the partition or reads a depth-long column.
 
 A candidate is one nonincreasing tuple per column class, and a class's
 tuple moves dot product j by the class's signature at j times the
-tuple's sum.  So a vertex of norm other than 2 finds its candidates gap
-first.  While some target is unmet, the shallowest unmet one, at depth j,
-is closed by the classes of placed[j]'s coordinates, at most its norm of
-them.  With every target met, 3 or more of the norm left is spent by
-walking the remaining classes, and less than 3 only by one neutral fill,
-since a cancelling combination of distinct signatures costs at least 3.
-A Cauchy-Schwarz bound over the undecided classes gives each class a
-window of sums and, per sum, a largest sum of squares: the entries still
-free have squared norm at most the unspent norm, so gap j can close by at
-most sqrt(unspent norm * the squared norm of placed[j] in the undecided
-classes).  The bound is in exact integers and drops only choices with no
-completion.  A class's tuples of one sum come sparse from a cache keyed by
-min(width, budget), so none is as long as its class.  The caches are not
-bounded and last as long as the process: the desk range leaves 24
-lists, but a caller that meets many distinct norms keeps every list it
-built, and for {-2, -w} the list of the sum that closes the gap grows as
-sqrt(w).  The few candidates
-are then sorted into descending order of their dense entries, the order
-in which a class-by-class enumeration lists them; the test suite keeps
-that enumeration as its oracle, and the lists, node counts and witnesses
-are its own.
+tuple's sum.  So candidates are found gap first.  While some target is
+unmet and 3 or more of the norm is unspent, the shallowest unmet one, at
+depth j, is closed by the classes of placed[j]'s coordinates, at most
+its norm of them.  With every target met, 3 or more of the norm left is
+spent by walking the remaining classes, and less than 3 only by one
+neutral fill, since a cancelling combination of distinct signatures
+costs at least 3.  A Cauchy-Schwarz bound over the undecided classes
+gives each class a window of sums and, per sum, a largest sum of
+squares: the entries still free have squared norm at most the unspent
+norm, so gap j can close by at most sqrt(unspent norm * the squared norm
+of placed[j] in the undecided classes).  The bound is in exact integers
+and drops only choices with no completion.  A class's tuples of one sum
+come sparse from a cache keyed by min(width, budget), so none is as long
+as its class.  The caches are not bounded and last as long as the
+process: the desk range leaves 24 lists, but a caller that meets many
+distinct norms keeps every list it built, and for {-2, -w} the list of
+the sum that closes the gap grows as sqrt(w).
 
-Most vertices of the plumbing trees are -2 vertices, and a norm-2 vector
-is +-1 in two coordinates.  One with a placed neighbour skips the
-gap-first search: one of the two classes holding a +-1 meets that
-neighbour's support, so only those classes, at most the neighbours'
-norms of them, are tried as class A, and a +-1 in class A fixes the
-signed signature of the class of the other +-1, which one dict lookup
-finds; one merge of the targets and class A's signature, both in depth
-order, builds that key.  The first vertex of a light component, with
-zero targets, gets its neutral fills gap first.  The candidates are sorted
-the same way, so this too gives the enumeration's list, element for
-element.
+The last 1 or 2 units of norm, with a target unmet, take no walk: they
+are +-1 entries, and one signature lookup lists every completion.  One
+entry c in class C meets the gaps when c * sig_C equals them, so C is
+the class keyed by the gaps or their negative, c the shallowest gap's
+sign.  Two entries, a in class A and b in class B, meet them when a *
+sig_A + b * sig_B does: the shallowest gap, at depth j, is nonzero, so A
+can be taken among the classes of placed[j]'s coordinates, and A and a
+fix b * sig_B, which one dict lookup finds.  The keys are the exact
+sparse signatures, so a lookup costs the few depths a column touches,
+at any depth of the search.  Most vertices of the plumbing trees are -2
+vertices placed next to a placed neighbour, norm 2 with a target unmet
+from the start, so each of them is this one lookup; the first vertex of
+a light component, with zero targets, gets its neutral fills by the
+walk.  The few candidates are then sorted into descending order of their
+dense entries, the order in which a class-by-class enumeration lists
+them; the test suite keeps that enumeration as its oracle, and the
+lists, node counts and witnesses are its own.
 
 An embedding touches at most -trace(G) coordinates, each vector at most
 its norm of them, and in canonical form the touched coordinates come
@@ -93,9 +95,11 @@ All arithmetic is on plain integers.
 """
 
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
+from itertools import compress, count, islice
 from math import isqrt
 
 from .plumbing import form_invariants, gram_matrix
@@ -129,9 +133,8 @@ def verify_embedding(gram, vectors) -> bool:
         raise ValueError("vectors of mixed lengths")
     columns = [[] for _ in range(r)]
     for i, v in enumerate(vectors):
-        for k, x in enumerate(v):
-            if x:
-                columns[k].append((i, x))
+        for k in _support(v):
+            columns[k].append((i, v[k]))
     minus_dots = [[0] * n for _ in range(n)]
     for column in columns:
         for a, (i, x) in enumerate(column):
@@ -139,6 +142,13 @@ def verify_embedding(gram, vectors) -> bool:
             for j, y in column[a:]:
                 row[j] -= x * y
     return all(minus_dots[i][i:] == list(gram[i][i:n]) for i in range(n))
+
+
+def _support(vec):
+    """The coordinates of vec's nonzero entries, ascending.  Counting the
+    zeros and skipping them both run in C, and the walk stops after the
+    last nonzero entry, so a wide vector costs no bytecode per zero."""
+    return islice(compress(count(), vec), len(vec) - vec.count(0))
 
 
 def _depth_first(adj):
@@ -155,6 +165,8 @@ def _depth_first(adj):
     placed = [False] * len(adj)
     order = []
     for root in range(len(adj)):
+        if placed[root]:
+            continue
         stack = [root]
         while stack:
             v = stack.pop()
@@ -162,7 +174,13 @@ def _depth_first(adj):
                 continue
             placed[v] = True
             order.append(v)
-            stack.extend(sorted((w for w in adj[v] if not placed[w]), reverse=True))
+            nxt = []
+            for w in adj[v]:
+                if not placed[w]:
+                    nxt.append(w)
+            if len(nxt) > 1:
+                nxt.sort(reverse=True)
+            stack.extend(nxt)
     return order
 
 
@@ -266,10 +284,18 @@ class _Searcher:
         self.norms = [-diag[v] for v in self.order]
         # links[d]: (depth j, target) for each neighbour placed before depth
         # d; every other target of the vertex at depth d is 0
-        self.links = [
-            sorted((depth_of[w], -a) for w, a in off[v].items() if depth_of[w] < d)
-            for d, v in enumerate(self.order)
-        ]
+        self.links = []
+        for d, v in enumerate(self.order):
+            links = []
+            for w, a in off[v].items():
+                if depth_of[w] < d:
+                    links.append((depth_of[w], -a))
+            if len(links) > 1:
+                links.sort()
+            self.links.append(tuple(links))
+        # room[j]: placed[j]'s squared norm in the classes a candidate walk
+        # has not decided, restored as the walk backs out
+        self.room = list(self.norms)
         self.budget = budget
         self.nodes = 0
         self.exhausted = False
@@ -297,10 +323,11 @@ class _Searcher:
     def embeddings(self):
         """Every completed embedding, in depth-first order, at self.rank.
 
-        frames[d] iterates the candidates for the vertex at depth d and
-        placed[d] is the one it proposed last, so the placement depth
-        uses no Python frames.  Each placed vector is a node; placing
-        vector budget + 1 sets exhausted and ends the search.
+        frames[d] holds the candidates for the vertex at depth d and the
+        index of the next one, and placed[d] is the one it proposed last,
+        so the placement depth uses no Python frames.  Each placed vector
+        is a node; placing vector budget + 1 sets exhausted and ends the
+        search.
         """
         placed = self.placed
         frames = []
@@ -315,18 +342,20 @@ class _Searcher:
                     rows[slot] = tuple(row)
                 yield tuple(rows)
             else:
-                frames.append(iter(self._candidates(depth)))
+                frames.append([self._candidates(depth), 0])
             # backtrack to the deepest depth with a candidate left
             while frames:
                 if len(placed) == len(frames):
                     self._unplace()
-                vec = next(frames[-1], None)
-                if vec is not None:
+                frame = frames[-1]
+                candidates, i = frame
+                if i < len(candidates):
+                    frame[1] = i + 1
                     self.nodes += 1
                     if self.budget is not None and self.nodes > self.budget:
                         self.exhausted = True
                         return
-                    self._place(vec)
+                    self._place(candidates[i])
                     break
                 frames.pop()
             else:
@@ -345,46 +374,54 @@ class _Searcher:
         signature order; the zero run keeps the parent's record and
         signature.  A touched signature starts with a positive entry, so
         the children of the untouched class also sort after every touched
-        class, and the untouched class stays last.
+        class, and the untouched class stays last.  One pass over vec's
+        entries does it, writing each of their coordinates' owner once.
         """
         depth = len(self.placed)
         owner, by_sig = self.owner, self.by_sig
         log = []
-        i = 0
-        while i < len(vec):
-            cls = owner[vec[i][0]]
-            lo, hi = cls.lo, cls.hi
-            children = []
-            while i < len(vec) and vec[i][0] < hi:
-                k, x = vec[i]
-                if children and children[-1].sig[-1][1] == x:
-                    children[-1].hi = k + 1
-                else:
-                    children.append(_Class(k, k + 1, cls.sig + ((depth, x),)))
-                i += 1
-            for child in children:
-                owner[child.lo:child.hi] = [child] * (child.hi - child.lo)
-                by_sig[child.sig] = child
-                if child.sig[-1][1] > 0:
-                    cls.lo = child.hi
-                else:
-                    cls.hi = min(cls.hi, child.lo)
-            if cls.lo == cls.hi:
-                del by_sig[cls.sig]
-            log.append((cls, lo, hi, children))
+        cls = child = None
+        for k, x in vec:
+            parent = owner[k]
+            if parent is cls and x == child.sig[-1][1]:  # child's run goes on
+                child.hi = k + 1
+                owner[k] = child
+                if x > 0:
+                    cls.lo = k + 1
+                continue
+            if parent is not cls:
+                if cls is not None and cls.lo == cls.hi:
+                    del by_sig[cls.sig]
+                cls = parent
+                children = []
+                log.append((cls, cls.lo, cls.hi, children))
+            child = _Class(k, k + 1, cls.sig + ((depth, x),))
+            owner[k] = child
+            by_sig[child.sig] = child
+            children.append(child)
+            if x > 0:
+                cls.lo = k + 1
+            elif cls.hi > k:  # the first negative run
+                cls.hi = k
+        if cls is not None and cls.lo == cls.hi:
+            del by_sig[cls.sig]
         self.placed.append(vec)
         self.undo.append(log)
 
     def _unplace(self):
         """Remove the last placed vector and merge the classes it split."""
         self.placed.pop()
+        owner, by_sig = self.owner, self.by_sig
         for cls, lo, hi, children in self.undo.pop():
             if cls.lo == cls.hi:
-                self.by_sig[cls.sig] = cls
+                by_sig[cls.sig] = cls
             cls.lo, cls.hi = lo, hi
             for child in children:
-                del self.by_sig[child.sig]
-                self.owner[child.lo:child.hi] = [cls] * (child.hi - child.lo)
+                del by_sig[child.sig]
+                if child.hi - child.lo == 1:
+                    owner[child.lo] = cls
+                else:
+                    owner[child.lo:child.hi] = [cls] * (child.hi - child.lo)
 
     def _candidates(self, depth):
         """All vectors for the vertex at this depth: its norm, dot products
@@ -396,11 +433,14 @@ class _Searcher:
         product j by sig[j] times its sum.  Classes are decided one at a
         time, the next one read off the choices so far:
 
-        - while a gap (target minus dot product) is open, an undecided
-          owner of a coordinate of placed[j], j the shallowest open gap;
-        - with no gap open and 3 or more of the norm unspent, the next
-          undecided class in coordinate order, the untouched one last,
-          taking exactly what is left;
+        - while a gap (target minus dot product) is open and 3 or more of
+          the norm is unspent, an undecided owner of a coordinate of
+          placed[j], j the shallowest open gap;
+        - with a gap open and at most 2 unspent, none: one signature
+          lookup lists every completion (_finish);
+        - with no gap open and 3 or more unspent, the next undecided
+          class in coordinate order, the untouched one last, taking
+          exactly what is left;
         - with no gap open and less than 3 unspent, none: a nonzero sum
           in a touched class opens gaps that only a cancelling
           combination of distinct signatures closes, and that costs 3 or
@@ -409,23 +449,32 @@ class _Searcher:
           is (1, ..., -1) in one undecided touched class 2 or more wide,
           or (1) or (1, 1) in the untouched class (_filled).
 
-        The undecided classes touching depth j hold room_j = norms[j] -
-        spent[j] of placed[j]'s squared norm, and the entries still free
-        square to at most the unspent norm, so by Cauchy-Schwarz every
-        completion has gap_j**2 <= unspent norm * room_j.  That bound
-        gives each class a window of sums and each sum a largest sum of
-        squares; it drops only choices with no completion.  Every choice
-        of a class is listed, so every candidate comes once; the few are
-        sorted into descending order of their dense entries, the order of
-        the class-by-class enumeration the test suite keeps as its oracle
-        (oracles.reference_candidates).  A norm-2 vertex with a placed
-        neighbour is answered by signature lookup instead (_norm_two).
+        A vertex of norm 1 or 2 with a placed neighbour decides no class:
+        its targets are open gaps, so _finish answers it outright.
+
+        The undecided classes touching depth j hold room[j] of placed[j]'s
+        squared norm, and the entries still free square to at most the
+        unspent norm, so by Cauchy-Schwarz every completion has gap_j**2
+        <= unspent norm * room[j].  That bound gives each class a window
+        of sums and each sum a largest sum of squares; it drops only
+        choices with no completion.  Every choice of a class is listed,
+        so every candidate comes once; the few are sorted into descending
+        order of their dense entries, the order of the class-by-class
+        enumeration the test suite keeps as its oracle
+        (oracles.reference_candidates).
         """
-        norm = self.norms[depth]
-        if norm == 2 and self.links[depth]:
-            return self._norm_two(depth)
-        norms, placed, owner, rank = self.norms, self.placed, self.owner, self.rank
-        spent = {}  # spent[j]: the squared norm of placed[j] in decided classes
+        norm, links = self.norms[depth], self.links[depth]
+        if norm <= 2 and links:
+            out = self._finish((), norm, links, ())
+        else:
+            out = self._walk(norm, links)
+        if len(out) > 1:  # an unguarded one-element sort costs 1.0 us, the guard 0.03
+            out.sort(key=_reading, reverse=True)
+        return out
+
+    def _walk(self, norm, links):
+        """_candidates' class-by-class walk, its candidates unsorted."""
+        placed, owner, rank, room = self.placed, self.owner, self.rank, self.room
         decided = set()
 
         def options(cls, budget, gaps):
@@ -433,18 +482,17 @@ class _Searcher:
             # every open gap within its room; cls is already decided
             width = min(cls.hi - cls.lo, budget)
             if not cls.sig:
-                for entries in _untouched_fills(width, budget):
-                    yield entries, 0, gaps
-                return
+                return [(entries, 0, gaps) for entries in _untouched_fills(width, budget)]
             hi = isqrt(width * budget)
             lo = -hi
             for j, x in cls.sig:  # |gap_j - x * sum| <= reach
                 g = gaps.get(j, 0)
                 if x < 0:
                     x, g = -x, -g
-                reach = isqrt(budget * (norms[j] - spent.get(j, 0)))
+                reach = isqrt(budget * room[j])
                 lo = max(lo, -((reach - g) // x))
                 hi = min(hi, (g + reach) // x)
+            out = []
             for s in range(hi, lo - 1, -1):
                 new = gaps
                 if s:
@@ -457,58 +505,67 @@ class _Searcher:
                 # a depth whose room is gone
                 need = 0
                 for j, g in new.items():
-                    need = max(need, -(-g * g // (norms[j] - spent.get(j, 0))))
+                    need = max(need, -(-g * g // room[j]))
                 for entries, q in _touched_tuples(width, budget, s):
                     if q > budget - need:
                         break
-                    yield entries, budget - q, new
+                    out.append((entries, budget - q, new))
+            return out
 
         out = []
-        stack = []  # per decided class: [class, its options, cursor, entries]
-        budget, gaps, cursor = norm, dict(self.links[depth]), 0
+        stack = []  # per decided class: [class, its options, next index, cursor, entries]
+        budget, gaps, cursor = norm, dict(links), 0
         while True:
             cls = None
-            if gaps:
+            if not gaps:
+                if budget >= 3:
+                    while cursor < rank and owner[cursor] in decided:
+                        cursor = owner[cursor].hi
+                    if cursor < rank:
+                        cls = owner[cursor]
+                else:
+                    out.extend(self._filled(stack, budget, decided))
+            elif budget >= 3:
                 for k, _ in placed[min(gaps)]:
                     if owner[k] not in decided:
                         cls = owner[k]
                         break
-            elif budget >= 3:
-                while cursor < rank and owner[cursor] in decided:
-                    cursor = owner[cursor].hi
-                if cursor < rank:
-                    cls = owner[cursor]
             else:
-                out.extend(self._filled(stack, budget, decided))
+                out.extend(self._finish(stack, budget, sorted(gaps.items()), decided))
             if cls is not None:
                 decided.add(cls)
+                width = cls.hi - cls.lo
                 for j, x in cls.sig:
-                    spent[j] = spent.get(j, 0) + (cls.hi - cls.lo) * x * x
-                stack.append([cls, options(cls, budget, gaps), cursor, ()])
+                    room[j] -= width * x * x
+                stack.append([cls, options(cls, budget, gaps), 0, cursor, ()])
             while stack:
                 frame = stack[-1]
-                option = next(frame[1], None)
-                if option is not None:
-                    frame[3], budget, gaps = option
-                    cursor = frame[2]
+                i = frame[2]
+                if i < len(frame[1]):
+                    frame[2] = i + 1
+                    frame[4], budget, gaps = frame[1][i]
+                    cursor = frame[3]
                     break
                 stack.pop()
                 cls = frame[0]
                 decided.discard(cls)
+                width = cls.hi - cls.lo
                 for j, x in cls.sig:
-                    spent[j] -= (cls.hi - cls.lo) * x * x
+                    room[j] += width * x * x
             else:
-                break
-        if len(out) > 1:  # an unguarded one-element sort costs 1.0 us, the guard 0.03
-            out.sort(key=_reading, reverse=True)
-        return out
+                return out
+
+    @staticmethod
+    def _base(stack):
+        """The entries the decided classes on stack chose, at their coordinates."""
+        return [(cls.lo + o if o >= 0 else cls.hi + o, x)
+                for cls, _, _, _, entries in stack for o, x in entries]
 
     def _filled(self, stack, budget, decided):
         """The candidates that complete the choices on stack with no gap
         open and budget < 3 unspent: the undecided classes stay zero but
         for at most one neutral fill."""
-        base = [(cls.lo + o if o >= 0 else cls.hi + o, x)
-                for cls, _, _, entries in stack for o, x in entries]
+        base = self._base(stack)
         if not budget:
             return [tuple(sorted(base))]
         fills = []
@@ -520,68 +577,85 @@ class _Searcher:
                          if cls.sig and cls.hi - cls.lo >= 2 and cls not in decided)
         return [tuple(sorted(base + fill)) for fill in fills]
 
-    def _norm_two(self, depth):
-        """_candidates for norm 2 with a placed neighbour, by signature lookup.
+    def _finish(self, stack, budget, gaps, decided):
+        """The candidates that complete the choices on stack with gaps
+        open, the (depth, gap) pairs in depth order, and budget 1 or 2
+        unspent, by signature lookup; unsorted.  (The walk never leaves a
+        gap open with no norm left to close it.)
 
-        A norm-2 vector is +-1 in two coordinates.  In canonical form a
-        single entry of a class is its first coordinate if +1 and its last
-        if -1, and an untouched class takes only +1.  Two entries in one
-        class, (1, 1, 0, ...) or (..., -1, -1), meet targets 2 * sig or
-        -2 * sig; (1, 0, ..., -1) meets zero targets, which a placed
-        neighbour rules out.
+        What is left is budget entries +-1, in undecided classes: a
+        single entry of a class is its first coordinate if +1 and its
+        last if -1, and an untouched class takes only +1.  One entry, c
+        in class C, meets the gaps when c * sig_C = gaps, and every
+        touched signature starts positive, so c is the sign of the
+        shallowest gap and C is by_sig[c * gaps].
 
-        With the entries in different classes A and B (signs a, b), the
-        targets demand a * sig_A + b * sig_B = targets.  Some target t_j
-        is nonzero, so sig_A[j] or sig_B[j] is: one of the two classes
-        holds a coordinate where the placed neighbour at depth j is
-        nonzero.  So class A ranges over the classes of those coordinates
-        only, at most the neighbours' norms of them, each pair is counted
-        from its earlier class when both qualify, and A and a fix
-        b * sig_B.  Every touched signature starts positive, so b is the
-        sign of its first entry, and one dict lookup finds B; 2 * sig =
-        targets is the case where that lookup finds A itself.  Only a form
-        that is not definite asks for that: the vectors placed before a
-        norm-2 vertex have norm at most 2, so one that is +-1 on two
-        coordinates of a class is +-(the candidate).  The candidates are sorted as
-        _candidates sorts its own.
+        Two entries in classes A and B (signs a, b) meet the gaps when a
+        * sig_A + b * sig_B = gaps.  The shallowest gap, at depth j, is
+        nonzero, so sig_A[j] or sig_B[j] is: one of the two classes holds
+        a coordinate of placed[j].  So class A ranges over the classes of
+        those coordinates only, at most placed[j]'s norm of them, each
+        pair is counted from its lower class when both qualify, and A and
+        a fix b * sig_B = gaps - a * sig_A: b is the sign of its first
+        entry, or +1 for the untouched class's (), and one dict lookup
+        finds B.  B = A is the case (1, 1, 0, ...) or (..., -1, -1),
+        gaps = 2a * sig_A; (1, 0, ..., -1) in one class meets zero gaps
+        only.  A norm-2 vertex with a placed neighbour asks for B = A
+        only in a form that is not definite: the vectors placed before it
+        have norm at most 2, so one that is +-1 on two coordinates of a
+        class is +-(the candidate).
         """
-        links = self.links[depth]
-        owner, by_sig = self.owner, self.by_sig
-        near = {owner[k]: None for j, _ in links for k, _ in self.placed[j]}
-        out = []
-        for a_cls in near:
-            for a in (1, -1):
-                # key: the targets minus a * sig_A, sparse, by one merge of
-                # links and sig_A, both in depth order
-                key, i = [], 0
-                for j, x in a_cls.sig:
-                    while i < len(links) and links[i][0] < j:
-                        key.append(links[i])
-                        i += 1
-                    t = -a * x
-                    if i < len(links) and links[i][0] == j:
-                        t += links[i][1]
-                        i += 1
-                    if t:
-                        key.append((j, t))
-                key = tuple(key + links[i:])
-                # b * sig_B = key, and sig_B starts positive or is the
-                # untouched class's (), which takes only +1
-                b = -1 if key and key[0][1] < 0 else 1
-                b_cls = by_sig.get(key if b > 0 else tuple([(j, -t) for j, t in key]))
-                if b_cls is None:
+        by_sig = self.by_sig
+        finishes = []
+        if budget == 1:
+            c = 1 if gaps[0][1] > 0 else -1
+            c_cls = by_sig.get(tuple([(j, c * g) for j, g in gaps]))
+            if c_cls is not None and c_cls not in decided:
+                finishes.append(((c_cls.lo, 1),) if c > 0 else ((c_cls.hi - 1, -1),))
+        else:
+            owner = self.owner
+            j0, g0 = gaps[0]
+            near = {}  # each class of placed[j0]'s coordinates: its entry there
+            for k, x in self.placed[j0]:
+                near[owner[k]] = x
+            entries = near.values()
+            for a_cls, x in near.items():
+                if a_cls in decided:
                     continue
-                if b_cls is a_cls:  # the targets are 2 * a * sig_A
-                    if a_cls.hi - a_cls.lo >= 2:
-                        out.append(((a_cls.lo, 1), (a_cls.lo + 1, 1)) if a > 0
-                                   else ((a_cls.hi - 2, -1), (a_cls.hi - 1, -1)))
-                elif b_cls not in near or a_cls.lo < b_cls.lo:
-                    ka = (a_cls.lo if a > 0 else a_cls.hi - 1, a)
-                    kb = (b_cls.lo if b > 0 else b_cls.hi - 1, b)
-                    out.append((ka, kb) if ka < kb else (kb, ka))
-        if len(out) > 1:  # an unguarded one-element sort costs 1.0 us, the guard 0.03
-            out.sort(key=_reading, reverse=True)
-        return out
+                for a in (1, -1):
+                    # b * sig_B[j0]: 0, or +- the entry there of a class in near
+                    y = g0 - a * x
+                    if y and y not in entries and -y not in entries:
+                        continue
+                    # b * sig_B = gaps - a * sig_A = -a * m, m = sig_A - a * gaps
+                    m = a_cls.sig
+                    for j, g in gaps:
+                        i = bisect_left(m, (j,))
+                        if i < len(m) and m[i][0] == j:
+                            t = m[i][1] - a * g
+                            m = m[:i] + ((j, t),) + m[i + 1:] if t else m[:i] + m[i + 1:]
+                        else:
+                            m = m[:i] + ((j, -a * g),) + m[i:]
+                    if not m:
+                        b, b_cls = 1, by_sig.get(m)
+                    elif m[0][1] > 0:
+                        b, b_cls = -a, by_sig.get(m)
+                    else:
+                        b, b_cls = a, by_sig.get(tuple([(j, -t) for j, t in m]))
+                    if b_cls is None or b_cls in decided:
+                        continue
+                    if b_cls is a_cls:  # gaps = 2a * sig_A
+                        if a_cls.hi - a_cls.lo >= 2:
+                            finishes.append(((a_cls.lo, 1), (a_cls.lo + 1, 1)) if a > 0
+                                            else ((a_cls.hi - 2, -1), (a_cls.hi - 1, -1)))
+                    elif b_cls not in near or a_cls.lo < b_cls.lo:
+                        ka = (a_cls.lo, 1) if a > 0 else (a_cls.hi - 1, -1)
+                        kb = (b_cls.lo, 1) if b > 0 else (b_cls.hi - 1, -1)
+                        finishes.append((ka, kb) if ka < kb else (kb, ka))
+        if not stack:
+            return finishes
+        base = self._base(stack)
+        return [tuple(sorted([*base, *finish])) for finish in finishes]
 
 
 def find_embedding(tree, rank=None, budget=None) -> SearchResult:
@@ -698,11 +772,10 @@ def enumerate_embeddings(tree, rank=None, locally_minimal_only=False) -> list:
 def render_vector(vec) -> str:
     """Human-readable form such as 'e1-e2+2e5'; the zero vector renders as '0'."""
     parts = []
-    for k, x in enumerate(vec, start=1):
-        if x == 0:
-            continue
+    for k in _support(vec):
+        x = vec[k]
         mag = "" if abs(x) == 1 else str(abs(x))
-        parts.append(("-" if x < 0 else ("+" if parts else "")) + mag + f"e{k}")
+        parts.append(("-" if x < 0 else ("+" if parts else "")) + mag + f"e{k + 1}")
     return "".join(parts) if parts else "0"
 
 

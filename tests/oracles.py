@@ -226,6 +226,17 @@ def square_decompositions(m: int) -> tuple:
     return tuple(rec(m, math.isqrt(m)))
 
 
+def render_vector_densely(vec) -> str:
+    """lattice.render_vector by a loop over every coordinate."""
+    parts = []
+    for k, x in enumerate(vec, start=1):
+        if x == 0:
+            continue
+        mag = "" if abs(x) == 1 else str(abs(x))
+        parts.append(("-" if x < 0 else ("+" if parts else "")) + mag + f"e{k}")
+    return "".join(parts) if parts else "0"
+
+
 def all_vectors_of_norm(norm, rank):
     """Every v in Z^rank with v.v == norm, no symmetry reduction."""
     out = []

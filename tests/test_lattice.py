@@ -37,6 +37,7 @@ from oracles import (
     random_tree,
     reference_candidates,
     relabel,
+    render_vector_densely,
     search_classes,
     search_gram,
     sorted_tuples,
@@ -442,14 +443,16 @@ def check_candidates_against_oracle(monkeypatch, norm_two_cases):
 
 def check_partition_against_oracle(monkeypatch):
     """Make every _candidates call, one per node, first assert that the
-    incremental column classes equal the from-scratch grouping; returns
-    the list of class counts."""
+    incremental column classes equal the from-scratch grouping, and that
+    by_sig maps each of their signatures to them and holds nothing else;
+    returns the list of class counts."""
     real = lattice._Searcher._candidates
     counts = []
 
     def checked(self, depth):
         want = column_classes(node_inputs(self, depth)[0], self.rank)
         assert search_partition(self) == want, depth
+        assert self.by_sig == {cls.sig: cls for cls in search_classes(self)}, depth
         counts.append(len(want))
         return real(self, depth)
 
@@ -500,6 +503,71 @@ def cyclic_minus_two_gram(rng):
     return g
 
 
+def finish_cases(searcher, budget, gaps, decided, out):
+    """Which of FINISH_CASES a _finish call shows: the kind of each
+    completion it lists, told by the classes of its entries outside the
+    decided classes, and whether a decided class, which it must skip,
+    would have met the gaps with budget +-1 entries."""
+    cases = set()
+    for vec in out:
+        rest = [(k, x) for k, x in vec if searcher.owner[k] not in decided]
+        if len(rest) == 1:
+            cases.add(f"budget 1, {rest[0][1]:+d}")
+            continue
+        (k1, x1), (k2, x2) = rest
+        c1, c2 = searcher.owner[k1], searcher.owner[k2]
+        if c1 is c2:
+            cases.add(f"same class {(x1, x2)}")
+        else:
+            cases.add("two classes" if c1.sig and c2.sig else "two classes, one untouched")
+
+    def moves(*terms):  # the sum of s * sig over the terms, sparse
+        out = {}
+        for s, sig in terms:
+            for j, x in sig:
+                out[j] = out.get(j, 0) + s * x
+        return {j: x for j, x in out.items() if x}
+
+    want = dict(gaps)
+    classes = list(searcher.by_sig.values())
+    for d_cls in decided:
+        for d in (1, -1):
+            if budget == 1 and moves((d, d_cls.sig)) == want or budget == 2 and any(
+                moves((d, d_cls.sig), (c, c_cls.sig)) == want for c_cls in classes for c in (1, -1)
+            ):
+                cases.add("decided class skipped")
+    return cases
+
+
+def record_finish_cases(monkeypatch, cases, recording=lambda: True):
+    """Make every _finish call add the FINISH_CASES it shows to cases,
+    while recording() holds."""
+    real = lattice._Searcher._finish
+
+    def recorded(self, stack, budget, gaps, decided):
+        out = real(self, stack, budget, gaps, decided)
+        if recording():
+            cases.update(finish_cases(self, budget, gaps, decided, out))
+        return out
+
+    monkeypatch.setattr(lattice._Searcher, "_finish", recorded)
+
+
+# the kinds of completion _finish lists with gaps open and budget <= 2
+# unspent, and the decided classes it must pass over
+FINISH_CASES = {
+    "budget 1, +1",
+    "budget 1, -1",
+    "two classes",
+    "two classes, one untouched",
+    "same class (1, 1)",
+    "same class (-1, -1)",
+    "decided class skipped",
+}
+# those the closed-form desk graphs show
+DESK_FINISH_CASES = {"two classes", "two classes, one untouched", "decided class skipped"}
+
+
 NORM_TWO_CASES = {
     "depth 0",
     "rank 1",
@@ -517,7 +585,10 @@ class TestCandidates:
     def test_pruning_keeps_every_canonical_candidate(self, monkeypatch):
         # the tail bound may skip only partial choices that cannot complete:
         # each candidate list must be the unpruned enumeration, filtered to
-        # canonical form, in the search's order
+        # canonical form, in the search's order.  Every kind of completion
+        # the signature lookup lists (_finish) is among them
+        cases = set()
+        record_finish_cases(monkeypatch, cases)
         calls = check_candidates_against_oracle(monkeypatch, set())
         rng = random.Random(17)
         graphs = 0
@@ -529,12 +600,14 @@ class TestCandidates:
             enumerate_embeddings(t)
             find_embedding(t, rank=len(t) + 1)
         assert len(calls) > 1000 and sum(calls) > 1000
+        assert cases == FINISH_CASES
 
     def test_norm_two_lookup_matches_the_enumeration(self, monkeypatch):
         # mostly -2 trees, then the same with a cycle, so that most calls
         # are norm 2, and every case must give the enumeration's list: the
-        # lookup's, and a component's first vertex's neutral fills (depth
-        # 0, untouched (1, 1), same class (1, -1)), which _filled gives
+        # lookup's (_finish), and a component's first vertex's neutral
+        # fills (depth 0, untouched (1, 1), same class (1, -1)), which
+        # _filled gives
         cases = set()
         calls = check_candidates_against_oracle(monkeypatch, cases)
         rng = random.Random(29)
@@ -580,6 +653,11 @@ class TestCandidates:
             for rank in (len(g) + 1, len(g) + 2):
                 search_gram(g, rank=rank)
         assert len(counts) - 19015 > 3000 and max(counts) > 20
+        # a vector with two negative runs in one class, (-1, -2) on the
+        # class (1, 1) splits, before a vertex whose candidates follow
+        before = len(counts)
+        enumerate_gram([[-2, 3, 0], [3, -5, 0], [0, 0, -6]], rank=4)
+        assert len(counts) > before
 
     @pytest.mark.parametrize(
         "k2, n, rank, nodes",
@@ -624,24 +702,33 @@ class TestCandidates:
         # closed-form desk graph, on heavy vertices hung on -2 chains, and
         # on -2/-3 forms with a cycle, at and above their rank.  Norm-2
         # lists, the lookup's and the first vertex's of a component, are
-        # checked too on every 5th desk graph and on the forms with a cycle
+        # checked too on every 5th desk graph and on the forms with a cycle.
+        # The kinds of completion _finish lists in the checked desk lists
+        # are recorded
         real = lattice._Searcher._candidates
         calls = []
+        desk_cases, checking = set(), False
+        record_finish_cases(monkeypatch, desk_cases, lambda: checking and desk)
 
         def checked(self, depth):
+            nonlocal checking
+            checking = every or self.norms[depth] != 2
             out = real(self, depth)
-            if every or self.norms[depth] != 2:
+            if checking:
                 assert out == reference_candidates(self, depth), (self.links[depth], out)
                 calls.append((self.norms[depth], len(out)))
             return out
 
         monkeypatch.setattr(lattice._Searcher, "_candidates", checked)
+        desk = True
         for i, (p1, a1, p2, a2, n) in enumerate(desk_range_tuples()):
             every = i % 5 == 0
             spec = SurgerySpec(CableTower(((p1, a1), (p2, a2))), n)
             find_embedding(closed_form_two_iter(spec))
         assert len(calls) == 1611 + 2926
         assert sum(norm == 2 for norm, _ in calls) == 2926
+        assert desk_cases == DESK_FINISH_CASES
+        desk = False
         rng = random.Random(53)
         every = False
         trees = 0
@@ -880,6 +967,25 @@ class TestDeepSearches:
         assert res.returncode == 0, res.stderr
         assert res.stdout.split() == ["1001", "none", "1002"]
 
+    def test_square_at_a_depth_of_40_thousand(self):
+        # T(2,3; 2,13) at n = 201**2: 40,379 vertices, almost all -2's, each
+        # placed by one signature lookup whose keys are sparse tuples of
+        # the few depths a column touches.  1.1 CPU seconds and 121 MB on a
+        # 2-core host; keys that grow with the depth took 4.5 s and 1,089 MB
+        code = (
+            "import resource\n"
+            "for kind, limit in ((resource.RLIMIT_AS, 600 * 2**20), (resource.RLIMIT_CPU, 30)):\n"
+            "    hard = resource.getrlimit(kind)[1]\n"
+            "    resource.setrlimit(kind, (limit if hard == resource.RLIM_INFINITY else min(limit, hard), hard))\n"
+            "from knotplumb.cabling import CableTower, SurgerySpec\n"
+            "from knotplumb.classify import classify_one\n"
+            "row = classify_one(SurgerySpec(CableTower(((2, 3), (2, 13))), 201**2))\n"
+            "print(row.rank, row.verdict, row.nodes)\n"
+        )
+        res = run_child(code)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == ["40379", "ObstructionFails", "40379"]
+
     def test_class_tuples(self):
         # per sum, the sparse tuples of a touched class are the
         # nonincreasing tuples with sum of squares <= budget, each once, in
@@ -961,6 +1067,30 @@ class TestPresentation:
         assert render_vector((1, -1, 0, 2)) == "e1-e2+2e4"
         assert render_vector((0, 0)) == "0"
         assert render_vector((-1,)) == "-e1"
+        rng = random.Random(7)
+        for _ in range(300):
+            vec = [rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(rng.randint(1, 12))]
+            assert render_vector(vec) == render_vector_densely(vec), vec
+
+    def test_render_at_rank_a_million(self):
+        # 32 witness vectors padded to rank 10**6, as embed --enumerate
+        # prints them at --rank 1000000: 0.09 CPU seconds on a 2-core
+        # host, where a Python loop over every coordinate took 0.8 s
+        code = (
+            "import time\n"
+            "from knotplumb.lattice import render_vector\n"
+            "narrow = [(1, 1, 1), (0, -1, 1), (-2, 0, 0, 1), (0,) * 7 + (-1,)]\n"
+            "wide = [v + (0,) * (10**6 - len(v)) for v in narrow]\n"
+            "start = time.process_time()\n"
+            "text = [render_vector(v) for v in wide * 8]\n"
+            "seconds = time.process_time() - start\n"
+            "print(text == [render_vector(v) for v in narrow * 8], seconds)\n"
+        )
+        res = run_child(code)
+        assert res.returncode == 0, res.stderr
+        same, seconds = res.stdout.split()
+        assert same == "True"
+        assert float(seconds) < 0.4, seconds
 
     def test_json_round_trip(self):
         vectors = ((1, -1, 0), (0, 1, -1))
