@@ -19,11 +19,12 @@ negative-definite graph whenever N >= 1; reduced_plumbing builds it
 directly by the junction rule, in time linear in its size plus the sum of
 log a_i, with that calculus, reduce_tree(raw_plumbing(spec)), as oracle.
 Its -2 runs (each torso's leading -2's and the tail) stay one entry each
-until a tree is frozen, so the builder's one exact pass, which checks
-|det| = n, costs O(runs + sum of log a_i) whatever N is.  For the
-two-iteration families a_1 = 1 (mod p_1), a_2 = +-1 (mod p_2),
-closed_form_two_iter is the same tree numbered without the junction
-rule's gaps; the tests hold its shape to the paper's closed formulas.
+until a tree is frozen or the search's rows are emitted, so the builder's
+one exact pass, which checks |det| = n, costs O(runs + sum of log a_i)
+whatever N is.  For the two-iteration families a_1 = 1 (mod p_1), a_2 =
++-1 (mod p_2), closed_form_two_iter is the same tree numbered without
+the junction rule's gaps; the tests hold its shape to the paper's closed
+formulas.
 """
 
 import sys
@@ -159,9 +160,9 @@ class _TreeBuilder:
     """Vertices numbered in the order they are added, each with a role and
     a parent added before it (but the first), so the result is a tree by
     construction, its one exact pass (plumbing._eliminate) needs no walk,
-    and it is frozen, not validated again, only when a tree is asked for.
-    A run of count c is the path of c -2's ending at the id add returns,
-    one entry until freezing expands it."""
+    and it is frozen, not validated again, only when a tree is asked for;
+    the search takes its rows.  A run of count c is the path of c -2's
+    ending at the id add returns, one entry until expanded."""
 
     def __init__(self):
         self.weights, self.parent, self.roles, self.runs = {}, {}, {}, {}
@@ -189,23 +190,30 @@ class _TreeBuilder:
     def _ids(self, v):
         return range(v + 1 - self.runs.get(v, 1), v + 1)
 
-    def tree(self, form):
-        """The tree, runs expanded, form memoised; add nothing after."""
+    def _expanded(self):
+        """Each id's weight and {neighbour: 1}, runs expanded, in id order."""
         weights, adj = {}, {}
         for v, p in self.parent.items():
+            w = self.weights[v]
             for u in self._ids(v):
-                weights[u], adj[u] = self.weights[v], set()
+                weights[u], adj[u] = w, {}
                 if p is not None:
-                    adj[u].add(p)
-                    adj[p].add(u)
+                    adj[u][p] = adj[p][u] = 1
                 p = u
-        tree = plumbing._frozen(weights, adj)
-        tree._form = form
-        return tree
+        return weights, adj
+
+    def rows(self, form):
+        """The form's rows as lattice.find_embedding takes them: diagonal,
+        {neighbour: 1} per vertex, and form's definiteness; ids 0..n-1 only."""
+        weights, adj = self._expanded()
+        return list(weights.values()), list(adj.values()), form[1]
 
     def finish(self, spec, with_roles):
-        """The tree, checked by its one pass; with its roles if asked."""
-        tree = self.tree(self.form(spec))
+        """The tree, checked by its one pass, which it memoises, and runs
+        expanded; with its roles if asked.  Add nothing after."""
+        form = self.form(spec)
+        tree = plumbing._frozen(*self._expanded())
+        tree._form = form
         if not with_roles:
             return tree
         return tree, {u: role for v, role in self.roles.items() for u in self._ids(v)}

@@ -97,11 +97,11 @@ def classify_one(spec: SurgerySpec, budget=DEFAULT_BUDGET) -> SweepRow:
     """Obstruction verdict for one surgery spec in the congruence families.
 
     The graph is closed_form_two_iter's, the junction rule's tree numbered
-    without gaps.  Its builder's one exact pass checks |det| = n and
-    decides a non-square n, with 0 nodes and no tree frozen, in O(runs)
-    at any N; a square n's tree is expanded and frozen with that form
-    memoised and searched, and budget only bounds that search.  ms is the
-    call's wall time.
+    without gaps, and no tree is frozen.  Its builder's one exact pass
+    checks |det| = n and decides a non-square n, with 0 nodes, in O(runs)
+    at any N; a square n's rows, runs expanded, and that pass's
+    definiteness are searched, and budget only bounds that search.  ms is
+    the call's wall time.
     """
     t0 = time.perf_counter()
     _require_two_iter(spec)
@@ -122,7 +122,7 @@ def classify_one(spec: SurgerySpec, budget=DEFAULT_BUDGET) -> SweepRow:
                 raise ValueError("intersection form is not negative definite")
             verdict, proof = VerdictKind.OBSTRUCTION_FAILS, "determinant"
         else:
-            result = find_embedding(build.tree(form), budget=budget)
+            result = find_embedding(build.rows(form), budget=budget)
             verdict, proof = _SEARCH_VERDICT[result.status]
             witness, nodes = result.witness, result.nodes
     (p1, a1), (p2, a2) = spec.knot.pairs

@@ -5,8 +5,9 @@ form G assigns to each vertex i a vector v_i in Z^r with <v_i, v_j>_{-Id}
 = -(v_i . v_j) = G[i][j].  Existence of such an embedding at r = rank(G)
 is necessary for the plumbed 4-manifold's boundary to bound a rational
 homology 4-ball, so a completed search that finds nothing is a proof of
-obstruction.  The search reads G off the tree's weights and edges (the
-Gram matrix is built only to re-verify a witness).
+obstruction.  The search reads G as rows, each diagonal entry and the
+row's nonzero off-diagonal entries, and checks a witness against those
+rows (_reproduces); no n x n Gram matrix is built.
 
 The search is complete backtracking over candidate vectors of the right
 norm, with symmetry breaking: after placing some vectors, coordinates of
@@ -68,9 +69,9 @@ lists, node counts and witnesses are its own.
 
 An embedding touches at most -trace(G) coordinates, each vector at most
 its norm of them, and in canonical form the touched coordinates come
-first.  So the search runs at min(rank, -trace(G)) and pads a witness
-with zero columns after verifying it: a larger rank only widens the
-untouched class, whose tuples then differ by trailing zeros, and the
+first.  So the search runs at min(rank, -trace(G)) and writes a witness
+out at the full rank only after checking it: a larger rank only widens
+the untouched class, whose tuples then differ by trailing zeros, and the
 candidates, node counts and witnesses are the same.
 
 Neither the placement depth, nor the number of classes, nor the width
@@ -102,7 +103,7 @@ from functools import cache
 from itertools import compress, count, islice
 from math import isqrt
 
-from .plumbing import form_invariants, gram_matrix
+from .plumbing import form_invariants
 
 
 class SearchStatus(Enum):
@@ -119,29 +120,41 @@ class SearchResult:
 
 
 def verify_embedding(gram, vectors) -> bool:
-    """Exact check that -(v_i . v_j) reproduces the Gram matrix entrywise.
-
-    Products are summed per coordinate over the vectors nonzero there, so
-    a pair with disjoint supports is never multiplied out: the cost is
-    n*r to read the vectors, the sum over coordinates of the square of
-    their support, and n^2/2 comparisons, not n^2*r/2 products."""
+    """Exact check that -(v_i . v_j) reproduces the Gram matrix entrywise,
+    on and above the diagonal: _reproduces on the matrix's nonzero
+    entries and the vectors' supports."""
     n = len(gram)
     if len(vectors) != n:
         raise ValueError(f"{len(vectors)} vectors for a rank-{n} Gram matrix")
-    r = len(vectors[0]) if vectors else 0
-    if any(len(v) != r for v in vectors):
+    if len({len(v) for v in vectors}) > 1:
         raise ValueError("vectors of mixed lengths")
-    columns = [[] for _ in range(r)]
-    for i, v in enumerate(vectors):
-        for k in _support(v):
-            columns[k].append((i, v[k]))
-    minus_dots = [[0] * n for _ in range(n)]
-    for column in columns:
-        for a, (i, x) in enumerate(column):
-            row = minus_dots[i]
-            for j, y in column[a:]:
-                row[j] -= x * y
-    return all(minus_dots[i][i:] == list(gram[i][i:n]) for i in range(n))
+    diag = [gram[i][i] for i in range(n)]
+    off = [{j: x for j, x in enumerate(gram[i][i + 1:n], i + 1) if x} for i in range(n)]
+    return _reproduces(diag, off, [[(k, v[k]) for k in _support(v)] for v in vectors])
+
+
+def _reproduces(diag, off, vectors):
+    """Exact check that the sparse vectors, (coordinate, entry) pairs, give
+    -(v_i . v_j) = diag[i] for j = i, off[i][j] for j > i in off[i], and 0
+    for every other j > i.  Products are taken per coordinate over the
+    vectors nonzero there: no pair with disjoint supports is multiplied
+    out, and no n x n matrix is built."""
+    columns = {}
+    for i, vec in enumerate(vectors):
+        norm = diag[i]
+        for k, x in vec:
+            norm += x * x
+            columns.setdefault(k, []).append((i, x))
+        if norm:
+            return False
+    meets = {}  # (i, j), i < j: -(v_i . v_j)
+    for column in columns.values():
+        while len(column) > 1:
+            j, y = column.pop()
+            for i, x in column:
+                meets[i, j] = meets.get((i, j), 0) - x * y
+    edges = {(i, j): a for i, row in enumerate(off) for j, a in row.items() if i < j}
+    return {pair: d for pair, d in meets.items() if d} == edges
 
 
 def _support(vec):
@@ -321,7 +334,7 @@ class _Searcher:
                               key=lambda v: (-diag[v], v))
 
     def embeddings(self):
-        """Every completed embedding, in depth-first order, at self.rank.
+        """Every completed embedding, in depth-first order, sparse.
 
         frames[d] holds the candidates for the vertex at depth d and the
         index of the next one, and placed[d] is the one it proposed last,
@@ -336,11 +349,8 @@ class _Searcher:
             if depth == self.n:
                 rows = [None] * self.n
                 for slot, vec in zip(self.order, placed):
-                    row = [0] * self.rank
-                    for k, x in vec:
-                        row[k] = x
-                    rows[slot] = tuple(row)
-                yield tuple(rows)
+                    rows[slot] = vec
+                yield rows
             else:
                 frames.append([self._candidates(depth), 0])
             # backtrack to the deepest depth with a candidate left
@@ -667,44 +677,48 @@ def find_embedding(tree, rank=None, budget=None) -> SearchResult:
     complete) search space, or INDETERMINATE when the node budget runs
     out.  rank defaults to the vertex count, the rank relevant to the
     rational-homology-ball obstruction.  Raises ValueError for a form that
-    is not negative definite, or a rank below 1.
+    is not negative definite, or a rank below 1.  tree may also be a
+    form's rows (_search_input), as classify_one passes its builder's.
     """
-    r = _target_rank(tree, rank)
-    searcher = _Searcher(*_form_rows(tree), r, budget)
+    diag, off, r = _search_input(tree, rank)
+    searcher = _Searcher(diag, off, r, budget)
     witness = next(searcher.embeddings(), None)
     if searcher.exhausted:
         return SearchResult(SearchStatus.INDETERMINATE, None, searcher.nodes)
     if witness is None:
         return SearchResult(SearchStatus.NONE, None, searcher.nodes)
-    if not verify_embedding(gram_matrix(tree), witness):
+    if not _reproduces(diag, off, witness):
         raise AssertionError("search produced a witness that fails verification")
-    return SearchResult(SearchStatus.FOUND, _padded(witness, r - searcher.rank), searcher.nodes)
+    return SearchResult(SearchStatus.FOUND, _dense(witness, r), searcher.nodes)
 
 
-def _padded(vectors, extra):
-    """The vectors with extra zero entries appended."""
-    zeros = (0,) * extra
-    return tuple(v + zeros for v in vectors)
+def _dense(vectors, rank):
+    """Sparse vectors as tuples of rank entries."""
+    rows = [[0] * rank for _ in vectors]
+    for row, vec in zip(rows, vectors):
+        for k, x in vec:
+            row[k] = x
+    return tuple(map(tuple, rows))
 
 
-def _form_rows(tree):
-    """The tree's intersection form as _Searcher takes it: the diagonal
-    and, per row, {column: 1} for each neighbour, rows and columns in
-    ascending vertex id as in gram_matrix."""
-    order = tree.vertices()
-    index = {v: i for i, v in enumerate(order)}
-    return (
-        [tree.weight(v) for v in order],
-        [{index[u]: 1 for u in tree.neighbors(v)} for v in order],
-    )
-
-
-def _target_rank(tree, rank):
-    """Validate the search input; returns the target rank."""
-    if not form_invariants(tree)[1]:
+def _search_input(tree, rank):
+    """Validate the search input; returns the form's rows (the diagonal,
+    and per row {column: entry} for each nonzero off-diagonal entry) and
+    the target rank.  A tree is read in ascending vertex id as in
+    gram_matrix, with its memoised definiteness; a tuple holds the rows
+    and definiteness already, as classify_one has them from its builder."""
+    if type(tree) is tuple:
+        diag, off, definite = tree
+    else:
+        order = tree.vertices()
+        index = {v: i for i, v in enumerate(order)}
+        diag = [tree.weight(v) for v in order]
+        off = [{index[u]: 1 for u in tree.neighbors(v)} for v in order]
+        definite = form_invariants(tree)[1]
+    if not definite:
         # embeddings into -Id exist only for negative-definite forms
         raise ValueError("intersection form is not negative definite")
-    r = len(tree) if rank is None else rank
+    r = len(diag) if rank is None else rank
     if type(r) is not int:  # int() would search rank 2 for 2.9, rank 1 for True
         raise TypeError(f"rank must be an integer, got {r!r}")
     if r < 1:
@@ -712,7 +726,7 @@ def _target_rank(tree, rank):
     if r > sys.maxsize:
         # a witness holds one entry per coordinate
         raise ValueError(f"rank must be at most {sys.maxsize}, got {r}")
-    return r
+    return diag, off, r
 
 
 def matrix_canonical_form(vectors) -> tuple:
@@ -755,15 +769,17 @@ def enumerate_embeddings(tree, rank=None, locally_minimal_only=False) -> list:
     and padded to rank after: zero columns sort last, so padding commutes
     with canonicalisation, and a padded solution is never locally minimal.
     """
-    r = _target_rank(tree, rank)
-    searcher = _Searcher(*_form_rows(tree), r)
+    diag, off, r = _search_input(tree, rank)
+    searcher = _Searcher(diag, off, r)
     if locally_minimal_only and r > searcher.rank:
         return []
     seen = set()
     for sol in searcher.embeddings():
+        sol = _dense(sol, searcher.rank)
         if not locally_minimal_only or is_locally_minimal(sol):
             seen.add(matrix_canonical_form(sol))
-    return [_padded(sol, r - searcher.rank) for sol in sorted(seen)]
+    zeros = (0,) * (r - searcher.rank)
+    return [tuple(v + zeros for v in sol) for sol in sorted(seen)]
 
 
 # -- presentation ------------------------------------------------------------

@@ -32,7 +32,8 @@ implementation's search (lattice._Searcher) on a matrix that is no
 plumbing tree's form -- a forest, a support with a cycle, off-diagonal
 entries other than 1 -- which find_embedding, taking a tree, cannot be
 given.  Definiteness comes from the leading-minor test and a witness is
-re-checked by verify_embedding.  depth_first_search is the
+re-checked by verify_embedding, which plain_verify_embedding checks
+entry by entry over the whole matrix.  depth_first_search is the
 implementation's search too, with every vertex placed in plain
 depth-first order where the implementation places heavy vertices last:
 the reference that the verdict does not depend on the placement order.
@@ -324,6 +325,24 @@ def naive_find_embedding(gram, rank):
     return rec([])
 
 
+def plain_verify_embedding(gram, vectors):
+    """verify_embedding by the plain n x n check: every entry on and above
+    the diagonal against -(v_i . v_j) summed over every coordinate, where
+    the implementation reads the nonzero entries and multiplies only
+    within the vectors' supports.  ValueError, as there, for a vector
+    count other than n or vectors of mixed lengths."""
+    n = len(gram)
+    if len(vectors) != n:
+        raise ValueError(f"{len(vectors)} vectors for a rank-{n} Gram matrix")
+    if len({len(v) for v in vectors}) > 1:
+        raise ValueError("vectors of mixed lengths")
+    return all(
+        -sum(x * y for x, y in zip(vectors[i], vectors[j])) == gram[i][j]
+        for i in range(n)
+        for j in range(i, n)
+    )
+
+
 def gram_rows(gram):
     """The matrix as lattice._Searcher takes a form: its diagonal, and per
     row {column: entry} for each non-zero off-diagonal entry."""
@@ -360,8 +379,8 @@ class _DepthFirstSearcher(lattice._Searcher):
 def depth_first_search(tree, rank=None, budget=None):
     """find_embedding with the vertices placed in plain depth-first order:
     the reference for the verdict's independence of the placement order."""
-    r = lattice._target_rank(tree, rank)
-    searcher = _DepthFirstSearcher(*lattice._form_rows(tree), r, budget)
+    diag, off, r = lattice._search_input(tree, rank)
+    searcher = _DepthFirstSearcher(diag, off, r, budget)
     return _first_embedding(searcher, gram_matrix(tree), r)
 
 
@@ -372,9 +391,10 @@ def _first_embedding(searcher, gram, r):
         return SearchResult(SearchStatus.INDETERMINATE, None, searcher.nodes)
     if witness is None:
         return SearchResult(SearchStatus.NONE, None, searcher.nodes)
+    witness = lattice._dense(witness, r)
     if not verify_embedding(gram, witness):
         raise AssertionError("search produced a witness that fails verification")
-    return SearchResult(SearchStatus.FOUND, lattice._padded(witness, r - searcher.rank), searcher.nodes)
+    return SearchResult(SearchStatus.FOUND, witness, searcher.nodes)
 
 
 def enumerate_gram(gram, rank=None, locally_minimal_only=False):
@@ -382,7 +402,7 @@ def enumerate_gram(gram, rank=None, locally_minimal_only=False):
     r, searcher = _gram_searcher(gram, rank)
     seen = set()
     for sol in searcher.embeddings():
-        sol = lattice._padded(sol, r - searcher.rank)
+        sol = lattice._dense(sol, r)
         if not locally_minimal_only or lattice.is_locally_minimal(sol):
             seen.add(lattice.matrix_canonical_form(sol))
     return sorted(seen)

@@ -413,7 +413,7 @@ class TestRunStep:
 
     @staticmethod
     def assert_agree(build):
-        tree = build.tree(None)
+        tree = plumbing._frozen(*build._expanded())
         form = plumbing._eliminate(build.weights, None, build.parent, build.runs)
         assert form == plumbing._eliminate(tree._weights, None, construction_parents(tree))
         assert form == plumbing._eliminate(tree._weights, tree._adj)

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from knotplumb import classify, lattice, plumbing
+from knotplumb import classify, plumbing
 from knotplumb.cabling import (
     CableTower,
     SurgerySpec,
@@ -50,7 +50,7 @@ def count_exact_passes(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(plumbing, "_eliminate", counted("kernel", kernel))
-    for module in (plumbing, classify, lattice):  # every module that looks gram_matrix up
+    for module in (plumbing, classify):  # every module that looks gram_matrix up
         monkeypatch.setattr(module, "gram_matrix", counted("gram", gram))
     return calls
 
@@ -180,19 +180,34 @@ class TestClassifyOne:
         res = run_child(indefinite_kernel_code(call, 2, 3, 2, 15, 36), "-O")
         assert res.returncode == 0, res.stdout + res.stderr
 
+    def test_builder_rows_search_as_the_frozen_tree(self):
+        # classify_one searches its builder's rows, find_embedding the
+        # frozen closed-form tree: the same status, nodes and witness on
+        # every desk square and on families 1 and 2, p1 <= 5, p2 <= 7
+        squares = [t for t in desk_range_tuples() if math.isqrt(t[4]) ** 2 == t[4]]
+        family = {family_tuple("derived", p1, p2) for p1 in range(2, 6) for p2 in range(2, 8)}
+        family |= {family_tuple("family2", 0, p2) for p2 in range(2, 8)}
+        assert len(squares) == 58 and len(family) == 30
+        for tup in squares + sorted(family):
+            spec = spec_for(*tup)
+            row = classify_one(spec)
+            res = find_embedding(closed_form_two_iter(spec))
+            assert (row.verdict, row.proof) == classify._SEARCH_VERDICT[res.status], tup
+            assert (row.nodes, row.witness) == (res.nodes, res.witness), tup
+
     def test_one_exact_pass_per_built_tree(self, monkeypatch):
-        # the builder's pass decides a non-square n with no tree frozen, and
-        # the search of a square n reads the same memoised definiteness off
-        # the one tree frozen; a Gram matrix is built only to verify a
-        # witness, and N < 2 builds nothing
+        # the builder's pass decides a non-square n, and the search of a
+        # square n reads the builder's rows and the same pass's
+        # definiteness: no tree is frozen, a witness is checked against
+        # the rows with no Gram matrix, and N < 2 builds nothing
         calls = count_exact_passes(monkeypatch)
         frozen = plumbing._frozen
         monkeypatch.setattr(plumbing, "_frozen", lambda *a: calls.update(["frozen"]) or frozen(*a))
         want = {
             None: Counter(),
             "determinant": Counter(kernel=1),
-            "search": Counter(kernel=1, frozen=1),
-            "witness": Counter(kernel=1, frozen=1, gram=1),
+            "search": Counter(kernel=1),
+            "witness": Counter(kernel=1),
         }
         proofs = Counter()
         low = admissible_tuples((2, 3), (1, 2, 3), (2, 3), 25, range(-1, 2))

@@ -34,6 +34,7 @@ from oracles import (
     gram_rows,
     minors_negative_definite,
     naive_find_embedding,
+    plain_verify_embedding,
     random_tree,
     reference_candidates,
     relabel,
@@ -143,6 +144,73 @@ class TestVerify:
         k = next(j for j, x in enumerate(witness[150]) if x)
         witness[150][k] = -witness[150][k]
         assert not verify_embedding(gram, witness)
+
+
+def sparse(vectors):
+    """Dense vectors as the search keeps them: (coordinate, entry) pairs."""
+    return [[(k, x) for k, x in enumerate(v) if x] for v in vectors]
+
+
+class TestSparseCheckAgainstThePlainOne:
+    """The witness check (_reproduces, through verify_embedding and on a
+    form's rows) against oracles.plain_verify_embedding, on witnesses of
+    seeded random trees and on corrupted copies of them."""
+
+    @staticmethod
+    def agree(gram, vectors):
+        want = plain_verify_embedding(gram, vectors)
+        assert verify_embedding(gram, vectors) == want, (gram, vectors)
+        assert lattice._reproduces(*gram_rows(gram), sparse(vectors)) == want, (gram, vectors)
+        return want
+
+    def test_witnesses_and_corruptions(self):
+        rng = random.Random(29)
+        witnesses, outcomes = 0, set()
+        while witnesses < 80:
+            t = random_tree(rng, max_vertices=9, weights=(-4, -1))
+            if not is_negative_definite(gram_matrix(t)):
+                continue
+            res = find_embedding(t, rank=len(t) + rng.randint(0, 2))
+            if res.status is not SearchStatus.FOUND:
+                continue
+            witnesses += 1
+            gram, n = gram_matrix(t), len(t)
+            w = [list(v) for v in res.witness]
+            assert self.agree(gram, w)
+            # one flipped entry
+            i = rng.randrange(n)
+            k = rng.choice([k for k, x in enumerate(w[i]) if x])
+            flipped = [list(v) for v in w]
+            flipped[i][k] = -flipped[i][k]
+            outcomes.add(("flipped", self.agree(gram, flipped)))
+            # two rows swapped
+            if n >= 2:
+                a, b = rng.sample(range(n), 2)
+                swapped = [list(v) for v in w]
+                swapped[a], swapped[b] = swapped[b], swapped[a]
+                outcomes.add(("swapped", self.agree(gram, swapped)))
+            # an extra entry of v_i on a coordinate of v_j, i and j not
+            # adjacent, with i's norm in the form raised to match: only
+            # pairs off the diagonal are wrong, (i, j) among them
+            pairs = [(i, j) for i in range(n) for j in range(n)
+                     if i != j and not gram[i][j] and any(y and not x for x, y in zip(w[i], w[j]))]
+            if pairs:
+                i, j = rng.choice(pairs)
+                k = rng.choice([k for k in range(len(w[j])) if w[j][k] and not w[i][k]])
+                met = [list(v) for v in w]
+                met[i][k] = 1
+                moved = [list(row) for row in gram]
+                moved[i][i] -= 1
+                assert not self.agree(moved, met)
+                outcomes.add(("met", False))
+            # a wrong vertex count, and vectors of mixed lengths
+            for vectors in (w[:-1], w + [w[0]], w[:-1] + [w[-1] + [0]]):
+                if len(vectors) == n and n == 1:
+                    continue
+                for check in (verify_embedding, plain_verify_embedding):
+                    with pytest.raises(ValueError):
+                        check(gram, vectors)
+        assert outcomes >= {("flipped", False), ("swapped", False), ("swapped", True), ("met", False)}
 
 
 class TestSquareDecompositions:
@@ -289,11 +357,12 @@ class TestFindEmbedding:
             assert res.status is SearchStatus.NONE, (seed, res.nodes)
 
     def test_soundness_check_survives_optimize(self):
-        # the witness re-verification must not be an assert, which -O strips
+        # the witness check against the form's rows must not be an assert,
+        # which -O strips
         code = (
             "from knotplumb import lattice\n"
             "from knotplumb.plumbing import WeightedTree\n"
-            "lattice.verify_embedding = lambda gram, vectors: False\n"
+            "lattice._reproduces = lambda diag, off, vectors: False\n"
             "try:\n"
             "    lattice.find_embedding(WeightedTree({0: -1}, []))\n"
             "except AssertionError:\n"
@@ -1149,7 +1218,7 @@ class TestPlacementOrder:
         for _ in range(60):
             t = shuffled(random_tree(rng, max_vertices=9, weights=(-4, -1)), rng)
             g = gram_matrix(t)
-            order = lattice._Searcher(*lattice._form_rows(t), len(t)).order
+            order = lattice._Searcher(*gram_rows(g), len(t)).order
             assert sorted(order) == list(range(len(g)))
             light = [v for v in order if g[v][v] >= -2]
             heavy = order[len(light):]
@@ -1182,7 +1251,7 @@ class TestPlacementOrder:
         # (2,3;2,17;36): the -3 torsos 0 and 4 go after the six -2's
         spec = SurgerySpec(CableTower(((2, 3), (2, 17))), 36)
         t = closed_form_two_iter(spec)
-        order = lattice._Searcher(*lattice._form_rows(t), len(t)).order
+        order = lattice._Searcher(*gram_rows(gram_matrix(t)), len(t)).order
         assert order == [1, 2, 3, 5, 6, 7, 0, 4]
 
 
