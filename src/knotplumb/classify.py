@@ -36,7 +36,6 @@ import os
 import time
 from dataclasses import asdict, dataclass, field
 from enum import Enum
-from multiprocessing import Pool
 
 from .cabling import (
     CableTower,
@@ -243,6 +242,7 @@ def sweep(tuples, budget=DEFAULT_BUDGET, workers=1) -> list:
     jobs = [(t, budget) for t in sorted(set(tuples))]
     workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
+        from multiprocessing import Pool  # only a forked sweep pays for importing it
         with Pool(workers) as pool:
             return pool.map(_sweep_worker, jobs, chunksize=8)
     return [_sweep_worker(j) for j in jobs]

@@ -17,7 +17,8 @@ families).  Exit codes partition outcomes so scripts can branch on them:
 Defaults may be supplied in a flat key=value config file (--config);
 explicit flags override it, unknown keys are rejected.  The default
 output directory is $KNOTPLUMB_OUT, falling back to the current
-directory.
+directory.  A call builds the top-level parser and, of the subcommands'
+parsers, only the one its argv names.
 """
 
 import argparse
@@ -407,16 +408,7 @@ def cmd_audit(args, config):
 # -- wiring -------------------------------------------------------------------
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="knotplumb",
-        description="Plumbing graphs and the lattice-embedding obstruction "
-        "for integral surgeries on algebraic iterated torus knots.",
-    )
-    parser.add_argument("--config", help="flat key=value config file")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("contfrac", help="negative continued fractions")
+def _define_contfrac(p):
     p.add_argument("fraction", nargs="?", help="rational like 7/2")
     p.add_argument("--eval", help="evaluate a comma-separated coefficient list")
     p.add_argument("--dual", action="store_true", help="apply the point rule")
@@ -424,7 +416,8 @@ def build_parser():
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_contfrac)
 
-    p = sub.add_parser("graph", help="build a plumbing graph for a surgery")
+
+def _define_graph(p):
     p.add_argument("--pairs", required=True, help="p1,a1[,p2,a2...]")
     p.add_argument("--n", type=_int, required=True, help="surgery coefficient")
     mode = p.add_mutually_exclusive_group()
@@ -434,45 +427,66 @@ def build_parser():
     p.add_argument("--json", action="store_true", help="emit the tree as JSON")
     p.set_defaults(func=cmd_graph, kind="reduced")
 
-    p = sub.add_parser("embed", help="decide lattice embeddability")
+
+def _define_embed(p):
     p.add_argument("graph_file", nargs="?", help="plumbing JSON file")
     p.add_argument("--pairs", help="p1,a1[,p2,a2...] (build reduced graph)")
     p.add_argument("--n", type=_int)
     p.add_argument("--rank", type=_int, help="target rank (default: vertex count)")
     p.add_argument("--budget", type=_int, help="search node budget (not with --enumerate)")
     p.add_argument("--enumerate", action="store_true", help="list all classes")
-    p.add_argument(
-        "--locally-minimal",
-        action="store_true",
-        help="with --enumerate, keep only embeddings using every coordinate",
-    )
+    p.add_argument("--locally-minimal", action="store_true",
+                   help="with --enumerate, keep only embeddings using every coordinate")
     p.add_argument("--out", help="output directory for witness files")
     p.set_defaults(func=cmd_embed)
 
-    for name in ("sweep", "audit"):
-        p = sub.add_parser(name, help=f"{name} over a tuple range")
-        p.add_argument("--p1", default="2,3")
-        p.add_argument("--k1", default="1,2,3")
-        p.add_argument("--p2", default="2,3")
-        p.add_argument("--k2-max", dest="k2_max", type=_int, default=25)
-        p.add_argument("--N", default="2,3,4,5,6")
-        p.add_argument("--csv", help="write rows to this CSV file")
-        p.add_argument("--workers", type=_int)
-        p.add_argument("--budget", type=_int)
-        p.add_argument("--timing", action="store_const", const=True, default=None,
-                       help="fill the ms column (breaks byte-determinism)")
-        p.add_argument("--out", help="output directory for witness files")
-        if name == "audit":
-            p.add_argument(
-                "--family-form",
-                choices=("derived", "printed"),
-                default="derived",
-                help="which printed/derived form of family 1 to audit against",
-            )
-            p.set_defaults(func=cmd_audit)
-        else:
-            p.set_defaults(func=cmd_sweep)
 
+def _define_sweep(p):  # and audit's, which adds --family-form
+    p.add_argument("--p1", default="2,3")
+    p.add_argument("--k1", default="1,2,3")
+    p.add_argument("--p2", default="2,3")
+    p.add_argument("--k2-max", dest="k2_max", type=_int, default=25)
+    p.add_argument("--N", default="2,3,4,5,6")
+    p.add_argument("--csv", help="write rows to this CSV file")
+    p.add_argument("--workers", type=_int)
+    p.add_argument("--budget", type=_int)
+    p.add_argument("--timing", action="store_const", const=True, default=None,
+                   help="fill the ms column (breaks byte-determinism)")
+    p.add_argument("--out", help="output directory for witness files")
+    p.set_defaults(func=cmd_sweep)
+    if p.prog.endswith(" audit"):
+        p.add_argument("--family-form", choices=("derived", "printed"), default="derived",
+                       help="which printed/derived form of family 1 to audit against")
+        p.set_defaults(func=cmd_audit)
+
+
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser, made and defined when argparse hands it argv."""
+
+    def __init__(self, define, **kwargs):
+        self._deferred = define, kwargs
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._deferred:
+            (define, kwargs), self._deferred = self._deferred, None
+            super().__init__(**kwargs)
+            define(self)
+        return super().parse_known_args(args, namespace)
+
+
+def build_parser():
+    parser = argparse.ArgumentParser(
+        prog="knotplumb",
+        description="Plumbing graphs and the lattice-embedding obstruction "
+        "for integral surgeries on algebraic iterated torus knots.",
+    )
+    parser.add_argument("--config", help="flat key=value config file")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    sub.add_parser("contfrac", help="negative continued fractions", define=_define_contfrac)
+    sub.add_parser("graph", help="build a plumbing graph for a surgery", define=_define_graph)
+    sub.add_parser("embed", help="decide lattice embeddability", define=_define_embed)
+    for name in ("sweep", "audit"):
+        sub.add_parser(name, help=f"{name} over a tuple range", define=_define_sweep)
     return parser
 
 

@@ -37,8 +37,13 @@ entry by entry over the whole matrix.  depth_first_search is the
 implementation's search too, with every vertex placed in plain
 depth-first order where the implementation places heavy vertices last:
 the reference that the verdict does not depend on the placement order.
+
+eager_parser is cli.build_parser() with every subcommand's parser made
+and given its arguments up front, by cli's own define functions, where
+the implementation makes only the one that argparse hands argv.
 """
 
+import argparse
 import itertools
 import math
 import random
@@ -46,7 +51,7 @@ from math import isqrt
 from fractions import Fraction
 from itertools import chain
 
-from knotplumb import lattice
+from knotplumb import cli, lattice
 from knotplumb.cabling import _require_two_iter, _TreeBuilder
 from knotplumb.hjcf import ceil_div
 from knotplumb.lattice import SearchResult, SearchStatus, verify_embedding
@@ -857,3 +862,18 @@ def closed_form_reference(par) -> _TreeBuilder:
     for _ in range(n_red - 1):
         prev = build.add(-2, "tail", prev)
     return build
+
+
+class _EagerSubcommand(argparse.ArgumentParser):
+    def __init__(self, define, **kwargs):
+        super().__init__(**kwargs)
+        define(self)
+
+
+def eager_parser():
+    lazy = cli._Subcommand
+    cli._Subcommand = _EagerSubcommand
+    try:
+        return cli.build_parser()
+    finally:
+        cli._Subcommand = lazy

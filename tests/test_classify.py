@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import time
 from collections import Counter
 
@@ -346,7 +347,8 @@ class TestSweep:
             def map(self, fn, jobs, chunksize=1):
                 return [fn(job) for job in jobs]
 
-        monkeypatch.setattr(classify, "Pool", RecordingPool)
+        # sweep imports Pool from multiprocessing only when it forks
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
         tuples = admissible_tuples((2,), (1,), (2,), 9, (2,))
         serial = rows_to_csv(sweep(tuples))
         huge = 10**20

@@ -1,7 +1,11 @@
+import argparse
+import contextlib
 import errno
+import io
 import json
 import os
 import resource
+import shlex
 import stat
 import subprocess
 import sys
@@ -18,6 +22,7 @@ from knotplumb.classify import desk_range_tuples
 from knotplumb.lattice import verify_embedding
 from knotplumb.plumbing import WeightedTree, gram_matrix
 
+import oracles
 from test_classify import count_exact_passes
 from test_lattice import run_child
 
@@ -672,3 +677,86 @@ def test_product_commands_run_no_calculus(tmp_path, monkeypatch):
         (["audit", "--k2-max", "12", "--workers", "1", *out], 0),
     ]
     assert [cli.main(argv) for argv, _ in runs] == [code for _, code in runs]
+
+
+# -- the parser ---------------------------------------------------------------
+
+
+def readme_commands():
+    """The argv of each command in README.md's "Command line" block."""
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = fh.read().split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line.split("#", 1)[0]) for line in lines if line.strip()]
+    assert commands and all(argv[0] == "knotplumb" for argv in commands)
+    return [argv[1:] for argv in commands]
+
+
+PARSER_ARGVS = [
+    [],
+    ["--help"],
+    ["-h"],
+    *([name, "--help"] for name in ("contfrac", "graph", "embed", "sweep", "audit")),
+    ["frobnicate"],
+    ["embed", "--n", "x"],
+    ["graph", "--pairs", "2,3"],  # --n is required
+    ["graph", "--raw", "--reduced", "--pairs", "2,3", "--n", "7"],
+    ["audit", "--family-form", "zz"],
+    ["--config"],
+    ["graph", "--pai", "2,3,2,17", "--n", "36"],
+    ["embed", "chain3.json", "--enumerate", "--loc"],
+    ["sweep", "--p", "2"],  # ambiguous: --p1 or --p2
+    ["contfrac", "7/2", "--bogus"],
+    *readme_commands(),
+]
+
+
+def parse_outcome(parser, argv):
+    """What parser.parse_args(argv) prints, its exit code and its namespace."""
+    out, err, code, namespace = io.StringIO(), io.StringIO(), None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code, namespace
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_lazy_parser_equals_an_eager_one(argv):
+    assert parse_outcome(cli.build_parser(), argv) == parse_outcome(oracles.eager_parser(), argv)
+
+
+def test_a_call_defines_only_the_subcommand_it_runs(monkeypatch, capsys):
+    calls = []
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[0])
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counted)
+    oracles.eager_parser()
+    eager = len(calls)
+    calls.clear()
+    assert cli.main(["contfrac", "7/2"]) == 0
+    assert calls == ["-h", "--config", "-h", "fraction", "--eval", "--dual", "--reverse", "--json"]
+    assert len(calls) < eager
+
+
+def test_every_call_defines_its_subcommand_afresh(monkeypatch, capsys):
+    defined = Counter()
+    for name in ("_define_contfrac", "_define_graph", "_define_embed", "_define_sweep"):
+        def counted(p, name=name, define=getattr(cli, name)):
+            defined[name] += 1
+            define(p)
+        monkeypatch.setattr(cli, name, counted)
+    for calls in (1, 2):
+        assert cli.main(["contfrac", "7/2"]) == 0
+        assert defined == {"_define_contfrac": calls}
+
+
+def test_importing_the_cli_loads_no_multiprocessing():
+    res = run_child("import sys, knotplumb, knotplumb.cli; print('multiprocessing' in sys.modules)")
+    assert (res.returncode, res.stdout) == (0, "False\n"), res.stderr
