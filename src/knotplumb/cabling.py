@@ -240,9 +240,10 @@ def raw_plumbing(spec: SurgerySpec, with_roles: bool = False):
     build = _TreeBuilder()
     prev = None  # vertex the next hook's torso attaches to
     for i, (p, a) in enumerate(spec.knot.pairs, start=1):
-        torso = expand_neg_cf(a, a - p)
-        leg = expand_neg_cf(a, p)
-        for coeff in torso:
+        run, rest, leg = _hook(p, a)
+        if run:
+            prev = build.add(-2, f"torso{i}", prev, run)
+        for coeff in rest:
             prev = build.add(-coeff, f"torso{i}", prev)
         corner = build.add(-corner_weight(p, a), f"corner{i}", prev)
         hang = corner

@@ -10,14 +10,16 @@ preserve the boundary 3-manifold and hence the absolute value of the
 determinant of the intersection form.
 
 Trees are immutable values: every public move returns a new tree, so
-instances can be shared freely between worker processes.  Each move is
-written once, as a rewiring of a mutable working copy; a public move runs
-it on a copy of its tree, and reduce_tree on the one copy it keeps for a
-whole reduction, finding each step's sites among the few vertices of
-weight >= -1 and freezing the copy into a tree at the end.  Sites are
+instances can be shared freely between worker processes.  A tree stores
+its weights and its adjacency only; its edge set is read off the
+adjacency when asked for.  Each move is written once, as a rewiring of a
+mutable working copy; a public move runs it on a copy of its tree, and
+reduce_tree on the one copy it keeps for a whole reduction, finding each
+step's sites among the few vertices of weight >= -1 and freezing the copy
+into a tree at the end.  Sites are
 keyed by their weight and their least neighbour's, and ties on the key
-go to a canonical numbering of the tree made once by peeling leaves
-(_canonical_ranks), so a tree of any depth reduces.
+go to a canonical numbering of the tree made once from the leaf peel
+(_peel) that canonical_form also reads, so a tree of any depth reduces.
 All linear algebra is exact integer arithmetic on integer matrices.
 
 The determinant and the negative-definiteness test (form_invariants, run
@@ -54,7 +56,7 @@ class WeightedTree:
     constructor is the one check of a tree from outside input.
     """
 
-    __slots__ = ("_weights", "_edges", "_adj", "_form")
+    __slots__ = ("_weights", "_adj", "_form")
 
     def __init__(self, weights, edges):
         w = {}
@@ -67,7 +69,6 @@ class WeightedTree:
             w[v] = wt
         if not w:
             raise ValueError("the empty tree is not a plumbing")
-        es = set()
         adj = {v: set() for v in w}
         for a, b in edges:
             # True or 1.0 would find vertex 1 and be stored as an end
@@ -77,27 +78,16 @@ class WeightedTree:
                 raise ValueError(f"edge ({a},{b}) references a missing vertex")
             if a == b:
                 raise ValueError(f"loop edge at vertex {a}")
-            e = (a, b) if a < b else (b, a)
-            if e in es:
-                raise ValueError(f"duplicate edge {e}")
-            es.add(e)
+            if b in adj[a]:
+                raise ValueError(f"duplicate edge {(a, b) if a < b else (b, a)}")
             adj[a].add(b)
             adj[b].add(a)
-        if len(es) != len(w) - 1:
+        if sum(map(len, adj.values())) != 2 * len(w) - 2:
             raise ValueError("edge count does not match a tree")
-        # connectivity: |E| = |V| - 1 plus connectedness <=> tree
-        seen = set()
-        stack = [next(iter(w))]
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(adj[v] - seen)
-        if len(seen) != len(w):
+        # |E| = |V| - 1 plus a walk reaching every vertex <=> tree
+        if len(_walk(adj, next(iter(w)), {}) or ()) != len(w):
             raise ValueError("graph is not connected")
         self._weights = w
-        self._edges = frozenset(es)
         self._adj = {v: frozenset(ns) for v, ns in adj.items()}
         self._form = None
 
@@ -109,7 +99,8 @@ class WeightedTree:
 
     @property
     def edges(self) -> frozenset:
-        return self._edges
+        """The edges (a, b), a < b, read off the adjacency on each access."""
+        return frozenset((a, b) for a, ns in self._adj.items() for b in ns if a < b)
 
     def vertices(self) -> list:
         return sorted(self._weights)
@@ -130,22 +121,22 @@ class WeightedTree:
         return (
             isinstance(other, WeightedTree)
             and self._weights == other._weights
-            and self._edges == other._edges
+            and self._adj == other._adj
         )
 
     def __hash__(self):
-        return hash((tuple(sorted(self._weights.items())), self._edges))
+        return hash((tuple(sorted(self._weights.items())), self.edges))
 
     def __repr__(self):
         ws = ", ".join(f"{v}:{w}" for v, w in sorted(self._weights.items()))
-        return f"WeightedTree({{{ws}}}, {sorted(self._edges)})"
+        return f"WeightedTree({{{ws}}}, {sorted(self.edges)})"
 
     # -- serialisation -----------------------------------------------------
 
     def to_json(self) -> str:
         obj = {
             "vertices": [{"id": v, "weight": self._weights[v]} for v in self.vertices()],
-            "edges": [list(e) for e in sorted(self._edges)],
+            "edges": [list(e) for e in sorted(self.edges)],
         }
         return json.dumps(obj)
 
@@ -168,7 +159,7 @@ class WeightedTree:
             if roles and v in roles:
                 attrs.append(f'role="{roles[v]}"')
             lines.append(f"  {v} [{', '.join(attrs)}];")
-        for a, b in sorted(self._edges):
+        for a, b in sorted(self.edges):
             lines.append(f"  {a} -- {b};")
         lines.append("}")
         return "\n".join(lines)
@@ -184,11 +175,10 @@ def gram_matrix(tree: WeightedTree) -> list:
     n = len(order)
     m = [[0] * n for _ in range(n)]
     for i, v in enumerate(order):
-        m[i][i] = tree.weight(v)
-    for a, b in tree.edges:
-        i, j = index[a], index[b]
-        m[i][j] = 1
-        m[j][i] = 1
+        row = m[i]
+        row[i] = tree._weights[v]
+        for u in tree._adj[v]:
+            row[index[u]] = 1
     return m
 
 
@@ -393,7 +383,6 @@ def _frozen(weights, adj):
     adj."""
     tree = object.__new__(WeightedTree)
     tree._weights = weights
-    tree._edges = frozenset((a, b) for a, ns in adj.items() for b in ns if a < b)
     tree._adj = {v: frozenset(ns) for v, ns in adj.items()}
     tree._form = None
     return tree
@@ -624,69 +613,27 @@ def reduce_tree(tree: WeightedTree) -> WeightedTree:
 # -- canonical forms and isomorphism ----------------------------------------
 
 
-def _canonical_ranks(weights, adj):
-    """A numbering 0..n-1 of the tree given as a weights dict and an
-    adjacency dict, under which isomorphic trees are one numbered tree.
-
-    Leaves are peeled off layer by layer as in canonical_form, and each
-    peeled vertex gets its layer's id for its key, so ids order rooted
-    subtrees by height, weight and children.  The one or two centres are
-    numbered first, by key, and the rest breadth first, the vertices
-    peeled into each in (id, vertex id) order: the vertex id orders only
-    isomorphic branches, which an automorphism swaps.  O(n log n), with no
-    recursion."""
+def _peel(weights, adj):
+    """The leaf peel of the tree given as a weights dict and an adjacency
+    dict (Aho, Hopcroft and Ullman): layer by layer down to the one or two
+    centre vertices, yields (layer, keys, the keys sorted as a tuple, ids),
+    the centre last.  A vertex's key is its weight and the sorted ids of
+    the vertices peeled into it; after a layer is yielded its distinct keys
+    get the next ids in sorted order, so an id names a rooted subtree up
+    to isomorphism, and ids holds those of every earlier layer.  O(n log
+    n), with no recursion."""
     degree = {v: len(ns) for v, ns in adj.items()}
-    below = {v: [] for v in adj}  # (id, vertex) of each vertex peeled into v
+    below = {v: [] for v in adj}  # the ids of the vertices peeled into v
     layer = [v for v, d in degree.items() if d <= 1]
     left = len(degree)
     ids = {}
     while True:
-        keys = [(weights[v], tuple(sorted(i for i, _ in below[v]))) for v in layer]
-        left -= len(layer)
-        if not left:  # the layer is the centre
-            break
-        for k in sorted(keys):
-            ids.setdefault(k, len(ids))
-        peeled, layer = layer, []
-        for v, k in zip(peeled, keys):
-            degree[v] = 0
-            for u in adj[v]:
-                if degree[u]:
-                    below[u].append((ids[k], v))
-                    degree[u] -= 1
-                    if degree[u] == 1:
-                        layer.append(u)
-                    break
-    order = [v for _, v in sorted(zip(keys, layer))]
-    for v in order:  # breadth first: order grows as it is read
-        order.extend(u for _, u in sorted(below[v]))
-    return {v: r for r, v in enumerate(order)}
-
-
-def canonical_form(tree: WeightedTree):
-    """Label-independent encoding: equal iff trees are weight-isomorphic.
-
-    Leaves are peeled off layer by layer down to the one or two centre
-    vertices (Aho, Hopcroft and Ullman).  A peeled vertex's key is its
-    weight and the sorted ids of the vertices peeled into it; a layer's
-    distinct keys get the next ids in sorted order, so an id names a rooted
-    subtree up to isomorphism.  The form is the tuple of each layer's
-    sorted keys, the centres' last: a tuple of tuples of (weight, tuple of
-    ids).  O(n log n), with no recursion.
-    """
-    adj, weights = tree._adj, tree._weights
-    degree = {v: len(ns) for v, ns in adj.items()}
-    below = {v: [] for v in adj}
-    layer = [v for v, d in degree.items() if d <= 1]
-    left = len(degree)
-    ids, form = {}, []
-    while True:
         keys = [(weights[v], tuple(sorted(below[v]))) for v in layer]
-        ordered = sorted(keys)
-        form.append(tuple(ordered))
+        ordered = tuple(sorted(keys))
+        yield layer, keys, ordered, ids
         left -= len(layer)
         if not left:  # the layer was the centre: one vertex, or an edge
-            return tuple(form)
+            return
         for k in ordered:
             ids.setdefault(k, len(ids))
         # more than two vertices were left, so each peeled vertex has one
@@ -701,6 +648,38 @@ def canonical_form(tree: WeightedTree):
                     if degree[u] == 1:
                         layer.append(u)
                     break
+
+
+def _canonical_ranks(weights, adj):
+    """A numbering 0..n-1 of the tree given as a weights dict and an
+    adjacency dict, under which isomorphic trees are one numbered tree.
+
+    Each vertex's layer and key come from _peel, so key ids order rooted
+    subtrees by height, weight and children.  The one or two centres are
+    numbered first, by (key, vertex id), and the rest breadth first, the
+    children of each, its neighbours peeled in earlier layers, in (id of
+    their key, vertex id) order: the vertex id orders only isomorphic
+    branches, which an automorphism swaps.  O(n log n), with no
+    recursion."""
+    depth, key = {}, {}
+    for d, (layer, keys, _, ids) in enumerate(_peel(weights, adj)):
+        depth.update(dict.fromkeys(layer, d))
+        key.update(zip(layer, keys))
+    order = [v for _, v in sorted(zip(keys, layer))]
+    for v in order:  # breadth first: order grows as it is read
+        d = depth[v]
+        order += [u for _, u in sorted([(ids[key[u]], u) for u in adj[v] if depth[u] < d])]
+    return {v: r for r, v in enumerate(order)}
+
+
+def canonical_form(tree: WeightedTree):
+    """Label-independent encoding: equal iff trees are weight-isomorphic.
+
+    The form is the tuple of each _peel layer's sorted keys, the centres'
+    last: a tuple of tuples of (weight, tuple of ids).  O(n log n), with no
+    recursion.
+    """
+    return tuple(ordered for _, _, ordered, _ in _peel(tree._weights, tree._adj))
 
 
 def are_isomorphic(t1: WeightedTree, t2: WeightedTree) -> bool:

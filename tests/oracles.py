@@ -689,11 +689,11 @@ def brute_force_isomorphic(t1: WeightedTree, t2: WeightedTree) -> bool:
     v1, v2 = t1.vertices(), t2.vertices()
     if len(v1) != len(v2):
         return False
-    target = {frozenset(e) for e in t2.edges}
+    edges, target = t1.edges, {frozenset(e) for e in t2.edges}
     for image in itertools.permutations(v2):
         f = dict(zip(v1, image))
         if all(t1.weight(v) == t2.weight(f[v]) for v in v1) and {
-            frozenset((f[a], f[b])) for a, b in t1.edges
+            frozenset((f[a], f[b])) for a, b in edges
         } == target:
             return True
     return False

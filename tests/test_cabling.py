@@ -374,6 +374,7 @@ class TestBuilder:
         for t in trees:
             copy = WeightedTree(t.weights, t.edges)
             assert t == copy and t._adj == copy._adj, t
+            assert hash(t) == hash(copy) and copy.edges == t.edges, t
         assert len(trees) == 2 * 1005 + 2 * 27
 
     def test_one_pass_in_construction_order(self):

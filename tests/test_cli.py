@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import errno
+import hashlib
 import io
 import json
 import os
@@ -59,6 +60,10 @@ def write_chain(path, k):
         {i: -2 for i in range(k)}, [(i, i + 1) for i in range(k - 1)]
     )
     path.write_text(tree.to_json())
+
+
+# sha256 of every output of TestGraph.test_every_output_is_pinned's grid
+GRAPH_OUTPUT_SHA256 = "69761364d62fdf16bcbe807146399d76f35bf3081288869da7f3c4fb52d1e7bb"
 
 
 class TestContfrac:
@@ -156,6 +161,29 @@ class TestGraph:
         # the raw tree carries the positive leaf N
         definite = "no" if kind == "raw" else "yes"
         assert capsys.readouterr().out.count(f"negative definite: {definite}\n") == len(tuples)
+
+    def test_every_output_is_pinned(self, capsys):
+        # exit code, stdout and stderr of each kind and format on a fixed
+        # grid: one and two iterations, both closed-form families and
+        # neither, a tail run, N = 1, N = 0, N < 0, n < 0, a pair with
+        # a <= p, a non-coprime pair, a non-algebraic tower and a
+        # three-iteration one
+        specs = [
+            ("2,3", 8), ("2,3", 7), ("2,3", 6), ("2,3", 5), ("2,3", -1), ("3,2", 7),
+            ("2,4", 9), ("3,7", 23), ("5,7", 40), ("2,3,2,17", 36), ("2,3,2,17", 34),
+            ("2,3,2,17", 33), ("2,3,2,17", 100), ("2,3,2,13", 30), ("2,3,2,11", 30),
+            ("3,4,2,25", 53), ("2,3,3,19", 60), ("2,3,3,20", 65), ("3,5,2,31", 64),
+            ("5,6,2,61", 130), ("2,3,2,13,2,53", 110), ("2,3,2,13,3,79", 240),
+        ]
+        digest = hashlib.sha256()
+        for pairs, n in specs:
+            for kind in ("raw", "reduced", "closed-form"):
+                for fmt in ([], ["--json"], ["--dot"]):
+                    argv = ["graph", f"--{kind}", "--pairs", pairs, "--n", str(n), *fmt]
+                    code = cli.main(argv)
+                    out, err = capsys.readouterr()
+                    digest.update(repr((argv, code, out, err)).encode())
+        assert digest.hexdigest() == GRAPH_OUTPUT_SHA256
 
 
 class TestEmbed:

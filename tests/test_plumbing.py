@@ -181,9 +181,12 @@ class TestWeightedTree:
 
     def test_rejects_disconnected_with_tree_edge_count(self):
         # a triangle plus an isolated vertex has n - 1 edges and no loop or
-        # duplicate, so only the connectivity walk rejects it
-        with pytest.raises(ValueError, match="not connected"):
-            WeightedTree({0: -2, 1: -2, 2: -2, 3: -2}, [(0, 1), (1, 2), (0, 2)])
+        # duplicate, so only the connectivity walk rejects it; the walk
+        # starts at the first vertex given, so with the isolated vertex
+        # last it closes the triangle, and first it reaches that vertex alone
+        for order in ([0, 1, 2, 3], [3, 0, 1, 2]):
+            with pytest.raises(ValueError, match="not connected"):
+                WeightedTree([(v, -2) for v in order], [(0, 1), (1, 2), (0, 2)])
 
     def test_rejects_dangling_edge(self):
         with pytest.raises(ValueError):
@@ -898,9 +901,11 @@ def test_move_results_match_validated_rebuild():
             except InvalidMoveError:
                 continue
             applied[move.__name__] = applied.get(move.__name__, 0) + 1
-            assert out == WeightedTree(out.weights, out.edges)
+            edges = out.edges
+            copy = WeightedTree(out.weights, edges)
+            assert out == copy and hash(out) == hash(copy) and copy.edges == edges
             for v in out.vertices():
-                ends = {b if a == v else a for a, b in out.edges if v in (a, b)}
+                ends = {b if a == v else a for a, b in edges if v in (a, b)}
                 assert out.neighbors(v) == ends
         assert t.to_json() == before
     assert len(applied) == 4 and min(applied.values()) > 20, applied
@@ -1308,7 +1313,8 @@ class TestReduce:
             state = plumbing._Reduction(t)
             while True:
                 frozen = plumbing._frozen(dict(state.weights), state.adj)
-                assert frozen == WeightedTree(frozen.weights, frozen.edges)
+                copy = WeightedTree(frozen.weights, frozen.edges)
+                assert frozen == copy and hash(frozen) == hash(copy) and copy.edges == frozen.edges
                 assert state.live == {v for v, wt in state.weights.items() if wt >= -1}
                 sites = live_sites(state)
                 by_class = tuple(sorted(v for v in sites if sites[v][0] == k) for k in range(3))
