@@ -47,7 +47,7 @@ from .classify import (
 )
 from .lattice import (
     SearchStatus,
-    embedding_to_json_obj,
+    _support,
     enumerate_embeddings,
     find_embedding,
     render_vector,
@@ -163,9 +163,24 @@ def _make_out_dir(out_dir):
         raise CliError(f"cannot create output directory: {exc}")
 
 
+def _row_text(vec):
+    """json.dumps(list(vec)) for a vector of ints, written from its
+    support: each stretch of k zeros is one "0, " * k."""
+    parts, at = [], 0
+    for k in _support(vec):
+        parts += ("0, " * (k - at), str(vec[k]), ", ")
+        at = k + 1
+    parts.append("0, " * (len(vec) - at))
+    return "[" + "".join(parts)[:-2] + "]"
+
+
 def _write_witness(out_dir, name, witness) -> str:
+    """Write the witness as json.dumps(lattice.embedding_to_json_obj(witness))
+    would, each dense row formatted from its support."""
     path = os.path.join(out_dir, f"witness_{name}.json")
-    _write_text(path, json.dumps(embedding_to_json_obj(witness)))
+    rank = len(witness[0]) if witness else 0
+    rows = ", ".join(map(_row_text, witness))
+    _write_text(path, f'{{"rank": {rank}, "vectors": [{rows}]}}')
     return path
 
 
@@ -256,15 +271,11 @@ def cmd_graph(args, config):
     if args.dot:
         print(tree.to_dot(roles))
     elif args.json:
-        obj = {
-            "tree": json.loads(tree.to_json()),
-            "rank": len(tree),
-            "det": abs(det),
-            "negative_definite": negdef,
-        }
+        # to_json's text spliced in as it is, not decoded and encoded again
+        rest = {"rank": len(tree), "det": abs(det), "negative_definite": negdef}
         if roles:
-            obj["roles"] = {str(v): r for v, r in roles.items()}
-        print(json.dumps(obj))
+            rest["roles"] = {str(v): r for v, r in roles.items()}
+        print('{"tree": ' + tree.to_json() + ", " + json.dumps(rest)[1:])
     else:
         print(f"rank {len(tree)}")
         print(f"det {abs(det)}")

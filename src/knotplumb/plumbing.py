@@ -36,7 +36,15 @@ division.  det_exact and is_negative_definite run the same elimination on
 a matrix, so they are defined on square, symmetric integer matrices whose
 support is a forest (the form of any plumbing, or a disjoint union of
 them); any other matrix raises ValueError.  Entries must be ints: a float, Fraction or bool entry
-raises TypeError instead of being truncated.
+raises TypeError instead of being truncated.  One loop reads the matrix,
+row by row: its length, its diagonal and its non-zero entries, and each
+entry below the diagonal beside its mirror above it; the checks then
+rule in a fixed order, not square before TypeError before not symmetric
+before a cycle, wherever in the matrix the faults lie.
+
+A tree's JSON text is formatted directly from its weights and one sorted
+walk of its edges, which to_dot and repr read too: ids and weights are
+ints, so the text is json.dumps's byte for byte with no object built.
 """
 
 import json
@@ -129,16 +137,26 @@ class WeightedTree:
 
     def __repr__(self):
         ws = ", ".join(f"{v}:{w}" for v, w in sorted(self._weights.items()))
-        return f"WeightedTree({{{ws}}}, {sorted(self.edges)})"
+        return f"WeightedTree({{{ws}}}, {self._sorted_edges(self.vertices())})"
+
+    def _sorted_edges(self, order) -> list:
+        """The edges (a, b), a < b, in ascending order, given the ids sorted:
+        each vertex's neighbours above it, sorted, in the order of the ids."""
+        adj = self._adj
+        return [(a, b) for a in order for b in sorted(adj[a]) if b > a]
 
     # -- serialisation -----------------------------------------------------
 
     def to_json(self) -> str:
-        obj = {
-            "vertices": [{"id": v, "weight": self._weights[v]} for v in self.vertices()],
-            "edges": [list(e) for e in sorted(self.edges)],
-        }
-        return json.dumps(obj)
+        """The text of {"vertices": [{"id": v, "weight": w}, ...], "edges":
+        [[a, b], ...]}, vertices by id and edges (a < b) in ascending order,
+        as json.dumps writes it: formatted directly, as ids and weights are
+        ints only."""
+        w = self._weights
+        order = self.vertices()
+        vs = ", ".join([f'{{"id": {v}, "weight": {w[v]}}}' for v in order])
+        es = ", ".join([f"[{a}, {b}]" for a, b in self._sorted_edges(order)])
+        return f'{{"vertices": [{vs}], "edges": [{es}]}}'
 
     @classmethod
     def from_json(cls, text: str) -> "WeightedTree":
@@ -154,12 +172,13 @@ class WeightedTree:
         closed_form_two_iter's.
         """
         lines = ["graph plumbing {", "  node [shape=circle];"]
-        for v in self.vertices():
+        order = self.vertices()
+        for v in order:
             attrs = [f'label="{self._weights[v]}"']
             if roles and v in roles:
                 attrs.append(f'role="{roles[v]}"')
             lines.append(f"  {v} [{', '.join(attrs)}];")
-        for a, b in sorted(self.edges):
+        for a, b in self._sorted_edges(order):
             lines.append(f"  {a} -- {b};")
         lines.append("}")
         return "\n".join(lines)
@@ -196,19 +215,32 @@ def _forest_elimination(matrix):
     and its support is a forest.  Every entry read -- the diagonal and the
     non-zero entries -- must be an int (type(x) is int, so not a bool),
     else TypeError: a float or Fraction entry has no exact integer
-    determinant to return."""
+    determinant to return.
+
+    The one loop keeps each entry below the diagonal beside its mirror,
+    read from the rows before: the matrix is symmetric exactly when every
+    entry below matches its mirror and there are as many entries below
+    the diagonal as above it.  The int check runs on the entries kept
+    before any of them is compared."""
     n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix is not square")
     cols = range(n)
-    num = {i: row[i] for i, row in enumerate(matrix)}
-    adj = {i: {j: row[j] for j in compress(cols, row) if j != i} for i, row in enumerate(matrix)}
+    num, adj = {}, {}
+    lower, mirror = [], []  # each non-zero entry below the diagonal, and the one above it
+    for i, row in enumerate(matrix):
+        if len(row) != n:
+            raise ValueError("matrix is not square")
+        num[i] = row[i]
+        adj[i] = nbrs = {}
+        for j in compress(cols, row):
+            if j != i:
+                nbrs[j] = a = row[j]
+                if j < i:
+                    lower.append(a)
+                    mirror.append(adj[j].get(i))
     if not {int}.issuperset(map(type, chain(num.values(), *map(dict.values, adj.values())))):
         raise TypeError("matrix entries must be integers")
-    for i, nbrs in adj.items():
-        for j, a in nbrs.items():
-            if adj[j].get(i) != a:
-                raise ValueError("matrix is not symmetric")
+    if lower != mirror or 2 * len(lower) != sum(map(len, adj.values())):
+        raise ValueError("matrix is not symmetric")
     result = _eliminate(num, adj)
     if result is None:
         raise ValueError("matrix support has a cycle")

@@ -26,6 +26,9 @@ closed_form_reference builds the two-iteration centipede from its closed
 formulas, where the implementation derives it by the junction rule;
 two_iter_parameters derives the quantities those formulas read.
 fresh_id, a helper only the tests use, lives here too.
+reference_tree_json encodes a tree by json.dumps of a list of vertex
+dicts and a sorted edge list, where the implementation formats the text
+itself.
 
 search_gram and enumerate_gram are adapters, not oracles: they run the
 implementation's search (lattice._Searcher) on a matrix that is no
@@ -45,6 +48,7 @@ the implementation makes only the one that argparse hands argv.
 
 import argparse
 import itertools
+import json
 import math
 import random
 from math import isqrt
@@ -676,6 +680,15 @@ def relabel(tree: WeightedTree, mapping) -> WeightedTree:
         {mapping[v]: w for v, w in tree.weights.items()},
         [(mapping[a], mapping[b]) for a, b in tree.edges],
     )
+
+
+def reference_tree_json(tree: WeightedTree) -> str:
+    """WeightedTree.to_json's text, by json.dumps of the object it stands for."""
+    obj = {
+        "vertices": [{"id": v, "weight": tree.weight(v)} for v in tree.vertices()],
+        "edges": [list(e) for e in sorted(tree.edges)],
+    }
+    return json.dumps(obj)
 
 
 def fresh_id(tree: WeightedTree) -> int:

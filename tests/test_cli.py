@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import resource
 import shlex
 import stat
@@ -20,7 +21,7 @@ import pytest
 import knotplumb
 from knotplumb import cli, plumbing
 from knotplumb.classify import desk_range_tuples
-from knotplumb.lattice import verify_embedding
+from knotplumb.lattice import embedding_to_json_obj, verify_embedding
 from knotplumb.plumbing import WeightedTree, gram_matrix
 
 import oracles
@@ -64,6 +65,21 @@ def write_chain(path, k):
 
 # sha256 of every output of TestGraph.test_every_output_is_pinned's grid
 GRAPH_OUTPUT_SHA256 = "69761364d62fdf16bcbe807146399d76f35bf3081288869da7f3c4fb52d1e7bb"
+
+# sha256 of the witness files of embed (at the tree's rank and padded to
+# rank 100,000) and of sweep --k2-max 12's family witnesses
+EMBED_WITNESS_SHA256 = {
+    (): "1f7804ba3a9bd93b24de4edfe48e9fdbe711286070cd6a7b73667e3cfb84894b",
+    ("--rank", "100000"): "0f1f41169081d8845085980e283cd0c6ba1428acac875fbb1054665bafa24618",
+}
+SWEEP_WITNESS_SHA256 = {
+    "witness_2_3_2_17_36.json": "1f7804ba3a9bd93b24de4edfe48e9fdbe711286070cd6a7b73667e3cfb84894b",
+    "witness_2_3_3_26_81.json": "2ec7a46a35e4caa65683077222fb63b61b5896cdf4cd8d741c3d3c3ed673982b",
+}
+
+
+def file_digests(directory):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in directory.iterdir()}
 
 
 class TestContfrac:
@@ -283,6 +299,26 @@ class TestEmbed:
         assert capsys.readouterr().out.startswith("no embedding into rank 1001")
         assert peaks[1] <= 2.5 * peaks[0], peaks
 
+    @pytest.mark.parametrize("rank", EMBED_WITNESS_SHA256)
+    def test_witness_file_is_pinned(self, tmp_path, capsys, rank):
+        argv = ["embed", "--pairs", "2,3,2,17", "--n", "36", *rank, "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert file_digests(tmp_path) == {"witness_2_3_2_17_36.json": EMBED_WITNESS_SHA256[rank]}
+
+    def test_witness_text_is_json_dumps_byte_for_byte(self, tmp_path):
+        rng = random.Random(43)
+        witnesses = [((0,),), ((-1,),), ((0, 0, 0), (0, 0, 7)), ((5, 0, 0), (0, -10**30, 0))]
+        for _ in range(200):
+            rank = rng.randint(1, 40)
+            witnesses.append(tuple(
+                tuple(rng.choice((0, 0, 0, 1, -1, rng.randint(-10**20, 10**20))) for _ in range(rank))
+                for _ in range(rng.randint(1, 6))
+            ))
+        for i, w in enumerate(witnesses):
+            path = cli._write_witness(str(tmp_path), str(i), w)
+            with open(path) as fh:
+                assert fh.read() == json.dumps(embedding_to_json_obj(w))
+
     def test_env_out_dir(self, tmp_path):
         res = run_cli(
             "embed", "--pairs", "2,3,2,17", "--n", "36",
@@ -319,6 +355,10 @@ class TestSweepCli:
         text = (tmp_path / "rows.csv").read_text()
         assert "ObstructionPasses" in text
         assert (tmp_path / "witness_2_3_2_17_36.json").exists()
+
+    def test_family_witness_files_are_pinned(self, tmp_path, capsys):
+        assert cli.main(["sweep", "--k2-max", "12", "--out", str(tmp_path)]) == 0
+        assert file_digests(tmp_path) == SWEEP_WITNESS_SHA256
 
     def test_invalid_ranges_exit_1(self):
         assert run_cli("sweep", "--p1", "1", "--k1", "1").returncode == 1

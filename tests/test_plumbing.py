@@ -239,6 +239,29 @@ class TestWeightedTree:
         dot = t.to_dot(roles={0: "torso1"})
         assert 'label="-2"' in dot and 'role="torso1"' in dot
 
+    def test_json_is_the_reference_encoding_byte_for_byte(self):
+        from knotplumb.cabling import closed_form_two_iter
+
+        trees = [WeightedTree({0: -2}, []), WeightedTree({-7: 10**30}, [])]
+        for pairs, n in (
+            (((2, 3),), 7), (((3, 7),), 23), (((2, 3), (2, 17)), 36), (((2, 3), (2, 13)), 30),
+            (((3, 4), (2, 25)), 53), (((2, 3), (3, 20)), 65), (((5, 6), (2, 61)), 130),
+            *((s.knot.pairs, s.n) for s in THREE_ITERATION_SPECS),
+        ):
+            spec = SurgerySpec(CableTower(pairs), n)
+            trees += [raw_plumbing(spec), reduced_plumbing(spec)]
+            if len(pairs) == 2:
+                trees.append(closed_form_two_iter(spec))
+        rng = random.Random(41)
+        for _ in range(300):
+            t = random_tree(rng, max_vertices=15, weights=(-10**20, 10**20))
+            ids = rng.sample(range(-10**15, 10**15), len(t))
+            trees.append(relabel(t, dict(zip(t.vertices(), ids))))
+        for t in trees:
+            text = t.to_json()
+            assert text == oracles.reference_tree_json(t)
+            assert WeightedTree.from_json(text) == t
+
 
 class TestGram:
     def test_single_vertex(self):
@@ -424,6 +447,42 @@ class TestForestElimination:
                     det_exact(m)
                 with pytest.raises(ValueError, match=shape):
                     is_negative_definite(m)
+
+    # each error of the matrix checks, with its type and whole message,
+    # where two faults meet: not square comes first, then a non-int entry,
+    # then an asymmetry, then a cycle, wherever in the matrix each lies
+    @pytest.mark.parametrize("check", [det_exact, is_negative_definite])
+    @pytest.mark.parametrize("matrix, error, message", [
+        ([[-2.5, 1, 0], [1, -2, 0], [0, 0]], ValueError, "matrix is not square"),
+        ([[-2, 1], [1.0]], ValueError, "matrix is not square"),
+        ([[-2, 1, 0], [1, -2, 0, 0], [0.5, 0, -2]], ValueError, "matrix is not square"),
+        ([[-2, 1, 0], [0, -2, 1], [0, 1, -2.0]], TypeError, "matrix entries must be integers"),
+        ([[-2.0, 1, 0], [1, -2, 1], [0, 0, -2]], TypeError, "matrix entries must be integers"),
+        ([[-2, 2, 0], [1, -2, 1], [0, Fraction(1), -2]], TypeError, "matrix entries must be integers"),
+        ([[-2, 1], [0, -2]], ValueError, "matrix is not symmetric"),
+        ([[-2, 0, 0], [0, -2, 1], [0, 0, -2]], ValueError, "matrix is not symmetric"),
+        ([[-2, 0], [1, -2]], ValueError, "matrix is not symmetric"),
+        ([[-2, 0, 0], [0, -2, 0], [1, 0, -2]], ValueError, "matrix is not symmetric"),
+        ([[-2, 1], [2, -2]], ValueError, "matrix is not symmetric"),
+        ([[-2, 1, 0], [1, -2, -1], [0, 1, -2]], ValueError, "matrix is not symmetric"),
+        ([[-2, True], [True, -2]], TypeError, "matrix entries must be integers"),
+        ([[-2, True], [1, -2]], TypeError, "matrix entries must be integers"),
+        ([[-2, 0], [True, -2]], TypeError, "matrix entries must be integers"),
+        ([[-3, 1, 1], [1, -3, 1], [1, 1, -3]], ValueError, "matrix support has a cycle"),
+        ([[-3, 1, 1], [1, -3, 1], [1, 2, -3]], ValueError, "matrix is not symmetric"),
+        ([[-3, 1, 1], [1, -3, 1], [1, 1, -3.0]], TypeError, "matrix entries must be integers"),
+    ])
+    def test_errors_and_their_precedence(self, check, matrix, error, message):
+        with pytest.raises(error) as caught:
+            check(matrix)
+        assert type(caught.value) is error and str(caught.value) == message
+
+    def test_false_off_the_diagonal_reads_as_zero(self):
+        for m in ([[-2, False], [False, -2]], [[-2, False], [0, -2]], [[-2, 0], [False, -2]]):
+            assert det_exact(m) == 4
+            assert is_negative_definite(m)
+        m = [[-2, 1, False], [1, -2, 1], [0, 1, -2]]
+        assert det_exact(m) == -4 and is_negative_definite(m)
 
     def test_matches_fraction_reference_on_plumbings(self):
         # raw plumbings are indefinite, reduced ones definite; the raw
