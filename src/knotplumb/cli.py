@@ -18,7 +18,10 @@ Defaults may be supplied in a flat key=value config file (--config);
 explicit flags override it, unknown keys are rejected.  The default
 output directory is $KNOTPLUMB_OUT, falling back to the current
 directory.  A call builds the top-level parser and, of the subcommands'
-parsers, only the one its argv names.
+parsers, only the one its argv names.  Each file format has one reader
+or writer: a graph file is decoded once, a witness file written a row at
+a time (_write_witness, named by a spec's integers or a graph file's
+basename), and the CSV rendered once in the body sweep and audit share.
 """
 
 import argparse
@@ -27,6 +30,7 @@ import os
 import re
 import stat
 import sys
+from itertools import chain
 
 from . import hjcf
 from .cabling import (
@@ -113,11 +117,7 @@ def load_config(path) -> dict:
 
 def resolve(args, config, key, default):
     flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in config:
-        return config[key]
-    return default
+    return flag if flag is not None else config.get(key, default)
 
 
 def resolve_positive(args, config, key, default):
@@ -127,10 +127,10 @@ def resolve_positive(args, config, key, default):
     return value
 
 
-def _write_text(path, text):
-    """Write text to path.  A regular or missing file, found through any
-    symlinks, is replaced by renaming a new sibling (0o666 less the umask)
-    over it; a device or FIFO (/dev/null, /dev/stdout) is written in place."""
+def _write_text(path, parts):
+    """Write the strings of parts to path in turn.  A regular or missing
+    file, found through any symlinks, is replaced by renaming a new sibling
+    (0o666 less the umask) over it; a device or FIFO is written in place."""
     try:
         try:
             in_place = not stat.S_ISREG(os.stat(path).st_mode)
@@ -138,14 +138,14 @@ def _write_text(path, text):
             in_place = False
         if in_place:
             with open(path, "w") as fh:
-                fh.write(text)
+                fh.writelines(parts)
             return
         target = os.path.realpath(path)
         tmp = f"{target}.{os.urandom(4).hex()}.tmp"
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with open(fd, "w") as fh:
-                fh.write(text)
+                fh.writelines(parts)
             os.replace(tmp, target)
         except BaseException:
             os.unlink(tmp)
@@ -174,13 +174,13 @@ def _row_text(vec):
     return "[" + "".join(parts)[:-2] + "]"
 
 
-def _write_witness(out_dir, name, witness) -> str:
-    """Write the witness as json.dumps(lattice.embedding_to_json_obj(witness))
-    would, each dense row formatted from its support."""
-    path = os.path.join(out_dir, f"witness_{name}.json")
-    rank = len(witness[0]) if witness else 0
-    rows = ", ".join(map(_row_text, witness))
-    _write_text(path, f'{{"rank": {rank}, "vectors": [{rows}]}}')
+def _write_witness(out_dir, key, witness) -> str:
+    """Write witness_<key's items joined by '_'>.json as json.dumps writes
+    {"rank": r, "vectors": [...]}, a row's _row_text at a time."""
+    path = os.path.join(out_dir, f"witness_{'_'.join(map(str, key))}.json")
+    head = f'{{"rank": {len(witness[0]) if witness else 0}, "vectors": ['
+    rows = (part for i, vec in enumerate(witness) for part in (", " if i else "", _row_text(vec)))
+    _write_text(path, chain([head], rows, ["]}"]))
     return path
 
 
@@ -208,7 +208,6 @@ MAX_COEFFICIENTS = 10**6  # the longest list contfrac prints, checked before exp
 
 
 def cmd_contfrac(args, config):
-    out = {}
     if args.eval is not None:
         if args.fraction is not None or args.dual or args.reverse:
             raise CliError("--eval takes no fraction, --dual or --reverse")
@@ -257,8 +256,7 @@ def _build_tree(spec, kind):
             return raw_plumbing(spec, with_roles=True)
         if kind == "closed-form":
             return closed_form_two_iter(spec, with_roles=True)
-        tree = reduced_plumbing(spec)
-        return tree, None
+        return reduced_plumbing(spec), None
     except UnsupportedTowerError as exc:
         raise CliError(str(exc))
     except (NoNegativeDefiniteFormError, ReducibleBoundaryError) as exc:
@@ -291,24 +289,20 @@ def _embed_input(args):
         try:
             with open(args.graph_file) as fh:
                 obj = json.load(fh)
-            if "tree" in obj:
+            if "tree" in obj:  # graph --json's output
                 obj = obj["tree"]
-            tree = WeightedTree.from_json(json.dumps(obj))
+            tree = WeightedTree._from_obj(obj)
         except OSError as exc:
             raise CliError(f"cannot read graph: {exc}")
         except (ValueError, TypeError, KeyError, RecursionError) as exc:
             # RecursionError: json.load on deeply nested arrays or objects
             raise CliError(f"{args.graph_file}: not a plumbing tree: {exc!r}")
-        name = os.path.splitext(os.path.basename(args.graph_file))[0]
-        return tree, name
+        return tree, [os.path.splitext(os.path.basename(args.graph_file))[0]]
     if args.pairs is None or args.n is None:
         raise CliError("give a graph file, or --pairs and --n")
     spec = _parse_spec(args)
     tree, _ = _build_tree(spec, "reduced")
-    name = "_".join(
-        str(x) for pair in spec.knot.pairs for x in pair
-    ) + f"_{spec.n}"
-    return tree, name
+    return tree, [x for pair in spec.knot.pairs for x in pair] + [spec.n]
 
 
 MAX_RANK = 10**6  # the widest rank embed takes: a witness holds one entry per coordinate
@@ -322,7 +316,7 @@ def cmd_embed(args, config):
     if args.enumerate and args.budget is not None:
         # enumerate_embeddings takes no budget: a cut-short class list has no Indeterminate
         raise CliError("--budget does not apply to --enumerate")
-    tree, name = _embed_input(args)
+    tree, key = _embed_input(args)
     rank = args.rank if args.rank is not None else len(tree)
     budget = resolve_positive(args, config, "budget", DEFAULT_BUDGET)
     out_dir = resolve(args, config, "out", os.environ.get("KNOTPLUMB_OUT", "."))
@@ -344,7 +338,7 @@ def cmd_embed(args, config):
         return 0
     if result.status is SearchStatus.FOUND:
         _make_out_dir(out_dir)
-        path = _write_witness(out_dir, name, result.witness)
+        path = _write_witness(out_dir, key, result.witness)
         print(f"embedding found into rank {rank} ({result.nodes} nodes)")
         for vec in result.witness:
             print(f"  {render_vector(vec)}")
@@ -389,17 +383,16 @@ def _run_sweep(args, config):
     witness_files = {}
     for row in rows:
         if row.witness is not None:
-            name = "_".join(str(x) for x in row.key())
-            witness_files[row.key()] = _write_witness(out_dir, name, row.witness)
-    return rows, witness_files
+            witness_files[row.key()] = _write_witness(out_dir, row.key(), row.witness)
+    csv_text = rows_to_csv(rows, witness_files, timing=resolve(args, config, "timing", False))
+    if args.csv:
+        _write_text(args.csv, [csv_text])
+    return rows, csv_text
 
 
 def cmd_sweep(args, config):
-    rows, witness_files = _run_sweep(args, config)
-    timing = resolve(args, config, "timing", False)
-    csv_text = rows_to_csv(rows, witness_files, timing=timing)
+    rows, csv_text = _run_sweep(args, config)
     if args.csv:
-        _write_text(args.csv, csv_text)
         print(f"{len(rows)} rows written to {args.csv}")
     else:
         sys.stdout.write(csv_text)
@@ -407,11 +400,7 @@ def cmd_sweep(args, config):
 
 
 def cmd_audit(args, config):
-    rows, witness_files = _run_sweep(args, config)
-    report = theorem_audit(rows, family1_form=args.family_form)
-    if args.csv:
-        timing = resolve(args, config, "timing", False)
-        _write_text(args.csv, rows_to_csv(rows, witness_files, timing=timing))
+    report = theorem_audit(_run_sweep(args, config)[0], family1_form=args.family_form)
     print(json.dumps(report.to_json_obj(), indent=2))
     return 0 if report.perfect else 5
 
@@ -452,7 +441,7 @@ def _define_embed(p):
     p.set_defaults(func=cmd_embed)
 
 
-def _define_sweep(p):  # and audit's, which adds --family-form
+def _define_sweep(p):
     p.add_argument("--p1", default="2,3")
     p.add_argument("--k1", default="1,2,3")
     p.add_argument("--p2", default="2,3")
@@ -465,10 +454,13 @@ def _define_sweep(p):  # and audit's, which adds --family-form
                    help="fill the ms column (breaks byte-determinism)")
     p.add_argument("--out", help="output directory for witness files")
     p.set_defaults(func=cmd_sweep)
-    if p.prog.endswith(" audit"):
-        p.add_argument("--family-form", choices=("derived", "printed"), default="derived",
-                       help="which printed/derived form of family 1 to audit against")
-        p.set_defaults(func=cmd_audit)
+
+
+def _define_audit(p):
+    _define_sweep(p)
+    p.add_argument("--family-form", choices=("derived", "printed"), default="derived",
+                   help="which printed/derived form of family 1 to audit against")
+    p.set_defaults(func=cmd_audit)
 
 
 class _Subcommand(argparse.ArgumentParser):
@@ -496,8 +488,8 @@ def build_parser():
     sub.add_parser("contfrac", help="negative continued fractions", define=_define_contfrac)
     sub.add_parser("graph", help="build a plumbing graph for a surgery", define=_define_graph)
     sub.add_parser("embed", help="decide lattice embeddability", define=_define_embed)
-    for name in ("sweep", "audit"):
-        sub.add_parser(name, help=f"{name} over a tuple range", define=_define_sweep)
+    sub.add_parser("sweep", help="sweep over a tuple range", define=_define_sweep)
+    sub.add_parser("audit", help="audit over a tuple range", define=_define_audit)
     return parser
 
 

@@ -100,10 +100,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from itertools import compress, count, islice
+from itertools import chain, compress, count, islice
 from math import isqrt
 
-from .plumbing import form_invariants
+from .plumbing import _read_matrix, form_invariants
 
 
 class SearchStatus(Enum):
@@ -121,16 +121,16 @@ class SearchResult:
 
 def verify_embedding(gram, vectors) -> bool:
     """Exact check that -(v_i . v_j) reproduces the Gram matrix entrywise,
-    on and above the diagonal: _reproduces on the matrix's nonzero
-    entries and the vectors' supports."""
-    n = len(gram)
-    if len(vectors) != n:
-        raise ValueError(f"{len(vectors)} vectors for a rank-{n} Gram matrix")
+    read as det_exact reads it but with any support: _reproduces on its
+    rows and the vectors' supports; ints only, one vector per row."""
+    diag, off = _read_matrix(gram)
+    if len(vectors) != len(diag):
+        raise ValueError(f"{len(vectors)} vectors for a rank-{len(diag)} Gram matrix")
     if len({len(v) for v in vectors}) > 1:
         raise ValueError("vectors of mixed lengths")
-    diag = [gram[i][i] for i in range(n)]
-    off = [{j: x for j, x in enumerate(gram[i][i + 1:n], i + 1) if x} for i in range(n)]
-    return _reproduces(diag, off, [[(k, v[k]) for k in _support(v)] for v in vectors])
+    if not {int}.issuperset(map(type, chain.from_iterable(vectors))):
+        raise TypeError("vector entries must be integers")
+    return _reproduces(diag, off.values(), [[(k, v[k]) for k in _support(v)] for v in vectors])
 
 
 def _reproduces(diag, off, vectors):
@@ -693,12 +693,14 @@ def find_embedding(tree, rank=None, budget=None) -> SearchResult:
 
 
 def _dense(vectors, rank):
-    """Sparse vectors as tuples of rank entries."""
-    rows = [[0] * rank for _ in vectors]
-    for row, vec in zip(rows, vectors):
+    """Sparse vectors as tuples of rank entries, one row list at a time."""
+    dense = []
+    for vec in vectors:
+        row = [0] * rank
         for k, x in vec:
             row[k] = x
-    return tuple(map(tuple, rows))
+        dense.append(tuple(row))
+    return tuple(dense)
 
 
 def _search_input(tree, rank):
@@ -765,9 +767,9 @@ def enumerate_embeddings(tree, rank=None, locally_minimal_only=False) -> list:
     negatives of each other), so the returned list has one entry per
     isometry class.
 
-    Solutions are canonicalised at the searched width, -trace(G) at most,
-    and padded to rank after: zero columns sort last, so padding commutes
-    with canonicalisation, and a padded solution is never locally minimal.
+    Solutions are checked against the rows, canonicalised at the searched
+    width (-trace(G) at most) and padded to rank after: zero columns sort
+    last, so padding commutes; a padded solution is not locally minimal.
     """
     diag, off, r = _search_input(tree, rank)
     searcher = _Searcher(diag, off, r)
@@ -775,6 +777,8 @@ def enumerate_embeddings(tree, rank=None, locally_minimal_only=False) -> list:
         return []
     seen = set()
     for sol in searcher.embeddings():
+        if not _reproduces(diag, off, sol):
+            raise AssertionError("search produced an embedding that fails verification")
         sol = _dense(sol, searcher.rank)
         if not locally_minimal_only or is_locally_minimal(sol):
             seen.add(matrix_canonical_form(sol))
@@ -795,13 +799,9 @@ def render_vector(vec) -> str:
     return "".join(parts) if parts else "0"
 
 
-def embedding_to_json_obj(vectors) -> dict:
-    return {"rank": len(vectors[0]) if vectors else 0, "vectors": [list(v) for v in vectors]}
-
-
 def embedding_from_json_obj(obj) -> tuple:
-    """Vectors of an embedding_to_json_obj object; TypeError unless rank
-    and every entry are ints, since truncation could make a non-witness verify."""
+    """Vectors of a witness file's decoded object; TypeError unless rank and
+    every entry are ints, since truncation could make a non-witness verify."""
     rank = obj["rank"]
     vectors = tuple(tuple(v) for v in obj["vectors"])
     if type(rank) is not int or any(type(x) is not int for v in vectors for x in v):

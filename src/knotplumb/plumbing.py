@@ -35,16 +35,17 @@ the subtree less the vertex, whose quotient is its pivot; there is no
 division.  det_exact and is_negative_definite run the same elimination on
 a matrix, so they are defined on square, symmetric integer matrices whose
 support is a forest (the form of any plumbing, or a disjoint union of
-them); any other matrix raises ValueError.  Entries must be ints: a float, Fraction or bool entry
-raises TypeError instead of being truncated.  One loop reads the matrix,
-row by row: its length, its diagonal and its non-zero entries, and each
-entry below the diagonal beside its mirror above it; the checks then
-rule in a fixed order, not square before TypeError before not symmetric
-before a cycle, wherever in the matrix the faults lie.
+them); any other matrix raises ValueError, and a float, Fraction or bool
+entry TypeError rather than being truncated.  One loop, _read_matrix,
+which lattice.verify_embedding shares, reads the matrix row by row: its
+length, diagonal and non-zero entries, each entry below the diagonal
+beside its mirror; the checks rule in a fixed order, not square before
+TypeError before not symmetric before a cycle, wherever the faults lie.
 
 A tree's JSON text is formatted directly from its weights and one sorted
 walk of its edges, which to_dot and repr read too: ids and weights are
-ints, so the text is json.dumps's byte for byte with no object built.
+ints, so the text is json.dumps's byte for byte with no object built;
+one rule (_from_obj) reads the decoded text, or file, back into a tree.
 """
 
 import json
@@ -160,7 +161,10 @@ class WeightedTree:
 
     @classmethod
     def from_json(cls, text: str) -> "WeightedTree":
-        obj = json.loads(text)
+        return cls._from_obj(json.loads(text))
+
+    @classmethod
+    def _from_obj(cls, obj) -> "WeightedTree":  # to_json's text, decoded
         return cls([(v["id"], v["weight"]) for v in obj["vertices"]], obj["edges"])
 
     def to_dot(self, roles=None) -> str:
@@ -210,12 +214,11 @@ def form_invariants(tree: WeightedTree) -> tuple:
     return tree._form
 
 
-def _forest_elimination(matrix):
-    """_eliminate on a matrix: ValueError unless it is square and symmetric
-    and its support is a forest.  Every entry read -- the diagonal and the
-    non-zero entries -- must be an int (type(x) is int, so not a bool),
-    else TypeError: a float or Fraction entry has no exact integer
-    determinant to return.
+def _read_matrix(matrix):
+    """(diag, off) of a square, symmetric integer matrix, dicts by row:
+    its diagonal entry, and {j: entry} for each non-zero entry off it.
+    ValueError unless square and symmetric, TypeError unless every entry
+    read is an int (type(x) is int, so no bool, float or Fraction).
 
     The one loop keeps each entry below the diagonal beside its mirror,
     read from the rows before: the matrix is symmetric exactly when every
@@ -241,7 +244,12 @@ def _forest_elimination(matrix):
         raise TypeError("matrix entries must be integers")
     if lower != mirror or 2 * len(lower) != sum(map(len, adj.values())):
         raise ValueError("matrix is not symmetric")
-    result = _eliminate(num, adj)
+    return num, adj
+
+
+def _forest_elimination(matrix):
+    """_eliminate on a matrix read by _read_matrix; ValueError on a cycle."""
+    result = _eliminate(*_read_matrix(matrix))
     if result is None:
         raise ValueError("matrix support has a cycle")
     return result

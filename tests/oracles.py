@@ -33,9 +33,12 @@ itself.
 search_gram and enumerate_gram are adapters, not oracles: they run the
 implementation's search (lattice._Searcher) on a matrix that is no
 plumbing tree's form -- a forest, a support with a cycle, off-diagonal
-entries other than 1 -- which find_embedding, taking a tree, cannot be
-given.  Definiteness comes from the leading-minor test and a witness is
-re-checked by verify_embedding, which plain_verify_embedding checks
+entries other than 1.  find_embedding and enumerate_embeddings take such
+a form too, as its rows and definiteness (diag, off, definite), and the
+tests hold them to the adapters there; the adapters stay as the
+references that pad each solution before canonicalising it and that
+re-check a witness by verify_embedding.  Definiteness comes from the
+leading-minor test, and plain_verify_embedding checks verify_embedding
 entry by entry over the whole matrix.  depth_first_search is the
 implementation's search too, with every vertex placed in plain
 depth-first order where the implementation places heavy vertices last:

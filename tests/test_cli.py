@@ -21,7 +21,7 @@ import pytest
 import knotplumb
 from knotplumb import cli, plumbing
 from knotplumb.classify import desk_range_tuples
-from knotplumb.lattice import embedding_to_json_obj, verify_embedding
+from knotplumb.lattice import verify_embedding
 from knotplumb.plumbing import WeightedTree, gram_matrix
 
 import oracles
@@ -307,7 +307,7 @@ class TestEmbed:
 
     def test_witness_text_is_json_dumps_byte_for_byte(self, tmp_path):
         rng = random.Random(43)
-        witnesses = [((0,),), ((-1,),), ((0, 0, 0), (0, 0, 7)), ((5, 0, 0), (0, -10**30, 0))]
+        witnesses = [(), ((0,),), ((-1,),), ((0, 0, 0), (0, 0, 7)), ((5, 0, 0), (0, -10**30, 0))]
         for _ in range(200):
             rank = rng.randint(1, 40)
             witnesses.append(tuple(
@@ -315,9 +315,9 @@ class TestEmbed:
                 for _ in range(rng.randint(1, 6))
             ))
         for i, w in enumerate(witnesses):
-            path = cli._write_witness(str(tmp_path), str(i), w)
+            path = cli._write_witness(str(tmp_path), [i], w)
             with open(path) as fh:
-                assert fh.read() == json.dumps(embedding_to_json_obj(w))
+                assert fh.read() == json.dumps({"rank": len(w[0]) if w else 0, "vectors": [list(v) for v in w]})
 
     def test_env_out_dir(self, tmp_path):
         res = run_cli(
@@ -463,7 +463,7 @@ class TestConfig:
 class TestAtomicWrites:
     def test_new_file_gets_the_mode_open_would_give(self, tmp_path):
         (tmp_path / "plain.csv").write_text("")
-        cli._write_text(str(tmp_path / "rows.csv"), "a,b\n")
+        cli._write_text(str(tmp_path / "rows.csv"), ["a,b\n"])
         assert (tmp_path / "rows.csv").read_text() == "a,b\n"
         assert (tmp_path / "rows.csv").stat().st_mode == (tmp_path / "plain.csv").stat().st_mode
         assert sorted(os.listdir(tmp_path)) == ["plain.csv", "rows.csv"]
@@ -493,7 +493,7 @@ class TestAtomicWrites:
         real.write_text("old\n")
         link = tmp_path / "rows.csv"
         link.symlink_to(real)
-        cli._write_text(str(link), "a,b\n")
+        cli._write_text(str(link), ["a,b\n"])
         assert link.is_symlink() and os.readlink(link) == str(real)
         assert real.read_text() == "a,b\n"
         assert os.listdir(tmp_path / "data") == ["rows.csv"]
@@ -506,15 +506,60 @@ class TestAtomicWrites:
         got = []
         reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
         reader.start()
-        cli._write_text(str(fifo), "a,b\n")
+        cli._write_text(str(fifo), ["a", ",b\n"])
         reader.join(timeout=30)
         assert got == ["a,b\n"]
         assert stat.S_ISFIFO(fifo.lstat().st_mode)
         assert os.listdir(tmp_path) == ["rows.csv"]
 
+    def test_parts_failing_midway_keep_the_old_file(self, tmp_path):
+        # the first part fills more than a write buffer, so the sibling
+        # holds some of the text when the second fails
+        target = tmp_path / "witness_w.json"
+        target.write_bytes(b"the previous witness\n")
+
+        def parts():
+            yield "[" + "0, " * 10**5
+            raise RuntimeError("no second row")
+
+        with pytest.raises(RuntimeError, match="no second row"):
+            cli._write_text(str(target), parts())
+        assert target.read_bytes() == b"the previous witness\n"
+        assert os.listdir(tmp_path) == [target.name]
+
+    def test_dev_null_is_written_in_place(self, monkeypatch):
+        def no_sibling(*args):
+            raise AssertionError("a device was written through a sibling")
+
+        monkeypatch.setattr(os, "open", no_sibling)
+        monkeypatch.setattr(os, "replace", no_sibling)
+        written = []
+
+        def parts():
+            for part in ("a", ",b\n"):
+                written.append(part)
+                yield part
+
+        cli._write_text(os.devnull, parts())
+        assert written == ["a", ",b\n"]
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    def test_witness_is_written_row_by_row(self, tmp_path, monkeypatch):
+        # no part holds more than one row's text
+        parts = []
+        write_text = cli._write_text
+        monkeypatch.setattr(cli, "_write_text", lambda path, it: write_text(path, (
+            parts.append(part) or part for part in it)))
+        path = cli._write_witness(str(tmp_path), ["w"], ((1, 0, -1), (0, 2, 0)))
+        assert [part for part in parts if part] == [
+            '{"rank": 3, "vectors": [', "[1, 0, -1]", ", ", "[0, 2, 0]", "]}"]
+        with open(path) as fh:
+            assert fh.read() == '{"rank": 3, "vectors": [[1, 0, -1], [0, 2, 0]]}'
+        assert cli._row_text(()) == "[]"
+
     def test_directory_target_gives_the_plain_open_error(self, tmp_path):
         with pytest.raises(cli.CliError) as err:
-            cli._write_text(str(tmp_path), "a,b\n")
+            cli._write_text(str(tmp_path), ["a,b\n"])
         assert str(err.value) == f"cannot write {tmp_path}: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{tmp_path}'"
         assert os.listdir(tmp_path) == []
 
@@ -815,7 +860,7 @@ def test_a_call_defines_only_the_subcommand_it_runs(monkeypatch, capsys):
 
 def test_every_call_defines_its_subcommand_afresh(monkeypatch, capsys):
     defined = Counter()
-    for name in ("_define_contfrac", "_define_graph", "_define_embed", "_define_sweep"):
+    for name in ("_define_contfrac", "_define_graph", "_define_embed", "_define_sweep", "_define_audit"):
         def counted(p, name=name, define=getattr(cli, name)):
             defined[name] += 1
             define(p)

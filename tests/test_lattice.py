@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import random
@@ -17,7 +18,6 @@ from knotplumb.classify import desk_range_tuples
 from knotplumb.lattice import (
     SearchStatus,
     embedding_from_json_obj,
-    embedding_to_json_obj,
     enumerate_embeddings,
     find_embedding,
     is_locally_minimal,
@@ -118,6 +118,13 @@ class TestVerify:
         )
         spec = SurgerySpec(CableTower(((2, 3), (2, 17))), 36)
         assert verify_embedding(gram_matrix(closed_form_two_iter(spec)), witness)
+
+    def test_rejects_non_integer_vector_entries(self):
+        # 1.0 and True were read as 1, and a witness of them verified
+        assert verify_embedding([[-2]], [(1, -1, 0)])
+        for vec in ((1.0, -1, 0), (True, -1, 0), (1, -1, 0.0), ("1", -1, 0)):
+            with pytest.raises(TypeError, match="^vector entries must be integers$"):
+                verify_embedding([[-2]], [vec])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -368,6 +375,22 @@ class TestFindEmbedding:
             "except AssertionError:\n"
             "    raise SystemExit(0)\n"
             "raise SystemExit('unverified witness accepted')\n"
+        )
+        res = run_child(code, "-O")
+        assert res.returncode == 0, res.stdout + res.stderr
+
+    def test_enumeration_check_survives_optimize(self):
+        # each class enumerate_embeddings returns is checked against the
+        # form's rows first, by a raise that -O keeps
+        code = (
+            "from knotplumb import lattice\n"
+            "from knotplumb.plumbing import WeightedTree\n"
+            "lattice._reproduces = lambda diag, off, vectors: False\n"
+            "try:\n"
+            "    lattice.enumerate_embeddings(WeightedTree({0: -1}, []))\n"
+            "except AssertionError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit('unverified embedding class returned')\n"
         )
         res = run_child(code, "-O")
         assert res.returncode == 0, res.stdout + res.stderr
@@ -950,6 +973,37 @@ class TestRankAboveTrace:
         assert float(seconds) < 1, seconds
 
 
+class TestRowsInput:
+    """find_embedding and enumerate_embeddings also take a form as its rows
+    and definiteness, (diag, off, definite), as classify_one passes its
+    builder's.  On forms that are no tree's -- forests, supports with a
+    cycle, off-diagonal entries other than 1 -- they must give what the
+    adapters search_gram and enumerate_gram give on the matrix."""
+
+    def test_rows_of_forms_no_tree_has(self):
+        rng = random.Random(67)
+        forms = [block_diag([[-2]], [[-3]]), block_diag([[-2]], [[-2]]),
+                 block_diag(gram_matrix(chain(3)), gram_matrix(chain(2))),
+                 [[-2, 3, 0], [3, -5, 0], [0, 0, -6]]]
+        while len(forms) < 64:
+            g = (mostly_minus_two_gram if len(forms) % 2 else cyclic_minus_two_gram)(rng)
+            if minors_negative_definite(g):
+                forms.append(g)
+        statuses, cyclic, heavy_entries = set(), 0, 0
+        for g in forms:
+            rows = (*gram_rows(g), minors_negative_definite(g))
+            entries = [g[i][j] for i in range(len(g)) for j in range(i) if g[i][j]]
+            cyclic += len(entries) >= len(g)  # more edges than a forest has
+            heavy_entries += any(x != 1 for x in entries)
+            for rank in (len(g), len(g) + 1):
+                got, want = find_embedding(rows, rank=rank), search_gram(g, rank=rank)
+                assert (got.status, got.nodes, got.witness) == (want.status, want.nodes, want.witness)
+                assert enumerate_embeddings(rows, rank=rank) == enumerate_gram(g, rank=rank)
+                statuses.add(got.status)
+        assert statuses == {SearchStatus.FOUND, SearchStatus.NONE}
+        assert cyclic > 5 and heavy_entries > 20, (cyclic, heavy_entries)
+
+
 class TestDeepSearches:
     """Long chains must not hit Python's recursion limit: neither the
     placement depth, nor the number of column classes, nor the width of a
@@ -1162,9 +1216,9 @@ class TestPresentation:
         assert float(seconds) < 0.4, seconds
 
     def test_json_round_trip(self):
+        # the witness file's object, as the command line writes it
         vectors = ((1, -1, 0), (0, 1, -1))
-        obj = embedding_to_json_obj(vectors)
-        assert obj["rank"] == 3
+        obj = json.loads(json.dumps({"rank": 3, "vectors": [list(v) for v in vectors]}))
         assert embedding_from_json_obj(obj) == vectors
 
     def test_json_rejects_non_integer_entries(self):

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from knotplumb import plumbing
 from knotplumb.cabling import CableTower, SurgerySpec, raw_plumbing, reduced_plumbing
 from knotplumb.classify import family_tuple
+from knotplumb.lattice import verify_embedding
 from knotplumb.plumbing import (
     InvalidMoveError,
     WeightedTree,
@@ -56,6 +57,17 @@ THREE_ITERATION_SPECS = [
         (((2, 3), (3, 19), (2, 115)), 233),
     )
 ]
+
+
+def verify_one_vector_per_row(matrix):
+    """verify_embedding on the matrix and one zero vector per row: it reads
+    the matrix as det_exact does, but reads a cycle in its support where
+    det_exact rejects it."""
+    return verify_embedding(matrix, [(0,)] * len(matrix))
+
+
+# every reader of a matrix, which must reject a malformed one alike
+MATRIX_CHECKS = [det_exact, is_negative_definite, verify_one_vector_per_row]
 
 
 def path_tree(weights):
@@ -388,7 +400,8 @@ class TestForestElimination:
 
     def test_cycle_supported_matrices(self):
         # no plumbing has these forms: a cycle in the support is rejected,
-        # whether the form is definite, singular or has a zero leaf
+        # whether the form is definite, singular or has a zero leaf;
+        # verify_embedding reads them, and a witness of one verifies
         triangle = [[-3, 1, 1], [1, -3, 1], [1, 1, -3]]
         singular = [[-2, 1, 1], [1, -2, 1], [1, 1, -2]]
         tailed = [[0, 1, 0, 0], [1, -3, 1, 1], [0, 1, -3, 1], [0, 1, 1, -3]]
@@ -397,23 +410,23 @@ class TestForestElimination:
                 det_exact(m)
             with pytest.raises(ValueError, match="cycle"):
                 is_negative_definite(m)
+            assert verify_one_vector_per_row(m) is False
+        assert verify_embedding(singular, [(1, -1, 0), (0, 1, -1), (-1, 0, 1)])
 
     def test_asymmetric_input(self):
         m = [[-2, 1, 0], [0, -2, 1], [0, 1, -2]]
         assert bareiss_det(m) == -6
-        with pytest.raises(ValueError, match="not symmetric"):
-            det_exact(m)
-        with pytest.raises(ValueError, match="not symmetric"):
-            is_negative_definite(m)
+        for check in MATRIX_CHECKS:
+            with pytest.raises(ValueError, match="not symmetric"):
+                check(m)
 
     def test_rejects_non_square(self):
         # unchecked, Bareiss reads [[1, 2]] as det 1 and the second as
         # negative definite
         for m in ([[1, 2]], [[-2, 1, 0], [1, -2]], [[-2], [1]]):
-            with pytest.raises(ValueError, match="not square"):
-                det_exact(m)
-            with pytest.raises(ValueError, match="not square"):
-                is_negative_definite(m)
+            for check in MATRIX_CHECKS:
+                with pytest.raises(ValueError, match="not square"):
+                    check(m)
 
     def test_long_chain_is_linear(self, monkeypatch):
         # integer continuants only: no Fraction is built
@@ -432,26 +445,27 @@ class TestForestElimination:
         for bad in (0.5, -2.7, 1.0, Fraction(1, 2), Fraction(-3), True):
             cases += [[[bad]], [[bad, 1], [1, -2]], [[-2, bad], [bad, -2]]]
         for m in cases:
-            with pytest.raises(TypeError):
-                det_exact(m)
-            with pytest.raises(TypeError):
-                is_negative_definite(m)
+            for check in MATRIX_CHECKS:
+                with pytest.raises(TypeError):
+                    check(m)
         # a zero entry is never read, so a non-int one is no TypeError; on
-        # a cycle, or where it breaks the symmetry, the shape is rejected
+        # a cycle (which verify_embedding reads), or where it breaks the
+        # symmetry, the shape is rejected
         for zero in (0.0, Fraction(0), False):
-            for m, shape in (
-                ([[-3, 1, 1, zero], [1, -3, 1, 0], [1, 1, -3, 0], [zero, 0, 0, -2]], "cycle"),
-                ([[-2, 1], [zero, -2]], "not symmetric"),
-            ):
-                with pytest.raises(ValueError, match=shape):
-                    det_exact(m)
-                with pytest.raises(ValueError, match=shape):
-                    is_negative_definite(m)
+            cycle = [[-3, 1, 1, zero], [1, -3, 1, 0], [1, 1, -3, 0], [zero, 0, 0, -2]]
+            for m, shape in ((cycle, "cycle"), ([[-2, 1], [zero, -2]], "not symmetric")):
+                for check in MATRIX_CHECKS:
+                    if check is verify_one_vector_per_row and shape == "cycle":
+                        assert check(m) is False
+                        continue
+                    with pytest.raises(ValueError, match=shape):
+                        check(m)
 
     # each error of the matrix checks, with its type and whole message,
     # where two faults meet: not square comes first, then a non-int entry,
-    # then an asymmetry, then a cycle, wherever in the matrix each lies
-    @pytest.mark.parametrize("check", [det_exact, is_negative_definite])
+    # then an asymmetry, then a cycle, wherever in the matrix each lies;
+    # verify_embedding reads the cycle
+    @pytest.mark.parametrize("check", MATRIX_CHECKS)
     @pytest.mark.parametrize("matrix, error, message", [
         ([[-2.5, 1, 0], [1, -2, 0], [0, 0]], ValueError, "matrix is not square"),
         ([[-2, 1], [1.0]], ValueError, "matrix is not square"),
@@ -471,8 +485,17 @@ class TestForestElimination:
         ([[-3, 1, 1], [1, -3, 1], [1, 1, -3]], ValueError, "matrix support has a cycle"),
         ([[-3, 1, 1], [1, -3, 1], [1, 2, -3]], ValueError, "matrix is not symmetric"),
         ([[-3, 1, 1], [1, -3, 1], [1, 1, -3.0]], TypeError, "matrix entries must be integers"),
+        # verify_embedding read only the entries on and above the diagonal,
+        # and took each of these, and [[-2, True], [True, -2]], for
+        # [[-2, 1], [1, -2]]
+        ([[-2, 1], [7, -2]], ValueError, "matrix is not symmetric"),
+        ([[-2, 1, 5], [1, -2]], ValueError, "matrix is not square"),
+        ([[-2, 1.0], [1, -2]], TypeError, "matrix entries must be integers"),
     ])
     def test_errors_and_their_precedence(self, check, matrix, error, message):
+        if check is verify_one_vector_per_row and message == "matrix support has a cycle":
+            assert check(matrix) is False
+            return
         with pytest.raises(error) as caught:
             check(matrix)
         assert type(caught.value) is error and str(caught.value) == message
