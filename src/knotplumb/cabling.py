@@ -18,13 +18,15 @@ Contracting the junctions and flattening the leaf yields the reduced,
 negative-definite graph whenever N >= 1; reduced_plumbing builds it
 directly by the junction rule, in time linear in its size plus the sum of
 log a_i, with that calculus, reduce_tree(raw_plumbing(spec)), as oracle.
-Its -2 runs (each torso's leading -2's and the tail) stay one entry each
-until a tree is frozen or the search's rows are emitted, so the builder's
-one exact pass, which checks |det| = n, costs O(runs + sum of log a_i)
-whatever N is.  For the two-iteration families a_1 = 1 (mod p_1), a_2 =
-+-1 (mod p_2), closed_form_two_iter is the same tree numbered without
-the junction rule's gaps; the tests hold its shape to the paper's closed
-formulas.
+Both builders keep the tree as flat per-entry lists, a hook at a time
+extending them with no call per vertex; the -2 runs (each torso's
+leading -2's and the tail) stay one entry each until a tree is frozen or
+the search's rows are emitted, so the builder's one exact pass, which
+reads the lists as they are and checks |det| = n, costs O(runs + sum of
+log a_i) whatever N is.  For the two-iteration families a_1 = 1 (mod
+p_1), a_2 = +-1 (mod p_2), closed_form_two_iter is the same tree numbered
+without the junction rule's gaps; the tests hold its shape to the
+paper's closed formulas.
 """
 
 import sys
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import neg
 
 from . import plumbing
 from .hjcf import ceil_div, expand_neg_cf, star_inverse
@@ -79,10 +82,12 @@ class CableTower:
         return len(self.pairs)
 
     def is_algebraic(self) -> bool:
-        return all(
-            a2 > p1 * p2 * a1
-            for (p1, a1), (p2, a2) in zip(self.pairs, self.pairs[1:])
-        )
+        (p1, a1), *rest = self.pairs
+        for p2, a2 in rest:
+            if a2 <= p1 * p2 * a1:
+                return False
+            p1, a1 = p2, a2
+        return True
 
 @dataclass(frozen=True)
 class SurgerySpec:
@@ -101,13 +106,6 @@ class SurgerySpec:
     def reduced_framing(self) -> int:
         p, a = self.knot.pairs[-1]
         return self.n - p * a
-
-    def to_json_obj(self) -> dict:
-        return {"pairs": [list(pair) for pair in self.knot.pairs], "n": self.n}
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "SurgerySpec":
-        return cls(CableTower(tuple(tuple(p) for p in obj["pairs"])), obj["n"])
 
 
 def corner_weight(p: int, a: int) -> int:
@@ -157,49 +155,84 @@ def _require_positive_framing(spec: SurgerySpec):
 
 
 class _TreeBuilder:
-    """Vertices numbered in the order they are added, each with a role and
-    a parent added before it (but the first), so the result is a tree by
-    construction, its one exact pass (plumbing._eliminate) needs no walk,
-    and it is frozen, not validated again, only when a tree is asked for;
-    the search takes its rows.  A run of count c is the path of c -2's
-    ending at the id add returns, one entry until expanded."""
+    """A tree as one list per field with an item per entry, a vertex or a
+    run of -2's counted once: its weight, its parent entry (None for the
+    first, else an earlier one), the last id it covers and its role; runs
+    maps an entry of c > 1 -2's to c, their ids ending at its last, the
+    first joined to its parent's last id.  So the result is a tree by
+    construction, its one exact pass (plumbing._eliminate) reads the lists
+    as they are, and a tree is frozen, unvalidated, only when asked for;
+    the search takes its rows.  add gives one entry, hook a hook's, by
+    extending the lists with no call per vertex."""
 
     def __init__(self):
-        self.weights, self.parent, self.roles, self.runs = {}, {}, {}, {}
-        self.next = 0  # the id add gives next; reduced_plumbing skips some
+        self.weight, self.parent, self.last, self.role = [], [], [], []
+        self.runs, self.next = {}, 0  # next: the next entry's first id
 
     def add(self, weight, role, attach=None, count=1):
-        self.next += count
-        v = self.next - 1
-        self.weights[v] = weight
-        self.roles[v] = role
-        self.parent[v] = attach
+        """An entry (a run if count > 1) off entry attach; returns it."""
+        e = len(self.weight)
         if count > 1:
-            self.runs[v] = count
-        return v
+            self.runs[e] = count
+        self.next += count
+        self.weight.append(weight)
+        self.parent.append(attach)
+        self.last.append(self.next - 1)
+        self.role.append(role)
+        return e
+
+    def hook(self, i, p, a, attach, skip, corner_role=None):
+        """Hook i, (p, a), off entry attach: its torso (the leading -2's
+        one run), a -1 corner and its leg, each entry joined to the one
+        before it, the torso's first to attach and the leg's first to the
+        corner, which it returns; roles torso{i}, node{i} (or corner_role)
+        and leg{i}.  With skip > 0 attach is the previous corner, into which
+        the torso's first skip entries contract (the junction rule): it
+        takes entry skip's weight."""
+        run, laid, k, (torso_role, node, leg_role) = _hook(i, p, a)
+        corner_role = corner_role or node
+        if skip:
+            if skip - 1 > run:
+                raise AssertionError(f"junction {i - 1} would drop a torso entry other than -2")
+            self.weight[attach] = -2 if skip <= run else laid[0]
+        if run > skip:
+            attach = self.add(-2, torso_role, attach, run - skip)
+        else:
+            laid = laid[skip - run:]
+        weight, parent, role = self.weight, self.parent, self.role
+        e, m, top = len(weight), len(laid) - k - 1, self.next  # m: the torso's entries
+        weight += laid
+        parent.append(attach)
+        parent += range(e, e + m + k)
+        self.next += len(laid)
+        self.last.extend(range(top, self.next))
+        role += (torso_role,) * m
+        role.append(corner_role)
+        role += (leg_role,) * k
+        return e + m
 
     def form(self, spec):
         """(det, negative definite), checked against its oracle |det| = |n|."""
-        form = plumbing._eliminate(self.weights, None, self.parent, self.runs)
+        form = plumbing._eliminate(self.weight, self.parent, self.runs)
         if abs(form[0]) != abs(spec.n):
             raise AssertionError(
                 f"plumbing determinant does not match surgery coefficient {spec.n}"
             )
         return form
 
-    def _ids(self, v):
-        return range(v + 1 - self.runs.get(v, 1), v + 1)
+    def _ids(self, e):
+        return range(self.last[e] + 1 - self.runs.get(e, 1), self.last[e] + 1)
 
     def _expanded(self):
         """Each id's weight and {neighbour: 1}, runs expanded, in id order."""
         weights, adj = {}, {}
-        for v, p in self.parent.items():
-            w = self.weights[v]
-            for u in self._ids(v):
-                weights[u], adj[u] = w, {}
-                if p is not None:
-                    adj[u][p] = adj[p][u] = 1
-                p = u
+        for e, (w, p) in enumerate(zip(self.weight, self.parent)):
+            u = None if p is None else self.last[p]
+            for v in self._ids(e):
+                weights[v], adj[v] = w, {}
+                if u is not None:
+                    adj[v][u] = adj[u][v] = 1
+                u = v
         return weights, adj
 
     def rows(self, form):
@@ -216,7 +249,7 @@ class _TreeBuilder:
         tree._form = form
         if not with_roles:
             return tree
-        return tree, {u: role for v, role in self.roles.items() for u in self._ids(v)}
+        return tree, {v: role for e, role in enumerate(self.role) for v in self._ids(e)}
 
 
 def raw_plumbing(spec: SurgerySpec, with_roles: bool = False):
@@ -238,17 +271,10 @@ def raw_plumbing(spec: SurgerySpec, with_roles: bool = False):
     """
     _require_buildable(spec)
     build = _TreeBuilder()
-    prev = None  # vertex the next hook's torso attaches to
+    prev = None  # entry the next hook's torso attaches to
     for i, (p, a) in enumerate(spec.knot.pairs, start=1):
-        run, rest, leg = _hook(p, a)
-        if run:
-            prev = build.add(-2, f"torso{i}", prev, run)
-        for coeff in rest:
-            prev = build.add(-coeff, f"torso{i}", prev)
-        corner = build.add(-corner_weight(p, a), f"corner{i}", prev)
-        hang = corner
-        for coeff in reversed(leg[1:]):
-            hang = build.add(-coeff, f"leg{i}", hang)
+        corner_weight(p, a)  # raises unless the corner's weight is -1
+        corner = build.hook(i, p, a, prev, 0, f"corner{i}")
         if i < len(spec.knot.pairs):
             bridge = build.add(-p * a, f"junction{i}", corner)
             prev = build.add(-1, f"junction{i}", bridge)
@@ -275,53 +301,39 @@ def reduced_plumbing(spec: SurgerySpec) -> WeightedTree:
     _require_positive_framing(spec)
     _require_buildable(spec)
     build = _junction_builder(spec, gaps=True)
-    if max(build.weights.values()) > -2:
+    if max(build.weight) > -2:
         raise AssertionError("the junction rule left a weight above -2")
     return build.finish(spec, with_roles=False)
 
 
-@lru_cache(maxsize=None)
-def _hook_roles(i):
-    """Hook i's role names, made once: formatting them took a tenth of a build."""
-    return f"torso{i}", f"node{i}", f"leg{i}"
-
-
 @lru_cache(maxsize=1024)
-def _hook(p, a):
-    """Hook (p, a) as the junction rule reads it, made once per pair: run,
-    torso's leading -2's; rest, the expansion of the torso after them; leg,
-    the expansion of a/p.  Bounded, since a sweep meets a new a2 per tuple."""
+def _hook(i, p, a):
+    """Hook i, (p, a), as the builders lay it, made once: run, the torso's
+    leading -2's; the weights after them, of the rest of the torso (the
+    expansion of a/(a - p) after the run), the -1 corner and the leg from
+    the corner out (that of a/p less its first); the leg's length; the
+    junction rule's role names, whose formatting took a tenth of a build.
+    Bounded, since a sweep meets a new a2 per tuple."""
     run = ceil_div(a, p) - 2
-    return run, expand_neg_cf(a - run * p, a - (run + 1) * p), expand_neg_cf(a, p)
+    leg = expand_neg_cf(a, p)[:0:-1]
+    laid = tuple(map(neg, (*expand_neg_cf(a - run * p, a - (run + 1) * p), 1, *leg)))
+    return run, laid, len(leg), (f"torso{i}", f"node{i}", f"leg{i}")
 
 
 def _junction_builder(spec, gaps) -> _TreeBuilder:
     """reduced_plumbing's builder (N >= 1), a run for each torso's leading
     -2's and the tail; with gaps its ids are the calculus's, else 0..n-1."""
     build = _TreeBuilder()
-    add = build.add
-    prev, j = None, 0  # the corner torso i attaches to; the entries it drops
+    corner, j = None, 0  # the corner torso i attaches to; the entries it drops
     for i, (p, a) in enumerate(spec.knot.pairs, start=1):
-        torso, node, leg_role = _hook_roles(i)
-        run, rest, leg = _hook(p, a)  # run: torso i's leading -2's
-        if prev is not None:
-            if j - 1 > run:
-                raise AssertionError(f"junction {i - 1} would drop a torso entry other than -2")
-            if gaps:
-                build.next += 2 + j  # the bridge, the -1 and torso entries 1..j
-            build.weights[prev] = -2 if j <= run else -rest[0]
-        if run > j:
-            prev = add(-2, torso, prev, run - j)
-        for coeff in rest[max(j - run, 0):]:
-            prev = add(-coeff, torso, prev)
-        corner = hang = add(-1, node, prev)  # reset by the next junction or the flatten
-        for coeff in reversed(leg[1:]):
-            hang = add(-coeff, leg_role, hang)
-        prev, j = corner, p * a
-    build.weights[prev] = -2
+        if gaps and j:
+            build.next += 2 + j  # the bridge, the -1 and torso entries 1..j
+        # each corner is reset by the next junction or the flatten
+        corner, j = build.hook(i, p, a, corner, j), p * a
+    build.weight[corner] = -2
     n_red = spec.reduced_framing
     if n_red > 1:
-        add(-2, "tail", prev, n_red - 1)
+        build.add(-2, "tail", corner, n_red - 1)
     return build
 
 

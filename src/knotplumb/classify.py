@@ -36,6 +36,7 @@ import os
 import time
 from dataclasses import asdict, dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .cabling import (
     CableTower,
@@ -71,8 +72,7 @@ _SEARCH_VERDICT = {
 }
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):  # a sweep makes one per tuple: a frozen dataclass took 4 times as long
     p1: int
     a1: int
     p2: int
@@ -115,7 +115,7 @@ def classify_one(spec: SurgerySpec, budget=DEFAULT_BUDGET) -> SweepRow:
     else:
         build = _junction_builder(spec, gaps=False)
         form = build.form(spec)  # raises unless |det| = n
-        rank = build.next  # no gaps: the vertex count
+        rank = build.last[-1] + 1  # no gaps: the vertex count
         if math.isqrt(spec.n) ** 2 != spec.n:
             if not form[1]:
                 raise ValueError("intersection form is not negative definite")
@@ -259,15 +259,11 @@ def rows_to_csv(rows, witness_files=None, timing=False) -> str:
     worker counts) produce byte-identical output; timing=True fills in the
     measured milliseconds.
     """
-    lines = [CSV_HEADER]
-    for row in rows:
-        wfile = (witness_files or {}).get(row.key(), "")
-        ms = str(row.ms) if timing else ""
-        rank = "" if row.rank is None else str(row.rank)
-        lines.append(
-            f"{row.p1},{row.a1},{row.p2},{row.a2},{row.n},{row.n_reduced},"
-            f"{rank},{row.verdict},{wfile},{row.nodes},{ms}"
-        )
+    witness_files, lines = witness_files or {}, [CSV_HEADER]
+    for p1, a1, p2, a2, n, n_red, rank, verdict, _, nodes, ms, _ in rows:
+        wfile = witness_files.get((p1, a1, p2, a2, n), "")
+        rank, ms = "" if rank is None else rank, ms if timing else ""
+        lines.append(f"{p1},{a1},{p2},{a2},{n},{n_red},{rank},{verdict},{wfile},{nodes},{ms}")
     return "\n".join(lines) + "\n"
 
 

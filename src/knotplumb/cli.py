@@ -163,15 +163,27 @@ def _make_out_dir(out_dir):
         raise CliError(f"cannot create output directory: {exc}")
 
 
+_ZEROS = "0, " * 4096
+
+
 def _row_text(vec):
-    """json.dumps(list(vec)) for a vector of ints, written from its
-    support: each stretch of k zeros is one "0, " * k."""
-    parts, at = [], 0
-    for k in _support(vec):
-        parts += ("0, " * (k - at), str(vec[k]), ", ")
+    """json.dumps(list(vec)) for a vector of ints, from its support and
+    joined once: each entry and its ", ", a stretch of zeros as _ZEROS
+    and a slice of it, the last ", " cut from its piece, so no other copy
+    of the text is made."""
+    parts, at = ["["], 0
+    for k in chain(_support(vec), [len(vec)]):
+        z = k - at
+        if z >= 4096:
+            parts += [_ZEROS] * (z // 4096)
+            z %= 4096
+        if z:
+            parts.append(_ZEROS[: 3 * z])
+        if k < len(vec):
+            parts.append(f"{vec[k]}, ")
         at = k + 1
-    parts.append("0, " * (len(vec) - at))
-    return "[" + "".join(parts)[:-2] + "]"
+    parts[-1] = parts[-1][:-2] + "]" if vec else "[]"
+    return "".join(parts)
 
 
 def _write_witness(out_dir, key, witness) -> str:

@@ -27,20 +27,21 @@ once per tree and kept on it) take the tree's own route: one walk from a
 root gives each vertex its parent, and the vertices are then eliminated in
 the reverse of the walk, each into its parent by the expansion along their
 edge once all of its children are in, O(n) steps in all (cabling's
-builder, which knows each vertex's parent, skips the walk and hands over
-its -2 runs, one step each).  This is the continued-fraction bookkeeping
-of Neumann's plumbing calculus, kept in integers: each vertex keeps the
-determinant (the continuant) of the subtree eliminated into it and that of
-the subtree less the vertex, whose quotient is its pivot; there is no
-division.  det_exact and is_negative_definite run the same elimination on
-a matrix, so they are defined on square, symmetric integer matrices whose
-support is a forest (the form of any plumbing, or a disjoint union of
-them); any other matrix raises ValueError, and a float, Fraction or bool
-entry TypeError rather than being truncated.  One loop, _read_matrix,
-which lattice.verify_embedding shares, reads the matrix row by row: its
-length, diagonal and non-zero entries, each entry below the diagonal
-beside its mirror; the checks rule in a fixed order, not square before
-TypeError before not symmetric before a cycle, wherever the faults lie.
+builder, whose entries are listed each after its parent, skips the walk
+and hands over its lists, each -2 run one entry and one step).  This is
+the continued-fraction bookkeeping of Neumann's plumbing calculus, kept
+in integers: each vertex keeps the determinant (the continuant) of the
+subtree eliminated into it and that of the subtree less the vertex, whose
+quotient is its pivot; there is no division.  det_exact and
+is_negative_definite run the same elimination on a matrix, so they are
+defined on square, symmetric integer matrices whose support is a forest
+(the form of any plumbing, or a disjoint union of them); any other matrix
+raises ValueError, and a float, Fraction or bool entry TypeError rather
+than being truncated.  One loop, _read_matrix, which
+lattice.verify_embedding shares, reads the matrix row by row: its length,
+diagonal and non-zero entries, each entry below the diagonal beside its
+mirror; the checks rule in a fixed order, not square before TypeError
+before not symmetric before a cycle, wherever the faults lie.
 
 A tree's JSON text is formatted directly from its weights and one sorted
 walk of its edges, which to_dot and repr read too: ids and weights are
@@ -93,8 +94,8 @@ class WeightedTree:
             adj[b].add(a)
         if sum(map(len, adj.values())) != 2 * len(w) - 2:
             raise ValueError("edge count does not match a tree")
-        # |E| = |V| - 1 plus a walk reaching every vertex <=> tree
-        if len(_walk(adj, next(iter(w)), {}) or ()) != len(w):
+        # |E| = |V| - 1 plus no cycle <=> connected <=> tree
+        if _walked(w, adj) is None:
             raise ValueError("graph is not connected")
         self._weights = w
         self._adj = {v: frozenset(ns) for v, ns in adj.items()}
@@ -207,10 +208,10 @@ def gram_matrix(tree: WeightedTree) -> list:
 
 def form_invariants(tree: WeightedTree) -> tuple:
     """(det, negative definite) of the tree's intersection form, by
-    _eliminate on its own weights and adjacency; computed once and kept on
-    the tree."""
+    _eliminate on its weights and adjacency as _walked lists them; computed
+    once and kept on the tree."""
     if tree._form is None:
-        tree._form = _eliminate(tree._weights, tree._adj)
+        tree._form = _eliminate(*_walked(tree._weights, tree._adj))
     return tree._form
 
 
@@ -249,82 +250,85 @@ def _read_matrix(matrix):
 
 def _forest_elimination(matrix):
     """_eliminate on a matrix read by _read_matrix; ValueError on a cycle."""
-    result = _eliminate(*_read_matrix(matrix))
-    if result is None:
+    walked = _walked(*_read_matrix(matrix))
+    if walked is None:
         raise ValueError("matrix support has a cycle")
-    return result
+    return _eliminate(*walked)
 
 
-def _walk(adj, root, parent):
-    """The vertices reachable from root by adj, breadth first, so each
-    after its parent, which goes into parent (root's as None); None if a
-    vertex is reached twice, closing a cycle."""
-    parent[root] = None
-    order = [root]
-    for v in order:
-        p = parent[v]
-        for c in adj[v]:
-            if c != p:
-                if c in parent:
+def _walked(num, adj):
+    """_eliminate's lists for the symmetric matrix of diagonal num[v] and
+    non-zero entries adj[v] off it, a dict {u: a} or, every entry 1 (a
+    plumbing's form), a set of the u: each component walked breadth first
+    from a root, each vertex listed after its parent, the lists made as the
+    walk goes; None if a vertex is reached twice, closing a cycle."""
+    weighted = type(next(iter(adj.values()), None)) is dict
+    index, up, squares = {}, [], [] if weighted else None
+    for root in num:
+        if root in index:
+            continue
+        index[root] = start = len(up)
+        up.append(None)
+        if weighted:
+            squares.append(0)
+        component = [root]
+        for i, v in enumerate(component, start):  # i: v's place in up
+            p = up[i]
+            for c in adj[v]:
+                j = index.get(c)
+                if j is None:
+                    index[c] = len(up)
+                    up.append(i)
+                    component.append(c)
+                    if weighted:
+                        squares.append(adj[v][c] ** 2)
+                elif j != p:
                     return None
-                parent[c] = v
-                order.append(c)
-    return order
+    return list(map(num.__getitem__, index)), up, {}, squares
 
 
-def _eliminate(num, adj, parent=None, runs=None):
-    """(det, negative definite) of the symmetric matrix with integer
-    diagonal num[v] and non-zero off-diagonal entries adj[v], a dict
-    {u: a}, or a set of the u where every entry is 1 (a plumbing's form);
-    None if the support has a cycle.  Changes none of its arguments.
+def _eliminate(num, up, runs, squares=None):
+    """(det, negative definite) of the symmetric matrix on the forest of
+    entries 0..m-1, given as lists: num[e], e's diagonal entry; up[e], the
+    entry e is joined to (None at a root), one listed before e; squares[e],
+    the square of the entry joining them (1 if squares is None).  Changes
+    none of its arguments; O(m) integer steps and no recursion.
 
-    Each component is walked from a root (_walk) for each vertex's parent,
-    unless parent gives them (a root's as None, each vertex after its
-    parent, every entry 1 and adj unread, as cabling's builder has them),
-    and eliminated in the reverse of that order, each vertex into its
-    parent after all of its children.  A vertex keeps two continuants of
-    the plumbing calculus: num[v], the determinant of the subtree
-    eliminated into it, and den[v], that of the subtree less v, the
+    The entries are eliminated in the reverse of their order, each into
+    its parent after all of its children.  An entry keeps two continuants
+    of the plumbing calculus: num[e], the determinant of the subtree
+    eliminated into it, and den[e], that of the subtree less e, the
     product of its children's num (at first its entry and 1).  Joined to
     its parent p by the entry a, it goes into p by the expansion along that
-    edge, num[p] <- num[p] num[v] - a^2 den[v] den[p] and den[p] <- den[p]
-    num[v]; a root's num is its component's determinant.  So no division
+    edge, num[p] <- num[p] num[e] - a^2 den[e] den[p] and den[p] <- den[p]
+    num[e]; a root's num is its component's determinant.  So no division
     and no gcd is taken, and no entry outgrows the minors it stands for.
-    num[v]/den[v] is v's pivot (den[v] is 0 only above a zero pivot), and
+    num[e]/den[e] is e's pivot (den[e] is 0 only above a zero pivot), and
     the matrix is negative definite exactly when every pivot is negative.
-    O(n) integer steps and no recursion.
 
-    runs, given with parent, maps v to a count c > 1: v then stands for a
-    path of c vertices of diagonal -2, v joined to its children and the top
-    to parent[v].  With num[v] = d and den[v] = q, the k-th vertex up the
-    path has num (-1)^k e_k and den (-1)^(k-1) e_(k-1), for e_k = d + k(d + q)
-    linear in k: the top's are one step away, and the pivots below it are
-    all negative exactly when e_(-1) = -q and e_(c-2) are nonzero and of
-    one sign.
+    runs maps an entry e to a count c > 1 (cabling's builder has them): e
+    then stands for a path of c vertices of diagonal -2 and entries 1,
+    joined to e's children at its bottom and to up[e] at its top.  With
+    num[e] = d and den[e] = q, the k-th vertex up the path has num (-1)^k
+    e_k and den (-1)^(k-1) e_(k-1), for e_k = d + k(d + q) linear in k: the
+    top's are one step away, and the pivots below it are all negative
+    exactly when e_(-1) = -q and e_(c-2) are nonzero and of one sign.
     """
-    weighted = parent is None and type(next(iter(adj.values()), None)) is dict
-    if parent is None:
-        parent = {}  # every vertex, each component in the order of its walk
-        for root in num:
-            if root not in parent and _walk(adj, root, parent) is None:
-                return None
-    runs = runs or {}
-    num = dict(num)
-    den = dict.fromkeys(num, 1)
-    det = 1
-    negative = True
-    for v, p in reversed(parent.items()):
-        d, q = num[v], den[v]
-        if v in runs:
-            c = runs[v] - 1  # the top's place in v's run
+    num, den = num[:], [1] * len(num)
+    det, negative = 1, True
+    for e in range(len(num) - 1, -1, -1):
+        d, q = num[e], den[e]
+        if e in runs:
+            c = runs[e] - 1  # the top's place in e's run
             below = d + (c - 1) * (d + q)
             negative = negative and (below < 0 < q or q < 0 < below)
             d, q = (below + d + q, -below) if c % 2 == 0 else (-below - d - q, below)
         negative = negative and (d < 0 < q or q < 0 < d)
+        p = up[e]
         if p is None:
             det *= d
         else:
-            num[p] = num[p] * d - (adj[v][p] ** 2 * q if weighted else q) * den[p]
+            num[p] = num[p] * d - (q if squares is None else squares[e] * q) * den[p]
             den[p] *= d
     return det, negative
 

@@ -25,7 +25,9 @@ a centroid, where the implementation peels leaves layer by layer.
 closed_form_reference builds the two-iteration centipede from its closed
 formulas, where the implementation derives it by the junction rule;
 two_iter_parameters derives the quantities those formulas read.
-fresh_id, a helper only the tests use, lives here too.
+fresh_id, a helper only the tests use, lives here too, as does a JSON
+form of a spec (spec_to_json_obj, spec_from_json_obj) that no command
+reads or writes.
 reference_tree_json encodes a tree by json.dumps of a list of vertex
 dicts and a sorted edge list, where the implementation formats the text
 itself.
@@ -59,12 +61,11 @@ from fractions import Fraction
 from itertools import chain
 
 from knotplumb import cli, lattice
-from knotplumb.cabling import _require_two_iter, _TreeBuilder
+from knotplumb.cabling import CableTower, SurgerySpec, _require_two_iter, _TreeBuilder
 from knotplumb.hjcf import ceil_div
 from knotplumb.lattice import SearchResult, SearchStatus, verify_embedding
 from knotplumb.plumbing import (
     WeightedTree,
-    _walk,
     absorb_zero,
     blow_down,
     flatten_positive_leaf,
@@ -715,11 +716,22 @@ def brute_force_isomorphic(t1: WeightedTree, t2: WeightedTree) -> bool:
     return False
 
 
+def _breadth_first(tree, root):
+    """The vertices breadth first from root, and each one's parent (root's
+    None)."""
+    parent, order = {root: None}, [root]
+    for v in order:
+        for c in tree.neighbors(v):
+            if c != parent[v]:
+                parent[c] = v
+                order.append(c)
+    return order, parent
+
+
 def _centroids(tree):
     """The one or two vertices whose removal leaves the smallest largest
     component, from subtree sizes in one pass."""
-    parent = {}
-    order = _walk(tree._adj, tree.vertices()[0], parent)
+    order, parent = _breadth_first(tree, tree.vertices()[0])
     size = dict.fromkeys(order, 1)
     for v in reversed(order[1:]):
         size[parent[v]] += size[v]
@@ -739,8 +751,7 @@ def _flat_encoding(tree, root):
     however deep the tree.  The child counts make it decode uniquely, so
     two rooted trees get equal serializations iff they are isomorphic.
     """
-    parent = {}
-    order = _walk(tree._adj, root, parent)
+    order, parent = _breadth_first(tree, root)
     enc = {}
     for v in reversed(order):
         kids = sorted(enc.pop(c) for c in tree.neighbors(v) if c != parent[v])
@@ -841,7 +852,11 @@ def closed_form_reference(par) -> _TreeBuilder:
     """The builder of the reduced centipede graph of a two-iteration surgery,
     given its two_iter_parameters with N >= 1, written from the closed
     formulas (see closed_form_two_iter): the reference that the junction
-    rule's closed_form_two_iter must equal in ids, weights, roles and form."""
+    rule's closed_form_two_iter must equal in ids, weights, roles and form.
+    Each stretch of -2's the formulas name is one run entry, the legs'
+    and torso 2's inner ones too, where the junction rule makes runs only
+    of each torso's leading -2's and the tail: the two forms take
+    different steps, and a tail of N - 1 -2's is one step in both."""
     p1, k1, p2, sign, n_red, l = (
         par["p1"],
         par["k1"],
@@ -850,34 +865,40 @@ def closed_form_reference(par) -> _TreeBuilder:
         par["N"],
         par["l"],
     )
-    if sign == -1:
-        torso2_weights = [-2] * l + [-3] + [-2] * (p2 - 2) if l >= 0 else [-2] * (p2 - 2)
-        node1_weight = -2 if l >= 0 else -3
-        leg2_weights = [-p2]
-    else:
-        torso2_weights = [-2] * l + [-(p2 + 1)] if l >= 0 else []
-        node1_weight = -2 if l >= 0 else -(p2 + 1)
-        leg2_weights = [-2] * (p2 - 1)
-
     build = _TreeBuilder()
-    prev = None
-    for w in [-2] * (k1 - 1) + [-(p1 + 1)]:
-        prev = build.add(w, "torso1", prev)
-    node1 = build.add(node1_weight, "node1", prev)
-    hang = node1
-    for _ in range(p1 - 1):
-        hang = build.add(-2, "leg1", hang)
-    prev = node1
-    for w in torso2_weights:
-        prev = build.add(w, "torso2", prev)
+
+    def twos(role, attach, count):
+        """A run of count -2's hung off attach; attach itself if none."""
+        return build.add(-2, role, attach, count) if count else attach
+
+    low = -3 if sign == -1 else -(p2 + 1)  # torso 2's vertex after its l -2's
+    prev = twos("torso1", None, k1 - 1)
+    prev = build.add(-(p1 + 1), "torso1", prev)
+    # at l = -1 the low vertex of torso 2 merges into node 1
+    prev = node1 = build.add(-2 if l >= 0 else low, "node1", prev)
+    twos("leg1", node1, p1 - 1)
+    if l >= 0:
+        prev = build.add(low, "torso2", twos("torso2", node1, l))
+    if sign == -1:
+        prev = twos("torso2", prev, p2 - 2)
     node2 = build.add(-2, "node2", prev)
-    hang = node2
-    for w in leg2_weights:
-        hang = build.add(w, "leg2", hang)
-    prev = node2
-    for _ in range(n_red - 1):
-        prev = build.add(-2, "tail", prev)
+    if sign == -1:
+        build.add(-p2, "leg2", node2)
+    else:
+        twos("leg2", node2, p2 - 1)
+    twos("tail", node2, n_red - 1)
     return build
+
+
+def spec_to_json_obj(spec) -> dict:
+    """A spec as {"pairs": [[p, a], ...], "n": n}, a JSON form no command
+    reads or writes."""
+    return {"pairs": [list(pair) for pair in spec.knot.pairs], "n": spec.n}
+
+
+def spec_from_json_obj(obj):
+    """The spec of spec_to_json_obj's form, checked by its constructors."""
+    return SurgerySpec(CableTower(tuple(tuple(p) for p in obj["pairs"])), obj["n"])
 
 
 class _EagerSubcommand(argparse.ArgumentParser):

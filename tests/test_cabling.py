@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from knotplumb import cabling, plumbing
-from knotplumb.classify import admissible_tuples, desk_range_tuples
+from knotplumb.classify import admissible_tuples, classify_one, desk_range_tuples
 from knotplumb.cabling import (
     CableTower,
     ReducibleBoundaryError,
@@ -44,6 +44,8 @@ from oracles import (
     minors_negative_definite,
     random_tree,
     signature,
+    spec_from_json_obj,
+    spec_to_json_obj,
     two_iter_parameters,
 )
 from test_plumbing import THREE_ITERATION_SPECS, random_tower_spec
@@ -246,6 +248,19 @@ def construction_parents(tree):
     return {v: min((u for u in tree.neighbors(v) if u < v), default=None) for v in tree.vertices()}
 
 
+def construction_entries(tree):
+    """plumbing._eliminate's lists for a built tree in construction order,
+    one entry per vertex and no run."""
+    parents = construction_parents(tree)
+    index = {v: i for i, v in enumerate(parents)}
+    return [tree.weight(v) for v in parents], [index.get(p) for p in parents.values()], {}
+
+
+def walked_form(tree):
+    """The kernel's form of a tree eliminated in the order of its walk."""
+    return plumbing._eliminate(*plumbing._walked(tree._weights, tree._adj))
+
+
 def meets_zero_pivot(tree):
     """Whether eliminating a built tree in the reverse of construction order
     meets a zero pivot."""
@@ -396,8 +411,8 @@ class TestBuilder:
         assert sum(map(meets_zero_pivot, low)) >= len(low) // 3
         indefinite = 0
         for i, t in enumerate(trees + low):
-            form = plumbing._eliminate(t._weights, None, construction_parents(t))
-            assert form == t._form == plumbing._eliminate(t._weights, t._adj), t
+            form = plumbing._eliminate(*construction_entries(t))
+            assert form == t._form == walked_form(t), t
             if len(t) <= 400 and i % 3 == 0:  # raw, reduced and closed-form trees alike
                 assert form == fraction_forest_elimination(gram_matrix(t)), t
             if len(t) <= 12:
@@ -415,9 +430,9 @@ class TestRunStep:
     @staticmethod
     def assert_agree(build):
         tree = plumbing._frozen(*build._expanded())
-        form = plumbing._eliminate(build.weights, None, build.parent, build.runs)
-        assert form == plumbing._eliminate(tree._weights, None, construction_parents(tree))
-        assert form == plumbing._eliminate(tree._weights, tree._adj)
+        form = plumbing._eliminate(build.weight, build.parent, build.runs)
+        assert form == plumbing._eliminate(*construction_entries(tree))
+        assert form == walked_form(tree)
         if len(tree) <= 400:
             assert form == fraction_forest_elimination(gram_matrix(tree))
         return form
@@ -453,7 +468,7 @@ class TestRunStep:
         for _ in range(400):
             build = _TreeBuilder()
             for _ in range(rng.randint(1, 10)):
-                attach = rng.choice(list(build.weights)) if build.weights else None
+                attach = rng.choice(range(len(build.weight))) if build.weight else None
                 if rng.random() < 0.4:
                     build.add(-2, "run", attach, rng.choice((2, 3, 5, 100)))
                 else:
@@ -477,7 +492,60 @@ class TestRunStep:
     def test_a_run_of_any_length(self):
         # a -2 chain of c vertices has det (-1)^c (c + 1), in one step
         for c in (2, 3, 10**6, 10**12, 10**12 + 1):
-            assert plumbing._eliminate({0: -2}, None, {0: None}, {0: c}) == ((-1) ** c * (c + 1), True)
+            assert plumbing._eliminate([-2], [None], {0: c}) == ((-1) ** c * (c + 1), True)
+
+
+class TestBuilderPass:
+    """A non-square n is decided by the junction builder's one pass over
+    its entries, with no tree frozen: its form and rank against the frozen
+    tree's, and at any N against the vertex-count formula and |det| = n."""
+
+    def test_matches_the_frozen_tree(self):
+        # a seeded two-iteration grid, p_i in {2,3,4,5,7}, both congruence
+        # signs, N = 2..40; the form recomputed by walk on a validated copy
+        rng = random.Random(4301)
+        specs = []
+        for p1 in (2, 3, 4, 5, 7):
+            for p2 in (2, 3, 4, 5, 7):
+                for r in sorted({1, p2 - 1}):
+                    a1 = rng.randint(1, 4) * p1 + 1
+                    a2 = (p1 * a1 + rng.choice((0, 1, rng.randint(2, 40)))) * p2 + r
+                    knot = CableTower(((p1, a1), (p2, a2)))
+                    specs += [SurgerySpec(knot, n_red + p2 * a2) for n_red in range(2, 41)]
+        decided = 0
+        for spec in specs:
+            build = _junction_builder(spec, gaps=False)
+            tree = closed_form_two_iter(spec)
+            copy = WeightedTree(tree.weights, tree.edges)
+            assert build.form(spec) == form_invariants(copy), spec
+            assert build.last[-1] + 1 == len(copy), spec
+            if math.isqrt(spec.n) ** 2 != spec.n:
+                row = classify_one(spec)
+                assert (row.rank, row.proof, row.nodes) == (len(copy), "determinant", 0), spec
+                decided += 1
+        assert len(specs) == 45 * 39 and decided > 1600
+
+    def test_any_framing(self):
+        # non-square n at N up to 10^12: the rank is the vertex count
+        # k1 + p1 + l + p2 + N, |det| = n, and the form is the closed
+        # formulas' builder's, whose runs lie elsewhere
+        rng = random.Random(4302)
+        checked = 0
+        for knot in [spec.knot for spec in wide_family_specs(rng, 30)]:
+            p2, a2 = knot.pairs[1]
+            for n_red in (41, 10**3 + 1, 10**6 + 3, 10**9 + 7, 10**12 - 1, 10**12):
+                spec = SurgerySpec(knot, n_red + p2 * a2)
+                if math.isqrt(spec.n) ** 2 == spec.n:
+                    continue
+                par = two_iter_parameters(spec)
+                rank = par["k1"] + par["p1"] + par["l"] + par["p2"] + par["N"]
+                build = _junction_builder(spec, gaps=False)
+                det, negative = build.form(spec)
+                assert abs(det) == spec.n and negative, spec
+                assert (det, negative) == closed_form_reference(par).form(spec), spec
+                assert build.last[-1] + 1 == rank == classify_one(spec).rank, spec
+                checked += 1
+        assert checked >= 170
 
 
 class TestFramingRule:
@@ -525,7 +593,7 @@ class TestTwoIterParameters:
 
     def test_json_round_trip(self):
         spec = SurgerySpec(CableTower(((2, 3), (2, 17))), 36)
-        assert SurgerySpec.from_json_obj(spec.to_json_obj()) == spec
+        assert spec_from_json_obj(spec_to_json_obj(spec)) == spec
 
     def test_rejects_non_integer_coefficient(self):
         # a float n used to pass here and fail deep inside classify_one
@@ -534,7 +602,7 @@ class TestTwoIterParameters:
             with pytest.raises(TypeError, match="must be an integer"):
                 SurgerySpec(knot, n)
             with pytest.raises(TypeError, match="must be an integer"):
-                SurgerySpec.from_json_obj({"pairs": [[2, 3], [2, 17]], "n": n})
+                spec_from_json_obj({"pairs": [[2, 3], [2, 17]], "n": n})
 
 
 def three_iteration_squares(rng, count):

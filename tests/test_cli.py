@@ -557,6 +557,21 @@ class TestAtomicWrites:
             assert fh.read() == '{"rank": 3, "vectors": [[1, 0, -1], [0, 2, 0]]}'
         assert cli._row_text(()) == "[]"
 
+    def test_row_text_is_made_once(self):
+        # a rank-10^6 row with one nonzero entry is 3.0 MB of text; joined
+        # once, with its zeros as pieces of one shared string, it peaks near
+        # that (at 9.0 MB when the joined text was sliced and bracketed)
+        vec = [0] * 10**6
+        vec[500_000] = -1
+        tracemalloc.start()
+        try:
+            text = cli._row_text(vec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == json.dumps(vec)
+        assert peak <= 1.5 * len(text), (peak, len(text))
+
     def test_directory_target_gives_the_plain_open_error(self, tmp_path):
         with pytest.raises(cli.CliError) as err:
             cli._write_text(str(tmp_path), ["a,b\n"])
