@@ -241,6 +241,10 @@ class _TreeBuilder:
         weights, adj = self._expanded()
         return list(weights.values()), list(adj.values()), form[1]
 
+    def vertices(self):
+        """The tree's vertex count, a run counted whole: O(runs)."""
+        return len(self.weight) + sum(self.runs.values()) - len(self.runs)
+
     def finish(self, spec, with_roles):
         """The tree, checked by its one pass, which it memoises, and runs
         expanded; with its roles if asked.  Add nothing after."""
@@ -269,6 +273,11 @@ def raw_plumbing(spec: SurgerySpec, with_roles: bool = False):
     intersection form equals n, and reduction reproduces the closed-form
     graph on the two-iteration congruence families.
     """
+    return _raw_builder(spec).finish(spec, with_roles)
+
+
+def _raw_builder(spec) -> _TreeBuilder:
+    """raw_plumbing's builder, its tree not yet frozen."""
     _require_buildable(spec)
     build = _TreeBuilder()
     prev = None  # entry the next hook's torso attaches to
@@ -280,7 +289,7 @@ def raw_plumbing(spec: SurgerySpec, with_roles: bool = False):
             prev = build.add(-1, f"junction{i}", bridge)
         else:
             build.add(spec.reduced_framing, "leaf", corner)
-    return build.finish(spec, with_roles)
+    return build
 
 
 def reduced_plumbing(spec: SurgerySpec) -> WeightedTree:
@@ -298,12 +307,18 @@ def reduced_plumbing(spec: SurgerySpec) -> WeightedTree:
     reduces fine).  N < 0 admits no negative-definite plumbing tree at
     all, and N = 0 may be a connected sum; both raise.
     """
+    return _reduced_builder(spec, gaps=True).finish(spec, with_roles=False)
+
+
+def _reduced_builder(spec, gaps) -> _TreeBuilder:
+    """reduced_plumbing's checks and builder, its tree not yet frozen;
+    without gaps its ids are 0..n-1, the order the tree's ids sort in."""
     _require_positive_framing(spec)
     _require_buildable(spec)
-    build = _junction_builder(spec, gaps=True)
+    build = _junction_builder(spec, gaps)
     if max(build.weight) > -2:
         raise AssertionError("the junction rule left a weight above -2")
-    return build.finish(spec, with_roles=False)
+    return build
 
 
 @lru_cache(maxsize=1024)
@@ -365,6 +380,11 @@ def closed_form_two_iter(spec: SurgerySpec, with_roles: bool = False):
     corner i named node i; the tests hold it to these formulas.  N <= 0
     raises as in reduced_plumbing.
     """
+    return _closed_form_builder(spec).finish(spec, with_roles)
+
+
+def _closed_form_builder(spec) -> _TreeBuilder:
+    """closed_form_two_iter's checks and builder, its tree not yet frozen."""
     _require_two_iter(spec)
     _require_positive_framing(spec)
-    return _junction_builder(spec, gaps=False).finish(spec, with_roles)
+    return _junction_builder(spec, gaps=False)

@@ -7,7 +7,7 @@ families).  Exit codes partition outcomes so scripts can branch on them:
 
     0  success (embed: embedding found; audit: perfect agreement)
     1  invalid input (bad fraction/spec/ranges, non-algebraic tower,
-       not negative definite, bad config)
+       not negative definite, a tree of over 10^6 vertices, bad config)
     2  graph --reduced/--closed-form or embed --pairs with N < 0 (no
        negative definite form) or N = 0 (possibly a connected sum)
     3  embed: no embedding exists (exhaustive)
@@ -18,18 +18,24 @@ Defaults may be supplied in a flat key=value config file (--config);
 explicit flags override it, unknown keys are rejected.  The default
 output directory is $KNOTPLUMB_OUT, falling back to the current
 directory.  A call builds the top-level parser and, of the subcommands'
-parsers, only the one its argv names.  Each file format has one reader
-or writer: a graph file is decoded once, a witness file written a row at
-a time (_write_witness, named by a spec's integers or a graph file's
-basename), and the CSV rendered once in the body sweep and audit share.
+parsers, only the one its argv names, and asks the terminal's width
+once.  graph and embed --pairs count a tree's vertices from its
+builder's entries and build none past 10^6; embed --pairs searches the
+builder's rows, as a sweep does, with no tree frozen.  Each file format
+has one reader or writer: a graph file is decoded once, a witness file
+written a row at a time (_write_witness, named by a spec's integers or
+a graph file's basename), and the CSV rendered once in the body sweep
+and audit share.
 """
 
 import argparse
 import json
 import os
 import re
+import shutil
 import stat
 import sys
+from functools import partial
 from itertools import chain
 
 from . import hjcf
@@ -38,9 +44,10 @@ from .cabling import (
     ReducibleBoundaryError,
     SurgerySpec,
     UnsupportedTowerError,
-    closed_form_two_iter,
-    raw_plumbing,
-    reduced_plumbing,
+    _closed_form_builder,
+    _raw_builder,
+    _reduced_builder,
+    reduced_plumbing,  # unused; perfbench's LAYER_PATCHES wraps cli.reduced_plumbing
 )
 from .classify import (
     DEFAULT_BUDGET,
@@ -140,7 +147,9 @@ def _write_text(path, parts):
             with open(path, "w") as fh:
                 fh.writelines(parts)
             return
-        target = os.path.realpath(path)
+        # a sibling of a path through a symlinked directory is renamed in
+        # that directory, so only a symlink at the end needs resolving
+        target = os.path.realpath(path) if os.path.islink(path) else path
         tmp = f"{target}.{os.urandom(4).hex()}.tmp"
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
@@ -262,21 +271,36 @@ def cmd_contfrac(args, config):
 # -- graph --------------------------------------------------------------------
 
 
-def _build_tree(spec, kind):
+MAX_VERTICES = 10**6  # the largest tree graph and embed --pairs build, counted before expanding
+
+
+def _builder(spec, kind, gaps=True):
+    """The builder of kind's tree, checked as its public builder checks
+    it, with its vertices counted, runs whole, before any is expanded."""
     try:
         if kind == "raw":
-            return raw_plumbing(spec, with_roles=True)
-        if kind == "closed-form":
-            return closed_form_two_iter(spec, with_roles=True)
-        return reduced_plumbing(spec), None
+            build = _raw_builder(spec)
+        elif kind == "closed-form":
+            build = _closed_form_builder(spec)
+        else:
+            build = _reduced_builder(spec, gaps)
     except UnsupportedTowerError as exc:
         raise CliError(str(exc))
     except (NoNegativeDefiniteFormError, ReducibleBoundaryError) as exc:
         raise CliError(str(exc), code=2)
+    vertices = build.vertices()
+    if vertices > MAX_VERTICES:
+        raise CliError(f"a tree of {vertices} vertices; graph and embed build at most {MAX_VERTICES}")
+    return build
 
 
 def cmd_graph(args, config):
-    tree, roles = _build_tree(_parse_spec(args), args.kind)
+    spec = _parse_spec(args)
+    build = _builder(spec, args.kind)
+    if args.kind == "reduced":  # as reduced_plumbing, with no roles
+        tree, roles = build.finish(spec, with_roles=False), None
+    else:
+        tree, roles = build.finish(spec, with_roles=True)
     det, negdef = form_invariants(tree)
     if args.dot:
         print(tree.to_dot(roles))
@@ -297,6 +321,8 @@ def cmd_graph(args, config):
 
 
 def _embed_input(args):
+    """The form to search (a tree, or a spec's builder's rows), its vertex
+    count and the witness file's key."""
     if args.graph_file:
         try:
             with open(args.graph_file) as fh:
@@ -309,12 +335,15 @@ def _embed_input(args):
         except (ValueError, TypeError, KeyError, RecursionError) as exc:
             # RecursionError: json.load on deeply nested arrays or objects
             raise CliError(f"{args.graph_file}: not a plumbing tree: {exc!r}")
-        return tree, [os.path.splitext(os.path.basename(args.graph_file))[0]]
+        return tree, len(tree), [os.path.splitext(os.path.basename(args.graph_file))[0]]
     if args.pairs is None or args.n is None:
         raise CliError("give a graph file, or --pairs and --n")
     spec = _parse_spec(args)
-    tree, _ = _build_tree(spec, "reduced")
-    return tree, [x for pair in spec.knot.pairs for x in pair] + [spec.n]
+    # reduced_plumbing's tree, ids 0..n-1, searched as classify_one does:
+    # the builder's rows, no tree frozen
+    build = _builder(spec, "reduced", gaps=False)
+    rows = build.rows(build.form(spec))
+    return rows, len(rows[0]), [x for pair in spec.knot.pairs for x in pair] + [spec.n]
 
 
 MAX_RANK = 10**6  # the widest rank embed takes: a witness holds one entry per coordinate
@@ -328,17 +357,17 @@ def cmd_embed(args, config):
     if args.enumerate and args.budget is not None:
         # enumerate_embeddings takes no budget: a cut-short class list has no Indeterminate
         raise CliError("--budget does not apply to --enumerate")
-    tree, key = _embed_input(args)
-    rank = args.rank if args.rank is not None else len(tree)
+    form, vertices, key = _embed_input(args)
+    rank = args.rank if args.rank is not None else vertices
     budget = resolve_positive(args, config, "budget", DEFAULT_BUDGET)
     out_dir = resolve(args, config, "out", os.environ.get("KNOTPLUMB_OUT", "."))
     try:
         if args.enumerate:
             classes = enumerate_embeddings(
-                tree, rank=rank, locally_minimal_only=args.locally_minimal
+                form, rank=rank, locally_minimal_only=args.locally_minimal
             )
         else:
-            result = find_embedding(tree, rank=rank, budget=budget)
+            result = find_embedding(form, rank=rank, budget=budget)
     except ValueError as exc:  # not negative definite, or rank < 1
         raise CliError(str(exc))
     if args.enumerate:
@@ -490,18 +519,29 @@ class _Subcommand(argparse.ArgumentParser):
 
 
 def build_parser():
+    # argparse's formatter, made for every argument added and every text
+    # formatted, sizes itself to the terminal unless given a width: asked
+    # once here, as it would answer each time
+    fmt = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="knotplumb",
         description="Plumbing graphs and the lattice-embedding obstruction "
         "for integral surgeries on algebraic iterated torus knots.",
+        formatter_class=fmt,
     )
     parser.add_argument("--config", help="flat key=value config file")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
-    sub.add_parser("contfrac", help="negative continued fractions", define=_define_contfrac)
-    sub.add_parser("graph", help="build a plumbing graph for a surgery", define=_define_graph)
-    sub.add_parser("embed", help="decide lattice embeddability", define=_define_embed)
-    sub.add_parser("sweep", help="sweep over a tuple range", define=_define_sweep)
-    sub.add_parser("audit", help="audit over a tuple range", define=_define_audit)
+    # prog as argparse would format it from this parser's usage
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_Subcommand, prog="knotplumb"
+    )
+    for name, text, define in (
+        ("contfrac", "negative continued fractions", _define_contfrac),
+        ("graph", "build a plumbing graph for a surgery", _define_graph),
+        ("embed", "decide lattice embeddability", _define_embed),
+        ("sweep", "sweep over a tuple range", _define_sweep),
+        ("audit", "audit over a tuple range", _define_audit),
+    ):
+        sub.add_parser(name, help=text, define=define, formatter_class=fmt)
     return parser
 
 

@@ -46,9 +46,12 @@ implementation's search too, with every vertex placed in plain
 depth-first order where the implementation places heavy vertices last:
 the reference that the verdict does not depend on the placement order.
 
-eager_parser is cli.build_parser() with every subcommand's parser made
-and given its arguments up front, by cli's own define functions, where
-the implementation makes only the one that argparse hands argv.
+eager_parser is the command's parser as argparse builds it by default,
+with every subcommand's parser made and given its arguments up front, by
+cli's own define functions: its formatters each size themselves to the
+terminal and add_subparsers formats the subcommands' prog, where the
+implementation makes only the parser that argparse hands argv, asks the
+terminal once and names the prog.
 """
 
 import argparse
@@ -901,16 +904,20 @@ def spec_from_json_obj(obj):
     return SurgerySpec(CableTower(tuple(tuple(p) for p in obj["pairs"])), obj["n"])
 
 
-class _EagerSubcommand(argparse.ArgumentParser):
-    def __init__(self, define, **kwargs):
-        super().__init__(**kwargs)
-        define(self)
-
-
 def eager_parser():
-    lazy = cli._Subcommand
-    cli._Subcommand = _EagerSubcommand
-    try:
-        return cli.build_parser()
-    finally:
-        cli._Subcommand = lazy
+    parser = argparse.ArgumentParser(
+        prog="knotplumb",
+        description="Plumbing graphs and the lattice-embedding obstruction "
+        "for integral surgeries on algebraic iterated torus knots.",
+    )
+    parser.add_argument("--config", help="flat key=value config file")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, text, define in (
+        ("contfrac", "negative continued fractions", cli._define_contfrac),
+        ("graph", "build a plumbing graph for a surgery", cli._define_graph),
+        ("embed", "decide lattice embeddability", cli._define_embed),
+        ("sweep", "sweep over a tuple range", cli._define_sweep),
+        ("audit", "audit over a tuple range", cli._define_audit),
+    ):
+        define(sub.add_parser(name, help=text))
+    return parser

@@ -392,6 +392,21 @@ class TestBuilder:
             assert hash(t) == hash(copy) and copy.edges == t.edges, t
         assert len(trees) == 2 * 1005 + 2 * 27
 
+    def test_vertex_count_before_the_freeze(self):
+        # each builder counts its tree's vertices, runs whole and the
+        # junction rule's gaps left out, before any run is expanded
+        rng = random.Random(44)
+        specs = [random_algebraic_spec(rng) for _ in range(40)]
+        desk = [SurgerySpec(CableTower((t[:2], t[2:4])), t[4]) for t in desk_range_tuples()[::7]]
+        built = [(cabling._raw_builder, raw_plumbing), (cabling._closed_form_builder, closed_form_two_iter),
+                 (lambda spec: cabling._reduced_builder(spec, gaps=True), reduced_plumbing)]
+        for spec in specs + desk:
+            for builder, build in built[::1 if spec in desk else 2]:
+                assert builder(spec).vertices() == len(build(spec)), spec
+            assert cabling._reduced_builder(spec, gaps=False).vertices() == len(reduced_plumbing(spec))
+        huge = SurgerySpec(CableTower(((2, 3), (2, 13))), 10**12)
+        assert cabling._reduced_builder(huge, gaps=False).vertices() == 10**12 - 22
+
     def test_one_pass_in_construction_order(self):
         # the builder eliminates in the reverse of construction order, with
         # no walk; the form it memoises must be the walk-order kernel's and

@@ -8,6 +8,7 @@ import os
 import random
 import resource
 import shlex
+import shutil
 import stat
 import subprocess
 import sys
@@ -20,7 +21,7 @@ import pytest
 
 import knotplumb
 from knotplumb import cli, plumbing
-from knotplumb.classify import desk_range_tuples
+from knotplumb.classify import desk_range_tuples, family_tuple
 from knotplumb.lattice import verify_embedding
 from knotplumb.plumbing import WeightedTree, gram_matrix
 
@@ -202,7 +203,89 @@ class TestGraph:
         assert digest.hexdigest() == GRAPH_OUTPUT_SHA256
 
 
+# 21 family witnesses and the rank-26 -2-chain refute, as p1,a1,p2,a2 and n
+FAMILY_AND_CHAIN_SPECS = [
+    (f"{p1},{a1},{p2},{a2}", n)
+    for p1, a1, p2, a2, n in sorted(
+        {family_tuple("derived", p1, p2) for p1 in range(2, 6) for p2 in range(2, 6)}
+        | {family_tuple("family2", 0, p2) for p2 in range(2, 7)}
+    )
+] + [("2,3,2,53", 108)]
+
+# T(2,3; 2,13) at n = 10^12: a tail of 999,999,999,976 -2's
+HUGE_TAIL = ["--pairs", "2,3,2,13", "--n", "1000000000000"]
+HUGE_TAIL_ERROR = "error: a tree of 999999999978 vertices; graph and embed build at most 1000000\n"
+
+
+class TestOversizedTrees:
+    def test_refused_before_anything_is_expanded(self, tmp_path):
+        # each was killed (exit 137) expanding its tail or torso run; under
+        # 200 MB each now ends in one error line, counted from the entries
+        runs = [
+            (["graph", *HUGE_TAIL], HUGE_TAIL_ERROR),
+            (["graph", "--closed-form", *HUGE_TAIL, "--json"], HUGE_TAIL_ERROR),
+            (["embed", *HUGE_TAIL, "--out", str(tmp_path)], HUGE_TAIL_ERROR),
+            (["embed", *HUGE_TAIL, "--enumerate"], HUGE_TAIL_ERROR),
+            # a torso of a billion -2's, which --raw also lays
+            (["graph", "--raw", "--pairs", "2,2000000001", "--n", "5"],
+             "error: a tree of 1000000003 vertices; graph and embed build at most 1000000\n"),
+        ]
+        for argv, err in runs:
+            res = run_cli(*argv, limits=limited(200 * 10**6, 10))
+            assert (res.returncode, res.stdout, res.stderr) == (1, "", err), argv
+        assert os.listdir(tmp_path) == []
+
+    def test_raw_tree_of_a_huge_leaf_is_built(self, capsys):
+        # --raw keeps N as one leaf, so N = 10^12 is a 14-vertex tree
+        assert cli.main(["graph", "--raw", *HUGE_TAIL]) == 0
+        assert capsys.readouterr().out == "rank 14\ndet 1000000000000\nnegative definite: no\n"
+
+    @pytest.mark.parametrize("kind", ["raw", "reduced", "closed-form"])
+    def test_the_limit_is_on_the_vertex_count(self, monkeypatch, capsys, tmp_path, kind):
+        # T(2,3; 2,17) at 36 has 8 reduced vertices and 16 raw ones
+        size = 16 if kind == "raw" else 8
+        spec = ["--pairs", "2,3,2,17", "--n", "36"]
+        monkeypatch.setattr(cli, "MAX_VERTICES", size)
+        assert cli.main(["graph", f"--{kind}", *spec]) == 0
+        assert capsys.readouterr().out.startswith(f"rank {size}\n")
+        monkeypatch.setattr(cli, "MAX_VERTICES", size - 1)
+        assert cli.main(["graph", f"--{kind}", *spec]) == 1
+        assert capsys.readouterr().err == (
+            f"error: a tree of {size} vertices; graph and embed build at most {size - 1}\n")
+        if kind == "reduced":
+            assert cli.main(["embed", *spec, "--out", str(tmp_path)]) == 1
+            assert os.listdir(tmp_path) == []
+
+
 class TestEmbed:
+    def test_spec_searches_what_its_graph_file_would(self, tmp_path, capsys):
+        # embed --pairs searches the junction builder's rows, ids 0..n-1;
+        # graph --json writes reduced_plumbing's tree, whose ids have gaps
+        # but sort in the same order: the same lines, node counts included,
+        # and the same witness rows
+        runs = [(pairs, n, []) for pairs, n in FAMILY_AND_CHAIN_SPECS]
+        runs += [("2,3,2,17", 36, flags) for flags in (["--rank", "12"], ["--enumerate"])]
+        for pairs, n, flags in runs:
+            spec, out = ["--pairs", pairs, "--n", str(n)], tmp_path / "out"
+            assert cli.main(["graph", *spec, "--json"]) == 0
+            graph = tmp_path / "g.json"
+            graph.write_text(capsys.readouterr().out)
+            results = []
+            for source in (spec, [str(graph)]):
+                code = cli.main(["embed", *source, *flags, "--out", str(out)])
+                lines = capsys.readouterr().out.splitlines()
+                witness = None
+                if lines[-1].startswith("witness written to "):
+                    witness_path = lines.pop()[len("witness written to "):]
+                    with open(witness_path) as fh:
+                        witness = fh.read()
+                    os.unlink(witness_path)
+                results.append((code, lines, witness))
+            assert results[0] == results[1], (pairs, n, flags)
+            assert results[0][0] == (3 if pairs == "2,3,2,53" else 0)
+            assert (results[0][2] is None) == (results[0][0] == 3 or flags == ["--enumerate"])
+        assert results[0][1][:2] == ["1 embedding class(es) into rank 8", "class 1:"]
+
     def test_rank_far_above_the_vertex_count_is_refused(self, tmp_path):
         # --rank 10**8 padded the 8-vector witness to 8 * 10**8 entries, a
         # MemoryError traceback under a 2 GB address space; the rank is
@@ -497,6 +580,28 @@ class TestAtomicWrites:
         assert link.is_symlink() and os.readlink(link) == str(real)
         assert real.read_text() == "a,b\n"
         assert os.listdir(tmp_path / "data") == ["rows.csv"]
+
+    def test_symlinked_directory_gets_the_file(self, tmp_path, monkeypatch):
+        # a sibling through the linked directory lands beside the file, so
+        # the path is not resolved: only a symlink at its end would be
+        real = tmp_path / "real"
+        real.mkdir()
+        (real / "witness_2_3_2_17_36.json").write_text("old\n")
+        link = tmp_path / "link"
+        link.symlink_to(real, target_is_directory=True)
+
+        def no_resolving(path):
+            raise AssertionError(f"{path} was resolved")
+
+        monkeypatch.setattr(os.path, "realpath", no_resolving)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["embed", "--pairs", "2,3,2,17", "--n", "36", "--out", str(link)]) == 0
+        cli._write_text(str(link / "rows.csv"), ["a,b\n"])
+        assert link.is_symlink()
+        assert sorted(os.listdir(real)) == ["rows.csv", "witness_2_3_2_17_36.json"]
+        assert (real / "rows.csv").read_text() == "a,b\n"
+        assert hashlib.sha256((real / "witness_2_3_2_17_36.json").read_bytes()).hexdigest() == \
+            EMBED_WITNESS_SHA256[()]
 
     def test_fifo_target_is_written_in_place(self, tmp_path):
         # the stand-in for /dev/null, /dev/stdout or a process
@@ -851,9 +956,28 @@ def parse_outcome(parser, argv):
     return out.getvalue(), err.getvalue(), code, namespace
 
 
+@pytest.mark.parametrize("columns", [None, "40", "200"])
 @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "(none)")
-def test_lazy_parser_equals_an_eager_one(argv):
+def test_lazy_parser_equals_an_eager_one(monkeypatch, argv, columns):
+    # the help, usage and error text at each width are argparse's own
+    if columns is not None:
+        monkeypatch.setenv("COLUMNS", columns)
     assert parse_outcome(cli.build_parser(), argv) == parse_outcome(oracles.eager_parser(), argv)
+
+
+def test_a_call_asks_the_terminal_size_once(monkeypatch, capsys, tmp_path):
+    # argparse's formatters asked it a dozen times or more a call, one per
+    # argument added and one per text formatted
+    asked = []
+    size = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *args: asked.append(args) or size(*args))
+    assert cli.main(["embed", "--pairs", "2,3,2,17", "--n", "36", "--out", str(tmp_path)]) == 0
+    assert len(asked) == 1
+    for argv, code in ((["embed", "--help"], 0), (["graph", "--pai", "2,3"], 2), (["--help"], 0)):
+        asked.clear()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert (exc.value.code, len(asked)) == (code, 1), argv
 
 
 def test_a_call_defines_only_the_subcommand_it_runs(monkeypatch, capsys):

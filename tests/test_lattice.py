@@ -1168,6 +1168,68 @@ class TestDeepSearches:
         ]
 
 
+def lisca_r(max_m):
+    """Lisca's set R ("Lens spaces, rational balls and the ribbon
+    conjecture", Geom. Topol. 11 (2007)) for m <= max_m, as
+    pairs (m, q): p = m^2 > q >= 1, gcd(p, q) = 1, and q one of
+      (1) mk +- 1, with m > k > 0 and gcd(m, k) = 1;
+      (2) d(m +- 1), with d > 1 dividing 2m -+ 1;
+      (3) d(m +- 1), with d > 1 odd and dividing m +- 1;
+    closed under q -> p - q (-L(p, q) = L(p, p - q)) and q -> q^-1 mod p
+    (L(p, q') = L(p, q)), under which both chains' verdicts are invariant:
+    the chain of p/(p - q) is the dual of that of p/q, and that of p/q'
+    its reverse."""
+    members = set()
+    for m in range(2, max_m + 1):
+        p = m * m
+        qs = {m * k + s for k in range(1, m) if math.gcd(m, k) == 1 for s in (1, -1)}
+        for s in (1, -1):
+            qs |= {d * (m + s) for d in range(2, 2 * m - s + 1) if (2 * m - s) % d == 0}
+            qs |= {d * (m + s) for d in range(3, m + s + 1, 2) if (m + s) % d == 0}
+        for q in qs:
+            if 0 < q < p and math.gcd(p, q) == 1:
+                members |= {(m, x) for y in (q, p - q) for x in (y, pow(y, -1, p))}
+    return members
+
+
+class TestLiscaLensSpaces:
+    # pairs FOUND on both sides that R as written above leaves out, each
+    # L(m^2, mk +- 1) with gcd(m, k) = 2: their chains do embed (the
+    # witnesses are checked), and the lattice condition does not rule on
+    # whether they bound rational balls
+    OUTSIDE_R = {
+        (10, 39), (10, 41), (10, 59), (10, 61), (14, 55), (14, 57), (14, 83), (14, 85),
+        (14, 111), (14, 113), (14, 139), (14, 141), (16, 95), (16, 97), (16, 159), (16, 161),
+    }
+
+    def test_r_is_found_on_both_sides(self):
+        # L(p, q) bounds the linear plumbing of p/q and -L(p, q) that of
+        # p/(p - q); if L(p, q) bounds a rational ball, both forms embed
+        # in the standard lattice of their rank (Donaldson).  Every coprime
+        # q < m^2, m <= 16, through the public API: chains up to rank 255,
+        # FOUND up to rank 17, where the naive oracle stops at rank 5
+        pairs, nodes, one_side, both = 0, 0, set(), set()
+        for m in range(2, 17):
+            p = m * m
+            for q in range(1, p):
+                if math.gcd(p, q) != 1:
+                    continue
+                pairs += 1
+                results = [find_embedding(path([-c for c in knotplumb.expand_neg_cf(p, x)]))
+                           for x in (q, p - q)]
+                nodes += sum(r.nodes for r in results)
+                statuses = [r.status for r in results]
+                assert SearchStatus.INDETERMINATE not in statuses, (m, q)
+                if statuses[0] is SearchStatus.FOUND:
+                    one_side.add((m, q))
+                    if statuses[1] is SearchStatus.FOUND:
+                        both.add((m, q))
+        r = lisca_r(16)
+        assert (pairs, nodes, len(one_side), len(both), len(r)) == (862, 21704, 544, 258, 242)
+        assert r <= both
+        assert both - r == self.OUTSIDE_R
+
+
 class TestCanonicalForm:
     def test_invariant_under_signed_permutation(self):
         rng = random.Random(3)
