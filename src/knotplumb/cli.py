@@ -7,7 +7,8 @@ families).  Exit codes partition outcomes so scripts can branch on them:
 
     0  success (embed: embedding found; audit: perfect agreement)
     1  invalid input (bad fraction/spec/ranges, non-algebraic tower,
-       not negative definite, a tree of over 10^6 vertices, bad config)
+       not negative definite, a tree of over 10^6 vertices to build or
+       search, bad config)
     2  graph --reduced/--closed-form or embed --pairs with N < 0 (no
        negative definite form) or N = 0 (possibly a connected sum)
     3  embed: no embedding exists (exhaustive)
@@ -20,12 +21,14 @@ output directory is $KNOTPLUMB_OUT, falling back to the current
 directory.  A call builds the top-level parser and, of the subcommands'
 parsers, only the one its argv names, and asks the terminal's width
 once.  graph and embed --pairs count a tree's vertices from its
-builder's entries and build none past 10^6; embed --pairs searches the
-builder's rows, as a sweep does, with no tree frozen.  Each file format
-has one reader or writer: a graph file is decoded once, a witness file
-written a row at a time (_write_witness, named by a spec's integers or
-a graph file's basename), and the CSV rendered once in the body sweep
-and audit share.
+builder's entries and build none past 10^6, and sweep and audit count
+so every tree they would search; embed --pairs searches the builder's
+rows, as a sweep does, with no tree frozen.  Each file format has one
+reader or writer: a graph file is decoded once, a witness file written
+from sparse vectors a row at a time (_write_witness, named by a spec's
+integers or a graph file's basename), and the CSV rendered once in the
+body sweep and audit share.  embed prints and writes the search's sparse
+vectors and never reads its dense witness.
 """
 
 import argparse
@@ -37,6 +40,7 @@ import stat
 import sys
 from functools import partial
 from itertools import chain
+from math import isqrt
 
 from . import hjcf
 from .cabling import (
@@ -45,6 +49,7 @@ from .cabling import (
     SurgerySpec,
     UnsupportedTowerError,
     _closed_form_builder,
+    _junction_builder,
     _raw_builder,
     _reduced_builder,
     reduced_plumbing,  # unused; perfbench's LAYER_PATCHES wraps cli.reduced_plumbing
@@ -58,7 +63,8 @@ from .classify import (
 )
 from .lattice import (
     SearchStatus,
-    _support,
+    _render,
+    _sparse,
     enumerate_embeddings,
     find_embedding,
     render_vector,
@@ -175,32 +181,34 @@ def _make_out_dir(out_dir):
 _ZEROS = "0, " * 4096
 
 
-def _row_text(vec):
-    """json.dumps(list(vec)) for a vector of ints, from its support and
-    joined once: each entry and its ", ", a stretch of zeros as _ZEROS
-    and a slice of it, the last ", " cut from its piece, so no other copy
-    of the text is made."""
+def _row_text(vec, rank):
+    """json.dumps of the rank ints of which vec, (coordinate, entry) pairs
+    ascending, holds the nonzero ones, joined once: each entry and its
+    ", ", a stretch of zeros as _ZEROS and a slice of it, the last ", "
+    cut from its piece, so no dense row and no other copy of the text is
+    made."""
     parts, at = ["["], 0
-    for k in chain(_support(vec), [len(vec)]):
+    for k, x in chain(vec, [(rank, None)]):
         z = k - at
         if z >= 4096:
             parts += [_ZEROS] * (z // 4096)
             z %= 4096
         if z:
             parts.append(_ZEROS[: 3 * z])
-        if k < len(vec):
-            parts.append(f"{vec[k]}, ")
+        if k < rank:
+            parts.append(f"{x}, ")
         at = k + 1
-    parts[-1] = parts[-1][:-2] + "]" if vec else "[]"
+    parts[-1] = parts[-1][:-2] + "]" if rank else "[]"
     return "".join(parts)
 
 
-def _write_witness(out_dir, key, witness) -> str:
+def _write_witness(out_dir, key, vectors, rank) -> str:
     """Write witness_<key's items joined by '_'>.json as json.dumps writes
-    {"rank": r, "vectors": [...]}, a row's _row_text at a time."""
+    {"rank": rank, "vectors": [...]}, of sparse vectors as _row_text
+    takes them, a row's text at a time."""
     path = os.path.join(out_dir, f"witness_{'_'.join(map(str, key))}.json")
-    head = f'{{"rank": {len(witness[0]) if witness else 0}, "vectors": ['
-    rows = (part for i, vec in enumerate(witness) for part in (", " if i else "", _row_text(vec)))
+    head = f'{{"rank": {rank}, "vectors": ['
+    rows = (part for i, vec in enumerate(vectors) for part in (", " if i else "", _row_text(vec, rank)))
     _write_text(path, chain([head], rows, ["]}"]))
     return path
 
@@ -271,7 +279,7 @@ def cmd_contfrac(args, config):
 # -- graph --------------------------------------------------------------------
 
 
-MAX_VERTICES = 10**6  # the largest tree graph and embed --pairs build, counted before expanding
+MAX_VERTICES = 10**6  # the largest tree a command builds or searches, counted before expanding
 
 
 def _builder(spec, kind, gaps=True):
@@ -378,12 +386,12 @@ def cmd_embed(args, config):
                 print(f"  {render_vector(vec)}")
         return 0
     if result.status is SearchStatus.FOUND:
+        # the checked sparse vectors, rendered and written with no dense copy
         _make_out_dir(out_dir)
-        path = _write_witness(out_dir, key, result.witness)
-        print(f"embedding found into rank {rank} ({result.nodes} nodes)")
-        for vec in result.witness:
-            print(f"  {render_vector(vec)}")
-        print(f"witness written to {path}")
+        path = _write_witness(out_dir, key, result.vectors, rank)
+        lines = [f"  {_render(vec)}" for vec in result.vectors]
+        print(f"embedding found into rank {rank} ({result.nodes} nodes)", *lines,
+              f"witness written to {path}", sep="\n")
         return 0
     if result.status is SearchStatus.NONE:
         print(f"no embedding into rank {rank} (exhausted after {result.nodes} nodes)")
@@ -408,8 +416,17 @@ def _range_tuples(args):
         raise CliError(f"invalid ranges: N - 1 must be at most {sys.maxsize}")
     tuples = admissible_tuples(p1s, k1s, p2s, args.k2_max, ns)
     for t in tuples:
-        if t[4] == 0:
+        p1, a1, p2, a2, n = t
+        if n == 0:
             raise CliError(f"invalid ranges: tuple {t} has surgery coefficient n = 0")
+        if n - p2 * a2 >= 2 and isqrt(n) ** 2 == n:
+            # a square n's tree is searched, its rows expanded: counted
+            # first from classify_one's builder's entries, runs whole
+            spec = SurgerySpec(CableTower(((p1, a1), (p2, a2))), n)
+            vertices = _junction_builder(spec, gaps=False).vertices()
+            if vertices > MAX_VERTICES:
+                raise CliError(f"invalid ranges: tuple {t} has a tree of {vertices} vertices; "
+                               f"sweep and audit search at most {MAX_VERTICES}")
     return tuples
 
 
@@ -424,7 +441,8 @@ def _run_sweep(args, config):
     witness_files = {}
     for row in rows:
         if row.witness is not None:
-            witness_files[row.key()] = _write_witness(out_dir, row.key(), row.witness)
+            vectors = [_sparse(vec) for vec in row.witness]
+            witness_files[row.key()] = _write_witness(out_dir, row.key(), vectors, row.rank)
     csv_text = rows_to_csv(rows, witness_files, timing=resolve(args, config, "timing", False))
     if args.csv:
         _write_text(args.csv, [csv_text])

@@ -43,11 +43,13 @@ squares: the entries still free have squared norm at most the unspent
 norm, so gap j can close by at most sqrt(unspent norm * the squared norm
 of placed[j] in the undecided classes).  The bound is in exact integers
 and drops only choices with no completion.  A class's tuples of one sum
-come sparse from a cache keyed by min(width, budget), so none is as long
-as its class.  The caches are not bounded and last as long as the
-process: the desk range leaves 24 lists, but a caller that meets many
-distinct norms keeps every list it built, and for {-2, -w} the list of
-the sum that closes the gap grows as sqrt(w).
+come sparse, keyed by min(width, budget), so none is as long as its
+class.  A class one coordinate wide takes its sum or nothing, made on
+the spot (_one_wide); a wider class's list comes from a cache.  The
+caches are not bounded and last as long as the process: a sweep of the
+desk range leaves 3 lists, but a caller that meets many distinct norms
+keeps every list it built, and for {-2, -w} the list of the sum that
+closes the gap grows as sqrt(w).
 
 The last 1 or 2 units of norm, with a target unmet, take no walk: they
 are +-1 entries, and one signature lookup lists every completion.  One
@@ -69,10 +71,11 @@ lists, node counts and witnesses are its own.
 
 An embedding touches at most -trace(G) coordinates, each vector at most
 its norm of them, and in canonical form the touched coordinates come
-first.  So the search runs at min(rank, -trace(G)) and writes a witness
-out at the full rank only after checking it: a larger rank only widens
-the untouched class, whose tuples then differ by trailing zeros, and the
-candidates, node counts and witnesses are the same.
+first.  So the search runs at min(rank, -trace(G)): a larger rank only
+widens the untouched class, whose tuples then differ by trailing zeros,
+and the candidates, node counts and witnesses are the same.  A checked
+witness stays sparse in its SearchResult, and is written out at the
+full rank only when its witness is read.
 
 Neither the placement depth, nor the number of classes, nor the width
 of a class costs a Python frame: the search, the gap-first candidate
@@ -99,7 +102,7 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, cached_property
 from itertools import chain, compress, count, islice
 from math import isqrt
 
@@ -114,9 +117,22 @@ class SearchStatus(Enum):
 
 @dataclass(frozen=True)
 class SearchResult:
+    """A search's status, node count and target rank and, when FOUND, its
+    checked witness at that rank.  vectors holds the witness as the search
+    checked it, one sparse vector per vertex in ascending vertex id, each
+    its (coordinate, entry) pairs ascending, and is None otherwise;
+    witness, the same vectors as tuples of rank ints, is made from them
+    when first read and kept, so a caller that renders or writes the
+    sparse vectors (cli's embed) never holds a dense copy."""
+
     status: SearchStatus
-    witness: tuple | None
+    vectors: tuple | None
     nodes: int
+    rank: int
+
+    @cached_property
+    def witness(self):
+        return None if self.vectors is None else _dense(self.vectors, self.rank)
 
 
 def verify_embedding(gram, vectors) -> bool:
@@ -130,7 +146,7 @@ def verify_embedding(gram, vectors) -> bool:
         raise ValueError("vectors of mixed lengths")
     if not {int}.issuperset(map(type, chain.from_iterable(vectors))):
         raise TypeError("vector entries must be integers")
-    return _reproduces(diag, off.values(), [[(k, v[k]) for k in _support(v)] for v in vectors])
+    return _reproduces(diag, off.values(), [_sparse(v) for v in vectors])
 
 
 def _reproduces(diag, off, vectors):
@@ -162,6 +178,11 @@ def _support(vec):
     zeros and skipping them both run in C, and the walk stops after the
     last nonzero entry, so a wide vector costs no bytecode per zero."""
     return islice(compress(count(), vec), len(vec) - vec.count(0))
+
+
+def _sparse(vec):
+    """vec's nonzero entries as (coordinate, entry) pairs, ascending."""
+    return [(k, vec[k]) for k in _support(vec)]
 
 
 def _depth_first(adj):
@@ -226,7 +247,8 @@ def _touched_tuples(width, budget, total):
     budget entries are nonzero, so callers pass min(width, budget): no
     tuple is built as long as its class, and all classes at least budget
     wide share one list.  Kept per sum, so that a class that must close a
-    gap exactly builds only the tuples of that sum.
+    gap exactly builds only the tuples of that sum.  The search takes a
+    class one coordinate wide from _one_wide instead.
     """
     out = []
     most = isqrt(width * budget)  # the largest |sum| of such a tuple
@@ -238,6 +260,15 @@ def _touched_tuples(width, budget, total):
                             q + r))
     out.sort(key=lambda e: e[1])
     return out
+
+
+def _one_wide(width, budget, total):
+    """_touched_tuples(1, budget, total), made on the spot and not cached:
+    the total as the class's one entry, or nothing past the budget."""
+    q = total * total
+    if q > budget:
+        return []
+    return [(((0, total),) if total > 0 else ((-1, total),) if total else (), q)]
 
 
 @cache
@@ -493,6 +524,7 @@ class _Searcher:
             width = min(cls.hi - cls.lo, budget)
             if not cls.sig:
                 return [(entries, 0, gaps) for entries in _untouched_fills(width, budget)]
+            tuples = _touched_tuples if width > 1 else _one_wide
             hi = isqrt(width * budget)
             lo = -hi
             for j, x in cls.sig:  # |gap_j - x * sum| <= reach
@@ -516,7 +548,7 @@ class _Searcher:
                 need = 0
                 for j, g in new.items():
                     need = max(need, -(-g * g // room[j]))
-                for entries, q in _touched_tuples(width, budget, s):
+                for entries, q in tuples(width, budget, s):
                     if q > budget - need:
                         break
                     out.append((entries, budget - q, new))
@@ -673,23 +705,24 @@ def find_embedding(tree, rank=None, budget=None) -> SearchResult:
     intersection form into (Z^r, -Id).
 
     Returns FOUND with a verified witness, one vector per vertex in
-    ascending vertex id, NONE after exhausting the (symmetry-pruned but
-    complete) search space, or INDETERMINATE when the node budget runs
-    out.  rank defaults to the vertex count, the rank relevant to the
-    rational-homology-ball obstruction.  Raises ValueError for a form that
-    is not negative definite, or a rank below 1.  tree may also be a
-    form's rows (_search_input), as classify_one passes its builder's.
+    ascending vertex id, kept sparse (SearchResult), NONE after
+    exhausting the (symmetry-pruned but complete) search space, or
+    INDETERMINATE when the node budget runs out.  rank defaults to the
+    vertex count, the rank relevant to the rational-homology-ball
+    obstruction.  Raises ValueError for a form that is not negative
+    definite, or a rank below 1.  tree may also be a form's rows
+    (_search_input), as classify_one passes its builder's.
     """
     diag, off, r = _search_input(tree, rank)
     searcher = _Searcher(diag, off, r, budget)
     witness = next(searcher.embeddings(), None)
     if searcher.exhausted:
-        return SearchResult(SearchStatus.INDETERMINATE, None, searcher.nodes)
+        return SearchResult(SearchStatus.INDETERMINATE, None, searcher.nodes, r)
     if witness is None:
-        return SearchResult(SearchStatus.NONE, None, searcher.nodes)
+        return SearchResult(SearchStatus.NONE, None, searcher.nodes, r)
     if not _reproduces(diag, off, witness):
         raise AssertionError("search produced a witness that fails verification")
-    return SearchResult(SearchStatus.FOUND, _dense(witness, r), searcher.nodes)
+    return SearchResult(SearchStatus.FOUND, tuple(witness), searcher.nodes, r)
 
 
 def _dense(vectors, rank):
@@ -791,9 +824,14 @@ def enumerate_embeddings(tree, rank=None, locally_minimal_only=False) -> list:
 
 def render_vector(vec) -> str:
     """Human-readable form such as 'e1-e2+2e5'; the zero vector renders as '0'."""
+    return _render(_sparse(vec))
+
+
+def _render(pairs) -> str:
+    """render_vector's text of a sparse vector, its (coordinate, entry)
+    pairs ascending, at any rank."""
     parts = []
-    for k in _support(vec):
-        x = vec[k]
+    for k, x in pairs:
         mag = "" if abs(x) == 1 else str(abs(x))
         parts.append(("-" if x < 0 else ("+" if parts else "")) + mag + f"e{k + 1}")
     return "".join(parts) if parts else "0"

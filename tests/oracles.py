@@ -404,13 +404,13 @@ def _first_embedding(searcher, gram, r):
     """The SearchResult of searcher's first embedding at target rank r."""
     witness = next(searcher.embeddings(), None)
     if searcher.exhausted:
-        return SearchResult(SearchStatus.INDETERMINATE, None, searcher.nodes)
+        return SearchResult(SearchStatus.INDETERMINATE, None, searcher.nodes, r)
     if witness is None:
-        return SearchResult(SearchStatus.NONE, None, searcher.nodes)
-    witness = lattice._dense(witness, r)
-    if not verify_embedding(gram, witness):
+        return SearchResult(SearchStatus.NONE, None, searcher.nodes, r)
+    result = SearchResult(SearchStatus.FOUND, tuple(witness), searcher.nodes, r)
+    if not verify_embedding(gram, result.witness):
         raise AssertionError("search produced a witness that fails verification")
-    return SearchResult(SearchStatus.FOUND, witness, searcher.nodes)
+    return result
 
 
 def enumerate_gram(gram, rank=None, locally_minimal_only=False):

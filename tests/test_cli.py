@@ -22,7 +22,7 @@ import pytest
 import knotplumb
 from knotplumb import cli, plumbing
 from knotplumb.classify import desk_range_tuples, family_tuple
-from knotplumb.lattice import verify_embedding
+from knotplumb.lattice import _sparse, verify_embedding
 from knotplumb.plumbing import WeightedTree, gram_matrix
 
 import oracles
@@ -235,6 +235,36 @@ class TestOversizedTrees:
             assert (res.returncode, res.stdout, res.stderr) == (1, "", err), argv
         assert os.listdir(tmp_path) == []
 
+    def test_sweep_and_audit_refuse_a_huge_square(self, tmp_path):
+        # n = 10^12 is square, so its tree would be searched: each was a
+        # MemoryError traceback from expanding the tail's rows under 300 MB;
+        # now one error line, the tuple's vertices counted from the entries
+        # before its sweep searches anything
+        err = ("error: invalid ranges: tuple (2, 3, 2, 13, 1000000000000) has a tree of "
+               "999999999978 vertices; sweep and audit search at most 1000000\n")
+        for command in ("sweep", "audit"):
+            out = tmp_path / command
+            res = run_cli(command, "--p1", "2", "--k1", "1", "--p2", "2", "--k2-max", "6",
+                          "--N", "999999999974", "--out", str(out), limits=limited(300 * 10**6, 10))
+            assert (res.returncode, res.stdout, res.stderr) == (1, "", err), command
+            assert not out.exists()
+
+    def test_sweep_limit_is_on_the_square_tuples_vertex_count(self, monkeypatch, capsys, tmp_path):
+        # (2,3; 2,17) at 36 has 8 reduced vertices; a non-square n past the
+        # limit is decided by its determinant and stays in the sweep
+        argv = ["sweep", "--p1", "2", "--k1", "1", "--p2", "2", "--k2-max", "8", "--N", "2,3",
+                "--out", str(tmp_path)]
+        monkeypatch.setattr(cli, "MAX_VERTICES", 8)
+        assert cli.main(argv) == 0
+        assert ",36,2,8,ObstructionPasses," in capsys.readouterr().out
+        monkeypatch.setattr(cli, "MAX_VERTICES", 7)
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: invalid ranges: tuple (2, 3, 2, 17, 36) has a tree of 8 vertices; "
+            "sweep and audit search at most 7\n")
+        monkeypatch.setattr(cli, "MAX_VERTICES", 1)
+        assert cli.main([*argv[:-3], "3", "--out", str(tmp_path)]) == 0
+
     def test_raw_tree_of_a_huge_leaf_is_built(self, capsys):
         # --raw keeps N as one leaf, so N = 10^12 is a 14-vertex tree
         assert cli.main(["graph", "--raw", *HUGE_TAIL]) == 0
@@ -388,6 +418,17 @@ class TestEmbed:
         assert cli.main(argv) == 0
         assert file_digests(tmp_path) == {"witness_2_3_2_17_36.json": EMBED_WITNESS_SHA256[rank]}
 
+    def test_rank_a_million_witness_stays_sparse(self, tmp_path):
+        # the 8 vectors of (2,3; 2,17) at 36, at rank 10^6, are rendered and
+        # written from their nonzero entries: dense, they needed 99 MB of
+        # address space; sparse, about 27 MB on a 2-core host (CPython 3.11)
+        res = run_cli("embed", "--pairs", "2,3,2,17", "--n", "36", "--rank", "1000000",
+                      "--out", str(tmp_path), limits=limited(60 * 2**20, 20))
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[0] == "embedding found into rank 1000000 (15 nodes)"
+        assert file_digests(tmp_path) == {
+            "witness_2_3_2_17_36.json": "eafbcd2ebf12649589893af44228e271f9fc7c1264d5d7242b45ec69661af13d"}
+
     def test_witness_text_is_json_dumps_byte_for_byte(self, tmp_path):
         rng = random.Random(43)
         witnesses = [(), ((0,),), ((-1,),), ((0, 0, 0), (0, 0, 7)), ((5, 0, 0), (0, -10**30, 0))]
@@ -398,9 +439,10 @@ class TestEmbed:
                 for _ in range(rng.randint(1, 6))
             ))
         for i, w in enumerate(witnesses):
-            path = cli._write_witness(str(tmp_path), [i], w)
+            rank = len(w[0]) if w else 0
+            path = cli._write_witness(str(tmp_path), [i], [_sparse(v) for v in w], rank)
             with open(path) as fh:
-                assert fh.read() == json.dumps({"rank": len(w[0]) if w else 0, "vectors": [list(v) for v in w]})
+                assert fh.read() == json.dumps({"rank": rank, "vectors": [list(v) for v in w]})
 
     def test_env_out_dir(self, tmp_path):
         res = run_cli(
@@ -655,25 +697,26 @@ class TestAtomicWrites:
         write_text = cli._write_text
         monkeypatch.setattr(cli, "_write_text", lambda path, it: write_text(path, (
             parts.append(part) or part for part in it)))
-        path = cli._write_witness(str(tmp_path), ["w"], ((1, 0, -1), (0, 2, 0)))
+        path = cli._write_witness(str(tmp_path), ["w"], [[(0, 1), (2, -1)], [(1, 2)]], 3)
         assert [part for part in parts if part] == [
             '{"rank": 3, "vectors": [', "[1, 0, -1]", ", ", "[0, 2, 0]", "]}"]
         with open(path) as fh:
             assert fh.read() == '{"rank": 3, "vectors": [[1, 0, -1], [0, 2, 0]]}'
-        assert cli._row_text(()) == "[]"
+        assert cli._row_text((), 0) == "[]"
+        assert cli._row_text((), 2) == "[0, 0]"
 
     def test_row_text_is_made_once(self):
         # a rank-10^6 row with one nonzero entry is 3.0 MB of text; joined
         # once, with its zeros as pieces of one shared string, it peaks near
         # that (at 9.0 MB when the joined text was sliced and bracketed)
-        vec = [0] * 10**6
-        vec[500_000] = -1
         tracemalloc.start()
         try:
-            text = cli._row_text(vec)
+            text = cli._row_text([(500_000, -1)], 10**6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        vec = [0] * 10**6
+        vec[500_000] = -1
         assert text == json.dumps(vec)
         assert peak <= 1.5 * len(text), (peak, len(text))
 

@@ -925,6 +925,23 @@ class TestRankAboveTrace:
         staircase = ((1, 1, 0, 0), (0, -1, 1, 0), (0, 0, -1, 1))
         assert res.witness == tuple(v + (0,) * (10**5 - 4) for v in staircase)
 
+    def test_result_keeps_the_checked_vectors_sparse(self):
+        # a FOUND result holds the sparse vectors it checked and the target
+        # rank; witness, their dense form as tuples of ints, is made once,
+        # when first read
+        res = find_embedding(chain(3), rank=10**5)
+        assert res.vectors == (((0, 1), (1, 1)), ((1, -1), (2, 1)), ((2, -1), (3, 1)))
+        assert res.rank == 10**5 and "witness" not in vars(res)
+        witness = res.witness
+        assert res.witness is witness and type(witness) is tuple
+        assert all(type(v) is tuple and len(v) == 10**5 for v in witness)
+        assert {type(x) for v in witness for x in v} == {int}
+        assert [[(k, v[k]) for k in range(len(v)) if v[k]] for v in witness] == [
+            list(v) for v in res.vectors]
+        for res in (find_embedding(e8()), find_embedding(chain(3), budget=1)):
+            assert res.status is not SearchStatus.FOUND
+            assert res.vectors is None and res.witness is None
+
     def test_enumeration_is_padded(self):
         # chain of 2 (-trace 4): the staircase, plus the class that
         # leaves a coordinate free, each with zero columns appended
@@ -1134,6 +1151,17 @@ class TestDeepSearches:
             fills = lattice._untouched_fills(width, budget)
             assert sorted(dense(e, width) for e in fills) == sorted(
                 t for t in every if min(t) >= 0 and sum(x * x for x in t) == budget)
+        # a class one coordinate wide takes its total or nothing, made on the
+        # spot and not cached: the same list as the general builder's, and
+        # empty outside the window total**2 <= budget
+        for budget in range(41):
+            cap = math.isqrt(budget)
+            for total in range(-10, 11):
+                got = lattice._one_wide(1, budget, total)
+                assert [dense(e, 1) for e, _ in got] == [
+                    t for t in itertools.product(range(-cap, cap + 1)) if t[0] == total]
+                assert got == lattice._touched_tuples(1, budget, total), (budget, total)
+                assert all(q == total * total for _, q in got)
 
     def test_class_tuples_of_a_wide_class(self):
         # a class 2000 wide with budget 2 shares the tuples of width 2; its
