@@ -46,7 +46,7 @@ from .cabling import (
     closed_form_two_iter,
     reduced_plumbing,  # unused; perfbench's LAYER_PATCHES wraps classify.reduced_plumbing
 )
-from .lattice import SearchStatus, find_embedding, verify_embedding
+from .lattice import SearchStatus, _dense, find_embedding, verify_embedding
 from .plumbing import gram_matrix
 
 DEFAULT_BUDGET = 10**8
@@ -73,6 +73,8 @@ _SEARCH_VERDICT = {
 
 
 class SweepRow(NamedTuple):  # a sweep makes one per tuple: a frozen dataclass took 4 times as long
+    """One tuple's verdict.  vectors is its search's checked witness, sparse
+    as in SearchResult, or None; witness makes it dense on each read."""
     p1: int
     a1: int
     p2: int
@@ -81,7 +83,7 @@ class SweepRow(NamedTuple):  # a sweep makes one per tuple: a frozen dataclass t
     n_reduced: int
     rank: int | None
     verdict: VerdictKind
-    witness: tuple | None
+    vectors: tuple | None
     nodes: int
     ms: int
     # what decided the verdict: "determinant", "search" or "witness";
@@ -90,6 +92,10 @@ class SweepRow(NamedTuple):  # a sweep makes one per tuple: a frozen dataclass t
 
     def key(self):
         return (self.p1, self.a1, self.p2, self.a2, self.n)
+
+    @property
+    def witness(self):
+        return None if self.vectors is None else _dense(self.vectors, self.rank)
 
 
 def classify_one(spec: SurgerySpec, budget=DEFAULT_BUDGET) -> SweepRow:
@@ -105,7 +111,7 @@ def classify_one(spec: SurgerySpec, budget=DEFAULT_BUDGET) -> SweepRow:
     t0 = time.perf_counter()
     _require_two_iter(spec)
     n_red = spec.reduced_framing
-    rank, witness, nodes, proof = None, None, 0, None
+    rank, vectors, nodes, proof = None, None, 0, None
     if n_red < 0:
         verdict = VerdictKind.NO_NEGATIVE_DEFINITE_FORM
     elif n_red == 0:
@@ -123,10 +129,10 @@ def classify_one(spec: SurgerySpec, budget=DEFAULT_BUDGET) -> SweepRow:
         else:
             result = find_embedding(build.rows(form), budget=budget)
             verdict, proof = _SEARCH_VERDICT[result.status]
-            witness, nodes = result.witness, result.nodes
+            vectors, nodes = result.vectors, result.nodes
     (p1, a1), (p2, a2) = spec.knot.pairs
     ms = int((time.perf_counter() - t0) * 1000)
-    return SweepRow(p1, a1, p2, a2, spec.n, n_red, rank, verdict, witness, nodes, ms, proof)
+    return SweepRow(p1, a1, p2, a2, spec.n, n_red, rank, verdict, vectors, nodes, ms, proof)
 
 
 # -- explicit witnesses from the two solution families -----------------------

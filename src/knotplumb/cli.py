@@ -27,8 +27,10 @@ rows, as a sweep does, with no tree frozen.  Each file format has one
 reader or writer: a graph file is decoded once, a witness file written
 from sparse vectors a row at a time (_write_witness, named by a spec's
 integers or a graph file's basename), and the CSV rendered once in the
-body sweep and audit share.  embed prints and writes the search's sparse
-vectors and never reads its dense witness.
+body sweep and audit share.  A witness stays the search's sparse
+vectors up to its bytes: embed prints them, embed and a sweep write
+them as they are, embed --enumerate prints its classes sparse, and no
+command makes a dense witness.
 """
 
 import argparse
@@ -61,14 +63,7 @@ from .classify import (
     sweep,
     theorem_audit,
 )
-from .lattice import (
-    SearchStatus,
-    _render,
-    _sparse,
-    enumerate_embeddings,
-    find_embedding,
-    render_vector,
-)
+from .lattice import SearchStatus, _render, enumerate_embeddings, find_embedding
 from .plumbing import (
     NoNegativeDefiniteFormError,
     WeightedTree,
@@ -383,7 +378,7 @@ def cmd_embed(args, config):
         for i, cls in enumerate(classes, start=1):
             print(f"class {i}:")
             for vec in cls:
-                print(f"  {render_vector(vec)}")
+                print(f"  {_render(vec)}")
         return 0
     if result.status is SearchStatus.FOUND:
         # the checked sparse vectors, rendered and written with no dense copy
@@ -440,9 +435,8 @@ def _run_sweep(args, config):
     rows = sweep(tuples, budget=budget, workers=workers)
     witness_files = {}
     for row in rows:
-        if row.witness is not None:
-            vectors = [_sparse(vec) for vec in row.witness]
-            witness_files[row.key()] = _write_witness(out_dir, row.key(), vectors, row.rank)
+        if row.vectors is not None:
+            witness_files[row.key()] = _write_witness(out_dir, row.key(), row.vectors, row.rank)
     csv_text = rows_to_csv(rows, witness_files, timing=resolve(args, config, "timing", False))
     if args.csv:
         _write_text(args.csv, [csv_text])

@@ -74,8 +74,10 @@ its norm of them, and in canonical form the touched coordinates come
 first.  So the search runs at min(rank, -trace(G)): a larger rank only
 widens the untouched class, whose tuples then differ by trailing zeros,
 and the candidates, node counts and witnesses are the same.  A checked
-witness stays sparse in its SearchResult, and is written out at the
-full rank only when its witness is read.
+witness and every class enumerate_embeddings returns stay sparse, so
+none holds the zeros past the searched width; a witness is made dense,
+at the full rank, only when a caller reads a SearchResult's or a
+SweepRow's witness.
 
 Neither the placement depth, nor the number of classes, nor the width
 of a class costs a Python frame: the search, the gap-first candidate
@@ -764,30 +766,23 @@ def _search_input(tree, rank):
     return diag, off, r
 
 
-def matrix_canonical_form(vectors) -> tuple:
-    """Canonical representative under self-isometries of the target.
-
-    Self-isometries of (Z^r, -Id) are signed permutations of coordinates,
-    acting on the embedding matrix as column sign flips and column swaps:
-    flip each column so its first nonzero entry is positive, then sort
-    columns.  Rows (the vertices) stay put.
-    """
-    if not vectors:
-        return ()
-    cols = [tuple(v[k] for v in vectors) for k in range(len(vectors[0]))]
-    normed = []
-    for col in cols:
-        lead = next((x for x in col if x != 0), 0)
-        normed.append(tuple(-x for x in col) if lead < 0 else col)
-    normed.sort(reverse=True)
-    return tuple(tuple(col[i] for col in normed) for i in range(len(vectors)))
-
-
-def is_locally_minimal(vectors) -> bool:
-    """Every coordinate of the target is hit by some vector."""
-    if not vectors:
-        return True
-    return all(any(v[k] != 0 for v in vectors) for k in range(len(vectors[0])))
+def _canonical(vectors):
+    """Canonical representative of sparse vectors under the self-isometries
+    of the target, the signed permutations of coordinates: each nonzero
+    column, its (vertex, entry) pairs, flipped so its first entry is
+    positive, the columns in descending order of their dense entries
+    (_reading) and numbered from 0.  Returns it and its column count."""
+    columns = {}
+    for i, vec in enumerate(vectors):
+        for k, x in vec:
+            columns.setdefault(k, []).append((i, x))
+    flipped = [col if col[0][1] > 0 else [(i, -x) for i, x in col] for col in columns.values()]
+    flipped.sort(key=_reading, reverse=True)
+    rows = [[] for _ in vectors]
+    for k, col in enumerate(flipped):
+        for i, x in col:
+            rows[i].append((k, x))
+    return tuple(map(tuple, rows)), len(flipped)
 
 
 def enumerate_embeddings(tree, rank=None, locally_minimal_only=False) -> list:
@@ -800,9 +795,11 @@ def enumerate_embeddings(tree, rank=None, locally_minimal_only=False) -> list:
     negatives of each other), so the returned list has one entry per
     isometry class.
 
-    Solutions are checked against the rows, canonicalised at the searched
-    width (-trace(G) at most) and padded to rank after: zero columns sort
-    last, so padding commutes; a padded solution is not locally minimal.
+    Each class is sparse, as SearchResult.vectors.  Solutions are checked
+    against the rows and canonicalised (_canonical) at the searched width,
+    -trace(G) at most, so a class is the same at any larger rank; one is
+    locally minimal when it uses every coordinate of that width.  The
+    classes come in ascending order of their dense rows.
     """
     diag, off, r = _search_input(tree, rank)
     searcher = _Searcher(diag, off, r)
@@ -812,11 +809,10 @@ def enumerate_embeddings(tree, rank=None, locally_minimal_only=False) -> list:
     for sol in searcher.embeddings():
         if not _reproduces(diag, off, sol):
             raise AssertionError("search produced an embedding that fails verification")
-        sol = _dense(sol, searcher.rank)
-        if not locally_minimal_only or is_locally_minimal(sol):
-            seen.add(matrix_canonical_form(sol))
-    zeros = (0,) * (r - searcher.rank)
-    return [tuple(v + zeros for v in sol) for sol in sorted(seen)]
+        sol, width = _canonical(sol)
+        if not locally_minimal_only or width == searcher.rank:
+            seen.add(sol)
+    return sorted(seen, key=lambda sol: [_reading(vec) for vec in sol])
 
 
 # -- presentation ------------------------------------------------------------

@@ -38,8 +38,10 @@ plumbing tree's form -- a forest, a support with a cycle, off-diagonal
 entries other than 1.  find_embedding and enumerate_embeddings take such
 a form too, as its rows and definiteness (diag, off, definite), and the
 tests hold them to the adapters there; the adapters stay as the
-references that pad each solution before canonicalising it and that
-re-check a witness by verify_embedding.  Definiteness comes from the
+references that pad each solution before canonicalising it, dense, by
+their own matrix_canonical_form and is_locally_minimal (where
+enumerate_embeddings canonicalises sparse at the searched width), and
+that re-check a witness by verify_embedding.  Definiteness comes from the
 leading-minor test, and plain_verify_embedding checks verify_embedding
 entry by entry over the whole matrix.  depth_first_search is the
 implementation's search too, with every vertex placed in plain
@@ -414,14 +416,39 @@ def _first_embedding(searcher, gram, r):
 
 
 def enumerate_gram(gram, rank=None, locally_minimal_only=False):
-    """enumerate_embeddings on a symmetric integer matrix."""
+    """enumerate_embeddings on a symmetric integer matrix, its classes dense:
+    each solution padded to the full rank first, then canonicalised."""
     r, searcher = _gram_searcher(gram, rank)
     seen = set()
     for sol in searcher.embeddings():
         sol = lattice._dense(sol, r)
-        if not locally_minimal_only or lattice.is_locally_minimal(sol):
-            seen.add(lattice.matrix_canonical_form(sol))
+        if not locally_minimal_only or is_locally_minimal(sol):
+            seen.add(matrix_canonical_form(sol))
     return sorted(seen)
+
+
+def matrix_canonical_form(vectors) -> tuple:
+    """Canonical representative of dense vectors under self-isometries of
+    the target, the signed permutations of coordinates, acting on the
+    embedding matrix as column sign flips and column swaps: flip each
+    column so its first nonzero entry is positive, then sort the columns
+    descending, zero columns included.  Rows (the vertices) stay put."""
+    if not vectors:
+        return ()
+    cols = [tuple(v[k] for v in vectors) for k in range(len(vectors[0]))]
+    normed = []
+    for col in cols:
+        lead = next((x for x in col if x != 0), 0)
+        normed.append(tuple(-x for x in col) if lead < 0 else col)
+    normed.sort(reverse=True)
+    return tuple(tuple(col[i] for col in normed) for i in range(len(vectors)))
+
+
+def is_locally_minimal(vectors) -> bool:
+    """Every coordinate of the target is hit by some dense vector."""
+    if not vectors:
+        return True
+    return all(any(v[k] != 0 for v in vectors) for k in range(len(vectors[0])))
 
 
 def sorted_tuples(size, budget, lo, hi):

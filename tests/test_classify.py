@@ -183,18 +183,25 @@ class TestClassifyOne:
 
     def test_builder_rows_search_as_the_frozen_tree(self):
         # classify_one searches its builder's rows, find_embedding the
-        # frozen closed-form tree: the same status, nodes and witness on
-        # every desk square and on families 1 and 2, p1 <= 5, p2 <= 7
+        # frozen closed-form tree: the same status, nodes and witness, the
+        # row's sparse vectors as the result's, on every desk square, on
+        # families 1 and 2, p1 <= 5, p2 <= 7, and on family 1 at p2 = 101
         squares = [t for t in desk_range_tuples() if math.isqrt(t[4]) ** 2 == t[4]]
         family = {family_tuple("derived", p1, p2) for p1 in range(2, 6) for p2 in range(2, 8)}
         family |= {family_tuple("family2", 0, p2) for p2 in range(2, 8)}
-        assert len(squares) == 58 and len(family) == 30
+        family.add(family_tuple("derived", 2, 101))
+        assert len(squares) == 58 and len(family) == 31
+        ranks, empty = set(), 0
         for tup in squares + sorted(family):
             spec = spec_for(*tup)
             row = classify_one(spec)
             res = find_embedding(closed_form_two_iter(spec))
             assert (row.verdict, row.proof) == classify._SEARCH_VERDICT[res.status], tup
             assert (row.nodes, row.witness) == (res.nodes, res.witness), tup
+            assert row.vectors == res.vectors, tup
+            ranks.add(row.rank)
+            empty += row.vectors is None  # a refuted square: no witness either
+        assert 206 in ranks and empty > 0
 
     def test_one_exact_pass_per_built_tree(self, monkeypatch):
         # the builder's pass decides a non-square n, and the search of a

@@ -429,6 +429,18 @@ class TestEmbed:
         assert file_digests(tmp_path) == {
             "witness_2_3_2_17_36.json": "eafbcd2ebf12649589893af44228e271f9fc7c1264d5d7242b45ec69661af13d"}
 
+    def test_enumerate_at_rank_a_million_stays_sparse(self, tmp_path):
+        # the 4 classes of (2,3; 2,17) at 36, canonicalised and printed
+        # sparse at rank 10^6: about 21,500 KB of address space on a 2-core
+        # host (CPython 3.11), where padding each class densely needed
+        # about 279,400 KB
+        res = run_cli("embed", "--pairs", "2,3,2,17", "--n", "36", "--enumerate",
+                      "--rank", "1000000", "--out", str(tmp_path), limits=limited(64 * 2**20, 20))
+        assert res.returncode == 0, res.stderr
+        assert hashlib.sha256(res.stdout.encode()).hexdigest() == (
+            "58fe559f0fddd60144a28728b811cbba9f950784fb1a65ffee33fa6b80530591")
+        assert os.listdir(tmp_path) == []
+
     def test_witness_text_is_json_dumps_byte_for_byte(self, tmp_path):
         rng = random.Random(43)
         witnesses = [(), ((0,),), ((-1,),), ((0, 0, 0), (0, 0, 7)), ((5, 0, 0), (0, -10**30, 0))]
@@ -460,14 +472,23 @@ ZERO_N_ARGS = ["--p1", "2", "--k1", "1", "--p2", "2", "--k2-max", "6", "--N=-26"
 
 class TestSweepCli:
     def test_csv_deterministic_across_workers(self, tmp_path):
-        outs = []
-        for workers in ("1", "2"):
-            res = run_cli(
-                "sweep", *SWEEP_ARGS, "--workers", workers, "--out", str(tmp_path)
-            )
-            assert res.returncode == 0
-            outs.append(res.stdout)
-        assert outs[0] == outs[1]
+        # the pool pickles each row's sparse vectors back to the parent:
+        # the same CSV, but for the --out it names, and the same witness
+        # files from either worker count, on SWEEP_ARGS and on the range
+        # whose witnesses are pinned
+        for args, witnesses in ((SWEEP_ARGS, 1), (["--k2-max", "12"], 2)):
+            outs, digests = [], []
+            for workers in ("1", "2"):
+                out = tmp_path / f"{witnesses}_{workers}"
+                res = run_cli(
+                    "sweep", *args, "--workers", workers, "--out", str(out)
+                )
+                assert res.returncode == 0
+                outs.append(res.stdout.replace(str(out), "OUT"))
+                digests.append(file_digests(out))
+            assert outs[0] == outs[1]
+            assert digests[0] == digests[1] and len(digests[0]) == witnesses
+        assert digests[0] == SWEEP_WITNESS_SHA256
         header = outs[0].split("\n", 1)[0]
         assert header == "p1,a1,p2,a2,n,N,rank,verdict,witness_file,nodes,ms"
 

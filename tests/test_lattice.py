@@ -17,11 +17,12 @@ from knotplumb.cabling import CableTower, SurgerySpec, closed_form_two_iter
 from knotplumb.classify import desk_range_tuples
 from knotplumb.lattice import (
     SearchStatus,
+    _canonical,
+    _dense,
+    _sparse,
     embedding_from_json_obj,
     enumerate_embeddings,
     find_embedding,
-    is_locally_minimal,
-    matrix_canonical_form,
     render_vector,
     verify_embedding,
 )
@@ -943,16 +944,18 @@ class TestRankAboveTrace:
             assert res.vectors is None and res.witness is None
 
     def test_enumeration_is_padded(self):
-        # chain of 2 (-trace 4): the staircase, plus the class that
-        # leaves a coordinate free, each with zero columns appended
+        # chain of 2 (-trace 4): the staircase is its one class, sparse,
+        # the same at rank 7 as at -trace; it leaves a coordinate of
+        # either free, so it is not locally minimal there
         got = enumerate_embeddings(chain(2), rank=7)
-        assert got == [((1, 1, 0) + (0,) * 4, (0, -1, 1) + (0,) * 4)]
-        assert enumerate_embeddings(chain(2), rank=7, locally_minimal_only=True) == []
+        assert got == enumerate_embeddings(chain(2), rank=4) == [(((0, 1), (1, 1)), ((1, -1), (2, 1)))]
+        for rank in (4, 7):
+            assert enumerate_embeddings(chain(2), rank=rank, locally_minimal_only=True) == []
 
     def test_enumeration_pads_after_canonicalising(self):
-        # the classes are canonicalised at the searched width and padded
-        # after, where enumerate_gram pads every solution first: zero
-        # columns sort last, so the two agree at every rank
+        # the classes are canonicalised sparse at the searched width,
+        # where enumerate_gram pads every solution first and canonicalises
+        # it dense: zero columns sort last, so the two agree at every rank
         star = WeightedTree({v: -2 for v in range(4)}, [(0, 1), (0, 2), (0, 3)])
         trees = [path([-1]), path([-2]), path([-1, -2]), chain(2), chain(3), star]
         trees += [path([-3, -2]), closed_form_two_iter(SurgerySpec(CableTower(((2, 3), (2, 17))), 36))]
@@ -963,14 +966,15 @@ class TestRankAboveTrace:
                 padded += rank > -sum(t.weights.values())
                 for minimal in (False, True):
                     got = enumerate_embeddings(t, rank=rank, locally_minimal_only=minimal)
-                    assert got == enumerate_gram(g, rank=rank, locally_minimal_only=minimal)
+                    assert [_dense(c, rank) for c in got] == enumerate_gram(
+                        g, rank=rank, locally_minimal_only=minimal)
         assert padded >= 8, padded
 
     def test_enumeration_at_rank_a_million(self):
-        # chain(3)'s two classes at rank 10**6, which are its classes at
-        # rank 6 = -trace with zero columns appended: 0.03 CPU seconds on
-        # a 2-core host, where padding each solution before canonicalising
-        # it took 2.4 s
+        # chain(3)'s two classes at rank 10**6, which are its sparse
+        # classes at rank 6 = -trace: under 0.001 CPU seconds on a 2-core
+        # host, where padding each solution before canonicalising it took
+        # 2.4 s, and padding each class after it 0.03 s
         code = (
             "import time\n"
             "from knotplumb.lattice import enumerate_embeddings\n"
@@ -980,8 +984,7 @@ class TestRankAboveTrace:
             "wide = enumerate_embeddings(t, rank=10**6)\n"
             "seconds = time.process_time() - start\n"
             "narrow = enumerate_embeddings(t, rank=6)\n"
-            "zeros = (0,) * (10**6 - 6)\n"
-            "print(len(wide), wide == [tuple(v + zeros for v in c) for c in narrow], seconds)\n"
+            "print(len(wide), wide == narrow, seconds)\n"
         )
         res = run_child(code)
         assert res.returncode == 0, res.stderr
@@ -1015,7 +1018,8 @@ class TestRowsInput:
             for rank in (len(g), len(g) + 1):
                 got, want = find_embedding(rows, rank=rank), search_gram(g, rank=rank)
                 assert (got.status, got.nodes, got.witness) == (want.status, want.nodes, want.witness)
-                assert enumerate_embeddings(rows, rank=rank) == enumerate_gram(g, rank=rank)
+                classes = enumerate_embeddings(rows, rank=rank)
+                assert [_dense(c, rank) for c in classes] == enumerate_gram(g, rank=rank)
                 statuses.add(got.status)
         assert statuses == {SearchStatus.FOUND, SearchStatus.NONE}
         assert cyclic > 5 and heavy_entries > 20, (cyclic, heavy_entries)
@@ -1260,19 +1264,27 @@ class TestLiscaLensSpaces:
 
 class TestCanonicalForm:
     def test_invariant_under_signed_permutation(self):
+        # the sparse canonical form of vectors in Z^6 with two zero
+        # columns, under every signed permutation of the 6 coordinates
         rng = random.Random(3)
-        vectors = [(1, -1, 0, 2), (0, 1, -1, 0), (1, 1, 1, -1)]
-        base = matrix_canonical_form(vectors)
+        vectors = [(1, -1, 0, 2, 0, 0), (0, 1, -1, 0, 0, 0), (1, 1, 1, -1, 0, 0)]
+        base = _canonical([_sparse(v) for v in vectors])
+        # columns (2, 0, -1), (1, 0, 1), (1, -1, -1), (0, 1, -1), zeros dropped
+        assert base == ((((0, 2), (1, 1), (2, 1)), ((2, -1), (3, 1)),
+                         ((0, -1), (1, 1), (2, -1), (3, -1))), 4)
         for _ in range(30):
-            perm = list(range(4))
+            perm = list(range(6))
             rng.shuffle(perm)
-            signs = [rng.choice((1, -1)) for _ in range(4)]
-            moved = [tuple(signs[k] * v[perm[k]] for k in range(4)) for v in vectors]
-            assert matrix_canonical_form(moved) == base
+            signs = [rng.choice((1, -1)) for _ in range(6)]
+            moved = [tuple(signs[k] * v[perm[k]] for k in range(6)) for v in vectors]
+            assert _canonical([_sparse(v) for v in moved]) == base
 
     def test_locally_minimal(self):
-        assert is_locally_minimal([(1, -1), (0, 1)])
-        assert not is_locally_minimal([(1, 0), (1, 0)])
+        # the column count: a solution is locally minimal when it uses
+        # every coordinate of the searched width
+        assert _canonical([((0, 1), (1, -1)), ((1, 1),)])[1] == 2
+        assert _canonical([((0, 1),), ((0, 1),)])[1] == 1
+        assert _canonical([(), ()]) == (((), ()), 0)
 
 
 class TestPresentation:
