@@ -275,6 +275,7 @@ def cmd_contfrac(args, config):
 
 
 MAX_VERTICES = 10**6  # the largest tree a command builds or searches, counted before expanding
+MAX_TUPLES = 2_000_000  # the largest range sweep and audit build, counted before building it
 
 
 def _builder(spec, kind, gaps=True):
@@ -398,6 +399,14 @@ def cmd_embed(args, config):
 # -- sweep and audit ----------------------------------------------------------
 
 
+def _range_size(p1s, k1s, p2s, k2_max, ns):
+    """len(admissible_tuples(...)) in closed form, with no tuple built:
+    each distinct (p1, k1) has its own a1 and k2 >= p1 * a1, each k2 two
+    a2's (one when p2 = 2), and each distinct N its own n."""
+    k2s = sum(max(0, k2_max - p1 * (k1 * p1 + 1) + 1) for p1 in set(p1s) for k1 in set(k1s))
+    return k2s * sum(1 if p2 == 2 else 2 for p2 in set(p2s)) * len(set(ns))
+
+
 def _range_tuples(args):
     p1s = _parse_int_list(args.p1)
     k1s = _parse_int_list(args.k1)
@@ -409,6 +418,9 @@ def _range_tuples(args):
         raise CliError("invalid ranges: p >= 2 and k1 >= 1 required")
     if max(ns) - 1 > sys.maxsize:  # as cabling._require_positive_framing
         raise CliError(f"invalid ranges: N - 1 must be at most {sys.maxsize}")
+    size = _range_size(p1s, k1s, p2s, args.k2_max, ns)
+    if size > MAX_TUPLES:
+        raise CliError(f"invalid ranges: {size} tuples; sweep and audit take at most {MAX_TUPLES}")
     tuples = admissible_tuples(p1s, k1s, p2s, args.k2_max, ns)
     for t in tuples:
         p1, a1, p2, a2, n = t

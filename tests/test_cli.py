@@ -21,7 +21,7 @@ import pytest
 
 import knotplumb
 from knotplumb import cli, plumbing
-from knotplumb.classify import desk_range_tuples, family_tuple
+from knotplumb.classify import admissible_tuples, desk_range_tuples, family_tuple
 from knotplumb.lattice import _sparse, verify_embedding
 from knotplumb.plumbing import WeightedTree, gram_matrix
 
@@ -248,6 +248,46 @@ class TestOversizedTrees:
                           "--N", "999999999974", "--out", str(out), limits=limited(300 * 10**6, 10))
             assert (res.returncode, res.stdout, res.stderr) == (1, "", err), command
             assert not out.exists()
+
+    def test_sweep_and_audit_refuse_a_huge_range(self, tmp_path):
+        # 99,999,995 tuples: each was a MemoryError traceback from building
+        # admissible_tuples' set of them under 200 MB; now one error line,
+        # the range counted in closed form before any tuple is built
+        err = "error: invalid ranges: 99999995 tuples; sweep and audit take at most 2000000\n"
+        for command in ("sweep", "audit"):
+            out = tmp_path / command
+            res = run_cli(command, "--p1", "2", "--k1", "1", "--p2", "2", "--k2-max", "100000000",
+                          "--N", "2", "--out", str(out), limits=limited(200 * 10**6, 10))
+            assert (res.returncode, res.stdout, res.stderr) == (1, "", err), command
+            assert not out.exists()
+
+    def test_range_size_is_the_tuple_count(self):
+        # the desk range, the wide range and seeded ranges with repeated
+        # values, negative N, p2 = 2 and k2-max below some p1 * a1
+        ranges = [((2, 3), (1, 2, 3), (2, 3), 25, range(2, 7)),
+                  ((2, 3, 4, 5, 7), (1, 2, 3, 4), (2, 3, 4, 5, 7), 150, range(2, 13))]
+        rng = random.Random(49)
+
+        def some(lo, hi):
+            return [rng.randint(lo, hi) for _ in range(rng.randint(1, 3))]
+
+        for _ in range(3000):
+            ranges.append((some(2, 5), some(1, 3), some(2, 5), rng.randint(1, 40), some(-4, 4)))
+        for r in ranges:
+            assert cli._range_size(*r) == len(admissible_tuples(*r)), r
+
+    def test_range_limit_is_on_the_tuple_count(self, monkeypatch, capsys, tmp_path):
+        # k2 in 6..8 and two N: 6 tuples, refused before the output
+        # directory is made
+        argv = ["sweep", "--p1", "2", "--k1", "1", "--p2", "2", "--k2-max", "8", "--N", "2,3"]
+        monkeypatch.setattr(cli, "MAX_TUPLES", 6)
+        assert cli.main([*argv, "--out", str(tmp_path / "six")]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 7
+        monkeypatch.setattr(cli, "MAX_TUPLES", 5)
+        assert cli.main([*argv, "--out", str(tmp_path / "five")]) == 1
+        assert capsys.readouterr().err == (
+            "error: invalid ranges: 6 tuples; sweep and audit take at most 5\n")
+        assert not (tmp_path / "five").exists()
 
     def test_sweep_limit_is_on_the_square_tuples_vertex_count(self, monkeypatch, capsys, tmp_path):
         # (2,3; 2,17) at 36 has 8 reduced vertices; a non-square n past the

@@ -1,7 +1,9 @@
+import importlib
 import itertools
 import json
 import math
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import knotplumb
-from knotplumb import lattice
+from knotplumb import cabling, lattice
 from knotplumb.cabling import CableTower, SurgerySpec, closed_form_two_iter
 from knotplumb.classify import desk_range_tuples
 from knotplumb.lattice import (
@@ -1155,9 +1157,9 @@ class TestDeepSearches:
             fills = lattice._untouched_fills(width, budget)
             assert sorted(dense(e, width) for e in fills) == sorted(
                 t for t in every if min(t) >= 0 and sum(x * x for x in t) == budget)
-        # a class one coordinate wide takes its total or nothing, made on the
-        # spot and not cached: the same list as the general builder's, and
-        # empty outside the window total**2 <= budget
+        # a class one coordinate wide takes its total or nothing, in closed
+        # form: the same list as the general builder's, and empty outside
+        # the window total**2 <= budget
         for budget in range(41):
             cap = math.isqrt(budget)
             for total in range(-10, 11):
@@ -1166,6 +1168,24 @@ class TestDeepSearches:
                     t for t in itertools.product(range(-cap, cap + 1)) if t[0] == total]
                 assert got == lattice._touched_tuples(1, budget, total), (budget, total)
                 assert all(q == total * total for _, q in got)
+
+    def test_no_state_outlives_a_search(self):
+        # the package's one functools cache is cabling._hook's, and it is
+        # bounded; the class tuples are built afresh for each caller
+        found = set()
+        for info in pkgutil.iter_modules(knotplumb.__path__):
+            if info.name == "__main__":
+                continue
+            module = importlib.import_module(f"knotplumb.{info.name}")
+            for obj in vars(module).values():
+                for o in (obj, *(vars(obj).values() if isinstance(obj, type) else ())):
+                    if callable(getattr(o, "cache_clear", None)):
+                        found.add(o)
+        assert found == {cabling._hook}
+        assert cabling._hook.cache_parameters()["maxsize"] == 1024
+        for builder, args in ((lattice._touched_tuples, (2, 2, 0)), (lattice._untouched_fills, (2, 2))):
+            assert not hasattr(builder, "cache_clear")
+            assert builder(*args) == builder(*args) and builder(*args) is not builder(*args)
 
     def test_class_tuples_of_a_wide_class(self):
         # a class 2000 wide with budget 2 shares the tuples of width 2; its
