@@ -315,10 +315,7 @@ def _reduced_builder(spec, gaps) -> _TreeBuilder:
     without gaps its ids are 0..n-1, the order the tree's ids sort in."""
     _require_positive_framing(spec)
     _require_buildable(spec)
-    build = _junction_builder(spec, gaps)
-    if max(build.weight) > -2:
-        raise AssertionError("the junction rule left a weight above -2")
-    return build
+    return _junction_builder(spec, gaps)
 
 
 @lru_cache(maxsize=1024)
@@ -338,7 +335,8 @@ def _hook(i, p, a):
 
 def _junction_builder(spec, gaps) -> _TreeBuilder:
     """reduced_plumbing's builder (N >= 1), a run for each torso's leading
-    -2's and the tail; with gaps its ids are the calculus's, else 0..n-1."""
+    -2's and the tail; with gaps its ids are the calculus's, else 0..n-1.
+    Raises AssertionError if the junction rule left a weight above -2."""
     build = _TreeBuilder()
     corner, j = None, 0  # the corner torso i attaches to; the entries it drops
     for i, (p, a) in enumerate(spec.knot.pairs, start=1):
@@ -347,6 +345,8 @@ def _junction_builder(spec, gaps) -> _TreeBuilder:
         # each corner is reset by the next junction or the flatten
         corner, j = build.hook(i, p, a, corner, j), p * a
     build.weight[corner] = -2
+    if max(build.weight) > -2:
+        raise AssertionError("the junction rule left a weight above -2")
     n_red = spec.reduced_framing
     if n_red > 1:
         build.add(-2, "tail", corner, n_red - 1)
@@ -381,11 +381,5 @@ def closed_form_two_iter(spec: SurgerySpec, with_roles: bool = False):
     corner i named node i; the tests hold it to these formulas.  N <= 0
     raises as in reduced_plumbing.
     """
-    return _closed_form_builder(spec).finish(spec, with_roles)
-
-
-def _closed_form_builder(spec) -> _TreeBuilder:
-    """closed_form_two_iter's checks and builder, its tree not yet frozen."""
     _require_two_iter(spec)
-    _require_positive_framing(spec)
-    return _junction_builder(spec, gaps=False)
+    return _reduced_builder(spec, gaps=False).finish(spec, with_roles)

@@ -36,6 +36,7 @@ import os
 import time
 from dataclasses import asdict, dataclass, field
 from enum import Enum
+from functools import partial
 from typing import NamedTuple
 
 from .cabling import (
@@ -98,6 +99,11 @@ class SweepRow(NamedTuple):  # a sweep makes one per tuple: a frozen dataclass t
         return None if self.vectors is None else _dense(self.vectors, self.rank)
 
 
+def searched(n, n_red) -> bool:
+    """classify_one searches n at N = n_red iff N >= 2 and n is a square."""
+    return n_red >= 2 and math.isqrt(n) ** 2 == n
+
+
 def classify_one(spec: SurgerySpec, budget=DEFAULT_BUDGET) -> SweepRow:
     """Obstruction verdict for one surgery spec in the congruence families.
 
@@ -121,8 +127,8 @@ def classify_one(spec: SurgerySpec, budget=DEFAULT_BUDGET) -> SweepRow:
     else:
         build = _junction_builder(spec, gaps=False)
         form = build.form(spec)  # raises unless |det| = n
-        rank = build.last[-1] + 1  # no gaps: the vertex count
-        if math.isqrt(spec.n) ** 2 != spec.n:
+        rank = build.vertices()
+        if not searched(spec.n, n_red):
             if not form[1]:
                 raise ValueError("intersection form is not negative definite")
             verdict, proof = VerdictKind.OBSTRUCTION_FAILS, "determinant"
@@ -236,22 +242,23 @@ def desk_range_tuples() -> list:
     return admissible_tuples((2, 3), (1, 2, 3), (2, 3), 25, range(2, 7))
 
 
-def _sweep_worker(args):
-    (p1, a1, p2, a2, n), budget = args
+def _classify_tuple(t, budget):
+    """classify_one of the tuple (p1, a1, p2, a2, n), looked up at each call."""
+    p1, a1, p2, a2, n = t
     return classify_one(SurgerySpec(CableTower(((p1, a1), (p2, a2))), n), budget=budget)
 
 
 def sweep(tuples, budget=DEFAULT_BUDGET, workers=1) -> list:
-    """Classify every tuple; rows come back sorted by tuple, independent of
-    worker scheduling (pool.map keeps the sorted job order).  At most one
-    worker process runs per job and per CPU, whatever workers asks for."""
-    jobs = [(t, budget) for t in sorted(set(tuples))]
-    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    """classify_one of each distinct tuple, rows in sorted tuple order: one
+    job mapped over the sorted tuples, serially or by a Pool (its own
+    contiguous chunks) of at most one process per tuple and per CPU."""
+    job, tuples = partial(_classify_tuple, budget=budget), sorted(set(tuples))
+    workers = min(workers, len(tuples), os.cpu_count() or 1)
     if workers > 1:
         from multiprocessing import Pool  # only a forked sweep pays for importing it
         with Pool(workers) as pool:
-            return pool.map(_sweep_worker, jobs, chunksize=8)
-    return [_sweep_worker(j) for j in jobs]
+            return pool.map(job, tuples)
+    return list(map(job, tuples))
 
 
 CSV_HEADER = "p1,a1,p2,a2,n,N,rank,verdict,witness_file,nodes,ms"

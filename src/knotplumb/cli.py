@@ -26,11 +26,11 @@ so every tree they would search; embed --pairs searches the builder's
 rows, as a sweep does, with no tree frozen.  Each file format has one
 reader or writer: a graph file is decoded once, a witness file written
 from sparse vectors a row at a time (_write_witness, named by a spec's
-integers or a graph file's basename), and the CSV rendered once in the
-body sweep and audit share.  A witness stays the search's sparse
-vectors up to its bytes: embed prints them, embed and a sweep write
-them as they are, embed --enumerate prints its classes sparse, and no
-command makes a dense witness.
+integers or a graph file's basename), and the CSV rendered, only to be
+written or printed, once in the body sweep and audit share.  A witness
+stays the search's sparse vectors up to its bytes: embed prints them,
+embed and a sweep write them as they are, embed --enumerate prints its
+classes sparse, and no command makes a dense witness.
 """
 
 import argparse
@@ -42,7 +42,6 @@ import stat
 import sys
 from functools import partial
 from itertools import chain
-from math import isqrt
 
 from . import hjcf
 from .cabling import (
@@ -50,16 +49,17 @@ from .cabling import (
     ReducibleBoundaryError,
     SurgerySpec,
     UnsupportedTowerError,
-    _closed_form_builder,
     _junction_builder,
     _raw_builder,
     _reduced_builder,
+    _require_two_iter,
     reduced_plumbing,  # unused; perfbench's LAYER_PATCHES wraps cli.reduced_plumbing
 )
 from .classify import (
     DEFAULT_BUDGET,
     admissible_tuples,
     rows_to_csv,
+    searched,
     sweep,
     theorem_audit,
 )
@@ -278,16 +278,13 @@ MAX_VERTICES = 10**6  # the largest tree a command builds or searches, counted b
 MAX_TUPLES = 2_000_000  # the largest range sweep and audit build, counted before building it
 
 
-def _builder(spec, kind, gaps=True):
+def _builder(spec, kind, gaps):
     """The builder of kind's tree, checked as its public builder checks
     it, with its vertices counted, runs whole, before any is expanded."""
     try:
-        if kind == "raw":
-            build = _raw_builder(spec)
-        elif kind == "closed-form":
-            build = _closed_form_builder(spec)
-        else:
-            build = _reduced_builder(spec, gaps)
+        if kind == "closed-form":
+            _require_two_iter(spec)
+        build = _raw_builder(spec) if kind == "raw" else _reduced_builder(spec, gaps)
     except UnsupportedTowerError as exc:
         raise CliError(str(exc))
     except (NoNegativeDefiniteFormError, ReducibleBoundaryError) as exc:
@@ -300,7 +297,7 @@ def _builder(spec, kind, gaps=True):
 
 def cmd_graph(args, config):
     spec = _parse_spec(args)
-    build = _builder(spec, args.kind)
+    build = _builder(spec, args.kind, gaps=args.kind == "reduced")
     if args.kind == "reduced":  # as reduced_plumbing, with no roles
         tree, roles = build.finish(spec, with_roles=False), None
     else:
@@ -426,9 +423,9 @@ def _range_tuples(args):
         p1, a1, p2, a2, n = t
         if n == 0:
             raise CliError(f"invalid ranges: tuple {t} has surgery coefficient n = 0")
-        if n - p2 * a2 >= 2 and isqrt(n) ** 2 == n:
-            # a square n's tree is searched, its rows expanded: counted
-            # first from classify_one's builder's entries, runs whole
+        if searched(n, n - p2 * a2):
+            # its rows are expanded to be searched: counted first from
+            # classify_one's builder's entries, runs whole
             spec = SurgerySpec(CableTower(((p1, a1), (p2, a2))), n)
             vertices = _junction_builder(spec, gaps=False).vertices()
             if vertices > MAX_VERTICES:
@@ -437,7 +434,9 @@ def _range_tuples(args):
     return tuples
 
 
-def _run_sweep(args, config):
+def _run_sweep(args, config, print_csv):
+    """The rows of the range, their witnesses written.  The CSV is
+    rendered only to be written to --csv or, if print_csv, printed."""
     tuples = _range_tuples(args)
     budget = resolve_positive(args, config, "budget", DEFAULT_BUDGET)
     workers = resolve_positive(args, config, "workers", 1)
@@ -445,27 +444,26 @@ def _run_sweep(args, config):
     # fail before the search, not after it
     _make_out_dir(out_dir)
     rows = sweep(tuples, budget=budget, workers=workers)
-    witness_files = {}
-    for row in rows:
-        if row.vectors is not None:
-            witness_files[row.key()] = _write_witness(out_dir, row.key(), row.vectors, row.rank)
-    csv_text = rows_to_csv(rows, witness_files, timing=resolve(args, config, "timing", False))
-    if args.csv:
-        _write_text(args.csv, [csv_text])
-    return rows, csv_text
+    witness_files = {row.key(): _write_witness(out_dir, row.key(), row.vectors, row.rank)
+                     for row in rows if row.vectors is not None}
+    if args.csv or print_csv:
+        csv_text = rows_to_csv(rows, witness_files, timing=resolve(args, config, "timing", False))
+        if args.csv:
+            _write_text(args.csv, [csv_text])
+        else:
+            sys.stdout.write(csv_text)
+    return rows
 
 
 def cmd_sweep(args, config):
-    rows, csv_text = _run_sweep(args, config)
+    rows = _run_sweep(args, config, print_csv=True)
     if args.csv:
         print(f"{len(rows)} rows written to {args.csv}")
-    else:
-        sys.stdout.write(csv_text)
     return 0
 
 
 def cmd_audit(args, config):
-    report = theorem_audit(_run_sweep(args, config)[0], family1_form=args.family_form)
+    report = theorem_audit(_run_sweep(args, config, print_csv=False), family1_form=args.family_form)
     print(json.dumps(report.to_json_obj(), indent=2))
     return 0 if report.perfect else 5
 

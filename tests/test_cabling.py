@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from knotplumb import cabling, plumbing
+from knotplumb import cabling, cli, plumbing
 from knotplumb.classify import admissible_tuples, classify_one, desk_range_tuples
 from knotplumb.cabling import (
     CableTower,
@@ -224,6 +224,32 @@ class TestReducedPlumbing:
         with pytest.raises(AssertionError, match="other than -2"):
             reduced_plumbing(SurgerySpec(CableTower(((2, 3), (2, 11))), 30))
 
+    @pytest.mark.parametrize("argv", [
+        ["reduced_plumbing"], ["closed_form_two_iter"], ["classify_one"],
+        ["sweep", "--p1", "2", "--k1", "1", "--p2", "2", "--k2-max", "8", "--N", "2"],
+        ["embed", "--pairs", "2,3,2,17", "--n", "36"],
+    ], ids=lambda argv: argv[0])
+    def test_every_junction_build_checks_its_weights(self, monkeypatch, tmp_path, argv):
+        # each hook laid with its leg's end at -1: every path onto the
+        # junction rule's tree, the sweep's vertex count included, refuses
+        # it before its exact pass, which would fail on |det| instead
+        hook = cabling._hook
+
+        def leg_end_at_minus_one(i, p, a):
+            run, laid, k, roles = hook(i, p, a)
+            return run, laid[:-1] + (-1,), k, roles
+
+        monkeypatch.setattr(cabling, "_hook", leg_end_at_minus_one)
+        monkeypatch.setattr(cli, "sweep", lambda *args, **kwargs: [])
+        spec = SurgerySpec(CableTower(((2, 3), (2, 17))), 36)
+        calls = {"reduced_plumbing": reduced_plumbing, "closed_form_two_iter": closed_form_two_iter,
+                 "classify_one": classify_one}
+        with pytest.raises(AssertionError, match="the junction rule left a weight above -2"):
+            if argv[0] in calls:
+                calls[argv[0]](spec)
+            else:
+                cli.main([*argv, "--out", str(tmp_path)])
+
 
 def random_algebraic_spec(rng):
     """An algebraic tower of 1-4 iterations, p <= 5, N in 1..14, each a_i
@@ -398,7 +424,8 @@ class TestBuilder:
         rng = random.Random(44)
         specs = [random_algebraic_spec(rng) for _ in range(40)]
         desk = [SurgerySpec(CableTower((t[:2], t[2:4])), t[4]) for t in desk_range_tuples()[::7]]
-        built = [(cabling._raw_builder, raw_plumbing), (cabling._closed_form_builder, closed_form_two_iter),
+        built = [(cabling._raw_builder, raw_plumbing),
+                 (lambda spec: cabling._reduced_builder(spec, gaps=False), closed_form_two_iter),
                  (lambda spec: cabling._reduced_builder(spec, gaps=True), reduced_plumbing)]
         for spec in specs + desk:
             for builder, build in built[::1 if spec in desk else 2]:

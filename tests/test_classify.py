@@ -271,6 +271,10 @@ class TestKnownWitness:
         # (3,4;2,31;64): family 1 at p1 = 3, p2 = 2
         assert family_tuple("derived", 3, 2) == (3, 4, 2, 31, 64)
 
+    def test_unknown_form_rejected(self):
+        with pytest.raises(ValueError, match="unknown family form 'guessed'"):
+            family_tuple("guessed", 2, 3)
+
     def test_printed_form_is_never_algebraic(self):
         for p1 in range(2, 8):
             for p2 in range(2, 8):

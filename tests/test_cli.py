@@ -618,6 +618,21 @@ class TestAuditCli:
         report = json.loads(res.stdout)
         assert report["disagreements"]
 
+    @pytest.mark.parametrize("form, code", [("derived", 0), ("printed", 5)])
+    def test_renders_no_csv_without_csv(self, tmp_path, monkeypatch, capsys, form, code):
+        # audit prints its report, not the CSV: with no --csv it renders
+        # none, and prints and exits as a run with --csv does
+        argv = ["audit", *SWEEP_ARGS, "--family-form", form, "--out", str(tmp_path)]
+        assert cli.main([*argv, "--csv", str(tmp_path / "rows.csv")]) == code
+        with_csv = capsys.readouterr()
+
+        def no_csv(*args, **kwargs):
+            raise AssertionError("rendered a CSV that nothing writes")
+
+        monkeypatch.setattr(cli, "rows_to_csv", no_csv)
+        assert cli.main(argv) == code
+        assert capsys.readouterr() == with_csv
+
 
 class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
@@ -793,6 +808,7 @@ BAD_INPUTS = {
     "graph-not-json": ["embed", "notjson.json"],
     "graph-not-a-tree": ["embed", "dupedge.json"],
     "graph-not-connected": ["embed", "triangle.json"],
+    "graph-loop-edge": ["embed", "loop.json"],
     "graph-bool-weight": ["embed", "weight-bool.json"],
     "graph-bool-id": ["embed", "id-bool.json"],
     "graph-bool-edge": ["embed", "edge-bool.json"],
@@ -964,6 +980,9 @@ def test_bad_input_is_an_error_not_a_traceback(tmp_path, argv):
     (tmp_path / "triangle.json").write_text(
         json.dumps({"vertices": four, "edges": [[0, 1], [1, 2], [0, 2]]})
     )
+    (tmp_path / "loop.json").write_text(
+        json.dumps({"vertices": vertices, "edges": [[0, 1], [1, 1]]})
+    )
     (tmp_path / "weight-bool.json").write_text(
         json.dumps({"vertices": [{"id": 0, "weight": True}], "edges": []})
     )
@@ -988,8 +1007,10 @@ def test_bad_input_is_an_error_not_a_traceback(tmp_path, argv):
     res = run_cli(*argv)
     assert res.returncode == 1, res.stdout + res.stderr
     assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr, res.stderr
-    if argv[1].endswith(("bool.json", "triangle.json", "dupid.json", "nested.json")):
+    if argv[1].endswith(("bool.json", "triangle.json", "loop.json", "dupid.json", "nested.json")):
         assert ": not a plumbing tree: " in res.stderr, res.stderr
+    if argv[1].endswith("loop.json"):
+        assert "loop edge at vertex 1" in res.stderr, res.stderr
     if argv[1].endswith("notutf8.cfg"):
         assert res.stderr.startswith("error: cannot read config: "), res.stderr
 

@@ -1358,6 +1358,12 @@ class TestPresentation:
             with pytest.raises(TypeError, match="must be integers"):
                 embedding_from_json_obj(obj)
 
+    def test_json_rejects_rows_not_of_the_declared_rank(self):
+        # a row shorter or longer than the declared rank is refused, not padded or cut
+        for obj in ({"rank": 3, "vectors": [[1, -1]]}, {"rank": 2, "vectors": [[1, -1], [0, 1, -1]]}):
+            with pytest.raises(ValueError, match="vector length disagrees with declared rank"):
+                embedding_from_json_obj(obj)
+
 
 def family_one(p2, n):
     """The reduced tree of (2,3; p2, 9 p2 - 1) at n; family 1 at n = 9 p2^2."""
