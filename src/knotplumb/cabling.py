@@ -18,12 +18,14 @@ Contracting the junctions and flattening the leaf yields the reduced,
 negative-definite graph whenever N >= 1; reduced_plumbing builds it
 directly by the junction rule, in time linear in its size plus the sum of
 log a_i, with that calculus, reduce_tree(raw_plumbing(spec)), as oracle.
-Both builders keep the tree as flat per-entry lists, a hook at a time
-extending them with no call per vertex; the -2 runs (each torso's
-leading -2's and the tail) stay one entry each until a tree is frozen or
-the search's rows are emitted, so the builder's one exact pass, which
-reads the lists as they are and checks |det| = n, costs O(runs + sum of
-log a_i) whatever N is.  For the two-iteration families a_1 = 1 (mod
+Both builders keep the tree as flat per-entry lists, a hook at a time,
+each -2 run (a torso's leading -2's, the tail) one entry until a tree is
+frozen or the search's rows are emitted.  The reduced tree's one exact
+pass, _fold, builds no list: it folds the cached hooks, each leg already
+one continuant pair, into the spine from the tail to the root (Neumann's
+plumbing calculus, Trans. AMS 268, 1981) and checks |det| = n, in
+O(sum of log a_i) integer steps whatever N is, so a non-square n is
+decided from its hooks.  For the two-iteration families a_1 = 1 (mod
 p_1), a_2 = +-1 (mod p_2), closed_form_two_iter is the same tree numbered
 without the junction rule's gaps; the tests hold its shape to the
 paper's closed formulas.
@@ -160,14 +162,14 @@ class _TreeBuilder:
     first, else an earlier one), the last id it covers and its role; runs
     maps an entry of c > 1 -2's to c, their ids ending at its last, the
     first joined to its parent's last id.  So the result is a tree by
-    construction, its one exact pass (plumbing._eliminate) reads the lists
-    as they are, and a tree is frozen, unvalidated, only when asked for;
-    the search takes its rows.  add gives one entry, hook a hook's, by
-    extending the lists with no call per vertex."""
+    construction, frozen, unvalidated, only when asked for; the search
+    takes its rows.  form, (det, negative definite), is _fold's on the
+    junction rule's tree, else finish's pass (plumbing._eliminate) over the
+    lists.  add gives one entry, hook a hook's, with no call per vertex."""
 
-    def __init__(self):
+    def __init__(self, form=None):
         self.weight, self.parent, self.last, self.role = [], [], [], []
-        self.runs, self.next = {}, 0  # next: the next entry's first id
+        self.runs, self.next, self.form = {}, 0, form  # next: the next entry's first id
 
     def add(self, weight, role, attach=None, count=1):
         """An entry (a run if count > 1) off entry attach; returns it."""
@@ -188,12 +190,10 @@ class _TreeBuilder:
         corner, which it returns; roles torso{i}, node{i} (or corner_role)
         and leg{i}.  With skip > 0 attach is the previous corner, into which
         the torso's first skip entries contract (the junction rule): it
-        takes entry skip's weight."""
-        run, laid, k, (torso_role, node, leg_role) = _hook(i, p, a)
+        takes entry skip's weight.  Unchecked: _fold makes the rule's checks."""
+        run, laid, k, (torso_role, node, leg_role) = _hook(i, p, a)[:4]
         corner_role = corner_role or node
         if skip:
-            if skip - 1 > run:
-                raise AssertionError(f"junction {i - 1} would drop a torso entry other than -2")
             self.weight[attach] = -2 if skip <= run else laid[0]
         if run > skip:
             attach = self.add(-2, torso_role, attach, run - skip)
@@ -211,15 +211,6 @@ class _TreeBuilder:
         role += (leg_role,) * k
         return e + m
 
-    def form(self, spec):
-        """(det, negative definite), checked against its oracle |det| = |n|."""
-        form = plumbing._eliminate(self.weight, self.parent, self.runs)
-        if abs(form[0]) != abs(spec.n):
-            raise AssertionError(
-                f"plumbing determinant does not match surgery coefficient {spec.n}"
-            )
-        return form
-
     def _ids(self, e):
         return range(self.last[e] + 1 - self.runs.get(e, 1), self.last[e] + 1)
 
@@ -235,20 +226,20 @@ class _TreeBuilder:
                 u = v
         return weights, adj
 
-    def rows(self, form):
+    def rows(self, negative):
         """The form's rows as lattice.find_embedding takes them: diagonal,
-        {neighbour: 1} per vertex, and form's definiteness; ids 0..n-1 only."""
+        {neighbour: 1} per vertex, and its definiteness; ids 0..n-1 only."""
         weights, adj = self._expanded()
-        return list(weights.values()), list(adj.values()), form[1]
+        return list(weights.values()), list(adj.values()), negative
 
     def vertices(self):
         """The tree's vertex count, a run counted whole: O(runs)."""
         return len(self.weight) + sum(self.runs.values()) - len(self.runs)
 
     def finish(self, spec, with_roles):
-        """The tree, checked by its one pass, which it memoises, and runs
-        expanded; with its roles if asked.  Add nothing after."""
-        form = self.form(spec)
+        """The tree, runs expanded, with its form memoised, checked against
+        |det| = |n|; with its roles if asked.  Add nothing after."""
+        form = self.form or _det_checked(plumbing._eliminate(self.weight, self.parent, self.runs), spec)
         tree = plumbing._frozen(*self._expanded())
         tree._form = form
         if not with_roles:
@@ -311,33 +302,80 @@ def reduced_plumbing(spec: SurgerySpec) -> WeightedTree:
 
 
 def _reduced_builder(spec, gaps) -> _TreeBuilder:
-    """reduced_plumbing's checks and builder, its tree not yet frozen;
-    without gaps its ids are 0..n-1, the order the tree's ids sort in."""
+    """reduced_plumbing's checks, then its builder with _fold's form, the
+    tree not yet frozen; without gaps its ids are 0..n-1, as they sort."""
     _require_positive_framing(spec)
     _require_buildable(spec)
-    return _junction_builder(spec, gaps)
+    return _junction_builder(spec, gaps, _fold(spec)[:2])
+
+
+def _det_checked(form, spec):
+    """form, (det, ...), checked against its oracle |det| = |n|."""
+    if abs(form[0]) != abs(spec.n):
+        raise AssertionError(f"plumbing determinant does not match surgery coefficient {spec.n}")
+    return form
 
 
 @lru_cache(maxsize=1024)
 def _hook(i, p, a):
-    """Hook i, (p, a), as the builders lay it, made once: run, the torso's
+    """Hook i, (p, a), made once.  As the builders lay it: run, the torso's
     leading -2's; the weights after them, of the rest of the torso (the
     expansion of a/(a - p) after the run), the -1 corner and the leg from
     the corner out (that of a/p less its first); the leg's length; the
     junction rule's role names, whose formatting took a tenth of a build.
-    Bounded, since a sweep meets a new a2 per tuple.  It pays: without it a
-    desk tuple's median classify_one took 13.4 us, not 8.9 (CPython 3.11)."""
+    For _fold: those torso weights from the corner in; the leg's continuant
+    pair (num, den) at the corner and whether all its pivots are negative;
+    the hook's vertex count; its largest torso or leg weight.  Bounded, since
+    a sweep meets a new a2 per tuple.  It pays: without it the median
+    non-square desk classify_one took 10.0 us, not 4.4 (CPython 3.11)."""
     run = ceil_div(a, p) - 2
     leg = expand_neg_cf(a, p)[:0:-1]
-    laid = tuple(map(neg, (*expand_neg_cf(a - run * p, a - (run + 1) * p), 1, *leg)))
-    return run, laid, len(leg), (f"torso{i}", f"node{i}", f"leg{i}")
+    torso = expand_neg_cf(a - run * p, a - (run + 1) * p)
+    laid = tuple(map(neg, (*torso, 1, *leg)))
+    num, den, negative = 1, 0, True
+    for c in reversed(leg):  # from the leg's end in
+        num, den = -c * num - den, num
+        negative = negative and (num < 0 < den or den < 0 < num)
+    return (run, laid, len(leg), (f"torso{i}", f"node{i}", f"leg{i}"), laid[:len(torso)][::-1],
+            (num, den, negative), run + len(laid), -min(torso + leg))
 
 
-def _junction_builder(spec, gaps) -> _TreeBuilder:
+def _fold(spec):
+    """(det, negative definite, vertex count) of the junction rule's tree
+    (N >= 1), _eliminate's and vertices() on _junction_builder's lists, in
+    O(sum of log a_i) steps with no list: the spine's pair (d, q) folded up
+    from the tail, a -2 run by plumbing._run_top, a corner w with leg (dl,
+    ql) to ((w dl - ql) d - q dl, dl d), any other entry to (w d - q, d).
+    AssertionError as the junction rule's checks, and unless |det| = |n|."""
+    pairs, w, vertices = spec.knot.pairs, -2, spec.reduced_framing - 1  # w: a corner's weight
+    # the tail, N - 1 -2's under the last corner (its top's pivot -N/(N - 1))
+    (d, q), negative = plumbing._run_top(-2, 1, vertices) if vertices else ((1, 0), True)
+    for i in range(len(pairs), 0, -1):
+        run, laid, _, _, torso, (dl, ql, leg_negative), size, top = _hook(i, *pairs[i - 1])
+        skip = pairs[i - 2][0] * pairs[i - 2][1] if i > 1 else 0
+        if top > -2:
+            raise AssertionError("the junction rule left a weight above -2")
+        if skip - 1 > run:
+            raise AssertionError(f"junction {i - 1} would drop a torso entry other than -2")
+        d, q = (w * dl - ql) * d - q * dl, dl * d
+        negative = negative and leg_negative and (d < 0 < q or q < 0 < d)
+        # the previous corner takes torso entry skip: a -2, or the first after the run
+        w, torso = (-2, torso) if skip <= run else (laid[0], torso[:-1])
+        for t in torso:
+            d, q = t * d - q, d
+            negative = negative and (d < 0 < q or q < 0 < d)
+        if run > skip:
+            (d, q), below = plumbing._run_top(-2 * d - q, d, run - skip)
+            negative = negative and below and (d < 0 < q or q < 0 < d)
+        vertices += size - skip
+    return _det_checked((d, negative, vertices), spec)
+
+
+def _junction_builder(spec, gaps, form=None) -> _TreeBuilder:
     """reduced_plumbing's builder (N >= 1), a run for each torso's leading
-    -2's and the tail; with gaps its ids are the calculus's, else 0..n-1.
-    Raises AssertionError if the junction rule left a weight above -2."""
-    build = _TreeBuilder()
+    -2's and the tail, with form; with gaps its ids are the calculus's,
+    else 0..n-1.  Unchecked: each caller runs _fold, its checks, first."""
+    build = _TreeBuilder(form)
     corner, j = None, 0  # the corner torso i attaches to; the entries it drops
     for i, (p, a) in enumerate(spec.knot.pairs, start=1):
         if gaps and j:
@@ -345,8 +383,6 @@ def _junction_builder(spec, gaps) -> _TreeBuilder:
         # each corner is reset by the next junction or the flatten
         corner, j = build.hook(i, p, a, corner, j), p * a
     build.weight[corner] = -2
-    if max(build.weight) > -2:
-        raise AssertionError("the junction rule left a weight above -2")
     n_red = spec.reduced_framing
     if n_red > 1:
         build.add(-2, "tail", corner, n_red - 1)

@@ -4,13 +4,13 @@ classify_one decides, for an n-surgery on T(p1, a1; p2, a2) with a1 = 1
 (mod p1) and a2 = +-1 (mod p2), what the lattice-embedding obstruction
 says: with N = n - p2*a2, negative N admits no negative definite
 plumbing tree at all, N = 0 may split as a connected sum, N = 1 is
-excluded from classification, and for N >= 2 the reduced plumbing, built
-by the junction rule with |det| = n checked, is tested for an embedding
+excluded from classification, and for N >= 2 the reduced plumbing, the
+junction rule's tree with |det| = n checked, is tested for an embedding
 into (Z^r, -Id) at r equal to its vertex count.  There an embedding is a
 square integer matrix A with G = -A*A^T, so |det G| = det(A)^2: when n
 is not a perfect square the determinant alone proves that none exists
-(proof "determinant": no search and no tree, only the builder's pass,
-which takes each -2 run in one step, so any N costs the same).
+(proof "determinant": no search, no tree and no list, only cabling._fold
+of the cached hooks, in O(sum of log a_i) steps at any N).
 Otherwise the graph is searched, and an exhaustive NONE (proof "search")
 proves the surgered manifold bounds no rational homology 4-ball; a found
 embedding (proof "witness") only says this obstruction vanishes.
@@ -42,6 +42,7 @@ from typing import NamedTuple
 from .cabling import (
     CableTower,
     SurgerySpec,
+    _fold,
     _junction_builder,
     _require_two_iter,
     closed_form_two_iter,
@@ -108,11 +109,11 @@ def classify_one(spec: SurgerySpec, budget=DEFAULT_BUDGET) -> SweepRow:
     """Obstruction verdict for one surgery spec in the congruence families.
 
     The graph is closed_form_two_iter's, the junction rule's tree numbered
-    without gaps, and no tree is frozen.  Its builder's one exact pass
-    checks |det| = n and decides a non-square n, with 0 nodes, in O(runs)
-    at any N; a square n's rows, runs expanded, and that pass's
-    definiteness are searched, and budget only bounds that search.  ms is
-    the call's wall time.
+    without gaps, and no tree is frozen.  Its one exact pass, _fold from
+    the hooks, checks |det| = n and decides a non-square n, with 0 nodes
+    and no list built, at any N; only a square n builds the tree's rows,
+    runs expanded, which are searched with the fold's definiteness, and
+    budget only bounds that search.  ms is the call's wall time.
     """
     t0 = time.perf_counter()
     _require_two_iter(spec)
@@ -125,15 +126,13 @@ def classify_one(spec: SurgerySpec, budget=DEFAULT_BUDGET) -> SweepRow:
     elif n_red == 1:
         verdict = VerdictKind.OUT_OF_SCOPE
     else:
-        build = _junction_builder(spec, gaps=False)
-        form = build.form(spec)  # raises unless |det| = n
-        rank = build.vertices()
+        _, negative, rank = _fold(spec)  # raises unless |det| = n
         if not searched(spec.n, n_red):
-            if not form[1]:
+            if not negative:
                 raise ValueError("intersection form is not negative definite")
             verdict, proof = VerdictKind.OBSTRUCTION_FAILS, "determinant"
         else:
-            result = find_embedding(build.rows(form), budget=budget)
+            result = find_embedding(_junction_builder(spec, gaps=False).rows(negative), budget=budget)
             verdict, proof = _SEARCH_VERDICT[result.status]
             vectors, nodes = result.vectors, result.nodes
     (p1, a1), (p2, a2) = spec.knot.pairs
@@ -225,7 +224,7 @@ def known_witness(spec: SurgerySpec):
 def admissible_tuples(p1_values, k1_values, p2_values, k2_max, n_values) -> list:
     """All admissible (p1, a1, p2, a2, n): both congruence signs, algebraic
     (ceil(a2/p2) - 1 >= p1*a1), deduplicated, lexicographically sorted."""
-    seen = set()
+    seen = {}  # a dict: its keys keep the sorted order the loops mostly make
     for p1 in p1_values:
         for k1 in k1_values:
             a1 = k1 * p1 + 1
@@ -233,7 +232,7 @@ def admissible_tuples(p1_values, k1_values, p2_values, k2_max, n_values) -> list
                 for k2 in range(p1 * a1, k2_max + 1):
                     for a2 in (k2 * p2 + 1, k2 * p2 + p2 - 1):
                         for n_red in n_values:
-                            seen.add((p1, a1, p2, a2, n_red + p2 * a2))
+                            seen[p1, a1, p2, a2, n_red + p2 * a2] = None
     return sorted(seen)
 
 
@@ -252,7 +251,7 @@ def sweep(tuples, budget=DEFAULT_BUDGET, workers=1) -> list:
     """classify_one of each distinct tuple, rows in sorted tuple order: one
     job mapped over the sorted tuples, serially or by a Pool (its own
     contiguous chunks) of at most one process per tuple and per CPU."""
-    job, tuples = partial(_classify_tuple, budget=budget), sorted(set(tuples))
+    job, tuples = partial(_classify_tuple, budget=budget), sorted(dict.fromkeys(tuples))
     workers = min(workers, len(tuples), os.cpu_count() or 1)
     if workers > 1:
         from multiprocessing import Pool  # only a forked sweep pays for importing it

@@ -49,7 +49,7 @@ from .cabling import (
     ReducibleBoundaryError,
     SurgerySpec,
     UnsupportedTowerError,
-    _junction_builder,
+    _fold,
     _raw_builder,
     _reduced_builder,
     _require_two_iter,
@@ -343,7 +343,7 @@ def _embed_input(args):
     # reduced_plumbing's tree, ids 0..n-1, searched as classify_one does:
     # the builder's rows, no tree frozen
     build = _builder(spec, "reduced", gaps=False)
-    rows = build.rows(build.form(spec))
+    rows = build.rows(build.form[1])
     return rows, len(rows[0]), [x for pair in spec.knot.pairs for x in pair] + [spec.n]
 
 
@@ -424,10 +424,8 @@ def _range_tuples(args):
         if n == 0:
             raise CliError(f"invalid ranges: tuple {t} has surgery coefficient n = 0")
         if searched(n, n - p2 * a2):
-            # its rows are expanded to be searched: counted first from
-            # classify_one's builder's entries, runs whole
-            spec = SurgerySpec(CableTower(((p1, a1), (p2, a2))), n)
-            vertices = _junction_builder(spec, gaps=False).vertices()
+            # counted by classify_one's fold before its rows are expanded
+            vertices = _fold(SurgerySpec(CableTower(((p1, a1), (p2, a2))), n))[2]
             if vertices > MAX_VERTICES:
                 raise CliError(f"invalid ranges: tuple {t} has a tree of {vertices} vertices; "
                                f"sweep and audit search at most {MAX_VERTICES}")

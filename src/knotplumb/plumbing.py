@@ -308,21 +308,17 @@ def _eliminate(num, up, runs, squares=None):
 
     runs maps an entry e to a count c > 1 (cabling's builder has them): e
     then stands for a path of c vertices of diagonal -2 and entries 1,
-    joined to e's children at its bottom and to up[e] at its top.  With
-    num[e] = d and den[e] = q, the k-th vertex up the path has num (-1)^k
-    e_k and den (-1)^(k-1) e_(k-1), for e_k = d + k(d + q) linear in k: the
-    top's are one step away, and the pivots below it are all negative
-    exactly when e_(-1) = -q and e_(c-2) are nonzero and of one sign.
+    joined to e's children at its bottom and to up[e] at its top, and goes
+    up the path in one step (_run_top).  cabling._fold takes the junction
+    rule's tree in these steps, a hook at a time, with no lists.
     """
     num, den = num[:], [1] * len(num)
     det, negative = 1, True
     for e in range(len(num) - 1, -1, -1):
         d, q = num[e], den[e]
         if e in runs:
-            c = runs[e] - 1  # the top's place in e's run
-            below = d + (c - 1) * (d + q)
-            negative = negative and (below < 0 < q or q < 0 < below)
-            d, q = (below + d + q, -below) if c % 2 == 0 else (-below - d - q, below)
+            (d, q), below = _run_top(d, q, runs[e])
+            negative = negative and below
         negative = negative and (d < 0 < q or q < 0 < d)
         p = up[e]
         if p is None:
@@ -331,6 +327,17 @@ def _eliminate(num, up, runs, squares=None):
             num[p] = num[p] * d - (q if squares is None else squares[e] * q) * den[p]
             den[p] *= d
     return det, negative
+
+
+def _run_top(d, q, c):
+    """((num, den) at the top, every pivot below it negative) of a path of
+    c >= 1 -2's whose bottom has num d and den q, in O(1): the k-th vertex
+    up has num (-1)^k e_k and den (-1)^(k-1) e_(k-1), for e_k = d + k(d + q)
+    linear in k, so the pivots below the top are all negative exactly when
+    e_(-1) = -q and e_(c-2) are nonzero and of one sign."""
+    below = d + (c - 2) * (d + q)  # e_(c-2)
+    top = (below + d + q, -below) if c % 2 else (-below - d - q, below)
+    return top, below < 0 < q or q < 0 < below
 
 
 def det_exact(matrix) -> int:

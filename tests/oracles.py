@@ -25,6 +25,10 @@ a centroid, where the implementation peels leaves layer by layer.
 closed_form_reference builds the two-iteration centipede from its closed
 formulas, where the implementation derives it by the junction rule;
 two_iter_parameters derives the quantities those formulas read.
+junction_form eliminates the junction rule's tree entry by entry over
+the builder's lists, where the implementation (cabling._fold) folds it
+from its hooks with no list; fold_mismatches holds the two together over
+a range of tuples.
 fresh_id, a helper only the tests use, lives here too, as does a JSON
 form of a spec (spec_to_json_obj, spec_from_json_obj) that no command
 reads or writes.
@@ -65,8 +69,15 @@ from math import isqrt
 from fractions import Fraction
 from itertools import chain
 
-from knotplumb import cli, lattice
-from knotplumb.cabling import CableTower, SurgerySpec, _require_two_iter, _TreeBuilder
+from knotplumb import cli, lattice, plumbing
+from knotplumb.cabling import (
+    CableTower,
+    SurgerySpec,
+    _fold,
+    _junction_builder,
+    _require_two_iter,
+    _TreeBuilder,
+)
 from knotplumb.hjcf import ceil_div
 from knotplumb.lattice import SearchResult, SearchStatus, verify_embedding
 from knotplumb.plumbing import (
@@ -918,6 +929,21 @@ def closed_form_reference(par) -> _TreeBuilder:
         twos("leg2", node2, p2 - 1)
     twos("tail", node2, n_red - 1)
     return build
+
+
+def junction_form(spec) -> tuple:
+    """(det, negative definite, vertex count) of the junction rule's tree
+    (N >= 1) by plumbing._eliminate and vertices() on the lists of
+    _junction_builder: the reference for cabling._fold."""
+    build = _junction_builder(spec, gaps=False)
+    return (*plumbing._eliminate(build.weight, build.parent, build.runs), build.vertices())
+
+
+def fold_mismatches(tuples) -> list:
+    """The two-iteration tuples (p1, a1, p2, a2, n), N >= 1, on which
+    cabling._fold differs from junction_form."""
+    specs = (SurgerySpec(CableTower((t[:2], t[2:4])), t[4]) for t in tuples)
+    return [spec for spec in specs if _fold(spec) != junction_form(spec)]
 
 
 def spec_to_json_obj(spec) -> dict:

@@ -15,6 +15,7 @@ from knotplumb.cabling import (
     SurgerySpec,
     UnsupportedTowerError,
     _TreeBuilder,
+    _fold,
     _junction_builder,
     _require_positive_framing,
     closed_form_two_iter,
@@ -40,7 +41,9 @@ from oracles import (
     closed_form_reference,
     contract_junctions,
     depth_first_search,
+    fold_mismatches,
     fraction_forest_elimination,
+    junction_form,
     minors_negative_definite,
     random_tree,
     signature,
@@ -224,24 +227,26 @@ class TestReducedPlumbing:
         with pytest.raises(AssertionError, match="other than -2"):
             reduced_plumbing(SurgerySpec(CableTower(((2, 3), (2, 11))), 30))
 
-    @pytest.mark.parametrize("argv", [
-        ["reduced_plumbing"], ["closed_form_two_iter"], ["classify_one"],
-        ["sweep", "--p1", "2", "--k1", "1", "--p2", "2", "--k2-max", "8", "--N", "2"],
-        ["embed", "--pairs", "2,3,2,17", "--n", "36"],
-    ], ids=lambda argv: argv[0])
-    def test_every_junction_build_checks_its_weights(self, monkeypatch, tmp_path, argv):
-        # each hook laid with its leg's end at -1: every path onto the
-        # junction rule's tree, the sweep's vertex count included, refuses
-        # it before its exact pass, which would fail on |det| instead
-        hook = cabling._hook
+    @pytest.mark.parametrize("argv,n", [
+        (["reduced_plumbing"], 36), (["closed_form_two_iter"], 36), (["classify_one"], 36),
+        (["classify_one"], 37),
+        (["sweep", "--p1", "2", "--k1", "1", "--p2", "2", "--k2-max", "8", "--N", "2"], 36),
+        (["embed", "--pairs", "2,3,2,17", "--n", "36"], 36),
+    ], ids=lambda x: x[0] if isinstance(x, list) else str(x))
+    def test_every_junction_build_checks_its_weights(self, monkeypatch, tmp_path, fresh_hooks,
+                                                     argv, n):
+        # each hook laid with its leg's end at -1 (a/p's second coefficient
+        # 1; every p here is 2, and only a leg expands an x/2): every path
+        # onto the junction rule's tree, a non-square n and the sweep's
+        # vertex count included, refuses it in the fold, before the fold's
+        # |det| check, which would fail instead
+        def leg_end_at_one(x, q=None):
+            coeffs = expand_neg_cf(x, q)
+            return coeffs[:1] + (1,) + coeffs[2:] if q == 2 else coeffs
 
-        def leg_end_at_minus_one(i, p, a):
-            run, laid, k, roles = hook(i, p, a)
-            return run, laid[:-1] + (-1,), k, roles
-
-        monkeypatch.setattr(cabling, "_hook", leg_end_at_minus_one)
+        monkeypatch.setattr(cabling, "expand_neg_cf", leg_end_at_one)
         monkeypatch.setattr(cli, "sweep", lambda *args, **kwargs: [])
-        spec = SurgerySpec(CableTower(((2, 3), (2, 17))), 36)
+        spec = SurgerySpec(CableTower(((2, 3), (2, 17))), n)
         calls = {"reduced_plumbing": reduced_plumbing, "closed_form_two_iter": closed_form_two_iter,
                  "classify_one": classify_one}
         with pytest.raises(AssertionError, match="the junction rule left a weight above -2"):
@@ -249,6 +254,29 @@ class TestReducedPlumbing:
                 calls[argv[0]](spec)
             else:
                 cli.main([*argv, "--out", str(tmp_path)])
+
+    def test_a_mutated_weight_fails_the_determinant_check(self, monkeypatch, fresh_hooks):
+        # hook 2 of T(2,3; 2,53) laid with its leg's -2 at -3: the fold of
+        # a non-square n, decided by |det| alone, refuses the tree
+        def leg_at_three(x, q=None):
+            coeffs = expand_neg_cf(x, q)
+            return (27, 3) if (x, q) == (53, 2) else coeffs
+
+        spec = SurgerySpec(CableTower(((2, 3), (2, 53))), 108)
+        assert classify_one(spec).proof == "determinant"
+        cabling._hook.cache_clear()
+        monkeypatch.setattr(cabling, "expand_neg_cf", leg_at_three)
+        with pytest.raises(AssertionError, match="does not match surgery coefficient 108"):
+            classify_one(spec)
+
+
+@pytest.fixture
+def fresh_hooks():
+    """cabling._hook's cache emptied before and after a test that lays
+    hooks from a patched expansion, so that no other test reads them."""
+    cabling._hook.cache_clear()
+    yield
+    cabling._hook.cache_clear()
 
 
 def random_algebraic_spec(rng):
@@ -538,9 +566,10 @@ class TestRunStep:
 
 
 class TestBuilderPass:
-    """A non-square n is decided by the junction builder's one pass over
-    its entries, with no tree frozen: its form and rank against the frozen
-    tree's, and at any N against the vertex-count formula and |det| = n."""
+    """A non-square n is decided by the fold from the hooks, with no list
+    built and no tree frozen: its form and rank against the frozen tree's,
+    at any N against the vertex-count formula and |det| = n, and against
+    plumbing._eliminate and vertices() on the junction builder's lists."""
 
     def test_matches_the_frozen_tree(self):
         # a seeded two-iteration grid, p_i in {2,3,4,5,7}, both congruence
@@ -556,16 +585,32 @@ class TestBuilderPass:
                     specs += [SurgerySpec(knot, n_red + p2 * a2) for n_red in range(2, 41)]
         decided = 0
         for spec in specs:
-            build = _junction_builder(spec, gaps=False)
+            det, negative, vertices = _fold(spec)
             tree = closed_form_two_iter(spec)
             copy = WeightedTree(tree.weights, tree.edges)
-            assert build.form(spec) == form_invariants(copy), spec
-            assert build.last[-1] + 1 == len(copy), spec
+            assert (det, negative) == form_invariants(copy), spec
+            assert vertices == len(copy), spec
             if math.isqrt(spec.n) ** 2 != spec.n:
                 row = classify_one(spec)
                 assert (row.rank, row.proof, row.nodes) == (len(copy), "determinant", 0), spec
                 decided += 1
         assert len(specs) == 45 * 39 and decided > 1600
+
+    def test_fold_equals_the_lists_elimination(self):
+        # signed det, definiteness and vertex count, fold against the
+        # builder's lists: every desk tuple, N up to 10^12, and seeded
+        # towers of 1-4 iterations (each N also at 10^12)
+        desk = desk_range_tuples()
+        assert len(desk) == 1005 and fold_mismatches(desk) == []
+        far = admissible_tuples((2, 3, 5), (1, 3), (2, 7), 40, (13, 10**6 + 1, 10**9, 10**12))
+        assert len(far) > 1000 and fold_mismatches(far) == []
+        rng = random.Random(5101)
+        for spec in [random_algebraic_spec(rng) for _ in range(300)]:
+            far = SurgerySpec(spec.knot, spec.n - spec.reduced_framing + 10**12)
+            for s in (spec, far):
+                det, negative, vertices = _fold(s)
+                assert (det, negative, vertices) == junction_form(s), s
+                assert abs(det) == s.n and negative, s
 
     def test_any_framing(self):
         # non-square n at N up to 10^12: the rank is the vertex count
@@ -581,11 +626,12 @@ class TestBuilderPass:
                     continue
                 par = two_iter_parameters(spec)
                 rank = par["k1"] + par["p1"] + par["l"] + par["p2"] + par["N"]
-                build = _junction_builder(spec, gaps=False)
-                det, negative = build.form(spec)
+                det, negative, vertices = _fold(spec)
                 assert abs(det) == spec.n and negative, spec
-                assert (det, negative) == closed_form_reference(par).form(spec), spec
-                assert build.last[-1] + 1 == rank == classify_one(spec).rank, spec
+                reference = closed_form_reference(par)
+                assert (det, negative) == plumbing._eliminate(reference.weight, reference.parent,
+                                                              reference.runs), spec
+                assert vertices == rank == classify_one(spec).rank, spec
                 checked += 1
         assert checked >= 170
 

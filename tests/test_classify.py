@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from knotplumb import classify, plumbing
+from knotplumb import cabling, classify, cli, plumbing
 from knotplumb.cabling import (
     CableTower,
     SurgerySpec,
@@ -38,10 +38,11 @@ def spec_for(p1, a1, p2, a2, n):
 
 
 def count_exact_passes(monkeypatch):
-    """A Counter of leaf-elimination kernel runs ("kernel") and Gram matrix
-    builds ("gram"), counted while the monkeypatch lasts."""
+    """A Counter of exact passes ("kernel"), leaf elimination over a
+    builder's lists or the junction rule's fold from its hooks, and of Gram
+    matrix builds ("gram"), counted while the monkeypatch lasts."""
     calls = Counter()
-    kernel, gram = plumbing._eliminate, plumbing.gram_matrix
+    kernel, fold, gram = plumbing._eliminate, cabling._fold, plumbing.gram_matrix
 
     def counted(name, fn):
         def wrapper(*args):
@@ -51,21 +52,26 @@ def count_exact_passes(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(plumbing, "_eliminate", counted("kernel", kernel))
+    for module in (cabling, classify, cli):  # every module that looks _fold up
+        monkeypatch.setattr(module, "_fold", counted("kernel", fold))
     for module in (plumbing, classify):  # every module that looks gram_matrix up
         monkeypatch.setattr(module, "gram_matrix", counted("gram", gram))
     return calls
 
 
 def indefinite_kernel_code(call, p1, a1, p2, a2, n):
-    """A program that makes the leaf-elimination kernel call every form
-    indefinite (keeping the true determinant, so the builder's |det| = n
-    check passes), runs call on spec and exits 0 only if it raises
-    ValueError for a form that is not negative definite."""
+    """A program that makes the junction rule's fold call every form
+    indefinite (keeping the true determinant and vertex count, and the
+    fold's own |det| = n check), runs call on spec and exits 0 only if it
+    raises ValueError for a form that is not negative definite."""
     return (
-        "from knotplumb import classify, lattice, plumbing\n"
+        "from knotplumb import cabling, classify, lattice\n"
         "from knotplumb.cabling import CableTower, SurgerySpec, closed_form_two_iter\n"
-        "kernel = plumbing._eliminate\n"
-        "plumbing._eliminate = lambda *args: (kernel(*args)[0], False)\n"
+        "fold = cabling._fold\n"
+        "def indefinite(spec):\n"
+        "    det, _, vertices = fold(spec)\n"
+        "    return det, False, vertices\n"
+        "cabling._fold = classify._fold = indefinite\n"
         f"spec = SurgerySpec(CableTower((({p1}, {a1}), ({p2}, {a2}))), {n})\n"
         "try:\n"
         f"    {call}\n"
@@ -126,8 +132,8 @@ class TestClassifyOne:
             classify_one(SurgerySpec(CableTower(((2, 3), (5, 67))), 340))
 
     def test_non_square_at_huge_N(self):
-        # the tail's N - 1 -2's are one run in the builder's pass, so a
-        # non-square n is decided by its determinant at any N
+        # the tail's N - 1 -2's are one step of the fold, so a non-square
+        # n is decided by its determinant at any N
         start = time.perf_counter()
         row = classify_one(spec_for(2, 3, 2, 17, 10**12 + 34))
         assert time.perf_counter() - start < 0.1
@@ -167,8 +173,8 @@ class TestClassifyOne:
 
     def test_definiteness_check_survives_optimize(self):
         # the non-square branch checks definiteness with a raise, not an
-        # assert, which -O strips; the kernel keeps the true determinant so
-        # that the builder's |det| = n check passes
+        # assert, which -O strips; the fold keeps the true determinant, so
+        # that its |det| = n check passes
         res = run_child(indefinite_kernel_code("classify.classify_one(spec)", 2, 3, 2, 53, 108), "-O")
         assert res.returncode == 0, res.stdout + res.stderr
 
@@ -204,18 +210,20 @@ class TestClassifyOne:
         assert 206 in ranks and empty > 0
 
     def test_one_exact_pass_per_built_tree(self, monkeypatch):
-        # the builder's pass decides a non-square n, and the search of a
-        # square n reads the builder's rows and the same pass's
+        # the fold decides a non-square n with no lists built, and the
+        # search of a square n reads the builder's rows and the fold's
         # definiteness: no tree is frozen, a witness is checked against
         # the rows with no Gram matrix, and N < 2 builds nothing
         calls = count_exact_passes(monkeypatch)
-        frozen = plumbing._frozen
+        frozen, lists = plumbing._frozen, classify._junction_builder
         monkeypatch.setattr(plumbing, "_frozen", lambda *a: calls.update(["frozen"]) or frozen(*a))
+        monkeypatch.setattr(classify, "_junction_builder",
+                            lambda *a, **k: calls.update(["lists"]) or lists(*a, **k))
         want = {
             None: Counter(),
             "determinant": Counter(kernel=1),
-            "search": Counter(kernel=1),
-            "witness": Counter(kernel=1),
+            "search": Counter(kernel=1, lists=1),
+            "witness": Counter(kernel=1, lists=1),
         }
         proofs = Counter()
         low = admissible_tuples((2, 3), (1, 2, 3), (2, 3), 25, range(-1, 2))
@@ -375,6 +383,23 @@ class TestSweep:
         for p1, a1, p2, a2, n in tuples:
             assert CableTower(((p1, a1), (p2, a2))).is_algebraic()
             assert a1 == 3 and n - p2 * a2 == 2
+
+    def test_unsorted_and_repeated_lists(self):
+        # the range and the sweep dedupe in insertion order and sort once:
+        # the list sorted(set(...)) of the same tuples gives, whatever the
+        # order and repeats of the lists; the sweep's rows keep that order
+        p1s, k1s, p2s, k2_max, ns = (3, 2, 3), (2, 1, 2), (3, 2, 3, 2), 14, (4, 2, 4, 3)
+        tuples = admissible_tuples(p1s, k1s, p2s, k2_max, ns)
+        reference = sorted({
+            (p1, k1 * p1 + 1, p2, a2, n_red + p2 * a2)
+            for p1 in p1s for k1 in k1s for p2 in p2s
+            for k2 in range(p1 * (k1 * p1 + 1), k2_max + 1)
+            for a2 in (k2 * p2 + 1, k2 * p2 + p2 - 1) for n_red in ns
+        })
+        assert tuples == reference == admissible_tuples((2, 3), (1, 2), (2, 3), 14, (2, 3, 4))
+        assert len(tuples) == 153
+        shuffled = list(reversed(tuples)) + tuples[::3]
+        assert [row.key() for row in sweep(shuffled)] == tuples
 
     def test_desk_range_size(self):
         assert len(desk_range_tuples()) == 1005
