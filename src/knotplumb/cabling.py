@@ -20,15 +20,15 @@ directly by the junction rule, in time linear in its size plus the sum of
 log a_i, with that calculus, reduce_tree(raw_plumbing(spec)), as oracle.
 Both builders keep the tree as flat per-entry lists, a hook at a time,
 each -2 run (a torso's leading -2's, the tail) one entry until a tree is
-frozen or the search's rows are emitted.  The reduced tree's one exact
-pass, _fold, builds no list: it folds the cached hooks, each leg already
-one continuant pair, into the spine from the tail to the root (Neumann's
-plumbing calculus, Trans. AMS 268, 1981) and checks |det| = n, in
-O(sum of log a_i) integer steps whatever N is, so a non-square n is
-decided from its hooks.  For the two-iteration families a_1 = 1 (mod
-p_1), a_2 = +-1 (mod p_2), closed_form_two_iter is the same tree numbered
-without the junction rule's gaps; the tests hold its shape to the
-paper's closed formulas.
+frozen or the rows emitted, and the form checked |det| = n, which those
+memoise or carry.  The reduced tree's one exact pass, _fold, builds no
+list: it folds the cached hooks, each leg one continuant pair, into the
+spine from the tail to the root (Neumann's plumbing calculus, Trans. AMS
+268, 1981) in O(sum of log a_i) integer steps whatever N is, so a
+non-square n is decided from its hooks.  For the two-iteration families
+a_1 = 1 (mod p_1), a_2 = +-1 (mod p_2), closed_form_two_iter is the same
+tree numbered without the junction rule's gaps; the tests hold its shape
+to the paper's closed formulas.
 """
 
 import sys
@@ -163,8 +163,8 @@ class _TreeBuilder:
     maps an entry of c > 1 -2's to c, their ids ending at its last, the
     first joined to its parent's last id.  So the result is a tree by
     construction, frozen, unvalidated, only when asked for; the search
-    takes its rows.  form, (det, negative definite), is _fold's on the
-    junction rule's tree, else finish's pass (plumbing._eliminate) over the
+    takes its rows.  form, (det, negative definite), checked |det| = |n|,
+    is _fold's for the junction rule's tree, else _eliminate's over the
     lists.  add gives one entry, hook a hook's, with no call per vertex."""
 
     def __init__(self, form=None):
@@ -226,22 +226,21 @@ class _TreeBuilder:
                 u = v
         return weights, adj
 
-    def rows(self, negative):
+    def rows(self):
         """The form's rows as lattice.find_embedding takes them: diagonal,
-        {neighbour: 1} per vertex, and its definiteness; ids 0..n-1 only."""
+        {neighbour: 1} per vertex, and form's definiteness; ids 0..n-1 only."""
         weights, adj = self._expanded()
-        return list(weights.values()), list(adj.values()), negative
+        return list(weights.values()), list(adj.values()), self.form[1]
 
     def vertices(self):
         """The tree's vertex count, a run counted whole: O(runs)."""
         return len(self.weight) + sum(self.runs.values()) - len(self.runs)
 
-    def finish(self, spec, with_roles):
-        """The tree, runs expanded, with its form memoised, checked against
-        |det| = |n|; with its roles if asked.  Add nothing after."""
-        form = self.form or _det_checked(plumbing._eliminate(self.weight, self.parent, self.runs), spec)
+    def finish(self, with_roles):
+        """The tree, runs expanded, with form memoised; with its roles if
+        asked.  Add nothing after."""
         tree = plumbing._frozen(*self._expanded())
-        tree._form = form
+        tree._form = self.form
         if not with_roles:
             return tree
         return tree, {v: role for e, role in enumerate(self.role) for v in self._ids(e)}
@@ -264,11 +263,11 @@ def raw_plumbing(spec: SurgerySpec, with_roles: bool = False):
     intersection form equals n, and reduction reproduces the closed-form
     graph on the two-iteration congruence families.
     """
-    return _raw_builder(spec).finish(spec, with_roles)
+    return _raw_builder(spec).finish(with_roles)
 
 
 def _raw_builder(spec) -> _TreeBuilder:
-    """raw_plumbing's builder, its tree not yet frozen."""
+    """raw_plumbing's builder, its tree not yet frozen, its form checked."""
     _require_buildable(spec)
     build = _TreeBuilder()
     prev = None  # entry the next hook's torso attaches to
@@ -280,6 +279,7 @@ def _raw_builder(spec) -> _TreeBuilder:
             prev = build.add(-1, f"junction{i}", bridge)
         else:
             build.add(spec.reduced_framing, "leaf", corner)
+    build.form = _det_checked(plumbing._eliminate(build.weight, build.parent, build.runs), spec)
     return build
 
 
@@ -298,7 +298,7 @@ def reduced_plumbing(spec: SurgerySpec) -> WeightedTree:
     reduces fine).  N < 0 admits no negative-definite plumbing tree at
     all, and N = 0 may be a connected sum; both raise.
     """
-    return _reduced_builder(spec, gaps=True).finish(spec, with_roles=False)
+    return _reduced_builder(spec, gaps=True).finish(with_roles=False)
 
 
 def _reduced_builder(spec, gaps) -> _TreeBuilder:
@@ -371,10 +371,10 @@ def _fold(spec):
     return _det_checked((d, negative, vertices), spec)
 
 
-def _junction_builder(spec, gaps, form=None) -> _TreeBuilder:
+def _junction_builder(spec, gaps, form) -> _TreeBuilder:
     """reduced_plumbing's builder (N >= 1), a run for each torso's leading
-    -2's and the tail, with form; with gaps its ids are the calculus's,
-    else 0..n-1.  Unchecked: each caller runs _fold, its checks, first."""
+    -2's and the tail, holding form, that of the _fold that checked it;
+    with gaps its ids are the calculus's, else 0..n-1."""
     build = _TreeBuilder(form)
     corner, j = None, 0  # the corner torso i attaches to; the entries it drops
     for i, (p, a) in enumerate(spec.knot.pairs, start=1):
@@ -418,4 +418,4 @@ def closed_form_two_iter(spec: SurgerySpec, with_roles: bool = False):
     raises as in reduced_plumbing.
     """
     _require_two_iter(spec)
-    return _reduced_builder(spec, gaps=False).finish(spec, with_roles)
+    return _reduced_builder(spec, gaps=False).finish(with_roles)

@@ -112,8 +112,8 @@ def classify_one(spec: SurgerySpec, budget=DEFAULT_BUDGET) -> SweepRow:
     without gaps, and no tree is frozen.  Its one exact pass, _fold from
     the hooks, checks |det| = n and decides a non-square n, with 0 nodes
     and no list built, at any N; only a square n builds the tree's rows,
-    runs expanded, which are searched with the fold's definiteness, and
-    budget only bounds that search.  ms is the call's wall time.
+    runs expanded, from a builder holding the fold's form, and searches
+    them; budget only bounds that search.  ms is the call's wall time.
     """
     t0 = time.perf_counter()
     _require_two_iter(spec)
@@ -126,13 +126,13 @@ def classify_one(spec: SurgerySpec, budget=DEFAULT_BUDGET) -> SweepRow:
     elif n_red == 1:
         verdict = VerdictKind.OUT_OF_SCOPE
     else:
-        _, negative, rank = _fold(spec)  # raises unless |det| = n
+        det, negative, rank = _fold(spec)  # raises unless |det| = n
         if not searched(spec.n, n_red):
             if not negative:
                 raise ValueError("intersection form is not negative definite")
             verdict, proof = VerdictKind.OBSTRUCTION_FAILS, "determinant"
         else:
-            result = find_embedding(_junction_builder(spec, gaps=False).rows(negative), budget=budget)
+            result = find_embedding(_junction_builder(spec, False, (det, negative)).rows(), budget=budget)
             verdict, proof = _SEARCH_VERDICT[result.status]
             vectors, nodes = result.vectors, result.nodes
     (p1, a1), (p2, a2) = spec.knot.pairs
@@ -221,19 +221,30 @@ def known_witness(spec: SurgerySpec):
 # -- sweeps and the audit -----------------------------------------------------
 
 
+def _blocks(p1s, k1s, p2s, k2_max):
+    """The range's rule, once: for each distinct p1, k1 and p2 ascending,
+    (p1, a1 = k1*p1 + 1, p2, the range of k2 from p1*a1 to k2_max, the
+    residues r of a2 = k2*p2 + r ascending: 1 and p2 - 1, one if p2 = 2)."""
+    for p1 in sorted(set(p1s)):
+        for k1 in sorted(set(k1s)):
+            for p2 in sorted(set(p2s)):
+                a1 = k1 * p1 + 1
+                yield p1, a1, p2, range(p1 * a1, k2_max + 1), (1,) if p2 == 2 else (1, p2 - 1)
+
+
 def admissible_tuples(p1_values, k1_values, p2_values, k2_max, n_values) -> list:
     """All admissible (p1, a1, p2, a2, n): both congruence signs, algebraic
-    (ceil(a2/p2) - 1 >= p1*a1), deduplicated, lexicographically sorted."""
-    seen = {}  # a dict: its keys keep the sorted order the loops mostly make
-    for p1 in p1_values:
-        for k1 in k1_values:
-            a1 = k1 * p1 + 1
-            for p2 in p2_values:
-                for k2 in range(p1 * a1, k2_max + 1):
-                    for a2 in (k2 * p2 + 1, k2 * p2 + p2 - 1):
-                        for n_red in n_values:
-                            seen[p1, a1, p2, a2, n_red + p2 * a2] = None
-    return sorted(seen)
+    (ceil(a2/p2) - 1 >= p1*a1), distinct and, all p >= 2, in lexicographic
+    order by construction as _blocks walks them, then N ascending."""
+    ns = sorted(set(n_values))
+    return [(p1, a1, p2, a2, n_red + p2 * a2)
+            for p1, a1, p2, k2s, residues in _blocks(p1_values, k1_values, p2_values, k2_max)
+            for a2 in [k2 * p2 + r for k2 in k2s for r in residues] for n_red in ns]
+
+
+def _range_size(p1s, k1s, p2s, k2_max, ns) -> int:
+    """len(admissible_tuples(...)) from the same walk, with no tuple built."""
+    return sum(len(k2s) * len(rs) for *_, k2s, rs in _blocks(p1s, k1s, p2s, k2_max)) * len(set(ns))
 
 
 def desk_range_tuples() -> list:

@@ -20,17 +20,17 @@ explicit flags override it, unknown keys are rejected.  The default
 output directory is $KNOTPLUMB_OUT, falling back to the current
 directory.  A call builds the top-level parser and, of the subcommands'
 parsers, only the one its argv names, and asks the terminal's width
-once.  graph and embed --pairs count a tree's vertices from its
-builder's entries and build none past 10^6, and sweep and audit count
-so every tree they would search; embed --pairs searches the builder's
-rows, as a sweep does, with no tree frozen.  Each file format has one
-reader or writer: a graph file is decoded once, a witness file written
-from sparse vectors a row at a time (_write_witness, named by a spec's
-integers or a graph file's basename), and the CSV rendered, only to be
-written or printed, once in the body sweep and audit share.  A witness
-stays the search's sparse vectors up to its bytes: embed prints them,
-embed and a sweep write them as they are, embed --enumerate prints its
-classes sparse, and no command makes a dense witness.
+once.  Nothing past a limit is built: graph and embed --pairs count a
+tree's vertices from its builder's entries, sweep and audit the range's
+tuples (classify's count, from the walk that lists them) and then every
+tree they would search.  embed --pairs, as a sweep, searches a builder's
+rows, which carry its checked form, with no tree frozen.  Each file
+format has one reader or writer: a graph file is decoded once, a witness
+file written from sparse vectors a row at a time (_write_witness, named
+by a spec's integers or a graph file's basename), and the CSV rendered,
+only to be written or printed, once in the body sweep and audit share.
+A witness stays the search's sparse vectors up to its bytes, and no
+command makes a dense witness.
 """
 
 import argparse
@@ -57,6 +57,7 @@ from .cabling import (
 )
 from .classify import (
     DEFAULT_BUDGET,
+    _range_size,
     admissible_tuples,
     rows_to_csv,
     searched,
@@ -289,8 +290,7 @@ def _builder(spec, kind, gaps):
         raise CliError(str(exc))
     except (NoNegativeDefiniteFormError, ReducibleBoundaryError) as exc:
         raise CliError(str(exc), code=2)
-    vertices = build.vertices()
-    if vertices > MAX_VERTICES:
+    if (vertices := build.vertices()) > MAX_VERTICES:
         raise CliError(f"a tree of {vertices} vertices; graph and embed build at most {MAX_VERTICES}")
     return build
 
@@ -299,9 +299,9 @@ def cmd_graph(args, config):
     spec = _parse_spec(args)
     build = _builder(spec, args.kind, gaps=args.kind == "reduced")
     if args.kind == "reduced":  # as reduced_plumbing, with no roles
-        tree, roles = build.finish(spec, with_roles=False), None
+        tree, roles = build.finish(with_roles=False), None
     else:
-        tree, roles = build.finish(spec, with_roles=True)
+        tree, roles = build.finish(with_roles=True)
     det, negdef = form_invariants(tree)
     if args.dot:
         print(tree.to_dot(roles))
@@ -325,6 +325,8 @@ def _embed_input(args):
     """The form to search (a tree, or a spec's builder's rows), its vertex
     count and the witness file's key."""
     if args.graph_file:
+        if args.pairs is not None or args.n is not None:
+            raise CliError("give a graph file, or --pairs and --n, not both")
         try:
             with open(args.graph_file) as fh:
                 obj = json.load(fh)
@@ -342,8 +344,7 @@ def _embed_input(args):
     spec = _parse_spec(args)
     # reduced_plumbing's tree, ids 0..n-1, searched as classify_one does:
     # the builder's rows, no tree frozen
-    build = _builder(spec, "reduced", gaps=False)
-    rows = build.rows(build.form[1])
+    rows = _builder(spec, "reduced", gaps=False).rows()
     return rows, len(rows[0]), [x for pair in spec.knot.pairs for x in pair] + [spec.n]
 
 
@@ -396,27 +397,15 @@ def cmd_embed(args, config):
 # -- sweep and audit ----------------------------------------------------------
 
 
-def _range_size(p1s, k1s, p2s, k2_max, ns):
-    """len(admissible_tuples(...)) in closed form, with no tuple built:
-    each distinct (p1, k1) has its own a1 and k2 >= p1 * a1, each k2 two
-    a2's (one when p2 = 2), and each distinct N its own n."""
-    k2s = sum(max(0, k2_max - p1 * (k1 * p1 + 1) + 1) for p1 in set(p1s) for k1 in set(k1s))
-    return k2s * sum(1 if p2 == 2 else 2 for p2 in set(p2s)) * len(set(ns))
-
-
 def _range_tuples(args):
-    p1s = _parse_int_list(args.p1)
-    k1s = _parse_int_list(args.k1)
-    p2s = _parse_int_list(args.p2)
-    ns = _parse_int_list(args.N)
+    p1s, k1s, p2s, ns = map(_parse_int_list, (args.p1, args.k1, args.p2, args.N))
     if args.k2_max < 1 or not p1s or not k1s or not p2s or not ns:
         raise CliError("invalid ranges")
     if any(p < 2 for p in p1s + p2s) or any(k < 1 for k in k1s):
         raise CliError("invalid ranges: p >= 2 and k1 >= 1 required")
     if max(ns) - 1 > sys.maxsize:  # as cabling._require_positive_framing
         raise CliError(f"invalid ranges: N - 1 must be at most {sys.maxsize}")
-    size = _range_size(p1s, k1s, p2s, args.k2_max, ns)
-    if size > MAX_TUPLES:
+    if (size := _range_size(p1s, k1s, p2s, args.k2_max, ns)) > MAX_TUPLES:
         raise CliError(f"invalid ranges: {size} tuples; sweep and audit take at most {MAX_TUPLES}")
     tuples = admissible_tuples(p1s, k1s, p2s, args.k2_max, ns)
     for t in tuples:
@@ -425,8 +414,7 @@ def _range_tuples(args):
             raise CliError(f"invalid ranges: tuple {t} has surgery coefficient n = 0")
         if searched(n, n - p2 * a2):
             # counted by classify_one's fold before its rows are expanded
-            vertices = _fold(SurgerySpec(CableTower(((p1, a1), (p2, a2))), n))[2]
-            if vertices > MAX_VERTICES:
+            if (vertices := _fold(SurgerySpec(CableTower(((p1, a1), (p2, a2))), n))[2]) > MAX_VERTICES:
                 raise CliError(f"invalid ranges: tuple {t} has a tree of {vertices} vertices; "
                                f"sweep and audit search at most {MAX_VERTICES}")
     return tuples
@@ -484,8 +472,9 @@ def _define_graph(p):
     mode = p.add_mutually_exclusive_group()
     for kind in ("raw", "reduced", "closed-form"):
         mode.add_argument(f"--{kind}", dest="kind", action="store_const", const=kind)
-    p.add_argument("--dot", action="store_true", help="emit GraphViz")
-    p.add_argument("--json", action="store_true", help="emit the tree as JSON")
+    fmt = p.add_mutually_exclusive_group()
+    fmt.add_argument("--dot", action="store_true", help="emit GraphViz")
+    fmt.add_argument("--json", action="store_true", help="emit the tree as JSON")
     p.set_defaults(func=cmd_graph, kind="reduced")
 
 

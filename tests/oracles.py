@@ -893,7 +893,8 @@ def closed_form_reference(par) -> _TreeBuilder:
     """The builder of the reduced centipede graph of a two-iteration surgery,
     given its two_iter_parameters with N >= 1, written from the closed
     formulas (see closed_form_two_iter): the reference that the junction
-    rule's closed_form_two_iter must equal in ids, weights, roles and form.
+    rule's closed_form_two_iter must equal in ids, weights, roles and form,
+    the form plumbing._eliminate's over its lists, checked |det| = n.
     Each stretch of -2's the formulas name is one run entry, the legs'
     and torso 2's inner ones too, where the junction rule makes runs only
     of each torso's leading -2's and the tail: the two forms take
@@ -928,6 +929,10 @@ def closed_form_reference(par) -> _TreeBuilder:
     else:
         twos("leg2", node2, p2 - 1)
     twos("tail", node2, n_red - 1)
+    build.form = plumbing._eliminate(build.weight, build.parent, build.runs)
+    n = n_red + p2 * par["a2"]
+    if abs(build.form[0]) != n:
+        raise AssertionError(f"closed formulas' determinant {build.form[0]} is not +-{n}")
     return build
 
 
@@ -935,7 +940,7 @@ def junction_form(spec) -> tuple:
     """(det, negative definite, vertex count) of the junction rule's tree
     (N >= 1) by plumbing._eliminate and vertices() on the lists of
     _junction_builder: the reference for cabling._fold."""
-    build = _junction_builder(spec, gaps=False)
+    build = _junction_builder(spec, False, None)
     return (*plumbing._eliminate(build.weight, build.parent, build.runs), build.vertices())
 
 

@@ -159,7 +159,7 @@ def test_criterion_4_construction_oracle():
         assert all(w <= -2 for w in reduced.weights.values())
         assert is_negative_definite(gram)
         assert abs(det_exact(gram)) == n
-        reference = closed_form_reference(two_iter_parameters(spec)).finish(spec, False)
+        reference = closed_form_reference(two_iter_parameters(spec)).finish(False)
         assert are_isomorphic(reduced, reference)
         # the junction rule builds what the calculus reaches, ids included
         assert reduced.to_json() == reduce_tree(raw_plumbing(spec)).to_json()

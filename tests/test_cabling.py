@@ -339,7 +339,7 @@ def lift_tower(k):
 
 def reference_tree(spec, with_roles=False):
     """The closed form as the reference builds it from its formulas."""
-    return closed_form_reference(two_iter_parameters(spec)).finish(spec, with_roles)
+    return closed_form_reference(two_iter_parameters(spec)).finish(with_roles)
 
 
 def wide_family_specs(rng, count):
@@ -491,6 +491,25 @@ class TestBuilder:
             indefinite += not form[1]
         assert indefinite == len(low) + 40 + 1005
 
+    def test_every_tree_carries_its_checked_form(self):
+        # each builder holds the form it checked |det| = |n| with, and its
+        # tree memoises it: raw trees (at N <= 0 too), reduced and
+        # closed-form trees of random towers and the desk range, each
+        # against form_invariants of a copy frozen with no form
+        rng = random.Random(53)
+        specs = [random_algebraic_spec(rng) for _ in range(40)]
+        desk = [SurgerySpec(CableTower((t[:2], t[2:4])), t[4]) for t in desk_range_tuples()[::3]]
+        trees = [build(spec) for spec in specs + desk for build in (raw_plumbing, reduced_plumbing)]
+        trees += [closed_form_two_iter(spec) for spec in desk]
+        trees += [raw_plumbing(SurgerySpec(spec.knot, spec.n - spec.reduced_framing + n_red))
+                  for spec in desk[::10] for n_red in (-3, 0)]
+        trees += [raw_plumbing(spec, with_roles=True)[0] for spec in specs[:5]]
+        trees += [closed_form_two_iter(spec, with_roles=True)[0] for spec in desk[:5]]
+        for t in trees:
+            copy = plumbing._frozen(dict(t._weights), t._adj)
+            assert t._form is not None and copy._form is None, t
+            assert t._form == form_invariants(copy), t
+
 
 class TestRunStep:
     """The builder's pass takes a -2 run in one step; against it, the same
@@ -554,7 +573,7 @@ class TestRunStep:
             spec = random_tower_spec(rng, rng.randint(1, 4))
             spec = SurgerySpec(spec.knot, spec.n + rng.randint(0, 560))
             for gaps in (True, False):
-                build = _junction_builder(spec, gaps)
+                build = _junction_builder(spec, gaps, None)
                 assert build.runs
                 det, negative = self.assert_agree(build)
                 assert abs(det) == spec.n and negative
@@ -628,9 +647,7 @@ class TestBuilderPass:
                 rank = par["k1"] + par["p1"] + par["l"] + par["p2"] + par["N"]
                 det, negative, vertices = _fold(spec)
                 assert abs(det) == spec.n and negative, spec
-                reference = closed_form_reference(par)
-                assert (det, negative) == plumbing._eliminate(reference.weight, reference.parent,
-                                                              reference.runs), spec
+                assert (det, negative) == closed_form_reference(par).form, spec
                 assert vertices == rank == classify_one(spec).rank, spec
                 checked += 1
         assert checked >= 170

@@ -385,9 +385,10 @@ class TestSweep:
             assert a1 == 3 and n - p2 * a2 == 2
 
     def test_unsorted_and_repeated_lists(self):
-        # the range and the sweep dedupe in insertion order and sort once:
-        # the list sorted(set(...)) of the same tuples gives, whatever the
-        # order and repeats of the lists; the sweep's rows keep that order
+        # the range walks each list's distinct values ascending, and the
+        # sweep dedupes its tuples and sorts them once: the list
+        # sorted(set(...)) of the same tuples gives, whatever the order and
+        # repeats of the lists; the sweep's rows keep that order
         p1s, k1s, p2s, k2_max, ns = (3, 2, 3), (2, 1, 2), (3, 2, 3, 2), 14, (4, 2, 4, 3)
         tuples = admissible_tuples(p1s, k1s, p2s, k2_max, ns)
         reference = sorted({

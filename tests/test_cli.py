@@ -20,7 +20,7 @@ from collections import Counter
 import pytest
 
 import knotplumb
-from knotplumb import cli, plumbing
+from knotplumb import classify, cli, plumbing
 from knotplumb.classify import admissible_tuples, desk_range_tuples, family_tuple
 from knotplumb.lattice import _sparse, verify_embedding
 from knotplumb.plumbing import WeightedTree, gram_matrix
@@ -156,6 +156,15 @@ class TestGraph:
         assert results[0].stderr == results[1].stderr
         assert results[0].stderr.startswith("error: N = 0: ")
 
+    def test_one_output_format(self):
+        # --dot and --json are one exclusive group, as the kinds are: given
+        # both, --json was dropped and the DOT text printed
+        for fmt in (["--dot", "--json"], ["--json", "--dot"]):
+            res = run_cli("graph", "--pairs", "2,3", "--n", "8", *fmt)
+            assert (res.returncode, res.stdout) == (2, ""), fmt
+            assert res.stderr.startswith("usage: knotplumb graph"), res.stderr
+            assert "not allowed with argument" in res.stderr, res.stderr
+
     def test_dot_roles(self):
         res = run_cli("graph", "--pairs", "2,3,2,17", "--n", "36", "--closed-form", "--dot")
         assert 'role="node2"' in res.stdout and "--" in res.stdout
@@ -263,18 +272,29 @@ class TestOversizedTrees:
 
     def test_range_size_is_the_tuple_count(self):
         # the desk range, the wide range and seeded ranges with repeated
-        # values, negative N, p2 = 2 and k2-max below some p1 * a1
+        # and unsorted values, negative N, p2 = 2 and k2-max below some
+        # p1 * a1: the list is the naive product's distinct tuples sorted,
+        # and classify's closed-form count, from the same walk, its length
         ranges = [((2, 3), (1, 2, 3), (2, 3), 25, range(2, 7)),
                   ((2, 3, 4, 5, 7), (1, 2, 3, 4), (2, 3, 4, 5, 7), 150, range(2, 13))]
         rng = random.Random(49)
 
         def some(lo, hi):
-            return [rng.randint(lo, hi) for _ in range(rng.randint(1, 3))]
+            return [rng.randint(lo, hi) for _ in range(rng.randint(1, 4))]
 
         for _ in range(3000):
             ranges.append((some(2, 5), some(1, 3), some(2, 5), rng.randint(1, 40), some(-4, 4)))
+        for r in ranges[2:]:
+            p1s, k1s, p2s, k2_max, ns = r
+            naive = [(p1, k1 * p1 + 1, p2, a2, n_red + p2 * a2)
+                     for p1 in p1s for k1 in k1s for p2 in p2s
+                     for k2 in range(p1 * (k1 * p1 + 1), k2_max + 1)
+                     for a2 in (k2 * p2 + 1, k2 * p2 + p2 - 1) for n_red in ns]
+            assert admissible_tuples(*r) == sorted(set(naive)), r
         for r in ranges:
-            assert cli._range_size(*r) == len(admissible_tuples(*r)), r
+            assert classify._range_size(*r) == len(admissible_tuples(*r)), r
+        shapes = [(len(set(r[2])) < len(r[2]), 2 in r[2], list(r[0]) != sorted(r[0])) for r in ranges[2:]]
+        assert set(shapes) == {(a, b, c) for a in (False, True) for b in (False, True) for c in (False, True)}
 
     def test_range_limit_is_on_the_tuple_count(self, monkeypatch, capsys, tmp_path):
         # k2 in 6..8 and two N: 6 tuples, refused before the output
@@ -836,6 +856,9 @@ BAD_INPUTS = {
     "budget-with-enumerate": ["embed", "chain3.json", "--enumerate", "--budget", "1"],
     "graph-n-huge": ["graph", "--pairs", "2,3", "--n", "99999999999999999999999999999"],
     "embed-n-huge": ["embed", "--pairs", "2,3,2,17", "--n", "99999999999999999999999999999"],
+    # a graph file took --pairs and --n silently and searched the file
+    "embed-graph-and-spec": ["embed", "chain3.json", "--pairs", "2,3,2,17", "--n", "36"],
+    "embed-missing-graph-and-n": ["embed", "missing.json", "--n", "9"],
 }
 
 
@@ -1011,6 +1034,9 @@ def test_bad_input_is_an_error_not_a_traceback(tmp_path, argv):
         assert ": not a plumbing tree: " in res.stderr, res.stderr
     if argv[1].endswith("loop.json"):
         assert "loop edge at vertex 1" in res.stderr, res.stderr
+    if argv[0] == "embed" and ("--pairs" in argv or "--n" in argv) and argv[1].endswith(".json"):
+        # refused before the file is opened
+        assert res.stderr == "error: give a graph file, or --pairs and --n, not both\n", res.stderr
     if argv[1].endswith("notutf8.cfg"):
         assert res.stderr.startswith("error: cannot read config: "), res.stderr
 
