@@ -21,16 +21,17 @@ output directory is $KNOTPLUMB_OUT, falling back to the current
 directory.  A call builds the top-level parser and, of the subcommands'
 parsers, only the one its argv names, and asks the terminal's width
 once.  Nothing past a limit is built: graph and embed --pairs count a
-tree's vertices from its builder's entries, sweep and audit the range's
-tuples (classify's count, from the walk that lists them) and then every
-tree they would search.  embed --pairs, as a sweep, searches a builder's
-rows, which carry its checked form, with no tree frozen.  Each file
-format has one reader or writer: a graph file is decoded once, a witness
-file written from sparse vectors a row at a time (_write_witness, named
-by a spec's integers or a graph file's basename), and the CSV rendered,
-only to be written or printed, once in the body sweep and audit share.
-A witness stays the search's sparse vectors up to its bytes, and no
-command makes a dense witness.
+tree's vertices from its builder's entries, embed FILE from the decoded
+file's vertex list, sweep and audit the range's tuples (classify's
+count, from the walk that lists them) and then every tree they would
+search.  embed --pairs, as a sweep, searches a builder's rows, which
+carry its checked form, with no tree frozen.  Each file format has one
+reader or writer: a graph file is decoded once, a witness file written
+from sparse vectors a row at a time (_write_witness, named by a spec's
+integers or a graph file's basename), and the CSV rendered, only to be
+written or printed, once in the body sweep and audit share.  A witness
+stays the search's sparse vectors up to its bytes, and no command makes
+a dense witness.
 """
 
 import argparse
@@ -332,6 +333,8 @@ def _embed_input(args):
                 obj = json.load(fh)
             if "tree" in obj:  # graph --json's output
                 obj = obj["tree"]
+            if (vertices := len(obj["vertices"])) > MAX_VERTICES:
+                raise CliError(f"a tree of {vertices} vertices; graph and embed build at most {MAX_VERTICES}")
             tree = WeightedTree._from_obj(obj)
         except OSError as exc:
             raise CliError(f"cannot read graph: {exc}")

@@ -6,8 +6,8 @@ form G assigns to each vertex i a vector v_i in Z^r with <v_i, v_j>_{-Id}
 is necessary for the plumbed 4-manifold's boundary to bound a rational
 homology 4-ball, so a completed search that finds nothing is a proof of
 obstruction.  The search reads G as rows, each diagonal entry and the
-row's nonzero off-diagonal entries, and checks a witness against those
-rows (_reproduces); no n x n Gram matrix is built.
+row's nonzero off-diagonal entries, and checks every embedding it
+completes against those rows (_reproduces); no n x n Gram matrix is built.
 
 The search is complete backtracking over candidate vectors of the right
 norm, with symmetry breaking: after placing some vectors, coordinates of
@@ -72,16 +72,16 @@ An embedding touches at most -trace(G) coordinates, each vector at most
 its norm of them, and in canonical form the touched coordinates come
 first.  So the search runs at min(rank, -trace(G)): a larger rank only
 widens the untouched class, whose tuples then differ by trailing zeros,
-and the candidates, node counts and witnesses are the same.  A checked
-witness and every class enumerate_embeddings returns stay sparse, so
+and the candidates, node counts and witnesses are the same.  A witness
+and every class enumerate_embeddings returns stay sparse, so
 none holds the zeros past the searched width; a witness is made dense,
 at the full rank, only when a caller reads a SearchResult's or a
 SweepRow's witness.
 
 Neither the placement depth, nor the number of classes, nor the width
-of a class costs a Python frame: the search, the gap-first candidate
-search and the tuple builders keep explicit stacks, so long chains stay
-clear of the recursion limit.
+of a class costs a call-stack frame: the search's iterators and the
+candidate walk's generators sit in lists, and the tuple builders keep
+explicit stacks, so long chains stay clear of the recursion limit.
 
 A node budget turns an over-long search into an explicit indeterminate
 outcome, never a wrong answer.
@@ -364,40 +364,40 @@ class _Searcher:
                               key=lambda v: (-diag[v], v))
 
     def embeddings(self):
-        """Every completed embedding, in depth-first order, sparse.
+        """Every completed embedding, in depth-first order, sparse, each
+        checked against the rows (_reproduces) by a raise that -O keeps.
 
-        frames[d] holds the candidates for the vertex at depth d and the
-        index of the next one, and placed[d] is the one it proposed last,
-        so the placement depth uses no Python frames.  Each placed vector
-        is a node; placing vector budget + 1 sets exhausted and ends the
-        search.
+        its[d] iterates over the candidates for the vertex at depth d, and
+        placed[d] is the one it proposed last, so the placement depth uses
+        no Python frames.  Each placed vector is a node; placing vector
+        budget + 1 sets exhausted and ends the search.
         """
         placed = self.placed
-        frames = []
+        its = []
         while True:
             depth = len(placed)
             if depth == self.n:
                 rows = [None] * self.n
                 for slot, vec in zip(self.order, placed):
                     rows[slot] = vec
+                if not _reproduces(self.diag, self.off, rows):
+                    raise AssertionError("search produced an embedding that fails verification")
                 yield rows
             else:
-                frames.append([self._candidates(depth), 0])
+                its.append(iter(self._candidates(depth)))
             # backtrack to the deepest depth with a candidate left
-            while frames:
-                if len(placed) == len(frames):
+            while its:
+                if len(placed) == len(its):
                     self._unplace()
-                frame = frames[-1]
-                candidates, i = frame
-                if i < len(candidates):
-                    frame[1] = i + 1
+                vec = next(its[-1], None)
+                if vec is not None:
                     self.nodes += 1
                     if self.budget is not None and self.nodes > self.budget:
                         self.exhausted = True
                         return
-                    self._place(candidates[i])
+                    self._place(vec)
                     break
-                frames.pop()
+                its.pop()
             else:
                 return
 
@@ -507,22 +507,25 @@ class _Searcher:
         if norm <= 2 and links:
             out = self._finish((), norm, links, ())
         else:
-            out = self._walk(norm, links)
+            out = list(self._walk(norm, links))
         if len(out) > 1:  # an unguarded one-element sort costs 1.0 us, the guard 0.03
             out.sort(key=_reading, reverse=True)
         return out
 
     def _walk(self, norm, links):
-        """_candidates' class-by-class walk, its candidates unsorted."""
+        """_candidates' class-by-class walk, yielding its candidates unsorted."""
         placed, owner, rank, room = self.placed, self.owner, self.rank, self.room
         decided = set()
 
         def options(cls, budget, gaps):
-            # (entries, unspent norm, gaps) for each tuple of cls that keeps
-            # every open gap within its room; cls is already decided
+            """(entries, unspent norm, gaps) for each tuple of cls that keeps
+            every open gap within its room; cls is already decided.  room is
+            read lazily, and the walk restores it before it returns to a
+            frame, so each read sees what it held when the frame was pushed."""
             width = min(cls.hi - cls.lo, budget)
             if not cls.sig:
-                return [(entries, 0, gaps) for entries in _untouched_fills(width, budget)]
+                yield from ((entries, 0, gaps) for entries in _untouched_fills(width, budget))
+                return
             tuples = _touched_tuples if width > 1 else _one_wide
             hi = isqrt(width * budget)
             lo = -hi
@@ -533,7 +536,6 @@ class _Searcher:
                 reach = isqrt(budget * room[j])
                 lo = max(lo, -((reach - g) // x))
                 hi = min(hi, (g + reach) // x)
-            out = []
             for s in range(hi, lo - 1, -1):
                 new = gaps
                 if s:
@@ -550,11 +552,9 @@ class _Searcher:
                 for entries, q in tuples(width, budget, s):
                     if q > budget - need:
                         break
-                    out.append((entries, budget - q, new))
-            return out
+                    yield entries, budget - q, new
 
-        out = []
-        stack = []  # per decided class: [class, its options, next index, cursor, entries]
+        stack = []  # per decided class: [class, its options, cursor, entries]
         budget, gaps, cursor = norm, dict(links), 0
         while True:
             cls = None
@@ -565,27 +565,26 @@ class _Searcher:
                     if cursor < rank:
                         cls = owner[cursor]
                 else:
-                    out.extend(self._filled(stack, budget, decided))
+                    yield from self._filled(stack, budget, decided)
             elif budget >= 3:
                 for k, _ in placed[min(gaps)]:
                     if owner[k] not in decided:
                         cls = owner[k]
                         break
             else:
-                out.extend(self._finish(stack, budget, sorted(gaps.items()), decided))
+                yield from self._finish(stack, budget, sorted(gaps.items()), decided)
             if cls is not None:
                 decided.add(cls)
                 width = cls.hi - cls.lo
                 for j, x in cls.sig:
                     room[j] -= width * x * x
-                stack.append([cls, options(cls, budget, gaps), 0, cursor, ()])
+                stack.append([cls, options(cls, budget, gaps), cursor, ()])
             while stack:
                 frame = stack[-1]
-                i = frame[2]
-                if i < len(frame[1]):
-                    frame[2] = i + 1
-                    frame[4], budget, gaps = frame[1][i]
-                    cursor = frame[3]
+                option = next(frame[1], None)
+                if option is not None:
+                    frame[3], budget, gaps = option
+                    cursor = frame[2]
                     break
                 stack.pop()
                 cls = frame[0]
@@ -594,13 +593,13 @@ class _Searcher:
                 for j, x in cls.sig:
                     room[j] += width * x * x
             else:
-                return out
+                return
 
     @staticmethod
     def _base(stack):
         """The entries the decided classes on stack chose, at their coordinates."""
         return [(cls.lo + o if o >= 0 else cls.hi + o, x)
-                for cls, _, _, _, entries in stack for o, x in entries]
+                for cls, _, _, entries in stack for o, x in entries]
 
     def _filled(self, stack, budget, decided):
         """The candidates that complete the choices on stack with no gap
@@ -703,11 +702,12 @@ def find_embedding(tree, rank=None, budget=None) -> SearchResult:
     """Decide embeddability of a plumbing tree's negative-definite
     intersection form into (Z^r, -Id).
 
-    Returns FOUND with a verified witness, one vector per vertex in
-    ascending vertex id, kept sparse (SearchResult), NONE after
-    exhausting the (symmetry-pruned but complete) search space, or
-    INDETERMINATE when the node budget runs out.  rank defaults to the
-    vertex count, the rank relevant to the rational-homology-ball
+    Returns FOUND with the first embedding the search completes, checked
+    against the form's rows as each one is (_Searcher.embeddings), one
+    vector per vertex in ascending vertex id, kept sparse (SearchResult),
+    NONE after exhausting the (symmetry-pruned but complete) search
+    space, or INDETERMINATE when the node budget runs out.  rank defaults
+    to the vertex count, the rank relevant to the rational-homology-ball
     obstruction.  Raises ValueError for a form that is not negative
     definite, or a rank below 1.  tree may also be a form's rows
     (_search_input), as classify_one passes its builder's.
@@ -719,8 +719,6 @@ def find_embedding(tree, rank=None, budget=None) -> SearchResult:
         return SearchResult(SearchStatus.INDETERMINATE, None, searcher.nodes, r)
     if witness is None:
         return SearchResult(SearchStatus.NONE, None, searcher.nodes, r)
-    if not _reproduces(diag, off, witness):
-        raise AssertionError("search produced a witness that fails verification")
     return SearchResult(SearchStatus.FOUND, tuple(witness), searcher.nodes, r)
 
 
@@ -792,11 +790,12 @@ def enumerate_embeddings(tree, rank=None, locally_minimal_only=False) -> list:
     negatives of each other), so the returned list has one entry per
     isometry class.
 
-    Each class is sparse, as SearchResult.vectors.  Solutions are checked
-    against the rows and canonicalised (_canonical) at the searched width,
-    -trace(G) at most, so a class is the same at any larger rank; one is
-    locally minimal when it uses every coordinate of that width.  The
-    classes come in ascending order of their dense rows.
+    Each class is sparse, as SearchResult.vectors.  Solutions, checked
+    against the rows as the search completes them, are canonicalised
+    (_canonical) at the searched width, -trace(G) at most, so a class is
+    the same at any larger rank; one is locally minimal when it uses
+    every coordinate of that width.  The classes come in ascending order
+    of their dense rows.
     """
     diag, off, r = _search_input(tree, rank)
     searcher = _Searcher(diag, off, r)
@@ -804,8 +803,6 @@ def enumerate_embeddings(tree, rank=None, locally_minimal_only=False) -> list:
         return []
     seen = set()
     for sol in searcher.embeddings():
-        if not _reproduces(diag, off, sol):
-            raise AssertionError("search produced an embedding that fails verification")
         sol, width = _canonical(sol)
         if not locally_minimal_only or width == searcher.rank:
             seen.add(sol)

@@ -95,7 +95,7 @@ class WeightedTree:
         if sum(map(len, adj.values())) != 2 * len(w) - 2:
             raise ValueError("edge count does not match a tree")
         # |E| = |V| - 1 plus no cycle <=> connected <=> tree
-        if _walked(w, adj) is None:
+        if _walked(adj) is None:
             raise ValueError("graph is not connected")
         self._weights = w
         self._adj = {v: frozenset(ns) for v, ns in adj.items()}
@@ -208,10 +208,11 @@ def gram_matrix(tree: WeightedTree) -> list:
 
 def form_invariants(tree: WeightedTree) -> tuple:
     """(det, negative definite) of the tree's intersection form, by
-    _eliminate on its weights and adjacency as _walked lists them; computed
-    once and kept on the tree."""
+    _eliminate on its weights in the order _walked lists the vertices;
+    computed once and kept on the tree."""
     if tree._form is None:
-        tree._form = _eliminate(*_walked(tree._weights, tree._adj))
+        order, up = _walked(tree._adj)
+        tree._form = _eliminate(list(map(tree._weights.__getitem__, order)), up, {})
     return tree._form
 
 
@@ -250,27 +251,26 @@ def _read_matrix(matrix):
 
 def _forest_elimination(matrix):
     """_eliminate on a matrix read by _read_matrix; ValueError on a cycle."""
-    walked = _walked(*_read_matrix(matrix))
+    num, adj = _read_matrix(matrix)
+    walked = _walked(adj)
     if walked is None:
         raise ValueError("matrix support has a cycle")
-    return _eliminate(*walked)
+    order, up = walked
+    squares = [0 if p is None else adj[order[p]][v] ** 2 for v, p in zip(order, up)]
+    return _eliminate(list(map(num.__getitem__, order)), up, {}, squares)
 
 
-def _walked(num, adj):
-    """_eliminate's lists for the symmetric matrix of diagonal num[v] and
-    non-zero entries adj[v] off it, a dict {u: a} or, every entry 1 (a
-    plumbing's form), a set of the u: each component walked breadth first
-    from a root, each vertex listed after its parent, the lists made as the
-    walk goes; None if a vertex is reached twice, closing a cycle."""
-    weighted = type(next(iter(adj.values()), None)) is dict
-    index, up, squares = {}, [], [] if weighted else None
-    for root in num:
+def _walked(adj):
+    """(vertices in walk order, each one's parent's place in it or None at
+    a root) of the forest on adj's keys with edges v-u, u in adj[v]: each
+    component walked breadth first from its first key, each vertex after
+    its parent; None if a vertex is reached twice, closing a cycle."""
+    index, up = {}, []
+    for root in adj:
         if root in index:
             continue
         index[root] = start = len(up)
         up.append(None)
-        if weighted:
-            squares.append(0)
         component = [root]
         for i, v in enumerate(component, start):  # i: v's place in up
             p = up[i]
@@ -280,11 +280,9 @@ def _walked(num, adj):
                     index[c] = len(up)
                     up.append(i)
                     component.append(c)
-                    if weighted:
-                        squares.append(adj[v][c] ** 2)
                 elif j != p:
                     return None
-    return list(map(num.__getitem__, index)), up, {}, squares
+    return list(index), up
 
 
 def _eliminate(num, up, runs, squares=None):

@@ -312,7 +312,8 @@ def construction_entries(tree):
 
 def walked_form(tree):
     """The kernel's form of a tree eliminated in the order of its walk."""
-    return plumbing._eliminate(*plumbing._walked(tree._weights, tree._adj))
+    order, up = plumbing._walked(tree._adj)
+    return plumbing._eliminate([tree.weight(v) for v in order], up, {})
 
 
 def meets_zero_pivot(tree):

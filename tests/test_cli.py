@@ -332,19 +332,31 @@ class TestOversizedTrees:
 
     @pytest.mark.parametrize("kind", ["raw", "reduced", "closed-form"])
     def test_the_limit_is_on_the_vertex_count(self, monkeypatch, capsys, tmp_path, kind):
-        # T(2,3; 2,17) at 36 has 8 reduced vertices and 16 raw ones
+        # T(2,3; 2,17) at 36 has 8 reduced vertices and 16 raw ones; a
+        # graph file's are counted from its vertex list, before any tree
         size = 16 if kind == "raw" else 8
         spec = ["--pairs", "2,3,2,17", "--n", "36"]
+        graph = tmp_path / "g.json"
         monkeypatch.setattr(cli, "MAX_VERTICES", size)
         assert cli.main(["graph", f"--{kind}", *spec]) == 0
         assert capsys.readouterr().out.startswith(f"rank {size}\n")
+        assert cli.main(["graph", f"--{kind}", *spec, "--json"]) == 0
+        graph.write_text(capsys.readouterr().out)
         monkeypatch.setattr(cli, "MAX_VERTICES", size - 1)
+        error = f"error: a tree of {size} vertices; graph and embed build at most {size - 1}\n"
         assert cli.main(["graph", f"--{kind}", *spec]) == 1
-        assert capsys.readouterr().err == (
-            f"error: a tree of {size} vertices; graph and embed build at most {size - 1}\n")
+        assert capsys.readouterr().err == error
+
+        def no_tree(obj):
+            raise AssertionError("a tree was built past the limit")
+
+        monkeypatch.setattr(cli.WeightedTree, "_from_obj", no_tree)
+        assert cli.main(["embed", str(graph), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr() == ("", error)
+        assert os.listdir(tmp_path) == ["g.json"]
         if kind == "reduced":
             assert cli.main(["embed", *spec, "--out", str(tmp_path)]) == 1
-            assert os.listdir(tmp_path) == []
+            assert os.listdir(tmp_path) == ["g.json"]
 
 
 class TestEmbed:

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import itertools
 import json
@@ -14,9 +15,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import knotplumb
-from knotplumb import cabling, lattice
+from knotplumb import cabling, classify, lattice
 from knotplumb.cabling import CableTower, SurgerySpec, closed_form_two_iter
-from knotplumb.classify import desk_range_tuples
+from knotplumb.classify import DEFAULT_BUDGET, desk_range_tuples
 from knotplumb.lattice import (
     SearchStatus,
     _canonical,
@@ -754,6 +755,30 @@ class TestCandidates:
         enumerate_gram([[-2, 3, 0], [3, -5, 0], [0, 0, -6]], rank=4)
         assert len(counts) > before
 
+    def test_every_candidate_list_is_pinned(self, monkeypatch):
+        # the gate for any change to the search: the lists _candidates
+        # returns, in call order, on the desk range's searched tuples as a
+        # sweep classifies them, then on Lisca's chains
+        real = lattice._Searcher._candidates
+        digest, calls = hashlib.sha256(), 0
+
+        def hashed(self, depth):
+            nonlocal calls
+            out = real(self, depth)
+            calls += 1
+            digest.update(repr(out).encode())
+            return out
+
+        monkeypatch.setattr(lattice._Searcher, "_candidates", hashed)
+        for t in desk_range_tuples():
+            if classify.searched(t[4], t[4] - t[2] * t[3]):
+                classify._classify_tuple(t, DEFAULT_BUDGET)
+        for _, _, chains in lisca_chains():
+            for c in chains:
+                find_embedding(c)
+        assert (calls, digest.hexdigest()) == (
+            23416, "57e8dd5fb42e7acd12d61483152c8094e9aa26f500ff5e51266036ce4480549d")
+
     @pytest.mark.parametrize(
         "k2, n, rank, nodes",
         [(53, 108, 26, 27), (103, 208, 51, 52), (203, 408, 101, 102),
@@ -1244,6 +1269,16 @@ def lisca_r(max_m):
     return members
 
 
+def lisca_chains():
+    """(m, q, the linear chains of p/q and p/(p - q)) for m = 2..16, p =
+    m^2, and every q < p coprime to p, ascending."""
+    for m in range(2, 17):
+        p = m * m
+        for q in range(1, p):
+            if math.gcd(p, q) == 1:
+                yield m, q, [path([-c for c in knotplumb.expand_neg_cf(p, x)]) for x in (q, p - q)]
+
+
 class TestLiscaLensSpaces:
     # pairs FOUND on both sides that R as written above leaves out, each
     # L(m^2, mk +- 1) with gcd(m, k) = 2: their chains do embed (the
@@ -1261,21 +1296,16 @@ class TestLiscaLensSpaces:
         # q < m^2, m <= 16, through the public API: chains up to rank 255,
         # FOUND up to rank 17, where the naive oracle stops at rank 5
         pairs, nodes, one_side, both = 0, 0, set(), set()
-        for m in range(2, 17):
-            p = m * m
-            for q in range(1, p):
-                if math.gcd(p, q) != 1:
-                    continue
-                pairs += 1
-                results = [find_embedding(path([-c for c in knotplumb.expand_neg_cf(p, x)]))
-                           for x in (q, p - q)]
-                nodes += sum(r.nodes for r in results)
-                statuses = [r.status for r in results]
-                assert SearchStatus.INDETERMINATE not in statuses, (m, q)
-                if statuses[0] is SearchStatus.FOUND:
-                    one_side.add((m, q))
-                    if statuses[1] is SearchStatus.FOUND:
-                        both.add((m, q))
+        for m, q, chains in lisca_chains():
+            pairs += 1
+            results = [find_embedding(c) for c in chains]
+            nodes += sum(r.nodes for r in results)
+            statuses = [r.status for r in results]
+            assert SearchStatus.INDETERMINATE not in statuses, (m, q)
+            if statuses[0] is SearchStatus.FOUND:
+                one_side.add((m, q))
+                if statuses[1] is SearchStatus.FOUND:
+                    both.add((m, q))
         r = lisca_r(16)
         assert (pairs, nodes, len(one_side), len(both), len(r)) == (862, 21704, 544, 258, 242)
         assert r <= both
